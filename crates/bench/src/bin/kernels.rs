@@ -50,7 +50,7 @@ use cq_quant::{Precision, PrecisionSet, QuantConfig};
 use cq_tensor::gemm::int8::{gemm_i8_nn_ref, gemm_i8_nt_ref, par_gemm_i8, IntKind};
 use cq_tensor::gemm::{self, Kind};
 use cq_tensor::par::{num_threads, parallel_chunks_mut, parallel_for_each};
-use cq_tensor::{im2col, Conv2dSpec, Tensor};
+use cq_tensor::{conv2d, Conv2dSpec, ConvShape, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -127,34 +127,26 @@ fn bench_matmul(kind: Kind, m: usize, n: usize, k: usize, rng: &mut StdRng) -> P
     }
 }
 
-/// Measures a per-sample dense conv forward (im2col + NN product, the
-/// Conv2d band-worker hot path) for a `c`→`o` layer on an `h`×`w` input.
-/// `m`/`n`/`k` record the lowered product shape. Both sides share the new
-/// im2col, so the ratio isolates the GEMM.
+/// Measures a dense conv forward for a `c`→`o` layer on one `h`×`w`
+/// image: the implicit GEMM `Conv2d` runs against the per-sample oracle
+/// (materialised im2col + scalar product). `m`/`n`/`k` record the lowered
+/// product shape.
 fn bench_conv(c: usize, o: usize, h: usize, w: usize, rng: &mut StdRng) -> Point {
-    let spec = Conv2dSpec::new(3, 1, 1);
-    let (oh, ow) = spec.out_hw(h, w).expect("conv geometry");
-    let ckk = spec.col_rows(c);
+    let shape = ConvShape::new(1, c, h, w, o, Conv2dSpec::new(3, 1, 1)).expect("conv geometry");
+    let (k, p) = (shape.taps(), shape.positions());
     let x = randvec(c * h * w, rng);
-    let wgt = randvec(o * ckk, rng);
-    let mut cols = vec![0.0f32; ckk * oh * ow];
-    let mut out = vec![0.0f32; o * oh * ow];
-    let flops = 2.0 * (o * ckk * oh * ow) as f64;
+    let wgt = randvec(o * k, rng);
+    let mut out = vec![0.0f32; o * p];
+    let flops = shape.flops() as f64;
 
-    let (t_blocked, iters) = time_best(|| {
-        im2col(&x, c, h, w, &spec, &mut cols);
-        gemm::gemm_nn(&wgt, o, ckk, &cols, oh * ow, &mut out);
-    });
-    let (t_ref, _) = time_best(|| {
-        im2col(&x, c, h, w, &spec, &mut cols);
-        gemm::reference::gemm_nn(&wgt, o, ckk, &cols, oh * ow, &mut out);
-    });
+    let (t_blocked, iters) = time_best(|| conv2d(&x, &wgt, &shape, &mut out));
+    let (t_ref, _) = time_best(|| gemm::reference::conv2d(&x, &wgt, &shape, &mut out));
 
     Point {
         kernel: "conv2d",
         m: o,
-        n: oh * ow,
-        k: ckk,
+        n: p,
+        k,
         iters,
         gflops: flops / t_blocked / 1e9,
         ref_gflops: flops / t_ref / 1e9,

@@ -1,14 +1,19 @@
-//! Convolution layers: dense [`Conv2d`] (im2col + matmul) and
-//! [`DepthwiseConv2d`] (direct loops, used by MobileNetV2).
+//! Convolution layers: dense [`Conv2d`] (one implicit GEMM per pass over
+//! the whole batch) and [`DepthwiseConv2d`] (direct loops, used by
+//! MobileNetV2).
 //!
-//! Both layers parallelise over batch samples with per-band weight-gradient
-//! accumulators, so gradients are deterministic (the band grid depends only
-//! on the batch size — never on the thread count — and partials are reduced
-//! in band order) while still using every core via the persistent pool.
+//! The depthwise layer parallelises over batch samples with per-band
+//! weight-gradient accumulators, so gradients are deterministic (the band
+//! grid depends only on the batch size — never on the thread count — and
+//! partials are reduced in band order) while still using every core via
+//! the persistent pool. The dense layer's kernels in `cq_tensor::gemm::conv`
+//! keep the same guarantee.
 
-use cq_tensor::gemm::{gemm_nn, gemm_nt_acc, gemm_tn};
 use cq_tensor::par::{parallel_for_chunks, parallel_map_chunks, ChunkGrid};
-use cq_tensor::{col2im, depthwise_conv2d, depthwise_conv2d_backward, im2col, Conv2dSpec, Tensor};
+use cq_tensor::{
+    conv2d, conv2d_backward_input, conv2d_backward_weight, depthwise_conv2d,
+    depthwise_conv2d_backward, Conv2dSpec, ConvShape, Tensor,
+};
 use rand::rngs::StdRng;
 
 use crate::{Cache, ForwardCtx, GradSet, Layer, NnError, ParamId, ParamSet, Result};
@@ -26,10 +31,10 @@ impl SendPtr {
     }
 }
 
-/// Fixed cap on batch bands. A constant (not `num_threads()`) so the band
-/// grid — and with it the weight-gradient partial count and reduction
-/// order — is identical at every thread count. Also bounds the per-band
-/// scratch (im2col buffers) and partial-accumulator memory.
+/// Fixed cap on depthwise batch bands. A constant (not `num_threads()`)
+/// so the band grid — and with it the weight-gradient partial count and
+/// reduction order — is identical at every thread count. Also bounds the
+/// partial-accumulator memory.
 const MAX_BANDS: usize = 8;
 
 /// Band grid over `n` batch samples.
@@ -39,8 +44,8 @@ fn band_grid(n: usize) -> ChunkGrid {
 
 /// Dense 2-D convolution over NCHW batches.
 ///
-/// The weight is stored as `[out_channels, in_channels * kh * kw]` so the
-/// per-sample forward is a single matmul against the im2col matrix. Under
+/// The weight is stored as `[out_channels, in_channels * kh * kw]`, the A
+/// operand of the batch-wide implicit GEMM (see `cq_tensor::gemm::conv`). Under
 /// a quantized [`ForwardCtx`] the weight is fake-quantized before use
 /// (STE backward).
 #[derive(Debug)]
@@ -56,8 +61,7 @@ pub struct Conv2d {
 struct ConvCache {
     input: Tensor,
     used_weight: Option<Tensor>,
-    in_hw: (usize, usize),
-    out_hw: (usize, usize),
+    shape: ConvShape,
 }
 
 impl Conv2d {
@@ -119,59 +123,30 @@ impl Layer for Conv2d {
 
     fn forward(&mut self, ps: &ParamSet, x: &Tensor, ctx: &ForwardCtx) -> Result<(Tensor, Cache)> {
         let (n, h, w) = self.check_input(x)?;
-        let (oh, ow) = self.spec.out_hw(h, w)?;
         let (c, o) = (self.in_channels, self.out_channels);
-        let ckk = self.spec.col_rows(c);
+        let shape = ConvShape::new(n, c, h, w, o, self.spec)?;
+        let p = shape.positions();
         let raw_w = ps.get(self.weight);
         let used = crate::perturb::perturbed_weight(raw_w, self.weight, ctx);
         let wslice = used.as_ref().unwrap_or(raw_w).as_slice();
-        let bias = self.bias.map(|b| ps.get(b).as_slice().to_vec());
 
-        let mut out = vec![0.0f32; n * o * oh * ow];
-        let xs = x.as_slice();
-        let spec = self.spec;
-        {
-            let out_ptr = SendPtr(out.as_mut_ptr());
-            let bias = &bias;
-            parallel_for_chunks(band_grid(n), |_, b0, b1| {
-                let mut cols = vec![0.0f32; ckk * oh * ow];
-                for i in b0..b1 {
-                    im2col(
-                        &xs[i * c * h * w..(i + 1) * c * h * w],
-                        c,
-                        h,
-                        w,
-                        &spec,
-                        &mut cols,
-                    );
-                    // SAFETY: sample chunks are disjoint across bands.
-                    let dst = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            out_ptr.get().add(i * o * oh * ow),
-                            o * oh * ow,
-                        )
-                    };
-                    // Serial blocked kernel: the batch bands above are the
-                    // parallel dimension, so no nested dispatch here.
-                    gemm_nn(wslice, o, ckk, &cols, oh * ow, dst);
-                    if let Some(bv) = bias {
-                        for (co, &b) in bv.iter().enumerate() {
-                            for v in &mut dst[co * oh * ow..(co + 1) * oh * ow] {
-                                *v += b;
-                            }
-                        }
-                    }
+        let mut out = vec![0.0f32; n * o * p];
+        conv2d(x.as_slice(), wslice, &shape, &mut out);
+        if let Some(b) = self.bias {
+            let bv = ps.get(b).as_slice();
+            for (plane, &bc) in out.chunks_exact_mut(p).zip(bv.iter().cycle()) {
+                for v in plane {
+                    *v += bc;
                 }
-            });
+            }
         }
-        let y = Tensor::from_vec(out, &[n, o, oh, ow])?;
+        let y = Tensor::from_vec(out, &[n, o, shape.oh, shape.ow])?;
         Ok((
             y,
             Cache::new(ConvCache {
                 input: x.clone(),
                 used_weight: used,
-                in_hw: (h, w),
-                out_hw: (oh, ow),
+                shape,
             }),
         ))
     }
@@ -184,77 +159,36 @@ impl Layer for Conv2d {
         gs: &mut GradSet,
     ) -> Result<Tensor> {
         let cch = cache.downcast::<ConvCache>("Conv2d")?;
-        let (h, w) = cch.in_hw;
-        let (oh, ow) = cch.out_hw;
-        let (c, o) = (self.in_channels, self.out_channels);
-        let n = cch.input.dims()[0];
-        if dy.dims() != [n, o, oh, ow] {
+        let s = cch.shape;
+        let (n, o, p) = (s.n, s.o, s.positions());
+        if dy.dims() != [n, o, s.oh, s.ow] {
             return Err(NnError::BadInput {
                 layer: "Conv2d.backward".into(),
-                expected: format!("[{n}, {o}, {oh}, {ow}]"),
+                expected: format!("[{n}, {o}, {}, {}]", s.oh, s.ow),
                 got: dy.dims().to_vec(),
             });
         }
-        let ckk = self.spec.col_rows(c);
         let wslice = cch
             .used_weight
             .as_ref()
             .unwrap_or_else(|| ps.get(self.weight))
             .as_slice();
-        let xs = cch.input.as_slice();
         let dys = dy.as_slice();
-        let spec = self.spec;
 
-        let mut dx = vec![0.0f32; n * c * h * w];
-        let dw_partials = {
-            let dx_ptr = SendPtr(dx.as_mut_ptr());
-            parallel_map_chunks(
-                band_grid(n),
-                || vec![0.0f32; o * ckk],
-                |_, b0, b1, dw_part| {
-                    let mut cols = vec![0.0f32; ckk * oh * ow];
-                    let mut dcols = vec![0.0f32; ckk * oh * ow];
-                    for i in b0..b1 {
-                        let x_n = &xs[i * c * h * w..(i + 1) * c * h * w];
-                        let dy_n = &dys[i * o * oh * ow..(i + 1) * o * oh * ow];
-                        im2col(x_n, c, h, w, &spec, &mut cols);
-                        // dW += dy_n @ colsᵀ
-                        gemm_nt_acc(dy_n, o, oh * ow, &cols, ckk, dw_part);
-                        // dcols = Wᵀ @ dy_n
-                        gemm_tn(wslice, o, ckk, dy_n, oh * ow, &mut dcols);
-                        // SAFETY: disjoint per-sample chunks.
-                        let dx_n = unsafe {
-                            std::slice::from_raw_parts_mut(
-                                dx_ptr.get().add(i * c * h * w),
-                                c * h * w,
-                            )
-                        };
-                        col2im(&dcols, c, h, w, &spec, dx_n);
-                    }
-                },
-            )
-        };
-        // In-band-order reduction of the partials keeps gradients
-        // deterministic at any thread count.
-        let mut dw = Tensor::zeros(&[o, ckk]);
-        for part in &dw_partials {
-            for (d, &p) in dw.as_mut_slice().iter_mut().zip(part) {
-                *d += p;
-            }
-        }
+        let mut dw = Tensor::zeros(&[o, s.taps()]);
+        conv2d_backward_weight(cch.input.as_slice(), dys, &s, dw.as_mut_slice());
         gs.accumulate(self.weight, &dw)?;
         if let Some(b) = self.bias {
             let mut db = vec![0.0f32; o];
-            for i in 0..n {
-                for (co, dbv) in db.iter_mut().enumerate() {
-                    let base = (i * o + co) * oh * ow;
-                    // cq-allow(det-float-accum): contiguous slice sum in index order
-                    *dbv += dys[base..base + oh * ow].iter().sum::<f32>();
-                }
+            for (i, dyc) in dys.chunks_exact(p).enumerate() {
+                // cq-allow(det-float-accum): contiguous slice sum in index order
+                db[i % o] += dyc.iter().sum::<f32>();
             }
             gs.accumulate(b, &Tensor::from_vec(db, &[o])?)?;
         }
-        Ok(Tensor::from_vec(dx, &[n, c, h, w])?)
+        let mut dx = vec![0.0f32; n * s.c * s.h * s.w];
+        conv2d_backward_input(dys, wslice, &s, &mut dx);
+        Ok(Tensor::from_vec(dx, &[n, s.c, s.h, s.w])?)
     }
 }
 

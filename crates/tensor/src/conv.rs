@@ -1,15 +1,15 @@
-//! Convolution lowering: `im2col` / `col2im` and depthwise kernels.
+//! Convolution geometry, depthwise kernels and the i8 column lowering.
 //!
-//! Dense convolutions are lowered per-sample to a column matrix of shape
-//! `[C*KH*KW, OH*OW]`; the convolution is then a matmul with the weight
-//! viewed as `[O, C*KH*KW]`. The backward pass reverses the lowering with
-//! [`col2im`]. Depthwise convolutions (MobileNetV2) skip the lowering and
-//! use direct loops, which is faster for a single channel per group.
+//! Dense f32 convolutions run as implicit GEMMs over the whole batch (see
+//! [`crate::gemm::conv`]). Depthwise convolutions (MobileNetV2) use direct
+//! loops, which is faster for a single channel per group. The integer
+//! inference path still lowers each sample to an i8 column matrix with
+//! [`im2col_i8`].
 
 use crate::{Result, TensorError};
 
-// Kernel counters (no-ops unless a cq-obs sink is installed). im2col is
-// counted in column-matrix elements written; depthwise convs in
+// Kernel counters (no-ops unless a cq-obs sink is installed). i8 im2col
+// is counted in column-matrix elements written; depthwise convs in
 // multiply-add FLOPs, so observed totals reconcile with Plan IR estimates.
 static IM2COL_ELEMS: cq_obs::Counter = cq_obs::Counter::new("tensor.im2col.elems");
 static DEPTHWISE_FLOPS: cq_obs::Counter = cq_obs::Counter::new("tensor.depthwise.flops");
@@ -84,122 +84,6 @@ impl Conv2dSpec {
     }
 }
 
-/// Lowers one `[c, h, w]` sample (flat slice, CHW order) to a column matrix
-/// written into `out`, which must have length `c*kh*kw * oh*ow`.
-///
-/// Row `(ci*kh+ki)*kw+kj` of the column matrix holds, for every output
-/// location, the input value under kernel tap `(ki, kj)` of channel `ci`
-/// (zero where the tap falls in padding).
-///
-/// # Panics
-///
-/// Panics if slice lengths are inconsistent with the geometry.
-pub fn im2col(input: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec, out: &mut [f32]) {
-    let (kh, kw) = spec.kernel;
-    let (sh, sw) = spec.stride;
-    let (ph, pw) = spec.padding;
-    let (oh, ow) = spec.out_hw(h, w).expect("im2col: invalid geometry"); // cq-check: allow — geometry pre-validated by callers
-    assert_eq!(input.len(), c * h * w, "im2col: input length mismatch");
-    assert_eq!(
-        out.len(),
-        c * kh * kw * oh * ow,
-        "im2col: output length mismatch"
-    );
-    IM2COL_ELEMS.add(out.len() as u64);
-
-    let ospatial = oh * ow;
-    for ci in 0..c {
-        let in_ch = &input[ci * h * w..(ci + 1) * h * w];
-        for ki in 0..kh {
-            for kj in 0..kw {
-                let row = ((ci * kh + ki) * kw + kj) * ospatial;
-                let dst = &mut out[row..row + ospatial];
-                // The in-bounds output-x interval [x0, x1) for this tap
-                // does not depend on oy: hoist the border test out of the
-                // pixel loop so interior spans are straight copies.
-                let off = kj as isize - pw as isize;
-                let x0 = if off >= 0 {
-                    0
-                } else {
-                    ((-off) as usize).div_ceil(sw)
-                }
-                .min(ow);
-                let hi = w as isize - 1 - off;
-                let x1 = if hi < 0 {
-                    x0
-                } else {
-                    ((hi as usize) / sw + 1).clamp(x0, ow)
-                };
-                for oy in 0..oh {
-                    let iy = (oy * sh + ki) as isize - ph as isize;
-                    let orow = &mut dst[oy * ow..(oy + 1) * ow];
-                    if iy < 0 || iy >= h as isize {
-                        orow.fill(0.0);
-                        continue;
-                    }
-                    let iy = iy as usize;
-                    orow[..x0].fill(0.0);
-                    orow[x1..].fill(0.0);
-                    if x1 > x0 {
-                        let src0 = iy * w + ((x0 * sw) as isize + off) as usize;
-                        if sw == 1 {
-                            orow[x0..x1].copy_from_slice(&in_ch[src0..src0 + (x1 - x0)]);
-                        } else {
-                            for (i, o) in orow[x0..x1].iter_mut().enumerate() {
-                                *o = in_ch[src0 + i * sw];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Reverse of [`im2col`]: accumulates a column-matrix gradient back into a
-/// `[c, h, w]` input-gradient slice. `out` is accumulated into, not
-/// overwritten, so a caller can fold several branches together.
-///
-/// # Panics
-///
-/// Panics if slice lengths are inconsistent with the geometry.
-pub fn col2im(cols: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec, out: &mut [f32]) {
-    let (kh, kw) = spec.kernel;
-    let (sh, sw) = spec.stride;
-    let (ph, pw) = spec.padding;
-    let (oh, ow) = spec.out_hw(h, w).expect("col2im: invalid geometry"); // cq-check: allow — geometry pre-validated by callers
-    assert_eq!(out.len(), c * h * w, "col2im: output length mismatch");
-    assert_eq!(
-        cols.len(),
-        c * kh * kw * oh * ow,
-        "col2im: cols length mismatch"
-    );
-
-    let ospatial = oh * ow;
-    for ci in 0..c {
-        let out_ch = &mut out[ci * h * w..(ci + 1) * h * w];
-        for ki in 0..kh {
-            for kj in 0..kw {
-                let row = ((ci * kh + ki) * kw + kj) * ospatial;
-                let src = &cols[row..row + ospatial];
-                for oy in 0..oh {
-                    let iy = (oy * sh + ki) as isize - ph as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let iy = iy as usize;
-                    for ox in 0..ow {
-                        let ix = (ox * sw + kj) as isize - pw as isize;
-                        if ix >= 0 && (ix as usize) < w {
-                            out_ch[iy * w + ix as usize] += src[oy * ow + ox];
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Direct depthwise convolution over one `[c, h, w]` sample: channel `ci`
 /// of the output is channel `ci` of the input convolved with kernel
 /// `weight[ci]` (`weight` is flat `[c, kh, kw]`).
@@ -225,33 +109,60 @@ pub fn depthwise_conv2d(
     assert_eq!(out.len(), c * oh * ow);
     DEPTHWISE_FLOPS.add(2 * (c * oh * ow * kh * kw) as u64);
 
-    for ci in 0..c {
-        let in_ch = &input[ci * h * w..(ci + 1) * h * w];
-        let ker = &weight[ci * kh * kw..(ci + 1) * kh * kw];
-        let out_ch = &mut out[ci * oh * ow..(ci + 1) * oh * ow];
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = 0.0f32;
-                for ki in 0..kh {
-                    let iy = (oy * sh + ki) as isize - ph as isize;
-                    if iy < 0 || iy >= h as isize {
+    // Row-wise: each output row accumulates tap by tap (ascending, taps in
+    // padding skipped) over its in-bounds column span, so every output
+    // element sums the same terms in the same order as a per-pixel loop,
+    // while the inner loop runs over contiguous columns.
+    let spans: Vec<(usize, usize)> = (0..kw).map(|kj| tap_columns(kj, pw, sw, w, ow)).collect();
+    for ((in_ch, ker), out_ch) in input
+        .chunks_exact(h * w)
+        .zip(weight.chunks_exact(kh * kw))
+        .zip(out.chunks_exact_mut(oh * ow))
+    {
+        for (oy, orow) in out_ch.chunks_exact_mut(ow).enumerate() {
+            orow.fill(0.0);
+            for ki in 0..kh {
+                let Some(iy) = (oy * sh + ki).checked_sub(ph).filter(|&iy| iy < h) else {
+                    continue;
+                };
+                let irow = &in_ch[iy * w..(iy + 1) * w];
+                for (kj, &(x0, x1)) in spans.iter().enumerate() {
+                    if x0 == x1 {
                         continue;
                     }
-                    for kj in 0..kw {
-                        let ix = (ox * sw + kj) as isize - pw as isize;
-                        if ix >= 0 && (ix as usize) < w {
-                            // cq-allow(no-naive-hot-loop): depthwise k x k stencil with per-tap padding guards; no matrix structure to lower onto cq_tensor::gemm
-                            acc += in_ch[iy as usize * w + ix as usize] * ker[ki * kw + kj];
-                        }
+                    let kv = ker[ki * kw + kj];
+                    let at = x0 * sw + kj - pw;
+                    let dst = &mut orow[x0..x1];
+                    // cq-allow(no-naive-hot-loop): depthwise k x k stencil, one tap over a row span; no matrix structure to lower onto cq_tensor::gemm
+                    let step = |(o, &v): (&mut f32, &f32)| *o += v * kv;
+                    if sw == 1 {
+                        dst.iter_mut().zip(&irow[at..at + x1 - x0]).for_each(step);
+                    } else {
+                        dst.iter_mut()
+                            .zip(irow[at..].iter().step_by(sw))
+                            .for_each(step);
                     }
                 }
-                out_ch[oy * ow + ox] = acc;
             }
         }
     }
 }
 
-/// i8 variant of [`im2col`] for the integer inference path. `pad` is the
+/// Output columns `[x0, x1)` whose kernel column `kj` reads inside a
+/// `w`-wide input row (padding `pw`, stride `sw`, `ow` output columns).
+fn tap_columns(kj: usize, pw: usize, sw: usize, w: usize, ow: usize) -> (usize, usize) {
+    let x0 = pw.saturating_sub(kj).div_ceil(sw).min(ow);
+    // The last in-bounds output column is (w - 1 + pw - kj) / sw.
+    let x1 = (w + pw)
+        .checked_sub(kj + 1)
+        .map_or(x0, |hi| (hi / sw + 1).clamp(x0, ow));
+    (x0, x1)
+}
+
+/// Lowers one `[c, h, w]` i8 sample to a column matrix for the integer
+/// inference path (the layout of [`crate::gemm::reference::im2col`]: row
+/// `(ci*kh+ki)*kw+kj` holds tap `(ki, kj)` of channel `ci` for every
+/// output location). `pad` is the
 /// i8 code written where a tap falls in padding: with a zero-point
 /// representation the real value `0.0` maps to code `-zp`, not `0`, so
 /// the caller passes that code here and the downstream i8 GEMM's
@@ -289,21 +200,11 @@ pub fn im2col_i8(
             for kj in 0..kw {
                 let row = ((ci * kh + ki) * kw + kj) * ospatial;
                 let dst = &mut out[row..row + ospatial];
-                // Same hoisted border analysis as the f32 im2col: the
-                // in-bounds output-x interval [x0, x1) is oy-independent.
+                // The in-bounds output-x interval [x0, x1) for this tap
+                // does not depend on oy: hoist the border test out of the
+                // pixel loop so interior spans are straight copies.
                 let off = kj as isize - pw as isize;
-                let x0 = if off >= 0 {
-                    0
-                } else {
-                    ((-off) as usize).div_ceil(sw)
-                }
-                .min(ow);
-                let hi = w as isize - 1 - off;
-                let x1 = if hi < 0 {
-                    x0
-                } else {
-                    ((hi as usize) / sw + 1).clamp(x0, ow)
-                };
+                let (x0, x1) = tap_columns(kj, pw, sw, w, ow);
                 for oy in 0..oh {
                     let iy = (oy * sh + ki) as isize - ph as isize;
                     let orow = &mut dst[oy * ow..(oy + 1) * ow];
@@ -416,31 +317,75 @@ pub fn depthwise_conv2d_backward(
     assert_eq!(dinput.len(), c * h * w);
     assert_eq!(dweight.len(), c * kh * kw);
 
-    for ci in 0..c {
-        let in_ch = &input[ci * h * w..(ci + 1) * h * w];
-        let ker = &weight[ci * kh * kw..(ci + 1) * kh * kw];
-        let dout_ch = &dout[ci * oh * ow..(ci + 1) * oh * ow];
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let g = dout_ch[oy * ow + ox];
-                if g == 0.0 {
+    // Both gradients keep the per-pixel loop's summation order. Each
+    // input-gradient element receives its terms in raster (oy, ox) order:
+    // within one output row it is reached by exactly one ki, and by
+    // ascending ox exactly when kj descends, hence the reversed kj loop.
+    // Each weight-gradient element is one running sum over raster
+    // positions. Zero output gradients contribute nothing (selecting +0.0
+    // instead of skipping is exact: sums that start at +0.0 never reach
+    // -0.0).
+    let spans: Vec<(usize, usize)> = (0..kw).map(|kj| tap_columns(kj, pw, sw, w, ow)).collect();
+    let chans = weight
+        .chunks_exact(kh * kw)
+        .zip(dout.chunks_exact(oh * ow))
+        .zip(dinput.chunks_exact_mut(h * w));
+    for ((ker, dout_ch), din_ch) in chans {
+        for (oy, grow) in dout_ch.chunks_exact(ow).enumerate() {
+            for ki in 0..kh {
+                let Some(iy) = (oy * sh + ki).checked_sub(ph).filter(|&iy| iy < h) else {
                     continue;
-                }
-                for ki in 0..kh {
-                    let iy = (oy * sh + ki) as isize - ph as isize;
-                    if iy < 0 || iy >= h as isize {
+                };
+                for (kj, &(x0, x1)) in spans.iter().enumerate().rev() {
+                    if x0 == x1 {
                         continue;
                     }
-                    for kj in 0..kw {
-                        let ix = (ox * sw + kj) as isize - pw as isize;
-                        if ix >= 0 && (ix as usize) < w {
-                            let iidx = ci * h * w + iy as usize * w + ix as usize;
-                            dinput[iidx] += g * ker[ki * kw + kj]; // cq-allow(no-naive-hot-loop): depthwise backward scatter; padding-guarded stencil taps, not a lowerable matmul
-                            dweight[ci * kh * kw + ki * kw + kj] +=
-                                g * in_ch[iy as usize * w + ix as usize];
-                        }
+                    let at = iy * w + x0 * sw + kj - pw;
+                    let kv = ker[ki * kw + kj];
+                    let g = &grow[x0..x1];
+                    let term = |g: f32| if g != 0.0 { g * kv } else { 0.0 };
+                    let step = |(d, &g): (&mut f32, &f32)| *d += term(g);
+                    if sw == 1 {
+                        din_ch[at..at + g.len()].iter_mut().zip(g).for_each(step);
+                    } else {
+                        din_ch[at..].iter_mut().step_by(sw).zip(g).for_each(step);
                     }
                 }
+            }
+        }
+    }
+    // Weight gradient, 8 channels at a time: each channel's running sums
+    // keep their raster order, and the 8 independent chains overlap.
+    const CB: usize = 8;
+    let taps = kh * kw;
+    for c0 in (0..c).step_by(CB) {
+        let cn = CB.min(c - c0);
+        for t in 0..taps {
+            let (ki, kj) = (t / kw, t % kw);
+            let (x0, x1) = spans[kj];
+            let mut acc = [0.0f32; CB];
+            for (i, a) in acc.iter_mut().enumerate().take(cn) {
+                *a = dweight[(c0 + i) * taps + t];
+            }
+            for oy in 0..oh {
+                let Some(iy) = (oy * sh + ki).checked_sub(ph).filter(|&iy| iy < h) else {
+                    continue;
+                };
+                for ox in x0..x1 {
+                    let (gi, xi) = (oy * ow + ox, iy * w + ox * sw + kj - pw);
+                    for (i, a) in acc.iter_mut().enumerate().take(cn) {
+                        let g = dout[(c0 + i) * oh * ow + gi];
+                        // cq-allow(no-naive-hot-loop): depthwise weight-gradient running sums, raster order per element; not a lowerable matmul
+                        *a += if g != 0.0 {
+                            g * input[(c0 + i) * h * w + xi]
+                        } else {
+                            0.0
+                        };
+                    }
+                }
+            }
+            for (i, &a) in acc.iter().enumerate().take(cn) {
+                dweight[(c0 + i) * taps + t] = a;
             }
         }
     }
@@ -478,31 +423,8 @@ mod tests {
         .is_err());
     }
 
-    #[test]
-    fn im2col_identity_kernel_1x1() {
-        // 1x1 kernel, stride 1, no padding: columns == input.
-        let x: Vec<f32> = (0..2 * 3 * 3).map(|v| v as f32).collect();
-        let spec = Conv2dSpec::new(1, 1, 0);
-        let mut cols = vec![0.0f32; 2 * 9];
-        im2col(&x, 2, 3, 3, &spec, &mut cols);
-        assert_eq!(cols, x);
-    }
-
-    #[test]
-    fn im2col_3x3_padding_zeroes_border() {
-        let x = vec![1.0f32; 9]; // 1 channel, 3x3 of ones
-        let spec = Conv2dSpec::new(3, 1, 1);
-        let mut cols = vec![0.0f32; 9 * 9];
-        im2col(&x, 1, 3, 3, &spec, &mut cols);
-        // Tap (0,0) at output (0,0) reads input (-1,-1) => 0.
-        assert_eq!(cols[0], 0.0);
-        // Center tap (1,1) row is all ones (reads the input directly).
-        let center_row = &cols[4 * 9..5 * 9];
-        assert!(center_row.iter().all(|&v| v == 1.0));
-    }
-
     /// Reference convolution via explicit loops, for cross-checking the
-    /// im2col+matmul path.
+    /// depthwise kernels.
     fn conv_reference(
         x: &[f32],
         wgt: &[f32],
@@ -540,47 +462,133 @@ mod tests {
         out
     }
 
-    #[test]
-    fn im2col_matmul_matches_reference_conv() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let (c_in, c_out, h, w) = (3, 4, 6, 5);
-        let spec = Conv2dSpec::new(3, 2, 1);
-        let x = Tensor::randn(&[c_in * h * w], 0.0, 1.0, &mut rng);
-        let wgt = Tensor::randn(&[c_out, c_in * 9], 0.0, 1.0, &mut rng);
+    /// The per-pixel depthwise loop the row-wise kernel replaced: taps in
+    /// ascending order, padding taps skipped.
+    fn depthwise_per_pixel(
+        x: &[f32],
+        wgt: &[f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        spec: &Conv2dSpec,
+    ) -> Vec<f32> {
+        let (kh, kw) = spec.kernel;
+        let (sh, sw) = spec.stride;
+        let (ph, pw) = spec.padding;
         let (oh, ow) = spec.out_hw(h, w).unwrap();
+        let mut out = vec![0.0f32; c * oh * ow];
+        for ci in 0..c {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = 0.0f32;
+                    for ki in 0..kh {
+                        let iy = (oy * sh + ki) as isize - ph as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for kj in 0..kw {
+                            let ix = (ox * sw + kj) as isize - pw as isize;
+                            if ix >= 0 && (ix as usize) < w {
+                                acc += x[(ci * h + iy as usize) * w + ix as usize]
+                                    * wgt[(ci * kh + ki) * kw + kj];
+                            }
+                        }
+                    }
+                    out[(ci * oh + oy) * ow + ox] = acc;
+                }
+            }
+        }
+        out
+    }
 
-        let mut cols = vec![0.0f32; c_in * 9 * oh * ow];
-        im2col(x.as_slice(), c_in, h, w, &spec, &mut cols);
-        let cols_t = Tensor::from_vec(cols, &[c_in * 9, oh * ow]).unwrap();
-        let got = wgt.matmul(&cols_t).unwrap();
-
-        let want = conv_reference(x.as_slice(), wgt.as_slice(), c_in, c_out, h, w, &spec);
-        for (g, r) in got.as_slice().iter().zip(&want) {
-            assert!((g - r).abs() < 1e-4, "{g} vs {r}");
+    #[test]
+    fn depthwise_matches_per_pixel_loop_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        // (c, h, w, kernel, stride, padding), including padding wider
+        // than the kernel's reach and one-pixel outputs.
+        for (c, h, w, k, st, pd) in [
+            (3, 6, 6, 3, 1, 1),
+            (2, 5, 7, 3, 2, 1),
+            (4, 16, 16, 3, 1, 1),
+            (2, 4, 4, 3, 2, 2),
+            (1, 1, 1, 3, 1, 1),
+            (3, 9, 5, 5, 3, 2),
+            (2, 3, 3, 1, 1, 0),
+        ] {
+            let spec = Conv2dSpec::new(k, st, pd);
+            let x: Vec<f32> = (0..c * h * w).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let wgt: Vec<f32> = (0..c * k * k).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let (oh, ow) = spec.out_hw(h, w).unwrap();
+            let mut got = vec![f32::NAN; c * oh * ow];
+            depthwise_conv2d(&x, &wgt, c, h, w, &spec, &mut got);
+            let want = depthwise_per_pixel(&x, &wgt, c, h, w, &spec);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{c}x{h}x{w} k{k} s{st} p{pd}");
         }
     }
 
     #[test]
-    fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), y> == <x, col2im(y)> for random x, y — the defining
-        // property of the adjoint, which is exactly what backward needs.
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        let (c, h, w) = (2, 5, 4);
-        let spec = Conv2dSpec::new(3, 2, 1);
-        let (oh, ow) = spec.out_hw(h, w).unwrap();
-        let x = Tensor::randn(&[c * h * w], 0.0, 1.0, &mut rng);
-        let y = Tensor::randn(&[c * 9 * oh * ow], 0.0, 1.0, &mut rng);
-
-        let mut cols = vec![0.0f32; c * 9 * oh * ow];
-        im2col(x.as_slice(), c, h, w, &spec, &mut cols);
-        let lhs: f32 = cols.iter().zip(y.as_slice()).map(|(a, b)| a * b).sum();
-
-        let mut back = vec![0.0f32; c * h * w];
-        col2im(y.as_slice(), c, h, w, &spec, &mut back);
-        let rhs: f32 = back.iter().zip(x.as_slice()).map(|(a, b)| a * b).sum();
-        assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+    fn depthwise_backward_matches_per_pixel_loop_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(18);
+        for (c, h, w, k, st, pd) in [
+            (3, 6, 6, 3, 1, 1),
+            (2, 5, 7, 3, 2, 1),
+            (2, 4, 4, 3, 2, 2),
+            (1, 1, 1, 3, 1, 1),
+            (3, 9, 5, 5, 3, 2),
+        ] {
+            let spec = Conv2dSpec::new(k, st, pd);
+            let (kh, kw) = spec.kernel;
+            let (sh, sw) = spec.stride;
+            let (ph, pw) = spec.padding;
+            let (oh, ow) = spec.out_hw(h, w).unwrap();
+            let x: Vec<f32> = (0..c * h * w).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let wgt: Vec<f32> = (0..c * k * k).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            // Exact zeros in the output gradient exercise the skip.
+            let dout: Vec<f32> = (0..c * oh * ow)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        0.0
+                    } else {
+                        rng.gen_range(-2.0..2.0)
+                    }
+                })
+                .collect();
+            let init: Vec<f32> = (0..c * k * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let (mut dx, mut dw) = (vec![0.0f32; c * h * w], init.clone());
+            depthwise_conv2d_backward(&x, &wgt, &dout, c, h, w, &spec, &mut dx, &mut dw);
+            // The per-pixel loop it replaced.
+            let (mut ex, mut ew) = (vec![0.0f32; c * h * w], init);
+            for ci in 0..c {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let g = dout[(ci * oh + oy) * ow + ox];
+                        if g == 0.0 {
+                            continue;
+                        }
+                        for ki in 0..kh {
+                            let iy = (oy * sh + ki) as isize - ph as isize;
+                            if iy < 0 || iy >= h as isize {
+                                continue;
+                            }
+                            for kj in 0..kw {
+                                let ix = (ox * sw + kj) as isize - pw as isize;
+                                if ix >= 0 && (ix as usize) < w {
+                                    let i = (ci * h + iy as usize) * w + ix as usize;
+                                    ex[i] += g * wgt[(ci * kh + ki) * kw + kj];
+                                    ew[(ci * kh + ki) * kw + kj] += g * x[i];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&dx), bits(&ex), "dx {c}x{h}x{w} k{k} s{st} p{pd}");
+            assert_eq!(bits(&dw), bits(&ew), "dw {c}x{h}x{w} k{k} s{st} p{pd}");
+        }
     }
 
     #[test]
@@ -626,7 +634,7 @@ mod tests {
         let mut cols_i = vec![0i8; c * 9 * oh * ow];
         let mut cols_f = vec![0.0f32; c * 9 * oh * ow];
         im2col_i8(&xi, c, h, w, &spec, 0, &mut cols_i);
-        im2col(&xf, c, h, w, &spec, &mut cols_f);
+        crate::gemm::reference::im2col(&xf, c, h, w, &spec, &mut cols_f);
         for (a, b) in cols_i.iter().zip(&cols_f) {
             assert_eq!(*a as f32, *b);
         }

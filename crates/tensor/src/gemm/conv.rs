@@ -1,0 +1,866 @@
+//! Implicit-GEMM convolution: each pass of a dense NCHW convolution is one
+//! packed GEMM over the whole batch, and no im2col matrix is ever
+//! materialised.
+//!
+//! For a layer with `O` output channels, `T = C·KH·KW` kernel taps and an
+//! `N`-image batch of `P = OH·OW` output positions, GEMM column
+//! `j = img·P + oy·OW + ox` ranges over all `N·P` positions:
+//!
+//! | pass | product | A (packed once) | B (packed by stride) |
+//! |---|---|---|---|
+//! | forward | `Y[O, N·P] = W · cols(X)` | weight rows | taps of `X` under each column |
+//! | input gradient | `dcols[T, N·P] = Wᵀ · dY`, scattered into `dX` | weight columns | `dY` across images |
+//! | weight gradient | `dW[O, T] = Σ_img dY_img · cols(X_img)ᵀ` | one image's `dY` rows | one image's taps |
+//!
+//! The B packers read their operands in place through the NCHW strides;
+//! im2col is a packing mode here, not a buffer. A padded convolution packs
+//! from a zero-padded copy of `X` (and scatters its input gradient into a
+//! zero-padded buffer that is then cropped), so every tap reads inside the
+//! buffer: a run of columns that shares an image and output row is one
+//! strided copy, with no bounds tests. The register tile is the plain
+//! GEMMs' `micro_tile`, at the same per-layout SIMD widths.
+//!
+//! # Bitwise contract
+//!
+//! Results are bit-identical to the per-sample lowering (im2col + GEMM per
+//! image) that [`reference`](super::reference) keeps as the oracle:
+//!
+//! - **forward**: each output is one accumulator over ascending taps with
+//!   zero weights skipped — `gemm_nn` on one image's column matrix;
+//! - **input gradient**: each `dcols` entry is one accumulator over
+//!   ascending output channels with zero weights skipped (`gemm_tn`), and
+//!   entries are added into the zeroed `dX` in ascending tap order — the
+//!   order `col2im` adds them;
+//! - **weight gradient**: each image's dot over its `P` positions is one
+//!   accumulator (`gemm_nt_acc`), dots are added into their band's partial
+//!   in image order, and the [`WGRAD_BANDS`] band partials are summed in
+//!   band order.
+//!
+//! Work is split over column panels (forward), image chunks (input
+//! gradient) or weight-gradient tap panels. Each output element is
+//! computed wholly by one thread in a fixed order, so results are
+//! identical at any thread count.
+
+use super::{level_for, micro_tile, pack_a_cols, pack_a_rows, simd_level, Kind, Level, SendPtr};
+use super::{GEMM_PACKED, MR, NR};
+use crate::par::{parallel_for_chunks, ChunkGrid};
+use crate::{Conv2dSpec, Result};
+use std::borrow::Cow;
+
+// Conv GEMM FLOPs (2·O·T·N·P per pass) and elements gathered into packed
+// panels. Shape-only, so totals are identical at any thread count.
+static CONV_FLOPS: cq_obs::Counter = cq_obs::Counter::new("tensor.conv.flops");
+static CONV_PACKED: cq_obs::Counter = cq_obs::Counter::new("tensor.conv.packed_elems");
+
+/// Number of weight-gradient band partials: images are split into at most
+/// this many contiguous bands (a grid fixed by the batch size alone), each
+/// band's per-image dots are summed first, then the bands in order. Part
+/// of the bitwise contract — changing it changes gradient bits.
+pub const WGRAD_BANDS: usize = 8;
+
+/// Minimum GEMM columns per input-gradient chunk: whole images are grouped
+/// until a chunk spans at least this many columns, so small late-layer
+/// images still fill the register tile's lanes.
+const DX_CHUNK_COLS: usize = 256;
+
+/// Cap on weight-gradient panel chunks; each chunk repacks every image's
+/// `dY`, so fewer chunks mean less repacking.
+const DW_MAX_CHUNKS: usize = 2;
+
+/// Geometry of a dense convolution over an NCHW batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConvShape {
+    /// Batch size.
+    pub n: usize,
+    /// Input channels.
+    pub c: usize,
+    /// Input height.
+    pub h: usize,
+    /// Input width.
+    pub w: usize,
+    /// Output channels.
+    pub o: usize,
+    /// Kernel, stride and padding.
+    pub spec: Conv2dSpec,
+    /// Output height.
+    pub oh: usize,
+    /// Output width.
+    pub ow: usize,
+}
+
+/// A maximal run of consecutive GEMM columns in one image and output row:
+/// panel lanes `lane..lane + len`, whose top-left taps start at offset
+/// `src` of the padded input.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    lane: usize,
+    len: usize,
+    src: usize,
+}
+
+impl ConvShape {
+    /// Geometry of a `c`→`o` convolution over `n` images of `h`×`w`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::TensorError::InvalidGeometry`] if the kernel does
+    /// not fit the padded input or a stride is zero.
+    pub fn new(n: usize, c: usize, h: usize, w: usize, o: usize, spec: Conv2dSpec) -> Result<Self> {
+        let (oh, ow) = spec.out_hw(h, w)?;
+        Ok(ConvShape {
+            n,
+            c,
+            h,
+            w,
+            o,
+            spec,
+            oh,
+            ow,
+        })
+    }
+
+    /// Kernel taps per output channel (`C·KH·KW`): the GEMM depth of the
+    /// forward pass and the weight's row length.
+    pub fn taps(&self) -> usize {
+        self.spec.col_rows(self.c)
+    }
+
+    /// Output positions per image (`OH·OW`).
+    pub fn positions(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Multiply-add FLOPs of one pass (`2·O·T·N·P`); forward, input
+    /// gradient and weight gradient each cost this much.
+    pub fn flops(&self) -> u64 {
+        2 * (self.o * self.taps()) as u64 * (self.n * self.positions()) as u64
+    }
+
+    /// Input elements per image (`C·H·W`).
+    fn image_len(&self) -> usize {
+        self.c * self.h * self.w
+    }
+
+    /// Whether the convolution has zero padding.
+    fn is_padded(&self) -> bool {
+        self.spec.padding != (0, 0)
+    }
+
+    /// Height and width of a zero-padded input image.
+    fn padded_hw(&self) -> (usize, usize) {
+        let (ph, pw) = self.spec.padding;
+        (self.h + 2 * ph, self.w + 2 * pw)
+    }
+
+    /// Elements per zero-padded input image.
+    fn padded_len(&self) -> usize {
+        let (hp, wp) = self.padded_hw();
+        self.c * hp * wp
+    }
+
+    /// Offset of every tap `(ci, ki, kj)` within a padded image, in
+    /// weight-row order.
+    fn tap_offsets(&self) -> Vec<usize> {
+        let (kh, kw) = self.spec.kernel;
+        let (hp, wp) = self.padded_hw();
+        (0..self.c)
+            .flat_map(|ci| (0..kh).flat_map(move |ki| (0..kw).map(move |kj| (ci, ki, kj))))
+            .map(|(ci, ki, kj)| (ci * hp + ki) * wp + kj)
+            .collect()
+    }
+
+    /// Offset within a padded image of output `(oy, ox)`'s top-left tap.
+    fn origin(&self, oy: usize, ox: usize) -> usize {
+        oy * self.spec.stride.0 * self.padded_hw().1 + ox * self.spec.stride.1
+    }
+
+    /// Splits GEMM columns `[j0, j1)` into per-image, per-row runs.
+    fn runs(&self, j0: usize, j1: usize, out: &mut Vec<Run>) {
+        out.clear();
+        let (p, plen) = (self.positions(), self.padded_len());
+        let mut j = j0;
+        while j < j1 {
+            let (img, q) = (j / p, j % p);
+            let (oy, ox) = (q / self.ow, q % self.ow);
+            let len = (self.ow - ox).min(j1 - j);
+            out.push(Run {
+                lane: j - j0,
+                len,
+                src: img * plen + self.origin(oy, ox),
+            });
+            j += len;
+        }
+    }
+}
+
+/// `x` with its zero padding materialised (`[N, C, H+2·PH, W+2·PW]`), or
+/// `x` itself when the convolution is unpadded. Every tap then reads
+/// inside the buffer, so packing needs no bounds tests, and padding taps
+/// read the exact `0.0` the per-sample lowering wrote.
+fn pad_input<'a>(x: &'a [f32], s: &ConvShape) -> Cow<'a, [f32]> {
+    if !s.is_padded() {
+        return Cow::Borrowed(x);
+    }
+    let pw = s.spec.padding.1;
+    let mut xp = vec![0.0f32; s.n * s.padded_len()];
+    for (src, dst) in x.chunks_exact(s.w).zip(padded_rows(s, &mut xp)) {
+        dst[pw..pw + s.w].copy_from_slice(src);
+    }
+    Cow::Owned(xp)
+}
+
+/// The padded rows of `buf` (a padded batch) that hold input rows, in
+/// input-row order: padded row `y + PH` of every channel plane.
+fn padded_rows<'a>(s: &ConvShape, buf: &'a mut [f32]) -> impl Iterator<Item = &'a mut [f32]> {
+    let (ph, _) = s.spec.padding;
+    let (hp, wp) = s.padded_hw();
+    buf.chunks_exact_mut(hp * wp)
+        .flat_map(move |plane| plane.chunks_exact_mut(wp).skip(ph).take(hp - 2 * ph))
+}
+
+/// Copies `src[i·stride]` into `dst[i]`. Unit-stride runs of a register
+/// panel's width are fixed-size copies, so they compile to vector moves
+/// rather than `memcpy` calls.
+#[inline(always)]
+fn copy_run(dst: &mut [f32], src: &[f32], stride: usize) {
+    if stride != 1 {
+        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+            *d = v;
+        }
+        return;
+    }
+    match dst.len() {
+        16 => dst.copy_from_slice(&src[..16]),
+        8 => dst.copy_from_slice(&src[..8]),
+        4 => dst.copy_from_slice(&src[..4]),
+        n => dst.copy_from_slice(&src[..n]),
+    }
+}
+
+/// Packs every row tile of `a` (row-major `[m,k]`, or `[k,m]` when
+/// `a_cols`) into consecutive `[k][MR]` panels.
+fn pack_a_tiles(a: &[f32], m: usize, k: usize, a_cols: bool, ap: &mut Vec<f32>) {
+    // Every element is overwritten (edge tiles zero-fill their own
+    // padding), so a reused buffer needs no clearing.
+    ap.resize(m.div_ceil(MR) * k * MR, 0.0);
+    for (t, panel) in ap.chunks_exact_mut(k * MR).enumerate() {
+        let (i0, mr) = (t * MR, MR.min(m - t * MR));
+        if a_cols {
+            pack_a_cols(a, k, m, i0, mr, panel);
+        } else {
+            pack_a_rows(a, k, i0, mr, panel);
+        }
+    }
+}
+
+/// A block of register tiles: `out[t·np + q] = A_t · B_q` over depth `k`
+/// for every packed `[k][MR]` tile `A_t` in `ap` and `[k][NRW]` panel
+/// `B_q` in `bp` (`np` panels). One call covers a whole block, so the
+/// per-call cost of the dispatched kernel is paid per block, not per tile.
+type Tiles<const NRW: usize> = fn(usize, &[f32], &[f32], &mut [[[f32; NRW]; MR]]);
+
+/// A convolution pass, generic over the register tile's width.
+trait ConvPass {
+    fn run<const NRW: usize>(self, tiles: Tiles<NRW>);
+}
+
+#[inline(always)]
+fn tiles<const SKIP: bool, const NRW: usize>(
+    k: usize,
+    ap: &[f32],
+    bp: &[f32],
+    out: &mut [[[f32; NRW]; MR]],
+) {
+    let np = bp.len() / (k * NRW);
+    for (at, row) in ap.chunks_exact(k * MR).zip(out.chunks_exact_mut(np)) {
+        for (bq, dst) in bp.chunks_exact(k * NRW).zip(row) {
+            // A local accumulator, so it lives in registers.
+            let mut acc = [[0.0f32; NRW]; MR];
+            micro_tile::<SKIP, NRW>(k, at, bq, &mut acc);
+            *dst = acc;
+        }
+    }
+}
+
+/// [`tiles`] compiled with 256-bit vectors.
+///
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn tiles_avx2<const SKIP: bool>(
+    k: usize,
+    ap: &[f32],
+    bp: &[f32],
+    out: &mut [[[f32; NR]; MR]],
+) {
+    tiles::<SKIP, NR>(k, ap, bp, out)
+}
+
+/// [`tiles`] compiled with 512-bit vectors.
+///
+/// # Safety
+///
+/// The host must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tiles_avx512<const SKIP: bool>(
+    k: usize,
+    ap: &[f32],
+    bp: &[f32],
+    out: &mut [[[f32; 16]; MR]],
+) {
+    tiles::<SKIP, 16>(k, ap, bp, out)
+}
+
+/// Runs `pass` with the register tile the host's SIMD level uses for the
+/// `kind` layout (`SKIP` = the layout's zero-skip rule).
+fn dispatch<const SKIP: bool>(kind: Kind, pass: impl ConvPass) {
+    // SAFETY: `simd_level` detected the level on this host.
+    unsafe { dispatch_at::<SKIP>(level_for(kind, simd_level()), pass) };
+}
+
+/// Runs `pass` with the register tile of `level`.
+///
+/// # Safety
+///
+/// The host must support `level`.
+unsafe fn dispatch_at<const SKIP: bool>(level: Level, pass: impl ConvPass) {
+    match level {
+        Level::Baseline => pass.run::<NR>(tiles::<SKIP, NR>),
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => pass.run::<NR>(|k, ap, bp, out| {
+            // SAFETY: the caller guarantees AVX2.
+            unsafe { tiles_avx2::<SKIP>(k, ap, bp, out) }
+        }),
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => pass.run::<16>(|k, ap, bp, out| {
+            // SAFETY: the caller guarantees AVX-512F.
+            unsafe { tiles_avx512::<SKIP>(k, ap, bp, out) }
+        }),
+    }
+}
+
+/// Forward convolution `out = conv(x, wgt)` over the whole batch as one
+/// GEMM. `x` is `[N,C,H,W]`, `wgt` is `[O, C·KH·KW]`, `out` is
+/// `[N,O,OH,OW]` (overwritten). Bit-identical to
+/// [`reference::conv2d`](super::reference::conv2d).
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `s`.
+pub fn conv2d(x: &[f32], wgt: &[f32], s: &ConvShape, out: &mut [f32]) {
+    assert_eq!(
+        x.len(),
+        s.n * s.image_len(),
+        "conv2d: input length mismatch"
+    );
+    assert_eq!(wgt.len(), s.o * s.taps(), "conv2d: weight length mismatch");
+    assert_eq!(
+        out.len(),
+        s.n * s.o * s.positions(),
+        "conv2d: output length mismatch"
+    );
+    if s.taps() == 0 {
+        out.fill(0.0);
+        return;
+    }
+    count(s, s.taps());
+    dispatch::<true>(Kind::Nn, Forward { x, wgt, s, out });
+}
+
+struct Forward<'a> {
+    x: &'a [f32],
+    wgt: &'a [f32],
+    s: &'a ConvShape,
+    out: &'a mut [f32],
+}
+
+impl ConvPass for Forward<'_> {
+    fn run<const NRW: usize>(self, tiles: Tiles<NRW>) {
+        let Forward { x, wgt, s, out } = self;
+        let (k, p) = (s.taps(), s.positions());
+        let ncols = s.n * p;
+        let mut ap = Vec::new();
+        pack_a_tiles(wgt, s.o, k, false, &mut ap);
+        let xp = pad_input(x, s);
+        let taps = s.tap_offsets();
+        let sw = s.spec.stride.1;
+        // Whole panels lie inside one image as NRW consecutive positions.
+        let whole = p % NRW == 0;
+        let out_ptr = SendPtr(out.as_mut_ptr());
+        parallel_for_chunks(ChunkGrid::new(ncols.div_ceil(NRW), 1), |_, q0, q1| {
+            // Capture the Sync wrapper, not the raw pointer field.
+            let out_ptr = &out_ptr;
+            let mut bp = vec![0.0f32; k * NRW];
+            let mut acc = vec![[[0.0f32; NRW]; MR]; s.o.div_ceil(MR)];
+            let mut runs = Vec::with_capacity(NRW);
+            for q in q0..q1 {
+                let j0 = q * NRW;
+                let j1 = (j0 + NRW).min(ncols);
+                s.runs(j0, j1, &mut runs);
+                for (&tap, row) in taps.iter().zip(bp.chunks_exact_mut(NRW)) {
+                    for r in &runs {
+                        copy_run(&mut row[r.lane..r.lane + r.len], &xp[r.src + tap..], sw);
+                    }
+                }
+                tiles(k, &ap, &bp, &mut acc);
+                // Column panels are disjoint across chunks, and distinct
+                // (channel, column) pairs are distinct output elements, so
+                // no two stores below, in any chunk, overlap.
+                let rows = acc.iter().flatten().take(s.o).enumerate();
+                if whole {
+                    let (img, pos) = (j0 / p, j0 % p);
+                    for (co, accr) in rows {
+                        let dst = (img * s.o + co) * p + pos;
+                        // SAFETY: `dst..dst + NRW` are this panel's NRW
+                        // positions of channel `co`, inside `out` (checked
+                        // length) and written by no other chunk; f32 arrays
+                        // have f32 alignment.
+                        unsafe { *out_ptr.0.add(dst).cast::<[f32; NRW]>() = *accr };
+                    }
+                    continue;
+                }
+                for (co, accr) in rows {
+                    for (j, &v) in (j0..j1).zip(accr) {
+                        let dst = ((j / p) * s.o + co) * p + j % p;
+                        // SAFETY: column `j < ncols` of channel `co < o` is
+                        // inside `out` and written by no other chunk.
+                        unsafe { *out_ptr.0.add(dst) = v };
+                    }
+                }
+            }
+        });
+    }
+}
+
+/// Input gradient `dx = convᵀ(dy, wgt)` over the whole batch as one GEMM
+/// plus a tap-ordered scatter. `dy` is `[N,O,OH,OW]`, `wgt` is
+/// `[O, C·KH·KW]`, `dx` is `[N,C,H,W]` (overwritten). Bit-identical to
+/// [`reference::conv2d_backward_input`](super::reference::conv2d_backward_input).
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `s`.
+pub fn conv2d_backward_input(dy: &[f32], wgt: &[f32], s: &ConvShape, dx: &mut [f32]) {
+    assert_eq!(
+        dy.len(),
+        s.n * s.o * s.positions(),
+        "conv2d_backward_input: dy length mismatch"
+    );
+    assert_eq!(
+        wgt.len(),
+        s.o * s.taps(),
+        "conv2d_backward_input: weight length mismatch"
+    );
+    assert_eq!(
+        dx.len(),
+        s.n * s.image_len(),
+        "conv2d_backward_input: dx length mismatch"
+    );
+    if s.o == 0 || s.taps() == 0 {
+        dx.fill(0.0);
+        return;
+    }
+    count(s, s.o);
+    dispatch::<true>(Kind::Tn, BackwardInput { dy, wgt, s, dx });
+}
+
+struct BackwardInput<'a> {
+    dy: &'a [f32],
+    wgt: &'a [f32],
+    s: &'a ConvShape,
+    dx: &'a mut [f32],
+}
+
+impl ConvPass for BackwardInput<'_> {
+    fn run<const NRW: usize>(self, tiles: Tiles<NRW>) {
+        let BackwardInput { dy, wgt, s, dx } = self;
+        let (k, p, o) = (s.taps(), s.positions(), s.o);
+        let (img_len, plen) = (s.image_len(), s.padded_len());
+        let pw = s.spec.padding.1;
+        let sw = s.spec.stride.1;
+        // A = Wᵀ: rows are taps, depth is output channels.
+        let mut ap = Vec::new();
+        pack_a_tiles(wgt, k, o, true, &mut ap);
+        let taps = s.tap_offsets();
+        let origins: Vec<usize> = (0..s.oh).map(|oy| s.origin(oy, 0)).collect();
+        let dx_ptr = SendPtr(dx.as_mut_ptr());
+        let grid = ChunkGrid::new(s.n, DX_CHUNK_COLS.div_ceil(p));
+        parallel_for_chunks(grid, |_, i0, i1| {
+            let dx_ptr = &dx_ptr;
+            // SAFETY: image chunks are disjoint, so are their dx slices.
+            let dxc = unsafe {
+                std::slice::from_raw_parts_mut(dx_ptr.0.add(i0 * img_len), (i1 - i0) * img_len)
+            };
+            let jn = (i1 - i0) * p;
+            // B = dY for this chunk's columns: [panel][channel][NRW], each
+            // channel row of an image copied in panel-sized segments.
+            let mut bp = vec![0.0f32; jn.div_ceil(NRW) * o * NRW];
+            for (i, dyi) in dy[i0 * o * p..i1 * o * p].chunks_exact(o * p).enumerate() {
+                for (ch, mut src) in dyi.chunks_exact(p).enumerate() {
+                    let mut j = i * p;
+                    while !src.is_empty() {
+                        let (q, lane) = (j / NRW, j % NRW);
+                        let len = (NRW - lane).min(src.len());
+                        let at = (q * o + ch) * NRW + lane;
+                        copy_run(&mut bp[at..at + len], src, 1);
+                        src = &src[len..];
+                        j += len;
+                    }
+                }
+            }
+            // Scatter target: a zeroed padded buffer (cropped into dx at
+            // the end) or, unpadded, dx itself.
+            let mut padded = vec![0.0f32; if s.is_padded() { (i1 - i0) * plen } else { 0 }];
+            let target: &mut [f32] = if s.is_padded() {
+                &mut padded
+            } else {
+                dxc.fill(0.0);
+                &mut *dxc
+            };
+            // One row tile of dcols at a time, scattered tap by tap in
+            // ascending order (col2im's order) before the next tile.
+            let np = jn.div_ceil(NRW);
+            let mut acc = vec![[[0.0f32; NRW]; MR]; np];
+            let mut dcols = vec![0.0f32; MR * jn];
+            for (t, at) in ap.chunks_exact(o * MR).enumerate() {
+                tiles(o, at, &bp, &mut acc);
+                for (q, accq) in acc.iter().enumerate() {
+                    let nr = NRW.min(jn - q * NRW);
+                    for (dst, accr) in dcols.chunks_exact_mut(jn).zip(accq) {
+                        dst[q * NRW..q * NRW + nr].copy_from_slice(&accr[..nr]);
+                    }
+                }
+                for (&tap, drow) in taps[t * MR..].iter().zip(dcols.chunks_exact(jn)) {
+                    for (img, dimg) in drow.chunks_exact(p).enumerate() {
+                        for (&origin, drun) in origins.iter().zip(dimg.chunks_exact(s.ow)) {
+                            let base = img * plen + origin + tap;
+                            for (i, &v) in drun.iter().enumerate() {
+                                target[base + i * sw] += v;
+                            }
+                        }
+                    }
+                }
+            }
+            if s.is_padded() {
+                for (dst, src) in dxc.chunks_exact_mut(s.w).zip(padded_rows(s, &mut padded)) {
+                    dst.copy_from_slice(&src[pw..pw + s.w]);
+                }
+            }
+        });
+    }
+}
+
+/// Weight gradient `dw = Σ_img dy_img · cols(x_img)ᵀ` over the whole batch
+/// as one GEMM with per-image, per-band accumulation. `x` is `[N,C,H,W]`,
+/// `dy` is `[N,O,OH,OW]`, `dw` is `[O, C·KH·KW]` (overwritten).
+/// Bit-identical to
+/// [`reference::conv2d_backward_weight`](super::reference::conv2d_backward_weight).
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `s`.
+pub fn conv2d_backward_weight(x: &[f32], dy: &[f32], s: &ConvShape, dw: &mut [f32]) {
+    assert_eq!(
+        x.len(),
+        s.n * s.image_len(),
+        "conv2d_backward_weight: input length mismatch"
+    );
+    assert_eq!(
+        dy.len(),
+        s.n * s.o * s.positions(),
+        "conv2d_backward_weight: dy length mismatch"
+    );
+    assert_eq!(
+        dw.len(),
+        s.o * s.taps(),
+        "conv2d_backward_weight: dw length mismatch"
+    );
+    if s.o == 0 || s.taps() == 0 || s.n == 0 {
+        dw.fill(0.0);
+        return;
+    }
+    count(s, s.taps());
+    dispatch::<false>(Kind::Nt, BackwardWeight { x, dy, s, dw });
+}
+
+struct BackwardWeight<'a> {
+    x: &'a [f32],
+    dy: &'a [f32],
+    s: &'a ConvShape,
+    dw: &'a mut [f32],
+}
+
+impl ConvPass for BackwardWeight<'_> {
+    fn run<const NRW: usize>(self, tiles: Tiles<NRW>) {
+        let BackwardWeight { x, dy, s, dw } = self;
+        let (k, p, o) = (s.taps(), s.positions(), s.o);
+        let taps = s.tap_offsets();
+        let (xp, plen) = (pad_input(x, s), s.padded_len());
+        let bands = ChunkGrid::with_max_chunks(s.n, 1, WGRAD_BANDS);
+        let dw_ptr = SendPtr(dw.as_mut_ptr());
+        let grid = ChunkGrid::with_max_chunks(k.div_ceil(NRW), 1, DW_MAX_CHUNKS);
+        parallel_for_chunks(grid, |_, q0, q1| {
+            let dw_ptr = &dw_ptr;
+            let width = (q1 - q0) * NRW;
+            let mut part = vec![0.0f32; o * width];
+            let mut total = vec![0.0f32; o * width];
+            let mut ap = Vec::new();
+            let mut bp = vec![0.0f32; p * NRW];
+            let mut acc = vec![[[0.0f32; NRW]; MR]; o.div_ceil(MR)];
+            let sw = s.spec.stride.1;
+            for b in 0..bands.n_chunks() {
+                let (b0, b1) = bands.range(b);
+                part.fill(0.0);
+                for img in b0..b1 {
+                    pack_a_tiles(&dy[img * o * p..(img + 1) * o * p], o, p, false, &mut ap);
+                    for q in q0..q1 {
+                        // B = this image's taps q·NRW.. as lanes, positions
+                        // as depth: lane c of row oy·OW + ox is tap c's
+                        // input under output (oy, ox).
+                        let lanes = &taps[q * NRW..((q + 1) * NRW).min(k)];
+                        for (oy, rows) in bp.chunks_exact_mut(s.ow * NRW).enumerate() {
+                            let src = img * plen + s.origin(oy, 0);
+                            for (c, &tap) in lanes.iter().enumerate() {
+                                let lane = rows.iter_mut().skip(c).step_by(NRW);
+                                for (d, &v) in lane.zip(xp[src + tap..].iter().step_by(sw)) {
+                                    *d = v;
+                                }
+                            }
+                        }
+                        tiles(p, &ap, &bp, &mut acc);
+                        let col0 = (q - q0) * NRW;
+                        for (prow, accr) in part.chunks_exact_mut(width).zip(acc.iter().flatten()) {
+                            let prow = &mut prow[col0..col0 + lanes.len()];
+                            for (pv, &v) in prow.iter_mut().zip(accr) {
+                                *pv += v;
+                            }
+                        }
+                    }
+                }
+                for (tv, &pv) in total.iter_mut().zip(&part) {
+                    *tv += pv;
+                }
+            }
+            let (t0, t1) = (q0 * NRW, (q1 * NRW).min(k));
+            for (co, trow) in total.chunks_exact(width).enumerate() {
+                // SAFETY: tap panels are disjoint across chunks, hence
+                // disjoint column ranges of every dw row.
+                unsafe {
+                    std::ptr::copy_nonoverlapping(trow.as_ptr(), dw_ptr.0.add(co * k + t0), t1 - t0)
+                };
+            }
+        });
+    }
+}
+
+/// Records one conv GEMM pass, whose packed B operand has `rows` rows of
+/// `N·P` elements, in the kernel counters.
+fn count(s: &ConvShape, rows: usize) {
+    GEMM_PACKED.add(1);
+    CONV_FLOPS.add(s.flops());
+    CONV_PACKED.add((rows * s.n * s.positions()) as u64);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::reference;
+    use super::*;
+    use crate::par::with_thread_limit;
+    use rand::{Rng, SeedableRng};
+
+    /// Random data with exact zeros mixed in, so the zero skip runs.
+    fn randvec(len: usize, seed: u64) -> Vec<f32> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..len)
+            .map(|_| {
+                if rng.gen_range(0..5) == 0 {
+                    0.0
+                } else {
+                    rng.gen_range(-2.0..2.0)
+                }
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// (n, c, h, w, o, kernel, stride, padding).
+    type Case = (usize, usize, usize, usize, usize, usize, usize, usize);
+
+    /// Tile-edge channel counts, rows narrower and wider than a panel, odd
+    /// strides and padding wider than the kernel reach, 1x1 shortcuts,
+    /// one-pixel outputs, and batches that do and do not split evenly into
+    /// the weight-gradient bands.
+    const SHAPES: [Case; 10] = [
+        (1, 1, 1, 1, 1, 1, 1, 0),
+        (2, 3, 5, 4, 4, 3, 2, 1),
+        (3, 2, 6, 6, 9, 3, 1, 1),
+        (5, 4, 7, 3, 8, 3, 1, 2),
+        (9, 8, 4, 4, 17, 1, 2, 0),
+        (4, 3, 16, 16, 8, 3, 1, 1),
+        (17, 5, 2, 2, 7, 3, 1, 1),
+        (2, 1, 9, 11, 3, 5, 3, 2),
+        (11, 16, 8, 8, 16, 3, 2, 1),
+        (1, 7, 3, 5, 33, 2, 1, 0),
+    ];
+
+    fn shapes() -> impl Iterator<Item = ConvShape> {
+        SHAPES.iter().map(|&(n, c, h, w, o, k, st, pd)| {
+            ConvShape::new(n, c, h, w, o, Conv2dSpec::new(k, st, pd)).expect("valid shape")
+        })
+    }
+
+    /// Output bits of the three passes as run by `run(x, w, dy, y, dx, dw)`
+    /// on seeded inputs, outputs pre-filled with NaN.
+    type Passes<'a> = &'a dyn Fn(&[f32], &[f32], &[f32], &mut [f32], &mut [f32], &mut [f32]);
+
+    fn passes(s: &ConvShape, seed: u64, run: Passes) -> [Vec<u32>; 3] {
+        let x = randvec(s.n * s.image_len(), seed);
+        let wgt = randvec(s.o * s.taps(), seed + 1);
+        let dy = randvec(s.n * s.o * s.positions(), seed + 2);
+        let mut y = vec![f32::NAN; dy.len()];
+        let mut dx = vec![f32::NAN; x.len()];
+        let mut dw = vec![f32::NAN; wgt.len()];
+        run(&x, &wgt, &dy, &mut y, &mut dx, &mut dw);
+        [bits(&y), bits(&dx), bits(&dw)]
+    }
+
+    fn oracle(s: &ConvShape, seed: u64) -> [Vec<u32>; 3] {
+        passes(s, seed, &|x, w, dy, y, dx, dw| {
+            reference::conv2d(x, w, s, y);
+            reference::conv2d_backward_input(dy, w, s, dx);
+            reference::conv2d_backward_weight(x, dy, s, dw);
+        })
+    }
+
+    #[test]
+    fn implicit_conv_matches_per_sample_oracle_bitwise() {
+        for (i, s) in shapes().enumerate() {
+            let want = oracle(&s, 10 * i as u64);
+            for limit in [1, 2, 5] {
+                let got = with_thread_limit(limit, || {
+                    passes(&s, 10 * i as u64, &|x, w, dy, y, dx, dw| {
+                        conv2d(x, w, &s, y);
+                        conv2d_backward_input(dy, w, &s, dx);
+                        conv2d_backward_weight(x, dy, &s, dw);
+                    })
+                });
+                for (pass, (g, w)) in ["forward", "dx", "dw"].iter().zip(got.iter().zip(&want)) {
+                    assert_eq!(g, w, "{pass} {s:?} at {limit} threads");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_simd_level_matches_oracle_bitwise() {
+        let mut levels = vec![Level::Baseline];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                levels.push(Level::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                levels.push(Level::Avx512);
+            }
+        }
+        for level in levels {
+            for (i, s) in shapes().enumerate() {
+                let got = passes(&s, 10 * i as u64, &|x, wgt, dy, out, dx, dw| {
+                    let s = &s;
+                    // SAFETY: `levels` holds only levels this host supports.
+                    unsafe {
+                        dispatch_at::<true>(level, Forward { x, wgt, s, out });
+                        dispatch_at::<true>(level, BackwardInput { dy, wgt, s, dx });
+                        dispatch_at::<false>(level, BackwardWeight { x, dy, s, dw });
+                    }
+                });
+                assert_eq!(got, oracle(&s, 10 * i as u64), "{level:?} {s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_weights_keep_nonfinite_inputs_out() {
+        // The zero skip is part of the contract: a zero weight times an
+        // Inf/NaN input must contribute nothing, as in the scalar loops.
+        let s = ConvShape::new(2, 2, 4, 4, 3, Conv2dSpec::new(3, 1, 1)).expect("shape");
+        let mut x = randvec(s.n * s.image_len(), 1);
+        x[5] = f32::NAN;
+        x[17] = f32::INFINITY;
+        let wgt = vec![0.0f32; s.o * s.taps()];
+        let mut y = vec![1.0; s.n * s.o * s.positions()];
+        let mut want = y.clone();
+        conv2d(&x, &wgt, &s, &mut y);
+        reference::conv2d(&x, &wgt, &s, &mut want);
+        assert_eq!(bits(&y), bits(&want));
+        assert!(y.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn conv_matches_direct_loops() {
+        // Independent of the oracle's lowering: the textbook six-loop sum.
+        let s = ConvShape::new(2, 3, 6, 5, 4, Conv2dSpec::new(3, 2, 1)).expect("shape");
+        let x = randvec(s.n * s.image_len(), 3);
+        let wgt = randvec(s.o * s.taps(), 4);
+        let mut y = vec![0.0; s.n * s.o * s.positions()];
+        conv2d(&x, &wgt, &s, &mut y);
+        let (kh, kw) = s.spec.kernel;
+        for img in 0..s.n {
+            for co in 0..s.o {
+                for oy in 0..s.oh {
+                    for ox in 0..s.ow {
+                        let mut acc = 0.0f64;
+                        for (t, &wv) in wgt[co * s.taps()..(co + 1) * s.taps()].iter().enumerate() {
+                            let (ci, ki, kj) = (t / (kh * kw), t / kw % kh, t % kw);
+                            let iy = (oy * 2 + ki) as isize - 1;
+                            let ix = (ox * 2 + kj) as isize - 1;
+                            if (0..s.h as isize).contains(&iy) && (0..s.w as isize).contains(&ix) {
+                                let xi = ((img * s.c + ci) * s.h + iy as usize) * s.w + ix as usize;
+                                acc += f64::from(wv) * f64::from(x[xi]);
+                            }
+                        }
+                        let got = y[((img * s.o + co) * s.oh + oy) * s.ow + ox];
+                        assert!((f64::from(got) - acc).abs() < 1e-4, "{got} vs {acc}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn backward_is_adjoint_of_forward() {
+        // <conv(x), dy> == <x, dx(dy)> == <w, dw(x, dy)>: the defining
+        // property of both gradients.
+        let s = ConvShape::new(3, 2, 5, 4, 3, Conv2dSpec::new(3, 2, 1)).expect("shape");
+        let x = randvec(s.n * s.image_len(), 5);
+        let wgt = randvec(s.o * s.taps(), 6);
+        let dy = randvec(s.n * s.o * s.positions(), 7);
+        let mut y = vec![0.0; dy.len()];
+        let mut dx = vec![0.0; x.len()];
+        let mut dw = vec![0.0; wgt.len()];
+        conv2d(&x, &wgt, &s, &mut y);
+        conv2d_backward_input(&dy, &wgt, &s, &mut dx);
+        conv2d_backward_weight(&x, &dy, &s, &mut dw);
+        let dot = |a: &[f32], b: &[f32]| -> f64 {
+            a.iter()
+                .zip(b)
+                .map(|(&u, &v)| f64::from(u) * f64::from(v))
+                .sum()
+        };
+        let lhs = dot(&y, &dy);
+        assert!((lhs - dot(&x, &dx)).abs() < 1e-3, "dx adjoint");
+        assert!((lhs - dot(&wgt, &dw)).abs() < 1e-3, "dw adjoint");
+    }
+
+    #[test]
+    fn flops_count_every_multiply_add() {
+        let s = ConvShape::new(4, 3, 8, 8, 5, Conv2dSpec::new(3, 2, 1)).expect("shape");
+        assert_eq!(s.flops(), 2 * 5 * 27 * 4 * 16);
+    }
+}

@@ -40,6 +40,7 @@
 //! (see [`use_reference`]); no path choice ever depends on data or
 //! thread count.
 
+pub mod conv;
 pub mod int8;
 pub mod reference;
 
@@ -187,10 +188,9 @@ fn micro_tile<const SKIP: bool, const NRW: usize>(
 }
 
 /// Writes the valid `mr`×`nr` corner of a register tile into row-major
-/// `out` (leading dimension `n`, tile origin `(row0, j0)`), overwriting
-/// or accumulating per `ACC`.
+/// `out` (leading dimension `n`, tile origin `(row0, j0)`).
 #[inline(always)]
-fn store_tile<const ACC: bool, const NRW: usize>(
+fn store_tile<const NRW: usize>(
     acc: &[[f32; NRW]; MR],
     out: &mut [f32],
     n: usize,
@@ -201,12 +201,8 @@ fn store_tile<const ACC: bool, const NRW: usize>(
 ) {
     for r in 0..mr {
         let orow = &mut out[(row0 + r) * n + j0..(row0 + r) * n + j0 + nr];
-        for (c, o) in orow.iter_mut().enumerate() {
-            if ACC {
-                *o += acc[r][c];
-            } else {
-                *o = acc[r][c];
-            }
+        for (o, &v) in orow.iter_mut().zip(&acc[r]) {
+            *o = v;
         }
     }
 }
@@ -289,7 +285,7 @@ fn pack_b(level: Level, kind: Kind, b: &[f32], k: usize, n: usize) -> Vec<f32> {
 /// layout (TN).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn run_row_tiles<const SKIP: bool, const ACC: bool, const NRW: usize>(
+fn run_row_tiles<const SKIP: bool, const NRW: usize>(
     a: &[f32],
     a_cols: bool,
     m: usize,
@@ -315,7 +311,7 @@ fn run_row_tiles<const SKIP: bool, const ACC: bool, const NRW: usize>(
             let nr = NRW.min(n - j0);
             let mut acc = [[0.0f32; NRW]; MR];
             micro_tile::<SKIP, NRW>(k, ap, panel, &mut acc);
-            store_tile::<ACC, NRW>(&acc, out_rows, n, i0 - t0 * MR, j0, mr, nr);
+            store_tile::<NRW>(&acc, out_rows, n, i0 - t0 * MR, j0, mr, nr);
         }
     }
 }
@@ -328,7 +324,7 @@ fn run_row_tiles<const SKIP: bool, const ACC: bool, const NRW: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn run_row_tiles_avx2<const SKIP: bool, const ACC: bool>(
+unsafe fn run_row_tiles_avx2<const SKIP: bool>(
     a: &[f32],
     a_cols: bool,
     m: usize,
@@ -340,7 +336,7 @@ unsafe fn run_row_tiles_avx2<const SKIP: bool, const ACC: bool>(
     out_rows: &mut [f32],
     ap: &mut [f32],
 ) {
-    run_row_tiles::<SKIP, ACC, NR>(a, a_cols, m, k, bp, n, t0, t1, out_rows, ap)
+    run_row_tiles::<SKIP, NR>(a, a_cols, m, k, bp, n, t0, t1, out_rows, ap)
 }
 
 /// AVX-512 driver: 16-wide tile body, one 512-bit accumulator per row.
@@ -351,7 +347,7 @@ unsafe fn run_row_tiles_avx2<const SKIP: bool, const ACC: bool>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn run_row_tiles_avx512<const SKIP: bool, const ACC: bool>(
+unsafe fn run_row_tiles_avx512<const SKIP: bool>(
     a: &[f32],
     a_cols: bool,
     m: usize,
@@ -363,13 +359,13 @@ unsafe fn run_row_tiles_avx512<const SKIP: bool, const ACC: bool>(
     out_rows: &mut [f32],
     ap: &mut [f32],
 ) {
-    run_row_tiles::<SKIP, ACC, 16>(a, a_cols, m, k, bp, n, t0, t1, out_rows, ap)
+    run_row_tiles::<SKIP, 16>(a, a_cols, m, k, bp, n, t0, t1, out_rows, ap)
 }
 
 /// Runs row tiles through the driver for `level`. `bp` must have been
 /// packed at `pack_width(level)`.
 #[allow(clippy::too_many_arguments)]
-fn run_tiles_level<const SKIP: bool, const ACC: bool>(
+fn run_tiles_level<const SKIP: bool>(
     level: Level,
     a: &[f32],
     a_cols: bool,
@@ -383,18 +379,16 @@ fn run_tiles_level<const SKIP: bool, const ACC: bool>(
     ap: &mut [f32],
 ) {
     match level {
-        Level::Baseline => {
-            run_row_tiles::<SKIP, ACC, NR>(a, a_cols, m, k, bp, n, t0, t1, out_rows, ap)
-        }
+        Level::Baseline => run_row_tiles::<SKIP, NR>(a, a_cols, m, k, bp, n, t0, t1, out_rows, ap),
         // SAFETY: `level` comes from runtime CPU detection.
         #[cfg(target_arch = "x86_64")]
         Level::Avx2 => unsafe {
-            run_row_tiles_avx2::<SKIP, ACC>(a, a_cols, m, k, bp, n, t0, t1, out_rows, ap)
+            run_row_tiles_avx2::<SKIP>(a, a_cols, m, k, bp, n, t0, t1, out_rows, ap)
         },
         // SAFETY: `level` comes from runtime CPU detection.
         #[cfg(target_arch = "x86_64")]
         Level::Avx512 => unsafe {
-            run_row_tiles_avx512::<SKIP, ACC>(a, a_cols, m, k, bp, n, t0, t1, out_rows, ap)
+            run_row_tiles_avx512::<SKIP>(a, a_cols, m, k, bp, n, t0, t1, out_rows, ap)
         },
     }
 }
@@ -442,106 +436,17 @@ pub fn par_gemm(kind: Kind, a: &[f32], b: &[f32], m: usize, n: usize, k: usize, 
         };
         let mut ap = vec![0.0f32; k * MR];
         match kind {
-            Kind::Nn => run_tiles_level::<true, false>(
-                level, a, false, m, k, bp, n, t0, t1, out_rows, &mut ap,
-            ),
-            Kind::Nt => run_tiles_level::<false, false>(
-                level, a, false, m, k, bp, n, t0, t1, out_rows, &mut ap,
-            ),
-            Kind::Tn => run_tiles_level::<true, false>(
-                level, a, true, m, k, bp, n, t0, t1, out_rows, &mut ap,
-            ),
+            Kind::Nn => {
+                run_tiles_level::<true>(level, a, false, m, k, bp, n, t0, t1, out_rows, &mut ap)
+            }
+            Kind::Nt => {
+                run_tiles_level::<false>(level, a, false, m, k, bp, n, t0, t1, out_rows, &mut ap)
+            }
+            Kind::Tn => {
+                run_tiles_level::<true>(level, a, true, m, k, bp, n, t0, t1, out_rows, &mut ap)
+            }
         }
     });
-}
-
-/// Serial blocked `out = a @ b` for `a: [m,k]`, `b: [k,n]` — for callers
-/// already inside a parallel region (batch-band conv workers). Bitwise-
-/// identical to [`reference::gemm_nn`].
-pub fn gemm_nn(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    if use_reference(m, n, k) {
-        GEMM_SMALL.add(1);
-        return reference::gemm_nn(a, m, k, b, n, out);
-    }
-    GEMM_PACKED.add(1);
-    let level = level_for(Kind::Nn, simd_level());
-    let bp = pack_b(level, Kind::Nn, b, k, n);
-    let mut ap = vec![0.0f32; k * MR];
-    run_tiles_level::<true, false>(
-        level,
-        a,
-        false,
-        m,
-        k,
-        &bp,
-        n,
-        0,
-        m.div_ceil(MR),
-        out,
-        &mut ap,
-    );
-}
-
-/// Serial blocked `out += a @ bᵀ` for `a: [m,k]`, `b: [n,k]` (each
-/// element's full-`k` dot is formed first, then added once). Bitwise-
-/// identical to [`reference::gemm_nt_acc`].
-pub fn gemm_nt_acc(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
-    if use_reference(m, n, k) {
-        GEMM_SMALL.add(1);
-        return reference::gemm_nt_acc(a, m, k, b, n, out);
-    }
-    GEMM_PACKED.add(1);
-    let level = level_for(Kind::Nt, simd_level());
-    let bp = pack_b(level, Kind::Nt, b, k, n);
-    let mut ap = vec![0.0f32; k * MR];
-    run_tiles_level::<false, true>(
-        level,
-        a,
-        false,
-        m,
-        k,
-        &bp,
-        n,
-        0,
-        m.div_ceil(MR),
-        out,
-        &mut ap,
-    );
-}
-
-/// Serial blocked `out = aᵀ @ b` for `a: [k,m]`, `b: [k,n]`. Bitwise-
-/// identical to [`reference::gemm_tn`].
-pub fn gemm_tn(a: &[f32], k: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    if use_reference(m, n, k) {
-        GEMM_SMALL.add(1);
-        return reference::gemm_tn(a, k, m, b, n, out);
-    }
-    GEMM_PACKED.add(1);
-    let level = level_for(Kind::Tn, simd_level());
-    let bp = pack_b(level, Kind::Tn, b, k, n);
-    let mut ap = vec![0.0f32; k * MR];
-    run_tiles_level::<true, false>(
-        level,
-        a,
-        true,
-        m,
-        k,
-        &bp,
-        n,
-        0,
-        m.div_ceil(MR),
-        out,
-        &mut ap,
-    );
 }
 
 #[cfg(test)]
@@ -602,46 +507,6 @@ mod tests {
     ];
 
     #[test]
-    fn packed_nn_matches_reference_bitwise() {
-        for &(m, n, k) in &SHAPES {
-            let a = randvec_zeros(m * k, 1 + m as u64);
-            let b = randvec(k * n, 2 + n as u64);
-            let mut got = vec![1.0f32; m * n];
-            let mut want = vec![2.0f32; m * n];
-            gemm_nn(&a, m, k, &b, n, &mut got);
-            reference::gemm_nn(&a, m, k, &b, n, &mut want);
-            assert_eq!(bits(&got), bits(&want), "nn {m}x{n}x{k}");
-        }
-    }
-
-    #[test]
-    fn packed_nt_acc_matches_reference_bitwise() {
-        for &(m, n, k) in &SHAPES {
-            let a = randvec(m * k, 3 + m as u64);
-            let b = randvec(n * k, 4 + n as u64);
-            let init = randvec(m * n, 5);
-            let mut got = init.clone();
-            let mut want = init.clone();
-            gemm_nt_acc(&a, m, k, &b, n, &mut got);
-            reference::gemm_nt_acc(&a, m, k, &b, n, &mut want);
-            assert_eq!(bits(&got), bits(&want), "nt_acc {m}x{n}x{k}");
-        }
-    }
-
-    #[test]
-    fn packed_tn_matches_reference_bitwise() {
-        for &(m, n, k) in &SHAPES {
-            let a = randvec_zeros(k * m, 6 + m as u64);
-            let b = randvec(k * n, 7 + n as u64);
-            let mut got = vec![1.0f32; m * n];
-            let mut want = vec![2.0f32; m * n];
-            gemm_tn(&a, k, m, &b, n, &mut got);
-            reference::gemm_tn(&a, k, m, &b, n, &mut want);
-            assert_eq!(bits(&got), bits(&want), "tn {m}x{n}x{k}");
-        }
-    }
-
-    #[test]
     fn par_gemm_matches_reference_bitwise() {
         for &(m, n, k) in &SHAPES {
             for kind in [Kind::Nn, Kind::Nt, Kind::Tn] {
@@ -684,7 +549,7 @@ mod tests {
                 let bp = pack_b(level, Kind::Nn, &b, k, n);
                 let mut got = vec![1.0f32; m * n];
                 let mut want = vec![2.0f32; m * n];
-                run_tiles_level::<true, false>(
+                run_tiles_level::<true>(
                     level, &a, false, m, k, &bp, n, 0, ntiles, &mut got, &mut ap,
                 );
                 reference::gemm_nn(&a, m, k, &b, n, &mut want);
@@ -692,7 +557,7 @@ mod tests {
 
                 let bt = randvec(n * k, 22 + n as u64);
                 let bp = pack_b(level, Kind::Nt, &bt, k, n);
-                run_tiles_level::<false, false>(
+                run_tiles_level::<false>(
                     level, &a, false, m, k, &bp, n, 0, ntiles, &mut got, &mut ap,
                 );
                 reference::gemm_nt(&a, m, k, &bt, n, &mut want);
@@ -700,7 +565,7 @@ mod tests {
 
                 let at = randvec_zeros(k * m, 23 + m as u64);
                 let bp = pack_b(level, Kind::Tn, &b, k, n);
-                run_tiles_level::<true, false>(
+                run_tiles_level::<true>(
                     level, &at, true, m, k, &bp, n, 0, ntiles, &mut got, &mut ap,
                 );
                 reference::gemm_tn(&at, k, m, &b, n, &mut want);
@@ -724,7 +589,7 @@ mod tests {
         b[k] = f32::INFINITY;
         let mut got = vec![0.0f32; m * n];
         let mut want = vec![0.0f32; m * n];
-        gemm_nn(&a, m, k, &b, n, &mut got);
+        par_gemm(Kind::Nn, &a, &b, m, n, k, &mut got);
         reference::gemm_nn(&a, m, k, &b, n, &mut want);
         assert_eq!(bits(&got), bits(&want));
         assert!(got[..n].iter().all(|v| *v == 0.0), "zero row stayed zero");

@@ -12,11 +12,18 @@
 //!    against [`par_gemm_ref`], which reproduces the pre-rewrite parallel
 //!    row-band dispatch exactly.
 //!
+//! The per-sample convolution lowering (materialised [`im2col`] column
+//! matrix, one product per image, [`col2im`] scatter, per-band weight
+//! gradient partials) lives here too, as the oracle of the implicit-GEMM
+//! convolution in [`super::conv`].
+//!
 //! This module is the one place the `cq-check` `no-naive-hot-loop` lint
 //! permits an unblocked multiply-accumulate loop nest; new naive loops
 //! anywhere else are a finding.
 
-use crate::par::parallel_for;
+use super::conv::{ConvShape, WGRAD_BANDS};
+use crate::par::{parallel_for, ChunkGrid};
+use crate::Conv2dSpec;
 
 /// Minimum output rows per parallel band in [`par_gemm_ref`] — the
 /// pre-rewrite `MIN_ROWS_PER_BAND` value, preserved so the baseline
@@ -150,4 +157,138 @@ pub fn par_gemm_ref(
             }
         }
     });
+}
+
+/// Lowers one `[c, h, w]` sample (flat slice, CHW order) to a column matrix
+/// written into `out`, which must have length `c*kh*kw * oh*ow`.
+///
+/// Row `(ci*kh+ki)*kw+kj` of the column matrix holds, for every output
+/// location, the input value under kernel tap `(ki, kj)` of channel `ci`
+/// (zero where the tap falls in padding).
+///
+/// # Panics
+///
+/// Panics if slice lengths are inconsistent with the geometry.
+pub fn im2col(input: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec, out: &mut [f32]) {
+    let (kh, kw) = spec.kernel;
+    let (sh, sw) = spec.stride;
+    let (ph, pw) = spec.padding;
+    let (oh, ow) = spec.out_hw(h, w).expect("im2col: invalid geometry"); // cq-check: allow — geometry pre-validated by callers
+    assert_eq!(input.len(), c * h * w, "im2col: input length mismatch");
+    assert_eq!(
+        out.len(),
+        c * kh * kw * oh * ow,
+        "im2col: output length mismatch"
+    );
+    for (row, dst) in out.chunks_exact_mut(oh * ow).enumerate() {
+        let (ci, ki, kj) = (row / (kh * kw), row / kw % kh, row % kw);
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let iy = (oy * sh + ki) as isize - ph as isize;
+                let ix = (ox * sw + kj) as isize - pw as isize;
+                let inside = iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize;
+                dst[oy * ow + ox] = if inside {
+                    input[(ci * h + iy as usize) * w + ix as usize]
+                } else {
+                    0.0
+                };
+            }
+        }
+    }
+}
+
+/// Reverse of [`im2col`]: accumulates a column-matrix gradient back into a
+/// `[c, h, w]` input-gradient slice, rows in ascending tap order. `out` is
+/// accumulated into, not overwritten.
+///
+/// # Panics
+///
+/// Panics if slice lengths are inconsistent with the geometry.
+pub fn col2im(cols: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec, out: &mut [f32]) {
+    let (kh, kw) = spec.kernel;
+    let (sh, sw) = spec.stride;
+    let (ph, pw) = spec.padding;
+    let (oh, ow) = spec.out_hw(h, w).expect("col2im: invalid geometry"); // cq-check: allow — geometry pre-validated by callers
+    assert_eq!(out.len(), c * h * w, "col2im: output length mismatch");
+    assert_eq!(
+        cols.len(),
+        c * kh * kw * oh * ow,
+        "col2im: cols length mismatch"
+    );
+    for (row, src) in cols.chunks_exact(oh * ow).enumerate() {
+        let (ci, ki, kj) = (row / (kh * kw), row / kw % kh, row % kw);
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let iy = (oy * sh + ki) as isize - ph as isize;
+                let ix = (ox * sw + kj) as isize - pw as isize;
+                if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                    out[(ci * h + iy as usize) * w + ix as usize] += src[oy * ow + ox];
+                }
+            }
+        }
+    }
+}
+
+/// Per-sample forward convolution: [`im2col`] then [`gemm_nn`] for each
+/// image. Oracle of [`super::conv::conv2d`]; same argument layout.
+pub fn conv2d(x: &[f32], wgt: &[f32], s: &ConvShape, out: &mut [f32]) {
+    let (k, p) = (s.taps(), s.positions());
+    let mut cols = vec![0.0f32; k * p];
+    let xs = x.chunks_exact(s.c * s.h * s.w);
+    for (xi, yi) in xs.zip(out.chunks_exact_mut(s.o * p)) {
+        im2col(xi, s.c, s.h, s.w, &s.spec, &mut cols);
+        gemm_nn(wgt, s.o, k, &cols, p, yi);
+    }
+}
+
+/// Per-sample input gradient: [`gemm_tn`] into a column matrix, then
+/// [`col2im`] into the zeroed `dx`. Oracle of
+/// [`super::conv::conv2d_backward_input`].
+pub fn conv2d_backward_input(dy: &[f32], wgt: &[f32], s: &ConvShape, dx: &mut [f32]) {
+    let (k, p) = (s.taps(), s.positions());
+    let mut dcols = vec![0.0f32; k * p];
+    dx.fill(0.0);
+    let dxs = dx.chunks_exact_mut(s.c * s.h * s.w);
+    for (dyi, dxi) in dy.chunks_exact(s.o * p).zip(dxs) {
+        gemm_tn(wgt, s.o, k, dyi, p, &mut dcols);
+        col2im(&dcols, s.c, s.h, s.w, &s.spec, dxi);
+    }
+}
+
+/// Per-sample weight gradient: each image's [`gemm_nt_acc`] against its
+/// [`im2col`] matrix adds into its band's partial, and the
+/// [`WGRAD_BANDS`] partials are summed in band order. Oracle of
+/// [`super::conv::conv2d_backward_weight`].
+pub fn conv2d_backward_weight(x: &[f32], dy: &[f32], s: &ConvShape, dw: &mut [f32]) {
+    let (k, p) = (s.taps(), s.positions());
+    let img_len = s.c * s.h * s.w;
+    let bands = ChunkGrid::with_max_chunks(s.n, 1, WGRAD_BANDS);
+    let mut cols = vec![0.0f32; k * p];
+    let mut part = vec![0.0f32; s.o * k];
+    dw.fill(0.0);
+    for b in 0..bands.n_chunks() {
+        let (b0, b1) = bands.range(b);
+        part.fill(0.0);
+        for i in b0..b1 {
+            im2col(
+                &x[i * img_len..(i + 1) * img_len],
+                s.c,
+                s.h,
+                s.w,
+                &s.spec,
+                &mut cols,
+            );
+            gemm_nt_acc(
+                &dy[i * s.o * p..(i + 1) * s.o * p],
+                s.o,
+                p,
+                &cols,
+                k,
+                &mut part,
+            );
+        }
+        for (d, &v) in dw.iter_mut().zip(&part) {
+            *d += v;
+        }
+    }
 }

@@ -5,8 +5,8 @@
 //!
 //! This crate provides everything the neural-network stack above it needs:
 //! contiguous row-major tensors, elementwise and broadcast arithmetic, a
-//! blocked parallel matrix multiply, `im2col`-based convolution lowering
-//! (dense and depthwise), pooling, reductions, softmax, random
+//! blocked parallel matrix multiply, implicit-GEMM dense convolution,
+//! depthwise convolution, pooling, reductions, softmax, random
 //! initialisation, and a tiny binary serialisation format for checkpoints.
 //!
 //! Design notes:
@@ -24,7 +24,7 @@
 //!   with the vendored `StdRng`).
 //! - Parallelism goes through the persistent worker pool in [`par`]
 //!   (spawned once per process, parked between jobs); kernels parallelise
-//!   over row bands or batch elements on a fixed chunk grid, so results
+//!   over row tiles, column panels or batch elements on a fixed chunk grid, so results
 //!   are bitwise identical at any `CQ_THREADS`.
 //!
 //! # Example
@@ -55,10 +55,10 @@ mod shape;
 mod tensor;
 
 pub use conv::{
-    col2im, depthwise_conv2d, depthwise_conv2d_backward, depthwise_conv2d_i8, im2col, im2col_i8,
-    Conv2dSpec,
+    depthwise_conv2d, depthwise_conv2d_backward, depthwise_conv2d_i8, im2col_i8, Conv2dSpec,
 };
 pub use error::TensorError;
+pub use gemm::conv::{conv2d, conv2d_backward_input, conv2d_backward_weight, ConvShape};
 pub use io::{read_tensor, write_tensor};
 pub use rng::CqRng;
 

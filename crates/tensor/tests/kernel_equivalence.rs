@@ -7,10 +7,13 @@
 //! are drawn from the hostile corners: 1, primes, `K = 0`, and the tile
 //! boundaries `MR/NR = 8` and the widened 16-column panel, each ±1. The
 //! parallel entry point is additionally run under thread limits
-//! {1, 2, 5, 8} — all must produce identical bits.
+//! {1, 2, 5, 8} — all must produce identical bits. The implicit-GEMM
+//! convolution is held to the same standard against its per-sample
+//! im2col oracle.
 
 use cq_tensor::gemm::{self, reference, Kind};
 use cq_tensor::par::with_thread_limit;
+use cq_tensor::{conv2d, conv2d_backward_input, conv2d_backward_weight, Conv2dSpec, ConvShape};
 use proptest::prelude::*;
 
 /// Checked thread limits: serial, even split, odd/ragged split, and more
@@ -154,31 +157,35 @@ proptest! {
     }
 
     #[test]
-    fn serial_entries_match_reference_bitwise(
-        m in dim(), n in dim(), k in kdim(),
-        seed_a in matrix(33 * 33), seed_b in matrix(33 * 33), seed_c in matrix(33 * 33),
+    fn implicit_conv_matches_per_sample_oracle_bitwise(
+        n in 1usize..6, c in 1usize..6, hw in 1usize..9, o in dim(),
+        kernel in 1usize..4, stride in 1usize..3, pad in 0usize..3,
+        seed_x in matrix(5 * 5 * 8 * 8), seed_w in matrix(33 * 5 * 9), seed_dy in matrix(5 * 33 * 64),
     ) {
-        // gemm_nn: out = A @ B, overwritten.
-        let mut blocked = vec![f32::NAN; m * n];
-        gemm::gemm_nn(&seed_a[..m * k], m, k, &seed_b[..k * n], n, &mut blocked);
-        let mut naive = vec![f32::NAN; m * n];
-        reference::gemm_nn(&seed_a[..m * k], m, k, &seed_b[..k * n], n, &mut naive);
-        prop_assert_eq!(bits(&blocked), bits(&naive), "gemm_nn");
-
-        // gemm_tn: out = Aᵀ @ B, overwritten.
-        let mut blocked = vec![f32::NAN; m * n];
-        gemm::gemm_tn(&seed_a[..k * m], k, m, &seed_b[..k * n], n, &mut blocked);
-        let mut naive = vec![f32::NAN; m * n];
-        reference::gemm_tn(&seed_a[..k * m], k, m, &seed_b[..k * n], n, &mut naive);
-        prop_assert_eq!(bits(&blocked), bits(&naive), "gemm_tn");
-
-        // gemm_nt_acc: out += A @ Bᵀ, so a shared nonzero initial image
-        // checks the accumulate semantics too.
-        let mut blocked = seed_c[..m * n].to_vec();
-        gemm::gemm_nt_acc(&seed_a[..m * k], m, k, &seed_b[..n * k], n, &mut blocked);
-        let mut naive = seed_c[..m * n].to_vec();
-        reference::gemm_nt_acc(&seed_a[..m * k], m, k, &seed_b[..n * k], n, &mut naive);
-        prop_assert_eq!(bits(&blocked), bits(&naive), "gemm_nt_acc");
+        // Batch-wide implicit GEMM (forward, input and weight gradient)
+        // against the per-sample im2col lowering, at every thread limit.
+        // Kernels larger than the padded input are invalid geometry.
+        let Ok(s) = ConvShape::new(n, c, hw, hw, o, Conv2dSpec::new(kernel, stride, pad)) else {
+            return;
+        };
+        let x = &seed_x[..n * c * hw * hw];
+        let w = &seed_w[..o * s.taps()];
+        let dy = &seed_dy[..n * o * s.positions()];
+        let mut want = [vec![f32::NAN; dy.len()], vec![f32::NAN; x.len()], vec![f32::NAN; w.len()]];
+        reference::conv2d(x, w, &s, &mut want[0]);
+        reference::conv2d_backward_input(dy, w, &s, &mut want[1]);
+        reference::conv2d_backward_weight(x, dy, &s, &mut want[2]);
+        for limit in THREAD_LIMITS {
+            let mut got = [vec![f32::NAN; dy.len()], vec![f32::NAN; x.len()], vec![f32::NAN; w.len()]];
+            with_thread_limit(limit, || {
+                conv2d(x, w, &s, &mut got[0]);
+                conv2d_backward_input(dy, w, &s, &mut got[1]);
+                conv2d_backward_weight(x, dy, &s, &mut got[2]);
+            });
+            for (pass, (g, r)) in ["forward", "dx", "dw"].iter().zip(got.iter().zip(&want)) {
+                prop_assert_eq!(bits(g), bits(r), "{} {:?} at {} threads", pass, s, limit);
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests of the tensor substrate's algebraic invariants.
 
-use cq_tensor::{avg_pool2d, global_avg_pool, im2col, max_pool2d, Conv2dSpec, Shape, Tensor};
+use cq_tensor::gemm::reference::im2col;
+use cq_tensor::{avg_pool2d, global_avg_pool, max_pool2d, Conv2dSpec, Shape, Tensor};
 use proptest::prelude::*;
 
 fn vecf(len: usize) -> impl Strategy<Value = Vec<f32>> {
