@@ -26,7 +26,9 @@
 //! serial references, in integer GOP/s under the same `gflops` key) and
 //! an `int8_encoders` section measuring end-to-end imgs/sec of the
 //! `cq-infer` i8 program against the fake-quant f32 eval forward per
-//! encoder architecture.
+//! encoder architecture. `conv2d_i8` points (the implicit i8 conv vs its
+//! per-sample oracle at ResNet-18's stage shapes) ride under the same
+//! schema.
 //!
 //! PR 10 adds two optional sections under the unchanged v3 schema: an
 //! `ew_chains` section measuring the graph executor's fused vs. unfused
@@ -50,7 +52,8 @@ use cq_quant::{Precision, PrecisionSet, QuantConfig};
 use cq_tensor::gemm::int8::{gemm_i8_nn_ref, gemm_i8_nt_ref, par_gemm_i8, IntKind};
 use cq_tensor::gemm::{self, Kind};
 use cq_tensor::par::{num_threads, parallel_chunks_mut, parallel_for_each};
-use cq_tensor::{conv2d, Conv2dSpec, ConvShape, Tensor};
+use cq_tensor::{conv2d, conv2d_i8, Conv2dSpec, ConvShape, Requant, Tensor};
+use cq_trace::bench::is_integer_kernel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -185,6 +188,52 @@ fn bench_matmul_i8(kind: IntKind, m: usize, n: usize, k: usize, rng: &mut StdRng
         },
         m,
         n,
+        k,
+        iters,
+        gflops: ops / t_blocked / 1e9,
+        ref_gflops: ops / t_ref / 1e9,
+    }
+}
+
+/// Measures an int8 conv forward for a `c`→`o` 3×3 layer over a
+/// 128-image batch of `hw`×`hw` codes: the implicit i8 GEMM
+/// (`conv2d_i8`) against the per-sample oracle (a materialised
+/// `im2col_i8` and a scalar i8 GEMM per image), both requantizing into
+/// f32. Throughput is integer GOP/s; `m`/`n`/`k` record the lowered
+/// product shape.
+fn bench_conv_i8(c: usize, o: usize, hw: usize, rng: &mut StdRng) -> Point {
+    let shape = ConvShape::new(128, c, hw, hw, o, Conv2dSpec::new(3, 1, 1)).expect("conv geometry");
+    let k = shape.taps();
+    let mut codes = |len: usize| -> Vec<i8> {
+        (0..len)
+            .map(|_| rng.gen_range(-128i16..128) as i8)
+            .collect()
+    };
+    let x = codes(shape.n * c * hw * hw);
+    let wgt = codes(o * k);
+    let wsum: Vec<i32> = wgt
+        .chunks_exact(k)
+        .map(|r| r.iter().map(|&v| i32::from(v)).sum())
+        .collect();
+    let (scale, shift) = (vec![1e-3f32; o], vec![0.5f32; o]);
+    let rq = Requant {
+        za: 77,
+        zw: -3,
+        wsum: &wsum,
+        scale: &scale,
+        shift: &shift,
+    };
+    let mut out = vec![0.0f32; shape.n * o * shape.positions()];
+    let ops = shape.flops() as f64;
+
+    let (t_blocked, iters) = time_best(|| conv2d_i8(&x, &wgt, &shape, &rq, &mut out));
+    let (t_ref, _) =
+        time_best(|| gemm::reference::conv2d_i8_per_sample(&x, &wgt, &shape, &rq, &mut out));
+
+    Point {
+        kernel: "conv2d_i8",
+        m: o,
+        n: shape.n * shape.positions(),
         k,
         iters,
         gflops: ops / t_blocked / 1e9,
@@ -596,7 +645,7 @@ fn render_json(
     let _ = writeln!(s, "  \"kernels\": [");
     for (i, p) in points.iter().enumerate() {
         let speedup = p.gflops / p.ref_gflops;
-        let ai = if p.kernel.starts_with("matmul_i8") {
+        let ai = if is_integer_kernel(p.kernel) {
             Roofline::intensity_i8(p.m, p.n, p.k)
         } else {
             Roofline::intensity(p.m, p.n, p.k)
@@ -755,6 +804,11 @@ fn main() {
         points.push(bench_matmul_i8(IntKind::Nt, s, s, s, &mut rng));
     }
     points.push(bench_matmul_i8(IntKind::Nn, 32, 256, 72, &mut rng));
+    // The int8 conv at ResNet-18's four stage shapes (width 8, 16×16
+    // inputs, batch 128).
+    for (c, hw) in [(8, 16), (16, 8), (32, 4), (64, 2)] {
+        points.push(bench_conv_i8(c, c, hw, &mut rng));
+    }
 
     for p in &points {
         eprintln!(
@@ -777,7 +831,7 @@ fn main() {
     // ceiling and i8 kernels can legitimately exceed it.
     let best_kernel = points
         .iter()
-        .filter(|p| !p.kernel.starts_with("matmul_i8"))
+        .filter(|p| !is_integer_kernel(p.kernel))
         .map(|p| p.gflops)
         .fold(0.0, f64::max);
     let roofline = Roofline {

@@ -16,10 +16,12 @@
 //! 2. **Batch-norm folding** — running statistics are folded into the
 //!    preceding conv/linear weights before requantization, so the
 //!    integer program has one MAC where the f32 network had conv+BN.
-//! 3. **Integer execution** ([`model`]) — convolutions lower through
-//!    `im2col_i8` into the blocked i8 GEMM kernels of
-//!    [`cq_tensor::gemm::int8`]; accumulation stays in i32 end to end
-//!    with a single final f32 rescale per layer. Integer accumulation
+//! 3. **Integer execution** ([`model`]) — each dense convolution runs
+//!    as one implicit i8 GEMM over the whole batch
+//!    ([`cq_tensor::conv2d_i8`], on the pair-widened register tile of
+//!    [`cq_tensor::gemm::int8`]); accumulation stays in i32 end to end
+//!    with a single final f32 rescale per output element, applied from
+//!    the register tile. Integer accumulation
 //!    is associative, so results are bitwise identical at any thread
 //!    count — provided accumulators cannot overflow, which conversion
 //!    *proves* per layer with the shared headroom bound

@@ -45,10 +45,11 @@ use cq_models::plan::{backbone_plan, mlp_head_plan};
 use cq_models::{Encoder, EncoderConfig, HeadConfig};
 use cq_nn::spec::{LayerKind, Plan};
 use cq_quant::intmath::{acc_fits_i32, INT_INFER_MAX_BITS};
-use cq_tensor::gemm::int8::{gemm_i8, par_gemm_i8, IntKind};
+use cq_tensor::gemm::int8::{par_gemm_i8, IntKind};
 use cq_tensor::par::parallel_chunks_mut;
 use cq_tensor::{
-    avg_pool2d, depthwise_conv2d_i8, global_avg_pool, im2col_i8, max_pool2d, Conv2dSpec, Tensor,
+    avg_pool2d, conv2d_i8, depthwise_conv2d_i8, global_avg_pool, max_pool2d, Conv2dSpec, ConvShape,
+    Requant, Tensor,
 };
 
 use crate::quantize::{quantize_activations, quantize_weights};
@@ -81,41 +82,11 @@ struct IntMac {
 }
 
 impl IntMac {
-    /// Rescales one row-major `[rows, cota]` i32 accumulator block into
-    /// `out`. `asum[j]` is the stored-code column sum of the activation
-    /// (shared by every output row); the zero-point corrections run in
-    /// i64:
-    /// `out[o,j] = astep·wstep·gain[o]·(acc[o,j] + za·wsum[o] + wzp·asum[j] + K·za·wzp) + shift[o]`.
-    fn rescale(
-        &self,
-        acc: &[i32],
-        asum: &[i32],
-        cota: usize,
-        astep: f32,
-        azp: i32,
-        out: &mut [f32],
-    ) {
-        debug_assert_eq!(acc.len(), self.rows * cota);
-        debug_assert_eq!(asum.len(), cota);
-        debug_assert_eq!(out.len(), self.rows * cota);
-        let za = azp as i64;
-        let zw = self.wzp as i64;
-        let kzz = self.cols as i64 * za * zw;
-        for o in 0..self.rows {
-            let m = astep * self.wstep * self.gain[o];
-            let row_corr = za * self.wsum[o] as i64 + kzz;
-            let b = self.shift[o];
-            let arow = &acc[o * cota..(o + 1) * cota];
-            let orow = &mut out[o * cota..(o + 1) * cota];
-            for ((dst, &a), &s) in orow.iter_mut().zip(arow).zip(asum) {
-                *dst = m * (a as i64 + row_corr + zw * s as i64) as f32 + b;
-            }
-        }
-    }
-
-    /// Like [`IntMac::rescale`] but with a per-element `asum` of the same
-    /// layout as `acc` (depthwise convolution: each output element has
-    /// its own tap window).
+    /// Rescales an i32 accumulator block `[rows, cota]` into `out`, with
+    /// the activation's stored-code sum `asum` laid out like `acc`
+    /// (depthwise convolution: each output element has its own tap
+    /// window); the zero-point corrections run in i64:
+    /// `out[o,j] = astep·wstep·gain[o]·(acc[o,j] + za·wsum[o] + wzp·asum[o,j] + K·za·wzp) + shift[o]`.
     fn rescale_elems(&self, acc: &[i32], asum: &[i32], astep: f32, azp: i32, out: &mut [f32]) {
         debug_assert_eq!(acc.len(), out.len());
         debug_assert_eq!(asum.len(), out.len());
@@ -138,7 +109,8 @@ impl IntMac {
 /// One operation of the integer program.
 #[derive(Debug, Clone)]
 enum IntOp {
-    /// Dense convolution via `im2col_i8` + i8 GEMM.
+    /// Dense convolution: one implicit i8 GEMM over the batch
+    /// ([`conv2d_i8`]), requantized from the register tile.
     Conv {
         /// Conv geometry.
         spec: Conv2dSpec,
@@ -633,12 +605,12 @@ impl IntEncoder {
     /// Fails on a mis-shaped input or invalid conv/pool geometry for the
     /// given spatial size.
     pub fn forward(&self, x: &Tensor) -> Result<IntOutput, InferError> {
-        let feats = self.run_backbone(x)?;
+        let feats = self.run_backbone(x, conv2d_i8)?;
         let features = feats.to_tensor()?;
         let projection = if self.head.is_empty() {
             features.clone()
         } else {
-            run_ops(&self.head, feats)?.to_tensor()?
+            run_ops(&self.head, feats, conv2d_i8)?.to_tensor()?
         };
         Ok(IntOutput {
             features,
@@ -652,10 +624,10 @@ impl IntEncoder {
     ///
     /// Same conditions as [`IntEncoder::forward`].
     pub fn features(&self, x: &Tensor) -> Result<Tensor, InferError> {
-        self.run_backbone(x)?.to_tensor()
+        self.run_backbone(x, conv2d_i8)?.to_tensor()
     }
 
-    fn run_backbone(&self, x: &Tensor) -> Result<Act, InferError> {
+    fn run_backbone(&self, x: &Tensor, conv: ConvI8) -> Result<Act, InferError> {
         let dims = x.dims();
         if dims.len() != 4 {
             return Err(InferError::Input(format!(
@@ -669,11 +641,10 @@ impl IntEncoder {
             h: dims[2],
             w: dims[3],
         };
-        run_ops(&self.backbone, act)
+        run_ops(&self.backbone, act, conv)
     }
 }
 
-/// Executes an op stream over an activation.
 /// Rebuilds the f32 [`Encoder`] a checkpoint describes: parameters are
 /// copied by name, batch-norm running statistics positionally (the
 /// encoder's state tensors are the prefix of the method's state list).
@@ -734,14 +705,20 @@ pub fn encoder_from_train_state(
     Ok(enc)
 }
 
-fn run_ops(ops: &[IntOp], mut act: Act) -> Result<Act, InferError> {
+/// A dense i8 convolution kernel: [`conv2d_i8`], or in tests its
+/// per-sample oracle.
+type ConvI8 = fn(&[i8], &[i8], &ConvShape, &Requant, &mut [f32]);
+
+/// Executes an op stream over an activation, running dense convolutions
+/// through `conv`.
+fn run_ops(ops: &[IntOp], mut act: Act, conv: ConvI8) -> Result<Act, InferError> {
     for op in ops {
-        act = run_op(op, act)?;
+        act = run_op(op, act, conv)?;
     }
     Ok(act)
 }
 
-fn run_op(op: &IntOp, act: Act) -> Result<Act, InferError> {
+fn run_op(op: &IntOp, act: Act, conv: ConvI8) -> Result<Act, InferError> {
     match op {
         IntOp::Conv { spec, in_ch, mac } => {
             let Act::Spatial { data, n, c, h, w } = act else {
@@ -753,41 +730,24 @@ fn run_op(op: &IntOp, act: Act) -> Result<Act, InferError> {
                     mac.name
                 )));
             }
-            let (oh, ow) = spec.out_hw(h, w).map_err(InferError::Tensor)?;
+            let shape = ConvShape::new(n, c, h, w, mac.rows, *spec).map_err(InferError::Tensor)?;
             let q = quantize_activations(&data);
-            let pad = (-q.zp) as i8;
-            let cota = oh * ow;
-            let mut out = vec![0.0f32; n * mac.rows * cota];
-            parallel_chunks_mut(&mut out, mac.rows * cota, |i, chunk| {
-                let sample = &q.codes[i * c * h * w..(i + 1) * c * h * w];
-                let mut cols = vec![0i8; mac.cols * cota];
-                im2col_i8(sample, c, h, w, spec, pad, &mut cols);
-                // Stored-code column sums (pad bytes included, so padded
-                // taps cancel inside the zero-point correction).
-                let mut asum = vec![0i32; cota];
-                for krow in cols.chunks_exact(cota) {
-                    for (s, &v) in asum.iter_mut().zip(krow) {
-                        *s += v as i32;
-                    }
-                }
-                let mut acc = vec![0i32; mac.rows * cota];
-                gemm_i8(
-                    IntKind::Nn,
-                    &mac.codes,
-                    &cols,
-                    mac.rows,
-                    cota,
-                    mac.cols,
-                    &mut acc,
-                );
-                mac.rescale(&acc, &asum, cota, q.step, q.zp, chunk);
-            });
+            let scale: Vec<f32> = mac.gain.iter().map(|&g| q.step * mac.wstep * g).collect();
+            let rq = Requant {
+                za: q.zp,
+                zw: mac.wzp,
+                wsum: &mac.wsum,
+                scale: &scale,
+                shift: &mac.shift,
+            };
+            let mut out = vec![0.0f32; n * mac.rows * shape.positions()];
+            conv(&q.codes, &mac.codes, &shape, &rq, &mut out);
             Ok(Act::Spatial {
                 data: out,
                 n,
                 c: mac.rows,
-                h: oh,
-                w: ow,
+                h: shape.oh,
+                w: shape.ow,
             })
         }
         IntOp::Depthwise { spec, mac } => {
@@ -806,16 +766,14 @@ fn run_op(op: &IntOp, act: Act) -> Result<Act, InferError> {
             let q = quantize_activations(&data);
             let pad = (-q.zp) as i8;
             let cota = oh * ow;
-            // All-ones kernel: running the depthwise conv with it yields
-            // the per-window stored-code sum (`asum`), pad bytes included.
-            let ones = vec![1i8; mac.rows * mac.cols];
             let mut out = vec![0.0f32; n * c * cota];
             parallel_chunks_mut(&mut out, c * cota, |i, chunk| {
                 let sample = &q.codes[i * c * h * w..(i + 1) * c * h * w];
+                // The per-window stored-code sums (`asum`), pad bytes
+                // included, come from the same pass as the MAC.
                 let mut acc = vec![0i32; c * cota];
-                depthwise_conv2d_i8(sample, &mac.codes, c, h, w, spec, pad, &mut acc);
                 let mut asum = vec![0i32; c * cota];
-                depthwise_conv2d_i8(sample, &ones, c, h, w, spec, pad, &mut asum);
+                depthwise_conv2d_i8(sample, &mac.codes, c, h, w, spec, pad, &mut acc, &mut asum);
                 mac.rescale_elems(&acc, &asum, q.step, q.zp, chunk);
             });
             Ok(Act::Spatial {
@@ -946,9 +904,9 @@ fn run_op(op: &IntOp, act: Act) -> Result<Act, InferError> {
         }
         IntOp::Residual { main, skip } => {
             let saved = act.clone();
-            let main_out = run_ops(main, act)?;
+            let main_out = run_ops(main, act, conv)?;
             let skip_out = match skip {
-                Some(ops) => run_ops(ops, saved)?,
+                Some(ops) => run_ops(ops, saved, conv)?,
                 None => saved,
             };
             let mut out = main_out;
@@ -1259,6 +1217,29 @@ mod tests {
             IntEncoder::from_train_state(&st, &cfg),
             Err(InferError::MissingParam(_))
         ));
+    }
+
+    #[test]
+    fn features_match_the_per_sample_oracle_lowering_bitwise() {
+        // The implicit i8 conv must reproduce the per-sample lowering
+        // (im2col + scalar GEMM + i64 rescale per image) bit for bit:
+        // integer accumulation is exact and the rescale is per element.
+        let cfgs = [
+            (EncoderConfig::new(Arch::ResNet18, 8), 51),
+            (EncoderConfig::new(Arch::MobileNetV2, 8), 53),
+        ];
+        for (cfg, seed) in cfgs {
+            let mut enc = Encoder::new(&cfg, seed).unwrap();
+            randomize_state(&mut enc, seed + 1);
+            let int = IntEncoder::from_encoder(&enc).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed + 2);
+            let x = Tensor::randn(&[3, 3, 16, 16], 0.0, 1.0, &mut rng);
+            let got = int.features(&x).unwrap();
+            let oracle = cq_tensor::gemm::reference::conv2d_i8_per_sample;
+            let want = int.run_backbone(&x, oracle).unwrap().to_tensor().unwrap();
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{:?}", cfg.arch);
+        }
     }
 
     #[test]

@@ -1,17 +1,14 @@
-//! Convolution geometry, depthwise kernels and the i8 column lowering.
+//! Convolution geometry and depthwise kernels.
 //!
-//! Dense f32 convolutions run as implicit GEMMs over the whole batch (see
-//! [`crate::gemm::conv`]). Depthwise convolutions (MobileNetV2) use direct
-//! loops, which is faster for a single channel per group. The integer
-//! inference path still lowers each sample to an i8 column matrix with
-//! [`im2col_i8`].
+//! Dense convolutions, f32 and i8, run as implicit GEMMs over the whole
+//! batch (see [`crate::gemm::conv`]). Depthwise convolutions (MobileNetV2)
+//! use direct loops, which is faster for a single channel per group.
 
 use crate::{Result, TensorError};
 
-// Kernel counters (no-ops unless a cq-obs sink is installed). i8 im2col
-// is counted in column-matrix elements written; depthwise convs in
-// multiply-add FLOPs, so observed totals reconcile with Plan IR estimates.
-static IM2COL_ELEMS: cq_obs::Counter = cq_obs::Counter::new("tensor.im2col.elems");
+// Kernel counter (a no-op unless a cq-obs sink is installed): depthwise
+// convs in multiply-add FLOPs, so observed totals reconcile with Plan IR
+// estimates.
 static DEPTHWISE_FLOPS: cq_obs::Counter = cq_obs::Counter::new("tensor.depthwise.flops");
 
 /// Geometry of a 2-D convolution or pooling window: kernel size, stride and
@@ -159,83 +156,13 @@ fn tap_columns(kj: usize, pw: usize, sw: usize, w: usize, ow: usize) -> (usize, 
     (x0, x1)
 }
 
-/// Lowers one `[c, h, w]` i8 sample to a column matrix for the integer
-/// inference path (the layout of [`crate::gemm::reference::im2col`]: row
-/// `(ci*kh+ki)*kw+kj` holds tap `(ki, kj)` of channel `ci` for every
-/// output location). `pad` is the
-/// i8 code written where a tap falls in padding: with a zero-point
-/// representation the real value `0.0` maps to code `-zp`, not `0`, so
-/// the caller passes that code here and the downstream i8 GEMM's
-/// zero-point correction term stays exact (see `cq-infer`'s conversion
-/// notes).
-///
-/// # Panics
-///
-/// Panics if slice lengths are inconsistent with the geometry.
-pub fn im2col_i8(
-    input: &[i8],
-    c: usize,
-    h: usize,
-    w: usize,
-    spec: &Conv2dSpec,
-    pad: i8,
-    out: &mut [i8],
-) {
-    let (kh, kw) = spec.kernel;
-    let (sh, sw) = spec.stride;
-    let (ph, pw) = spec.padding;
-    let (oh, ow) = spec.out_hw(h, w).expect("im2col_i8: invalid geometry"); // cq-check: allow — geometry pre-validated by callers
-    assert_eq!(input.len(), c * h * w, "im2col_i8: input length mismatch");
-    assert_eq!(
-        out.len(),
-        c * kh * kw * oh * ow,
-        "im2col_i8: output length mismatch"
-    );
-    IM2COL_ELEMS.add(out.len() as u64);
-
-    let ospatial = oh * ow;
-    for ci in 0..c {
-        let in_ch = &input[ci * h * w..(ci + 1) * h * w];
-        for ki in 0..kh {
-            for kj in 0..kw {
-                let row = ((ci * kh + ki) * kw + kj) * ospatial;
-                let dst = &mut out[row..row + ospatial];
-                // The in-bounds output-x interval [x0, x1) for this tap
-                // does not depend on oy: hoist the border test out of the
-                // pixel loop so interior spans are straight copies.
-                let off = kj as isize - pw as isize;
-                let (x0, x1) = tap_columns(kj, pw, sw, w, ow);
-                for oy in 0..oh {
-                    let iy = (oy * sh + ki) as isize - ph as isize;
-                    let orow = &mut dst[oy * ow..(oy + 1) * ow];
-                    if iy < 0 || iy >= h as isize {
-                        orow.fill(pad);
-                        continue;
-                    }
-                    let iy = iy as usize;
-                    orow[..x0].fill(pad);
-                    orow[x1..].fill(pad);
-                    if x1 > x0 {
-                        let src0 = iy * w + ((x0 * sw) as isize + off) as usize;
-                        if sw == 1 {
-                            orow[x0..x1].copy_from_slice(&in_ch[src0..src0 + (x1 - x0)]);
-                        } else {
-                            for (i, o) in orow[x0..x1].iter_mut().enumerate() {
-                                *o = in_ch[src0 + i * sw];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// i8 variant of [`depthwise_conv2d`] with exact `i32` accumulation for
 /// the integer inference path. Unlike the f32 kernel, padded taps are not
 /// skipped: they contribute `pad * ker` so a zero-point code (`pad =
 /// -zp`) is treated exactly like an in-bounds code, keeping the
-/// per-channel zero-point correction term exact.
+/// per-channel zero-point correction term exact. The same pass writes
+/// each window's stored-code sum (pad codes included) into `asum`, the
+/// per-element factor of that correction.
 ///
 /// # Panics
 ///
@@ -250,6 +177,7 @@ pub fn depthwise_conv2d_i8(
     spec: &Conv2dSpec,
     pad: i8,
     out: &mut [i32],
+    asum: &mut [i32],
 ) {
     let (kh, kw) = spec.kernel;
     let (sh, sw) = spec.stride;
@@ -258,15 +186,17 @@ pub fn depthwise_conv2d_i8(
     assert_eq!(input.len(), c * h * w);
     assert_eq!(weight.len(), c * kh * kw);
     assert_eq!(out.len(), c * oh * ow);
+    assert_eq!(asum.len(), c * oh * ow);
     DEPTHWISE_FLOPS.add(2 * (c * oh * ow * kh * kw) as u64);
 
     for ci in 0..c {
         let in_ch = &input[ci * h * w..(ci + 1) * h * w];
         let ker = &weight[ci * kh * kw..(ci + 1) * kh * kw];
         let out_ch = &mut out[ci * oh * ow..(ci + 1) * oh * ow];
+        let sum_ch = &mut asum[ci * oh * ow..(ci + 1) * oh * ow];
         for oy in 0..oh {
             for ox in 0..ow {
-                let mut acc = 0i32;
+                let (mut acc, mut sum) = (0i32, 0i32);
                 for ki in 0..kh {
                     let iy = (oy * sh + ki) as isize - ph as isize;
                     for kj in 0..kw {
@@ -278,9 +208,11 @@ pub fn depthwise_conv2d_i8(
                         };
                         // cq-allow(no-naive-hot-loop): depthwise k x k stencil with per-tap padding codes; no matrix structure to lower onto cq_tensor::gemm
                         acc += v as i32 * ker[ki * kw + kj] as i32;
+                        sum += v as i32;
                     }
                 }
                 out_ch[oy * ow + ox] = acc;
+                sum_ch[oy * ow + ox] = sum;
             }
         }
     }
@@ -621,38 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn im2col_i8_matches_f32_im2col_with_zero_pad() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
-        let (c, h, w) = (2, 5, 4);
-        let spec = Conv2dSpec::new(3, 2, 1);
-        let (oh, ow) = spec.out_hw(h, w).unwrap();
-        let xi: Vec<i8> = (0..c * h * w)
-            .map(|_| rng.gen_range(-128i32..=127) as i8)
-            .collect();
-        let xf: Vec<f32> = xi.iter().map(|&v| v as f32).collect();
-        let mut cols_i = vec![0i8; c * 9 * oh * ow];
-        let mut cols_f = vec![0.0f32; c * 9 * oh * ow];
-        im2col_i8(&xi, c, h, w, &spec, 0, &mut cols_i);
-        crate::gemm::reference::im2col(&xf, c, h, w, &spec, &mut cols_f);
-        for (a, b) in cols_i.iter().zip(&cols_f) {
-            assert_eq!(*a as f32, *b);
-        }
-    }
-
-    #[test]
-    fn im2col_i8_writes_pad_code_in_padding() {
-        let x = vec![1i8; 9]; // 1 channel, 3x3 of ones
-        let spec = Conv2dSpec::new(3, 1, 1);
-        let mut cols = vec![0i8; 9 * 9];
-        im2col_i8(&x, 1, 3, 3, &spec, -77, &mut cols);
-        // Tap (0,0) at output (0,0) reads input (-1,-1) => pad code.
-        assert_eq!(cols[0], -77);
-        // Center tap row reads the input directly.
-        assert!(cols[4 * 9..5 * 9].iter().all(|&v| v == 1));
-    }
-
-    #[test]
     fn depthwise_i8_matches_explicitly_padded_reference() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(16);
@@ -667,7 +567,8 @@ mod tests {
             .map(|_| rng.gen_range(-127i32..=127) as i8)
             .collect();
         let mut got = vec![0i32; c * oh * ow];
-        depthwise_conv2d_i8(&x, &wgt, c, h, w, &spec, pad, &mut got);
+        let mut asum = vec![0i32; c * oh * ow];
+        depthwise_conv2d_i8(&x, &wgt, c, h, w, &spec, pad, &mut got, &mut asum);
 
         // Materialize the padded input with the pad code and run a valid
         // (padding-free) integer conv as the oracle.
@@ -692,6 +593,36 @@ mod tests {
                     assert_eq!(got[ci * oh * ow + oy * ow + ox], acc, "c{ci} ({oy},{ox})");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn depthwise_i8_window_sums_equal_the_ones_kernel_pass() {
+        // The one-pass window sums must be bit-identical to the two-pass
+        // formulation they replace: the MAC rerun with an all-ones kernel.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        for (c, h, w, spec, pad) in [
+            (3, 5, 5, Conv2dSpec::new(3, 2, 1), -33i8),
+            (4, 7, 6, Conv2dSpec::new(3, 1, 1), 127),
+            (2, 4, 4, Conv2dSpec::new(3, 1, 0), -128),
+            (5, 3, 8, Conv2dSpec::new(5, 2, 2), 0),
+        ] {
+            let (oh, ow) = spec.out_hw(h, w).unwrap();
+            let (kh, kw) = spec.kernel;
+            let x: Vec<i8> = (0..c * h * w)
+                .map(|_| rng.gen_range(-128i32..=127) as i8)
+                .collect();
+            let wgt: Vec<i8> = (0..c * kh * kw)
+                .map(|_| rng.gen_range(-128i32..=127) as i8)
+                .collect();
+            let len = c * oh * ow;
+            let (mut acc, mut asum) = (vec![0i32; len], vec![0i32; len]);
+            depthwise_conv2d_i8(&x, &wgt, c, h, w, &spec, pad, &mut acc, &mut asum);
+            let ones = vec![1i8; c * kh * kw];
+            let (mut want, mut scratch) = (vec![0i32; len], vec![0i32; len]);
+            depthwise_conv2d_i8(&x, &ones, c, h, w, &spec, pad, &mut want, &mut scratch);
+            assert_eq!(asum, want, "{c}x{h}x{w} {spec:?} pad {pad}");
         }
     }
 

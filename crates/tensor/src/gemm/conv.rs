@@ -20,6 +20,12 @@
 //! strided copy, with no bounds tests. The register tile is the plain
 //! GEMMs' `micro_tile`, at the same per-layout SIMD widths.
 //!
+//! The int8 forward [`conv2d_i8`] is the same forward product over stored
+//! i8 codes, on the pair-widened tile of [`super::int8`]: its padded copy
+//! holds the code of real zero, and each register tile is requantized
+//! into f32 and stored into NCHW directly. It is bit-identical to
+//! [`reference::conv2d_i8_per_sample`](super::reference::conv2d_i8_per_sample).
+//!
 //! # Bitwise contract
 //!
 //! Results are bit-identical to the per-sample lowering (im2col + GEMM per
@@ -41,6 +47,7 @@
 //! computed wholly by one thread in a fixed order, so results are
 //! identical at any thread count.
 
+use super::int8::{self, pack_a_pairs, pair_steps, I8Pass, I8Tiles, GEMM_I8_PACKED};
 use super::{level_for, micro_tile, pack_a_cols, pack_a_rows, simd_level, Kind, Level, SendPtr};
 use super::{GEMM_PACKED, MR, NR};
 use crate::par::{parallel_for_chunks, ChunkGrid};
@@ -193,16 +200,17 @@ impl ConvShape {
     }
 }
 
-/// `x` with its zero padding materialised (`[N, C, H+2·PH, W+2·PW]`), or
-/// `x` itself when the convolution is unpadded. Every tap then reads
+/// `x` with its padding materialised as `fill` (`[N, C, H+2·PH, W+2·PW]`),
+/// or `x` itself when the convolution is unpadded. Every tap then reads
 /// inside the buffer, so packing needs no bounds tests, and padding taps
-/// read the exact `0.0` the per-sample lowering wrote.
-fn pad_input<'a>(x: &'a [f32], s: &ConvShape) -> Cow<'a, [f32]> {
+/// read the exact value the per-sample lowering wrote (`0.0`, or the i8
+/// pad code).
+fn pad_input<'a, T: Copy>(x: &'a [T], s: &ConvShape, fill: T) -> Cow<'a, [T]> {
     if !s.is_padded() {
         return Cow::Borrowed(x);
     }
     let pw = s.spec.padding.1;
-    let mut xp = vec![0.0f32; s.n * s.padded_len()];
+    let mut xp = vec![fill; s.n * s.padded_len()];
     for (src, dst) in x.chunks_exact(s.w).zip(padded_rows(s, &mut xp)) {
         dst[pw..pw + s.w].copy_from_slice(src);
     }
@@ -211,7 +219,7 @@ fn pad_input<'a>(x: &'a [f32], s: &ConvShape) -> Cow<'a, [f32]> {
 
 /// The padded rows of `buf` (a padded batch) that hold input rows, in
 /// input-row order: padded row `y + PH` of every channel plane.
-fn padded_rows<'a>(s: &ConvShape, buf: &'a mut [f32]) -> impl Iterator<Item = &'a mut [f32]> {
+fn padded_rows<'a, T>(s: &ConvShape, buf: &'a mut [T]) -> impl Iterator<Item = &'a mut [T]> {
     let (ph, _) = s.spec.padding;
     let (hp, wp) = s.padded_hw();
     buf.chunks_exact_mut(hp * wp)
@@ -384,7 +392,7 @@ impl ConvPass for Forward<'_> {
         let ncols = s.n * p;
         let mut ap = Vec::new();
         pack_a_tiles(wgt, s.o, k, false, &mut ap);
-        let xp = pad_input(x, s);
+        let xp = pad_input(x, s, 0.0);
         let taps = s.tap_offsets();
         let sw = s.spec.stride.1;
         // Whole panels lie inside one image as NRW consecutive positions.
@@ -598,7 +606,7 @@ impl ConvPass for BackwardWeight<'_> {
         let BackwardWeight { x, dy, s, dw } = self;
         let (k, p, o) = (s.taps(), s.positions(), s.o);
         let taps = s.tap_offsets();
-        let (xp, plen) = (pad_input(x, s), s.padded_len());
+        let (xp, plen) = (pad_input(x, s, 0.0), s.padded_len());
         let bands = ChunkGrid::with_max_chunks(s.n, 1, WGRAD_BANDS);
         let dw_ptr = SendPtr(dw.as_mut_ptr());
         let grid = ChunkGrid::with_max_chunks(k.div_ceil(NRW), 1, DW_MAX_CHUNKS);
@@ -656,6 +664,223 @@ impl ConvPass for BackwardWeight<'_> {
     }
 }
 
+/// Requantization of an i8 convolution's accumulators into f32 outputs,
+/// applied per element straight from the register tile:
+///
+/// ```text
+/// out[o, j] = scale[o] · (acc[o, j] + za·wsum[o] + zw·asum[j] + K·za·zw) + shift[o]
+/// ```
+///
+/// where `acc` is the stored-code dot product, `asum[j]` the stored-code
+/// sum of column `j`'s taps (pad codes included) and the integer terms are
+/// summed exactly in i64 before the one rounding to f32. With stored
+/// codes offset by the zero points (`true = stored + z`) this is
+/// `scale[o]·Σ true_a·true_w + shift[o]`.
+#[derive(Debug, Clone, Copy)]
+pub struct Requant<'a> {
+    /// Activation zero point.
+    pub za: i32,
+    /// Weight zero point.
+    pub zw: i32,
+    /// Per-output-channel stored weight-code sums.
+    pub wsum: &'a [i32],
+    /// Per-output-channel multiplier.
+    pub scale: &'a [f32],
+    /// Per-output-channel offset, added after the multiply.
+    pub shift: &'a [f32],
+}
+
+impl Requant<'_> {
+    /// The column-independent integer correction of channel `o` at depth
+    /// `k`: `za·wsum[o] + K·za·zw`.
+    pub(crate) fn row_corr(&self, o: usize, k: usize) -> i64 {
+        let za = i64::from(self.za);
+        za * i64::from(self.wsum[o]) + k as i64 * za * i64::from(self.zw)
+    }
+
+    /// The stored code of real zero, `(−za) as i8`: the byte padding taps
+    /// read, so they cancel exactly inside the zero-point correction.
+    pub(crate) fn pad_code(&self) -> i8 {
+        (-self.za) as i8
+    }
+}
+
+/// Int8 forward convolution over the whole batch as one packed i8 GEMM,
+/// requantized into f32. `x` holds the stored activation codes
+/// `[N,C,H,W]` (padding taps read the code of real zero, `(−za) as i8`),
+/// `wgt` holds the stored weight codes `[O, C·KH·KW]`, and `out` is
+/// `[N,O,OH,OW]` (overwritten).
+/// Bit-identical to
+/// [`reference::conv2d_i8_per_sample`](super::reference::conv2d_i8_per_sample)
+/// at every [`I8Level`](super::int8::I8Level) and thread count, under the
+/// i8 GEMM overflow contract.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `s`.
+pub fn conv2d_i8(x: &[i8], wgt: &[i8], s: &ConvShape, rq: &Requant, out: &mut [f32]) {
+    assert_eq!(
+        x.len(),
+        s.n * s.image_len(),
+        "conv2d_i8: input length mismatch"
+    );
+    assert_eq!(
+        wgt.len(),
+        s.o * s.taps(),
+        "conv2d_i8: weight length mismatch"
+    );
+    assert_eq!(
+        out.len(),
+        s.n * s.o * s.positions(),
+        "conv2d_i8: output length mismatch"
+    );
+    for (name, len) in [
+        ("wsum", rq.wsum.len()),
+        ("scale", rq.scale.len()),
+        ("shift", rq.shift.len()),
+    ] {
+        assert_eq!(len, s.o, "conv2d_i8: requant {name} length mismatch");
+    }
+    GEMM_I8_PACKED.add(1);
+    int8::dispatch(ForwardI8 { x, wgt, s, rq, out });
+}
+
+struct ForwardI8<'a> {
+    x: &'a [i8],
+    wgt: &'a [i8],
+    s: &'a ConvShape,
+    rq: &'a Requant<'a>,
+    out: &'a mut [f32],
+}
+
+impl I8Pass for ForwardI8<'_> {
+    fn run<const NRW: usize>(self, tiles: I8Tiles<NRW>) {
+        let ForwardI8 { x, wgt, s, rq, out } = self;
+        let (k, p) = (s.taps(), s.positions());
+        let (k2, ncols) = (pair_steps(k), s.n * p);
+        let mut ap = Vec::new();
+        pack_a_pairs(wgt, s.o, k, &mut ap);
+        let xp = pad_input(x, s, rq.pad_code());
+        let taps = s.tap_offsets();
+        let sw = s.spec.stride.1;
+        let row_corr: Vec<i64> = (0..s.o).map(|o| rq.row_corr(o, k)).collect();
+        let zw = i64::from(rq.zw);
+        // Whole panels lie inside one image as NRW consecutive positions.
+        let whole = p % NRW == 0;
+        let out_ptr = SendPtr(out.as_mut_ptr());
+        parallel_for_chunks(ChunkGrid::new(ncols.div_ceil(NRW), 1), |_, q0, q1| {
+            // Capture the Sync wrapper, not the raw pointer field.
+            let out_ptr = &out_ptr;
+            // The hi halves of an odd K's last pair are never written and
+            // stay zero.
+            let mut bp = vec![0i16; k2 * 2 * NRW];
+            let mut acc = vec![[[0i32; NRW]; MR]; s.o.div_ceil(MR)];
+            let mut runs = Vec::with_capacity(NRW);
+            // Per image the panel touches: its first lane, its lane count
+            // and the output offset of its first position in channel 0.
+            let mut segs = Vec::with_capacity(NRW);
+            for q in q0..q1 {
+                let j0 = q * NRW;
+                let j1 = (j0 + NRW).min(ncols);
+                s.runs(j0, j1, &mut runs);
+                for r in &runs {
+                    pack_run(&mut bp, NRW, r, &xp[r.src..], &taps, sw);
+                }
+                // Each column's stored-code sum, from the packed panel.
+                let mut asum = [0i32; NRW];
+                for row in bp.chunks_exact(2 * NRW) {
+                    for (a, pr) in asum.iter_mut().zip(row.chunks_exact(2)) {
+                        *a += i32::from(pr[0]) + i32::from(pr[1]);
+                    }
+                }
+                let col_corr = asum.map(|a| zw * i64::from(a));
+                tiles(k2, &ap, &bp, &mut acc);
+                segs.clear();
+                let mut j = j0;
+                while j < j1 {
+                    let len = (p - j % p).min(j1 - j);
+                    segs.push((j - j0, len, (j / p) * s.o * p + j % p));
+                    j += len;
+                }
+                // Column panels are disjoint across chunks, and distinct
+                // (channel, column) pairs are distinct output elements, so
+                // no two stores below, in any chunk, overlap.
+                for (co, accr) in acc.iter().flatten().take(s.o).enumerate() {
+                    let (scale, shift, rc) = (rq.scale[co], rq.shift[co], row_corr[co]);
+                    let mut vals = [0.0f32; NRW];
+                    for ((v, &a), &cc) in vals.iter_mut().zip(accr).zip(&col_corr) {
+                        *v = scale * (i64::from(a) + rc + cc) as f32 + shift;
+                    }
+                    if whole {
+                        let dst = ((j0 / p) * s.o + co) * p + j0 % p;
+                        // SAFETY: `dst..dst + NRW` are this panel's NRW
+                        // positions of channel `co`, inside `out` (checked
+                        // length) and written by no other chunk; f32 arrays
+                        // have f32 alignment.
+                        unsafe { *out_ptr.0.add(dst).cast::<[f32; NRW]>() = vals };
+                        continue;
+                    }
+                    for &(lane, len, base) in &segs {
+                        // SAFETY: the segment's `len` columns are consecutive
+                        // positions of one image, so `base + co·P ..` spans
+                        // `len` elements of channel `co` inside `out`, written
+                        // by no other chunk.
+                        unsafe {
+                            let dst = out_ptr.0.add(base + co * p);
+                            std::ptr::copy_nonoverlapping(vals[lane..].as_ptr(), dst, len);
+                        }
+                    }
+                }
+            }
+        });
+    }
+}
+
+/// Packs the lanes of column run `r` into every pair row of the panel
+/// `bp` (`[⌈K/2⌉][nrw][2]`): lane `r.lane + i` of pair row `p` holds the
+/// sign-extended `(x[taps[2p] + i·stride], x[taps[2p+1] + i·stride])`,
+/// where `x` starts at the run's first column. Unit-stride runs of 16, 8,
+/// 4 or 2 lanes (whole output rows of those widths, or a panel of them)
+/// are fixed-size loops, so they compile to vector widen-and-interleave;
+/// other runs are packed lane by lane.
+#[inline(always)]
+fn pack_run(bp: &mut [i16], nrw: usize, r: &Run, x: &[i8], taps: &[usize], stride: usize) {
+    match (r.len, stride) {
+        (16, 1) => pack_lanes::<16>(bp, nrw, r.lane, x, taps),
+        (8, 1) => pack_lanes::<8>(bp, nrw, r.lane, x, taps),
+        (4, 1) => pack_lanes::<4>(bp, nrw, r.lane, x, taps),
+        (2, 1) => pack_lanes::<2>(bp, nrw, r.lane, x, taps),
+        _ => {
+            for i in 0..r.len {
+                pack_lanes::<1>(bp, nrw, r.lane + i, &x[i * stride..], taps);
+            }
+        }
+    }
+}
+
+/// [`pack_run`] for `L` unit-stride lanes starting at `lane`. An odd K's
+/// last pair row gets only its lo halves.
+#[inline(always)]
+fn pack_lanes<const L: usize>(bp: &mut [i16], nrw: usize, lane: usize, x: &[i8], taps: &[usize]) {
+    let (pairs, odd) = taps.split_at(taps.len() & !1);
+    let mut rows = bp.chunks_exact_mut(2 * nrw);
+    // Pairs drive the zip, so the row after the last pair is not consumed.
+    for (pair, row) in pairs.chunks_exact(2).zip(rows.by_ref()) {
+        let dst = &mut row[2 * lane..2 * (lane + L)];
+        let (lo, hi) = (&x[pair[0]..pair[0] + L], &x[pair[1]..pair[1] + L]);
+        for i in 0..L {
+            dst[2 * i] = i16::from(lo[i]);
+            dst[2 * i + 1] = i16::from(hi[i]);
+        }
+    }
+    if let (Some(row), Some(&t)) = (rows.next(), odd.first()) {
+        let (dst, lo) = (&mut row[2 * lane..2 * (lane + L)], &x[t..t + L]);
+        for i in 0..L {
+            dst[2 * i] = i16::from(lo[i]);
+        }
+    }
+}
+
 /// Records one conv GEMM pass, whose packed B operand has `rows` rows of
 /// `N·P` elements, in the kernel counters.
 fn count(s: &ConvShape, rows: usize) {
@@ -666,6 +891,7 @@ fn count(s: &ConvShape, rows: usize) {
 
 #[cfg(test)]
 mod tests {
+    use super::super::int8::{with_i8_level, I8Level};
     use super::super::reference;
     use super::*;
     use crate::par::with_thread_limit;
@@ -856,6 +1082,150 @@ mod tests {
         let lhs = dot(&y, &dy);
         assert!((lhs - dot(&x, &dx)).abs() < 1e-3, "dx adjoint");
         assert!((lhs - dot(&wgt, &dw)).abs() < 1e-3, "dw adjoint");
+    }
+
+    /// Seeded i8 conv operands: full-range codes, zero points and a
+    /// requantization whose `wsum` matches the weights.
+    struct I8Case {
+        x: Vec<i8>,
+        wgt: Vec<i8>,
+        za: i32,
+        zw: i32,
+        wsum: Vec<i32>,
+        scale: Vec<f32>,
+        shift: Vec<f32>,
+    }
+
+    impl I8Case {
+        fn new(s: &ConvShape, seed: u64) -> I8Case {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut codes = |len: usize| -> Vec<i8> {
+                (0..len)
+                    .map(|_| rng.gen_range(-128i32..=127) as i8)
+                    .collect()
+            };
+            let x = codes(s.n * s.image_len());
+            let wgt = codes(s.o * s.taps());
+            let wsum = wgt
+                .chunks(s.taps().max(1))
+                .map(|r| r.iter().map(|&v| i32::from(v)).sum())
+                .chain(std::iter::repeat(0))
+                .take(s.o)
+                .collect();
+            let za = rng.gen_range(-127i32..=128);
+            let zw = rng.gen_range(-127i32..=128);
+            let scale = (0..s.o).map(|_| rng.gen_range(-0.01f32..0.01)).collect();
+            let shift = (0..s.o).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            I8Case {
+                x,
+                wgt,
+                za,
+                zw,
+                wsum,
+                scale,
+                shift,
+            }
+        }
+
+        fn run(&self, s: &ConvShape, conv: ConvI8) -> Vec<u32> {
+            let rq = Requant {
+                za: self.za,
+                zw: self.zw,
+                wsum: &self.wsum,
+                scale: &self.scale,
+                shift: &self.shift,
+            };
+            let mut out = vec![f32::NAN; s.n * s.o * s.positions()];
+            conv(&self.x, &self.wgt, s, &rq, &mut out);
+            bits(&out)
+        }
+    }
+
+    type ConvI8 = fn(&[i8], &[i8], &ConvShape, &Requant, &mut [f32]);
+
+    #[test]
+    fn conv2d_i8_matches_per_sample_oracle_at_every_level_and_thread_count() {
+        for (i, s) in shapes().enumerate() {
+            let case = I8Case::new(&s, 100 + i as u64);
+            let want = case.run(&s, reference::conv2d_i8_per_sample);
+            for level in I8Level::supported() {
+                for limit in [1, 2, 5] {
+                    let got = with_i8_level(level, || {
+                        with_thread_limit(limit, || case.run(&s, conv2d_i8))
+                    });
+                    assert_eq!(got, want, "{s:?} {level:?} at {limit} threads");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn conv2d_i8_matches_true_code_loops() {
+        // Independent of the oracle's zero-point algebra: the six-loop sum
+        // of true codes (stored + zero point; padding is true code 0).
+        let s = ConvShape::new(2, 3, 6, 5, 9, Conv2dSpec::new(3, 2, 1)).expect("shape");
+        let case = I8Case::new(&s, 7);
+        let got = case.run(&s, conv2d_i8);
+        let (kh, kw) = s.spec.kernel;
+        for (idx, &g) in got.iter().enumerate() {
+            let (img, co, oy, ox) = (
+                idx / (s.o * s.positions()),
+                idx / s.positions() % s.o,
+                idx / s.ow % s.oh,
+                idx % s.ow,
+            );
+            let mut t = 0i64;
+            for (tap, &wv) in case.wgt[co * s.taps()..(co + 1) * s.taps()]
+                .iter()
+                .enumerate()
+            {
+                let (ci, ki, kj) = (tap / (kh * kw), tap / kw % kh, tap % kw);
+                let iy = (oy * 2 + ki) as isize - 1;
+                let ix = (ox * 2 + kj) as isize - 1;
+                let inside = (0..s.h as isize).contains(&iy) && (0..s.w as isize).contains(&ix);
+                let a = if inside {
+                    let xi = ((img * s.c + ci) * s.h + iy as usize) * s.w + ix as usize;
+                    i64::from(case.x[xi]) + i64::from(case.za)
+                } else {
+                    0
+                };
+                t += a * (i64::from(wv) + i64::from(case.zw));
+            }
+            let want = case.scale[co] * t as f32 + case.shift[co];
+            assert_eq!(f32::from_bits(g), want, "output {idx}");
+        }
+    }
+
+    #[test]
+    fn im2col_i8_matches_f32_im2col_with_zero_pad() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+        let (c, h, w) = (2, 5, 4);
+        let spec = Conv2dSpec::new(3, 2, 1);
+        let (oh, ow) = spec.out_hw(h, w).unwrap();
+        let xi: Vec<i8> = (0..c * h * w)
+            .map(|_| rng.gen_range(-128i32..=127) as i8)
+            .collect();
+        let xf: Vec<f32> = xi.iter().map(|&v| v as f32).collect();
+        let mut cols_i = vec![0i8; c * 9 * oh * ow];
+        let mut cols_f = vec![0.0f32; c * 9 * oh * ow];
+        reference::im2col_i8(&xi, c, h, w, &spec, 0, &mut cols_i);
+        reference::im2col(&xf, c, h, w, &spec, &mut cols_f);
+        for (a, b) in cols_i.iter().zip(&cols_f) {
+            assert_eq!(*a as f32, *b);
+        }
+    }
+
+    #[test]
+    fn im2col_i8_writes_pad_code_in_padding() {
+        let x = vec![1i8; 9]; // 1 channel, 3x3 of ones
+        let spec = Conv2dSpec::new(3, 1, 1);
+        let mut cols = vec![0i8; 9 * 9];
+        reference::im2col_i8(&x, 1, 3, 3, &spec, -77, &mut cols);
+        // Tap (0,0) at output (0,0) reads input (-1,-1) => pad code.
+        assert_eq!(cols[0], -77);
+        // Center tap row reads the input directly.
+        assert!(cols[4 * 9..5 * 9].iter().all(|&v| v == 1));
     }
 
     #[test]

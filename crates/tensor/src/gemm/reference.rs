@@ -15,13 +15,16 @@
 //! The per-sample convolution lowering (materialised [`im2col`] column
 //! matrix, one product per image, [`col2im`] scatter, per-band weight
 //! gradient partials) lives here too, as the oracle of the implicit-GEMM
-//! convolution in [`super::conv`].
+//! convolution in [`super::conv`] — and its int8 counterpart
+//! ([`im2col_i8`], [`conv2d_i8_per_sample`]), the oracle of
+//! [`super::conv::conv2d_i8`].
 //!
 //! This module is the one place the `cq-check` `no-naive-hot-loop` lint
 //! permits an unblocked multiply-accumulate loop nest; new naive loops
 //! anywhere else are a finding.
 
-use super::conv::{ConvShape, WGRAD_BANDS};
+use super::conv::{ConvShape, Requant, WGRAD_BANDS};
+use super::int8::gemm_i8_nn_ref;
 use crate::par::{parallel_for, ChunkGrid};
 use crate::Conv2dSpec;
 
@@ -289,6 +292,83 @@ pub fn conv2d_backward_weight(x: &[f32], dy: &[f32], s: &ConvShape, dw: &mut [f3
         }
         for (d, &v) in dw.iter_mut().zip(&part) {
             *d += v;
+        }
+    }
+}
+
+// i8 column-matrix elements the oracle writes.
+static IM2COL_ELEMS: cq_obs::Counter = cq_obs::Counter::new("tensor.im2col.elems");
+
+/// i8 [`im2col`]: lowers one `[c, h, w]` sample of stored activation codes
+/// to a column matrix, writing `pad` where a tap falls in padding. With a
+/// zero-point representation real `0.0` is code `-zp`, not `0`, so the
+/// caller passes that code and the zero-point correction stays exact.
+///
+/// # Panics
+///
+/// Panics if slice lengths are inconsistent with the geometry.
+pub fn im2col_i8(
+    input: &[i8],
+    c: usize,
+    h: usize,
+    w: usize,
+    spec: &Conv2dSpec,
+    pad: i8,
+    out: &mut [i8],
+) {
+    let (kh, kw) = spec.kernel;
+    let (sh, sw) = spec.stride;
+    let (ph, pw) = spec.padding;
+    let (oh, ow) = spec.out_hw(h, w).expect("im2col_i8: invalid geometry"); // cq-check: allow — geometry pre-validated by callers
+    assert_eq!(input.len(), c * h * w, "im2col_i8: input length mismatch");
+    assert_eq!(
+        out.len(),
+        c * kh * kw * oh * ow,
+        "im2col_i8: output length mismatch"
+    );
+    IM2COL_ELEMS.add(out.len() as u64);
+    for (row, dst) in out.chunks_exact_mut(oh * ow).enumerate() {
+        let (ci, ki, kj) = (row / (kh * kw), row / kw % kh, row % kw);
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let iy = (oy * sh + ki) as isize - ph as isize;
+                let ix = (ox * sw + kj) as isize - pw as isize;
+                let inside = iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize;
+                dst[oy * ow + ox] = if inside {
+                    input[(ci * h + iy as usize) * w + ix as usize]
+                } else {
+                    pad
+                };
+            }
+        }
+    }
+}
+
+/// Per-sample int8 forward convolution: for each image, [`im2col_i8`]
+/// (padding with the code of real zero), the stored-code column sums,
+/// [`gemm_i8_nn_ref`] and the i64 requantization of [`Requant`]. Oracle of
+/// [`super::conv::conv2d_i8`]; same argument layout.
+pub fn conv2d_i8_per_sample(x: &[i8], wgt: &[i8], s: &ConvShape, rq: &Requant, out: &mut [f32]) {
+    let (k, p) = (s.taps(), s.positions());
+    let mut cols = vec![0i8; k * p];
+    let mut acc = vec![0i32; s.o * p];
+    let mut asum = vec![0i32; p];
+    let xs = x.chunks_exact(s.c * s.h * s.w);
+    for (xi, yi) in xs.zip(out.chunks_exact_mut(s.o * p)) {
+        im2col_i8(xi, s.c, s.h, s.w, &s.spec, rq.pad_code(), &mut cols);
+        asum.fill(0);
+        for krow in cols.chunks_exact(p) {
+            for (a, &v) in asum.iter_mut().zip(krow) {
+                *a += v as i32;
+            }
+        }
+        gemm_i8_nn_ref(wgt, s.o, k, &cols, p, &mut acc);
+        let zw = rq.zw as i64;
+        for (o, (arow, orow)) in acc.chunks_exact(p).zip(yi.chunks_exact_mut(p)).enumerate() {
+            let (m, row_corr, b) = (rq.scale[o], rq.row_corr(o, k), rq.shift[o]);
+            for ((dst, &a), &sum) in orow.iter_mut().zip(arow).zip(&asum) {
+                *dst = m * (a as i64 + row_corr + zw * sum as i64) as f32 + b;
+            }
         }
     }
 }

@@ -54,11 +54,11 @@ pub mod sanitize;
 mod shape;
 mod tensor;
 
-pub use conv::{
-    depthwise_conv2d, depthwise_conv2d_backward, depthwise_conv2d_i8, im2col_i8, Conv2dSpec,
-};
+pub use conv::{depthwise_conv2d, depthwise_conv2d_backward, depthwise_conv2d_i8, Conv2dSpec};
 pub use error::TensorError;
-pub use gemm::conv::{conv2d, conv2d_backward_input, conv2d_backward_weight, ConvShape};
+pub use gemm::conv::{
+    conv2d, conv2d_backward_input, conv2d_backward_weight, conv2d_i8, ConvShape, Requant,
+};
 pub use io::{read_tensor, write_tensor};
 pub use rng::CqRng;
 

@@ -330,10 +330,18 @@ pub fn parse_json(text: &str) -> Result<Value, JsonError> {
 // Bench report schema
 // ---------------------------------------------------------------------------
 
+/// Whether a kernel grid point times an integer kernel (`matmul_i8`,
+/// `matmul_i8_nt`, `conv2d_i8`). Those report GOP/s under the shared
+/// `gflops` key, and the f32 mul-add roofline does not bound them.
+pub fn is_integer_kernel(kernel: &str) -> bool {
+    kernel.starts_with("matmul_i8") || kernel == "conv2d_i8"
+}
+
 /// One measured kernel grid point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelPoint {
-    /// Kernel name (`matmul`, `matmul_nt`, `matmul_tn`, `conv2d`).
+    /// Kernel name (`matmul`, `matmul_nt`, `matmul_tn`, `conv2d`, and the
+    /// integer `matmul_i8`, `matmul_i8_nt`, `conv2d_i8`).
     pub kernel: String,
     /// Output rows of the (lowered) product.
     pub m: usize,
@@ -354,6 +362,16 @@ impl KernelPoint {
     /// Identity of this grid point for cross-report matching.
     pub fn key(&self) -> (String, usize, usize, usize) {
         (self.kernel.clone(), self.m, self.n, self.k)
+    }
+
+    /// Throughput unit: integer kernels report GOP/s under the shared
+    /// `gflops` key.
+    pub fn unit(&self) -> &'static str {
+        if is_integer_kernel(&self.kernel) {
+            "GOP/s"
+        } else {
+            "GFLOP/s"
+        }
     }
 }
 
@@ -678,8 +696,9 @@ pub fn diff_bench(old: &BenchReport, new: &BenchReport, fail_over_pct: f64) -> B
         }
         match old_by_key.get(&p.key()) {
             None => report.push_str(&format!(
-                "  new   {label}: {:.2} GFLOP/s (no old measurement)\n",
-                p.gflops
+                "  new   {label}: {:.2} {} (no old measurement)\n",
+                p.gflops,
+                p.unit()
             )),
             Some(o) => {
                 let delta_pct = (p.gflops - o.gflops) / o.gflops * 100.0;
@@ -690,8 +709,10 @@ pub fn diff_bench(old: &BenchReport, new: &BenchReport, fail_over_pct: f64) -> B
                     "ok"
                 };
                 report.push_str(&format!(
-                    "  {verdict:>5} {label}: {:.2} -> {:.2} GFLOP/s ({delta_pct:+.1}%)\n",
-                    o.gflops, p.gflops
+                    "  {verdict:>5} {label}: {:.2} -> {:.2} {} ({delta_pct:+.1}%)\n",
+                    o.gflops,
+                    p.gflops,
+                    p.unit()
                 ));
             }
         }
@@ -699,8 +720,13 @@ pub fn diff_bench(old: &BenchReport, new: &BenchReport, fail_over_pct: f64) -> B
     for p in &old.kernels {
         if !new.kernels.iter().any(|q| q.key() == p.key()) {
             report.push_str(&format!(
-                "  gone  {} {}x{}x{} (was {:.2} GFLOP/s)\n",
-                p.kernel, p.m, p.n, p.k, p.gflops
+                "  gone  {} {}x{}x{} (was {:.2} {})\n",
+                p.kernel,
+                p.m,
+                p.n,
+                p.k,
+                p.gflops,
+                p.unit()
             ));
         }
     }
@@ -1019,6 +1045,55 @@ mod tests {
         let d = diff_bench(&old, &bad, 25.0);
         assert_eq!(d.regressions.len(), 1);
         assert!(d.regressions[0].contains("int8 ResNet18"), "{}", d.report);
+    }
+
+    /// v3 artifact with an f32 and an int8 conv point at the same lowered
+    /// shape.
+    fn sample_v3_conv_i8(gops: f64) -> String {
+        sample_v3(660.0, 36.0).replace(
+            "  ],\n  \"int8_encoders\"",
+            &format!(
+                r#"    ,{{"kernel": "conv2d", "m": 8, "n": 32768, "k": 72, "iters": 4,
+      "gflops": 20.0, "ref_gflops": 10.0, "speedup": 2.0,
+      "ai": 7.6, "roofline_pct": 40.0}},
+    {{"kernel": "conv2d_i8", "m": 8, "n": 32768, "k": 72, "iters": 4,
+      "gflops": {gops}, "ref_gflops": 4.0, "speedup": 10.0,
+      "ai": 7.6, "roofline_pct": 90.0}}
+  ],
+  "int8_encoders""#
+            ),
+        )
+    }
+
+    #[test]
+    fn conv2d_i8_points_parse_and_diff_as_integer_kernels() {
+        let old = parse_bench(&sample_v3_conv_i8(40.0)).expect("valid report");
+        let point = |r: &BenchReport, name: &str| {
+            r.kernels
+                .iter()
+                .find(|p| p.kernel == name)
+                .cloned()
+                .expect("point present")
+        };
+        let (f32_conv, i8_conv) = (point(&old, "conv2d"), point(&old, "conv2d_i8"));
+        // Same lowered shape, distinct grid points.
+        assert_ne!(f32_conv.key(), i8_conv.key());
+        assert_eq!((f32_conv.unit(), i8_conv.unit()), ("GFLOP/s", "GOP/s"));
+        assert_eq!(point(&old, "matmul_i8").unit(), "GOP/s");
+
+        let slower = parse_bench(&sample_v3_conv_i8(20.0)).unwrap(); // -50%
+        let d = diff_bench(&old, &slower, 25.0);
+        assert_eq!(d.regressions.len(), 1, "{}", d.report);
+        assert!(d.regressions[0].contains("conv2d_i8 8x32768x72"));
+        assert!(d.report.contains("40.00 -> 20.00 GOP/s"), "{}", d.report);
+        // Against an artifact without the point it is reported as new.
+        let d = diff_bench(&parse_bench(&sample_v3(660.0, 36.0)).unwrap(), &old, 25.0);
+        assert!(d.regressions.is_empty());
+        assert!(
+            d.report.contains("new   conv2d_i8 8x32768x72"),
+            "{}",
+            d.report
+        );
     }
 
     /// v3 artifact with the optional PR-10 fusion sections attached.
