@@ -21,10 +21,11 @@
 //! `CQ_THREADS`) and the SIMD dispatch level, so a `bench-diff` across
 //! a thread-count or ISA change degrades to report-only.
 //!
-//! The v3 schema adds the integer inference path: `matmul_i8` /
-//! `matmul_i8_nt` grid points (i8×i8→i32 blocked kernels vs their
-//! serial references, in integer GOP/s under the same `gflops` key) and
-//! an `int8_encoders` section measuring end-to-end imgs/sec of the
+//! The v3 schema adds the integer inference path: `matmul_i8_nt` grid
+//! points (the i8×i8→i32 blocked linear-layer kernel vs its serial
+//! reference, in integer GOP/s under the same `gflops` key; older
+//! artifacts also carry the retired `matmul_i8` NN points) and an
+//! `int8_encoders` section measuring end-to-end imgs/sec of the
 //! `cq-infer` i8 program against the fake-quant f32 eval forward per
 //! encoder architecture. `conv2d_i8` points (the implicit i8 conv vs its
 //! per-sample oracle at ResNet-18's stage shapes) ride under the same
@@ -49,7 +50,7 @@ use cq_models::{Arch, Encoder, EncoderConfig};
 use cq_nn::graph::{with_fusion_mode, FusionMode, Recorder};
 use cq_nn::{BatchNorm2d, ForwardCtx, Layer, ParamSet, Relu};
 use cq_quant::{Precision, PrecisionSet, QuantConfig};
-use cq_tensor::gemm::int8::{gemm_i8_nn_ref, gemm_i8_nt_ref, par_gemm_i8, IntKind};
+use cq_tensor::gemm::int8::{gemm_i8_nt_ref, par_gemm_i8};
 use cq_tensor::gemm::{self, Kind};
 use cq_tensor::par::{num_threads, parallel_chunks_mut, parallel_for_each};
 use cq_tensor::{conv2d, conv2d_i8, Conv2dSpec, ConvShape, Requant, Tensor};
@@ -156,36 +157,26 @@ fn bench_conv(c: usize, o: usize, h: usize, w: usize, rng: &mut StdRng) -> Point
     }
 }
 
-/// Measures one i8×i8→i32 matmul layout at `m`×`n`×`k`: the blocked
-/// integer kernel (parallel dispatch) against the serial scalar
-/// reference. Throughput is integer GOP/s (2·m·n·k MAC ops), reported
+/// Measures the i8×i8→i32 matmul (`a @ bᵀ`, the linear-layer layout) at
+/// `m`×`n`×`k`: the blocked integer kernel (parallel dispatch) against
+/// the serial scalar reference. Throughput is integer GOP/s (2·m·n·k MAC ops), reported
 /// under the same `gflops` key so the diff tooling treats the points
 /// uniformly.
-fn bench_matmul_i8(kind: IntKind, m: usize, n: usize, k: usize, rng: &mut StdRng) -> Point {
-    let blen = match kind {
-        IntKind::Nn => k * n,
-        IntKind::Nt => n * k,
-    };
+fn bench_matmul_i8(m: usize, n: usize, k: usize, rng: &mut StdRng) -> Point {
     let a: Vec<i8> = (0..m * k)
         .map(|_| rng.gen_range(-128i16..128) as i8)
         .collect();
-    let b: Vec<i8> = (0..blen)
+    let b: Vec<i8> = (0..n * k)
         .map(|_| rng.gen_range(-128i16..128) as i8)
         .collect();
     let mut out = vec![0i32; m * n];
     let ops = 2.0 * m as f64 * n as f64 * k as f64;
 
-    let (t_blocked, iters) = time_best(|| par_gemm_i8(kind, &a, &b, m, n, k, &mut out));
-    let (t_ref, _) = time_best(|| match kind {
-        IntKind::Nn => gemm_i8_nn_ref(&a, m, k, &b, n, &mut out),
-        IntKind::Nt => gemm_i8_nt_ref(&a, m, k, &b, n, &mut out),
-    });
+    let (t_blocked, iters) = time_best(|| par_gemm_i8(&a, &b, m, n, k, &mut out));
+    let (t_ref, _) = time_best(|| gemm_i8_nt_ref(&a, m, k, &b, n, &mut out));
 
     Point {
-        kernel: match kind {
-            IntKind::Nn => "matmul_i8",
-            IntKind::Nt => "matmul_i8_nt",
-        },
+        kernel: "matmul_i8_nt",
         m,
         n,
         k,
@@ -797,13 +788,10 @@ fn main() {
     // Conv hot paths at two widths.
     points.push(bench_conv(8, 16, 32, 32, &mut rng));
     points.push(bench_conv(16, 32, 16, 16, &mut rng));
-    // Integer inference kernels: the i8 GEMM cubes (NN is the conv
-    // lowering, NT the linear layout) plus one im2col-shaped rectangle.
+    // Integer inference kernels: the i8 GEMM cubes in the linear layout.
     for &s in cubes {
-        points.push(bench_matmul_i8(IntKind::Nn, s, s, s, &mut rng));
-        points.push(bench_matmul_i8(IntKind::Nt, s, s, s, &mut rng));
+        points.push(bench_matmul_i8(s, s, s, &mut rng));
     }
-    points.push(bench_matmul_i8(IntKind::Nn, 32, 256, 72, &mut rng));
     // The int8 conv at ResNet-18's four stage shapes (width 8, 16×16
     // inputs, batch 128).
     for (c, hw) in [(8, 16), (16, 8), (32, 4), (64, 2)] {

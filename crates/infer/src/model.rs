@@ -38,6 +38,7 @@
 //! could overflow i32 at 8 bits is rejected with
 //! [`InferError::Headroom`], never silently converted.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use cq_core::TrainState;
@@ -45,7 +46,8 @@ use cq_models::plan::{backbone_plan, mlp_head_plan};
 use cq_models::{Encoder, EncoderConfig, HeadConfig};
 use cq_nn::spec::{LayerKind, Plan};
 use cq_quant::intmath::{acc_fits_i32, INT_INFER_MAX_BITS};
-use cq_tensor::gemm::int8::{par_gemm_i8, IntKind};
+use cq_quant::{fake_quant_scanned, Precision, QuantMode, RangeScan};
+use cq_tensor::gemm::int8::par_gemm_i8;
 use cq_tensor::par::parallel_chunks_mut;
 use cq_tensor::{
     avg_pool2d, conv2d_i8, depthwise_conv2d_i8, global_avg_pool, max_pool2d, Conv2dSpec, ConvShape,
@@ -610,7 +612,7 @@ impl IntEncoder {
         let projection = if self.head.is_empty() {
             features.clone()
         } else {
-            run_ops(&self.head, feats, conv2d_i8)?.to_tensor()?
+            run_ops(&self.head, Cow::Owned(feats), conv2d_i8)?.to_tensor()?
         };
         Ok(IntOutput {
             features,
@@ -641,7 +643,7 @@ impl IntEncoder {
             h: dims[2],
             w: dims[3],
         };
-        run_ops(&self.backbone, act, conv)
+        run_ops(&self.backbone, Cow::Owned(act), conv)
     }
 }
 
@@ -710,18 +712,27 @@ pub fn encoder_from_train_state(
 type ConvI8 = fn(&[i8], &[i8], &ConvShape, &Requant, &mut [f32]);
 
 /// Executes an op stream over an activation, running dense convolutions
-/// through `conv`.
-fn run_ops(ops: &[IntOp], mut act: Act, conv: ConvI8) -> Result<Act, InferError> {
+/// through `conv`. A borrowed input is copied only if the first op
+/// transforms it in place; ops that read it into a fresh output
+/// (convolutions, linear layers, pooling) take it by reference.
+fn run_ops(ops: &[IntOp], mut act: Cow<'_, Act>, conv: ConvI8) -> Result<Act, InferError> {
     for op in ops {
-        act = run_op(op, act, conv)?;
+        act = Cow::Owned(run_op(op, act, conv)?);
     }
-    Ok(act)
+    Ok(act.into_owned())
 }
 
-fn run_op(op: &IntOp, act: Act, conv: ConvI8) -> Result<Act, InferError> {
+fn run_op(op: &IntOp, act: Cow<'_, Act>, conv: ConvI8) -> Result<Act, InferError> {
     match op {
         IntOp::Conv { spec, in_ch, mac } => {
-            let Act::Spatial { data, n, c, h, w } = act else {
+            let &Act::Spatial {
+                ref data,
+                n,
+                c,
+                h,
+                w,
+            } = &*act
+            else {
                 return Err(InferError::Input("conv applied to flat activation".into()));
             };
             if c != *in_ch {
@@ -731,7 +742,7 @@ fn run_op(op: &IntOp, act: Act, conv: ConvI8) -> Result<Act, InferError> {
                 )));
             }
             let shape = ConvShape::new(n, c, h, w, mac.rows, *spec).map_err(InferError::Tensor)?;
-            let q = quantize_activations(&data);
+            let q = quantize_activations(data);
             let scale: Vec<f32> = mac.gain.iter().map(|&g| q.step * mac.wstep * g).collect();
             let rq = Requant {
                 za: q.zp,
@@ -751,7 +762,14 @@ fn run_op(op: &IntOp, act: Act, conv: ConvI8) -> Result<Act, InferError> {
             })
         }
         IntOp::Depthwise { spec, mac } => {
-            let Act::Spatial { data, n, c, h, w } = act else {
+            let &Act::Spatial {
+                ref data,
+                n,
+                c,
+                h,
+                w,
+            } = &*act
+            else {
                 return Err(InferError::Input(
                     "depthwise conv applied to flat activation".into(),
                 ));
@@ -763,7 +781,7 @@ fn run_op(op: &IntOp, act: Act, conv: ConvI8) -> Result<Act, InferError> {
                 )));
             }
             let (oh, ow) = spec.out_hw(h, w).map_err(InferError::Tensor)?;
-            let q = quantize_activations(&data);
+            let q = quantize_activations(data);
             let pad = (-q.zp) as i8;
             let cota = oh * ow;
             let mut out = vec![0.0f32; n * c * cota];
@@ -785,7 +803,7 @@ fn run_op(op: &IntOp, act: Act, conv: ConvI8) -> Result<Act, InferError> {
             })
         }
         IntOp::Linear { mac } => {
-            let Act::Flat { data, n, f } = act else {
+            let &Act::Flat { ref data, n, f } = &*act else {
                 return Err(InferError::Input(
                     "linear applied to spatial activation".into(),
                 ));
@@ -796,17 +814,9 @@ fn run_op(op: &IntOp, act: Act, conv: ConvI8) -> Result<Act, InferError> {
                     mac.name, mac.cols
                 )));
             }
-            let q = quantize_activations(&data);
+            let q = quantize_activations(data);
             let mut acc = vec![0i32; n * mac.rows];
-            par_gemm_i8(
-                IntKind::Nt,
-                &q.codes,
-                &mac.codes,
-                n,
-                mac.rows,
-                mac.cols,
-                &mut acc,
-            );
+            par_gemm_i8(&q.codes, &mac.codes, n, mac.rows, mac.cols, &mut acc);
             // Rescale transposed relative to IntMac::rescale: rows here
             // are samples, columns are output features; each sample has
             // one stored-code sum.
@@ -833,7 +843,7 @@ fn run_op(op: &IntOp, act: Act, conv: ConvI8) -> Result<Act, InferError> {
             })
         }
         IntOp::BatchNorm { scale, shift } => {
-            let mut act = act;
+            let mut act = act.into_owned();
             match &mut act {
                 Act::Spatial { data, c, h, w, .. } => {
                     let (c, hw) = (*c, *h * *w);
@@ -867,19 +877,13 @@ fn run_op(op: &IntOp, act: Act, conv: ConvI8) -> Result<Act, InferError> {
             Ok(act)
         }
         IntOp::Relu => {
-            let mut act = act;
-            for v in act.data_mut() {
-                *v = v.max(0.0);
-            }
-            snap_to_grid(act.data_mut());
+            let mut act = act.into_owned();
+            snap_to_grid(act.data_mut(), |v| v.max(0.0));
             Ok(act)
         }
         IntOp::Relu6 => {
-            let mut act = act;
-            for v in act.data_mut() {
-                *v = v.clamp(0.0, 6.0);
-            }
-            snap_to_grid(act.data_mut());
+            let mut act = act.into_owned();
+            snap_to_grid(act.data_mut(), |v| v.clamp(0.0, 6.0));
             Ok(act)
         }
         IntOp::MaxPool(spec) => {
@@ -903,11 +907,13 @@ fn run_op(op: &IntOp, act: Act, conv: ConvI8) -> Result<Act, InferError> {
             })
         }
         IntOp::Residual { main, skip } => {
-            let saved = act.clone();
-            let main_out = run_ops(main, act, conv)?;
+            // The main branch reads the block input by reference; the
+            // input then moves into the skip, so an identity skip costs
+            // no copy.
+            let main_out = run_ops(main, Cow::Borrowed(&*act), conv)?;
             let skip_out = match skip {
-                Some(ops) => run_ops(ops, saved, conv)?,
-                None => saved,
+                Some(ops) => run_ops(ops, act, conv)?,
+                None => act.into_owned(),
             };
             let mut out = main_out;
             if out.data().len() != skip_out.data().len() {
@@ -925,20 +931,25 @@ fn run_op(op: &IntOp, act: Act, conv: ConvI8) -> Result<Act, InferError> {
     }
 }
 
-/// Projects an activation onto the 8-bit grid at the same point the
-/// training path does (post-activation quantization in `cq_nn::act`),
-/// using the very same fake quantizer. This is where a deployment
-/// runtime would requantize to i8 codes; keeping the projection here —
-/// not only at the next MAC's input — matters because *every* consumer
-/// of the activation must see grid values: the identity skip of a
-/// residual block and the final pooled features read it too, and
-/// skipping the projection there lets sub-step errors accumulate per
-/// block instead of being absorbed by the grid.
-fn snap_to_grid(data: &mut [f32]) {
-    cq_quant::fake_quant_into(
+/// Applies the activation `act` and projects the result onto the 8-bit
+/// grid at the same point the training path does (post-activation
+/// quantization in `cq_nn::act`), using the very same fake quantizer.
+/// The activation is folded into the quantizer's range scan, so the
+/// tensor is read twice (clamp + scan, then project), not three times.
+/// This is where a deployment runtime would requantize to i8 codes;
+/// keeping the projection here — not only at the next MAC's input —
+/// matters because *every* consumer of the activation must see grid
+/// values: the identity skip of a residual block and the final pooled
+/// features read it too, and skipping the projection there lets
+/// sub-step errors accumulate per block instead of being absorbed by the
+/// grid.
+fn snap_to_grid(data: &mut [f32], act: impl Fn(f32) -> f32) {
+    let scan = RangeScan::map_scan(data, act);
+    fake_quant_scanned(
         data,
-        cq_quant::Precision::Bits(INT_INFER_MAX_BITS),
-        cq_quant::QuantMode::Round,
+        scan,
+        Precision::Bits(INT_INFER_MAX_BITS),
+        QuantMode::Round,
     );
 }
 

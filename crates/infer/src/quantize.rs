@@ -41,6 +41,7 @@
 //! fold is kept as [`fold_batch_norm`] for reference and testing.
 
 use cq_quant::intmath::round_half_away;
+use cq_quant::{emit_i8_codes, RangeScan};
 
 /// Batch-norm epsilon used when folding running statistics into a
 /// preceding linear/conv layer's rescale. Pinned to the `cq_nn`
@@ -67,23 +68,19 @@ pub struct ActQuant {
 ///
 /// Non-finite values are ignored during range calibration; a constant or
 /// empty slice yields `step = 1.0` and codes of `-zp` (all zeros after
-/// dequantization).
+/// dequantization). NaN takes true code 0 (stored `-zp`, clamped), `+Inf`
+/// the top stored code 127 and `-Inf` the bottom stored code −128.
 pub fn quantize_activations(data: &[f32]) -> ActQuant {
-    let mut lo = 0.0f32;
-    let mut hi = 0.0f32;
-    for &v in data {
-        if v.is_finite() {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-    }
+    // The scan ranges over the finite values only (`+∞`/`−∞` when there
+    // are none, which the widening to 0 absorbs).
+    let scan = RangeScan::scan(data);
+    let lo = scan.lo().min(0.0);
+    let hi = scan.hi().max(0.0);
     let range = hi - lo;
     let step = if range > 0.0 { range / I8_STEPS } else { 1.0 };
     let zp = round_half_away(lo / step) as i32 + 128;
-    let codes = data
-        .iter()
-        .map(|&v| (round_half_away(v / step) as i32 - zp).clamp(-128, 127) as i8)
-        .collect();
+    let mut codes = vec![0i8; data.len()];
+    emit_i8_codes(data, step, zp, &mut codes);
     ActQuant { codes, step, zp }
 }
 
@@ -238,6 +235,22 @@ mod tests {
             let q = quantize_activations(&data);
             assert!((-128..=127).contains(&(-q.zp)), "zp={} data={data:?}", q.zp);
         }
+    }
+
+    #[test]
+    fn non_finite_activations_saturate_and_nan_keeps_true_code_zero() {
+        // Range [0, 1]: step 1/255, zp = 128, so real 0 is stored −128.
+        let q = quantize_activations(&[0.0, 1.0, f32::NEG_INFINITY, f32::INFINITY, f32::NAN]);
+        assert_eq!(q.zp, 128);
+        assert_eq!(q.step, 1.0 / 255.0);
+        assert_eq!(&q.codes[..2], &[-128, 127]);
+        assert_eq!(q.codes[2], -128, "−Inf takes the bottom code");
+        assert_eq!(q.codes[3], 127, "+Inf takes the top code");
+        assert_eq!(q.codes[4], -128, "NaN takes true code 0 (−zp, clamped)");
+        // With a negative range, true code 0 is inside the window.
+        let q = quantize_activations(&[-1.0, 1.0, f32::NAN, f32::NEG_INFINITY, f32::INFINITY]);
+        assert_eq!(q.codes[2] as i32, -q.zp);
+        assert_eq!(&q.codes[3..], &[-128, 127]);
     }
 
     #[test]

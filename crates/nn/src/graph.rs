@@ -395,9 +395,7 @@ fn run_pass(buf: &mut [f32], ops: &[KOp<'_>], scan: bool) -> Option<RangeScan> {
         for op in ops {
             apply_op(op, chunk, start);
         }
-        for &v in chunk.iter() {
-            acc.observe(v);
-        }
+        *acc = RangeScan::scan(chunk);
     });
     let mut scan = RangeScan::new();
     for p in parts {
@@ -1347,6 +1345,35 @@ mod tests {
             let mf = cf[2].as_ref().unwrap().downcast::<Vec<f32>>("t").unwrap();
             let mu = cu[2].as_ref().unwrap().downcast::<Vec<f32>>("t").unwrap();
             assert_eq!(mf, mu);
+        }
+    }
+
+    #[test]
+    fn chunked_in_pass_scan_equals_whole_buffer_scan() {
+        // Several chunks plus a ragged tail, with exact zeros (ReLU) and,
+        // in the second case, a NaN and an Inf: the chunk partials merged
+        // in chunk order must quantize exactly like one whole-buffer scan.
+        let len = 3 * BLOCK_ELEMS + 37;
+        let other = randvec(len, 21);
+        let mut poisoned = randvec(len, 22);
+        poisoned[5] = f32::NAN;
+        poisoned[2 * BLOCK_ELEMS + 1] = f32::INFINITY;
+        for src in [randvec(len, 20), poisoned] {
+            for limit in [1, 3] {
+                let mut buf = src.clone();
+                let ops = [KOp::Add { other: &other }, KOp::Relu { mask: None }];
+                let scan = with_thread_limit(limit, || run_pass(&mut buf, &ops, true)).unwrap();
+                let whole = RangeScan::scan(&buf);
+                assert!(scan.lo() == whole.lo() && scan.hi() == whole.hi());
+                for (p, m) in [(5, QuantMode::Round), (8, QuantMode::Floor)] {
+                    let mut a = buf.clone();
+                    let mut b = buf.clone();
+                    fake_quant_scanned(&mut a, scan, Precision::Bits(p), m);
+                    fake_quant_scanned(&mut b, whole, Precision::Bits(p), m);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&a), bits(&b), "limit {limit} q={p} {m:?}");
+                }
+            }
         }
     }
 

@@ -27,9 +27,11 @@
 #![deny(missing_docs)]
 
 pub mod intmath;
+mod kernel;
 mod precision;
 mod quantizer;
 
+pub use kernel::emit_i8_codes;
 pub use precision::{Precision, PrecisionSet, QuantError};
 pub use quantizer::{
     fake_quant, fake_quant_into, fake_quant_scanned, quant_mse, quant_snr_db, QuantConfig,

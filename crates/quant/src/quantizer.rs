@@ -18,9 +18,10 @@
 //! backward pass uses the straight-through estimator (gradients pass
 //! unchanged), the standard choice in quantization-aware training.
 
+use cq_tensor::simd::SimdLevel;
 use cq_tensor::Tensor;
 
-use crate::Precision;
+use crate::{kernel, Precision};
 
 // Fake-quantized element counter; no-op unless a cq-obs sink is installed.
 static FAKE_QUANT_ELEMS: cq_obs::Counter = cq_obs::Counter::new("quant.fake_quant.elems");
@@ -99,24 +100,29 @@ pub fn fake_quant(t: &Tensor, precision: Precision, mode: QuantMode) -> Tensor {
 
 /// Accumulated min/max/finiteness of a value stream — the reduction half
 /// of [`fake_quant_into`], split out so a producing pass (e.g. the fused
-/// graph executor) can gather it while each value is still in a register
-/// and hand it to [`fake_quant_scanned`], eliding the quantizer's own
+/// graph executor) can gather it while each value is still in cache and
+/// hand it to [`fake_quant_scanned`], eliding the quantizer's own
 /// whole-buffer re-read.
 ///
+/// `lo`/`hi` range over the *finite* values only; `finite` records
+/// whether every value was finite. The quantizer leaves a tensor with a
+/// NaN or ±Inf alone, so it only reads `lo`/`hi` of an all-finite scan;
+/// the i8 requantizer calibrates its grid on the finite values.
+///
 /// Fold order is immaterial to the quantized output bits: `finite` is an
-/// AND; `f32::min`/`f32::max` skip NaN and are associative and
+/// AND; `f32::min`/`f32::max` over non-NaN values are associative and
 /// commutative on every pair except the `-0.0`/`+0.0` tie, whose
 /// representative may depend on fold order but can never change the
 /// downstream result — `hi - lo` produces identical bits for either zero
 /// (`x - (-0.0)` ≡ `x - (+0.0)` for all finite `x`), and an all-zero
-/// tensor fails the `range > 0` gate with either sign. Merging per-chunk
-/// partials in any deterministic order is therefore bit-identical to the
-/// sequential sweep.
+/// tensor fails the `range > 0` gate with either sign. Merging per-lane
+/// or per-chunk partials in any deterministic order is therefore
+/// bit-identical to the sequential sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct RangeScan {
-    lo: f32,
-    hi: f32,
-    finite: bool,
+    pub(crate) lo: f32,
+    pub(crate) hi: f32,
+    pub(crate) finite: bool,
 }
 
 impl RangeScan {
@@ -129,17 +135,6 @@ impl RangeScan {
         }
     }
 
-    /// Folds one value into the scan.
-    #[inline]
-    pub fn observe(&mut self, v: f32) {
-        // f32::min/max skip NaN, so lo/hi alone can come out finite for a
-        // tensor that contains NaN — track finiteness explicitly or the
-        // finite entries would get snapped while the NaN slips through.
-        self.finite &= v.is_finite();
-        self.lo = self.lo.min(v);
-        self.hi = self.hi.max(v);
-    }
-
     /// Combines two partial scans (see the type docs for why any combine
     /// order yields identical quantized bits).
     pub fn merge(&mut self, other: RangeScan) {
@@ -148,14 +143,27 @@ impl RangeScan {
         self.hi = self.hi.max(other.hi);
     }
 
-    /// Sequential scan of a slice — exactly the sweep
+    /// Scan of a slice on the vectorized kernel — exactly the sweep
     /// [`fake_quant_into`] performs internally.
     pub fn scan(data: &[f32]) -> Self {
-        let mut s = RangeScan::new();
-        for &v in data {
-            s.observe(v);
-        }
-        s
+        kernel::dispatch(SimdLevel::detect(), kernel::Scan(data))
+    }
+
+    /// Maps every element of `data` through `f` in place and returns the
+    /// scan of the results, in one pass (e.g. an activation clamp folded
+    /// into the quantizer's range scan).
+    pub fn map_scan(data: &mut [f32], f: impl Fn(f32) -> f32) -> Self {
+        kernel::dispatch(SimdLevel::detect(), kernel::MapScan(data, f))
+    }
+
+    /// Smallest finite value scanned (`+∞` when there was none).
+    pub fn lo(&self) -> f32 {
+        self.lo
+    }
+
+    /// Largest finite value scanned (`−∞` when there was none).
+    pub fn hi(&self) -> f32 {
+        self.hi
     }
 }
 
@@ -181,6 +189,17 @@ pub fn fake_quant_into(data: &mut [f32], precision: Precision, mode: QuantMode) 
 /// histogram and grid — without the quantizer's whole-buffer re-read;
 /// the caller is responsible for `scan` matching `data`.
 pub fn fake_quant_scanned(
+    data: &mut [f32],
+    scan: RangeScan,
+    precision: Precision,
+    mode: QuantMode,
+) {
+    fake_quant_scanned_at(SimdLevel::detect(), data, scan, precision, mode);
+}
+
+/// [`fake_quant_scanned`] with the projection run at `level`.
+pub(crate) fn fake_quant_scanned_at(
+    level: SimdLevel,
     data: &mut [f32],
     scan: RangeScan,
     precision: Precision,
@@ -223,20 +242,16 @@ pub fn fake_quant_scanned(
     cq_obs::histogram(cq_obs::names::QUANT_CLIP_RANGE, range as f64);
     FAKE_QUANT_ELEMS.add(data.len() as u64);
     let step = range / steps as f32;
-    match mode {
-        QuantMode::Round => {
-            // Round-half-away-from-zero: the pinned grid-projection rule
-            // shared with the i8 requantizer (see crate::intmath).
-            for v in data.iter_mut() {
-                *v = step * crate::intmath::round_half_away(*v / step);
-            }
-        }
-        QuantMode::Floor => {
-            for v in data.iter_mut() {
-                *v = step * (*v / step).floor();
-            }
-        }
-    }
+    // Round-half-away-from-zero (or floor): the pinned grid-projection
+    // rule shared with the i8 requantizer (see crate::intmath).
+    kernel::dispatch(
+        level,
+        kernel::Project {
+            data: &mut *data,
+            step,
+            mode,
+        },
+    );
     // The grid is anchored at 0, so quantized values may legitimately land
     // up to one step outside [lo, hi]; anything further is a quantizer bug.
     #[cfg(feature = "sanitize")]

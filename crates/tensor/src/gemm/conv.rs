@@ -336,7 +336,7 @@ fn dispatch<const SKIP: bool>(kind: Kind, pass: impl ConvPass) {
 /// The host must support `level`.
 unsafe fn dispatch_at<const SKIP: bool>(level: Level, pass: impl ConvPass) {
     match level {
-        Level::Baseline => pass.run::<NR>(tiles::<SKIP, NR>),
+        Level::Portable => pass.run::<NR>(tiles::<SKIP, NR>),
         #[cfg(target_arch = "x86_64")]
         Level::Avx2 => pass.run::<NR>(|k, ap, bp, out| {
             // SAFETY: the caller guarantees AVX2.
@@ -985,17 +985,7 @@ mod tests {
 
     #[test]
     fn every_simd_level_matches_oracle_bitwise() {
-        let mut levels = vec![Level::Baseline];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                levels.push(Level::Avx2);
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                levels.push(Level::Avx512);
-            }
-        }
-        for level in levels {
+        for level in Level::supported() {
             for (i, s) in shapes().enumerate() {
                 let got = passes(&s, 10 * i as u64, &|x, wgt, dy, out, dx, dw| {
                     let s = &s;

@@ -40,12 +40,13 @@
 //!
 //! # Layouts
 //!
-//! Inference needs two of the three f32 layouts: `Nn`
-//! (`weights[O,K] @ cols[K,N]`) and `Nt` (linear as
-//! `acts[N,K] @ weights[O,K]ᵀ`). Convolutions do not call these entry
-//! points: [`super::conv::conv2d_i8`] packs its B panels straight from
-//! the activation codes and shares the tile. There is no backward pass
-//! through the integer path, so `Tn` has no i8 counterpart.
+//! The packed entry point [`par_gemm_i8`] has one layout, the f32 `Nt`:
+//! linear layers as `acts[N,K] @ weights[O,K]ᵀ`. Convolutions do not
+//! call it: [`super::conv::conv2d_i8`] packs its B panels straight from
+//! the activation codes and shares the tile. [`gemm_i8_nn_ref`] remains
+//! as the scalar `Nn` product inside the per-sample convolution oracle.
+//! There is no backward pass through the integer path, so `Tn` has no i8
+//! counterpart.
 
 use super::{use_reference, MR};
 use crate::par::{parallel_for_chunks, ChunkGrid};
@@ -57,16 +58,6 @@ use std::sync::OnceLock;
 pub(crate) static GEMM_I8_PACKED: cq_obs::Counter =
     cq_obs::Counter::new("tensor.gemm_i8.packed_calls");
 static GEMM_I8_SMALL: cq_obs::Counter = cq_obs::Counter::new("tensor.gemm_i8.small_calls");
-
-/// Operand layout of an integer product (the inference-relevant subset of
-/// the f32 [`super::Kind`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IntKind {
-    /// `a[m,k] @ b[k,n]`.
-    Nn,
-    /// `a[m,k] @ b[n,k]ᵀ` — linear layers (activations × weightsᵀ).
-    Nt,
-}
 
 /// Register-tile variant of the i8 kernels: its `vpmaddwd` width, or the
 /// portable pair loop. Affects speed only: every level produces the same
@@ -153,8 +144,8 @@ struct SendPtrI32(*mut i32);
 unsafe impl Send for SendPtrI32 {}
 unsafe impl Sync for SendPtrI32 {}
 
-/// Scalar reference `out[m,n] = a[m,k] @ b[k,n]` — oracle, baseline and
-/// small-size fast path for the packed NN kernel.
+/// Scalar reference `out[m,n] = a[m,k] @ b[k,n]` — the product inside
+/// the per-sample convolution oracle.
 pub fn gemm_i8_nn_ref(a: &[i8], m: usize, k: usize, b: &[i8], n: usize, out: &mut [i32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -173,8 +164,8 @@ pub fn gemm_i8_nn_ref(a: &[i8], m: usize, k: usize, b: &[i8], n: usize, out: &mu
     }
 }
 
-/// Scalar reference `out[m,n] = a[m,k] @ b[n,k]ᵀ` — oracle for the packed
-/// NT kernel.
+/// Scalar reference `out[m,n] = a[m,k] @ b[n,k]ᵀ` — oracle and
+/// small-size fast path for [`par_gemm_i8`].
 pub fn gemm_i8_nt_ref(a: &[i8], m: usize, k: usize, b: &[i8], n: usize, out: &mut [i32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
@@ -221,19 +212,15 @@ pub(crate) fn pack_a_pairs(a: &[i8], m: usize, k: usize, ap: &mut Vec<i32>) {
     }
 }
 
-/// Packs B for `kind` (`[k,n]` for NN, `[n,k]` for NT) into
-/// `⌈n/NRW⌉` panels of `[⌈K/2⌉][NRW][2]` halves, zero-padded.
-fn pack_b_pairs<const NRW: usize>(kind: IntKind, b: &[i8], k: usize, n: usize) -> Vec<i16> {
+/// Packs row-major `b: [n,k]` into `⌈n/NRW⌉` panels of
+/// `[⌈K/2⌉][NRW][2]` halves, zero-padded.
+fn pack_b_pairs<const NRW: usize>(b: &[i8], k: usize, n: usize) -> Vec<i16> {
     let k2 = pair_steps(k);
     let mut bp = vec![0i16; n.div_ceil(NRW) * k2 * 2 * NRW];
     for (q, panel) in bp.chunks_exact_mut(k2 * 2 * NRW).enumerate() {
         let j0 = q * NRW;
         for c in 0..NRW.min(n - j0) {
-            for kk in 0..k {
-                let v = match kind {
-                    IntKind::Nn => b[kk * n + j0 + c],
-                    IntKind::Nt => b[(j0 + c) * k + kk],
-                };
+            for (kk, &v) in b[(j0 + c) * k..(j0 + c + 1) * k].iter().enumerate() {
                 panel[((kk / 2) * NRW + c) * 2 + kk % 2] = v as i16;
             }
         }
@@ -349,64 +336,29 @@ unsafe fn tiles_avx512bw(k2: usize, ap: &[i32], bp: &[i16], out: &mut [[[i32; 16
     }
 }
 
-fn check_shapes(
-    kind: IntKind,
-    alen: usize,
-    blen: usize,
-    olen: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-) {
-    let want_b = match kind {
-        IntKind::Nn => k * n,
-        IntKind::Nt => n * k,
-    };
-    assert_eq!(alen, m * k, "gemm_i8: lhs length mismatch");
-    assert_eq!(blen, want_b, "gemm_i8: rhs length mismatch");
-    assert_eq!(olen, m * n, "gemm_i8: out length mismatch");
-}
-
-/// Parallel blocked integer GEMM (`out: [m,n]` i32, overwritten),
-/// dispatched over row tiles of the deterministic [`ChunkGrid`]. Bitwise-
-/// identical to the scalar references at any SIMD level and thread count
-/// (integer accumulation is exact; see the module contract).
+/// Parallel blocked integer GEMM `out[m,n] = a[m,k] @ b[n,k]ᵀ` (i32,
+/// overwritten), dispatched over row tiles of the deterministic
+/// [`ChunkGrid`]. Bitwise-identical to [`gemm_i8_nt_ref`] at any SIMD
+/// level and thread count (integer accumulation is exact; see the module
+/// contract).
 ///
 /// # Panics
 ///
 /// Panics if slice lengths are inconsistent with `m`/`n`/`k`.
-pub fn par_gemm_i8(
-    kind: IntKind,
-    a: &[i8],
-    b: &[i8],
-    m: usize,
-    n: usize,
-    k: usize,
-    out: &mut [i32],
-) {
-    check_shapes(kind, a.len(), b.len(), out.len(), m, n, k);
+pub fn par_gemm_i8(a: &[i8], b: &[i8], m: usize, n: usize, k: usize, out: &mut [i32]) {
+    assert_eq!(a.len(), m * k, "gemm_i8: lhs length mismatch");
+    assert_eq!(b.len(), n * k, "gemm_i8: rhs length mismatch");
+    assert_eq!(out.len(), m * n, "gemm_i8: out length mismatch");
     if use_reference(m, n, k) {
         GEMM_I8_SMALL.add(1);
-        match kind {
-            IntKind::Nn => gemm_i8_nn_ref(a, m, k, b, n, out),
-            IntKind::Nt => gemm_i8_nt_ref(a, m, k, b, n, out),
-        }
+        gemm_i8_nt_ref(a, m, k, b, n, out);
         return;
     }
     GEMM_I8_PACKED.add(1);
-    dispatch(Gemm {
-        kind,
-        a,
-        b,
-        m,
-        n,
-        k,
-        out,
-    });
+    dispatch(Gemm { a, b, m, n, k, out });
 }
 
 struct Gemm<'a> {
-    kind: IntKind,
     a: &'a [i8],
     b: &'a [i8],
     m: usize,
@@ -417,17 +369,9 @@ struct Gemm<'a> {
 
 impl I8Pass for Gemm<'_> {
     fn run<const NRW: usize>(self, tiles: I8Tiles<NRW>) {
-        let Gemm {
-            kind,
-            a,
-            b,
-            m,
-            n,
-            k,
-            out,
-        } = self;
+        let Gemm { a, b, m, n, k, out } = self;
         let (k2, np) = (pair_steps(k), n.div_ceil(NRW));
-        let bp = pack_b_pairs::<NRW>(kind, b, k, n);
+        let bp = pack_b_pairs::<NRW>(b, k, n);
         let bp = &bp[..];
         let out_ptr = SendPtrI32(out.as_mut_ptr());
         parallel_for_chunks(ChunkGrid::new(m.div_ceil(MR), 1), |_, t0, t1| {
@@ -485,19 +429,9 @@ mod tests {
         (4099, 9, 3),
     ];
 
-    fn blen(kind: IntKind, n: usize, k: usize) -> usize {
-        match kind {
-            IntKind::Nn => k * n,
-            IntKind::Nt => n * k,
-        }
-    }
-
-    fn reference(kind: IntKind, a: &[i8], b: &[i8], m: usize, n: usize, k: usize) -> Vec<i32> {
+    fn reference(a: &[i8], b: &[i8], m: usize, n: usize, k: usize) -> Vec<i32> {
         let mut want = vec![2i32; m * n];
-        match kind {
-            IntKind::Nn => gemm_i8_nn_ref(a, m, k, b, n, &mut want),
-            IntKind::Nt => gemm_i8_nt_ref(a, m, k, b, n, &mut want),
-        }
+        gemm_i8_nt_ref(a, m, k, b, n, &mut want);
         want
     }
 
@@ -505,36 +439,24 @@ mod tests {
     fn every_simd_level_matches_reference() {
         for level in I8Level::supported() {
             for &(m, n, k) in &SHAPES {
-                for kind in [IntKind::Nn, IntKind::Nt] {
-                    let a = randvec_i8(m * k, 20 + m as u64);
-                    let b = randvec_i8(blen(kind, n, k), 21 + n as u64);
-                    for limit in [1, 2, 5] {
-                        let mut got = vec![1i32; m * n];
-                        with_i8_level(level, || {
-                            with_thread_limit(limit, || {
-                                par_gemm_i8(kind, &a, &b, m, n, k, &mut got)
-                            })
-                        });
-                        let want = reference(kind, &a, &b, m, n, k);
-                        assert_eq!(
-                            got, want,
-                            "{level:?} {kind:?} {m}x{n}x{k} at {limit} threads"
-                        );
-                    }
+                let a = randvec_i8(m * k, 20 + m as u64);
+                let b = randvec_i8(n * k, 21 + n as u64);
+                for limit in [1, 2, 5] {
+                    let mut got = vec![1i32; m * n];
+                    with_i8_level(level, || {
+                        with_thread_limit(limit, || par_gemm_i8(&a, &b, m, n, k, &mut got))
+                    });
+                    let want = reference(&a, &b, m, n, k);
+                    assert_eq!(got, want, "{level:?} {m}x{n}x{k} at {limit} threads");
                 }
             }
             // All −128: every pair sum is −128·−128 + −128·−128 = 32768,
             // one past i16::MAX and still exact in the i32 lane.
             let (m, n, k) = (16, 40, 9);
-            for kind in [IntKind::Nn, IntKind::Nt] {
-                let (a, b) = (vec![-128i8; m * k], vec![-128i8; blen(kind, n, k)]);
-                let mut got = vec![0i32; m * n];
-                with_i8_level(level, || par_gemm_i8(kind, &a, &b, m, n, k, &mut got));
-                assert!(
-                    got.iter().all(|&v| v == 9 * 128 * 128),
-                    "{level:?} {kind:?}"
-                );
-            }
+            let (a, b) = (vec![-128i8; m * k], vec![-128i8; n * k]);
+            let mut got = vec![0i32; m * n];
+            with_i8_level(level, || par_gemm_i8(&a, &b, m, n, k, &mut got));
+            assert!(got.iter().all(|&v| v == 9 * 128 * 128), "{level:?}");
         }
     }
 
@@ -546,14 +468,14 @@ mod tests {
         let a = vec![-128i8; m * k];
         let b = vec![-128i8; k * n];
         let mut out = vec![0i32; m * n];
-        par_gemm_i8(IntKind::Nn, &a, &b, m, n, k, &mut out);
+        par_gemm_i8(&a, &b, m, n, k, &mut out);
         assert!(out.iter().all(|&v| v == 4608 * 128 * 128));
     }
 
     #[test]
     fn k_zero_yields_zeros() {
         let mut out = vec![7i32; 3 * 4];
-        par_gemm_i8(IntKind::Nn, &[], &[], 3, 4, 0, &mut out);
+        par_gemm_i8(&[], &[], 3, 4, 0, &mut out);
         assert!(out.iter().all(|&v| v == 0));
     }
 

@@ -45,6 +45,7 @@ pub mod int8;
 pub mod reference;
 
 use crate::par::{parallel_for_chunks, ChunkGrid};
+use crate::simd::SimdLevel as Level;
 
 /// Rows per register tile: each packed A panel feeds `MR` output rows.
 pub const MR: usize = 8;
@@ -79,24 +80,10 @@ pub enum Kind {
     Tn,
 }
 
-/// Widest microkernel variant the host CPU can run. Affects speed only:
-/// every level produces the same bits (invariant 3 above).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Level {
-    /// Portable: autovectorized at whatever width the default target has.
-    Baseline,
-    /// x86-64 with 256-bit vectors.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    /// x86-64 with 512-bit vectors; widens the B panels to 16 columns.
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
 /// Packed-B panel width for a dispatch level.
 fn pack_width(level: Level) -> usize {
     match level {
-        Level::Baseline => NR,
+        Level::Portable => NR,
         #[cfg(target_arch = "x86_64")]
         Level::Avx2 => NR,
         #[cfg(target_arch = "x86_64")]
@@ -120,21 +107,9 @@ fn level_for(kind: Kind, level: Level) -> Level {
     level
 }
 
-/// Detects the widest usable level once per process.
+/// The widest level the host can run (see [`crate::simd`]).
 fn simd_level() -> Level {
-    static LEVEL: std::sync::OnceLock<Level> = std::sync::OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return Level::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return Level::Avx2;
-            }
-        }
-        Level::Baseline
-    })
+    Level::detect()
 }
 
 /// Name of the SIMD dispatch level the host selected (`baseline`,
@@ -142,13 +117,7 @@ fn simd_level() -> Level {
 /// fingerprints; speed metadata only — every level produces the same
 /// bits (invariant 3 above).
 pub fn simd_level_name() -> &'static str {
-    match simd_level() {
-        Level::Baseline => "baseline",
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => "avx2",
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx512 => "avx512",
-    }
+    simd_level().name()
 }
 
 /// Shape-only test for the unblocked fast path: degenerate `k`, outputs
@@ -379,7 +348,7 @@ fn run_tiles_level<const SKIP: bool>(
     ap: &mut [f32],
 ) {
     match level {
-        Level::Baseline => run_row_tiles::<SKIP, NR>(a, a_cols, m, k, bp, n, t0, t1, out_rows, ap),
+        Level::Portable => run_row_tiles::<SKIP, NR>(a, a_cols, m, k, bp, n, t0, t1, out_rows, ap),
         // SAFETY: `level` comes from runtime CPU detection.
         #[cfg(target_arch = "x86_64")]
         Level::Avx2 => unsafe {
@@ -477,21 +446,6 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Every dispatch level the host can actually run.
-    fn host_levels() -> Vec<Level> {
-        let mut levels = vec![Level::Baseline];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                levels.push(Level::Avx2);
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                levels.push(Level::Avx512);
-            }
-        }
-        levels
-    }
-
     // Shapes straddling every dispatch boundary: fast path, exact tiles,
     // edge tiles one off either side of MR/NR (and the 16-wide AVX-512
     // panel edge at 15/17/33).
@@ -536,7 +490,7 @@ mod tests {
         // layout; drive each available driver explicitly so AVX2/AVX-512
         // and the portable body are all proven against the scalar loops
         // for every layout, whatever host picked which.
-        for level in host_levels() {
+        for level in Level::supported() {
             for &(m, n, k) in &SHAPES {
                 if use_reference(m, n, k) {
                     continue;

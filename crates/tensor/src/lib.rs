@@ -52,6 +52,7 @@ mod reduce;
 mod rng;
 pub mod sanitize;
 mod shape;
+pub mod simd;
 mod tensor;
 
 pub use conv::{depthwise_conv2d, depthwise_conv2d_backward, depthwise_conv2d_i8, Conv2dSpec};

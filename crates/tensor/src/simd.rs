@@ -1,0 +1,79 @@
+//! Runtime SIMD level detection shared by every dispatched kernel family
+//! that has one body compiled per vector width: the f32 GEMM drivers in
+//! [`crate::gemm`] and the elementwise quantizer kernels in `cq-quant`.
+//!
+//! A level only selects *how wide* a kernel body is compiled; each family
+//! proves its levels bit-identical to one another, so detection affects
+//! speed and never results. The widest level is detected once per process.
+//! Under Miri only [`SimdLevel::Portable`] is reported, so the interpreter
+//! runs the plain-Rust instantiation.
+//!
+//! (The i8 tile kernels keep their own [`crate::gemm::int8::I8Level`]:
+//! their 512-bit `vpmaddwd` needs AVX-512BW, which AVX-512F alone does
+//! not imply.)
+
+use std::sync::OnceLock;
+
+/// Vector width a kernel body is instantiated at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SimdLevel {
+    /// Plain Rust, vectorized at whatever width the default target has.
+    Portable,
+    /// x86-64 with 256-bit vectors (`avx2`).
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// x86-64 with 512-bit vectors (`avx512f`).
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl SimdLevel {
+    /// Every level this host can run, narrowest first. Only
+    /// [`SimdLevel::Portable`] under Miri.
+    pub fn supported() -> Vec<SimdLevel> {
+        // Only pushed to on x86-64 outside Miri.
+        #[allow(unused_mut)]
+        let mut levels = vec![SimdLevel::Portable];
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                levels.push(SimdLevel::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                levels.push(SimdLevel::Avx512);
+            }
+        }
+        levels
+    }
+
+    /// The widest level this host can run, detected once per process.
+    pub fn detect() -> SimdLevel {
+        static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
+        *LEVEL.get_or_init(|| *Self::supported().last().unwrap_or(&SimdLevel::Portable))
+    }
+
+    /// Short name for telemetry and machine fingerprints. The portable
+    /// level keeps the name `baseline` that committed BENCH artifacts
+    /// carry.
+    pub fn name(self) -> &'static str {
+        match self {
+            SimdLevel::Portable => "baseline",
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512 => "avx512",
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn detected_level_is_the_widest_supported() {
+        let levels = SimdLevel::supported();
+        assert_eq!(levels[0], SimdLevel::Portable);
+        assert_eq!(Some(&SimdLevel::detect()), levels.last());
+    }
+}

@@ -17,9 +17,7 @@
 //! degrees of freedom as `CQ_THREADS`, but testable in-process); the
 //! values exercised match the f32 test: 1, 2, 5 and 8.
 
-use contrastive_quant::tensor::gemm::int8::{
-    gemm_i8_nn_ref, gemm_i8_nt_ref, par_gemm_i8, with_i8_level, I8Level, IntKind,
-};
+use contrastive_quant::tensor::gemm::int8::{gemm_i8_nt_ref, par_gemm_i8, with_i8_level, I8Level};
 use contrastive_quant::tensor::gemm::reference::conv2d_i8_per_sample;
 use contrastive_quant::tensor::par::with_thread_limit;
 use contrastive_quant::tensor::{conv2d_i8, Conv2dSpec, ConvShape, Requant};
@@ -53,15 +51,14 @@ fn assert_everywhere<T: PartialEq + std::fmt::Debug>(what: &str, oracle: &T, f: 
     }
 }
 
-fn run_all_limits(kind: IntKind, a: &[i8], b: &[i8], m: usize, n: usize, k: usize) -> Vec<i32> {
+/// `par_gemm_i8` (`a[m,k] @ b[n,k]ᵀ`) ≡ the scalar oracle at every
+/// level and thread limit; returns the oracle.
+fn run_all_limits(a: &[i8], b: &[i8], m: usize, n: usize, k: usize) -> Vec<i32> {
     let mut oracle = vec![0i32; m * n];
-    match kind {
-        IntKind::Nn => gemm_i8_nn_ref(a, m, k, b, n, &mut oracle),
-        IntKind::Nt => gemm_i8_nt_ref(a, m, k, b, n, &mut oracle),
-    }
-    assert_everywhere(&format!("{kind:?} {m}x{n}x{k}"), &oracle, || {
+    gemm_i8_nt_ref(a, m, k, b, n, &mut oracle);
+    assert_everywhere(&format!("{m}x{n}x{k}"), &oracle, || {
         let mut out = vec![0i32; m * n];
-        par_gemm_i8(kind, a, b, m, n, k, &mut out);
+        par_gemm_i8(a, b, m, n, k, &mut out);
         out
     });
     oracle
@@ -137,21 +134,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn par_gemm_i8_nn_is_thread_count_independent(
-        mi in 0usize..8, ni in 0usize..8, ki in 0usize..8,
-        a in full_range(17 * 17), b in full_range(17 * 17),
-    ) {
-        let (m, n, k) = (ADVERSARIAL_DIMS[mi], ADVERSARIAL_DIMS[ni], ADVERSARIAL_DIMS[ki]);
-        run_all_limits(IntKind::Nn, &a[..m * k], &b[..k * n], m, n, k);
-    }
-
-    #[test]
     fn par_gemm_i8_nt_is_thread_count_independent(
         mi in 0usize..8, ni in 0usize..8, ki in 0usize..8,
         a in full_range(17 * 17), b in full_range(17 * 17),
     ) {
         let (m, n, k) = (ADVERSARIAL_DIMS[mi], ADVERSARIAL_DIMS[ni], ADVERSARIAL_DIMS[ki]);
-        run_all_limits(IntKind::Nt, &a[..m * k], &b[..n * k], m, n, k);
+        run_all_limits(&a[..m * k], &b[..n * k], m, n, k);
     }
 }
 
@@ -220,11 +208,9 @@ fn conv2d_i8_extreme_codes_and_pad_code() {
 /// every thread count (and the kernels must not read the empty operands).
 #[test]
 fn k_zero_yields_zero_bits_at_every_thread_count() {
-    for kind in [IntKind::Nn, IntKind::Nt] {
-        for (m, n) in [(1, 1), (7, 9), (8, 8), (17, 5)] {
-            let out = run_all_limits(kind, &[], &[], m, n, 0);
-            assert!(out.iter().all(|&v| v == 0), "{kind:?} {m}x{n}x0 nonzero");
-        }
+    for (m, n) in [(1, 1), (7, 9), (8, 8), (17, 5)] {
+        let out = run_all_limits(&[], &[], m, n, 0);
+        assert!(out.iter().all(|&v| v == 0), "{m}x{n}x0 nonzero");
     }
 }
 
@@ -235,10 +221,10 @@ fn k_zero_yields_zero_bits_at_every_thread_count() {
 fn saturated_operands_stay_exact_at_every_thread_count() {
     let (m, n, k) = (9, 17, 17);
     let a = vec![-128i8; m * k];
-    let b = vec![127i8; k * n];
-    let nn = run_all_limits(IntKind::Nn, &a, &b, m, n, k);
-    assert!(nn.iter().all(|&v| v == -128 * 127 * k as i32));
+    let b = vec![127i8; n * k];
+    let mixed = run_all_limits(&a, &b, m, n, k);
+    assert!(mixed.iter().all(|&v| v == -128 * 127 * k as i32));
     let b = vec![-128i8; n * k];
-    let nt = run_all_limits(IntKind::Nt, &a, &b, m, n, k);
-    assert!(nt.iter().all(|&v| v == 128 * 128 * k as i32));
+    let both = run_all_limits(&a, &b, m, n, k);
+    assert!(both.iter().all(|&v| v == 128 * 128 * k as i32));
 }
