@@ -166,10 +166,7 @@ pub fn negative_checks() -> Vec<Finding> {
         // Rebuild the encoder plan with a head expecting feat+1 inputs.
         let (mut broken, _) = cq_models::plan::backbone_plan(arch, proto.width_for(arch))
             .map_err(|e| e.to_string())?;
-        let head = mlp_head_plan(&HeadConfig::simclr(feat + 1, 64, 32), "proj");
-        for l in head.layers() {
-            broken.push(l.name.clone(), l.kind.clone());
-        }
+        broken.append(mlp_head_plan(&HeadConfig::simclr(feat + 1, 64, 32), "proj"));
         match broken.infer(&NOMINAL_INPUT) {
             Ok(shape) => Ok(format!("inferred {shape:?}")),
             Err(e) => {

@@ -17,7 +17,8 @@
 use std::io::{Read, Write};
 
 use cq_data::{AugmentConfig, AugmentPipeline, Dataset, TwoViewBatch, TwoViewLoader};
-use cq_models::{mlp_head, Encoder, HeadConfig};
+use cq_models::plan::mlp_head_plan;
+use cq_models::{Encoder, HeadConfig};
 use cq_nn::{ForwardCtx, GradSet, Layer, NnError, ParamSet, Sequential};
 use cq_quant::Precision;
 use cq_tensor::{CqRng, Tensor};
@@ -201,12 +202,8 @@ impl ByolTrainer {
         let target = online.duplicate()?;
         let encoder_params = online.params().len();
         let pd = online.proj_dim();
-        let predictor = mlp_head(
-            &HeadConfig::byol(pd, pd * 2, pd),
-            "pred",
-            online.params_mut(),
-            &mut rng,
-        );
+        let predictor = mlp_head_plan(&HeadConfig::byol(pd, pd * 2, pd), "pred")
+            .build(online.params_mut(), &mut rng);
         let loader = TwoViewLoader::new(
             AugmentPipeline::new(AugmentConfig::simclr()),
             cfg.batch_size,

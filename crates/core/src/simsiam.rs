@@ -14,7 +14,8 @@
 use std::io::{Read, Write};
 
 use cq_data::{AugmentConfig, AugmentPipeline, Dataset, TwoViewBatch, TwoViewLoader};
-use cq_models::{mlp_head, Encoder, HeadConfig};
+use cq_models::plan::mlp_head_plan;
+use cq_models::{Encoder, HeadConfig};
 use cq_nn::{ForwardCtx, GradSet, Layer, NnError, ParamSet, Sequential};
 use cq_quant::Precision;
 use cq_tensor::{CqRng, Tensor};
@@ -155,12 +156,8 @@ impl SimsiamTrainer {
         let mut rng = CqRng::seed_from_u64(cfg.seed ^ 0x51A51);
         let encoder_params = encoder.params().len();
         let pd = encoder.proj_dim();
-        let predictor = mlp_head(
-            &HeadConfig::byol(pd, pd / 2 + 1, pd),
-            "pred",
-            encoder.params_mut(),
-            &mut rng,
-        );
+        let predictor = mlp_head_plan(&HeadConfig::byol(pd, pd / 2 + 1, pd), "pred")
+            .build(encoder.params_mut(), &mut rng);
         let loader = TwoViewLoader::new(
             AugmentPipeline::new(AugmentConfig::simclr()),
             cfg.batch_size,

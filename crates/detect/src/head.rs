@@ -1,8 +1,7 @@
 //! Single-scale YOLO-style detection head and prediction decoding.
 
-use cq_nn::{BatchNorm2d, Cache, Conv2d, ForwardCtx, GradSet, Layer, NnError, ParamSet, Relu};
+use cq_nn::spec::{LayerKind, Plan, SpecError};
 use cq_tensor::{Conv2dSpec, Tensor};
-use rand::rngs::StdRng;
 
 use crate::BBox;
 
@@ -17,87 +16,17 @@ pub struct Prediction {
     pub class: usize,
 }
 
-/// YOLO-style grid head: `conv3×3 → BN → ReLU → conv1×1` mapping the
-/// backbone's spatial features `[N, C, g, g]` to raw predictions
-/// `[N, 5 + K, g, g]` (objectness, tx, ty, tw, th, class logits).
-pub struct DetectionHead {
-    conv1: Conv2d,
-    bn: BatchNorm2d,
-    relu: Relu,
-    conv2: Conv2d,
-    num_classes: usize,
-}
-
-impl std::fmt::Debug for DetectionHead {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DetectionHead(classes={})", self.num_classes)
-    }
-}
-
-/// Forward trace of [`DetectionHead`].
-struct HeadCache {
-    c1: Cache,
-    b: Cache,
-    r: Cache,
-    c2: Cache,
-}
-
-impl DetectionHead {
-    /// Creates a head over `in_channels` backbone channels for
-    /// `num_classes` object classes.
-    pub fn new(
-        ps: &mut ParamSet,
-        in_channels: usize,
-        num_classes: usize,
-        rng: &mut StdRng,
-    ) -> Self {
-        let conv1 = Conv2d::new(
-            ps,
-            "det.conv1",
-            in_channels,
-            in_channels,
-            Conv2dSpec::new(3, 1, 1),
-            false,
-            rng,
-        );
-        let bn = BatchNorm2d::new(ps, "det.bn", in_channels);
-        let conv2 = Conv2d::new(
-            ps,
-            "det.conv2",
-            in_channels,
-            5 + num_classes,
-            Conv2dSpec::new(1, 1, 0),
-            true,
-            rng,
-        );
-        DetectionHead {
-            conv1,
-            bn,
-            relu: Relu::new(),
-            conv2,
-            num_classes,
-        }
-    }
-
-    /// Number of object classes.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-}
-
-/// Symbolic plan of a [`DetectionHead`] over `in_channels` backbone
-/// channels — interpreted by [`crate::train_detector`] (and the `cq-check`
-/// binary) to validate the head's wiring before any weight is allocated.
+/// Plan of the YOLO-style grid head over `in_channels` backbone channels:
+/// `conv3×3 → BN → ReLU → conv1×1`, mapping spatial features
+/// `[N, C, g, g]` to raw predictions `[N, 5 + K, g, g]` (objectness, tx,
+/// ty, tw, th, class logits). [`crate::train_detector`] validates and
+/// builds it; the `cq-check` binary validates it too.
 ///
 /// # Errors
 ///
 /// Returns a layer-attributed [`cq_nn::spec::SpecError`] for zero channel
 /// or class counts.
-pub fn head_plan(
-    in_channels: usize,
-    num_classes: usize,
-) -> Result<cq_nn::spec::Plan, cq_nn::spec::SpecError> {
-    use cq_nn::spec::{LayerKind, Plan, SpecError};
+pub fn head_plan(in_channels: usize, num_classes: usize) -> Result<Plan, SpecError> {
     if in_channels == 0 {
         return Err(SpecError::config(
             "det.conv1",
@@ -137,47 +66,6 @@ pub fn head_plan(
         },
     );
     Ok(p)
-}
-
-impl Layer for DetectionHead {
-    fn layer_kind(&self) -> &'static str {
-        "DetectionHead"
-    }
-
-    fn forward(
-        &mut self,
-        ps: &ParamSet,
-        x: &Tensor,
-        ctx: &ForwardCtx,
-    ) -> Result<(Tensor, Cache), NnError> {
-        let (y1, c1) = self.conv1.forward(ps, x, ctx)?;
-        let (y2, b) = self.bn.forward(ps, &y1, ctx)?;
-        let (y3, r) = self.relu.forward(ps, &y2, ctx)?;
-        let (y4, c2) = self.conv2.forward(ps, &y3, ctx)?;
-        Ok((y4, Cache::new(HeadCache { c1, b, r, c2 })))
-    }
-
-    fn backward(
-        &self,
-        ps: &ParamSet,
-        cache: &Cache,
-        dy: &Tensor,
-        gs: &mut GradSet,
-    ) -> Result<Tensor, NnError> {
-        let c = cache.downcast::<HeadCache>("DetectionHead")?;
-        let d3 = self.conv2.backward(ps, &c.c2, dy, gs)?;
-        let d2 = self.relu.backward(ps, &c.r, &d3, gs)?;
-        let d1 = self.bn.backward(ps, &c.b, &d2, gs)?;
-        self.conv1.backward(ps, &c.c1, &d1, gs)
-    }
-
-    fn state_tensors(&self) -> Vec<&Tensor> {
-        self.bn.state_tensors()
-    }
-
-    fn state_tensors_mut(&mut self) -> Vec<&mut Tensor> {
-        self.bn.state_tensors_mut()
-    }
 }
 
 fn sigmoid(v: f32) -> f32 {
@@ -244,24 +132,37 @@ pub fn decode_predictions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cq_nn::{ForwardCtx, Layer, ParamSet, Sequential};
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn build_head(in_channels: usize, num_classes: usize, seed: u64) -> (Sequential, ParamSet) {
+        let mut ps = ParamSet::new();
+        let head = head_plan(in_channels, num_classes)
+            .unwrap()
+            .build(&mut ps, &mut StdRng::seed_from_u64(seed));
+        (head, ps)
+    }
 
     #[test]
     fn head_shapes() {
-        let mut ps = ParamSet::new();
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut head = DetectionHead::new(&mut ps, 8, 5, &mut rng);
+        let (mut head, ps) = build_head(8, 5, 0);
         let x = Tensor::ones(&[2, 8, 3, 3]);
         let (y, _) = head.forward(&ps, &x, &ForwardCtx::train()).unwrap();
         assert_eq!(y.dims(), &[2, 10, 3, 3]);
+        assert_eq!(head.state_tensors().len(), 2);
     }
 
     #[test]
     fn head_gradcheck() {
-        let mut ps = ParamSet::new();
-        let mut rng = StdRng::seed_from_u64(1);
-        let head = DetectionHead::new(&mut ps, 4, 3, &mut rng);
+        let (head, ps) = build_head(4, 3, 1);
         cq_nn::gradcheck::check_layer_soft(head, ps, &[2, 4, 3, 3], &ForwardCtx::train(), 8e-2);
+    }
+
+    #[test]
+    fn zero_channels_or_classes_rejected() {
+        assert_eq!(head_plan(0, 3).unwrap_err().layer, "det.conv1");
+        assert_eq!(head_plan(4, 0).unwrap_err().layer, "det.conv2");
     }
 
     #[test]

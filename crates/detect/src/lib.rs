@@ -28,7 +28,7 @@ mod train;
 
 pub use boxes::{iou, nms, BBox};
 pub use dataset::{DetDataset, DetectionConfig, GtBox};
-pub use head::{decode_predictions, head_plan, DetectionHead, Prediction};
+pub use head::{decode_predictions, head_plan, Prediction};
 pub use loss::yolo_loss;
 pub use metrics::{evaluate_detections, DetMetrics};
 pub use train::{train_detector, DetectorConfig};

@@ -7,9 +7,7 @@ use cq_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{
-    decode_predictions, evaluate_detections, nms, yolo_loss, DetDataset, DetMetrics, DetectionHead,
-};
+use crate::{decode_predictions, evaluate_detections, nms, yolo_loss, DetDataset, DetMetrics};
 
 /// Detector fine-tuning hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,8 +46,8 @@ impl Default for DetectorConfig {
 }
 
 /// Transfers a pretrained encoder to the detection task: duplicates the
-/// encoder, attaches a fresh [`DetectionHead`], fine-tunes end-to-end and
-/// returns test-set AP metrics.
+/// encoder, attaches a fresh head built from [`crate::head_plan`],
+/// fine-tunes end-to-end and returns test-set AP metrics.
 ///
 /// The input encoder is left untouched.
 ///
@@ -66,10 +64,10 @@ pub fn train_detector(
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut model = encoder.duplicate()?;
     let channels = model.feat_dim(); // spatial channels == feature dim
-    crate::head_plan(channels, train.num_classes())
-        .and_then(|p| p.infer(&[2, channels, 4, 4]).map(|_| ()))
+    let plan = crate::head_plan(channels, train.num_classes())
+        .and_then(|p| p.infer(&[2, channels, 4, 4]).map(|_| p))
         .map_err(|e| NnError::Param(format!("invalid detection head config: {e}")))?;
-    let mut head = DetectionHead::new(model.params_mut(), channels, train.num_classes(), &mut rng);
+    let mut head = plan.build(model.params_mut(), &mut rng);
     let mut opt = Sgd::new(
         model.params(),
         SgdConfig {

@@ -42,8 +42,8 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 
 use cq_core::TrainState;
-use cq_models::plan::{backbone_plan, mlp_head_plan};
-use cq_models::{Encoder, EncoderConfig, HeadConfig};
+use cq_models::plan::encoder_plans;
+use cq_models::{Encoder, EncoderConfig};
 use cq_nn::spec::{LayerKind, Plan};
 use cq_quant::intmath::{acc_fits_i32, INT_INFER_MAX_BITS};
 use cq_quant::{fake_quant_scanned, Precision, QuantMode, RangeScan};
@@ -519,17 +519,7 @@ impl IntEncoder {
     /// missing or mis-shaped, or any MAC layer's tap count fails the
     /// i32 accumulator headroom proof.
     pub fn from_encoder(enc: &Encoder) -> Result<IntEncoder, InferError> {
-        let cfg = enc.config();
-        let (bplan, feat_dim) = backbone_plan(cfg.arch, cfg.width).map_err(InferError::Spec)?;
-        let head_plan = cfg.proj.map(|(hidden, out)| {
-            let hc = if cfg.proj_bn {
-                HeadConfig::byol(feat_dim, hidden, out)
-            } else {
-                HeadConfig::simclr(feat_dim, hidden, out)
-            };
-            mlp_head_plan(&hc, "proj")
-        });
-        let proj_dim = cfg.proj.map_or(feat_dim, |(_, out)| out);
+        let plans = encoder_plans(&enc.config()).map_err(InferError::Spec)?;
 
         let state = enc.state_tensors();
         let mut conv = Converter {
@@ -537,8 +527,8 @@ impl IntEncoder {
             state,
             state_pos: 0,
         };
-        let backbone = finalize_ops(conv.convert_plan(&bplan)?)?;
-        let head = match &head_plan {
+        let backbone = finalize_ops(conv.convert_plan(&plans.backbone)?)?;
+        let head = match &plans.projector {
             Some(p) => finalize_ops(conv.convert_plan(p)?)?,
             None => Vec::new(),
         };
@@ -551,8 +541,8 @@ impl IntEncoder {
         Ok(IntEncoder {
             backbone,
             head,
-            feat_dim,
-            proj_dim,
+            feat_dim: plans.feat_dim,
+            proj_dim: plans.proj_dim,
         })
     }
 

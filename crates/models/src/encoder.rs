@@ -8,7 +8,8 @@ use cq_tensor::{read_tensor, write_tensor, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{build_mobilenet_v2, build_resnet, mlp_head, Arch, HeadConfig};
+use crate::plan::{encoder_plan, validate_encoder};
+use crate::Arch;
 
 /// Build-time description of an [`Encoder`]; kept by the encoder so BYOL
 /// targets and checkpoints can reconstruct the same architecture.
@@ -110,33 +111,20 @@ impl Encoder {
     /// Returns [`NnError::Param`] describing the offending layer when the
     /// configuration is invalid (zero width, bad projector dimensions).
     pub fn new(cfg: &EncoderConfig, seed: u64) -> Result<Self, NnError> {
-        crate::plan::validate_encoder(cfg)
+        let plans = validate_encoder(cfg)
             .map_err(|e| NnError::Param(format!("invalid encoder config: {e}")))?;
         // cq-allow(det-rng-ctor): one-shot weight-init stream derived from the caller's seed, consumed before training
         let mut rng = StdRng::seed_from_u64(seed);
         let mut params = ParamSet::new();
-        let (backbone, feat_dim) = match cfg.arch {
-            Arch::MobileNetV2 => build_mobilenet_v2(cfg.width, &mut params, &mut rng),
-            _ => build_resnet(cfg.arch, cfg.width, &mut params, &mut rng),
-        };
-        let (projector, proj_dim) = match cfg.proj {
-            Some((hidden, out)) => {
-                let hc = if cfg.proj_bn {
-                    HeadConfig::byol(feat_dim, hidden, out)
-                } else {
-                    HeadConfig::simclr(feat_dim, hidden, out)
-                };
-                (Some(mlp_head(&hc, "proj", &mut params, &mut rng)), out)
-            }
-            None => (None, feat_dim),
-        };
+        let backbone = plans.backbone.build(&mut params, &mut rng);
+        let projector = plans.projector.map(|p| p.build(&mut params, &mut rng));
         Ok(Encoder {
             cfg: *cfg,
             params,
             backbone,
             projector,
-            feat_dim,
-            proj_dim,
+            feat_dim: plans.feat_dim,
+            proj_dim: plans.proj_dim,
         })
     }
 
@@ -315,15 +303,7 @@ impl Encoder {
     /// Propagates I/O failures.
     pub fn save<W: Write>(&self, mut w: W) -> Result<(), NnError> {
         w.write_all(b"CQEN")?;
-        let arch_tag: u8 = match self.cfg.arch {
-            Arch::ResNet18 => 0,
-            Arch::ResNet34 => 1,
-            Arch::ResNet74 => 2,
-            Arch::ResNet110 => 3,
-            Arch::ResNet152 => 4,
-            Arch::MobileNetV2 => 5,
-        };
-        w.write_all(&[arch_tag, u8::from(self.cfg.proj_bn)])?;
+        w.write_all(&[self.cfg.arch.tag(), u8::from(self.cfg.proj_bn)])?;
         w.write_all(&(self.cfg.width as u64).to_le_bytes())?;
         let (ph, po) = self.cfg.proj.unwrap_or((0, 0));
         w.write_all(&(ph as u64).to_le_bytes())?;
@@ -339,6 +319,10 @@ impl Encoder {
 
     /// Deserialises an encoder written with [`Encoder::save`].
     ///
+    /// The header's configuration is checked against the parameters the
+    /// stream carries before the encoder is built, so a corrupt header
+    /// cannot make it allocate more than the stream holds.
+    ///
     /// # Errors
     ///
     /// Returns [`NnError::Io`] on malformed input.
@@ -350,39 +334,38 @@ impl Encoder {
         }
         let mut hdr = [0u8; 2];
         r.read_exact(&mut hdr)?;
-        let arch = match hdr[0] {
-            0 => Arch::ResNet18,
-            1 => Arch::ResNet34,
-            2 => Arch::ResNet74,
-            3 => Arch::ResNet110,
-            4 => Arch::ResNet152,
-            5 => Arch::MobileNetV2,
-            t => return Err(NnError::Io(format!("unknown arch tag {t}"))),
-        };
-        let proj_bn = hdr[1] != 0;
-        let mut b8 = [0u8; 8];
-        r.read_exact(&mut b8)?;
-        let width = u64::from_le_bytes(b8) as usize;
-        r.read_exact(&mut b8)?;
-        let ph = u64::from_le_bytes(b8) as usize;
-        r.read_exact(&mut b8)?;
-        let po = u64::from_le_bytes(b8) as usize;
+        let arch = Arch::from_tag(hdr[0])
+            .ok_or_else(|| NnError::Io(format!("unknown arch tag {}", hdr[0])))?;
+        let mut dims = [0usize; 3];
+        for d in &mut dims {
+            let mut b8 = [0u8; 8];
+            r.read_exact(&mut b8)?;
+            *d = u64::from_le_bytes(b8) as usize;
+        }
+        let [width, ph, po] = dims;
         let cfg = EncoderConfig {
             arch,
             width,
             proj: (ph != 0 || po != 0).then_some((ph, po)),
-            proj_bn,
+            proj_bn: hdr[1] != 0,
         };
         let params = ParamSet::load(&mut r)?;
+        let (plan, _, _) =
+            encoder_plan(&cfg).map_err(|e| NnError::Io(format!("bad encoder header: {e}")))?;
+        if plan.checked_param_count() != Some(params.num_scalars()) {
+            return Err(NnError::Io(format!(
+                "encoder header ({} w{}, proj {:?}) does not match the {} stored parameters",
+                cfg.arch,
+                cfg.width,
+                cfg.proj,
+                params.num_scalars()
+            )));
+        }
         let mut enc = Encoder::new(&cfg, 0)?;
         enc.params.copy_from(&params)?;
         let mut cnt = [0u8; 4];
         r.read_exact(&mut cnt)?;
         let n = u32::from_le_bytes(cnt) as usize;
-        let mut loaded = Vec::with_capacity(n);
-        for _ in 0..n {
-            loaded.push(read_tensor(&mut r).map_err(NnError::Tensor)?);
-        }
         let mut state = enc.state_tensors_mut();
         if state.len() != n {
             return Err(NnError::Io(format!(
@@ -390,7 +373,8 @@ impl Encoder {
                 state.len()
             )));
         }
-        for (dst, src) in state.iter_mut().zip(&loaded) {
+        for dst in &mut state {
+            let src = read_tensor(&mut r).map_err(NnError::Tensor)?;
             if dst.dims() != src.dims() {
                 return Err(NnError::Io("state tensor shape mismatch".into()));
             }
@@ -533,6 +517,42 @@ mod tests {
     #[test]
     fn load_rejects_garbage() {
         assert!(Encoder::load(&b"NOPE"[..]).is_err());
+    }
+
+    /// A saved encoder with the `u64` header field at `offset`
+    /// overwritten (6 = width, 14 = projector hidden, 22 = projector out).
+    fn patched(offset: usize, value: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        Encoder::new(&small_cfg(), 8)
+            .unwrap()
+            .save(&mut buf)
+            .unwrap();
+        buf[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn load_rejects_header_disagreeing_with_params() {
+        for (offset, what) in [(6, "width"), (14, "proj hidden"), (22, "proj out")] {
+            let err = Encoder::load(patched(offset, 1 << 40).as_slice()).unwrap_err();
+            assert!(matches!(err, NnError::Io(_)), "{what}: {err}");
+        }
+        // A plausible width that the stored parameters do not match.
+        let err = Encoder::load(patched(6, 4).as_slice()).unwrap_err();
+        assert!(err.to_string().contains("does not match"), "{err}");
+    }
+
+    #[test]
+    fn load_rejects_state_count_before_reading_state() {
+        let enc = Encoder::new(&small_cfg(), 9).unwrap();
+        let mut buf = Vec::new();
+        enc.save(&mut buf).unwrap();
+        let mut params = Vec::new();
+        enc.params().save(&mut params).unwrap();
+        let at = 30 + params.len();
+        buf[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = Encoder::load(buf.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("state tensor count"), "{err}");
     }
 
     #[test]

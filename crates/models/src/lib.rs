@@ -3,7 +3,8 @@
 //! Backbones and heads for the Contrastive Quant reproduction: CIFAR-style
 //! ResNets at the paper's six depths (18/34/74/110/152), MobileNetV2, the
 //! SimCLR/BYOL projection and prediction heads, and the [`Encoder`] wrapper
-//! bundling a backbone + projector over one parameter set.
+//! bundling a backbone + projector over one parameter set. Each network is
+//! defined once, as a [`cq_nn::spec::Plan`] in [`plan`], and built from it.
 //!
 //! All backbones are width-configurable so the CPU-scale experiment
 //! protocol (DESIGN.md §5) can shrink them uniformly across methods.
@@ -26,15 +27,12 @@
 
 #![deny(missing_docs)]
 
+mod arch;
 mod encoder;
-mod heads;
-mod mobilenet;
 pub mod plan;
-mod resnet;
 pub mod stats;
 
+pub use arch::Arch;
 pub use encoder::{Encoder, EncoderConfig, EncoderOutput, EncoderTrace};
-pub use heads::{mlp_head, HeadConfig};
-pub use mobilenet::{build_mobilenet_v2, InvertedResidual};
-pub use resnet::{build_resnet, Arch, BasicBlock};
+pub use plan::HeadConfig;
 pub use stats::{embedding_stats, record_embedding_stats, EmbeddingStats};

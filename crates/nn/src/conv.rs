@@ -14,7 +14,7 @@ use cq_tensor::{
     conv2d, conv2d_backward_input, conv2d_backward_weight, depthwise_conv2d,
     depthwise_conv2d_backward, Conv2dSpec, ConvShape, Tensor,
 };
-use rand::rngs::StdRng;
+use rand::Rng;
 
 use crate::{Cache, ForwardCtx, GradSet, Layer, NnError, ParamId, ParamSet, Result};
 
@@ -67,14 +67,14 @@ struct ConvCache {
 impl Conv2d {
     /// Creates a convolution, registering parameters in `ps`.
     /// Kaiming-normal weight init with fan-in `c_in * kh * kw`.
-    pub fn new(
+    pub fn new<R: Rng>(
         ps: &mut ParamSet,
         name: &str,
         in_channels: usize,
         out_channels: usize,
         spec: Conv2dSpec,
         bias: bool,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Self {
         let fan_in = in_channels * spec.kernel.0 * spec.kernel.1;
         let w = Tensor::kaiming_normal(&[out_channels, fan_in], fan_in, rng);
@@ -211,12 +211,12 @@ struct DwCache {
 impl DepthwiseConv2d {
     /// Creates a depthwise convolution (no bias; always followed by BN in
     /// MobileNetV2).
-    pub fn new(
+    pub fn new<R: Rng>(
         ps: &mut ParamSet,
         name: &str,
         channels: usize,
         spec: Conv2dSpec,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Self {
         let fan_in = spec.kernel.0 * spec.kernel.1;
         let w = Tensor::kaiming_normal(&[channels, spec.kernel.0, spec.kernel.1], fan_in, rng);
@@ -364,6 +364,7 @@ impl Layer for DepthwiseConv2d {
 mod tests {
     use super::*;
     use cq_quant::{Precision, QuantConfig};
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]

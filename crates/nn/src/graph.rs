@@ -575,8 +575,8 @@ pub(crate) fn execute_single(src: &Tensor, group: EwGroup) -> Result<(Tensor, Ca
 /// lazily and materializing at barriers (opaque layers, whole-tensor
 /// reductions, sanitize scans, [`Recorder::finish`]).
 ///
-/// Used by [`crate::Sequential`] and by the composite blocks in
-/// `cq-models`; layers opt in by overriding [`Layer::record`].
+/// Used by [`crate::Sequential`] and the residual layer `Plan::build`
+/// makes; layers opt in by overriding [`Layer::record`].
 pub struct Recorder<'a> {
     ps: &'a ParamSet,
     ctx: &'a ForwardCtx,

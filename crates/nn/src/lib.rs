@@ -44,6 +44,7 @@
 #![deny(missing_docs)]
 
 mod act;
+mod build;
 mod conv;
 mod ctx;
 mod error;

@@ -1,18 +1,18 @@
 //! Static shape, parameter and FLOP analysis over layer stacks.
 //!
-//! A [`Plan`] is a symbolic mirror of a [`crate::Sequential`] network: the
-//! same layers, but described by their configuration instead of their
-//! weights. Interpreting a plan infers every intermediate shape, parameter
-//! count and FLOP cost *without allocating a single tensor*, and rejects
-//! invalid stacks (channel mismatches, conv geometry that would underflow,
-//! projector dimensions that do not line up) with a layer-attributed
-//! [`SpecError`] — before any training-time allocation happens.
+//! A [`Plan`] describes a network by its layers' configuration instead of
+//! their weights, and is the only definition of each network: the model
+//! crates write every backbone and head as a plan (see `cq-models`), and
+//! [`Plan::build`] instantiates it as a [`crate::Sequential`]. Interpreting
+//! a plan infers every intermediate shape, parameter count and FLOP cost
+//! *without allocating a single tensor*, and rejects invalid stacks
+//! (channel mismatches, conv geometry that would underflow, projector
+//! dimensions that do not line up) with a layer-attributed [`SpecError`].
 //!
-//! The model crates build a plan alongside every real network (see
-//! `cq-models`); constructors run [`Plan::infer`] on a nominal input so a
-//! bad configuration fails at build time with a message naming the exact
-//! layer, and the `cq-check` binary runs the same pass over every built-in
-//! experiment configuration as a CI gate.
+//! Callers run [`Plan::infer`] on a nominal input before building, so a
+//! bad configuration fails before any weight is allocated, with a message
+//! naming the exact layer; the `cq-check` binary runs the same pass over
+//! every built-in experiment configuration as a CI gate.
 //!
 //! # Example
 //!
@@ -119,8 +119,8 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// Symbolic description of one layer, mirroring the concrete layer types
-/// of this crate (and the composite blocks of `cq-models`).
+/// Symbolic description of one layer; [`Plan::build`] maps each kind to
+/// the concrete layer type of this crate named in its docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LayerKind {
     /// Dense convolution (`crate::Conv2d`).
@@ -176,15 +176,18 @@ pub enum LayerKind {
     },
     /// Global average pooling `[N, C, H, W] -> [N, C]`.
     GlobalAvgPool,
-    /// Two-branch residual composite (`BasicBlock` / `InvertedResidual`):
+    /// Two-branch residual join, built as one residual layer:
     /// `out = main(x) + skip(x)`, identity skip when `skip` is `None`.
+    /// As the first layer of a [`LayerKind::Block`], the rest of the
+    /// block runs in the same layer after the add (a ResNet block's
+    /// output ReLU).
     Residual {
         /// The main branch.
         main: Plan,
         /// The projection skip; `None` = identity.
         skip: Option<Plan>,
     },
-    /// An inlined sub-plan (a composite block without a residual sum).
+    /// A named sub-plan (a composite block), built as one layer.
     Block(Plan),
 }
 
@@ -246,6 +249,12 @@ impl Plan {
         &self.layers
     }
 
+    /// Appends every layer of `other`, in order.
+    pub fn append(&mut self, other: Plan) -> &mut Self {
+        self.layers.extend(other.layers);
+        self
+    }
+
     /// Infers the output shape for `input`, checking every layer.
     ///
     /// # Errors
@@ -259,9 +268,18 @@ impl Plan {
         Ok(cur)
     }
 
-    /// Total scalar parameter count of the plan.
+    /// Total scalar parameter count of the plan (saturating at
+    /// `usize::MAX`; see [`Plan::checked_param_count`]).
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(param_count_layer).sum()
+        self.checked_param_count().unwrap_or(usize::MAX)
+    }
+
+    /// Total scalar parameter count, or `None` if it overflows `usize` —
+    /// the check to run on a plan built from untrusted dimensions.
+    pub fn checked_param_count(&self) -> Option<usize> {
+        self.layers
+            .iter()
+            .try_fold(0usize, |n, l| n.checked_add(param_count_layer(l)?))
     }
 
     /// Total forward FLOPs at the given input size (multiply and add
@@ -288,7 +306,7 @@ impl Plan {
             out.push(LayerReport {
                 name: layer.name.clone(),
                 out_shape: shape.clone(),
-                params: param_count_layer(layer),
+                params: param_count_layer(layer).unwrap_or(usize::MAX),
                 flops,
             });
             cur = shape;
@@ -333,7 +351,12 @@ fn infer_layer(layer: &LayerSpec, dims: &[usize]) -> Result<(Vec<usize>, u64), S
     crate::graph::infer_layer_via_graph(layer, dims)
 }
 
-fn param_count_layer(layer: &LayerSpec) -> usize {
+fn param_count_layer(layer: &LayerSpec) -> Option<usize> {
+    // Weight count plus an optional `out`-sized bias.
+    let dense = |out: usize, fan_in: Option<usize>, bias: bool| {
+        out.checked_mul(fan_in?)?
+            .checked_add(if bias { out } else { 0 })
+    };
     match &layer.kind {
         LayerKind::Conv2d {
             in_ch,
@@ -342,28 +365,28 @@ fn param_count_layer(layer: &LayerSpec) -> usize {
             bias,
         } => {
             let (kh, kw) = spec.kernel;
-            out_ch * in_ch * kh * kw + if *bias { *out_ch } else { 0 }
+            dense(*out_ch, in_ch.checked_mul(kh)?.checked_mul(kw), *bias)
         }
         LayerKind::DepthwiseConv2d { channels, spec } => {
             let (kh, kw) = spec.kernel;
-            channels * kh * kw
+            dense(*channels, kh.checked_mul(kw), false)
         }
-        LayerKind::BatchNorm2d { channels } => 2 * channels,
-        LayerKind::BatchNorm1d { features } => 2 * features,
+        LayerKind::BatchNorm2d { channels } => channels.checked_mul(2),
+        LayerKind::BatchNorm1d { features } => features.checked_mul(2),
         LayerKind::Linear {
             in_features,
             out_features,
             bias,
-        } => in_features * out_features + if *bias { *out_features } else { 0 },
+        } => dense(*out_features, Some(*in_features), *bias),
         LayerKind::Relu
         | LayerKind::Relu6
         | LayerKind::MaxPool2d { .. }
         | LayerKind::AvgPool2d { .. }
-        | LayerKind::GlobalAvgPool => 0,
-        LayerKind::Residual { main, skip } => {
-            main.param_count() + skip.as_ref().map_or(0, Plan::param_count)
-        }
-        LayerKind::Block(p) => p.param_count(),
+        | LayerKind::GlobalAvgPool => Some(0),
+        LayerKind::Residual { main, skip } => main
+            .checked_param_count()?
+            .checked_add(skip.as_ref().map_or(Some(0), Plan::checked_param_count)?),
+        LayerKind::Block(p) => p.checked_param_count(),
     }
 }
 
@@ -507,6 +530,21 @@ mod tests {
         assert_eq!(p.param_count(), 6 * 9);
         let err = p.infer(&[1, 5, 8, 8]).unwrap_err();
         assert_eq!(err.layer, "dw");
+    }
+
+    #[test]
+    fn overflowing_param_count_is_detected() {
+        let mut p = Plan::new();
+        p.push(
+            "fc",
+            LayerKind::Linear {
+                in_features: 1 << 40,
+                out_features: 1 << 40,
+                bias: true,
+            },
+        );
+        assert_eq!(p.checked_param_count(), None);
+        assert_eq!(p.param_count(), usize::MAX);
     }
 
     #[test]

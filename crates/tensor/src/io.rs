@@ -8,6 +8,10 @@ use std::io::{Read, Write};
 use crate::{Result, Tensor, TensorError};
 
 const MAGIC: &[u8; 4] = b"CQT1";
+/// Largest element count a header may claim.
+const MAX_ELEMS: usize = 1 << 31;
+/// Elements read per chunk.
+const CHUNK_ELEMS: usize = 1 << 16;
 
 /// Writes a tensor to `w` in the `CQT1` binary format.
 ///
@@ -35,7 +39,7 @@ pub fn write_tensor<W: Write>(mut w: W, t: &Tensor) -> Result<()> {
 /// # Errors
 ///
 /// Returns [`TensorError::Io`] on malformed input (bad magic, truncated
-/// data, or absurd rank).
+/// data, or an absurd rank or shape).
 pub fn read_tensor<R: Read>(mut r: R) -> Result<Tensor> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -56,15 +60,24 @@ pub fn read_tensor<R: Read>(mut r: R) -> Result<Tensor> {
         r.read_exact(&mut b)?;
         dims.push(u64::from_le_bytes(b) as usize);
     }
-    let len: usize = dims.iter().product();
-    if len > (1 << 31) {
-        return Err(TensorError::Io(format!("implausible element count {len}")));
-    }
-    let mut data = vec![0.0f32; len];
-    let mut buf = [0u8; 4];
-    for v in &mut data {
-        r.read_exact(&mut buf)?;
-        *v = f32::from_le_bytes(buf);
+    let len = dims
+        .iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .filter(|&n| n <= MAX_ELEMS)
+        .ok_or_else(|| TensorError::Io(format!("implausible shape {dims:?}")))?;
+    // Read in bounded chunks, so a header that claims more data than the
+    // stream carries fails on the missing bytes instead of allocating
+    // its claimed size up front.
+    let mut data = Vec::new();
+    let mut buf = vec![0u8; 4 * len.min(CHUNK_ELEMS)];
+    while data.len() < len {
+        let bytes = &mut buf[..4 * (len - data.len()).min(CHUNK_ELEMS)];
+        r.read_exact(bytes)?;
+        data.extend(
+            bytes
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+        );
     }
     Tensor::from_vec(data, &dims)
 }
@@ -118,5 +131,44 @@ mod tests {
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&100u32.to_le_bytes());
         assert!(read_tensor(buf.as_slice()).is_err());
+    }
+
+    fn header(dims: &[u64]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&(dims.len() as u32).to_le_bytes());
+        for d in dims {
+            buf.extend_from_slice(&d.to_le_bytes());
+        }
+        buf
+    }
+
+    #[test]
+    fn overflowing_shape_rejected() {
+        let buf = header(&[1 << 32, 1 << 32]);
+        assert!(matches!(
+            read_tensor(buf.as_slice()),
+            Err(TensorError::Io(_))
+        ));
+    }
+
+    #[test]
+    fn oversized_claim_fails_on_missing_data() {
+        // 2^31 elements (8 GiB) claimed, 8 bytes carried.
+        let mut buf = header(&[1 << 31]);
+        buf.extend_from_slice(&[0u8; 8]);
+        assert!(read_tensor(buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn multi_chunk_round_trip() {
+        let t = Tensor::from_vec(
+            (0..CHUNK_ELEMS + 3).map(|i| i as f32).collect(),
+            &[CHUNK_ELEMS + 3],
+        )
+        .unwrap();
+        let mut buf = Vec::new();
+        write_tensor(&mut buf, &t).unwrap();
+        assert_eq!(read_tensor(buf.as_slice()).unwrap(), t);
     }
 }
