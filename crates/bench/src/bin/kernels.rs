@@ -29,7 +29,9 @@
 //! `cq-infer` i8 program against the fake-quant f32 eval forward per
 //! encoder architecture. `conv2d_i8` points (the implicit i8 conv vs its
 //! per-sample oracle at ResNet-18's stage shapes) ride under the same
-//! schema.
+//! schema, as do `conv2d_fwd`/`conv2d_bwd` points: the dense f32 conv
+//! forward and backward (both gradients, as training runs them) at those
+//! stage shapes, batch 128, against the per-sample oracle.
 //!
 //! PR 10 adds two optional sections under the unchanged v3 schema: an
 //! `ew_chains` section measuring the graph executor's fused vs. unfused
@@ -53,7 +55,7 @@ use cq_quant::{Precision, PrecisionSet, QuantConfig};
 use cq_tensor::gemm::int8::{gemm_i8_nt_ref, par_gemm_i8};
 use cq_tensor::gemm::{self, Kind};
 use cq_tensor::par::{num_threads, parallel_chunks_mut, parallel_for_each};
-use cq_tensor::{conv2d, conv2d_i8, Conv2dSpec, ConvShape, Requant, Tensor};
+use cq_tensor::{conv2d, conv2d_backward, conv2d_i8, Conv2dSpec, ConvShape, Requant, Tensor};
 use cq_trace::bench::is_integer_kernel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -153,6 +155,53 @@ fn bench_conv(c: usize, o: usize, h: usize, w: usize, rng: &mut StdRng) -> Point
         k,
         iters,
         gflops: flops / t_blocked / 1e9,
+        ref_gflops: flops / t_ref / 1e9,
+    }
+}
+
+/// Measures one dense f32 conv pass of a `c`→`c` 3×3 layer over a
+/// 128-image batch of `hw`×`hw` inputs, the forward or (`backward`) both
+/// gradients: the batch-wide kernels (the lowering `Conv2d` runs at this
+/// shape) against the per-sample oracle (a materialised im2col, or
+/// col2im, and a scalar GEMM per image). `m`/`n`/`k` record the forward
+/// product shape, `O`×`N·P`×`T`; the backward runs two products of that
+/// size.
+fn bench_conv_pass(backward: bool, c: usize, hw: usize, rng: &mut StdRng) -> Point {
+    let shape = ConvShape::new(128, c, hw, hw, c, Conv2dSpec::new(3, 1, 1)).expect("conv geometry");
+    let (t, np) = (shape.taps(), shape.n * shape.positions());
+    let x = randvec(shape.n * c * hw * hw, rng);
+    let wgt = randvec(c * t, rng);
+    let dy = randvec(c * np, rng);
+    let (mut y, mut dx, mut dw) = (
+        vec![0.0f32; dy.len()],
+        vec![0.0f32; x.len()],
+        vec![0.0f32; wgt.len()],
+    );
+    let ((t_kernel, iters), (t_ref, _), kernel, flops) = if backward {
+        (
+            time_best(|| conv2d_backward(&x, &dy, &wgt, &shape, &mut dx, &mut dw)),
+            time_best(|| {
+                gemm::reference::conv2d_backward_input(&dy, &wgt, &shape, &mut dx);
+                gemm::reference::conv2d_backward_weight(&x, &dy, &shape, &mut dw);
+            }),
+            "conv2d_bwd",
+            2.0 * shape.flops() as f64,
+        )
+    } else {
+        (
+            time_best(|| conv2d(&x, &wgt, &shape, &mut y)),
+            time_best(|| gemm::reference::conv2d(&x, &wgt, &shape, &mut y)),
+            "conv2d_fwd",
+            shape.flops() as f64,
+        )
+    };
+    Point {
+        kernel,
+        m: c,
+        n: np,
+        k: t,
+        iters,
+        gflops: flops / t_kernel / 1e9,
         ref_gflops: flops / t_ref / 1e9,
     }
 }
@@ -788,6 +837,13 @@ fn main() {
     // Conv hot paths at two widths.
     points.push(bench_conv(8, 16, 32, 32, &mut rng));
     points.push(bench_conv(16, 32, 16, 16, &mut rng));
+    // The dense f32 conv forward and backward at ResNet-18's four stage
+    // shapes (width 8, 16×16 inputs, batch 128).
+    for (c, hw) in [(8, 16), (16, 8), (32, 4), (64, 2)] {
+        for backward in [false, true] {
+            points.push(bench_conv_pass(backward, c, hw, &mut rng));
+        }
+    }
     // Integer inference kernels: the i8 GEMM cubes in the linear layout.
     for &s in cubes {
         points.push(bench_matmul_i8(s, s, s, &mut rng));

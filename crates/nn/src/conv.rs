@@ -1,6 +1,6 @@
-//! Convolution layers: dense [`Conv2d`] (one implicit GEMM per pass over
-//! the whole batch) and [`DepthwiseConv2d`] (direct loops, used by
-//! MobileNetV2).
+//! Convolution layers: dense [`Conv2d`] (each pass one batch-wide kernel
+//! call, on the lowering `cq_tensor::gemm::conv` picks from the shape) and
+//! [`DepthwiseConv2d`] (direct loops, used by MobileNetV2).
 //!
 //! The depthwise layer parallelises over batch samples with per-band
 //! weight-gradient accumulators, so gradients are deterministic (the band
@@ -11,8 +11,8 @@
 
 use cq_tensor::par::{parallel_for_chunks, parallel_map_chunks, ChunkGrid};
 use cq_tensor::{
-    conv2d, conv2d_backward_input, conv2d_backward_weight, depthwise_conv2d,
-    depthwise_conv2d_backward, Conv2dSpec, ConvShape, Tensor,
+    conv2d, conv2d_backward, depthwise_conv2d, depthwise_conv2d_backward, Conv2dSpec, ConvShape,
+    Tensor,
 };
 use rand::Rng;
 
@@ -44,8 +44,8 @@ fn band_grid(n: usize) -> ChunkGrid {
 
 /// Dense 2-D convolution over NCHW batches.
 ///
-/// The weight is stored as `[out_channels, in_channels * kh * kw]`, the A
-/// operand of the batch-wide implicit GEMM (see `cq_tensor::gemm::conv`). Under
+/// The weight is stored as `[out_channels, in_channels * kh * kw]`, the
+/// layout both batch-wide lowerings read (see `cq_tensor::gemm::conv`). Under
 /// a quantized [`ForwardCtx`] the weight is fake-quantized before use
 /// (STE backward).
 #[derive(Debug)]
@@ -176,7 +176,15 @@ impl Layer for Conv2d {
         let dys = dy.as_slice();
 
         let mut dw = Tensor::zeros(&[o, s.taps()]);
-        conv2d_backward_weight(cch.input.as_slice(), dys, &s, dw.as_mut_slice());
+        let mut dx = vec![0.0f32; n * s.c * s.h * s.w];
+        conv2d_backward(
+            cch.input.as_slice(),
+            dys,
+            wslice,
+            &s,
+            &mut dx,
+            dw.as_mut_slice(),
+        );
         gs.accumulate(self.weight, &dw)?;
         if let Some(b) = self.bias {
             let mut db = vec![0.0f32; o];
@@ -186,8 +194,6 @@ impl Layer for Conv2d {
             }
             gs.accumulate(b, &Tensor::from_vec(db, &[o])?)?;
         }
-        let mut dx = vec![0.0f32; n * s.c * s.h * s.w];
-        conv2d_backward_input(dys, wslice, &s, &mut dx);
         Ok(Tensor::from_vec(dx, &[n, s.c, s.h, s.w])?)
     }
 }

@@ -1,6 +1,18 @@
-//! Implicit-GEMM convolution: each pass of a dense NCHW convolution is one
-//! packed GEMM over the whole batch, and no im2col matrix is ever
-//! materialised.
+//! Dense NCHW convolution over the whole batch, with no im2col matrix
+//! ever materialised. Each entry point picks one of two lowerings from the
+//! shape alone:
+//!
+//! - **batch lanes** (the private `gemm::lane` module) when the kernel
+//!   has more than one tap and the batch has at least 12 images: sixteen
+//!   images are the SIMD lanes of every register, read in place from an
+//!   image-minor copy of the operands;
+//! - **implicit GEMM** (this module) otherwise — 1×1 kernels and batches
+//!   below 12 images: each pass is one packed GEMM over the batch.
+//!
+//! [`conv2d_backward`] runs both gradients, sharing the lane layout of
+//! `dy` when the batch-lane lowering applies.
+//!
+//! # Implicit GEMM
 //!
 //! For a layer with `O` output channels, `T = C·KH·KW` kernel taps and an
 //! `N`-image batch of `P = OH·OW` output positions, GEMM column
@@ -28,8 +40,9 @@
 //!
 //! # Bitwise contract
 //!
-//! Results are bit-identical to the per-sample lowering (im2col + GEMM per
-//! image) that [`reference`](super::reference) keeps as the oracle:
+//! Both lowerings are bit-identical to the per-sample lowering (im2col +
+//! GEMM per image) that [`reference`](super::reference) keeps as the
+//! oracle; for the implicit GEMM:
 //!
 //! - **forward**: each output is one accumulator over ascending taps with
 //!   zero weights skipped — `gemm_nn` on one image's column matrix;
@@ -48,14 +61,15 @@
 //! identical at any thread count.
 
 use super::int8::{self, pack_a_pairs, pair_steps, I8Pass, I8Tiles, GEMM_I8_PACKED};
+use super::{lane, GEMM_PACKED, MR, NR};
 use super::{level_for, micro_tile, pack_a_cols, pack_a_rows, simd_level, Kind, Level, SendPtr};
-use super::{GEMM_PACKED, MR, NR};
 use crate::par::{parallel_for_chunks, ChunkGrid};
 use crate::{Conv2dSpec, Result};
 use std::borrow::Cow;
 
-// Conv GEMM FLOPs (2·O·T·N·P per pass) and elements gathered into packed
-// panels. Shape-only, so totals are identical at any thread count.
+// Conv FLOPs (2·O·T·N·P per pass, on either lowering) and elements the
+// implicit GEMM gathers into packed panels. Shape-only, so totals are
+// identical at any thread count.
 static CONV_FLOPS: cq_obs::Counter = cq_obs::Counter::new("tensor.conv.flops");
 static CONV_PACKED: cq_obs::Counter = cq_obs::Counter::new("tensor.conv.packed_elems");
 
@@ -154,7 +168,7 @@ impl ConvShape {
     }
 
     /// Height and width of a zero-padded input image.
-    fn padded_hw(&self) -> (usize, usize) {
+    pub(super) fn padded_hw(&self) -> (usize, usize) {
         let (ph, pw) = self.spec.padding;
         (self.h + 2 * ph, self.w + 2 * pw)
     }
@@ -167,7 +181,7 @@ impl ConvShape {
 
     /// Offset of every tap `(ci, ki, kj)` within a padded image, in
     /// weight-row order.
-    fn tap_offsets(&self) -> Vec<usize> {
+    pub(super) fn tap_offsets(&self) -> Vec<usize> {
         let (kh, kw) = self.spec.kernel;
         let (hp, wp) = self.padded_hw();
         (0..self.c)
@@ -177,7 +191,7 @@ impl ConvShape {
     }
 
     /// Offset within a padded image of output `(oy, ox)`'s top-left tap.
-    fn origin(&self, oy: usize, ox: usize) -> usize {
+    pub(super) fn origin(&self, oy: usize, ox: usize) -> usize {
         oy * self.spec.stride.0 * self.padded_hw().1 + ox * self.spec.stride.1
     }
 
@@ -374,7 +388,13 @@ pub fn conv2d(x: &[f32], wgt: &[f32], s: &ConvShape, out: &mut [f32]) {
         out.fill(0.0);
         return;
     }
-    count(s, s.taps());
+    CONV_FLOPS.add(s.flops());
+    if lane::fits(s) {
+        // SAFETY: `simd_level` detected the level on this host.
+        unsafe { lane::forward(simd_level(), x, wgt, s, out) };
+        return;
+    }
+    count_packed(s, s.taps());
     dispatch::<true>(Kind::Nn, Forward { x, wgt, s, out });
 }
 
@@ -443,35 +463,14 @@ impl ConvPass for Forward<'_> {
     }
 }
 
-/// Input gradient `dx = convᵀ(dy, wgt)` over the whole batch as one GEMM
-/// plus a tap-ordered scatter. `dy` is `[N,O,OH,OW]`, `wgt` is
-/// `[O, C·KH·KW]`, `dx` is `[N,C,H,W]` (overwritten). Bit-identical to
+/// Input gradient `dx = convᵀ(dy, wgt)` on the implicit GEMM: one GEMM
+/// over the whole batch plus a tap-ordered scatter. `dy` is
+/// `[N,O,OH,OW]`, `wgt` is `[O, C·KH·KW]`, `dx` is `[N,C,H,W]`
+/// (overwritten). Bit-identical to
 /// [`reference::conv2d_backward_input`](super::reference::conv2d_backward_input).
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with `s`.
-pub fn conv2d_backward_input(dy: &[f32], wgt: &[f32], s: &ConvShape, dx: &mut [f32]) {
-    assert_eq!(
-        dy.len(),
-        s.n * s.o * s.positions(),
-        "conv2d_backward_input: dy length mismatch"
-    );
-    assert_eq!(
-        wgt.len(),
-        s.o * s.taps(),
-        "conv2d_backward_input: weight length mismatch"
-    );
-    assert_eq!(
-        dx.len(),
-        s.n * s.image_len(),
-        "conv2d_backward_input: dx length mismatch"
-    );
-    if s.o == 0 || s.taps() == 0 {
-        dx.fill(0.0);
-        return;
-    }
-    count(s, s.o);
+fn implicit_backward_input(dy: &[f32], wgt: &[f32], s: &ConvShape, dx: &mut [f32]) {
+    CONV_FLOPS.add(s.flops());
+    count_packed(s, s.o);
     dispatch::<true>(Kind::Tn, BackwardInput { dy, wgt, s, dx });
 }
 
@@ -561,37 +560,70 @@ impl ConvPass for BackwardInput<'_> {
     }
 }
 
-/// Weight gradient `dw = Σ_img dy_img · cols(x_img)ᵀ` over the whole batch
-/// as one GEMM with per-image, per-band accumulation. `x` is `[N,C,H,W]`,
-/// `dy` is `[N,O,OH,OW]`, `dw` is `[O, C·KH·KW]` (overwritten).
-/// Bit-identical to
+/// Weight gradient `dw = Σ_img dy_img · cols(x_img)ᵀ` on the implicit
+/// GEMM: one GEMM over the whole batch with per-image, per-band
+/// accumulation. `x` is `[N,C,H,W]`, `dy` is `[N,O,OH,OW]`, `dw` is
+/// `[O, C·KH·KW]` (overwritten). Bit-identical to
 /// [`reference::conv2d_backward_weight`](super::reference::conv2d_backward_weight).
+fn implicit_backward_weight(x: &[f32], dy: &[f32], s: &ConvShape, dw: &mut [f32]) {
+    CONV_FLOPS.add(s.flops());
+    count_packed(s, s.taps());
+    dispatch::<false>(Kind::Nt, BackwardWeight { x, dy, s, dw });
+}
+
+/// Both gradients of a convolution: the input gradient
+/// `dx = convᵀ(dy, wgt)` and the weight gradient
+/// `dw = Σ_img dy_img · cols(x_img)ᵀ`. `x` and `dx` are `[N,C,H,W]`, `dy`
+/// is `[N,O,OH,OW]`, `wgt` and `dw` are `[O, C·KH·KW]`; `dx` and `dw` are
+/// overwritten. Bit-identical to
+/// [`reference::conv2d_backward_input`](super::reference::conv2d_backward_input)
+/// and
+/// [`reference::conv2d_backward_weight`](super::reference::conv2d_backward_weight).
+/// On the batch-lane lowering the two passes share one image-minor copy
+/// of `dy`.
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with `s`.
-pub fn conv2d_backward_weight(x: &[f32], dy: &[f32], s: &ConvShape, dw: &mut [f32]) {
+pub fn conv2d_backward(
+    x: &[f32],
+    dy: &[f32],
+    wgt: &[f32],
+    s: &ConvShape,
+    dx: &mut [f32],
+    dw: &mut [f32],
+) {
+    let n_dy = s.n * s.o * s.positions();
     assert_eq!(
         x.len(),
         s.n * s.image_len(),
-        "conv2d_backward_weight: input length mismatch"
+        "conv2d_backward: input length mismatch"
     );
+    assert_eq!(dy.len(), n_dy, "conv2d_backward: dy length mismatch");
     assert_eq!(
-        dy.len(),
-        s.n * s.o * s.positions(),
-        "conv2d_backward_weight: dy length mismatch"
-    );
-    assert_eq!(
-        dw.len(),
+        wgt.len(),
         s.o * s.taps(),
-        "conv2d_backward_weight: dw length mismatch"
+        "conv2d_backward: weight length mismatch"
     );
-    if s.o == 0 || s.taps() == 0 || s.n == 0 {
+    assert_eq!(dx.len(), x.len(), "conv2d_backward: dx length mismatch");
+    assert_eq!(dw.len(), wgt.len(), "conv2d_backward: dw length mismatch");
+    if s.o == 0 || s.taps() == 0 {
+        dx.fill(0.0);
         dw.fill(0.0);
         return;
     }
-    count(s, s.taps());
-    dispatch::<false>(Kind::Nt, BackwardWeight { x, dy, s, dw });
+    if lane::fits(s) {
+        CONV_FLOPS.add(2 * s.flops());
+        // SAFETY: `simd_level` detected the level on this host.
+        unsafe { lane::backward(simd_level(), x, dy, wgt, s, dx, dw) };
+        return;
+    }
+    if s.n == 0 {
+        dw.fill(0.0);
+    } else {
+        implicit_backward_weight(x, dy, s, dw);
+    }
+    implicit_backward_input(dy, wgt, s, dx);
 }
 
 struct BackwardWeight<'a> {
@@ -881,11 +913,10 @@ fn pack_lanes<const L: usize>(bp: &mut [i16], nrw: usize, lane: usize, x: &[i8],
     }
 }
 
-/// Records one conv GEMM pass, whose packed B operand has `rows` rows of
-/// `N·P` elements, in the kernel counters.
-fn count(s: &ConvShape, rows: usize) {
+/// Records one implicit-GEMM conv pass, whose packed B operand has
+/// `rows` rows of `N·P` elements, in the kernel counters.
+fn count_packed(s: &ConvShape, rows: usize) {
     GEMM_PACKED.add(1);
-    CONV_FLOPS.add(s.flops());
     CONV_PACKED.add((rows * s.n * s.positions()) as u64);
 }
 
@@ -964,16 +995,43 @@ mod tests {
         })
     }
 
+    /// Batches on the batch-lane lowering: the smallest (one partial
+    /// block), one block, a block and one image, two blocks and one, and
+    /// 100 images, whose 13-image weight-gradient bands split 16-lane
+    /// blocks.
+    const LANE_BATCHES: [usize; 5] = [12, 16, 17, 33, 100];
+
+    /// Output channel counts around the lane tile (4) and the implicit
+    /// GEMM's row tile (`MR = 8`).
+    const OUTPUTS: [usize; 7] = [1, 2, 3, 4, 7, 8, 9];
+
+    /// Every lane batch × output count × stride 1 and 2 × padding 0–2,
+    /// on a 2-channel 5×4 input under a 3×3 kernel.
+    fn lane_shapes() -> impl Iterator<Item = ConvShape> {
+        LANE_BATCHES.into_iter().flat_map(|n| {
+            OUTPUTS.into_iter().flat_map(move |o| {
+                (1..=2).flat_map(move |stride| {
+                    (0..=2).map(move |pad| {
+                        ConvShape::new(n, 2, 5, 4, o, Conv2dSpec::new(3, stride, pad))
+                            .expect("valid shape")
+                    })
+                })
+            })
+        })
+    }
+
     #[test]
     fn implicit_conv_matches_per_sample_oracle_bitwise() {
-        for (i, s) in shapes().enumerate() {
+        // Through the public entry points: the implicit shapes, and one
+        // shape per lane batch.
+        let lane = lane_shapes().step_by(OUTPUTS.len() * 6);
+        for (i, s) in shapes().chain(lane).enumerate() {
             let want = oracle(&s, 10 * i as u64);
             for limit in [1, 2, 5] {
                 let got = with_thread_limit(limit, || {
                     passes(&s, 10 * i as u64, &|x, w, dy, y, dx, dw| {
                         conv2d(x, w, &s, y);
-                        conv2d_backward_input(dy, w, &s, dx);
-                        conv2d_backward_weight(x, dy, &s, dw);
+                        conv2d_backward(x, dy, w, &s, dx, dw);
                     })
                 });
                 for (pass, (g, w)) in ["forward", "dx", "dw"].iter().zip(got.iter().zip(&want)) {
@@ -981,6 +1039,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The three passes through the lane lowering at `level`.
+    fn lane_passes(s: &ConvShape, seed: u64, level: Level) -> [Vec<u32>; 3] {
+        passes(s, seed, &|x, wgt, dy, y, dx, dw| {
+            // SAFETY: callers pass only levels this host supports.
+            unsafe {
+                lane::forward(level, x, wgt, s, y);
+                lane::backward(level, x, dy, wgt, s, dx, dw);
+            }
+        })
+    }
+
+    #[test]
+    fn lane_lowering_matches_oracle_at_every_level_and_thread_limit() {
+        for (i, s) in lane_shapes().enumerate() {
+            assert!(lane::fits(&s), "{s:?} must take the lane path");
+            let seed = 1000 + 10 * i as u64;
+            let want = oracle(&s, seed);
+            for level in Level::supported() {
+                for limit in [1, 2, 5, 8] {
+                    let got = with_thread_limit(limit, || lane_passes(&s, seed, level));
+                    for (pass, (g, w)) in ["forward", "dx", "dw"].iter().zip(got.iter().zip(&want))
+                    {
+                        assert_eq!(g, w, "{pass} {s:?} {level:?} at {limit} threads");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lowering_is_chosen_by_shape_alone() {
+        let shape =
+            |n, k| ConvShape::new(n, 4, 8, 8, 4, Conv2dSpec::new(k, 1, k / 2)).expect("shape");
+        assert!(lane::fits(&shape(12, 3)) && lane::fits(&shape(128, 3)));
+        assert!(!lane::fits(&shape(11, 3)), "a batch below 12 images");
+        assert!(!lane::fits(&shape(128, 1)), "a 1x1 kernel");
     }
 
     #[test]
@@ -1005,17 +1101,97 @@ mod tests {
     fn zero_weights_keep_nonfinite_inputs_out() {
         // The zero skip is part of the contract: a zero weight times an
         // Inf/NaN input must contribute nothing, as in the scalar loops.
-        let s = ConvShape::new(2, 2, 4, 4, 3, Conv2dSpec::new(3, 1, 1)).expect("shape");
-        let mut x = randvec(s.n * s.image_len(), 1);
-        x[5] = f32::NAN;
-        x[17] = f32::INFINITY;
-        let wgt = vec![0.0f32; s.o * s.taps()];
-        let mut y = vec![1.0; s.n * s.o * s.positions()];
-        let mut want = y.clone();
-        conv2d(&x, &wgt, &s, &mut y);
-        reference::conv2d(&x, &wgt, &s, &mut want);
-        assert_eq!(bits(&y), bits(&want));
-        assert!(y.iter().all(|&v| v == 0.0));
+        for n in [2, 16] {
+            let s = ConvShape::new(n, 2, 4, 4, 3, Conv2dSpec::new(3, 1, 1)).expect("shape");
+            let mut x = randvec(s.n * s.image_len(), 1);
+            x[5] = f32::NAN;
+            x[17] = f32::INFINITY;
+            let wgt = vec![0.0f32; s.o * s.taps()];
+            let mut y = vec![1.0; s.n * s.o * s.positions()];
+            let mut want = y.clone();
+            conv2d(&x, &wgt, &s, &mut y);
+            reference::conv2d(&x, &wgt, &s, &mut want);
+            assert_eq!(bits(&y), bits(&want));
+            assert!(y.iter().all(|&v| v == 0.0));
+        }
+    }
+
+    /// Bits with every NaN mapped to one pattern: which outputs are NaN
+    /// is pinned, its payload (which the hardware picks from whichever
+    /// NaN operand comes first) is not.
+    fn canon_bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| {
+                if x.is_nan() {
+                    f32::NAN.to_bits()
+                } else {
+                    x.to_bits()
+                }
+            })
+            .collect()
+    }
+
+    /// Fills the outputs `(y, dx, dw)` of the three passes.
+    type Outputs<'a> = &'a dyn Fn(&mut [f32], &mut [f32], &mut [f32]);
+
+    #[test]
+    fn nonfinite_operands_match_oracle_on_both_lowerings() {
+        // ±Inf and NaN weights beside exact zeros, and ±Inf/NaN in `x` and
+        // `dy` on border pixels. Padding taps must behave as the oracle's:
+        // the forward multiplies them as exact zeros, the weight gradient
+        // includes their `dy · 0` products, and the input gradient skips
+        // every tap whose source falls outside `dy`, so a non-finite
+        // weight reaches no `dx` element through padding.
+        for (n, stride, pad) in [(3, 1, 1), (3, 2, 2), (17, 1, 1), (17, 2, 1), (33, 2, 2)] {
+            let s = ConvShape::new(n, 2, 6, 5, 3, Conv2dSpec::new(3, stride, pad)).expect("shape");
+            let (k, p) = (s.taps(), s.positions());
+            let mut x = randvec(s.n * s.image_len(), 21);
+            let mut wgt = randvec(s.o * k, 22);
+            let mut dy = randvec(s.n * s.o * p, 23);
+            // Output channel 2 keeps finite weights.
+            wgt[0] = f32::INFINITY; // o = 0, tap (0, 0, 0)
+            wgt[k - 1] = f32::NAN; // o = 0, last tap
+            wgt[k + 9 + 7] = f32::NEG_INFINITY; // o = 1, tap (1, 2, 1)
+            let plane = s.h * s.w;
+            for img in (0..s.n).step_by(2) {
+                let xi = img * s.image_len();
+                x[xi] = f32::INFINITY; // channel 0, top-left
+                x[xi + 2 * plane - 1] = f32::NAN; // channel 1, bottom-right
+                x[xi + plane + s.w] = f32::NEG_INFINITY; // channel 1, left edge
+                                                         // Only output channel 0 of `dy`.
+                let di = img * s.o * p;
+                dy[di] = f32::INFINITY; // top-left
+                dy[di + p - 1] = f32::NAN; // bottom-right
+                dy[di + s.ow - 1] = f32::NEG_INFINITY; // top-right
+            }
+            let run = |f: Outputs| {
+                let mut y = vec![f32::NAN; dy.len()];
+                let mut dx = vec![f32::NAN; x.len()];
+                let mut dw = vec![f32::NAN; wgt.len()];
+                f(&mut y, &mut dx, &mut dw);
+                [canon_bits(&y), canon_bits(&dx), canon_bits(&dw)]
+            };
+            let want = run(&|y, dx, dw| {
+                reference::conv2d(&x, &wgt, &s, y);
+                reference::conv2d_backward_input(&dy, &wgt, &s, dx);
+                reference::conv2d_backward_weight(&x, &dy, &s, dw);
+            });
+            let got = run(&|y, dx, dw| {
+                conv2d(&x, &wgt, &s, y);
+                conv2d_backward(&x, &dy, &wgt, &s, dx, dw);
+            });
+            for (pass, (g, w)) in ["forward", "dx", "dw"].iter().zip(got.iter().zip(&want)) {
+                assert_eq!(g, w, "{pass} {s:?} (lane path: {})", lane::fits(&s));
+            }
+            // The poison reaches some outputs of every pass but not all.
+            for (pass, w) in ["forward", "dx", "dw"].iter().zip(&want) {
+                let bad = w
+                    .iter()
+                    .filter(|&&b| !f32::from_bits(b).is_finite())
+                    .count();
+                assert!(bad > 0 && bad < w.len(), "{pass} {s:?}: {bad} non-finite");
+            }
+        }
     }
 
     #[test]
@@ -1061,8 +1237,7 @@ mod tests {
         let mut dx = vec![0.0; x.len()];
         let mut dw = vec![0.0; wgt.len()];
         conv2d(&x, &wgt, &s, &mut y);
-        conv2d_backward_input(&dy, &wgt, &s, &mut dx);
-        conv2d_backward_weight(&x, &dy, &s, &mut dw);
+        conv2d_backward(&x, &dy, &wgt, &s, &mut dx, &mut dw);
         let dot = |a: &[f32], b: &[f32]| -> f64 {
             a.iter()
                 .zip(b)

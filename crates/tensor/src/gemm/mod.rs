@@ -42,6 +42,7 @@
 
 pub mod conv;
 pub mod int8;
+mod lane;
 pub mod reference;
 
 use crate::par::{parallel_for_chunks, ChunkGrid};

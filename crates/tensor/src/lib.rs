@@ -57,9 +57,7 @@ mod tensor;
 
 pub use conv::{depthwise_conv2d, depthwise_conv2d_backward, depthwise_conv2d_i8, Conv2dSpec};
 pub use error::TensorError;
-pub use gemm::conv::{
-    conv2d, conv2d_backward_input, conv2d_backward_weight, conv2d_i8, ConvShape, Requant,
-};
+pub use gemm::conv::{conv2d, conv2d_backward, conv2d_i8, ConvShape, Requant};
 pub use io::{read_tensor, write_tensor};
 pub use rng::CqRng;
 

@@ -7,13 +7,13 @@
 //! are drawn from the hostile corners: 1, primes, `K = 0`, and the tile
 //! boundaries `MR/NR = 8` and the widened 16-column panel, each ±1. The
 //! parallel entry point is additionally run under thread limits
-//! {1, 2, 5, 8} — all must produce identical bits. The implicit-GEMM
-//! convolution is held to the same standard against its per-sample
-//! im2col oracle.
+//! {1, 2, 5, 8} — all must produce identical bits. Both dense-convolution
+//! lowerings (implicit GEMM and batch lanes) are held to the same
+//! standard against their per-sample im2col oracle.
 
 use cq_tensor::gemm::{self, reference, Kind};
 use cq_tensor::par::with_thread_limit;
-use cq_tensor::{conv2d, conv2d_backward_input, conv2d_backward_weight, Conv2dSpec, ConvShape};
+use cq_tensor::{conv2d, conv2d_backward, Conv2dSpec, ConvShape};
 use proptest::prelude::*;
 
 /// Checked thread limits: serial, even split, odd/ragged split, and more
@@ -70,6 +70,27 @@ fn elem() -> impl Strategy<Value = f32> {
 
 fn matrix(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(elem(), len)
+}
+
+/// `len` elements drawn like [`elem`] from a SplitMix64 stream seeded
+/// with `seed`, for operands too long to draw element by element.
+fn seeded(len: usize, seed: u64) -> Vec<f32> {
+    let mut state = seed;
+    (0..len)
+        .map(|_| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            if z.is_multiple_of(4) {
+                0.0
+            } else {
+                // The top 24 bits, as a fraction in [0, 1), onto [-4, 4).
+                (z >> 40) as f32 / (1u32 << 24) as f32 * 8.0 - 4.0
+            }
+        })
+        .collect()
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -158,19 +179,22 @@ proptest! {
 
     #[test]
     fn implicit_conv_matches_per_sample_oracle_bitwise(
-        n in 1usize..6, c in 1usize..6, hw in 1usize..9, o in dim(),
+        n in prop_oneof![1usize..12, 12usize..40], c in 1usize..6, hw in 1usize..9, o in dim(),
         kernel in 1usize..4, stride in 1usize..3, pad in 0usize..3,
-        seed_x in matrix(5 * 5 * 8 * 8), seed_w in matrix(33 * 5 * 9), seed_dy in matrix(5 * 33 * 64),
+        seed_w in matrix(33 * 5 * 9), seed in 0u64..u64::MAX,
     ) {
-        // Batch-wide implicit GEMM (forward, input and weight gradient)
-        // against the per-sample im2col lowering, at every thread limit.
-        // Kernels larger than the padded input are invalid geometry.
+        // Both batch-wide lowerings (forward, input and weight gradient;
+        // batches below 12 images and 1x1 kernels take the implicit GEMM,
+        // the rest the batch-lane path) against the per-sample im2col
+        // lowering, at every thread limit. Every image gets its own data.
+        // Kernels larger than the padded input are invalid geometry: that
+        // case is skipped, the rest still run.
         let Ok(s) = ConvShape::new(n, c, hw, hw, o, Conv2dSpec::new(kernel, stride, pad)) else {
-            return;
+            continue;
         };
-        let x = &seed_x[..n * c * hw * hw];
-        let w = &seed_w[..o * s.taps()];
-        let dy = &seed_dy[..n * o * s.positions()];
+        let x = seeded(n * c * hw * hw, seed);
+        let dy = seeded(n * o * s.positions(), !seed);
+        let (x, w, dy) = (&x[..], &seed_w[..o * s.taps()], &dy[..]);
         let mut want = [vec![f32::NAN; dy.len()], vec![f32::NAN; x.len()], vec![f32::NAN; w.len()]];
         reference::conv2d(x, w, &s, &mut want[0]);
         reference::conv2d_backward_input(dy, w, &s, &mut want[1]);
@@ -178,9 +202,9 @@ proptest! {
         for limit in THREAD_LIMITS {
             let mut got = [vec![f32::NAN; dy.len()], vec![f32::NAN; x.len()], vec![f32::NAN; w.len()]];
             with_thread_limit(limit, || {
-                conv2d(x, w, &s, &mut got[0]);
-                conv2d_backward_input(dy, w, &s, &mut got[1]);
-                conv2d_backward_weight(x, dy, &s, &mut got[2]);
+                let [y, dx, dw] = &mut got;
+                conv2d(x, w, &s, y);
+                conv2d_backward(x, dy, w, &s, dx, dw);
             });
             for (pass, (g, r)) in ["forward", "dx", "dw"].iter().zip(got.iter().zip(&want)) {
                 prop_assert_eq!(bits(g), bits(r), "{} {:?} at {} threads", pass, s, limit);

@@ -340,8 +340,10 @@ pub fn is_integer_kernel(kernel: &str) -> bool {
 /// One measured kernel grid point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelPoint {
-    /// Kernel name (`matmul`, `matmul_nt`, `matmul_tn`, `conv2d`, and the
-    /// integer `matmul_i8`, `matmul_i8_nt`, `conv2d_i8`).
+    /// Kernel name (`matmul`, `matmul_nt`, `matmul_tn`, `conv2d`, the
+    /// batch-128 dense conv forward `conv2d_fwd` and backward (both
+    /// gradients) `conv2d_bwd`, and the integer `matmul_i8`,
+    /// `matmul_i8_nt`, `conv2d_i8`).
     pub kernel: String,
     /// Output rows of the (lowered) product.
     pub m: usize,
@@ -1094,6 +1096,52 @@ mod tests {
             "{}",
             d.report
         );
+    }
+
+    /// v3 artifact with the two batch-128 f32 conv pass points of one
+    /// layer (`c8o8` at 16×16), the forward at `fwd_gflops`.
+    fn sample_v3_conv_passes(fwd_gflops: f64) -> String {
+        sample_v3(660.0, 36.0).replace(
+            "  ],\n  \"int8_encoders\"",
+            &format!(
+                r#"    ,{{"kernel": "conv2d_fwd", "m": 8, "n": 32768, "k": 72, "iters": 40,
+      "gflops": {fwd_gflops}, "ref_gflops": 5.0, "speedup": 7.0,
+      "ai": 3.5, "roofline_pct": 60.0}},
+    {{"kernel": "conv2d_bwd", "m": 8, "n": 32768, "k": 72, "iters": 20,
+      "gflops": 38.0, "ref_gflops": 4.5, "speedup": 8.4,
+      "ai": 3.5, "roofline_pct": 58.0}}
+  ],
+  "int8_encoders""#
+            ),
+        )
+    }
+
+    #[test]
+    fn conv_pass_points_parse_and_diff_as_f32_kernels() {
+        let old = parse_bench(&sample_v3_conv_passes(35.0)).expect("valid report");
+        let passes: Vec<&KernelPoint> = old
+            .kernels
+            .iter()
+            .filter(|p| p.kernel.starts_with("conv2d_") && p.kernel != "conv2d_i8")
+            .collect();
+        let names: Vec<&str> = passes.iter().map(|p| p.kernel.as_str()).collect();
+        assert_eq!(names, ["conv2d_fwd", "conv2d_bwd"]);
+        for p in &passes {
+            assert!(!is_integer_kernel(&p.kernel), "{}", p.kernel);
+            assert_eq!(p.unit(), "GFLOP/s");
+        }
+        // Both points key on the forward product shape, O x N·P x T.
+        assert_eq!(passes[1].key(), ("conv2d_bwd".to_string(), 8, 32768, 72));
+
+        let slower = parse_bench(&sample_v3_conv_passes(17.0)).unwrap(); // -51%
+        let d = diff_bench(&old, &slower, 25.0);
+        assert_eq!(d.regressions.len(), 1, "{}", d.report);
+        assert!(
+            d.regressions[0].contains("conv2d_fwd 8x32768x72"),
+            "{}",
+            d.report
+        );
+        assert!(d.report.contains("35.00 -> 17.00 GFLOP/s"), "{}", d.report);
     }
 
     /// v3 artifact with the optional PR-10 fusion sections attached.
