@@ -2,7 +2,7 @@
 //! schema-versioned `BENCH_<pr>.json` so every PR's speed claim is a
 //! committed artifact instead of a sentence.
 //!
-//! For each kernel (`matmul`, `matmul_nt`, `matmul_tn`, `conv2d`) across
+//! For each matmul layout (`matmul`, `matmul_nt`, `matmul_tn`) across
 //! a fixed size grid, reports blocked GFLOP/s, the pre-rewrite scalar
 //! baseline GFLOP/s (the unblocked reference kernels dispatched exactly
 //! as the old `Tensor::matmul*` were), and the speedup — both sides
@@ -31,7 +31,9 @@
 //! per-sample oracle at ResNet-18's stage shapes) ride under the same
 //! schema, as do `conv2d_fwd`/`conv2d_bwd` points: the dense f32 conv
 //! forward and backward (both gradients, as training runs them) at those
-//! stage shapes, batch 128, against the per-sample oracle.
+//! stage shapes and at the 1×1 shapes training runs, batch 128, against
+//! the per-sample oracle. (Older artifacts also carry retired `conv2d`
+//! points: single-image 3×3 forwards.)
 //!
 //! PR 10 adds two optional sections under the unchanged v3 schema: an
 //! `ew_chains` section measuring the graph executor's fused vs. unfused
@@ -133,45 +135,24 @@ fn bench_matmul(kind: Kind, m: usize, n: usize, k: usize, rng: &mut StdRng) -> P
     }
 }
 
-/// Measures a dense conv forward for a `c`→`o` layer on one `h`×`w`
-/// image: the implicit GEMM `Conv2d` runs against the per-sample oracle
-/// (materialised im2col + scalar product). `m`/`n`/`k` record the lowered
-/// product shape.
-fn bench_conv(c: usize, o: usize, h: usize, w: usize, rng: &mut StdRng) -> Point {
-    let shape = ConvShape::new(1, c, h, w, o, Conv2dSpec::new(3, 1, 1)).expect("conv geometry");
-    let (k, p) = (shape.taps(), shape.positions());
-    let x = randvec(c * h * w, rng);
-    let wgt = randvec(o * k, rng);
-    let mut out = vec![0.0f32; o * p];
-    let flops = shape.flops() as f64;
-
-    let (t_blocked, iters) = time_best(|| conv2d(&x, &wgt, &shape, &mut out));
-    let (t_ref, _) = time_best(|| gemm::reference::conv2d(&x, &wgt, &shape, &mut out));
-
-    Point {
-        kernel: "conv2d",
-        m: o,
-        n: p,
-        k,
-        iters,
-        gflops: flops / t_blocked / 1e9,
-        ref_gflops: flops / t_ref / 1e9,
-    }
-}
-
-/// Measures one dense f32 conv pass of a `c`→`c` 3×3 layer over a
-/// 128-image batch of `hw`×`hw` inputs, the forward or (`backward`) both
-/// gradients: the batch-wide kernels (the lowering `Conv2d` runs at this
-/// shape) against the per-sample oracle (a materialised im2col, or
-/// col2im, and a scalar GEMM per image). `m`/`n`/`k` record the forward
-/// product shape, `O`×`N·P`×`T`; the backward runs two products of that
-/// size.
-fn bench_conv_pass(backward: bool, c: usize, hw: usize, rng: &mut StdRng) -> Point {
-    let shape = ConvShape::new(128, c, hw, hw, c, Conv2dSpec::new(3, 1, 1)).expect("conv geometry");
+/// Measures one dense f32 conv pass of a `c`→`o` layer with a square
+/// `kernel` at `stride` ("same" padding) over a 128-image batch of
+/// `hw`×`hw` inputs, the forward or (`backward`) both gradients: the
+/// batch-lane kernels `Conv2d` runs against the per-sample oracle (a
+/// materialised im2col, or col2im, and a scalar GEMM per image).
+/// `m`/`n`/`k` record the forward product shape, `O`×`N·P`×`T`; the
+/// backward runs two products of that size.
+fn bench_conv_pass(
+    backward: bool,
+    (c, o, kernel, stride, hw): (usize, usize, usize, usize, usize),
+    rng: &mut StdRng,
+) -> Point {
+    let spec = Conv2dSpec::new(kernel, stride, kernel / 2);
+    let shape = ConvShape::new(128, c, hw, hw, o, spec).expect("conv geometry");
     let (t, np) = (shape.taps(), shape.n * shape.positions());
     let x = randvec(shape.n * c * hw * hw, rng);
-    let wgt = randvec(c * t, rng);
-    let dy = randvec(c * np, rng);
+    let wgt = randvec(o * t, rng);
+    let dy = randvec(o * np, rng);
     let (mut y, mut dx, mut dw) = (
         vec![0.0f32; dy.len()],
         vec![0.0f32; x.len()],
@@ -197,7 +178,7 @@ fn bench_conv_pass(backward: bool, c: usize, hw: usize, rng: &mut StdRng) -> Poi
     };
     Point {
         kernel,
-        m: c,
+        m: o,
         n: np,
         k: t,
         iters,
@@ -834,14 +815,23 @@ fn main() {
     points.push(bench_matmul(Kind::Nn, 64, 512, 128, &mut rng));
     points.push(bench_matmul(Kind::Nt, 128, 64, 512, &mut rng));
     points.push(bench_matmul(Kind::Tn, 64, 512, 128, &mut rng));
-    // Conv hot paths at two widths.
-    points.push(bench_conv(8, 16, 32, 32, &mut rng));
-    points.push(bench_conv(16, 32, 16, 16, &mut rng));
-    // The dense f32 conv forward and backward at ResNet-18's four stage
-    // shapes (width 8, 16×16 inputs, batch 128).
-    for (c, hw) in [(8, 16), (16, 8), (32, 4), (64, 2)] {
+    // The dense f32 conv forward and backward at batch 128, as (C, O,
+    // kernel, stride, H = W): ResNet-18's four 3×3 stage shapes (width 8,
+    // 16×16 inputs), then the 1×1 shapes training runs, MobileNetV2's
+    // 8→48 expand and 48→8 project and ResNet-18's 8→16 stride-2
+    // shortcut.
+    let layers = [
+        (8, 8, 3, 1, 16),
+        (16, 16, 3, 1, 8),
+        (32, 32, 3, 1, 4),
+        (64, 64, 3, 1, 2),
+        (8, 48, 1, 1, 16),
+        (48, 8, 1, 1, 16),
+        (8, 16, 1, 2, 16),
+    ];
+    for layer in layers {
         for backward in [false, true] {
-            points.push(bench_conv_pass(backward, c, hw, &mut rng));
+            points.push(bench_conv_pass(backward, layer, &mut rng));
         }
     }
     // Integer inference kernels: the i8 GEMM cubes in the linear layout.

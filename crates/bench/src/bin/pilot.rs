@@ -145,7 +145,7 @@ fn run_checkpoint_mode(args: &CkptArgs) {
 }
 
 /// kNN-agreement floor for the checkpoint gate. Looser than the parity
-/// harness's [`KNN_AGREEMENT_MIN`] on purpose: the harness measures
+/// harness's [`KNN_AGREEMENT_MIN`](cq_bench::parity::KNN_AGREEMENT_MIN) on purpose: the harness measures
 /// trained-like calibrated networks (damped residual branches), while a
 /// pilot-scale checkpoint has seen a handful of steps and is still close
 /// to random init — where ulp-level int-vs-f32 accumulation differences

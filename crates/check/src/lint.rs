@@ -350,7 +350,7 @@ const GEMM_DIR: &str = "crates/tensor/src/gemm/";
 
 /// no-naive-hot-loop: an unblocked multiply-accumulate loop nest (`+=`
 /// with a multiplying right-hand side under ≥ 3 nested `for`s) outside
-/// [`GEMM_DIR`].
+/// `GEMM_DIR`.
 pub struct NoNaiveHotLoop;
 
 impl NoNaiveHotLoop {
@@ -470,7 +470,7 @@ const GRAPH_RS: &str = "crates/nn/src/graph.rs";
 /// paths outside the graph executor. Two shapes are flagged:
 ///
 /// 1. a `fake_quant_into(` call anywhere in these crates outside
-///    [`GRAPH_RS`] — activation fake-quant is a whole-tensor pass that
+///    `GRAPH_RS` — activation fake-quant is a whole-tensor pass that
 ///    the executor places at fused-segment boundaries; a second call
 ///    site forks the bitwise contract;
 /// 2. in-place element mutation (`.as_mut_slice(` / `.iter_mut(`)

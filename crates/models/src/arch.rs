@@ -11,9 +11,9 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Arch {
-    /// 4-stage basic-block ResNet, blocks [2,2,2,2].
+    /// 4-stage basic-block ResNet, blocks `[2,2,2,2]`.
     ResNet18 = 0,
-    /// 4-stage basic-block ResNet, blocks [3,4,6,3].
+    /// 4-stage basic-block ResNet, blocks `[3,4,6,3]`.
     ResNet34 = 1,
     /// 3-stage CIFAR ResNet, 6·12+2 layers.
     ResNet74 = 2,

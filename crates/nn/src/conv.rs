@@ -1,5 +1,5 @@
 //! Convolution layers: dense [`Conv2d`] (each pass one batch-wide kernel
-//! call, on the lowering `cq_tensor::gemm::conv` picks from the shape) and
+//! call on the batch lanes of `cq_tensor::gemm::conv`) and
 //! [`DepthwiseConv2d`] (direct loops, used by MobileNetV2).
 //!
 //! The depthwise layer parallelises over batch samples with per-band
@@ -45,7 +45,7 @@ fn band_grid(n: usize) -> ChunkGrid {
 /// Dense 2-D convolution over NCHW batches.
 ///
 /// The weight is stored as `[out_channels, in_channels * kh * kw]`, the
-/// layout both batch-wide lowerings read (see `cq_tensor::gemm::conv`). Under
+/// layout the batch-lane kernels read (see `cq_tensor::gemm::conv`). Under
 /// a quantized [`ForwardCtx`] the weight is fake-quantized before use
 /// (STE backward).
 #[derive(Debug)]

@@ -618,7 +618,7 @@ impl<'a> Recorder<'a> {
 
     /// The chain value as of the last materialization. Layers that need
     /// actual input data (whole-tensor reductions like BatchNorm
-    /// statistics) call [`Recorder::flush_pending`] first.
+    /// statistics) call `Recorder::flush_pending` first.
     pub fn cur(&self) -> &Tensor {
         &self.cur
     }

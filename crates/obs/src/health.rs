@@ -13,7 +13,7 @@
 //! ## Wiring
 //!
 //! The monitor is process-global, like the sink. [`crate::metric`] feeds
-//! every observation to [`observe_metric`] while the monitor is installed
+//! every observation to `observe_metric` while the monitor is installed
 //! — gated on one extra relaxed atomic load, so with `CQ_OBS_HEALTH=off`
 //! (or unset) the hot path cost is unchanged and the PR-2 zero-allocation
 //! guard still holds. Non-Ok verdicts are emitted as

@@ -9,7 +9,7 @@
 //!
 //! All hooks are gated on one global [`AtomicBool`]: while no sink is
 //! installed every hook ([`span`], [`Counter::add`], [`histogram`],
-//! [`metric`], [`warn`]) is a **branch-on-atomic-load no-op** — no
+//! [`metric`], [`warn_with`]) is a **branch-on-atomic-load no-op** — no
 //! allocation, no lock, no time read — so instrumented hot paths cost one
 //! relaxed load when observability is off. This is the invariant the
 //! overhead-guard tests pin down.
@@ -184,7 +184,7 @@ pub fn uninstall() -> Option<Arc<dyn Sink>> {
 
 /// Delivers an event to the installed sink (if any) and to the summary
 /// aggregate. Instrumentation sites normally use the typed helpers
-/// ([`span`], [`histogram`], [`metric`], [`warn`]) instead.
+/// ([`span`], [`histogram`], [`metric`], [`warn_with`]) instead.
 pub fn emit(ev: Event) {
     if !enabled() {
         return;

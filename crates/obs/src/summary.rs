@@ -1,7 +1,7 @@
 //! In-process aggregation and the human-readable summary report.
 //!
 //! Every event emitted while a sink is installed also updates a global
-//! [`struct@Aggregate`] (span totals, histogram buckets, metric stats), so
+//! `Aggregate` (span totals, histogram buckets, metric stats), so
 //! bench binaries can print a per-phase time breakdown and a bit-width
 //! histogram regardless of which sink is active. `BTreeMap`s keep the
 //! rendered report deterministic.

@@ -1,7 +1,7 @@
 //! Convolution geometry and depthwise kernels.
 //!
-//! Dense convolutions, f32 and i8, run as implicit GEMMs over the whole
-//! batch (see [`crate::gemm::conv`]). Depthwise convolutions (MobileNetV2)
+//! Dense convolutions, f32 and i8, run over the whole batch (see
+//! [`crate::gemm::conv`]): f32 on batch lanes, i8 as an implicit GEMM. Depthwise convolutions (MobileNetV2)
 //! use direct loops, which is faster for a single channel per group.
 
 use crate::{Result, TensorError};

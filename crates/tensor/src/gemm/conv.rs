@@ -1,92 +1,51 @@
 //! Dense NCHW convolution over the whole batch, with no im2col matrix
-//! ever materialised. Each entry point picks one of two lowerings from the
-//! shape alone:
+//! ever materialised.
 //!
-//! - **batch lanes** (the private `gemm::lane` module) when the kernel
-//!   has more than one tap and the batch has at least 12 images: sixteen
-//!   images are the SIMD lanes of every register, read in place from an
-//!   image-minor copy of the operands;
-//! - **implicit GEMM** (this module) otherwise — 1×1 kernels and batches
-//!   below 12 images: each pass is one packed GEMM over the batch.
+//! The f32 passes run on batch lanes (the private `gemm::lane` module)
+//! for every kernel size, stride, padding and batch: sixteen images are
+//! the SIMD lanes of every register, read in place from an image-minor
+//! copy of the operands. [`conv2d`] runs the forward, and
+//! [`conv2d_backward`] both gradients from one lane copy of `dy`. A batch
+//! below one 16-image block still costs a whole block.
 //!
-//! [`conv2d_backward`] runs both gradients, sharing the lane layout of
-//! `dy` when the batch-lane lowering applies.
-//!
-//! # Implicit GEMM
-//!
-//! For a layer with `O` output channels, `T = C·KH·KW` kernel taps and an
-//! `N`-image batch of `P = OH·OW` output positions, GEMM column
-//! `j = img·P + oy·OW + ox` ranges over all `N·P` positions:
-//!
-//! | pass | product | A (packed once) | B (packed by stride) |
-//! |---|---|---|---|
-//! | forward | `Y[O, N·P] = W · cols(X)` | weight rows | taps of `X` under each column |
-//! | input gradient | `dcols[T, N·P] = Wᵀ · dY`, scattered into `dX` | weight columns | `dY` across images |
-//! | weight gradient | `dW[O, T] = Σ_img dY_img · cols(X_img)ᵀ` | one image's `dY` rows | one image's taps |
-//!
-//! The B packers read their operands in place through the NCHW strides;
-//! im2col is a packing mode here, not a buffer. A padded convolution packs
-//! from a zero-padded copy of `X` (and scatters its input gradient into a
-//! zero-padded buffer that is then cropped), so every tap reads inside the
-//! buffer: a run of columns that shares an image and output row is one
-//! strided copy, with no bounds tests. The register tile is the plain
-//! GEMMs' `micro_tile`, at the same per-layout SIMD widths.
-//!
-//! The int8 forward [`conv2d_i8`] is the same forward product over stored
-//! i8 codes, on the pair-widened tile of [`super::int8`]: its padded copy
-//! holds the code of real zero, and each register tile is requantized
-//! into f32 and stored into NCHW directly. It is bit-identical to
-//! [`reference::conv2d_i8_per_sample`](super::reference::conv2d_i8_per_sample).
+//! The int8 forward [`conv2d_i8`] is one implicit GEMM over stored i8
+//! codes. For a layer with `O` output channels, `T = C·KH·KW` kernel taps
+//! and an `N`-image batch of `P = OH·OW` output positions, GEMM column
+//! `j = img·P + oy·OW + ox` ranges over all `N·P` positions, and
+//! `Y[O, N·P] = W · cols(X)`. The weight rows are packed once; the taps
+//! under each column panel are packed straight from a padded copy of `X`
+//! that holds the code of real zero, so every tap reads inside the buffer
+//! and im2col is a packing mode, not a buffer. The register tile is the
+//! pair-widened tile of [`super::int8`], and each tile is requantized into
+//! f32 and stored into NCHW directly.
 //!
 //! # Bitwise contract
 //!
-//! Both lowerings are bit-identical to the per-sample lowering (im2col +
-//! GEMM per image) that [`reference`](super::reference) keeps as the
-//! oracle; for the implicit GEMM:
-//!
-//! - **forward**: each output is one accumulator over ascending taps with
-//!   zero weights skipped — `gemm_nn` on one image's column matrix;
-//! - **input gradient**: each `dcols` entry is one accumulator over
-//!   ascending output channels with zero weights skipped (`gemm_tn`), and
-//!   entries are added into the zeroed `dX` in ascending tap order — the
-//!   order `col2im` adds them;
-//! - **weight gradient**: each image's dot over its `P` positions is one
-//!   accumulator (`gemm_nt_acc`), dots are added into their band's partial
-//!   in image order, and the [`WGRAD_BANDS`] band partials are summed in
-//!   band order.
-//!
-//! Work is split over column panels (forward), image chunks (input
-//! gradient) or weight-gradient tap panels. Each output element is
-//! computed wholly by one thread in a fixed order, so results are
-//! identical at any thread count.
+//! Every pass is bit-identical to the per-sample lowering (im2col + GEMM
+//! per image) that [`reference`](super::reference) keeps as the oracle,
+//! at every SIMD level and thread count: the f32 passes by the argument in
+//! the `gemm::lane` module docs, and [`conv2d_i8`] to
+//! [`reference::conv2d_i8_per_sample`](super::reference::conv2d_i8_per_sample),
+//! whose columns it computes as independent accumulators over ascending
+//! taps. Work is split over image blocks, weight-gradient tiles or i8
+//! column panels, and each output element is computed wholly by one
+//! thread in a fixed order.
 
 use super::int8::{self, pack_a_pairs, pair_steps, I8Pass, I8Tiles, GEMM_I8_PACKED};
-use super::{lane, GEMM_PACKED, MR, NR};
-use super::{level_for, micro_tile, pack_a_cols, pack_a_rows, simd_level, Kind, Level, SendPtr};
+use super::{lane, simd_level, SendPtr, MR};
 use crate::par::{parallel_for_chunks, ChunkGrid};
 use crate::{Conv2dSpec, Result};
 use std::borrow::Cow;
 
-// Conv FLOPs (2·O·T·N·P per pass, on either lowering) and elements the
-// implicit GEMM gathers into packed panels. Shape-only, so totals are
+// Dense f32 conv FLOPs (2·O·T·N·P per pass). Shape-only, so totals are
 // identical at any thread count.
 static CONV_FLOPS: cq_obs::Counter = cq_obs::Counter::new("tensor.conv.flops");
-static CONV_PACKED: cq_obs::Counter = cq_obs::Counter::new("tensor.conv.packed_elems");
 
 /// Number of weight-gradient band partials: images are split into at most
 /// this many contiguous bands (a grid fixed by the batch size alone), each
 /// band's per-image dots are summed first, then the bands in order. Part
 /// of the bitwise contract — changing it changes gradient bits.
 pub const WGRAD_BANDS: usize = 8;
-
-/// Minimum GEMM columns per input-gradient chunk: whole images are grouped
-/// until a chunk spans at least this many columns, so small late-layer
-/// images still fill the register tile's lanes.
-const DX_CHUNK_COLS: usize = 256;
-
-/// Cap on weight-gradient panel chunks; each chunk repacks every image's
-/// `dY`, so fewer chunks mean less repacking.
-const DW_MAX_CHUNKS: usize = 2;
 
 /// Geometry of a dense convolution over an NCHW batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,132 +199,8 @@ fn padded_rows<'a, T>(s: &ConvShape, buf: &'a mut [T]) -> impl Iterator<Item = &
         .flat_map(move |plane| plane.chunks_exact_mut(wp).skip(ph).take(hp - 2 * ph))
 }
 
-/// Copies `src[i·stride]` into `dst[i]`. Unit-stride runs of a register
-/// panel's width are fixed-size copies, so they compile to vector moves
-/// rather than `memcpy` calls.
-#[inline(always)]
-fn copy_run(dst: &mut [f32], src: &[f32], stride: usize) {
-    if stride != 1 {
-        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
-            *d = v;
-        }
-        return;
-    }
-    match dst.len() {
-        16 => dst.copy_from_slice(&src[..16]),
-        8 => dst.copy_from_slice(&src[..8]),
-        4 => dst.copy_from_slice(&src[..4]),
-        n => dst.copy_from_slice(&src[..n]),
-    }
-}
-
-/// Packs every row tile of `a` (row-major `[m,k]`, or `[k,m]` when
-/// `a_cols`) into consecutive `[k][MR]` panels.
-fn pack_a_tiles(a: &[f32], m: usize, k: usize, a_cols: bool, ap: &mut Vec<f32>) {
-    // Every element is overwritten (edge tiles zero-fill their own
-    // padding), so a reused buffer needs no clearing.
-    ap.resize(m.div_ceil(MR) * k * MR, 0.0);
-    for (t, panel) in ap.chunks_exact_mut(k * MR).enumerate() {
-        let (i0, mr) = (t * MR, MR.min(m - t * MR));
-        if a_cols {
-            pack_a_cols(a, k, m, i0, mr, panel);
-        } else {
-            pack_a_rows(a, k, i0, mr, panel);
-        }
-    }
-}
-
-/// A block of register tiles: `out[t·np + q] = A_t · B_q` over depth `k`
-/// for every packed `[k][MR]` tile `A_t` in `ap` and `[k][NRW]` panel
-/// `B_q` in `bp` (`np` panels). One call covers a whole block, so the
-/// per-call cost of the dispatched kernel is paid per block, not per tile.
-type Tiles<const NRW: usize> = fn(usize, &[f32], &[f32], &mut [[[f32; NRW]; MR]]);
-
-/// A convolution pass, generic over the register tile's width.
-trait ConvPass {
-    fn run<const NRW: usize>(self, tiles: Tiles<NRW>);
-}
-
-#[inline(always)]
-fn tiles<const SKIP: bool, const NRW: usize>(
-    k: usize,
-    ap: &[f32],
-    bp: &[f32],
-    out: &mut [[[f32; NRW]; MR]],
-) {
-    let np = bp.len() / (k * NRW);
-    for (at, row) in ap.chunks_exact(k * MR).zip(out.chunks_exact_mut(np)) {
-        for (bq, dst) in bp.chunks_exact(k * NRW).zip(row) {
-            // A local accumulator, so it lives in registers.
-            let mut acc = [[0.0f32; NRW]; MR];
-            micro_tile::<SKIP, NRW>(k, at, bq, &mut acc);
-            *dst = acc;
-        }
-    }
-}
-
-/// [`tiles`] compiled with 256-bit vectors.
-///
-/// # Safety
-///
-/// The host must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn tiles_avx2<const SKIP: bool>(
-    k: usize,
-    ap: &[f32],
-    bp: &[f32],
-    out: &mut [[[f32; NR]; MR]],
-) {
-    tiles::<SKIP, NR>(k, ap, bp, out)
-}
-
-/// [`tiles`] compiled with 512-bit vectors.
-///
-/// # Safety
-///
-/// The host must support AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn tiles_avx512<const SKIP: bool>(
-    k: usize,
-    ap: &[f32],
-    bp: &[f32],
-    out: &mut [[[f32; 16]; MR]],
-) {
-    tiles::<SKIP, 16>(k, ap, bp, out)
-}
-
-/// Runs `pass` with the register tile the host's SIMD level uses for the
-/// `kind` layout (`SKIP` = the layout's zero-skip rule).
-fn dispatch<const SKIP: bool>(kind: Kind, pass: impl ConvPass) {
-    // SAFETY: `simd_level` detected the level on this host.
-    unsafe { dispatch_at::<SKIP>(level_for(kind, simd_level()), pass) };
-}
-
-/// Runs `pass` with the register tile of `level`.
-///
-/// # Safety
-///
-/// The host must support `level`.
-unsafe fn dispatch_at<const SKIP: bool>(level: Level, pass: impl ConvPass) {
-    match level {
-        Level::Portable => pass.run::<NR>(tiles::<SKIP, NR>),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => pass.run::<NR>(|k, ap, bp, out| {
-            // SAFETY: the caller guarantees AVX2.
-            unsafe { tiles_avx2::<SKIP>(k, ap, bp, out) }
-        }),
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx512 => pass.run::<16>(|k, ap, bp, out| {
-            // SAFETY: the caller guarantees AVX-512F.
-            unsafe { tiles_avx512::<SKIP>(k, ap, bp, out) }
-        }),
-    }
-}
-
-/// Forward convolution `out = conv(x, wgt)` over the whole batch as one
-/// GEMM. `x` is `[N,C,H,W]`, `wgt` is `[O, C·KH·KW]`, `out` is
+/// Forward convolution `out = conv(x, wgt)` over the whole batch on the
+/// batch lanes. `x` is `[N,C,H,W]`, `wgt` is `[O, C·KH·KW]`, `out` is
 /// `[N,O,OH,OW]` (overwritten). Bit-identical to
 /// [`reference::conv2d`](super::reference::conv2d).
 ///
@@ -384,203 +219,24 @@ pub fn conv2d(x: &[f32], wgt: &[f32], s: &ConvShape, out: &mut [f32]) {
         s.n * s.o * s.positions(),
         "conv2d: output length mismatch"
     );
-    if s.taps() == 0 {
+    if s.n == 0 || s.o == 0 || s.taps() == 0 {
+        // Every output, if there is one, is an empty sum.
         out.fill(0.0);
         return;
     }
     CONV_FLOPS.add(s.flops());
-    if lane::fits(s) {
-        // SAFETY: `simd_level` detected the level on this host.
-        unsafe { lane::forward(simd_level(), x, wgt, s, out) };
-        return;
-    }
-    count_packed(s, s.taps());
-    dispatch::<true>(Kind::Nn, Forward { x, wgt, s, out });
+    // SAFETY: `simd_level` detected the level on this host.
+    unsafe { lane::forward(simd_level(), x, wgt, s, out) };
 }
 
-struct Forward<'a> {
-    x: &'a [f32],
-    wgt: &'a [f32],
-    s: &'a ConvShape,
-    out: &'a mut [f32],
-}
-
-impl ConvPass for Forward<'_> {
-    fn run<const NRW: usize>(self, tiles: Tiles<NRW>) {
-        let Forward { x, wgt, s, out } = self;
-        let (k, p) = (s.taps(), s.positions());
-        let ncols = s.n * p;
-        let mut ap = Vec::new();
-        pack_a_tiles(wgt, s.o, k, false, &mut ap);
-        let xp = pad_input(x, s, 0.0);
-        let taps = s.tap_offsets();
-        let sw = s.spec.stride.1;
-        // Whole panels lie inside one image as NRW consecutive positions.
-        let whole = p % NRW == 0;
-        let out_ptr = SendPtr(out.as_mut_ptr());
-        parallel_for_chunks(ChunkGrid::new(ncols.div_ceil(NRW), 1), |_, q0, q1| {
-            // Capture the Sync wrapper, not the raw pointer field.
-            let out_ptr = &out_ptr;
-            let mut bp = vec![0.0f32; k * NRW];
-            let mut acc = vec![[[0.0f32; NRW]; MR]; s.o.div_ceil(MR)];
-            let mut runs = Vec::with_capacity(NRW);
-            for q in q0..q1 {
-                let j0 = q * NRW;
-                let j1 = (j0 + NRW).min(ncols);
-                s.runs(j0, j1, &mut runs);
-                for (&tap, row) in taps.iter().zip(bp.chunks_exact_mut(NRW)) {
-                    for r in &runs {
-                        copy_run(&mut row[r.lane..r.lane + r.len], &xp[r.src + tap..], sw);
-                    }
-                }
-                tiles(k, &ap, &bp, &mut acc);
-                // Column panels are disjoint across chunks, and distinct
-                // (channel, column) pairs are distinct output elements, so
-                // no two stores below, in any chunk, overlap.
-                let rows = acc.iter().flatten().take(s.o).enumerate();
-                if whole {
-                    let (img, pos) = (j0 / p, j0 % p);
-                    for (co, accr) in rows {
-                        let dst = (img * s.o + co) * p + pos;
-                        // SAFETY: `dst..dst + NRW` are this panel's NRW
-                        // positions of channel `co`, inside `out` (checked
-                        // length) and written by no other chunk; f32 arrays
-                        // have f32 alignment.
-                        unsafe { *out_ptr.0.add(dst).cast::<[f32; NRW]>() = *accr };
-                    }
-                    continue;
-                }
-                for (co, accr) in rows {
-                    for (j, &v) in (j0..j1).zip(accr) {
-                        let dst = ((j / p) * s.o + co) * p + j % p;
-                        // SAFETY: column `j < ncols` of channel `co < o` is
-                        // inside `out` and written by no other chunk.
-                        unsafe { *out_ptr.0.add(dst) = v };
-                    }
-                }
-            }
-        });
-    }
-}
-
-/// Input gradient `dx = convᵀ(dy, wgt)` on the implicit GEMM: one GEMM
-/// over the whole batch plus a tap-ordered scatter. `dy` is
-/// `[N,O,OH,OW]`, `wgt` is `[O, C·KH·KW]`, `dx` is `[N,C,H,W]`
-/// (overwritten). Bit-identical to
-/// [`reference::conv2d_backward_input`](super::reference::conv2d_backward_input).
-fn implicit_backward_input(dy: &[f32], wgt: &[f32], s: &ConvShape, dx: &mut [f32]) {
-    CONV_FLOPS.add(s.flops());
-    count_packed(s, s.o);
-    dispatch::<true>(Kind::Tn, BackwardInput { dy, wgt, s, dx });
-}
-
-struct BackwardInput<'a> {
-    dy: &'a [f32],
-    wgt: &'a [f32],
-    s: &'a ConvShape,
-    dx: &'a mut [f32],
-}
-
-impl ConvPass for BackwardInput<'_> {
-    fn run<const NRW: usize>(self, tiles: Tiles<NRW>) {
-        let BackwardInput { dy, wgt, s, dx } = self;
-        let (k, p, o) = (s.taps(), s.positions(), s.o);
-        let (img_len, plen) = (s.image_len(), s.padded_len());
-        let pw = s.spec.padding.1;
-        let sw = s.spec.stride.1;
-        // A = Wᵀ: rows are taps, depth is output channels.
-        let mut ap = Vec::new();
-        pack_a_tiles(wgt, k, o, true, &mut ap);
-        let taps = s.tap_offsets();
-        let origins: Vec<usize> = (0..s.oh).map(|oy| s.origin(oy, 0)).collect();
-        let dx_ptr = SendPtr(dx.as_mut_ptr());
-        let grid = ChunkGrid::new(s.n, DX_CHUNK_COLS.div_ceil(p));
-        parallel_for_chunks(grid, |_, i0, i1| {
-            let dx_ptr = &dx_ptr;
-            // SAFETY: image chunks are disjoint, so are their dx slices.
-            let dxc = unsafe {
-                std::slice::from_raw_parts_mut(dx_ptr.0.add(i0 * img_len), (i1 - i0) * img_len)
-            };
-            let jn = (i1 - i0) * p;
-            // B = dY for this chunk's columns: [panel][channel][NRW], each
-            // channel row of an image copied in panel-sized segments.
-            let mut bp = vec![0.0f32; jn.div_ceil(NRW) * o * NRW];
-            for (i, dyi) in dy[i0 * o * p..i1 * o * p].chunks_exact(o * p).enumerate() {
-                for (ch, mut src) in dyi.chunks_exact(p).enumerate() {
-                    let mut j = i * p;
-                    while !src.is_empty() {
-                        let (q, lane) = (j / NRW, j % NRW);
-                        let len = (NRW - lane).min(src.len());
-                        let at = (q * o + ch) * NRW + lane;
-                        copy_run(&mut bp[at..at + len], src, 1);
-                        src = &src[len..];
-                        j += len;
-                    }
-                }
-            }
-            // Scatter target: a zeroed padded buffer (cropped into dx at
-            // the end) or, unpadded, dx itself.
-            let mut padded = vec![0.0f32; if s.is_padded() { (i1 - i0) * plen } else { 0 }];
-            let target: &mut [f32] = if s.is_padded() {
-                &mut padded
-            } else {
-                dxc.fill(0.0);
-                &mut *dxc
-            };
-            // One row tile of dcols at a time, scattered tap by tap in
-            // ascending order (col2im's order) before the next tile.
-            let np = jn.div_ceil(NRW);
-            let mut acc = vec![[[0.0f32; NRW]; MR]; np];
-            let mut dcols = vec![0.0f32; MR * jn];
-            for (t, at) in ap.chunks_exact(o * MR).enumerate() {
-                tiles(o, at, &bp, &mut acc);
-                for (q, accq) in acc.iter().enumerate() {
-                    let nr = NRW.min(jn - q * NRW);
-                    for (dst, accr) in dcols.chunks_exact_mut(jn).zip(accq) {
-                        dst[q * NRW..q * NRW + nr].copy_from_slice(&accr[..nr]);
-                    }
-                }
-                for (&tap, drow) in taps[t * MR..].iter().zip(dcols.chunks_exact(jn)) {
-                    for (img, dimg) in drow.chunks_exact(p).enumerate() {
-                        for (&origin, drun) in origins.iter().zip(dimg.chunks_exact(s.ow)) {
-                            let base = img * plen + origin + tap;
-                            for (i, &v) in drun.iter().enumerate() {
-                                target[base + i * sw] += v;
-                            }
-                        }
-                    }
-                }
-            }
-            if s.is_padded() {
-                for (dst, src) in dxc.chunks_exact_mut(s.w).zip(padded_rows(s, &mut padded)) {
-                    dst.copy_from_slice(&src[pw..pw + s.w]);
-                }
-            }
-        });
-    }
-}
-
-/// Weight gradient `dw = Σ_img dy_img · cols(x_img)ᵀ` on the implicit
-/// GEMM: one GEMM over the whole batch with per-image, per-band
-/// accumulation. `x` is `[N,C,H,W]`, `dy` is `[N,O,OH,OW]`, `dw` is
-/// `[O, C·KH·KW]` (overwritten). Bit-identical to
-/// [`reference::conv2d_backward_weight`](super::reference::conv2d_backward_weight).
-fn implicit_backward_weight(x: &[f32], dy: &[f32], s: &ConvShape, dw: &mut [f32]) {
-    CONV_FLOPS.add(s.flops());
-    count_packed(s, s.taps());
-    dispatch::<false>(Kind::Nt, BackwardWeight { x, dy, s, dw });
-}
-
-/// Both gradients of a convolution: the input gradient
+/// Both gradients of a convolution on the batch lanes: the input gradient
 /// `dx = convᵀ(dy, wgt)` and the weight gradient
-/// `dw = Σ_img dy_img · cols(x_img)ᵀ`. `x` and `dx` are `[N,C,H,W]`, `dy`
-/// is `[N,O,OH,OW]`, `wgt` and `dw` are `[O, C·KH·KW]`; `dx` and `dw` are
-/// overwritten. Bit-identical to
+/// `dw = Σ_img dy_img · cols(x_img)ᵀ`, sharing one lane copy of `dy`. `x`
+/// and `dx` are `[N,C,H,W]`, `dy` is `[N,O,OH,OW]`, `wgt` and `dw` are
+/// `[O, C·KH·KW]`; `dx` and `dw` are overwritten. Bit-identical to
 /// [`reference::conv2d_backward_input`](super::reference::conv2d_backward_input)
 /// and
 /// [`reference::conv2d_backward_weight`](super::reference::conv2d_backward_weight).
-/// On the batch-lane lowering the two passes share one image-minor copy
-/// of `dy`.
 ///
 /// # Panics
 ///
@@ -607,93 +263,15 @@ pub fn conv2d_backward(
     );
     assert_eq!(dx.len(), x.len(), "conv2d_backward: dx length mismatch");
     assert_eq!(dw.len(), wgt.len(), "conv2d_backward: dw length mismatch");
-    if s.o == 0 || s.taps() == 0 {
+    if s.n == 0 || s.o == 0 || s.taps() == 0 {
+        // Every gradient element, if there is one, is an empty sum.
         dx.fill(0.0);
         dw.fill(0.0);
         return;
     }
-    if lane::fits(s) {
-        CONV_FLOPS.add(2 * s.flops());
-        // SAFETY: `simd_level` detected the level on this host.
-        unsafe { lane::backward(simd_level(), x, dy, wgt, s, dx, dw) };
-        return;
-    }
-    if s.n == 0 {
-        dw.fill(0.0);
-    } else {
-        implicit_backward_weight(x, dy, s, dw);
-    }
-    implicit_backward_input(dy, wgt, s, dx);
-}
-
-struct BackwardWeight<'a> {
-    x: &'a [f32],
-    dy: &'a [f32],
-    s: &'a ConvShape,
-    dw: &'a mut [f32],
-}
-
-impl ConvPass for BackwardWeight<'_> {
-    fn run<const NRW: usize>(self, tiles: Tiles<NRW>) {
-        let BackwardWeight { x, dy, s, dw } = self;
-        let (k, p, o) = (s.taps(), s.positions(), s.o);
-        let taps = s.tap_offsets();
-        let (xp, plen) = (pad_input(x, s, 0.0), s.padded_len());
-        let bands = ChunkGrid::with_max_chunks(s.n, 1, WGRAD_BANDS);
-        let dw_ptr = SendPtr(dw.as_mut_ptr());
-        let grid = ChunkGrid::with_max_chunks(k.div_ceil(NRW), 1, DW_MAX_CHUNKS);
-        parallel_for_chunks(grid, |_, q0, q1| {
-            let dw_ptr = &dw_ptr;
-            let width = (q1 - q0) * NRW;
-            let mut part = vec![0.0f32; o * width];
-            let mut total = vec![0.0f32; o * width];
-            let mut ap = Vec::new();
-            let mut bp = vec![0.0f32; p * NRW];
-            let mut acc = vec![[[0.0f32; NRW]; MR]; o.div_ceil(MR)];
-            let sw = s.spec.stride.1;
-            for b in 0..bands.n_chunks() {
-                let (b0, b1) = bands.range(b);
-                part.fill(0.0);
-                for img in b0..b1 {
-                    pack_a_tiles(&dy[img * o * p..(img + 1) * o * p], o, p, false, &mut ap);
-                    for q in q0..q1 {
-                        // B = this image's taps q·NRW.. as lanes, positions
-                        // as depth: lane c of row oy·OW + ox is tap c's
-                        // input under output (oy, ox).
-                        let lanes = &taps[q * NRW..((q + 1) * NRW).min(k)];
-                        for (oy, rows) in bp.chunks_exact_mut(s.ow * NRW).enumerate() {
-                            let src = img * plen + s.origin(oy, 0);
-                            for (c, &tap) in lanes.iter().enumerate() {
-                                let lane = rows.iter_mut().skip(c).step_by(NRW);
-                                for (d, &v) in lane.zip(xp[src + tap..].iter().step_by(sw)) {
-                                    *d = v;
-                                }
-                            }
-                        }
-                        tiles(p, &ap, &bp, &mut acc);
-                        let col0 = (q - q0) * NRW;
-                        for (prow, accr) in part.chunks_exact_mut(width).zip(acc.iter().flatten()) {
-                            let prow = &mut prow[col0..col0 + lanes.len()];
-                            for (pv, &v) in prow.iter_mut().zip(accr) {
-                                *pv += v;
-                            }
-                        }
-                    }
-                }
-                for (tv, &pv) in total.iter_mut().zip(&part) {
-                    *tv += pv;
-                }
-            }
-            let (t0, t1) = (q0 * NRW, (q1 * NRW).min(k));
-            for (co, trow) in total.chunks_exact(width).enumerate() {
-                // SAFETY: tap panels are disjoint across chunks, hence
-                // disjoint column ranges of every dw row.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(trow.as_ptr(), dw_ptr.0.add(co * k + t0), t1 - t0)
-                };
-            }
-        });
-    }
+    CONV_FLOPS.add(2 * s.flops());
+    // SAFETY: `simd_level` detected the level on this host.
+    unsafe { lane::backward(simd_level(), x, dy, wgt, s, dx, dw) };
 }
 
 /// Requantization of an i8 convolution's accumulators into f32 outputs,
@@ -913,17 +491,10 @@ fn pack_lanes<const L: usize>(bp: &mut [i16], nrw: usize, lane: usize, x: &[i8],
     }
 }
 
-/// Records one implicit-GEMM conv pass, whose packed B operand has
-/// `rows` rows of `N·P` elements, in the kernel counters.
-fn count_packed(s: &ConvShape, rows: usize) {
-    GEMM_PACKED.add(1);
-    CONV_PACKED.add((rows * s.n * s.positions()) as u64);
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::int8::{with_i8_level, I8Level};
-    use super::super::reference;
+    use super::super::{reference, Level};
     use super::*;
     use crate::par::with_thread_limit;
     use rand::{Rng, SeedableRng};
@@ -995,37 +566,48 @@ mod tests {
         })
     }
 
-    /// Batches on the batch-lane lowering: the smallest (one partial
-    /// block), one block, a block and one image, two blocks and one, and
-    /// 100 images, whose 13-image weight-gradient bands split 16-lane
-    /// blocks.
-    const LANE_BATCHES: [usize; 5] = [12, 16, 17, 33, 100];
+    /// Batches: partial blocks of 1, 2, 4, 11 and 12 images (the first
+    /// three with fewer images than weight-gradient bands), one block, a
+    /// block and one image, two blocks and one, and 100 images, whose
+    /// 13-image weight-gradient bands split 16-lane blocks.
+    const BATCHES: [usize; 9] = [1, 2, 4, 11, 12, 16, 17, 33, 100];
 
-    /// Output channel counts around the lane tile (4) and the implicit
-    /// GEMM's row tile (`MR = 8`).
+    /// Output channel counts around the lane tile (4).
     const OUTPUTS: [usize; 7] = [1, 2, 3, 4, 7, 8, 9];
 
-    /// Every lane batch × output count × stride 1 and 2 × padding 0–2,
-    /// on a 2-channel 5×4 input under a 3×3 kernel.
+    /// Kernels as (size, stride, padding): 3×3 at stride 1 and 2 and
+    /// padding 0–2, and 1×1 at stride 1 and 2 and padding 0 and 1.
+    const KERNELS: [(usize, usize, usize); 10] = [
+        (3, 1, 0),
+        (3, 2, 0),
+        (3, 1, 1),
+        (3, 2, 1),
+        (3, 1, 2),
+        (3, 2, 2),
+        (1, 1, 0),
+        (1, 2, 0),
+        (1, 1, 1),
+        (1, 2, 1),
+    ];
+
+    /// Every batch × output count × kernel, on a 2-channel 5×4 input.
     fn lane_shapes() -> impl Iterator<Item = ConvShape> {
-        LANE_BATCHES.into_iter().flat_map(|n| {
+        BATCHES.into_iter().flat_map(|n| {
             OUTPUTS.into_iter().flat_map(move |o| {
-                (1..=2).flat_map(move |stride| {
-                    (0..=2).map(move |pad| {
-                        ConvShape::new(n, 2, 5, 4, o, Conv2dSpec::new(3, stride, pad))
-                            .expect("valid shape")
-                    })
+                KERNELS.into_iter().map(move |(k, stride, pad)| {
+                    ConvShape::new(n, 2, 5, 4, o, Conv2dSpec::new(k, stride, pad))
+                        .expect("valid shape")
                 })
             })
         })
     }
 
     #[test]
-    fn implicit_conv_matches_per_sample_oracle_bitwise() {
-        // Through the public entry points: the implicit shapes, and one
-        // shape per lane batch.
-        let lane = lane_shapes().step_by(OUTPUTS.len() * 6);
-        for (i, s) in shapes().chain(lane).enumerate() {
+    fn conv_matches_per_sample_oracle_bitwise() {
+        // Through the public entry points: the adversarial shapes, and
+        // one shape per batch.
+        let per_batch = lane_shapes().step_by(OUTPUTS.len() * KERNELS.len());
+        for (i, s) in shapes().chain(per_batch).enumerate() {
             let want = oracle(&s, 10 * i as u64);
             for limit in [1, 2, 5] {
                 let got = with_thread_limit(limit, || {
@@ -1055,7 +637,6 @@ mod tests {
     #[test]
     fn lane_lowering_matches_oracle_at_every_level_and_thread_limit() {
         for (i, s) in lane_shapes().enumerate() {
-            assert!(lane::fits(&s), "{s:?} must take the lane path");
             let seed = 1000 + 10 * i as u64;
             let want = oracle(&s, seed);
             for level in Level::supported() {
@@ -1071,28 +652,29 @@ mod tests {
     }
 
     #[test]
-    fn lowering_is_chosen_by_shape_alone() {
-        let shape =
-            |n, k| ConvShape::new(n, 4, 8, 8, 4, Conv2dSpec::new(k, 1, k / 2)).expect("shape");
-        assert!(lane::fits(&shape(12, 3)) && lane::fits(&shape(128, 3)));
-        assert!(!lane::fits(&shape(11, 3)), "a batch below 12 images");
-        assert!(!lane::fits(&shape(128, 1)), "a 1x1 kernel");
-    }
-
-    #[test]
     fn every_simd_level_matches_oracle_bitwise() {
         for level in Level::supported() {
             for (i, s) in shapes().enumerate() {
-                let got = passes(&s, 10 * i as u64, &|x, wgt, dy, out, dx, dw| {
-                    let s = &s;
-                    // SAFETY: `levels` holds only levels this host supports.
-                    unsafe {
-                        dispatch_at::<true>(level, Forward { x, wgt, s, out });
-                        dispatch_at::<true>(level, BackwardInput { dy, wgt, s, dx });
-                        dispatch_at::<false>(level, BackwardWeight { x, dy, s, dw });
-                    }
-                });
+                let got = lane_passes(&s, 10 * i as u64, level);
                 assert_eq!(got, oracle(&s, 10 * i as u64), "{level:?} {s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_batch_channels_or_taps_are_empty_sums() {
+        // No images: the forward has nothing to write and the backward
+        // zero-fills dW. No output or input channels: every element that
+        // exists is zero. None of these panics.
+        for (n, c, o) in [(0, 3, 4), (0, 0, 0), (2, 3, 0), (2, 0, 4)] {
+            for k in [1, 3] {
+                let s = ConvShape::new(n, c, 5, 4, o, Conv2dSpec::new(k, 2, 1)).expect("shape");
+                let got = passes(&s, 7, &|x, w, dy, y, dx, dw| {
+                    conv2d(x, w, &s, y);
+                    conv2d_backward(x, dy, w, &s, dx, dw);
+                });
+                let lens = [n * o * s.positions(), n * s.image_len(), o * s.taps()];
+                assert_eq!(got, lens.map(|len| vec![0u32; len]), "{s:?}");
             }
         }
     }
@@ -1135,7 +717,7 @@ mod tests {
     type Outputs<'a> = &'a dyn Fn(&mut [f32], &mut [f32], &mut [f32]);
 
     #[test]
-    fn nonfinite_operands_match_oracle_on_both_lowerings() {
+    fn nonfinite_operands_match_oracle() {
         // ±Inf and NaN weights beside exact zeros, and ±Inf/NaN in `x` and
         // `dy` on border pixels. Padding taps must behave as the oracle's:
         // the forward multiplies them as exact zeros, the weight gradient
@@ -1181,7 +763,7 @@ mod tests {
                 conv2d_backward(&x, &dy, &wgt, &s, dx, dw);
             });
             for (pass, (g, w)) in ["forward", "dx", "dw"].iter().zip(got.iter().zip(&want)) {
-                assert_eq!(g, w, "{pass} {s:?} (lane path: {})", lane::fits(&s));
+                assert_eq!(g, w, "{pass} {s:?}");
             }
             // The poison reaches some outputs of every pass but not all.
             for (pass, w) in ["forward", "dx", "dw"].iter().zip(&want) {

@@ -1,12 +1,17 @@
 //! Batch-lane convolution: the three dense f32 passes with 16 images as
-//! the SIMD lanes of every register.
+//! the SIMD lanes of every register. It is the only f32 lowering of
+//! [`conv2d`](super::conv::conv2d) and
+//! [`conv2d_backward`](super::conv::conv2d_backward), for every kernel
+//! size, stride, padding and batch.
 //!
-//! The layers this lowering serves are narrow (4–64 channels, 2×2 to
-//! 16×16 outputs), but the batch is always wide. So each pass copies its
-//! operands once into an image-minor layout, `[N/16][C][H][W][16]`, in
-//! which one 16-float vector holds one pixel of 16 *independent* images.
+//! The layers it serves are narrow, with 2×2 to 16×16 outputs, but the
+//! batch is always wide. So each pass copies its operands once into an
+//! image-minor layout, `[N/16][C][H][W][16]`, in which one 16-float
+//! vector holds one pixel of 16 *independent* images.
 //! Every register tile is then a plain tile over contiguous vector loads,
 //! read in place: no tap packing, no `dcols` buffer and no col2im scatter.
+//! The lanes of a partial last block are zero, so a batch below 16 images
+//! costs a whole block.
 //!
 //! - **forward**: `acc[o][pos] += W[o,t] · X[tap t at pos]` over ascending
 //!   taps `t`, skipping zero weights, from a zero-padded copy of `X`.
@@ -59,11 +64,6 @@ const LANES: usize = 16;
 const TILE: usize = 4;
 const _: () = assert!(TILE * TILE == LANES);
 
-/// Smallest batch on this lowering. A partial block costs a full
-/// block's work; below 12 images the implicit GEMM was faster on some
-/// measured 3×3 shapes (DESIGN §13.4).
-const MIN_BATCH: usize = 12;
-
 /// Cap on weight-gradient chunks: each chunk streams every block of `X`
 /// and `dY` once.
 const DW_MAX_CHUNKS: usize = 4;
@@ -109,13 +109,6 @@ impl LaneBuf {
         // SAFETY: as for `lanes`, borrowed uniquely.
         unsafe { std::slice::from_raw_parts_mut(floats.as_mut_ptr().cast(), self.len) }
     }
-}
-
-/// Whether `s` runs on this lowering: a multi-tap kernel over a batch of
-/// at least [`MIN_BATCH`] images. The rule reads the shape alone (DESIGN
-/// §13.4 has the per-shape table it comes from).
-pub(super) fn fits(s: &ConvShape) -> bool {
-    s.spec.kernel.0 * s.spec.kernel.1 > 1 && s.n >= MIN_BATCH
 }
 
 /// A 16×16 transpose of a square of lanes, compiled per SIMD level.
@@ -464,7 +457,8 @@ impl LanePass for ToLanes<'_> {
 }
 
 /// Forward convolution on the lane layout; same contract as
-/// [`super::conv::conv2d`], whose shape checks it relies on.
+/// [`super::conv::conv2d`], whose shape checks and empty-shape return it
+/// relies on.
 ///
 /// # Safety
 ///
@@ -575,7 +569,7 @@ fn forward_block(xb: &[Lane], wt: &[f32], geom: &Geom, yb: &mut [Lane]) {
 
 /// Input and weight gradients on the lane layout, sharing one copy of
 /// `dY`. Same contract as [`super::conv::conv2d_backward`], whose shape
-/// checks it relies on.
+/// checks and empty-shape return it relies on.
 ///
 /// # Safety
 ///

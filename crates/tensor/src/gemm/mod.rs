@@ -1,11 +1,11 @@
 //! Cache-blocked, register-tiled GEMM: packed A/B panels multiplied in
 //! MR×NR register tiles, with the unblocked scalar loops preserved in
-//! [`reference`] as oracle, baseline and small-size fast path.
+//! [`reference`](mod@reference) as oracle, baseline and small-size fast path.
 //!
 //! # Bitwise contract
 //!
 //! Every kernel here produces *bit-identical* output to its counterpart
-//! in [`reference`], on every input (including non-finite values), at
+//! in [`reference`](mod@reference), on every input (including non-finite values), at
 //! every thread count, on every machine. Three invariants make that hold:
 //!
 //! 1. **One accumulator per output element.** Each `out[i, j]` is the sum
@@ -37,7 +37,7 @@
 //! the host supports against the scalar reference.
 //!
 //! Dispatch between packed and reference paths is purely shape-driven
-//! (see [`use_reference`]); no path choice ever depends on data or
+//! (see `use_reference`); no path choice ever depends on data or
 //! thread count.
 
 pub mod conv;
@@ -366,7 +366,7 @@ fn run_tiles_level<const SKIP: bool>(
 /// Parallel blocked `out = op(a) @ op(b)` (`out: [m,n]`, overwritten),
 /// dispatched over row tiles of the deterministic [`ChunkGrid`]; used by
 /// `Tensor::matmul{,_nt,_tn}`. Bitwise-identical to the corresponding
-/// [`reference`] kernel at any thread count.
+/// [`reference`](mod@reference) kernel at any thread count.
 ///
 /// # Panics
 ///

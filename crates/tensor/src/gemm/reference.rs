@@ -14,8 +14,8 @@
 //!
 //! The per-sample convolution lowering (materialised [`im2col`] column
 //! matrix, one product per image, [`col2im`] scatter, per-band weight
-//! gradient partials) lives here too, as the oracle of the implicit-GEMM
-//! convolution in [`super::conv`] — and its int8 counterpart
+//! gradient partials) lives here too, as the oracle of the batch-lane
+//! convolution behind [`super::conv`] — and its int8 counterpart
 //! ([`im2col_i8`], [`conv2d_i8_per_sample`]), the oracle of
 //! [`super::conv::conv2d_i8`].
 //!
@@ -245,8 +245,8 @@ pub fn conv2d(x: &[f32], wgt: &[f32], s: &ConvShape, out: &mut [f32]) {
 }
 
 /// Per-sample input gradient: [`gemm_tn`] into a column matrix, then
-/// [`col2im`] into the zeroed `dx`. Oracle of
-/// [`super::conv::conv2d_backward_input`].
+/// [`col2im`] into the zeroed `dx`. Oracle of the input gradient of
+/// [`super::conv::conv2d_backward`].
 pub fn conv2d_backward_input(dy: &[f32], wgt: &[f32], s: &ConvShape, dx: &mut [f32]) {
     let (k, p) = (s.taps(), s.positions());
     let mut dcols = vec![0.0f32; k * p];
@@ -260,8 +260,8 @@ pub fn conv2d_backward_input(dy: &[f32], wgt: &[f32], s: &ConvShape, dx: &mut [f
 
 /// Per-sample weight gradient: each image's [`gemm_nt_acc`] against its
 /// [`im2col`] matrix adds into its band's partial, and the
-/// [`WGRAD_BANDS`] partials are summed in band order. Oracle of
-/// [`super::conv::conv2d_backward_weight`].
+/// [`WGRAD_BANDS`] partials are summed in band order. Oracle of the
+/// weight gradient of [`super::conv::conv2d_backward`].
 pub fn conv2d_backward_weight(x: &[f32], dy: &[f32], s: &ConvShape, dw: &mut [f32]) {
     let (k, p) = (s.taps(), s.positions());
     let img_len = s.c * s.h * s.w;

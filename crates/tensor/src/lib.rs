@@ -5,9 +5,10 @@
 //!
 //! This crate provides everything the neural-network stack above it needs:
 //! contiguous row-major tensors, elementwise and broadcast arithmetic, a
-//! blocked parallel matrix multiply, implicit-GEMM dense convolution,
-//! depthwise convolution, pooling, reductions, softmax, random
-//! initialisation, and a tiny binary serialisation format for checkpoints.
+//! blocked parallel matrix multiply, batch-lane dense convolution (and
+//! its int8 forward as an implicit GEMM), depthwise convolution, pooling,
+//! reductions, softmax, random initialisation, and a tiny binary
+//! serialisation format for checkpoints.
 //!
 //! Design notes:
 //!

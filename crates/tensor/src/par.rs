@@ -550,7 +550,7 @@ pub struct ChunkGrid {
 
 impl ChunkGrid {
     /// Grid over `0..len` with chunks of at least `min_chunk` elements
-    /// and at most [`DEFAULT_MAX_CHUNKS`] chunks.
+    /// and at most `DEFAULT_MAX_CHUNKS` chunks.
     pub fn new(len: usize, min_chunk: usize) -> Self {
         Self::with_max_chunks(len, min_chunk, DEFAULT_MAX_CHUNKS)
     }

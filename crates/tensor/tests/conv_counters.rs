@@ -1,12 +1,11 @@
-//! The dense-conv kernel counters leave out no work on either lowering.
+//! The dense-conv kernel counters leave out no work.
 //!
-//! One layer geometry runs at a batch one image below the batch-lane
-//! lowering's smallest (the implicit GEMM) and at that smallest batch
-//! (the batch-lane path), forward and backward. Both count
-//! `tensor.conv.flops` as
-//! `2·O·(C·KH·KW)·N·OH·OW` per pass; the implicit GEMM also counts its
-//! packed elements and GEMM calls, the lane path the NCHW elements it
-//! copies into and out of its image-minor layout instead.
+//! A 3×3 stride-1 and a 1×1 stride-2 geometry run forward and backward at
+//! batches of 1, 11 and 12 images, each a partial 16-image lane block.
+//! Every case counts `tensor.conv.flops` as `2·O·(C·KH·KW)·N·OH·OW` per
+//! pass and the NCHW elements copied into and out of the image-minor lane
+//! layout in `tensor.conv.lane_elems`; no dense f32 conv reaches the
+//! packed GEMM.
 //!
 //! A single test, because counters are process-global.
 
@@ -35,35 +34,31 @@ fn counted(run: impl FnOnce()) -> HashMap<&'static str, u64> {
 }
 
 #[test]
-fn both_lowerings_count_every_pass() {
-    for n in [11, 12] {
-        let s = ConvShape::new(n, 4, 8, 8, 6, Conv2dSpec::new(3, 1, 1)).expect("shape");
-        let (k, p, img) = (s.taps(), s.positions(), s.c * s.h * s.w);
-        let x: Vec<f32> = (0..n * img).map(|i| (i % 7) as f32 - 3.0).collect();
-        let w: Vec<f32> = (0..s.o * k).map(|i| (i % 5) as f32 - 2.0).collect();
-        let dy: Vec<f32> = (0..n * s.o * p).map(|i| (i % 3) as f32 - 1.0).collect();
-        let (mut y, mut dx, mut dw) = (vec![0.0; dy.len()], vec![0.0; x.len()], vec![0.0; w.len()]);
-        let c = counted(|| {
-            conv2d(&x, &w, &s, &mut y);
-            conv2d_backward(&x, &dy, &w, &s, &mut dx, &mut dw);
-        });
-        let get = |name: &str| c.get(name).copied().unwrap_or(0);
-        // Three passes: forward, input gradient, weight gradient.
-        assert_eq!(get("tensor.conv.flops"), 3 * s.flops(), "n = {n}");
-        assert_eq!(s.flops(), 2 * (s.o * k * n * p) as u64);
-        let (xe, ye) = ((n * img) as u64, (n * s.o * p) as u64);
-        if n < 12 {
-            assert_eq!(get("tensor.gemm.packed_calls"), 3);
-            // B rows: forward and weight gradient T, input gradient O.
-            let rows = (2 * k + s.o) as u64;
-            assert_eq!(get("tensor.conv.packed_elems"), rows * (n * p) as u64);
-            assert_eq!(get("tensor.conv.lane_elems"), 0);
-        } else {
-            assert_eq!(get("tensor.gemm.packed_calls"), 0);
-            assert_eq!(get("tensor.conv.packed_elems"), 0);
+fn every_pass_is_counted() {
+    let specs = [Conv2dSpec::new(3, 1, 1), Conv2dSpec::new(1, 2, 0)];
+    for spec in specs {
+        for n in [1, 11, 12] {
+            let s = ConvShape::new(n, 4, 8, 8, 6, spec).expect("shape");
+            let (k, p, img) = (s.taps(), s.positions(), s.c * s.h * s.w);
+            let x: Vec<f32> = (0..n * img).map(|i| (i % 7) as f32 - 3.0).collect();
+            let w: Vec<f32> = (0..s.o * k).map(|i| (i % 5) as f32 - 2.0).collect();
+            let dy: Vec<f32> = (0..n * s.o * p).map(|i| (i % 3) as f32 - 1.0).collect();
+            let (mut y, mut dx, mut dw) =
+                (vec![0.0; dy.len()], vec![0.0; x.len()], vec![0.0; w.len()]);
+            let c = counted(|| {
+                conv2d(&x, &w, &s, &mut y);
+                conv2d_backward(&x, &dy, &w, &s, &mut dx, &mut dw);
+            });
+            let get = |name: &str| c.get(name).copied().unwrap_or(0);
+            // Three passes: forward, input gradient, weight gradient.
+            let flops = 2 * (s.o * k * n * p) as u64;
+            assert_eq!(s.flops(), flops, "{s:?}");
+            assert_eq!(get("tensor.conv.flops"), 3 * flops, "{s:?}");
             // Forward: X in, Y out. Backward: dY, X in, dX out.
+            let (xe, ye) = ((n * img) as u64, (n * s.o * p) as u64);
             let lane = (xe + ye) + (ye + 2 * xe);
-            assert_eq!(get("tensor.conv.lane_elems"), lane);
+            assert_eq!(get("tensor.conv.lane_elems"), lane, "{s:?}");
+            assert_eq!(get("tensor.gemm.packed_calls"), 0, "{s:?}");
         }
     }
 }

@@ -7,9 +7,9 @@
 //! are drawn from the hostile corners: 1, primes, `K = 0`, and the tile
 //! boundaries `MR/NR = 8` and the widened 16-column panel, each ±1. The
 //! parallel entry point is additionally run under thread limits
-//! {1, 2, 5, 8} — all must produce identical bits. Both dense-convolution
-//! lowerings (implicit GEMM and batch lanes) are held to the same
-//! standard against their per-sample im2col oracle.
+//! {1, 2, 5, 8} — all must produce identical bits. The dense convolution
+//! (on batch lanes) is held to the same standard against its per-sample
+//! im2col oracle.
 
 use cq_tensor::gemm::{self, reference, Kind};
 use cq_tensor::par::with_thread_limit;
@@ -178,15 +178,15 @@ proptest! {
     }
 
     #[test]
-    fn implicit_conv_matches_per_sample_oracle_bitwise(
-        n in prop_oneof![1usize..12, 12usize..40], c in 1usize..6, hw in 1usize..9, o in dim(),
+    fn conv_matches_per_sample_oracle_bitwise(
+        n in prop_oneof![1usize..16, 16usize..40], c in 1usize..6, hw in 1usize..9, o in dim(),
         kernel in 1usize..4, stride in 1usize..3, pad in 0usize..3,
         seed_w in matrix(33 * 5 * 9), seed in 0u64..u64::MAX,
     ) {
-        // Both batch-wide lowerings (forward, input and weight gradient;
-        // batches below 12 images and 1x1 kernels take the implicit GEMM,
-        // the rest the batch-lane path) against the per-sample im2col
-        // lowering, at every thread limit. Every image gets its own data.
+        // The batch-lane passes (forward, input and weight gradient), on
+        // batches within one 16-image block and across several, against
+        // the per-sample im2col lowering, at every thread limit. Every
+        // image gets its own data.
         // Kernels larger than the padded input are invalid geometry: that
         // case is skipped, the rest still run.
         let Ok(s) = ConvShape::new(n, c, hw, hw, o, Conv2dSpec::new(kernel, stride, pad)) else {

@@ -287,18 +287,18 @@ const CKPT_PREFIX: &str = "ckpt.";
 /// larger total is under `min_ns` are ignored as timing noise; speedups
 /// never fail). Counters fail on a relative change beyond the threshold
 /// in either direction — except the scheduling telemetry listed in
-/// [`SCHED_COUNTERS`], which is reported but never gated; `pool.jobs`
+/// `SCHED_COUNTERS`, which is reported but never gated; `pool.jobs`
 /// and `pool.chunks` are thread-count-invariant workload counters and
 /// gate normally. Metric series (losses etc.) fail on length mismatch
 /// or per-step relative drift beyond the threshold — with the
 /// deterministic parallel runtime, same-seed runs must agree at any
 /// thread count; throughput metrics (`*_per_sec`), the pool
 /// utilization/imbalance series, and `mem.*` are timing/environment,
-/// reported but not gated (see [`TIMING_METRICS`]). Histogram
+/// reported but not gated (see `TIMING_METRICS`). Histogram
 /// distributions (e.g. sampled bit-widths) fail when the total-variation
 /// distance between the bucket shares exceeds `fail_over_pct` percentage
 /// points. Checkpoint lifecycle telemetry (`ckpt.*` spans and counters)
-/// is reported but never gated in either section (see [`CKPT_PREFIX`]):
+/// is reported but never gated in either section (see `CKPT_PREFIX`):
 /// it only exists on the resumed side of a kill-and-resume comparison.
 pub fn diff(a: &[Record], b: &[Record], fail_over_pct: f64, min_ns: u64) -> DiffResult {
     diff_with_exemptions(a, b, fail_over_pct, min_ns, &[])

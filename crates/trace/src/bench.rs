@@ -340,10 +340,11 @@ pub fn is_integer_kernel(kernel: &str) -> bool {
 /// One measured kernel grid point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelPoint {
-    /// Kernel name (`matmul`, `matmul_nt`, `matmul_tn`, `conv2d`, the
-    /// batch-128 dense conv forward `conv2d_fwd` and backward (both
-    /// gradients) `conv2d_bwd`, and the integer `matmul_i8`,
-    /// `matmul_i8_nt`, `conv2d_i8`).
+    /// Kernel name (`matmul`, `matmul_nt`, `matmul_tn`, the batch-128
+    /// dense conv forward `conv2d_fwd` and backward (both gradients)
+    /// `conv2d_bwd`, at 3×3 and 1×1 shapes, and the integer `matmul_i8`,
+    /// `matmul_i8_nt`, `conv2d_i8`). Older artifacts also carry the
+    /// retired single-image forward `conv2d`.
     pub kernel: String,
     /// Output rows of the (lowered) product.
     pub m: usize,

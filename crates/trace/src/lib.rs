@@ -29,7 +29,7 @@
 //!   span table with worker-pool utilization attributed per phase.
 //!
 //! The trace parser ([`record`]) is hand-rolled for the flat cq-obs
-//! schema, and [`bench`] carries a minimal recursive-descent parser for
+//! schema, and [`bench`](mod@bench) carries a minimal recursive-descent parser for
 //! the nested bench-artifact JSON — no JSON dependency either way, per
 //! the repo's offline-only build constraint.
 
