@@ -7,9 +7,10 @@
 //! baseline GFLOP/s (the unblocked reference kernels dispatched exactly
 //! as the old `Tensor::matmul*` were), and the speedup — both sides
 //! timed in-process at the same thread count, so the ratio isolates the
-//! kernel change. Also times a 2-step CQ-A pilot (the golden-trace
-//! workload) in steps/sec, plus machine/thread metadata so `cq-trace
-//! bench-diff` can refuse to hard-gate across different hardware.
+//! kernel change. Machine/thread metadata lets `cq-trace bench-diff`
+//! refuse to hard-gate across different hardware. End-to-end training
+//! throughput is the `benchmark` binary's job, which samples it with
+//! spread.
 //!
 //! The v2 schema adds a measured machine roofline — peak multiply-add
 //! GFLOP/s (independent accumulator chains across the worker pool; the
@@ -35,11 +36,10 @@
 //! the per-sample oracle. (Older artifacts also carry retired `conv2d`
 //! points: single-image 3×3 forwards.)
 //!
-//! PR 10 adds two optional sections under the unchanged v3 schema: an
-//! `ew_chains` section measuring the graph executor's fused vs. unfused
-//! elementwise-chain throughput (BN → residual adds → ReLU → fake-quant,
-//! in GB/s of logical chain traffic), and a `fusion_pilots` section
-//! timing the 2-step CQ-A/B/C pilots under both fusion modes.
+//! PR 10 adds an optional `ew_chains` section under the unchanged v3
+//! schema: the graph executor's fused elementwise-chain throughput
+//! (BN → residual adds → ReLU → fake-quant, in GB/s of logical chain
+//! traffic) against the per-layer path.
 //!
 //! ```text
 //! kernels [--scale quick|paper] [--out BENCH_10.json]
@@ -47,13 +47,11 @@
 
 use cq_bench::parity::clustered_batch;
 use cq_bench::Scale;
-use cq_core::{Pipeline, PretrainConfig, SimclrTrainer};
-use cq_data::{Dataset, DatasetConfig};
 use cq_infer::IntEncoder;
 use cq_models::{Arch, Encoder, EncoderConfig};
-use cq_nn::graph::{with_fusion_mode, FusionMode, Recorder};
+use cq_nn::graph::Recorder;
 use cq_nn::{BatchNorm2d, ForwardCtx, Layer, ParamSet, Relu};
-use cq_quant::{Precision, PrecisionSet, QuantConfig};
+use cq_quant::{Precision, QuantConfig};
 use cq_tensor::gemm::int8::{gemm_i8_nt_ref, par_gemm_i8};
 use cq_tensor::gemm::{self, Kind};
 use cq_tensor::par::{num_threads, parallel_chunks_mut, parallel_for_each};
@@ -294,25 +292,25 @@ fn bench_int8_encoder(arch: Arch, rng_seed: u64) -> EncPoint {
     }
 }
 
-/// One fused-vs-unfused elementwise-chain measurement.
+/// One fused-vs-per-layer elementwise-chain measurement.
 struct ChainPoint {
     chain: &'static str,
     elems: usize,
     groups: usize,
     iters: usize,
     fused_gbs: f64,
-    unfused_gbs: f64,
+    per_layer_gbs: f64,
 }
 
 /// Measures the elementwise chain BN → (`adds` × residual add) → ReLU →
-/// 8-bit fake-quant over an `[n, c, h, w]` map, fused vs. unfused.
+/// 8-bit fake-quant over an `[n, c, h, w]` map, fused vs. per-layer.
 ///
 /// The *fused* arm drives the graph executor through the public
 /// [`Recorder`] path: one recorded chain, one working buffer (the input's
 /// own storage), one merged pass with the quantizer's range scan folded
-/// in. The *unfused* arm is the eager per-layer fallback — standalone
+/// in. The *per-layer* arm — reported as `unfused_gbs` — is standalone
 /// `Layer::forward` calls plus `Tensor::add` joins, the path every
-/// non-graph caller still takes — which materializes a fresh tensor per
+/// non-graph caller still takes, which materializes a fresh tensor per
 /// layer and re-reads it on the next. Both arms compute bit-identical
 /// values and carry identical harness costs: each feeds its own output
 /// forward as the next iteration's input (the chain contracts toward a
@@ -324,9 +322,7 @@ struct ChainPoint {
 /// traffic (intermediate buffers, re-reads, quant re-scan) that graph
 /// fusion elides. Tensors are sized past L2 but under the allocator's
 /// mmap threshold, so timings measure memory traffic rather than
-/// page-fault churn. (`CQ_FUSION=on` vs `off` *within* the recorder is
-/// the bitwise-contract pair, benchmarked by the `fusion_pilots`
-/// section below.)
+/// page-fault churn.
 fn bench_ew_chain(
     chain: &'static str,
     dims: [usize; 4],
@@ -358,16 +354,14 @@ fn bench_ew_chain(
 
     let mut run_fused = || {
         let prev = state.take().expect("chain state");
-        with_fusion_mode(FusionMode::Fused, || {
-            let mut rec = Recorder::new(&ps, &ctx, prev);
-            rec.run(&mut bn).expect("bn record");
-            for s in &skips {
-                rec.push_add(StdArc::clone(s)).expect("residual add");
-            }
-            rec.run(&mut relu).expect("relu record");
-            let (y, _) = rec.finish().expect("chain execution");
-            state = Some(y);
-        });
+        let mut rec = Recorder::new(&ps, &ctx, prev);
+        rec.run(&mut bn).expect("bn record");
+        for s in &skips {
+            rec.push_add(StdArc::clone(s)).expect("residual add");
+        }
+        rec.run(&mut relu).expect("relu record");
+        let (y, _) = rec.finish().expect("chain execution");
+        state = Some(y);
         std::hint::black_box(&state);
     };
     let mut run_eager = || {
@@ -394,7 +388,7 @@ fn bench_ew_chain(
     run_eager();
     let iters = (0.08 / once).ceil().max(1.0) as usize;
     let mut t_fused = f64::INFINITY;
-    let mut t_unfused = f64::INFINITY;
+    let mut t_per_layer = f64::INFINITY;
     for _ in 0..3 {
         let t = Instant::now();
         for _ in 0..iters {
@@ -405,7 +399,7 @@ fn bench_ew_chain(
         for _ in 0..iters {
             run_eager();
         }
-        t_unfused = t_unfused.min(t.elapsed().as_secs_f64() / iters as f64);
+        t_per_layer = t_per_layer.min(t.elapsed().as_secs_f64() / iters as f64);
     }
     let bytes = (4 * elems * (2 + adds)) as f64;
     ChainPoint {
@@ -414,53 +408,7 @@ fn bench_ew_chain(
         groups: 2 + adds,
         iters,
         fused_gbs: bytes / t_fused / 1e9,
-        unfused_gbs: bytes / t_unfused / 1e9,
-    }
-}
-
-/// One per-pipeline pilot measurement under both fusion modes.
-struct FusionPilot {
-    pipeline: Pipeline,
-    steps: usize,
-    fused_sps: f64,
-    unfused_sps: f64,
-}
-
-/// Seconds for one 2-step pilot of `pipeline` (16 images, batch 8,
-/// ResNet-18 width 2 — the golden-trace workload).
-fn pilot_secs(pipeline: Pipeline) -> f64 {
-    let encoder =
-        Encoder::new(&EncoderConfig::new(Arch::ResNet18, 2).with_proj(16, 8), 7).expect("encoder");
-    let cfg = PretrainConfig {
-        pipeline,
-        precision_set: Some(PrecisionSet::range(6, 16).expect("valid range")),
-        epochs: 1,
-        batch_size: 8,
-        lr: 0.02,
-        seed: 7,
-        ..Default::default()
-    };
-    let (train, _) = Dataset::generate(&DatasetConfig::cifarlike().with_sizes(16, 8));
-    let mut trainer = SimclrTrainer::new(encoder, cfg).expect("trainer");
-    let t = Instant::now();
-    trainer.train(&train).expect("2-step pretrain");
-    t.elapsed().as_secs_f64()
-}
-
-/// Times the 2-step pilot of `pipeline` with fusion forced on and off
-/// (the override is thread-local and the trainer runs on this thread,
-/// so the mode governs every chain flush of the run).
-fn bench_fusion_pilot(pipeline: Pipeline) -> FusionPilot {
-    let steps = 2;
-    let timed = |mode: FusionMode| with_fusion_mode(mode, || pilot_secs(pipeline));
-    timed(FusionMode::Fused); // warmup
-    let fused = timed(FusionMode::Fused).min(timed(FusionMode::Fused));
-    let unfused = timed(FusionMode::Unfused).min(timed(FusionMode::Unfused));
-    FusionPilot {
-        pipeline,
-        steps,
-        fused_sps: steps as f64 / fused,
-        unfused_sps: steps as f64 / unfused,
+        per_layer_gbs: bytes / t_per_layer / 1e9,
     }
 }
 
@@ -580,17 +528,6 @@ fn measure_stream_gbs() -> f64 {
     (12.0 * LEN as f64) / best / 1e9
 }
 
-/// Times the 2-step CQ-A pilot (the exact golden-trace workload:
-/// 16 images, batch 8, ResNet-18 width 2) in the process-default fusion
-/// mode and returns steps/sec — the legacy `pilot` section every older
-/// artifact carries.
-fn bench_pilot_steps() -> (usize, f64) {
-    let steps = 2;
-    pilot_secs(Pipeline::CqA); // warmup
-    let secs = pilot_secs(Pipeline::CqA).min(pilot_secs(Pipeline::CqA));
-    (steps, steps as f64 / secs)
-}
-
 /// First `model name` line of /proc/cpuinfo, or "unknown".
 fn cpu_model() -> String {
     std::fs::read_to_string("/proc/cpuinfo")
@@ -625,9 +562,7 @@ fn render_json(
     points: &[Point],
     encoders: &[EncPoint],
     chains: &[ChainPoint],
-    fusion_pilots: &[FusionPilot],
     roofline: &Roofline,
-    pilot: (usize, f64),
 ) -> String {
     let unix_secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -717,32 +652,12 @@ fn render_json(
             c.groups,
             c.iters,
             c.fused_gbs,
-            c.unfused_gbs,
-            c.fused_gbs / c.unfused_gbs,
+            c.per_layer_gbs,
+            c.fused_gbs / c.per_layer_gbs,
             if i + 1 < chains.len() { "," } else { "" }
         );
     }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"fusion_pilots\": [");
-    for (i, p) in fusion_pilots.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"pipeline\": \"{:?}\", \"steps\": {}, \"fused_steps_per_sec\": {:.3}, \
-             \"unfused_steps_per_sec\": {:.3}, \"speedup\": {:.3}}}{}",
-            p.pipeline,
-            p.steps,
-            p.fused_sps,
-            p.unfused_sps,
-            p.fused_sps / p.unfused_sps,
-            if i + 1 < fusion_pilots.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(
-        s,
-        "  \"pilot\": {{\"steps\": {}, \"steps_per_sec\": {:.3}}}",
-        pilot.0, pilot.1
-    );
+    let _ = writeln!(s, "  ]");
     let _ = writeln!(s, "}}");
     s
 }
@@ -791,12 +706,12 @@ fn main() {
     ];
     for c in &chains {
         eprintln!(
-            "  ew {:<16} {:>4} groups {:>8.2} GB/s fused (unfused {:>7.2}, x{:.2})",
+            "  ew {:<16} {:>4} groups {:>8.2} GB/s fused (per-layer {:>7.2}, x{:.2})",
             c.chain,
             c.groups,
             c.fused_gbs,
-            c.unfused_gbs,
-            c.fused_gbs / c.unfused_gbs
+            c.per_layer_gbs,
+            c.fused_gbs / c.per_layer_gbs
         );
     }
     // The 256-cube is the acceptance point (blocked >= 2x scalar); the
@@ -896,31 +811,7 @@ fn main() {
             e.int8_ips / e.f32_ips
         );
     }
-    let fusion_pilots: Vec<FusionPilot> = [Pipeline::CqA, Pipeline::CqB, Pipeline::CqC]
-        .into_iter()
-        .map(bench_fusion_pilot)
-        .collect();
-    for p in &fusion_pilots {
-        eprintln!(
-            "  2-step {:?} pilot: {:.2} steps/sec fused (unfused {:.2}, x{:.2})",
-            p.pipeline,
-            p.fused_sps,
-            p.unfused_sps,
-            p.fused_sps / p.unfused_sps
-        );
-    }
-    let pilot = bench_pilot_steps();
-    eprintln!("  2-step CQ-A pilot: {:.2} steps/sec", pilot.1);
-
-    let json = render_json(
-        scale,
-        &points,
-        &encoders,
-        &chains,
-        &fusion_pilots,
-        &roofline,
-        pilot,
-    );
+    let json = render_json(scale, &points, &encoders, &chains, &roofline);
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("kernels: cannot write {out_path}: {e}");
         std::process::exit(1);

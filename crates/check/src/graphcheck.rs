@@ -11,7 +11,7 @@
 //! and total FLOPs agree with the plan's answers, per-layer FLOP
 //! attribution covers the whole graph, and the statically predicted
 //! fusable elementwise chains are present — the same chains the runtime
-//! executor fuses under `CQ_FUSION=on`.
+//! executor fuses.
 
 use cq_bench::{Protocol, Regime, Scale};
 use cq_models::plan::{encoder_plan, NOMINAL_INPUT};

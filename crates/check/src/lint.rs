@@ -32,9 +32,9 @@
 //!   and execute op graphs, not hand-rolled eager tensor-op chains —
 //!   no in-place element mutation (`as_mut_slice` / `iter_mut`) inside
 //!   a `forward` body, and no `fake_quant_into` call outside the graph
-//!   executor, which owns activation fake-quantization (the fused and
-//!   unfused paths stay bitwise-identical only because every chain runs
-//!   through one kernel set).
+//!   executor, which owns activation fake-quantization (a fused chain
+//!   stays bitwise-identical to its pass-per-group reference only because
+//!   every chain runs through one kernel set).
 //! - **one-train-loop**: `crates/core/src/engine.rs` owns the epoch
 //!   loop and everything a checkpoint must capture. Outside it, cq-core
 //!   library code must not iterate over `cfg.epochs` and must not seed a
@@ -540,7 +540,7 @@ impl Analysis for NoEagerForward {
                 format!(
                     "fake_quant_into outside {GRAPH_RS}; activation fake-quant \
                      belongs to the graph executor's fused kernel set (one call \
-                     site keeps fused == unfused bitwise), or add \
+                     site keeps fused == per-layer bitwise), or add \
                      `cq-allow(no-eager-forward): <reason>`"
                 )
             } else {

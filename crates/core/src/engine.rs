@@ -82,9 +82,8 @@ fn fusion_elided_total() -> u64 {
 
 /// Emits the per-step fused-pass traffic savings as a metric series —
 /// the delta of the cumulative `fusion.pass_elided_bytes` counter across
-/// the step (0 under `CQ_FUSION=off`). Deterministic for a fixed fusion
-/// mode, so `cq-trace diff` gates it within a mode; cross-mode diffs
-/// exempt the `fusion.` prefix.
+/// the step. A function of the recorded chains alone (never of the
+/// thread count), so `cq-trace diff` gates it.
 fn record_fusion_metrics(step: usize, elided_before: u64) {
     let elided = fusion_elided_total().saturating_sub(elided_before);
     cq_obs::metric(

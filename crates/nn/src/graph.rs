@@ -5,12 +5,9 @@
 //! * **Runtime** ([`Recorder`] plus the fused executor): module forwards
 //!   record shape-preserving elementwise work (BatchNorm normalize/affine,
 //!   ReLU/ReLU6, residual adds, activation fake-quant) as groups instead
-//!   of executing eagerly. A flush compiles the pending groups into
-//!   cache-blocked passes over memory, executed on the deterministic
-//!   worker pool. Under [`FusionMode::Fused`] adjacent groups merge into
-//!   a single pass per quantization segment; under
-//!   [`FusionMode::Unfused`] every group runs as its own full sweep (the
-//!   historical eager pass structure).
+//!   of executing eagerly. A flush merges the pending groups into one
+//!   cache-blocked pass over memory per quantization segment, executed
+//!   on the deterministic worker pool.
 //! * **Static** ([`Graph`], built by [`Graph::lower`]): the spec
 //!   [`Plan`] lowers to explicit nodes (conv/matmul/BN/activation/
 //!   quantize/add/reduce/movement) with shapes, strides and bit-width
@@ -20,7 +17,9 @@
 //!
 //! # Bitwise contract
 //!
-//! Fused and unfused execution are bit-identical at every thread count:
+//! A fused chain is bit-identical, at every thread count, to the
+//! pass-per-group reference: one executor call per group, which is what
+//! each layer's own [`Layer::forward`] makes.
 //!
 //! 1. Every fusable op depends only on its own element, and every
 //!    intermediate value is stored as an exact `f32` (no extended
@@ -31,14 +30,9 @@
 //!    reorder any arithmetic.
 //! 3. Fake-quant needs a whole-tensor min/max reduction, so it is a pass
 //!    boundary: the chain materializes and [`cq_quant::fake_quant_into`]
-//!    runs over the full buffer exactly as the eager code did.
-//!
-//! The `CQ_FUSION` environment variable (`off`/`0`/`false` to disable)
-//! selects the process-wide default mode; [`with_fusion_mode`] overrides
-//! it on the current thread (used by the equivalence tests and benches).
+//!    runs over the full buffer exactly as a standalone layer would.
 
-use std::cell::Cell;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use cq_obs::Counter;
@@ -52,10 +46,8 @@ use crate::{Cache, ForwardCtx, Layer, NnError, ParamSet, Result};
 /// Result alias for spec-attributed (shape/FLOP inference) failures.
 type SpecResult<T> = std::result::Result<T, SpecError>;
 
-/// Chains whose groups merged into fewer passes than group count.
+/// Flushed chains of two or more groups.
 static C_FUSED_CHAINS: Counter = Counter::new("graph.fused_chains");
-/// Multi-group chains executed pass-per-group (fusion off).
-static C_UNFUSED_FALLBACKS: Counter = Counter::new("graph.unfused_fallbacks");
 /// Bytes of memory traffic elided by merging passes (one read + one
 /// write of the working buffer per elided pass).
 static C_ELIDED_BYTES: Counter = Counter::new(cq_obs::names::FUSION_PASS_ELIDED_BYTES);
@@ -69,52 +61,6 @@ static C_EW_EXEC_NS: Counter = Counter::new("graph.ew_exec_ns");
 /// the chunk grid — and the pool workload counters — a function of the
 /// problem size only.
 const BLOCK_ELEMS: usize = 4096;
-
-// ---------------------------------------------------------------------------
-// Fusion mode selection
-// ---------------------------------------------------------------------------
-
-/// How a flushed chain of elementwise groups is executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FusionMode {
-    /// Merge adjacent groups into one pass per quantization segment.
-    Fused,
-    /// One full pass per group — the historical eager pass structure.
-    Unfused,
-}
-
-thread_local! {
-    static MODE_OVERRIDE: Cell<Option<FusionMode>> = const { Cell::new(None) };
-}
-
-static ENV_MODE: OnceLock<FusionMode> = OnceLock::new();
-
-/// The fusion mode in effect on this thread: a [`with_fusion_mode`]
-/// override if active, otherwise the `CQ_FUSION` environment variable
-/// (read once; `off`, `0`, `false` or `unfused` disable fusion), and
-/// [`FusionMode::Fused`] by default.
-pub fn fusion_mode() -> FusionMode {
-    if let Some(m) = MODE_OVERRIDE.with(Cell::get) {
-        return m;
-    }
-    *ENV_MODE.get_or_init(|| match std::env::var("CQ_FUSION").ok().as_deref() {
-        Some("off" | "0" | "false" | "unfused") => FusionMode::Unfused,
-        _ => FusionMode::Fused,
-    })
-}
-
-/// Runs `f` with the fusion mode forced to `mode` on the current thread,
-/// restoring the previous override afterwards (also on panic).
-pub fn with_fusion_mode<R>(mode: FusionMode, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<FusionMode>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            MODE_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(MODE_OVERRIDE.with(|c| c.replace(Some(mode))));
-    f()
-}
 
 // ---------------------------------------------------------------------------
 // Runtime chain: ops, groups, executor
@@ -415,11 +361,7 @@ struct GroupTaps {
 /// by value: its storage becomes the working buffer, so the executor
 /// allocates nothing for the chain value itself and the first pass
 /// transforms in place instead of seeding a fresh buffer.
-fn execute(
-    src: Tensor,
-    groups: Vec<EwGroup>,
-    mode: FusionMode,
-) -> Result<(Tensor, Vec<Option<Cache>>)> {
+fn execute(src: Tensor, groups: Vec<EwGroup>) -> Result<(Tensor, Vec<Option<Cache>>)> {
     if groups.is_empty() {
         return Ok((src, Vec::new()));
     }
@@ -446,28 +388,19 @@ fn execute(
     }
 
     let n_groups = groups.len();
-    // Pass segmentation: contiguous group ranges; fused segments end at
-    // (and include) the first group carrying a fake-quant, because quant
-    // is a whole-tensor reduction and therefore a pass boundary.
+    // Pass segmentation: contiguous group ranges, each ending at (and
+    // including) the first group carrying a fake-quant, because quant is
+    // a whole-tensor reduction and therefore a pass boundary.
     let mut segments: Vec<std::ops::Range<usize>> = Vec::new();
-    match mode {
-        FusionMode::Unfused => {
-            for i in 0..n_groups {
-                segments.push(i..i + 1);
-            }
+    let mut seg_start = 0;
+    for (i, g) in groups.iter().enumerate() {
+        if g.quant.is_some() {
+            segments.push(seg_start..i + 1);
+            seg_start = i + 1;
         }
-        FusionMode::Fused => {
-            let mut seg_start = 0;
-            for (i, g) in groups.iter().enumerate() {
-                if g.quant.is_some() {
-                    segments.push(seg_start..i + 1);
-                    seg_start = i + 1;
-                }
-            }
-            if seg_start < n_groups {
-                segments.push(seg_start..n_groups);
-            }
-        }
+    }
+    if seg_start < n_groups {
+        segments.push(seg_start..n_groups);
     }
 
     let mut taps: Vec<GroupTaps> = groups
@@ -528,14 +461,9 @@ fn execute(
     }
     C_EW_EXEC_NS.add(t0.elapsed().as_nanos() as u64);
     if n_groups >= 2 {
-        match mode {
-            FusionMode::Fused => {
-                C_FUSED_CHAINS.add(1);
-                let elided = (n_groups - segments.len()) as u64;
-                C_ELIDED_BYTES.add(elided * len as u64 * 8);
-            }
-            FusionMode::Unfused => C_UNFUSED_FALLBACKS.add(1),
-        }
+        C_FUSED_CHAINS.add(1);
+        let elided = (n_groups - segments.len()) as u64;
+        C_ELIDED_BYTES.add(elided * len as u64 * 8);
     }
 
     let mut caches = Vec::with_capacity(n_groups);
@@ -558,7 +486,7 @@ fn execute(
 /// of activation and normalization layers). The group must carry a cache
 /// constructor.
 pub(crate) fn execute_single(src: &Tensor, group: EwGroup) -> Result<(Tensor, Cache)> {
-    let (y, mut caches) = execute(src.clone(), vec![group], fusion_mode())?;
+    let (y, mut caches) = execute(src.clone(), vec![group])?;
     match caches.pop().flatten() {
         Some(c) => Ok((y, c)),
         None => Err(NnError::Param(
@@ -636,7 +564,7 @@ impl<'a> Recorder<'a> {
         // a placeholder, which is fine — errors here are fatal to the
         // chain and propagate out of every public entry point.
         let cur = std::mem::replace(&mut self.cur, Tensor::zeros(&[1]));
-        let (y, caches) = execute(cur, groups, fusion_mode())?;
+        let (y, caches) = execute(cur, groups)?;
         self.cur = y;
         for (slot, cache) in slot_ids.into_iter().zip(caches) {
             if let Some(si) = slot {
@@ -1331,20 +1259,37 @@ mod tests {
         (x, groups)
     }
 
+    /// The pass-per-group reference: one `execute` call per group, each
+    /// fed the previous call's output — the pass structure of running
+    /// every layer through its own `Layer::forward`.
+    fn per_group(x: Tensor, groups: Vec<EwGroup>) -> (Tensor, Vec<Option<Cache>>) {
+        let mut y = x;
+        let mut caches = Vec::new();
+        for g in groups {
+            let (next, c) = execute(y, vec![g]).unwrap();
+            y = next;
+            caches.extend(c);
+        }
+        (y, caches)
+    }
+
     #[test]
-    fn fused_matches_unfused_bitwise() {
+    fn fused_matches_per_group_bitwise() {
         for &(len, c, inner) in &[(24usize, 2usize, 3usize), (8192, 4, 16), (12000, 3, 125)] {
-            let (x, gf) = chain(len, c, inner, 7);
-            let (_, gu) = chain(len, c, inner, 7);
-            let (yf, cf) = execute(x.clone(), gf, FusionMode::Fused).unwrap();
-            let (yu, cu) = execute(x, gu, FusionMode::Unfused).unwrap();
-            assert_eq!(yf.as_slice(), yu.as_slice(), "len={len}");
-            let xf = cf[0].as_ref().unwrap().downcast::<Tensor>("t").unwrap();
-            let xu = cu[0].as_ref().unwrap().downcast::<Tensor>("t").unwrap();
-            assert_eq!(xf.as_slice(), xu.as_slice());
-            let mf = cf[2].as_ref().unwrap().downcast::<Vec<f32>>("t").unwrap();
-            let mu = cu[2].as_ref().unwrap().downcast::<Vec<f32>>("t").unwrap();
-            assert_eq!(mf, mu);
+            for threads in [1, 2, 5, 8] {
+                let (x, gf) = chain(len, c, inner, 7);
+                let (_, gr) = chain(len, c, inner, 7);
+                let ((yf, cf), (yr, cr)) = with_thread_limit(threads, || {
+                    (execute(x.clone(), gf).unwrap(), per_group(x, gr))
+                });
+                assert_eq!(yf.as_slice(), yr.as_slice(), "len={len} t={threads}");
+                let xf = cf[0].as_ref().unwrap().downcast::<Tensor>("t").unwrap();
+                let xr = cr[0].as_ref().unwrap().downcast::<Tensor>("t").unwrap();
+                assert_eq!(xf.as_slice(), xr.as_slice());
+                let mf = cf[2].as_ref().unwrap().downcast::<Vec<f32>>("t").unwrap();
+                let mr = cr[2].as_ref().unwrap().downcast::<Vec<f32>>("t").unwrap();
+                assert_eq!(mf, mr);
+            }
         }
     }
 
@@ -1380,18 +1325,19 @@ mod tests {
     #[test]
     fn execution_is_thread_count_invariant() {
         let (x, g1) = chain(40_000, 8, 25, 11);
-        let baseline = with_thread_limit(1, || execute(x, g1, FusionMode::Fused).unwrap().0);
+        let baseline = with_thread_limit(1, || execute(x, g1).unwrap().0);
         for threads in [2, 5, 8] {
             let (x, g) = chain(40_000, 8, 25, 11);
-            let y = with_thread_limit(threads, || execute(x, g, FusionMode::Fused).unwrap().0);
+            let y = with_thread_limit(threads, || execute(x, g).unwrap().0);
             assert_eq!(baseline.as_slice(), y.as_slice(), "threads={threads}");
         }
     }
 
     #[test]
     fn quant_splits_fused_segments() {
-        // Two groups with a quant in the middle: fused mode must still
-        // materialize before quantizing, so results equal unfused.
+        // Two groups with a quant in the middle: the fused chain must
+        // still materialize before quantizing, so it equals the
+        // pass-per-group reference.
         let x = Tensor::from_vec(randvec(600, 3), &[600]).unwrap();
         let mk = || {
             vec![
@@ -1408,9 +1354,12 @@ mod tests {
                 ),
             ]
         };
-        let (yf, _) = execute(x.clone(), mk(), FusionMode::Fused).unwrap();
-        let (yu, _) = execute(x, mk(), FusionMode::Unfused).unwrap();
-        assert_eq!(yf.as_slice(), yu.as_slice());
+        let (yf, cf) = execute(x.clone(), mk()).unwrap();
+        let (yr, cr) = per_group(x, mk());
+        assert_eq!(yf.as_slice(), yr.as_slice());
+        let mf = cf[0].as_ref().unwrap().downcast::<Vec<f32>>("t").unwrap();
+        let mr = cr[0].as_ref().unwrap().downcast::<Vec<f32>>("t").unwrap();
+        assert_eq!(mf, mr);
     }
 
     #[test]
@@ -1423,27 +1372,14 @@ mod tests {
             }],
             Some((3, 1)),
         )];
-        assert!(execute(x.clone(), bad_geom, FusionMode::Fused).is_err());
+        assert!(execute(x.clone(), bad_geom).is_err());
         let bad_add = vec![EwGroup::new(
             vec![EwOp::Add(Arc::new(
                 Tensor::from_vec(vec![0.0; 4], &[4]).unwrap(),
             ))],
             None,
         )];
-        assert!(execute(x, bad_add, FusionMode::Fused).is_err());
-    }
-
-    #[test]
-    fn with_fusion_mode_overrides_and_restores() {
-        let outer = fusion_mode();
-        with_fusion_mode(FusionMode::Unfused, || {
-            assert_eq!(fusion_mode(), FusionMode::Unfused);
-            with_fusion_mode(FusionMode::Fused, || {
-                assert_eq!(fusion_mode(), FusionMode::Fused);
-            });
-            assert_eq!(fusion_mode(), FusionMode::Unfused);
-        });
-        assert_eq!(fusion_mode(), outer);
+        assert!(execute(x, bad_add).is_err());
     }
 
     #[test]
@@ -1458,19 +1394,12 @@ mod tests {
                 .find(|(k, _)| *k == n)
                 .map_or(0, |&(_, v)| v)
         };
-        let (chains0, elided0, unfused0) = (
-            get("graph.fused_chains"),
-            get("fusion.pass_elided_bytes"),
-            get("graph.unfused_fallbacks"),
-        );
+        let (chains0, elided0) = (get("graph.fused_chains"), get("fusion.pass_elided_bytes"));
         let (x, g) = chain(512, 2, 4, 21);
-        execute(x, g, FusionMode::Fused).unwrap();
+        execute(x, g).unwrap();
         assert!(get("graph.fused_chains") > chains0);
         // 3 groups -> 1 fused pass: 2 elided passes * 512 elems * 8 bytes.
         assert!(get("fusion.pass_elided_bytes") >= elided0 + 2 * 512 * 8);
-        let (x, g) = chain(512, 2, 4, 21);
-        execute(x, g, FusionMode::Unfused).unwrap();
-        assert!(get("graph.unfused_fallbacks") > unfused0);
         cq_obs::uninstall();
     }
 

@@ -67,9 +67,9 @@ pub const MEM_ALLOC_COUNT: &str = "mem.alloc_count";
 
 /// Per-step bytes of intermediate-tensor memory traffic elided by the
 /// graph executor's elementwise fusion pass (delta of the cumulative
-/// `fusion.pass_elided_bytes` counter across the step). Deterministic
-/// for a fixed fusion mode; a `CQ_FUSION=on` vs `off` diff exempts the
-/// `fusion.` prefix explicitly (`cq-trace diff --exempt-prefix fusion.`).
+/// `fusion.pass_elided_bytes` counter across the step). A function of
+/// the recorded chains alone, so `cq-trace diff` gates it like any other
+/// workload series.
 pub const FUSION_PASS_ELIDED_BYTES: &str = "fusion.pass_elided_bytes";
 
 /// Per-epoch collapse probe: mean per-dimension standard deviation of the

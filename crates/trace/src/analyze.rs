@@ -246,12 +246,9 @@ const SCHED_COUNTERS: [&str; 3] = ["pool.busy_ns", "pool.park_ns", "pool.workers
 
 /// Counters that accumulate wall-clock time rather than workload: the
 /// graph executor's elementwise-pass timing telemetry varies with
-/// hardware, thread count, and fusion mode, so [`diff`] reports it
-/// without gating. The workload counters from the same subsystem
-/// (`graph.fused_chains`, `graph.unfused_fallbacks`,
-/// `fusion.pass_elided_bytes`) are deterministic per mode and gate
-/// normally — cross-mode comparisons exempt them explicitly via
-/// [`diff_with_exemptions`].
+/// hardware and thread count, so [`diff`] reports it without gating.
+/// The workload counters from the same subsystem (`graph.fused_chains`,
+/// `fusion.pass_elided_bytes`) are deterministic and gate normally.
 const TIMING_COUNTERS: [&str; 1] = ["graph.ew_exec_ns"];
 
 /// Metrics measuring wall-clock throughput rather than numerical state:
@@ -301,27 +298,8 @@ const CKPT_PREFIX: &str = "ckpt.";
 /// is reported but never gated in either section (see `CKPT_PREFIX`):
 /// it only exists on the resumed side of a kill-and-resume comparison.
 pub fn diff(a: &[Record], b: &[Record], fail_over_pct: f64, min_ns: u64) -> DiffResult {
-    diff_with_exemptions(a, b, fail_over_pct, min_ns, &[])
-}
-
-/// [`diff`] with caller-supplied name-prefix exemptions: any span,
-/// counter, metric series, or histogram whose name starts with one of
-/// `exempt_prefixes` is reported but never gated. This is how CI diffs
-/// traces across configurations that legitimately disagree on a known
-/// telemetry family — e.g. a `CQ_FUSION=on` vs `off` comparison exempts
-/// `graph.` and `fusion.` (chain accounting differs by construction)
-/// while every numerical series still gates bitwise-tight. Exposed on
-/// the CLI as repeatable `cq-trace diff --exempt-prefix <p>` flags.
-pub fn diff_with_exemptions(
-    a: &[Record],
-    b: &[Record],
-    fail_over_pct: f64,
-    min_ns: u64,
-    exempt_prefixes: &[String],
-) -> DiffResult {
     let mut report = String::new();
     let mut regressions = Vec::new();
-    let prefix_exempt = |name: &str| exempt_prefixes.iter().any(|p| name.starts_with(p.as_str()));
 
     // --- span times, flattened per name ---
     let totals = |records: &[Record]| -> BTreeMap<String, u64> {
@@ -355,14 +333,11 @@ pub fn diff_with_exemptions(
             f64::INFINITY
         };
         let lifecycle = name.starts_with(CKPT_PREFIX);
-        let exempted = prefix_exempt(name);
-        let failed = !lifecycle && !exempted && delta_pct > fail_over_pct;
+        let failed = !lifecycle && delta_pct > fail_over_pct;
         let mark = if failed {
             " REGRESSION"
         } else if lifecycle {
             " (lifecycle, not gated)"
-        } else if exempted {
-            " (exempt, not gated)"
         } else {
             ""
         };
@@ -404,8 +379,6 @@ pub fn diff_with_exemptions(
                 Some(" (timing, not gated)")
             } else if name.starts_with(CKPT_PREFIX) {
                 Some(" (lifecycle, not gated)")
-            } else if prefix_exempt(name) {
-                Some(" (exempt, not gated)")
             } else {
                 None
             };
@@ -440,21 +413,9 @@ pub fn diff_with_exemptions(
             let timing = name.ends_with(TIMING_METRIC_SUFFIX)
                 || TIMING_METRICS.contains(&name)
                 || name.starts_with(MEM_METRIC_PREFIX);
-            let exempted = prefix_exempt(name);
             if sa.len() != sb.len() {
                 // A missing step is structural, not timing noise: gate it
-                // even for throughput metrics. Explicit prefix exemptions
-                // are stronger — the caller declared the whole family may
-                // differ, and an exempted series can exist in one trace
-                // only (like ckpt.* does).
-                if exempted {
-                    report.push_str(&format!(
-                        "  {name:<36} length {} -> {}  (exempt, not gated)\n",
-                        sa.len(),
-                        sb.len()
-                    ));
-                    continue;
-                }
+                // even for throughput metrics.
                 report.push_str(&format!(
                     "  {name:<36} length {} -> {}  REGRESSION\n",
                     sa.len(),
@@ -478,13 +439,11 @@ pub fn diff_with_exemptions(
                     _ => f64::INFINITY,
                 })
                 .fold(0.0f64, f64::max);
-            let failed = !timing && !exempted && drift_pct > fail_over_pct;
+            let failed = !timing && drift_pct > fail_over_pct;
             let mark = if failed {
                 " REGRESSION"
             } else if timing {
                 " (timing, not gated)"
-            } else if exempted {
-                " (exempt, not gated)"
             } else {
                 ""
             };
@@ -527,15 +486,8 @@ pub fn diff_with_exemptions(
                         (pa - pb).abs()
                     })
                     .sum::<f64>();
-            let exempted = prefix_exempt(name);
-            let failed = !exempted && tv_pct > fail_over_pct;
-            let mark = if failed {
-                " REGRESSION"
-            } else if exempted {
-                " (exempt, not gated)"
-            } else {
-                ""
-            };
+            let failed = tv_pct > fail_over_pct;
+            let mark = if failed { " REGRESSION" } else { "" };
             report.push_str(&format!("  {name:<36} TV distance {tv_pct:.2}pp{mark}\n"));
             if failed {
                 regressions.push(format!("histogram {name}: TV {tv_pct:.2}pp"));
@@ -811,8 +763,8 @@ mod tests {
     #[test]
     fn diff_reports_but_never_gates_executor_timing_counter() {
         // graph.ew_exec_ns accumulates wall-clock time inside the fused
-        // executor: it differs across hardware, thread counts, and fusion
-        // modes. The workload counters from the same subsystem still gate.
+        // executor: it differs across hardware and thread counts. The
+        // workload counters from the same subsystem still gate.
         let a = vec![counter("graph.ew_exec_ns", 1_000)];
         let b = vec![counter("graph.ew_exec_ns", 900_000_000)];
         let res = diff(&a, &b, 30.0, 1_000_000);
@@ -823,68 +775,6 @@ mod tests {
         let b = vec![counter("graph.fused_chains", 0)];
         let res = diff(&a, &b, 30.0, 1_000_000);
         assert_eq!(res.regressions.len(), 1, "{:?}", res.regressions);
-    }
-
-    #[test]
-    fn diff_exempt_prefixes_silence_only_the_named_family() {
-        // The CQ_FUSION=on vs off CI diff: chain accounting flips between
-        // fused_chains and unfused_fallbacks (an infinite relative delta),
-        // and the ew-chain span is slower unfused. With graph./fusion.
-        // exempted those report without gating; a loss drift still fails.
-        let a = vec![
-            span("graph.ew_chain", 100_000_000),
-            counter("graph.fused_chains", 40),
-            counter("graph.unfused_fallbacks", 0),
-            counter("fusion.pass_elided_bytes", 9_000_000),
-            counter("pool.chunks", 800),
-            metric("train.loss", 0, 2.5),
-        ];
-        let b = vec![
-            span("graph.ew_chain", 300_000_000),
-            counter("graph.fused_chains", 0),
-            counter("graph.unfused_fallbacks", 40),
-            counter("fusion.pass_elided_bytes", 0),
-            counter("pool.chunks", 800),
-            metric("train.loss", 0, 2.5),
-        ];
-        let prefixes = vec!["graph.".to_string(), "fusion.".to_string()];
-        let res = diff_with_exemptions(&a, &b, 30.0, 1_000_000, &prefixes);
-        assert!(res.regressions.is_empty(), "{:?}", res.regressions);
-        assert!(res.report.contains("(exempt, not gated)"), "{}", res.report);
-
-        // Same traces without the exemptions: the chain accounting gates.
-        let res = diff(&a, &b, 30.0, 1_000_000);
-        assert!(!res.regressions.is_empty(), "{}", res.report);
-
-        // Exemptions never mask numerical drift outside the family.
-        let mut b_bad = b.clone();
-        b_bad.pop();
-        b_bad.push(metric("train.loss", 0, 9.9));
-        let res = diff_with_exemptions(&a, &b_bad, 30.0, 1_000_000, &prefixes);
-        assert_eq!(res.regressions.len(), 1, "{:?}", res.regressions);
-        assert!(
-            res.regressions[0].contains("train.loss"),
-            "{:?}",
-            res.regressions
-        );
-    }
-
-    #[test]
-    fn diff_exempt_prefixes_cover_metric_length_and_histograms() {
-        // An exempted metric family may exist on one side only (length
-        // mismatch) and an exempted histogram may skew freely.
-        let a = vec![
-            metric("fusion.pass_elided_bytes", 0, 9e6),
-            hist("graph.chain_len", 4.0),
-        ];
-        let b: Vec<Record> = vec![hist("graph.chain_len", 2.0)];
-        let prefixes = vec!["graph.".to_string(), "fusion.".to_string()];
-        let res = diff_with_exemptions(&a, &b, 30.0, 1_000_000, &prefixes);
-        assert!(res.regressions.is_empty(), "{:?}", res.regressions);
-
-        // Ungated length mismatch still fails without the exemption.
-        let res = diff(&a, &b, 30.0, 1_000_000);
-        assert!(!res.regressions.is_empty(), "{}", res.report);
     }
 
     #[test]

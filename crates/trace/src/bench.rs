@@ -18,19 +18,21 @@
 //! same machine still hard-gate the shared kernel grid; encoder points
 //! diff like kernels when both sides carry them.
 //!
-//! Since PR 10 the v3 artifact may additionally carry two *optional*
-//! sections measuring the graph executor's elementwise fusion:
-//! `ew_chains` (fused vs. unfused chain throughput in GB/s of logical
-//! chain traffic) and `fusion_pilots` (2-step pilot steps/sec per
-//! pipeline under both fusion modes). The schema string is unchanged —
-//! older artifacts simply lack the sections — but when present the
-//! entries are validated and the *fused* throughput diffs like any other
-//! grid point.
+//! Since PR 10 the v3 artifact may additionally carry an *optional*
+//! `ew_chains` section: the graph executor's fused elementwise-chain
+//! throughput against the per-layer path, in GB/s of logical chain
+//! traffic. The schema string is unchanged — older artifacts simply lack
+//! the section — but when present the entries are validated and the
+//! fused throughput diffs like any other grid point. Keys the parser
+//! does not know are ignored, so older artifacts that still carry the
+//! retired 2-step pilot throughput sections parse unchanged.
 //!
 //! The flat-line parser in [`crate::record`] cannot read these files —
 //! they are one nested JSON document, not JSONL — so this module carries
 //! its own minimal recursive-descent parser for the full JSON value
-//! grammar (still no external dependency). On top of it:
+//! grammar (still no external dependency). Its nesting depth is
+//! bounded, so a hostile document errs instead of overflowing the
+//! stack. On top of it:
 //!
 //! - [`parse_bench`] — parse + schema-validate into a [`BenchReport`].
 //! - [`diff_bench`] — compare two reports grid-point by grid-point and
@@ -50,6 +52,11 @@ pub const BENCH_SCHEMA_V2: &str = "cq-bench-kernels/v2";
 
 /// The integer-inference-aware schema string.
 pub const BENCH_SCHEMA_V3: &str = "cq-bench-kernels/v3";
+
+/// Deepest array/object nesting the JSON parser accepts. Bench artifacts
+/// nest three deep; the bound keeps the recursive descent's stack use
+/// small on hostile input.
+const MAX_NESTING: usize = 128;
 
 // ---------------------------------------------------------------------------
 // Minimal JSON value parser
@@ -124,6 +131,8 @@ impl fmt::Display for JsonError {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -160,8 +169,19 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Value, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_NESTING {
+                    return self.err(format!("nesting deeper than {MAX_NESTING}"));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
             Some(b't') => self.parse_lit("true", Value::Bool(true)),
             Some(b'f') => self.parse_lit("false", Value::Bool(false)),
@@ -317,6 +337,7 @@ pub fn parse_json(text: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = p.parse_value()?;
     p.skip_ws();
@@ -391,44 +412,31 @@ pub struct Int8EncoderPoint {
     pub int8_imgs_per_sec: f64,
 }
 
-/// One fused-vs-unfused elementwise-chain throughput measurement
-/// (optional `ew_chains` section, PR 10+ artifacts). Throughput counts
-/// the chain's logical traffic — read input, read each residual
-/// operand, write output — so the fused/unfused ratio isolates the
-/// passes the fusion pass elides.
+/// One elementwise-chain throughput measurement (optional `ew_chains`
+/// section, PR 10+ artifacts): the fused graph executor against the
+/// per-layer path, which runs each layer's own `forward` and
+/// materializes every intermediate. Throughput counts the chain's
+/// logical traffic — read input, read each residual operand, write
+/// output — so the ratio isolates the passes fusion elides.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EwChainPoint {
     /// Chain label (`bn_relu_q8`, `bn_add3_relu_q8`, ...).
     pub chain: String,
     /// Elements per tensor in the chain.
     pub elems: usize,
-    /// Recorded elementwise groups (= unfused pass count).
+    /// Recorded elementwise groups (= per-layer pass count).
     pub groups: usize,
-    /// Fused-mode throughput, GB/s of logical chain traffic.
+    /// Fused throughput, GB/s of logical chain traffic.
     pub fused_gbs: f64,
-    /// Unfused-mode throughput over the same traffic.
+    /// Per-layer throughput over the same traffic.
     pub unfused_gbs: f64,
 }
 
 impl EwChainPoint {
-    /// Fused-over-unfused speedup.
+    /// Fused-over-per-layer speedup.
     pub fn speedup(&self) -> f64 {
         self.fused_gbs / self.unfused_gbs
     }
-}
-
-/// One per-pipeline training-pilot measurement under both fusion modes
-/// (optional `fusion_pilots` section, PR 10+ artifacts).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusionPilotPoint {
-    /// Pipeline label (`CqA`, `CqB`, `CqC`).
-    pub pipeline: String,
-    /// Steps per timed run.
-    pub steps: usize,
-    /// Steps/sec with fusion on.
-    pub fused_steps_per_sec: f64,
-    /// Steps/sec with fusion off.
-    pub unfused_steps_per_sec: f64,
 }
 
 /// A parsed, schema-valid `BENCH_<pr>.json`.
@@ -443,17 +451,13 @@ pub struct BenchReport {
     pub machine: String,
     /// All measured grid points.
     pub kernels: Vec<KernelPoint>,
-    /// Training-pilot throughput in steps/sec (0.0 if absent).
-    pub pilot_steps_per_sec: f64,
     /// Measured machine ceilings `(peak_gflops, stream_gbs)`; `None` in
     /// v1 artifacts.
     pub roofline: Option<(f64, f64)>,
     /// Int8-vs-f32 encoder throughput points; empty before v3.
     pub int8_encoders: Vec<Int8EncoderPoint>,
-    /// Fused-vs-unfused elementwise-chain points; empty before PR 10.
+    /// Fused-vs-per-layer elementwise-chain points; empty before PR 10.
     pub ew_chains: Vec<EwChainPoint>,
-    /// Per-pipeline fused-vs-unfused pilot points; empty before PR 10.
-    pub fusion_pilots: Vec<FusionPilotPoint>,
 }
 
 fn req_str(v: &Value, key: &str, ctx: &str) -> Result<String, String> {
@@ -585,8 +589,8 @@ pub fn parse_bench(text: &str) -> Result<BenchReport, String> {
             int8_encoders.push(point);
         }
     }
-    // Optional fusion sections (PR 10+). Absent in older artifacts;
-    // when present every entry must be well-formed and positive.
+    // Optional fusion section (PR 10+). Absent in older artifacts; when
+    // present every entry must be well-formed and positive.
     let mut ew_chains = Vec::new();
     if let Some(entries) = root.get("ew_chains").and_then(Value::as_arr) {
         for (i, entry) in entries.iter().enumerate() {
@@ -611,41 +615,14 @@ pub fn parse_bench(text: &str) -> Result<BenchReport, String> {
             ew_chains.push(point);
         }
     }
-    let mut fusion_pilots = Vec::new();
-    if let Some(entries) = root.get("fusion_pilots").and_then(Value::as_arr) {
-        for (i, entry) in entries.iter().enumerate() {
-            let ctx = format!("fusion_pilots[{i}]");
-            let point = FusionPilotPoint {
-                pipeline: req_str(entry, "pipeline", &ctx)?,
-                steps: req_num(entry, "steps", &ctx)? as usize,
-                fused_steps_per_sec: req_num(entry, "fused_steps_per_sec", &ctx)?,
-                unfused_steps_per_sec: req_num(entry, "unfused_steps_per_sec", &ctx)?,
-            };
-            if !(point.fused_steps_per_sec.is_finite()
-                && point.fused_steps_per_sec > 0.0
-                && point.unfused_steps_per_sec.is_finite()
-                && point.unfused_steps_per_sec > 0.0)
-            {
-                return Err(format!("{ctx}: non-positive throughput"));
-            }
-            fusion_pilots.push(point);
-        }
-    }
-    let pilot_steps_per_sec = root
-        .get("pilot")
-        .map(|p| req_num(p, "steps_per_sec", "pilot"))
-        .transpose()?
-        .unwrap_or(0.0);
     Ok(BenchReport {
         pr,
         scale,
         machine,
         kernels,
-        pilot_steps_per_sec,
         roofline,
         int8_encoders,
         ew_chains,
-        fusion_pilots,
     })
 }
 
@@ -664,193 +641,130 @@ pub struct BenchDiff {
     pub machine_mismatch: bool,
 }
 
-/// Compares two bench reports. A grid point regresses when the new
-/// blocked throughput is more than `fail_over_pct` percent below the old
-/// one; points present on only one side are reported but never fail.
-/// When the machine fingerprints differ the diff never fails (GFLOP/s
-/// across CPUs is not comparable) — it reports with a note instead.
+/// One gated throughput reading of a bench point.
+struct Reading {
+    label: String,
+    value: f64,
+    unit: &'static str,
+}
+
+/// Diffs one section of two reports point by point, matching points by
+/// key: a point regresses when its new value is more than
+/// `fail_over_pct` percent below the old one, unless the machines differ.
+/// Points on only one side are reported but never fail.
+fn diff_section<K: Ord>(
+    d: &mut BenchDiff,
+    fail_over_pct: f64,
+    old: Vec<(K, Reading)>,
+    new: Vec<(K, Reading)>,
+) {
+    let old_by_key: BTreeMap<&K, &Reading> = old.iter().map(|(k, r)| (k, r)).collect();
+    for (key, r) in &new {
+        let (label, v, unit) = (&r.label, r.value, r.unit);
+        match old_by_key.get(key) {
+            None => d.report.push_str(&format!(
+                "  new   {label}: {v:.2} {unit} (no old measurement)\n"
+            )),
+            Some(o) => {
+                let delta_pct = (v - o.value) / o.value * 100.0;
+                let verdict = if delta_pct < -fail_over_pct && !d.machine_mismatch {
+                    d.regressions.push(format!("{label}: {delta_pct:+.1}%"));
+                    "REGRESSED"
+                } else {
+                    "ok"
+                };
+                d.report.push_str(&format!(
+                    "  {verdict:>5} {label}: {:.2} -> {v:.2} {unit} ({delta_pct:+.1}%)\n",
+                    o.value
+                ));
+            }
+        }
+    }
+    for (key, o) in &old {
+        if !new.iter().any(|(k, _)| k == key) {
+            d.report.push_str(&format!(
+                "  gone  {} (was {:.2} {})\n",
+                o.label, o.value, o.unit
+            ));
+        }
+    }
+}
+
+/// Compares two bench reports. A grid point, int8 encoder or
+/// elementwise chain regresses when its new throughput (blocked kernel
+/// GFLOP/s, int8 imgs/sec, fused GB/s) is more than `fail_over_pct`
+/// percent below the old one; points present on only one side are
+/// reported but never fail. When the machine fingerprints differ the
+/// diff never fails (throughput across CPUs is not comparable) — it
+/// reports with a note instead.
 pub fn diff_bench(old: &BenchReport, new: &BenchReport, fail_over_pct: f64) -> BenchDiff {
-    let mut report = String::new();
-    let mut regressions = Vec::new();
-    let machine_mismatch = old.machine != new.machine;
-    report.push_str(&format!(
-        "bench-diff: PR {} -> PR {} ({} threshold {:.0}%)\n",
-        old.pr, new.pr, new.scale, fail_over_pct
-    ));
-    if machine_mismatch {
-        report.push_str(&format!(
+    let mut d = BenchDiff {
+        report: format!(
+            "bench-diff: PR {} -> PR {} ({} threshold {:.0}%)\n",
+            old.pr, new.pr, new.scale, fail_over_pct
+        ),
+        regressions: Vec::new(),
+        machine_mismatch: old.machine != new.machine,
+    };
+    if d.machine_mismatch {
+        d.report.push_str(&format!(
             "note: different machines (old `{}`, new `{}`): reporting only, gate disarmed\n",
             old.machine, new.machine
         ));
     }
     if let Some((peak, stream)) = new.roofline {
-        report.push_str(&format!(
+        d.report.push_str(&format!(
             "roofline (new machine): {peak:.1} GFLOP/s mul-add peak, {stream:.1} GB/s stream\n"
         ));
     }
-    let old_by_key: BTreeMap<_, _> = old.kernels.iter().map(|p| (p.key(), p)).collect();
-    for p in &new.kernels {
-        let mut label = format!("{} {}x{}x{}", p.kernel, p.m, p.n, p.k);
-        if p.roofline_pct > 0.0 {
-            let _ = std::fmt::Write::write_fmt(
-                &mut label,
-                format_args!(" [{:.0}% roofline]", p.roofline_pct),
-            );
-        }
-        match old_by_key.get(&p.key()) {
-            None => report.push_str(&format!(
-                "  new   {label}: {:.2} {} (no old measurement)\n",
-                p.gflops,
-                p.unit()
-            )),
-            Some(o) => {
-                let delta_pct = (p.gflops - o.gflops) / o.gflops * 100.0;
-                let verdict = if delta_pct < -fail_over_pct && !machine_mismatch {
-                    regressions.push(format!("{label}: {delta_pct:+.1}%"));
-                    "REGRESSED"
-                } else {
-                    "ok"
-                };
-                report.push_str(&format!(
-                    "  {verdict:>5} {label}: {:.2} -> {:.2} {} ({delta_pct:+.1}%)\n",
-                    o.gflops,
-                    p.gflops,
-                    p.unit()
-                ));
-            }
-        }
-    }
-    for p in &old.kernels {
-        if !new.kernels.iter().any(|q| q.key() == p.key()) {
-            report.push_str(&format!(
-                "  gone  {} {}x{}x{} (was {:.2} {})\n",
-                p.kernel,
-                p.m,
-                p.n,
-                p.k,
-                p.gflops,
-                p.unit()
-            ));
-        }
-    }
-    // Encoder points diff like kernel points. The int8/f32 *ratio* is
-    // machine-relative, but the gate still keys on absolute imgs/sec of
-    // the int8 path — that is what the integer inference work optimizes.
-    let old_enc: BTreeMap<_, _> = old
-        .int8_encoders
-        .iter()
-        .map(|p| ((p.arch.clone(), p.n), p))
-        .collect();
-    for p in &new.int8_encoders {
-        let label = format!(
-            "int8 {} n={} ({:.2}x of f32)",
-            p.arch,
-            p.n,
-            p.int8_imgs_per_sec / p.f32_imgs_per_sec
-        );
-        match old_enc.get(&(p.arch.clone(), p.n)) {
-            None => report.push_str(&format!(
-                "  new   {label}: {:.1} imgs/sec (no old measurement)\n",
-                p.int8_imgs_per_sec
-            )),
-            Some(o) => {
-                let delta_pct =
-                    (p.int8_imgs_per_sec - o.int8_imgs_per_sec) / o.int8_imgs_per_sec * 100.0;
-                let verdict = if delta_pct < -fail_over_pct && !machine_mismatch {
-                    regressions.push(format!("{label}: {delta_pct:+.1}%"));
-                    "REGRESSED"
-                } else {
-                    "ok"
-                };
-                report.push_str(&format!(
-                    "  {verdict:>5} {label}: {:.1} -> {:.1} imgs/sec ({delta_pct:+.1}%)\n",
-                    o.int8_imgs_per_sec, p.int8_imgs_per_sec
-                ));
-            }
-        }
-    }
-    // Elementwise-chain and fusion-pilot points gate on the *fused*
-    // throughput — that is what the fusion work optimizes; the unfused
-    // side rides along as the in-artifact baseline.
-    let old_ch: BTreeMap<_, _> = old.ew_chains.iter().map(|p| (p.chain.clone(), p)).collect();
-    for p in &new.ew_chains {
-        let label = format!(
-            "ew {} ({} groups, {:.2}x fused)",
-            p.chain,
-            p.groups,
-            p.speedup()
-        );
-        match old_ch.get(&p.chain) {
-            None => report.push_str(&format!(
-                "  new   {label}: {:.2} GB/s (no old measurement)\n",
-                p.fused_gbs
-            )),
-            Some(o) => {
-                let delta_pct = (p.fused_gbs - o.fused_gbs) / o.fused_gbs * 100.0;
-                let verdict = if delta_pct < -fail_over_pct && !machine_mismatch {
-                    regressions.push(format!("{label}: {delta_pct:+.1}%"));
-                    "REGRESSED"
-                } else {
-                    "ok"
-                };
-                report.push_str(&format!(
-                    "  {verdict:>5} {label}: {:.2} -> {:.2} GB/s ({delta_pct:+.1}%)\n",
-                    o.fused_gbs, p.fused_gbs
-                ));
-            }
-        }
-    }
-    let old_fp: BTreeMap<_, _> = old
-        .fusion_pilots
-        .iter()
-        .map(|p| (p.pipeline.clone(), p))
-        .collect();
-    for p in &new.fusion_pilots {
-        let label = format!(
-            "pilot {} ({:.2}x fused)",
-            p.pipeline,
-            p.fused_steps_per_sec / p.unfused_steps_per_sec
-        );
-        match old_fp.get(&p.pipeline) {
-            None => report.push_str(&format!(
-                "  new   {label}: {:.2} steps/sec (no old measurement)\n",
-                p.fused_steps_per_sec
-            )),
-            Some(o) => {
-                let delta_pct =
-                    (p.fused_steps_per_sec - o.fused_steps_per_sec) / o.fused_steps_per_sec * 100.0;
-                let verdict = if delta_pct < -fail_over_pct && !machine_mismatch {
-                    regressions.push(format!("{label}: {delta_pct:+.1}%"));
-                    "REGRESSED"
-                } else {
-                    "ok"
-                };
-                report.push_str(&format!(
-                    "  {verdict:>5} {label}: {:.2} -> {:.2} steps/sec ({delta_pct:+.1}%)\n",
-                    o.fused_steps_per_sec, p.fused_steps_per_sec
-                ));
-            }
-        }
-    }
-    if old.pilot_steps_per_sec > 0.0 && new.pilot_steps_per_sec > 0.0 {
-        let delta_pct =
-            (new.pilot_steps_per_sec - old.pilot_steps_per_sec) / old.pilot_steps_per_sec * 100.0;
-        let verdict = if delta_pct < -fail_over_pct && !machine_mismatch {
-            regressions.push(format!("pilot steps/sec: {delta_pct:+.1}%"));
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        report.push_str(&format!(
-            "  {verdict:>5} pilot: {:.2} -> {:.2} steps/sec ({delta_pct:+.1}%)\n",
-            old.pilot_steps_per_sec, new.pilot_steps_per_sec
-        ));
-    }
-    BenchDiff {
-        report,
-        regressions,
-        machine_mismatch,
-    }
+    let kernels = |r: &BenchReport| -> Vec<_> {
+        r.kernels
+            .iter()
+            .map(|p| {
+                let mut label = format!("{} {}x{}x{}", p.kernel, p.m, p.n, p.k);
+                if p.roofline_pct > 0.0 {
+                    label.push_str(&format!(" [{:.0}% roofline]", p.roofline_pct));
+                }
+                let (value, unit) = (p.gflops, p.unit());
+                (p.key(), Reading { label, value, unit })
+            })
+            .collect()
+    };
+    diff_section(&mut d, fail_over_pct, kernels(old), kernels(new));
+    // The int8/f32 *ratio* is machine-relative, but the gate keys on
+    // absolute imgs/sec of the int8 path — that is what the integer
+    // inference work optimizes.
+    let encoders = |r: &BenchReport| -> Vec<_> {
+        r.int8_encoders
+            .iter()
+            .map(|p| {
+                let ratio = p.int8_imgs_per_sec / p.f32_imgs_per_sec;
+                let label = format!("int8 {} n={} ({ratio:.2}x of f32)", p.arch, p.n);
+                let (value, unit) = (p.int8_imgs_per_sec, "imgs/sec");
+                ((p.arch.clone(), p.n), Reading { label, value, unit })
+            })
+            .collect()
+    };
+    diff_section(&mut d, fail_over_pct, encoders(old), encoders(new));
+    // Chains gate on the *fused* throughput — what the executor
+    // optimizes; the per-layer side rides along as the in-artifact
+    // baseline.
+    let chains = |r: &BenchReport| -> Vec<_> {
+        r.ew_chains
+            .iter()
+            .map(|p| {
+                let speedup = p.speedup();
+                let label = format!(
+                    "ew {} ({} groups, {speedup:.2}x per-layer)",
+                    p.chain, p.groups
+                );
+                let (value, unit) = (p.fused_gbs, "GB/s");
+                (p.chain.clone(), Reading { label, value, unit })
+            })
+            .collect()
+    };
+    diff_section(&mut d, fail_over_pct, chains(old), chains(new));
+    d
 }
 
 #[cfg(test)]
@@ -902,12 +816,46 @@ mod tests {
     }
 
     #[test]
+    fn json_parser_bounds_nesting_depth() {
+        // Hostile depth errs instead of overflowing the stack.
+        let deep_arrays = "[".repeat(100_000);
+        let err = parse_json(&deep_arrays).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.offset, MAX_NESTING);
+        let deep_objects = r#"{"a":"#.repeat(100_000);
+        assert!(parse_json(&deep_objects)
+            .unwrap_err()
+            .message
+            .contains("nesting"));
+
+        // A document nested exactly to the bound still parses; one more
+        // level does not.
+        let nested = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nested(MAX_NESTING)).is_ok());
+        assert!(parse_json(&nested(MAX_NESTING + 1)).is_err());
+        let objects = |depth: usize| format!("{}1{}", r#"{"a":"#.repeat(depth), "}".repeat(depth));
+        assert!(parse_json(&objects(MAX_NESTING)).is_ok());
+        assert!(parse_json(&objects(MAX_NESTING + 1)).is_err());
+    }
+
+    #[test]
+    fn committed_bench_artifacts_still_parse() {
+        // BENCH_7 is v1, BENCH_8 v2, BENCH_9 and BENCH_10 v3; BENCH_10
+        // also carries sections this parser no longer reads.
+        for pr in 7..=10 {
+            let path = format!("{}/../../BENCH_{pr}.json", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).expect("committed artifact");
+            let report = parse_bench(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert_eq!(report.pr, pr);
+        }
+    }
+
+    #[test]
     fn parse_bench_validates_schema() {
         let report = parse_bench(&sample(36.0, "TestCpu")).expect("valid report");
         assert_eq!(report.pr, 7);
         assert_eq!(report.kernels.len(), 2);
         assert_eq!(report.machine, "linux/x86_64/TestCpu/4t");
-        assert!((report.pilot_steps_per_sec - 150.0).abs() < 1e-9);
 
         let wrong_schema = sample(36.0, "TestCpu").replace("cq-bench-kernels/v1", "bogus/v9");
         assert!(parse_bench(&wrong_schema).unwrap_err().contains("schema"));
@@ -1145,62 +1093,49 @@ mod tests {
         assert!(d.report.contains("35.00 -> 17.00 GFLOP/s"), "{}", d.report);
     }
 
-    /// v3 artifact with the optional PR-10 fusion sections attached.
-    fn sample_v3_fusion(fused_gbs: f64, fused_sps: f64) -> String {
-        let base = sample_v3(660.0, 36.0);
-        let fusion = format!(
+    /// v3 artifact with the optional PR-10 `ew_chains` section attached.
+    fn sample_v3_chains(fused_gbs: f64) -> String {
+        let chains = format!(
             r#"  "ew_chains": [
     {{"chain": "bn_add3_relu_q8", "elems": 4194304, "groups": 5, "iters": 3,
       "fused_gbs": {fused_gbs}, "unfused_gbs": 10.0, "speedup": 1.5}}
   ],
-  "fusion_pilots": [
-    {{"pipeline": "CqA", "steps": 2, "fused_steps_per_sec": {fused_sps},
-      "unfused_steps_per_sec": 1.0}}
-  ],
   "pilot""#
         );
-        base.replace("  \"pilot\"", &fusion)
+        sample_v3(660.0, 36.0).replace("  \"pilot\"", &chains)
     }
 
     #[test]
-    fn parse_bench_validates_optional_fusion_sections() {
-        let report = parse_bench(&sample_v3_fusion(15.0, 1.2)).expect("valid report");
+    fn parse_bench_validates_optional_ew_chains() {
+        let report = parse_bench(&sample_v3_chains(15.0)).expect("valid report");
         assert_eq!(report.ew_chains.len(), 1);
         assert_eq!(report.ew_chains[0].groups, 5);
         assert!((report.ew_chains[0].speedup() - 1.5).abs() < 1e-9);
-        assert_eq!(report.fusion_pilots.len(), 1);
-        assert_eq!(report.fusion_pilots[0].pipeline, "CqA");
 
-        // Sections are optional: the plain v3 sample still parses with
-        // empty vectors.
+        // The section is optional: the plain v3 sample still parses with
+        // an empty vector.
         let plain = parse_bench(&sample_v3(660.0, 36.0)).expect("plain v3");
-        assert!(plain.ew_chains.is_empty() && plain.fusion_pilots.is_empty());
+        assert!(plain.ew_chains.is_empty());
 
         // But when present, entries must be well-formed and positive.
-        assert!(parse_bench(&sample_v3_fusion(-1.0, 1.2))
+        assert!(parse_bench(&sample_v3_chains(-1.0))
             .unwrap_err()
             .contains("throughput"));
-        assert!(parse_bench(&sample_v3_fusion(15.0, 0.0))
-            .unwrap_err()
-            .contains("throughput"));
-        let bad_groups = sample_v3_fusion(15.0, 1.2).replace("\"groups\": 5", "\"groups\": 0");
+        let bad_groups = sample_v3_chains(15.0).replace("\"groups\": 5", "\"groups\": 0");
         assert!(parse_bench(&bad_groups).unwrap_err().contains("groups"));
     }
 
     #[test]
-    fn diff_gates_fused_chain_and_pilot_throughput() {
-        let old = parse_bench(&sample_v3_fusion(15.0, 1.2)).unwrap();
-        let ok = parse_bench(&sample_v3_fusion(13.0, 1.1)).unwrap(); // within 25%
-        let bad = parse_bench(&sample_v3_fusion(7.0, 0.5)).unwrap(); // both > -50%
+    fn diff_gates_fused_chain_throughput() {
+        let old = parse_bench(&sample_v3_chains(15.0)).unwrap();
+        let ok = parse_bench(&sample_v3_chains(13.0)).unwrap(); // within 25%
+        let bad = parse_bench(&sample_v3_chains(7.0)).unwrap(); // -53%
         assert!(diff_bench(&old, &ok, 25.0).regressions.is_empty());
         let d = diff_bench(&old, &bad, 25.0);
-        assert_eq!(d.regressions.len(), 2, "{}", d.report);
-        assert!(d
-            .regressions
-            .iter()
-            .any(|r| r.contains("ew bn_add3_relu_q8")));
-        assert!(d.regressions.iter().any(|r| r.contains("pilot CqA")));
-        // New-only sections (old artifact predates PR 10) report, never gate.
+        assert_eq!(d.regressions.len(), 1, "{}", d.report);
+        assert!(d.regressions[0].contains("ew bn_add3_relu_q8"));
+        // A new-only section (old artifact predates PR 10) reports, never
+        // gates.
         let pre = parse_bench(&sample_v3(660.0, 36.0)).unwrap();
         let d = diff_bench(&pre, &bad, 25.0);
         assert!(d.regressions.is_empty());

@@ -11,18 +11,20 @@
 //!   enabled the online monitor) and folds in recorded verdicts; the CLI
 //!   exits nonzero on a Critical result.
 //! - [`analyze::diff`] — CI regression gate between two traces: span
-//!   times (with a noise floor; only slowdowns fail), counter totals, and
-//!   histogram distributions (total-variation distance on bucket shares,
-//!   e.g. the sampled bit-width mix).
+//!   times (with a noise floor; only slowdowns fail), counter totals,
+//!   metric series and histogram distributions (total-variation distance
+//!   on bucket shares, e.g. the sampled bit-width mix). Pool scheduling,
+//!   executor timing and `ckpt.` lifecycle telemetry report without
+//!   gating.
 //! - [`record::merge`] — stitches the traces of consecutive process
 //!   segments of one run (kill-and-resume) into a single trace that
 //!   [`analyze::diff`] can gate against an uninterrupted reference.
 //!
 //! - [`bench::diff_bench`] — CI throughput gate between two
-//!   `cq-bench kernels` artifacts (`BENCH_<pr>.json`): flags grid points
-//!   whose blocked GFLOP/s dropped beyond a noise threshold, and disarms
-//!   itself (report-only) when the artifacts come from different
-//!   machines.
+//!   `cq-bench kernels` artifacts (`BENCH_<pr>.json`): flags kernel grid
+//!   points, int8 encoders and elementwise chains whose throughput
+//!   dropped beyond a noise threshold, and disarms itself (report-only)
+//!   when the artifacts come from different machines.
 //! - [`timeline::export_chrome_trace`] / [`timeline::profile`] — turn
 //!   the per-thread timeline intervals of a `CQ_PROF=1` run into a
 //!   `chrome://tracing` / Perfetto JSON file, or into a self-time-ranked
@@ -41,8 +43,8 @@ pub mod record;
 pub mod timeline;
 pub mod tree;
 
-pub use analyze::{check, diff, diff_with_exemptions, summarize, CheckResult, DiffResult};
-pub use bench::{diff_bench, parse_bench, BenchDiff, BenchReport, EwChainPoint, FusionPilotPoint};
+pub use analyze::{check, diff, summarize, CheckResult, DiffResult};
+pub use bench::{diff_bench, parse_bench, BenchDiff, BenchReport, EwChainPoint};
 pub use record::{merge, parse_trace, render_trace, ParseError, Record};
 pub use timeline::{export_chrome_trace, profile, ProfileResult};
 pub use tree::{build_span_tree, render_span_tree, SpanNode};

@@ -3,7 +3,7 @@
 //! ```text
 //! cq-trace summarize <trace.jsonl>
 //! cq-trace check <trace.jsonl>
-//! cq-trace diff <a.jsonl> <b.jsonl> [--fail-over <pct>] [--min-ms <ms>] [--exempt-prefix <p>]...
+//! cq-trace diff <a.jsonl> <b.jsonl> [--fail-over <pct>] [--min-ms <ms>]
 //! cq-trace merge <out.jsonl> <seg1.jsonl> <seg2.jsonl> [...]
 //! cq-trace bench-check <bench.json>
 //! cq-trace bench-diff <old.json> <new.json> [--fail-over <pct>] [--report-only]
@@ -11,15 +11,14 @@
 //! cq-trace profile <trace.jsonl> [--require-pool]
 //! ```
 //!
-//! `diff --exempt-prefix <p>` (repeatable) reports but never gates any
-//! span/counter/metric/histogram whose name starts with `<p>` — used by
-//! the fusion-matrix CI lane to diff `CQ_FUSION=on` vs `off` traces,
-//! where the `graph.`/`fusion.` chain accounting legitimately differs.
+//! `diff` gates every series of two traces; pool scheduling, executor
+//! timing and `ckpt.` lifecycle telemetry are reported but never gated.
 //!
 //! `bench-check` validates a `cq-bench kernels` artifact against the
-//! `cq-bench-kernels/v1` schema. `bench-diff` gates new kernel
-//! throughput against a committed artifact; artifacts from different
-//! machines are reported but never fail the gate.
+//! `cq-bench-kernels/v1`–`v3` schemas, rejecting malformed JSON without
+//! panicking. `bench-diff` gates new kernel, int8-encoder and
+//! elementwise-chain throughput against a committed artifact; artifacts
+//! from different machines are reported but never fail the gate.
 //!
 //! `merge` stitches the traces of consecutive process segments of one
 //! run (kill-and-resume) into a single trace: counter totals are summed
@@ -41,7 +40,7 @@ use cq_obs::health::Verdict;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  cq-trace summarize <trace.jsonl>\n  cq-trace check <trace.jsonl>\n  cq-trace diff <a.jsonl> <b.jsonl> [--fail-over <pct>] [--min-ms <ms>] [--exempt-prefix <p>]...\n  cq-trace merge <out.jsonl> <seg1.jsonl> <seg2.jsonl> [...]\n  cq-trace bench-check <bench.json>\n  cq-trace bench-diff <old.json> <new.json> [--fail-over <pct>] [--report-only]\n  cq-trace timeline <trace.jsonl> [--out <trace.json>]\n  cq-trace profile <trace.jsonl> [--require-pool]"
+        "usage:\n  cq-trace summarize <trace.jsonl>\n  cq-trace check <trace.jsonl>\n  cq-trace diff <a.jsonl> <b.jsonl> [--fail-over <pct>] [--min-ms <ms>]\n  cq-trace merge <out.jsonl> <seg1.jsonl> <seg2.jsonl> [...]\n  cq-trace bench-check <bench.json>\n  cq-trace bench-diff <old.json> <new.json> [--fail-over <pct>] [--report-only]\n  cq-trace timeline <trace.jsonl> [--out <trace.json>]\n  cq-trace profile <trace.jsonl> [--require-pool]"
     );
     ExitCode::from(2)
 }
@@ -101,7 +100,6 @@ fn main() -> ExitCode {
             let (path_a, path_b) = (&args[1], &args[2]);
             let mut fail_over = 30.0f64;
             let mut min_ms = 10.0f64;
-            let mut exempt_prefixes: Vec<String> = Vec::new();
             let mut rest = args[3..].iter();
             while let Some(flag) = rest.next() {
                 match (flag.as_str(), rest.next()) {
@@ -113,7 +111,6 @@ fn main() -> ExitCode {
                         Ok(v) => min_ms = v,
                         Err(_) => return usage(),
                     },
-                    ("--exempt-prefix", Some(p)) => exempt_prefixes.push(p.clone()),
                     _ => return usage(),
                 }
             }
@@ -124,13 +121,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            let res = cq_trace::diff_with_exemptions(
-                &a,
-                &b,
-                fail_over,
-                (min_ms * 1e6) as u64,
-                &exempt_prefixes,
-            );
+            let res = cq_trace::diff(&a, &b, fail_over, (min_ms * 1e6) as u64);
             print!("{}", res.report);
             if res.regressions.is_empty() {
                 println!("cq-trace diff: PASS");
