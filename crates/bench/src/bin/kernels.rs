@@ -34,7 +34,9 @@
 //! forward and backward (both gradients, as training runs them) at those
 //! stage shapes and at the 1×1 shapes training runs, batch 128, against
 //! the per-sample oracle. (Older artifacts also carry retired `conv2d`
-//! points: single-image 3×3 forwards.)
+//! points: single-image 3×3 forwards.) `dw_fwd`/`dw_bwd` points time the
+//! depthwise conv forward and backward (both gradients) at MobileNetV2
+//! w8's five depthwise shapes, batch 128, against the per-pixel oracle.
 //!
 //! PR 10 adds an optional `ew_chains` section under the unchanged v3
 //! schema: the graph executor's fused elementwise-chain throughput
@@ -55,7 +57,10 @@ use cq_quant::{Precision, QuantConfig};
 use cq_tensor::gemm::int8::{gemm_i8_nt_ref, par_gemm_i8};
 use cq_tensor::gemm::{self, Kind};
 use cq_tensor::par::{num_threads, parallel_chunks_mut, parallel_for_each};
-use cq_tensor::{conv2d, conv2d_backward, conv2d_i8, Conv2dSpec, ConvShape, Requant, Tensor};
+use cq_tensor::{
+    conv2d, conv2d_backward, conv2d_i8, depthwise_conv2d, depthwise_conv2d_backward, Conv2dSpec,
+    ConvShape, Requant, Tensor,
+};
 use cq_trace::bench::is_integer_kernel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -177,6 +182,56 @@ fn bench_conv_pass(
     Point {
         kernel,
         m: o,
+        n: np,
+        k: t,
+        iters,
+        gflops: flops / t_kernel / 1e9,
+        ref_gflops: flops / t_ref / 1e9,
+    }
+}
+
+/// Measures one depthwise conv pass of a `c`-channel 3×3 layer at
+/// `stride` (padding 1) over a 128-image batch of `hw`×`hw` inputs, the
+/// forward or (`backward`) both gradients: the channel-lane kernels
+/// `DepthwiseConv2d` runs against the per-pixel oracle. `m`/`n`/`k`
+/// record `C`×`N·P`×`T`; the backward does two passes of that size.
+fn bench_depthwise_pass(
+    backward: bool,
+    (c, hw, stride): (usize, usize, usize),
+    rng: &mut StdRng,
+) -> Point {
+    let shape =
+        ConvShape::new(128, c, hw, hw, c, Conv2dSpec::new(3, stride, 1)).expect("conv geometry");
+    let (t, np) = (9, shape.n * shape.positions());
+    let x = randvec(shape.n * c * hw * hw, rng);
+    let wgt = randvec(c * t, rng);
+    let dy = randvec(c * np, rng);
+    let (mut y, mut dx, mut dw) = (
+        vec![0.0f32; dy.len()],
+        vec![0.0f32; x.len()],
+        vec![0.0f32; wgt.len()],
+    );
+    let flops = 2.0 * (c * t) as f64 * np as f64;
+    let ((t_kernel, iters), (t_ref, _), kernel, flops) = if backward {
+        (
+            time_best(|| depthwise_conv2d_backward(&x, &dy, &wgt, &shape, &mut dx, &mut dw)),
+            time_best(|| {
+                gemm::reference::depthwise_conv2d_backward(&x, &dy, &wgt, &shape, &mut dx, &mut dw)
+            }),
+            "dw_bwd",
+            2.0 * flops,
+        )
+    } else {
+        (
+            time_best(|| depthwise_conv2d(&x, &wgt, &shape, &mut y)),
+            time_best(|| gemm::reference::depthwise_conv2d(&x, &wgt, &shape, &mut y)),
+            "dw_fwd",
+            flops,
+        )
+    };
+    Point {
+        kernel,
+        m: c,
         n: np,
         k: t,
         iters,
@@ -747,6 +802,13 @@ fn main() {
     for layer in layers {
         for backward in [false, true] {
             points.push(bench_conv_pass(backward, layer, &mut rng));
+        }
+    }
+    // The depthwise conv forward and backward at batch 128, as (C, H = W,
+    // stride): MobileNetV2 w8's five 3×3 depthwise shapes.
+    for layer in [(8, 16, 1), (48, 16, 2), (96, 8, 1), (96, 8, 2), (192, 4, 1)] {
+        for backward in [false, true] {
+            points.push(bench_depthwise_pass(backward, layer, &mut rng));
         }
     }
     // Integer inference kernels: the i8 GEMM cubes in the linear layout.

@@ -136,6 +136,9 @@ fn backward_chain<'a>(
 ) -> Result<Cow<'a, Tensor>> {
     let mut d = dy;
     for (layer, cache) in layers.iter().zip(caches).rev() {
+        // The same per-layer backward span `Sequential::backward` opens,
+        // so a child's time is not left as `Residual` self time.
+        let _sp = cq_obs::span(layer.layer_kind());
         d = Cow::Owned(layer.backward(ps, cache, &d, gs)?);
     }
     Ok(d)

@@ -1,15 +1,10 @@
-//! Convolution layers: dense [`Conv2d`] (each pass one batch-wide kernel
-//! call on the batch lanes of `cq_tensor::gemm::conv`) and
-//! [`DepthwiseConv2d`] (direct loops, used by MobileNetV2).
-//!
-//! The depthwise layer parallelises over batch samples with per-band
-//! weight-gradient accumulators, so gradients are deterministic (the band
-//! grid depends only on the batch size — never on the thread count — and
-//! partials are reduced in band order) while still using every core via
-//! the persistent pool. The dense layer's kernels in `cq_tensor::gemm::conv`
-//! keep the same guarantee.
+//! Convolution layers: dense [`Conv2d`] and [`DepthwiseConv2d`] (used by
+//! MobileNetV2). Each pass is one batch-wide kernel call: dense passes on
+//! the batch lanes of `cq_tensor::gemm::conv`, depthwise passes on the
+//! channel lanes of `cq_tensor::gemm::depthwise`. Those kernels own the
+//! batch split and the band-order reduction of the weight-gradient
+//! partials, so gradients are bitwise identical at every thread count.
 
-use cq_tensor::par::{parallel_for_chunks, parallel_map_chunks, ChunkGrid};
 use cq_tensor::{
     conv2d, conv2d_backward, depthwise_conv2d, depthwise_conv2d_backward, Conv2dSpec, ConvShape,
     Tensor,
@@ -17,30 +12,6 @@ use cq_tensor::{
 use rand::Rng;
 
 use crate::{Cache, ForwardCtx, GradSet, Layer, NnError, ParamId, ParamSet, Result};
-
-/// Raw pointer wrapper for disjoint parallel writes.
-struct SendPtr(*mut f32);
-// SAFETY: only used with disjoint per-sample chunks.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-impl SendPtr {
-    /// Accessor so closures capture the `Sync` wrapper, not the pointer.
-    fn get(&self) -> *mut f32 {
-        self.0
-    }
-}
-
-/// Fixed cap on depthwise batch bands. A constant (not `num_threads()`)
-/// so the band grid — and with it the weight-gradient partial count and
-/// reduction order — is identical at every thread count. Also bounds the
-/// partial-accumulator memory.
-const MAX_BANDS: usize = 8;
-
-/// Band grid over `n` batch samples.
-fn band_grid(n: usize) -> ChunkGrid {
-    ChunkGrid::with_max_chunks(n, 1, MAX_BANDS)
-}
 
 /// Dense 2-D convolution over NCHW batches.
 ///
@@ -210,8 +181,7 @@ pub struct DepthwiseConv2d {
 struct DwCache {
     input: Tensor,
     used_weight: Option<Tensor>,
-    in_hw: (usize, usize),
-    out_hw: (usize, usize),
+    shape: ConvShape,
 }
 
 impl DepthwiseConv2d {
@@ -254,44 +224,19 @@ impl Layer for DepthwiseConv2d {
             });
         }
         let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-        let (oh, ow) = self.spec.out_hw(h, w)?;
+        let shape = ConvShape::new(n, c, h, w, c, self.spec)?;
         let raw_w = ps.get(self.weight);
         let used = crate::perturb::perturbed_weight(raw_w, self.weight, ctx);
         let wslice = used.as_ref().unwrap_or(raw_w).as_slice();
-        let xs = x.as_slice();
-        let spec = self.spec;
-        let mut out = vec![0.0f32; n * c * oh * ow];
-        {
-            let out_ptr = SendPtr(out.as_mut_ptr());
-            parallel_for_chunks(band_grid(n), |_, b0, b1| {
-                for i in b0..b1 {
-                    // SAFETY: disjoint per-sample chunks.
-                    let dst = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            out_ptr.get().add(i * c * oh * ow),
-                            c * oh * ow,
-                        )
-                    };
-                    depthwise_conv2d(
-                        &xs[i * c * h * w..(i + 1) * c * h * w],
-                        wslice,
-                        c,
-                        h,
-                        w,
-                        &spec,
-                        dst,
-                    );
-                }
-            });
-        }
-        let y = Tensor::from_vec(out, &[n, c, oh, ow])?;
+        let mut out = vec![0.0f32; n * c * shape.positions()];
+        depthwise_conv2d(x.as_slice(), wslice, &shape, &mut out);
+        let y = Tensor::from_vec(out, &[n, c, shape.oh, shape.ow])?;
         Ok((
             y,
             Cache::new(DwCache {
                 input: x.clone(),
                 used_weight: used,
-                in_hw: (h, w),
-                out_hw: (oh, ow),
+                shape,
             }),
         ))
     }
@@ -304,14 +249,12 @@ impl Layer for DepthwiseConv2d {
         gs: &mut GradSet,
     ) -> Result<Tensor> {
         let cch = cache.downcast::<DwCache>("DepthwiseConv2d")?;
-        let (h, w) = cch.in_hw;
-        let (oh, ow) = cch.out_hw;
-        let c = self.channels;
-        let n = cch.input.dims()[0];
-        if dy.dims() != [n, c, oh, ow] {
+        let s = cch.shape;
+        let (n, c) = (s.n, s.c);
+        if dy.dims() != [n, c, s.oh, s.ow] {
             return Err(NnError::BadInput {
                 layer: "DepthwiseConv2d.backward".into(),
-                expected: format!("[{n}, {c}, {oh}, {ow}]"),
+                expected: format!("[{n}, {c}, {}, {}]", s.oh, s.ow),
                 got: dy.dims().to_vec(),
             });
         }
@@ -320,49 +263,19 @@ impl Layer for DepthwiseConv2d {
             .as_ref()
             .unwrap_or_else(|| ps.get(self.weight))
             .as_slice();
-        let xs = cch.input.as_slice();
-        let dys = dy.as_slice();
-        let spec = self.spec;
-        let (kh, kw) = spec.kernel;
-
-        let mut dx = vec![0.0f32; n * c * h * w];
-        let dw_partials = {
-            let dx_ptr = SendPtr(dx.as_mut_ptr());
-            parallel_map_chunks(
-                band_grid(n),
-                || vec![0.0f32; c * kh * kw],
-                |_, b0, b1, dw_part| {
-                    for i in b0..b1 {
-                        // SAFETY: disjoint per-sample chunks.
-                        let dx_n = unsafe {
-                            std::slice::from_raw_parts_mut(
-                                dx_ptr.get().add(i * c * h * w),
-                                c * h * w,
-                            )
-                        };
-                        depthwise_conv2d_backward(
-                            &xs[i * c * h * w..(i + 1) * c * h * w],
-                            wslice,
-                            &dys[i * c * oh * ow..(i + 1) * c * oh * ow],
-                            c,
-                            h,
-                            w,
-                            &spec,
-                            dx_n,
-                            dw_part,
-                        );
-                    }
-                },
-            )
-        };
+        let (kh, kw) = s.spec.kernel;
         let mut dw = Tensor::zeros(&[c, kh, kw]);
-        for part in &dw_partials {
-            for (d, &p) in dw.as_mut_slice().iter_mut().zip(part) {
-                *d += p;
-            }
-        }
+        let mut dx = vec![0.0f32; n * c * s.h * s.w];
+        depthwise_conv2d_backward(
+            cch.input.as_slice(),
+            dy.as_slice(),
+            wslice,
+            &s,
+            &mut dx,
+            dw.as_mut_slice(),
+        );
         gs.accumulate(self.weight, &dw)?;
-        Ok(Tensor::from_vec(dx, &[n, c, h, w])?)
+        Ok(Tensor::from_vec(dx, &[n, c, s.h, s.w])?)
     }
 }
 

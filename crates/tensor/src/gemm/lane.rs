@@ -53,8 +53,9 @@ use super::conv::{ConvShape, WGRAD_BANDS};
 use super::{Level, SendPtr};
 use crate::par::{parallel_for_chunks, ChunkGrid};
 
-/// Images per block: the lanes of every vector in this module.
-const LANES: usize = 16;
+/// Images per block: the lanes of every vector in this module (and
+/// channels per block in [`super::depthwise`]).
+pub(super) const LANES: usize = 16;
 
 /// Register tile side. Forward tiles are `TILE` output channels × `TILE`
 /// positions, input-gradient tiles `TILE` input channels × `TILE`
@@ -75,28 +76,28 @@ static LANE_ELEMS: cq_obs::Counter = cq_obs::Counter::new("tensor.conv.lane_elem
 /// One pixel of a block's 16 images, aligned to a cache line.
 #[derive(Clone, Copy)]
 #[repr(C, align(64))]
-struct Lane([f32; LANES]);
+pub(super) struct Lane(pub(super) [f32; LANES]);
 
-const ZERO: Lane = Lane([0.0; LANES]);
+pub(super) const ZERO: Lane = Lane([0.0; LANES]);
 
 /// A zeroed run of lanes, cache-line aligned inside a plain `f32`
 /// allocation. (An over-aligned `Vec<Lane>` would take the allocator's
 /// aligned path, which measurably raises a training step's peak RSS.)
-struct LaneBuf {
+pub(super) struct LaneBuf {
     raw: Vec<f32>,
     off: usize,
     len: usize,
 }
 
 impl LaneBuf {
-    fn zeroed(len: usize) -> LaneBuf {
+    pub(super) fn zeroed(len: usize) -> LaneBuf {
         let raw = vec![0.0f32; (len + 1) * LANES];
         // Floats up to the first 64-byte boundary.
         let off = (raw.as_ptr() as usize).wrapping_neg() % 64 / 4;
         LaneBuf { raw, off, len }
     }
 
-    fn lanes(&self) -> &[Lane] {
+    pub(super) fn lanes(&self) -> &[Lane] {
         let floats = &self.raw[self.off..self.off + self.len * LANES];
         // SAFETY: `floats` starts on a 64-byte boundary and holds `len`
         // runs of 16 f32s; a `Lane` is exactly 16 f32s (`repr(C)`), and
@@ -104,7 +105,7 @@ impl LaneBuf {
         unsafe { std::slice::from_raw_parts(floats.as_ptr().cast(), self.len) }
     }
 
-    fn lanes_mut(&mut self) -> &mut [Lane] {
+    pub(super) fn lanes_mut(&mut self) -> &mut [Lane] {
         let floats = &mut self.raw[self.off..self.off + self.len * LANES];
         // SAFETY: as for `lanes`, borrowed uniquely.
         unsafe { std::slice::from_raw_parts_mut(floats.as_mut_ptr().cast(), self.len) }
@@ -112,7 +113,7 @@ impl LaneBuf {
 }
 
 /// A 16×16 transpose of a square of lanes, compiled per SIMD level.
-trait Transpose {
+pub(super) trait Transpose {
     /// # Safety
     ///
     /// The host must support the level the implementation is compiled
@@ -202,7 +203,7 @@ unsafe fn transpose_avx512(t: &mut [Lane; LANES]) {
 }
 
 /// A pass over a range of chunk indices, generic over the transpose.
-trait LanePass {
+pub(super) trait LanePass {
     /// # Safety
     ///
     /// The host must support `T`'s level (see [`Transpose::transpose`]).
@@ -214,7 +215,7 @@ trait LanePass {
 /// # Safety
 ///
 /// The host must support `level`.
-unsafe fn dispatch_at(level: Level, pass: impl LanePass) {
+pub(super) unsafe fn dispatch_at(level: Level, pass: impl LanePass) {
     match level {
         // SAFETY: `Swaps` runs at every level.
         Level::Portable => unsafe { pass.run::<Swaps>() },
@@ -401,7 +402,7 @@ unsafe fn store_block<T: Transpose>(src: &[Lane], g: &Planes, b: usize, dst: &Se
 /// `dst[..src.len()] = src`; a full row is a fixed-size copy, so it
 /// compiles to a vector move rather than a `memcpy` call.
 #[inline(always)]
-fn copy_prefix(dst: &mut [f32; LANES], src: &[f32]) {
+pub(super) fn copy_prefix(dst: &mut [f32; LANES], src: &[f32]) {
     match <&[f32; LANES]>::try_from(src) {
         Ok(full) => *dst = *full,
         Err(_) => dst[..src.len()].copy_from_slice(src),

@@ -41,6 +41,7 @@
 //! thread count.
 
 pub mod conv;
+pub mod depthwise;
 pub mod int8;
 mod lane;
 pub mod reference;

@@ -17,7 +17,9 @@
 //! gradient partials) lives here too, as the oracle of the batch-lane
 //! convolution behind [`super::conv`] — and its int8 counterpart
 //! ([`im2col_i8`], [`conv2d_i8_per_sample`]), the oracle of
-//! [`super::conv::conv2d_i8`].
+//! [`super::conv::conv2d_i8`]. The per-pixel depthwise loops
+//! ([`depthwise_conv2d`], [`depthwise_conv2d_backward`]) are the oracle of
+//! the channel-lane kernels in [`super::depthwise`].
 //!
 //! This module is the one place the `cq-check` `no-naive-hot-loop` lint
 //! permits an unblocked multiply-accumulate loop nest; new naive loops
@@ -289,6 +291,89 @@ pub fn conv2d_backward_weight(x: &[f32], dy: &[f32], s: &ConvShape, dw: &mut [f3
                 k,
                 &mut part,
             );
+        }
+        for (d, &v) in dw.iter_mut().zip(&part) {
+            *d += v;
+        }
+    }
+}
+
+/// Per-pixel depthwise convolution: each output of channel `ci` sums its
+/// in-bounds taps in ascending `(ki, kj)` order from `+0.0`, skipping
+/// padding taps. `s` has `s.o == s.c`, `wgt` is `[C, KH·KW]`. Oracle of
+/// [`super::depthwise::depthwise_conv2d`]; same argument layout.
+pub fn depthwise_conv2d(x: &[f32], wgt: &[f32], s: &ConvShape, out: &mut [f32]) {
+    let (kh, kw) = s.spec.kernel;
+    let (sh, sw) = s.spec.stride;
+    let (ph, pw) = s.spec.padding;
+    let (h, w) = (s.h as isize, s.w as isize);
+    for i in 0..s.n * s.c {
+        let (xc, wc) = (&x[i * s.h * s.w..], &wgt[(i % s.c) * kh * kw..]);
+        for oy in 0..s.oh {
+            for ox in 0..s.ow {
+                let mut acc = 0.0f32;
+                for ki in 0..kh {
+                    let iy = (oy * sh + ki) as isize - ph as isize;
+                    for kj in 0..kw {
+                        let ix = (ox * sw + kj) as isize - pw as isize;
+                        if (0..h).contains(&iy) && (0..w).contains(&ix) {
+                            acc += xc[(iy * w + ix) as usize] * wc[ki * kw + kj];
+                        }
+                    }
+                }
+                out[(i * s.oh + oy) * s.ow + ox] = acc;
+            }
+        }
+    }
+}
+
+/// Per-pixel depthwise gradients: for every `dY` element `g ≠ 0` in
+/// raster order (zeros are skipped), each in-bounds tap adds `g·w` into
+/// `dx` and `g·x` into its band's weight-gradient partial; images are
+/// split into [`WGRAD_BANDS`] bands and the partials summed in band
+/// order. `dx` and `dw` are overwritten. Oracle of
+/// [`super::depthwise::depthwise_conv2d_backward`]; same argument layout.
+pub fn depthwise_conv2d_backward(
+    x: &[f32],
+    dy: &[f32],
+    wgt: &[f32],
+    s: &ConvShape,
+    dx: &mut [f32],
+    dw: &mut [f32],
+) {
+    let (kh, kw) = s.spec.kernel;
+    let (sh, sw) = s.spec.stride;
+    let (ph, pw) = s.spec.padding;
+    let (h, w) = (s.h as isize, s.w as isize);
+    let bands = ChunkGrid::with_max_chunks(s.n, 1, WGRAD_BANDS);
+    let mut part = vec![0.0f32; s.c * kh * kw];
+    dx.fill(0.0);
+    dw.fill(0.0);
+    for band in 0..bands.n_chunks() {
+        let (b0, b1) = bands.range(band);
+        part.fill(0.0);
+        for i in b0 * s.c..b1 * s.c {
+            let ci = i % s.c;
+            for oy in 0..s.oh {
+                for ox in 0..s.ow {
+                    let g = dy[(i * s.oh + oy) * s.ow + ox];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    for ki in 0..kh {
+                        let iy = (oy * sh + ki) as isize - ph as isize;
+                        for kj in 0..kw {
+                            let ix = (ox * sw + kj) as isize - pw as isize;
+                            if (0..h).contains(&iy) && (0..w).contains(&ix) {
+                                let at = i * s.h * s.w + (iy * w + ix) as usize;
+                                let t = ci * kh * kw + ki * kw + kj;
+                                dx[at] += g * wgt[t];
+                                part[t] += g * x[at];
+                            }
+                        }
+                    }
+                }
+            }
         }
         for (d, &v) in dw.iter_mut().zip(&part) {
             *d += v;

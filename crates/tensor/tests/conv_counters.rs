@@ -1,4 +1,4 @@
-//! The dense-conv kernel counters leave out no work.
+//! The conv kernel counters leave out no work.
 //!
 //! A 3×3 stride-1 and a 1×1 stride-2 geometry run forward and backward at
 //! batches of 1, 11 and 12 images, each a partial 16-image lane block.
@@ -7,6 +7,10 @@
 //! layout in `tensor.conv.lane_elems`; no dense f32 conv reaches the
 //! packed GEMM.
 //!
+//! Depthwise convs count `2·C·KH·KW·N·OH·OW` per pass in
+//! `tensor.depthwise.flops`: the f32 forward once and its backward twice
+//! (input and weight gradient), the i8 forward once.
+//!
 //! A single test, because counters are process-global.
 
 use std::collections::HashMap;
@@ -14,7 +18,10 @@ use std::sync::Arc;
 
 use cq_obs::sink::MemorySink;
 use cq_obs::Event;
-use cq_tensor::{conv2d, conv2d_backward, Conv2dSpec, ConvShape};
+use cq_tensor::{
+    conv2d, conv2d_backward, depthwise_conv2d, depthwise_conv2d_backward, depthwise_conv2d_i8,
+    Conv2dSpec, ConvShape,
+};
 
 /// Counter totals of the work `run` does.
 fn counted(run: impl FnOnce()) -> HashMap<&'static str, u64> {
@@ -35,6 +42,11 @@ fn counted(run: impl FnOnce()) -> HashMap<&'static str, u64> {
 
 #[test]
 fn every_pass_is_counted() {
+    dense_passes_are_counted();
+    depthwise_passes_are_counted();
+}
+
+fn dense_passes_are_counted() {
     let specs = [Conv2dSpec::new(3, 1, 1), Conv2dSpec::new(1, 2, 0)];
     for spec in specs {
         for n in [1, 11, 12] {
@@ -59,6 +71,42 @@ fn every_pass_is_counted() {
             let lane = (xe + ye) + (ye + 2 * xe);
             assert_eq!(get("tensor.conv.lane_elems"), lane, "{s:?}");
             assert_eq!(get("tensor.gemm.packed_calls"), 0, "{s:?}");
+        }
+    }
+}
+
+fn depthwise_passes_are_counted() {
+    let specs = [Conv2dSpec::new(3, 1, 1), Conv2dSpec::new(3, 2, 1)];
+    for spec in specs {
+        for n in [1, 16, 17] {
+            let s = ConvShape::new(n, 20, 8, 6, 20, spec).expect("shape");
+            let (t, p, img) = (9, s.positions(), s.c * s.h * s.w);
+            let x: Vec<f32> = (0..n * img).map(|i| (i % 7) as f32 - 3.0).collect();
+            let w: Vec<f32> = (0..s.c * t).map(|i| (i % 5) as f32 - 2.0).collect();
+            let dy: Vec<f32> = (0..n * s.c * p).map(|i| (i % 3) as f32 - 1.0).collect();
+            let (mut y, mut dx, mut dw) =
+                (vec![0.0; dy.len()], vec![0.0; x.len()], vec![0.0; w.len()]);
+            let flops = 2 * (s.c * t * n * p) as u64;
+            let c = counted(|| depthwise_conv2d(&x, &w, &s, &mut y));
+            assert_eq!(c.get("tensor.depthwise.flops"), Some(&flops), "{s:?}");
+            // Forward + backward: three passes.
+            let c = counted(|| {
+                depthwise_conv2d(&x, &w, &s, &mut y);
+                depthwise_conv2d_backward(&x, &dy, &w, &s, &mut dx, &mut dw);
+            });
+            assert_eq!(c.get("tensor.depthwise.flops"), Some(&(3 * flops)), "{s:?}");
+            // The i8 forward of one image counts its one pass.
+            let codes = vec![1i8; img];
+            let wc = vec![1i8; s.c * t];
+            let (mut acc, mut asum) = (vec![0i32; s.c * p], vec![0i32; s.c * p]);
+            let c = counted(|| {
+                depthwise_conv2d_i8(&codes, &wc, s.c, s.h, s.w, &spec, 0, &mut acc, &mut asum)
+            });
+            assert_eq!(
+                c.get("tensor.depthwise.flops"),
+                Some(&(flops / n as u64)),
+                "{s:?}"
+            );
         }
     }
 }

@@ -9,11 +9,14 @@
 //! parallel entry point is additionally run under thread limits
 //! {1, 2, 5, 8} — all must produce identical bits. The dense convolution
 //! (on batch lanes) is held to the same standard against its per-sample
-//! im2col oracle.
+//! im2col oracle, and the depthwise convolution (on channel lanes)
+//! against its per-pixel loops.
 
 use cq_tensor::gemm::{self, reference, Kind};
 use cq_tensor::par::with_thread_limit;
-use cq_tensor::{conv2d, conv2d_backward, Conv2dSpec, ConvShape};
+use cq_tensor::{
+    conv2d, conv2d_backward, depthwise_conv2d, depthwise_conv2d_backward, Conv2dSpec, ConvShape,
+};
 use proptest::prelude::*;
 
 /// Checked thread limits: serial, even split, odd/ragged split, and more
@@ -205,6 +208,42 @@ proptest! {
                 let [y, dx, dw] = &mut got;
                 conv2d(x, w, &s, y);
                 conv2d_backward(x, dy, w, &s, dx, dw);
+            });
+            for (pass, (g, r)) in ["forward", "dx", "dw"].iter().zip(got.iter().zip(&want)) {
+                prop_assert_eq!(bits(g), bits(r), "{} {:?} at {} threads", pass, s, limit);
+            }
+        }
+    }
+
+    #[test]
+    fn depthwise_matches_per_pixel_oracle_bitwise(
+        n in prop_oneof![1usize..9, 9usize..40], c in prop_oneof![1usize..18, 30usize..50],
+        h in 1usize..9, w in 1usize..9, kernel in 1usize..6, stride in 1usize..3,
+        pad in 0usize..3, seed in 0u64..u64::MAX,
+    ) {
+        // The channel-lane passes (forward, input and weight gradient),
+        // with channel counts within one 16-lane block and across several,
+        // on square and non-square inputs, against the per-pixel loops, at
+        // every thread limit.
+        let Ok(s) = ConvShape::new(n, c, h, w, c, Conv2dSpec::new(kernel, stride, pad)) else {
+            continue;
+        };
+        let x = seeded(n * c * h * w, seed);
+        let wgt = seeded(c * kernel * kernel, seed ^ 0x5eed);
+        let dy = seeded(n * c * s.positions(), !seed);
+        let (x, wgt, dy) = (&x[..], &wgt[..], &dy[..]);
+        let mut want = [vec![f32::NAN; dy.len()], vec![f32::NAN; x.len()], vec![f32::NAN; wgt.len()]];
+        reference::depthwise_conv2d(x, wgt, &s, &mut want[0]);
+        {
+            let [_, dx, dw] = &mut want;
+            reference::depthwise_conv2d_backward(x, dy, wgt, &s, dx, dw);
+        }
+        for limit in THREAD_LIMITS {
+            let mut got = [vec![f32::NAN; dy.len()], vec![f32::NAN; x.len()], vec![f32::NAN; wgt.len()]];
+            with_thread_limit(limit, || {
+                let [y, dx, dw] = &mut got;
+                depthwise_conv2d(x, wgt, &s, y);
+                depthwise_conv2d_backward(x, dy, wgt, &s, dx, dw);
             });
             for (pass, (g, r)) in ["forward", "dx", "dw"].iter().zip(got.iter().zip(&want)) {
                 prop_assert_eq!(bits(g), bits(r), "{} {:?} at {} threads", pass, s, limit);
