@@ -363,9 +363,11 @@ pub fn is_integer_kernel(kernel: &str) -> bool {
 pub struct KernelPoint {
     /// Kernel name (`matmul`, `matmul_nt`, `matmul_tn`, the batch-128
     /// dense conv forward `conv2d_fwd` and backward (both gradients)
-    /// `conv2d_bwd`, at 3×3 and 1×1 shapes, and the integer `matmul_i8`,
-    /// `matmul_i8_nt`, `conv2d_i8`). Older artifacts also carry the
-    /// retired single-image forward `conv2d`.
+    /// `conv2d_bwd`, at 3×3 and 1×1 shapes, the batch-128 depthwise conv
+    /// forward `dw_fwd` and backward (both gradients) `dw_bwd` at
+    /// MobileNetV2's depthwise shapes, keyed `C`×`N·P`×`T`, and the
+    /// integer `matmul_i8`, `matmul_i8_nt`, `conv2d_i8`). Older artifacts
+    /// also carry the retired single-image forward `conv2d`.
     pub kernel: String,
     /// Output rows of the (lowered) product.
     pub m: usize,
@@ -1091,6 +1093,52 @@ mod tests {
             d.report
         );
         assert!(d.report.contains("35.00 -> 17.00 GFLOP/s"), "{}", d.report);
+    }
+
+    /// v3 artifact with the two batch-128 depthwise pass points of one
+    /// layer (`C = 48` at 16×16, stride 2), the forward at `fwd_gflops`.
+    fn sample_v3_dw_passes(fwd_gflops: f64) -> String {
+        sample_v3(660.0, 36.0).replace(
+            "  ],\n  \"int8_encoders\"",
+            &format!(
+                r#"    ,{{"kernel": "dw_fwd", "m": 48, "n": 8192, "k": 9, "iters": 40,
+      "gflops": {fwd_gflops}, "ref_gflops": 0.9, "speedup": 8.0,
+      "ai": 2.2, "roofline_pct": 20.0}},
+    {{"kernel": "dw_bwd", "m": 48, "n": 8192, "k": 9, "iters": 20,
+      "gflops": 5.5, "ref_gflops": 0.8, "speedup": 6.9,
+      "ai": 2.2, "roofline_pct": 14.0}}
+  ],
+  "int8_encoders""#
+            ),
+        )
+    }
+
+    #[test]
+    fn depthwise_pass_points_parse_and_diff_as_f32_kernels() {
+        let old = parse_bench(&sample_v3_dw_passes(7.2)).expect("valid report");
+        let passes: Vec<&KernelPoint> = old
+            .kernels
+            .iter()
+            .filter(|p| p.kernel.starts_with("dw_"))
+            .collect();
+        let names: Vec<&str> = passes.iter().map(|p| p.kernel.as_str()).collect();
+        assert_eq!(names, ["dw_fwd", "dw_bwd"]);
+        for p in &passes {
+            assert!(!is_integer_kernel(&p.kernel), "{}", p.kernel);
+            assert_eq!(p.unit(), "GFLOP/s");
+        }
+        // Both points key on C x N·P x T.
+        assert_eq!(passes[1].key(), ("dw_bwd".to_string(), 48, 8192, 9));
+
+        let slower = parse_bench(&sample_v3_dw_passes(3.0)).unwrap(); // -58%
+        let d = diff_bench(&old, &slower, 25.0);
+        assert_eq!(d.regressions.len(), 1, "{}", d.report);
+        assert!(
+            d.regressions[0].contains("dw_fwd 48x8192x9"),
+            "{}",
+            d.report
+        );
+        assert!(d.report.contains("7.20 -> 3.00 GFLOP/s"), "{}", d.report);
     }
 
     /// v3 artifact with the optional PR-10 `ew_chains` section attached.
