@@ -41,7 +41,9 @@
 //! PR 10 adds an optional `ew_chains` section under the unchanged v3
 //! schema: the graph executor's fused elementwise-chain throughput
 //! (BN → residual adds → ReLU → fake-quant, in GB/s of logical chain
-//! traffic) against the per-layer path.
+//! traffic) against the per-layer path. The `bn_relu6_q8_train` point
+//! runs BN → ReLU6 → fake-quant in train mode at a MobileNetV2 expand
+//! shape, so it also covers the batch statistics and both backward taps.
 //!
 //! ```text
 //! kernels [--scale quick|paper] [--out BENCH_10.json]
@@ -52,7 +54,7 @@ use cq_bench::Scale;
 use cq_infer::IntEncoder;
 use cq_models::{Arch, Encoder, EncoderConfig};
 use cq_nn::graph::Recorder;
-use cq_nn::{BatchNorm2d, ForwardCtx, Layer, ParamSet, Relu};
+use cq_nn::{BatchNorm2d, ForwardCtx, Layer, ParamSet, Relu, Relu6};
 use cq_quant::{Precision, QuantConfig};
 use cq_tensor::gemm::int8::{gemm_i8_nt_ref, par_gemm_i8};
 use cq_tensor::gemm::{self, Kind};
@@ -359,6 +361,11 @@ struct ChainPoint {
 
 /// Measures the elementwise chain BN → (`adds` × residual add) → ReLU →
 /// 8-bit fake-quant over an `[n, c, h, w]` map, fused vs. per-layer.
+/// `train` runs MobileNetV2's form of the chain as a training step does:
+/// ReLU6, and BatchNorm in train mode, so each rep also computes the
+/// batch statistics and writes both backward taps (BN's `xhat` and the
+/// activation's mask bits); the eval chains measure the executor's pass
+/// structure alone.
 ///
 /// The *fused* arm drives the graph executor through the public
 /// [`Recorder`] path: one recorded chain, one working buffer (the input's
@@ -382,6 +389,7 @@ fn bench_ew_chain(
     chain: &'static str,
     dims: [usize; 4],
     adds: usize,
+    train: bool,
     rng: &mut StdRng,
 ) -> ChainPoint {
     let [n, c, h, w] = dims;
@@ -391,13 +399,24 @@ fn bench_ew_chain(
     // own feed-forward state; both pairs are identically initialized, so
     // the two arms iterate the same chain function.
     let mut bn = BatchNorm2d::new(&mut ps, "bn", c);
-    let mut relu = Relu::new();
     let mut bn_e = BatchNorm2d::new(&mut ps, "bn_eager", c);
-    let mut relu_e = Relu::new();
-    // Eval-mode BN (running statistics) keeps the chain free of the
-    // whole-tensor stats reduction, so the measurement is the executor's
-    // pass structure and nothing else.
-    let ctx = ForwardCtx::eval().with_quant(QuantConfig::uniform(Precision::Bits(8)));
+    let act = || -> Box<dyn Layer> {
+        if train {
+            Box::new(Relu6::new())
+        } else {
+            Box::new(Relu::new())
+        }
+    };
+    let (mut relu, mut relu_e) = (act(), act());
+    // Eval-mode BN (running statistics) keeps the eval chains free of the
+    // whole-tensor stats reduction, so they measure the executor's pass
+    // structure and nothing else.
+    let ctx = if train {
+        ForwardCtx::train()
+    } else {
+        ForwardCtx::eval()
+    };
+    let ctx = ctx.with_quant(QuantConfig::uniform(Precision::Bits(8)));
     let input = Tensor::from_vec(randvec(elems, rng), &dims).expect("chain input");
     let mut state = Some(input.clone());
     let mut state_e = Some(input);
@@ -414,7 +433,7 @@ fn bench_ew_chain(
         for s in &skips {
             rec.push_add(StdArc::clone(s)).expect("residual add");
         }
-        rec.run(&mut relu).expect("relu record");
+        rec.run(relu.as_mut()).expect("relu record");
         let (y, _) = rec.finish().expect("chain execution");
         state = Some(y);
         std::hint::black_box(&state);
@@ -754,10 +773,13 @@ fn main() {
     // encoder sections grow and fragment the arena) keeps large
     // allocations hugepage-backed and the measurement reproducible.
     let chain_dims = [4usize, 32, 64, 64];
+    // The train-mode point is an MBv2 expand-layer map: statistics, both
+    // backward taps and the fake-quant, as a training step runs them.
     let chains = vec![
-        bench_ew_chain("bn_relu_q8", chain_dims, 0, &mut rng),
-        bench_ew_chain("bn_add3_relu_q8", chain_dims, 3, &mut rng),
-        bench_ew_chain("bn_add7_relu_q8", chain_dims, 7, &mut rng),
+        bench_ew_chain("bn_relu_q8", chain_dims, 0, false, &mut rng),
+        bench_ew_chain("bn_add3_relu_q8", chain_dims, 3, false, &mut rng),
+        bench_ew_chain("bn_add7_relu_q8", chain_dims, 7, false, &mut rng),
+        bench_ew_chain("bn_relu6_q8_train", [128, 96, 8, 8], 0, true, &mut rng),
     ];
     for c in &chains {
         eprintln!(

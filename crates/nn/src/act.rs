@@ -8,12 +8,20 @@
 //! ([`crate::graph`]): standalone `forward` calls run a single-group
 //! chain, while [`Layer::record`] lets a surrounding [`Recorder`] fuse
 //! the activation (and its fake-quant) into the preceding elementwise
-//! pass.
+//! pass. The pass writes the gradient mask as packed bits (one bit per
+//! element, no branch), and the backward is one pass from `dY` and those
+//! bits into a fresh buffer, `dx = dy · (bit ? 1 : 0)`. It multiplies
+//! rather than selecting `dy` or `+0.0`, so `−0.0`, `±Inf · 0` and NaN
+//! come out as they did with the `f32` mask this replaced
+//! ([`crate::reference::act_backward`]).
 
+use std::mem::MaybeUninit;
+
+use cq_tensor::simd::{dispatch, Body, SimdLevel};
 use cq_tensor::Tensor;
 
-use crate::graph::{execute_single, EwGroup, EwOp, Recorder};
-use crate::{Cache, ForwardCtx, GradSet, Layer, ParamSet, Result};
+use crate::graph::{execute_single, EwGroup, EwOp, Mask, Recorder, MASK_WORD};
+use crate::{Cache, ForwardCtx, GradSet, Layer, NnError, ParamSet, Result};
 
 /// Rectified linear unit `y = max(0, x)`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -28,8 +36,8 @@ impl Relu {
 
 /// Pre-activation sign mask trace shared by [`Relu`] and [`Relu6`].
 struct ActCache {
-    /// 1.0 where the activation passes gradient, 0.0 elsewhere.
-    mask: Vec<f32>,
+    /// Set where the activation passes gradient.
+    mask: Mask,
 }
 
 /// The recorded op group for a ReLU-family activation: the activation op,
@@ -47,12 +55,69 @@ fn act_group(op: EwOp, ctx: &ForwardCtx) -> EwGroup {
 }
 
 fn act_backward(layer_name: &str, cache: &Cache, dy: &Tensor) -> Result<Tensor> {
+    act_backward_at(SimdLevel::detect(), layer_name, cache, dy)
+}
+
+/// [`act_backward`] with the kernel compiled at `level`.
+fn act_backward_at(
+    level: SimdLevel,
+    layer_name: &str,
+    cache: &Cache,
+    dy: &Tensor,
+) -> Result<Tensor> {
     let c = cache.downcast::<ActCache>(layer_name)?;
-    let mut dx = dy.clone();
-    for (g, &m) in dx.as_mut_slice().iter_mut().zip(&c.mask) {
-        *g *= m;
+    if dy.dims() != c.mask.dims {
+        return Err(NnError::BadInput {
+            layer: format!("{layer_name}.backward"),
+            expected: format!("{:?}", c.mask.dims),
+            got: dy.dims().to_vec(),
+        });
     }
-    Ok(dx)
+    let dy = dy.as_slice();
+    // Every element below is written only if the mask covers it.
+    assert_eq!(c.mask.words.len(), dy.len().div_ceil(MASK_WORD));
+    let mut dx = Vec::with_capacity(dy.len());
+    dispatch(
+        level,
+        MaskedGrad {
+            dy,
+            words: &c.mask.words,
+            dx: &mut dx.spare_capacity_mut()[..dy.len()],
+        },
+    );
+    // SAFETY: `MaskedGrad` wrote all `dy.len()` elements: one block per
+    // mask word, and the words cover `dy` (asserted above).
+    unsafe { dx.set_len(dy.len()) };
+    Ok(Tensor::from_vec(dx, &c.mask.dims)?)
+}
+
+/// `dx = dy · (bit ? 1.0 : 0.0)` over 32-element words of the mask.
+struct MaskedGrad<'a> {
+    dy: &'a [f32],
+    words: &'a [u32],
+    dx: &'a mut [MaybeUninit<f32>],
+}
+
+impl Body for MaskedGrad<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<const L: usize>(self) {
+        let block = |dy: &[f32], dx: &mut [MaybeUninit<f32>], w: u32| {
+            for (j, (o, &g)) in dx.iter_mut().zip(dy).enumerate() {
+                let m = if (w >> j) & 1 != 0 { 1.0 } else { 0.0 };
+                o.write(g * m);
+            }
+        };
+        let (dys, dy_rest) = self.dy.as_chunks::<MASK_WORD>();
+        let (dxs, dx_rest) = self.dx.as_chunks_mut::<MASK_WORD>();
+        let (full, last) = self.words.split_at(dys.len());
+        for ((dy, dx), &w) in dys.iter().zip(dxs).zip(full) {
+            block(dy, dx, w);
+        }
+        if let Some(&w) = last.first() {
+            block(dy_rest, dx_rest, w);
+        }
+    }
 }
 
 impl Layer for Relu {
@@ -121,7 +186,62 @@ impl Layer for Relu6 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self as oracle, bits, hostile, Op, CHANNELS, INNER, THREADS};
+    use crate::NnError;
     use cq_quant::{Precision, QuantConfig};
+    use cq_tensor::par::with_thread_limit;
+
+    #[test]
+    fn backward_matches_the_scalar_oracle() {
+        for level in SimdLevel::supported() {
+            for threads in THREADS {
+                for c in CHANNELS {
+                    for inner in INNER {
+                        let len = 3 * c * inner + c;
+                        let x = hostile(len, len as u64);
+                        let dy = Tensor::from_vec(hostile(len, len as u64 + 1), &[len]).unwrap();
+                        for relu6 in [false, true] {
+                            let (op, mut layer): (Op<'_>, Box<dyn Layer>) = if relu6 {
+                                (Op::Relu6, Box::new(Relu6::new()))
+                            } else {
+                                (Op::Relu, Box::new(Relu::new()))
+                            };
+                            let xt = Tensor::from_slice(&x);
+                            let (_, cache) = layer
+                                .forward(&ParamSet::new(), &xt, &ForwardCtx::train())
+                                .unwrap();
+                            let mut mask = vec![0.0; len];
+                            oracle::apply_op(&op, &mut x.clone(), Some(&mut mask));
+                            let want = oracle::act_backward(dy.as_slice(), &mask);
+                            let dx = with_thread_limit(threads, || {
+                                act_backward_at(level, "t", &cache, &dy).unwrap()
+                            });
+                            let at = format!("{level:?} len={len} relu6={relu6}");
+                            assert_eq!(bits(dx.as_slice()), bits(&want), "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn backward_rejects_a_dy_of_the_wrong_shape() {
+        let x = Tensor::from_vec(hostile(12, 3), &[3, 4]).unwrap();
+        for mut layer in [
+            Box::new(Relu::new()) as Box<dyn Layer>,
+            Box::new(Relu6::new()),
+        ] {
+            let ps = ParamSet::new();
+            let (_, cache) = layer.forward(&ps, &x, &ForwardCtx::train()).unwrap();
+            let mut gs = ps.zero_grads();
+            for dims in [vec![3, 5], vec![3, 3], vec![12]] {
+                let dy = Tensor::ones(&dims);
+                let err = layer.backward(&ps, &cache, &dy, &mut gs).unwrap_err();
+                assert!(matches!(err, NnError::BadInput { .. }), "{dims:?}: {err}");
+            }
+        }
+    }
 
     #[test]
     fn relu_clamps_negatives() {

@@ -126,8 +126,10 @@ impl Residual {
     }
 }
 
-/// Backpropagates `dy` through `layers` in reverse order.
-fn backward_chain<'a>(
+/// Backpropagates `dy` through `layers` in reverse order, one backward
+/// span per layer; `dy` is only copied when `layers` is empty and the
+/// caller asks for an owned tensor.
+pub(crate) fn backward_chain<'a>(
     layers: &[Box<dyn Layer>],
     caches: &[Cache],
     ps: &ParamSet,
@@ -136,8 +138,9 @@ fn backward_chain<'a>(
 ) -> Result<Cow<'a, Tensor>> {
     let mut d = dy;
     for (layer, cache) in layers.iter().zip(caches).rev() {
-        // The same per-layer backward span `Sequential::backward` opens,
-        // so a child's time is not left as `Residual` self time.
+        // Per-layer backward span (the same static-name convention as the
+        // forward spans `Recorder::run` opens), so a child's time is not
+        // left as its container's self time.
         let _sp = cq_obs::span(layer.layer_kind());
         d = Cow::Owned(layer.backward(ps, cache, &d, gs)?);
     }

@@ -31,13 +31,31 @@
 //! 3. Fake-quant needs a whole-tensor min/max reduction, so it is a pass
 //!    boundary: the chain materializes and [`cq_quant::fake_quant_into`]
 //!    runs over the full buffer exactly as a standalone layer would.
+//!
+//! # The pass kernel
+//!
+//! Each chunk's op loop is one `cq_tensor::simd::Body`, compiled at every
+//! [`SimdLevel`]. The ops are branch-free and keep the scalar rules of
+//! [`crate::reference::apply_op`]: ReLU zeroes `!(v > 0)`, so NaN becomes
+//! 0; ReLU6 is `f32::clamp(v, 0, 6)`, so NaN and `−0.0` pass through; the
+//! mask bit is `v > 0` for ReLU and `0 < v < 6` for ReLU6. Activation
+//! masks are packed bits (`Mask`, 32 elements to a `u32` word) rather
+//! than an `f32` per element, and the chunk grid is laid over mask words,
+//! so every word has one writer. Tap buffers are allocated without a
+//! zero-fill: the op that writes a tap writes all of it, which the
+//! executor checks for each group before it runs. Per-channel ops walk
+//! their channel segments with one division per chunk, so short segments
+//! (R18's 2×2 stage, `inner = 4`; `BatchNorm1d`, `inner = 1`) cost no
+//! division each.
 
+use std::mem::MaybeUninit;
 use std::sync::Arc;
 use std::time::Instant;
 
 use cq_obs::Counter;
 use cq_quant::{fake_quant_into, fake_quant_scanned, Precision, QuantMode, RangeScan};
 use cq_tensor::par::{parallel_for_chunks, parallel_map_chunks, ChunkGrid};
+use cq_tensor::simd::{dispatch, Body, SimdLevel};
 use cq_tensor::{Conv2dSpec, Tensor};
 
 use crate::spec::{LayerKind, LayerSpec, Plan, SpecError, SpecErrorKind};
@@ -96,12 +114,25 @@ pub(crate) enum EwOp {
     Add(Arc<Tensor>),
 }
 
+/// Elements per activation-mask word.
+pub(crate) const MASK_WORD: usize = 32;
+
+/// An activation's gradient mask, one bit per element: bit `i % 32` of
+/// word `i / 32` is set where the activation passes gradient. Bits past
+/// the last element are clear.
+pub(crate) struct Mask {
+    /// The packed bits, `⌈len / 32⌉` words.
+    pub(crate) words: Vec<u32>,
+    /// Dims of the tensor the mask covers.
+    pub(crate) dims: Vec<usize>,
+}
+
 /// Tensors captured during execution for a group's backward cache.
 pub(crate) struct TapData {
     /// Normalized pre-affine values (BatchNorm's `xhat`).
     pub xhat: Option<Tensor>,
     /// Activation pass-through mask.
-    pub mask: Option<Vec<f32>>,
+    pub mask: Option<Mask>,
 }
 
 type CacheBuild = Box<dyn FnOnce(TapData) -> Cache + Send>;
@@ -165,28 +196,44 @@ impl EwGroup {
 
 /// Raw pointer wrapper for disjoint parallel writes (tap buffers and the
 /// shared working buffer).
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f32);
-// SAFETY: only ever written at chunk-disjoint indices.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
+struct SendPtr<T>(*mut T);
+// SAFETY: the pointer is only dereferenced at chunk-disjoint indices of a
+// buffer that outlives the parallel dispatch, and the `T`s it reaches
+// (plain `f32`/`u32`, possibly uninitialized) may move between threads.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: as above — shared copies never touch the same index.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
-impl SendPtr {
-    /// The wrapped pointer, via a method so closures capture the wrapper
-    /// (which is `Send + Sync`) rather than the raw field.
-    fn get(&self) -> *mut f32 {
-        self.0
+impl<T> Clone for SendPtr<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<T> Copy for SendPtr<T> {}
+
+impl<T> SendPtr<T> {
+    /// The `len` elements from `start`, as a slice.
+    ///
+    /// # Safety
+    ///
+    /// `start..start + len` must lie inside the allocation the pointer
+    /// came from, and no other live reference may touch that range.
+    #[inline(always)]
+    unsafe fn slice<'s>(self, start: usize, len: usize) -> &'s mut [T] {
+        // SAFETY: guaranteed by the caller.
+        unsafe { std::slice::from_raw_parts_mut(self.0.add(start), len) }
     }
 }
 
-/// A compiled per-pass op: borrows group data, carries raw tap pointers.
+/// A compiled per-pass op: borrows group data, carries raw pointers to
+/// the (not yet initialized) tap buffers.
 enum KOp<'a> {
     Norm {
         mean: &'a [f32],
         inv_std: &'a [f32],
         c: usize,
         inner: usize,
-        xhat: Option<SendPtr>,
+        xhat: Option<SendPtr<MaybeUninit<f32>>>,
     },
     Affine {
         scale: &'a [f32],
@@ -195,10 +242,10 @@ enum KOp<'a> {
         inner: usize,
     },
     Relu {
-        mask: Option<SendPtr>,
+        mask: Option<SendPtr<MaybeUninit<u32>>>,
     },
     Relu6 {
-        mask: Option<SendPtr>,
+        mask: Option<SendPtr<MaybeUninit<u32>>>,
     },
     Add {
         other: &'a [f32],
@@ -207,7 +254,9 @@ enum KOp<'a> {
 
 /// Applies `f(ci, lo, hi)` over the per-channel segments of the absolute
 /// index range `[start, start + len)` under `(outer, c, inner)` geometry;
-/// `lo..hi` are chunk-relative.
+/// `lo..hi` are chunk-relative. Divides once per call, not per segment:
+/// the channel index steps and wraps as the segments advance.
+#[inline(always)]
 fn for_channel_segments(
     start: usize,
     len: usize,
@@ -215,133 +264,189 @@ fn for_channel_segments(
     inner: usize,
     mut f: impl FnMut(usize, usize, usize),
 ) {
+    let mut ci = (start / inner) % c;
+    let mut seg = inner - start % inner;
     let mut pos = 0;
     while pos < len {
-        let i = start + pos;
-        let ci = (i / inner) % c;
-        let seg = (inner - i % inner).min(len - pos);
-        f(ci, pos, pos + seg);
-        pos += seg;
+        let hi = (pos + seg).min(len);
+        f(ci, pos, hi);
+        pos = hi;
+        seg = inner;
+        ci += 1;
+        if ci == c {
+            ci = 0;
+        }
     }
 }
 
+/// Applies `f` (returning the new value and its mask bit) to every
+/// element of `chunk`, writing one mask word per 32 elements.
+#[inline(always)]
+fn masked(chunk: &mut [f32], words: &mut [MaybeUninit<u32>], f: impl Fn(f32) -> (f32, bool)) {
+    let block = |b: &mut [f32]| {
+        let mut bits = 0u32;
+        for (j, v) in b.iter_mut().enumerate() {
+            let (y, keep) = f(*v);
+            *v = y;
+            bits |= u32::from(keep) << j;
+        }
+        bits
+    };
+    let (blocks, rest) = chunk.as_chunks_mut::<MASK_WORD>();
+    let (full, last) = words.split_at_mut(blocks.len());
+    for (b, w) in blocks.iter_mut().zip(full) {
+        w.write(block(b));
+    }
+    if let Some(w) = last.first_mut() {
+        w.write(block(rest));
+    }
+}
+
+/// ReLU: `!(v > 0) → 0`, so NaN becomes 0; the bit is `v > 0`.
+#[inline(always)]
+fn relu(v: f32) -> (f32, bool) {
+    let keep = v > 0.0;
+    (if keep { v } else { 0.0 }, keep)
+}
+
+/// ReLU6: `f32::clamp(v, 0, 6)`, so NaN stays NaN and −0.0 stays −0.0;
+/// the bit is `0 < v < 6`.
+#[inline(always)]
+fn relu6(v: f32) -> (f32, bool) {
+    (v.clamp(0.0, 6.0), (v > 0.0) & (v < 6.0))
+}
+
 /// Applies one compiled op to `chunk`, which holds the elements at
-/// absolute indices `[start, start + chunk.len())`.
-// The negated comparison in the unmasked ReLU arm is load-bearing for
-// NaN handling; see the inline comment there.
-#[allow(clippy::neg_cmp_op_on_partial_ord)]
+/// absolute indices `[start, start + chunk.len())`; `start` is a multiple
+/// of [`MASK_WORD`]. Every op writes every element of its tap range, so
+/// the taps need no zero-fill.
+#[inline(always)]
 fn apply_op(op: &KOp<'_>, chunk: &mut [f32], start: usize) {
-    match op {
+    let len = chunk.len();
+    match *op {
         KOp::Norm {
             mean,
             inv_std,
             c,
             inner,
             xhat,
-        } => for_channel_segments(start, chunk.len(), *c, *inner, |ci, lo, hi| {
-            let (mu, is) = (mean[ci], inv_std[ci]);
-            match xhat {
-                Some(p) => {
-                    for (j, v) in chunk[lo..hi].iter_mut().enumerate() {
+        } => match xhat {
+            Some(p) => {
+                // SAFETY: this chunk's range of the tap, which has the
+                // buffer's length; chunks are disjoint.
+                let tap = unsafe { p.slice(start, len) };
+                for_channel_segments(start, len, c, inner, |ci, lo, hi| {
+                    let (mu, is) = (mean[ci], inv_std[ci]);
+                    for (v, t) in chunk[lo..hi].iter_mut().zip(&mut tap[lo..hi]) {
                         let xh = (*v - mu) * is;
-                        // SAFETY: absolute indices are chunk-disjoint.
-                        unsafe { *p.get().add(start + lo + j) = xh };
+                        t.write(xh);
                         *v = xh;
                     }
-                }
-                None => {
-                    for v in &mut chunk[lo..hi] {
-                        *v = (*v - mu) * is;
-                    }
-                }
+                });
             }
-        }),
+            None => for_channel_segments(start, len, c, inner, |ci, lo, hi| {
+                let (mu, is) = (mean[ci], inv_std[ci]);
+                for v in &mut chunk[lo..hi] {
+                    *v = (*v - mu) * is;
+                }
+            }),
+        },
         KOp::Affine {
             scale,
             shift,
             c,
             inner,
-        } => for_channel_segments(start, chunk.len(), *c, *inner, |ci, lo, hi| {
+        } => for_channel_segments(start, len, c, inner, |ci, lo, hi| {
             let (gc, bc) = (scale[ci], shift[ci]);
             for v in &mut chunk[lo..hi] {
                 *v = gc * *v + bc;
             }
         }),
         KOp::Relu { mask } => match mask {
-            Some(p) => {
-                for (j, v) in chunk.iter_mut().enumerate() {
-                    if *v > 0.0 {
-                        // SAFETY: absolute indices are chunk-disjoint.
-                        unsafe { *p.get().add(start + j) = 1.0 };
-                    } else {
-                        *v = 0.0;
-                    }
-                }
-            }
-            None => {
-                for v in chunk.iter_mut() {
-                    // `!(v > 0)` (not `v <= 0`) so NaN zeroes exactly as
-                    // the eager branch did.
-                    if !(*v > 0.0) {
-                        *v = 0.0;
-                    }
-                }
-            }
+            // SAFETY: this chunk's words (`start` is word-aligned) of a
+            // mask of `⌈buffer / 32⌉` words; chunks are disjoint.
+            Some(p) => masked(chunk, unsafe { mask_words(p, start, len) }, relu),
+            None => chunk.iter_mut().for_each(|v| *v = relu(*v).0),
         },
         KOp::Relu6 { mask } => match mask {
-            Some(p) => {
-                for (j, v) in chunk.iter_mut().enumerate() {
-                    if *v > 0.0 && *v < 6.0 {
-                        // SAFETY: absolute indices are chunk-disjoint.
-                        unsafe { *p.get().add(start + j) = 1.0 };
-                    }
-                    *v = v.clamp(0.0, 6.0);
-                }
-            }
-            None => {
-                for v in chunk.iter_mut() {
-                    *v = v.clamp(0.0, 6.0);
-                }
-            }
+            // SAFETY: as for `Relu`.
+            Some(p) => masked(chunk, unsafe { mask_words(p, start, len) }, relu6),
+            None => chunk.iter_mut().for_each(|v| *v = relu6(*v).0),
         },
         KOp::Add { other } => {
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v += other[start + j];
+            for (v, &o) in chunk.iter_mut().zip(&other[start..start + len]) {
+                *v += o;
             }
         }
     }
 }
 
+/// The mask words covering elements `[start, start + len)`.
+///
+/// # Safety
+///
+/// As [`SendPtr::slice`], for the word range; `start` is word-aligned.
+#[inline(always)]
+unsafe fn mask_words<'s>(
+    p: SendPtr<MaybeUninit<u32>>,
+    start: usize,
+    len: usize,
+) -> &'s mut [MaybeUninit<u32>] {
+    // SAFETY: guaranteed by the caller.
+    unsafe { p.slice(start / MASK_WORD, len.div_ceil(MASK_WORD)) }
+}
+
+/// One chunk's op list, compiled at every [`SimdLevel`].
+struct ChunkOps<'o, 'a> {
+    ops: &'o [KOp<'a>],
+    chunk: &'o mut [f32],
+    start: usize,
+}
+
+impl Body for ChunkOps<'_, '_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<const L: usize>(self) {
+        for op in self.ops {
+            apply_op(op, self.chunk, self.start);
+        }
+    }
+}
+
 /// Runs one pass over the whole buffer (transformed in place) on the
-/// worker pool. Ops are applied per cache-block, so merged groups reuse
-/// L1/L2-resident data. With `scan`, each chunk additionally folds its
-/// final values into a [`RangeScan`] partial while they are still
-/// cache-resident, and the partials are combined in chunk-index order —
-/// bit-identical to the quantizer's own post-pass sweep (see
-/// [`RangeScan`]) with the whole-buffer re-read elided.
-fn run_pass(buf: &mut [f32], ops: &[KOp<'_>], scan: bool) -> Option<RangeScan> {
+/// worker pool, with the op loop compiled at `level`. Ops are applied
+/// per cache-block, so merged groups reuse L1/L2-resident data. Chunks
+/// start on mask-word boundaries, so each mask word has one writer.
+/// With `scan`, each chunk additionally folds its final values into a
+/// [`RangeScan`] partial while they are still cache-resident, and the
+/// partials are combined in chunk-index order — bit-identical to the
+/// quantizer's own post-pass sweep (see [`RangeScan`]) with the
+/// whole-buffer re-read elided.
+fn run_pass(level: SimdLevel, buf: &mut [f32], ops: &[KOp<'_>], scan: bool) -> Option<RangeScan> {
     let len = buf.len();
     let base = SendPtr(buf.as_mut_ptr());
-    let grid = ChunkGrid::new(len, BLOCK_ELEMS);
+    let grid = ChunkGrid::new(len.div_ceil(MASK_WORD), BLOCK_ELEMS / MASK_WORD);
+    let chunk_at = move |ws: usize, we: usize| {
+        let (start, end) = (ws * MASK_WORD, (we * MASK_WORD).min(len));
+        // SAFETY: the grid's chunks are disjoint and `buf` outlives the
+        // dispatch, which blocks until every chunk completes.
+        let chunk: &mut [f32] = unsafe { base.slice(start, end - start) };
+        let ops = ChunkOps {
+            ops,
+            chunk: &mut *chunk,
+            start,
+        };
+        dispatch(level, ops);
+        chunk
+    };
     if !scan {
-        parallel_for_chunks(grid, |_c, start, end| {
-            // SAFETY: the grid's chunks are disjoint and `buf` outlives
-            // the dispatch, which blocks until every chunk completes.
-            let chunk =
-                unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
-            for op in ops {
-                apply_op(op, chunk, start);
-            }
+        parallel_for_chunks(grid, |_c, ws, we| {
+            chunk_at(ws, we);
         });
         return None;
     }
-    let parts = parallel_map_chunks(grid, RangeScan::new, |_c, start, end, acc| {
-        // SAFETY: as above — disjoint chunks, buf outlives the dispatch.
-        let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
-        for op in ops {
-            apply_op(op, chunk, start);
-        }
-        *acc = RangeScan::scan(chunk);
+    let parts = parallel_map_chunks(grid, RangeScan::new, |_c, ws, we, acc| {
+        *acc = RangeScan::scan(chunk_at(ws, we));
     });
     let mut scan = RangeScan::new();
     for p in parts {
@@ -350,10 +455,10 @@ fn run_pass(buf: &mut [f32], ops: &[KOp<'_>], scan: bool) -> Option<RangeScan> {
     Some(scan)
 }
 
-/// Per-group tap buffers, allocated before execution.
+/// Per-group tap buffers, allocated (not zero-filled) before execution.
 struct GroupTaps {
     xhat: Option<Vec<f32>>,
-    mask: Option<Vec<f32>>,
+    mask: Option<Vec<u32>>,
 }
 
 /// Executes a chain of groups over `src`, returning the output tensor
@@ -362,6 +467,15 @@ struct GroupTaps {
 /// allocates nothing for the chain value itself and the first pass
 /// transforms in place instead of seeding a fresh buffer.
 fn execute(src: Tensor, groups: Vec<EwGroup>) -> Result<(Tensor, Vec<Option<Cache>>)> {
+    execute_at(SimdLevel::detect(), src, groups)
+}
+
+/// [`execute`] with the pass compiled at `level`.
+pub(crate) fn execute_at(
+    level: SimdLevel,
+    src: Tensor,
+    groups: Vec<EwGroup>,
+) -> Result<(Tensor, Vec<Option<Cache>>)> {
     if groups.is_empty() {
         return Ok((src, Vec::new()));
     }
@@ -385,6 +499,15 @@ fn execute(src: Tensor, groups: Vec<EwGroup>) -> Result<(Tensor, Vec<Option<Cach
                 }
             }
         }
+        // The taps are not zero-filled, so each requested tap needs an op
+        // that writes all of it.
+        let writes_xhat = g.ops.iter().any(|o| matches!(o, EwOp::Normalize { .. }));
+        let writes_mask = g.ops.iter().any(|o| matches!(o, EwOp::Relu | EwOp::Relu6));
+        if (g.want_xhat && !writes_xhat) || (g.want_mask && !writes_mask) {
+            return Err(NnError::Param(
+                "graph: a group requests a tap that none of its ops writes".into(),
+            ));
+        }
     }
 
     let n_groups = groups.len();
@@ -406,8 +529,10 @@ fn execute(src: Tensor, groups: Vec<EwGroup>) -> Result<(Tensor, Vec<Option<Cach
     let mut taps: Vec<GroupTaps> = groups
         .iter()
         .map(|g| GroupTaps {
-            xhat: g.want_xhat.then(|| vec![0.0f32; len]),
-            mask: g.want_mask.then(|| vec![0.0f32; len]),
+            xhat: g.want_xhat.then(|| Vec::with_capacity(len)),
+            mask: g
+                .want_mask
+                .then(|| Vec::with_capacity(len.div_ceil(MASK_WORD))),
         })
         .collect();
 
@@ -419,8 +544,14 @@ fn execute(src: Tensor, groups: Vec<EwGroup>) -> Result<(Tensor, Vec<Option<Cach
         let mut kops: Vec<KOp<'_>> = Vec::new();
         for gi in seg.clone() {
             let (c, inner) = groups[gi].geom.unwrap_or((1, 1));
-            let xhat = taps[gi].xhat.as_mut().map(|v| SendPtr(v.as_mut_ptr()));
-            let mask = taps[gi].mask.as_mut().map(|v| SendPtr(v.as_mut_ptr()));
+            let xhat = taps[gi]
+                .xhat
+                .as_mut()
+                .map(|v| SendPtr(v.spare_capacity_mut().as_mut_ptr()));
+            let mask = taps[gi]
+                .mask
+                .as_mut()
+                .map(|v| SendPtr(v.spare_capacity_mut().as_mut_ptr()));
             for op in &groups[gi].ops {
                 kops.push(match op {
                     EwOp::Normalize { mean, inv_std } => KOp::Norm {
@@ -446,7 +577,7 @@ fn execute(src: Tensor, groups: Vec<EwGroup>) -> Result<(Tensor, Vec<Option<Cach
         }
         let quant = groups[seg.end - 1].quant;
         let want_scan = matches!(quant, Some((Precision::Bits(_), _)));
-        let scan = run_pass(&mut buf, &kops, want_scan);
+        let scan = run_pass(level, &mut buf, &kops, want_scan);
         if let Some((p, m)) = quant {
             match scan {
                 // In-pass range scan: bit-identical values, counters and
@@ -471,15 +602,35 @@ fn execute(src: Tensor, groups: Vec<EwGroup>) -> Result<(Tensor, Vec<Option<Cach
         caches.push(match g.build {
             Some(build) => {
                 let xhat = match t.xhat {
-                    Some(v) => Some(Tensor::from_vec(v, &dims)?),
+                    // SAFETY: the group's Normalize op (checked above)
+                    // wrote all `len` elements in the pass.
+                    Some(v) => Some(Tensor::from_vec(unsafe { filled(v, len) }, &dims)?),
                     None => None,
                 };
-                Some(build(TapData { xhat, mask: t.mask }))
+                let mask = t.mask.map(|v| Mask {
+                    // SAFETY: the group's activation op (checked above)
+                    // wrote all `⌈len / 32⌉` words in the pass.
+                    words: unsafe { filled(v, len.div_ceil(MASK_WORD)) },
+                    dims: dims.clone(),
+                });
+                Some(build(TapData { xhat, mask }))
             }
             None => None,
         });
     }
     Ok((Tensor::from_vec(buf, &dims)?, caches))
+}
+
+/// `v` with its length set to `len`.
+///
+/// # Safety
+///
+/// The first `len` elements of `v`'s spare capacity must have been
+/// written, and `len` must not exceed its capacity.
+unsafe fn filled<T>(mut v: Vec<T>, len: usize) -> Vec<T> {
+    // SAFETY: guaranteed by the caller.
+    unsafe { v.set_len(len) };
+    v
 }
 
 /// Executes a single group eagerly (the standalone `Layer::forward` path
@@ -1286,11 +1437,136 @@ mod tests {
                 let xf = cf[0].as_ref().unwrap().downcast::<Tensor>("t").unwrap();
                 let xr = cr[0].as_ref().unwrap().downcast::<Tensor>("t").unwrap();
                 assert_eq!(xf.as_slice(), xr.as_slice());
-                let mf = cf[2].as_ref().unwrap().downcast::<Vec<f32>>("t").unwrap();
-                let mr = cr[2].as_ref().unwrap().downcast::<Vec<f32>>("t").unwrap();
-                assert_eq!(mf, mr);
+                let mf = cf[2].as_ref().unwrap().downcast::<Mask>("t").unwrap();
+                let mr = cr[2].as_ref().unwrap().downcast::<Mask>("t").unwrap();
+                assert_eq!((&mf.words, &mf.dims), (&mr.words, &mr.dims));
             }
         }
+    }
+
+    /// Runs BN normalize+affine (xhat tap), a residual add, ReLU (mask),
+    /// an affine and ReLU6 (mask) as one fused chain at `level`, and the
+    /// same ops through the scalar oracle; outputs and taps must agree
+    /// bit for bit.
+    fn check_chain_against_oracle(level: SimdLevel, outer: usize, c: usize, inner: usize) {
+        use crate::reference::{self as oracle, bits, hostile, Op};
+        let len = outer * c * inner;
+        let seed = (outer * 1000 + c * 10 + inner) as u64;
+        let x = hostile(len, seed);
+        let skip = hostile(len, seed + 1);
+        let mean = hostile(c, seed + 2);
+        let inv_std = hostile(c, seed + 3);
+        let (scale, shift) = (hostile(c, seed + 4), hostile(c, seed + 5));
+        let (scale2, shift2) = (hostile(c, seed + 6), hostile(c, seed + 7));
+
+        let geom = Some((c, inner));
+        let affine = |scale: &[f32], shift: &[f32]| EwOp::Affine {
+            scale: scale.to_vec(),
+            shift: shift.to_vec(),
+        };
+        let groups = vec![
+            EwGroup::new(
+                vec![
+                    EwOp::Normalize {
+                        mean: mean.clone(),
+                        inv_std: inv_std.clone(),
+                    },
+                    affine(&scale, &shift),
+                ],
+                geom,
+            )
+            .with_xhat_tap()
+            .with_cache(|t| Cache::new(t.xhat.expect("xhat tap"))),
+            EwGroup::new(vec![EwOp::Add(Arc::new(Tensor::from_slice(&skip)))], None),
+            EwGroup::new(vec![EwOp::Relu], None)
+                .with_mask_tap()
+                .with_cache(|t| Cache::new(t.mask.expect("mask tap"))),
+            EwGroup::new(vec![affine(&scale2, &shift2)], geom),
+            EwGroup::new(vec![EwOp::Relu6], None)
+                .with_mask_tap()
+                .with_cache(|t| Cache::new(t.mask.expect("mask tap"))),
+        ];
+        let (y, caches) = execute_at(level, Tensor::from_slice(&x), groups).unwrap();
+
+        let mut want = x.clone();
+        let mut xhat = vec![0.0; len];
+        let mut relu_mask = vec![0.0; len];
+        let mut relu6_mask = vec![0.0; len];
+        let norm = Op::Normalize {
+            mean: &mean,
+            inv_std: &inv_std,
+            c,
+            inner,
+        };
+        oracle::apply_op(&norm, &mut want, Some(&mut xhat));
+        let aff = |scale, shift| Op::Affine {
+            scale,
+            shift,
+            c,
+            inner,
+        };
+        oracle::apply_op(&aff(&scale, &shift), &mut want, None);
+        oracle::apply_op(&Op::Add(&skip), &mut want, None);
+        oracle::apply_op(&Op::Relu, &mut want, Some(&mut relu_mask));
+        oracle::apply_op(&aff(&scale2, &shift2), &mut want, None);
+        oracle::apply_op(&Op::Relu6, &mut want, Some(&mut relu6_mask));
+
+        let at = format!("{level:?} outer={outer} c={c} inner={inner}");
+        assert_eq!(bits(y.as_slice()), bits(&want), "output {at}");
+        let xh = caches[0].as_ref().unwrap().downcast::<Tensor>("t").unwrap();
+        assert_eq!(bits(xh.as_slice()), bits(&xhat), "xhat {at}");
+        for (gi, m) in [(2, &relu_mask), (4, &relu6_mask)] {
+            let got = caches[gi].as_ref().unwrap().downcast::<Mask>("t").unwrap();
+            assert_eq!(got.dims, [len], "{at}");
+            assert_eq!(got.words.len(), len.div_ceil(MASK_WORD), "{at}");
+            for (i, &w) in m.iter().enumerate() {
+                let bit = (got.words[i / MASK_WORD] >> (i % MASK_WORD)) & 1 != 0;
+                assert_eq!(bit, w == 1.0, "mask {gi} element {i} {at}");
+            }
+            // Bits past the last element stay clear.
+            let tail = len % MASK_WORD;
+            if tail != 0 {
+                assert_eq!(got.words[len / MASK_WORD] >> tail, 0, "tail {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_pass_matches_the_scalar_oracle() {
+        let mut shapes = Vec::new();
+        for c in crate::reference::CHANNELS {
+            for inner in crate::reference::INNER {
+                shapes.push((3, c, inner));
+            }
+        }
+        // Chunk boundaries that fall inside a channel segment, and
+        // lengths that end inside a mask word.
+        shapes.extend([(2, 5, 999), (1, 1, 33), (7, 3, 37), (0, 4, 4)]);
+        for level in SimdLevel::supported() {
+            for threads in crate::reference::THREADS {
+                for &(outer, c, inner) in &shapes {
+                    with_thread_limit(threads, || {
+                        check_chain_against_oracle(level, outer, c, inner)
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_tap_that_no_op_writes_is_rejected() {
+        let x = Tensor::from_slice(&[1.0, -1.0]);
+        let g = EwGroup::new(vec![EwOp::Relu], None).with_xhat_tap();
+        assert!(execute(x.clone(), vec![g]).is_err());
+        let g = EwGroup::new(
+            vec![EwOp::Affine {
+                scale: vec![1.0],
+                shift: vec![0.0],
+            }],
+            Some((1, 1)),
+        )
+        .with_mask_tap();
+        assert!(execute(x, vec![g]).is_err());
     }
 
     #[test]
@@ -1307,7 +1583,9 @@ mod tests {
             for limit in [1, 3] {
                 let mut buf = src.clone();
                 let ops = [KOp::Add { other: &other }, KOp::Relu { mask: None }];
-                let scan = with_thread_limit(limit, || run_pass(&mut buf, &ops, true)).unwrap();
+                let level = SimdLevel::detect();
+                let scan =
+                    with_thread_limit(limit, || run_pass(level, &mut buf, &ops, true)).unwrap();
                 let whole = RangeScan::scan(&buf);
                 assert!(scan.lo() == whole.lo() && scan.hi() == whole.hi());
                 for (p, m) in [(5, QuantMode::Round), (8, QuantMode::Floor)] {
@@ -1357,9 +1635,9 @@ mod tests {
         let (yf, cf) = execute(x.clone(), mk()).unwrap();
         let (yr, cr) = per_group(x, mk());
         assert_eq!(yf.as_slice(), yr.as_slice());
-        let mf = cf[0].as_ref().unwrap().downcast::<Vec<f32>>("t").unwrap();
-        let mr = cr[0].as_ref().unwrap().downcast::<Vec<f32>>("t").unwrap();
-        assert_eq!(mf, mr);
+        let mf = cf[0].as_ref().unwrap().downcast::<Mask>("t").unwrap();
+        let mr = cr[0].as_ref().unwrap().downcast::<Mask>("t").unwrap();
+        assert_eq!(mf.words, mr.words);
     }
 
     #[test]

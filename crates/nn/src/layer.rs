@@ -1,7 +1,10 @@
 //! The [`Layer`] trait and the [`Sequential`] container.
 
+use std::borrow::Cow;
+
 use cq_tensor::Tensor;
 
+use crate::build::backward_chain;
 use crate::{Cache, ForwardCtx, GradSet, ParamSet, Result};
 
 /// A differentiable network module with trace-based forward/backward.
@@ -198,18 +201,8 @@ impl Layer for Sequential {
                 layer: "Sequential".into(),
             });
         }
-        let mut cur = dy.clone();
-        for (layer, child) in self.layers[..c.children.len()]
-            .iter()
-            .zip(&c.children)
-            .rev()
-        {
-            // Per-layer backward timer (same static-name convention as the
-            // forward path in `run_layers`).
-            let _sp = cq_obs::span(layer.layer_kind());
-            cur = layer.backward(ps, child, &cur, gs)?;
-        }
-        Ok(cur)
+        let layers = &self.layers[..c.children.len()];
+        Ok(backward_chain(layers, &c.children, ps, Cow::Borrowed(dy), gs)?.into_owned())
     }
 
     fn state_tensors(&self) -> Vec<&Tensor> {

@@ -58,6 +58,7 @@ mod optim;
 mod param;
 mod perturb;
 mod pool;
+pub mod reference;
 pub mod spec;
 
 pub use act::{Relu, Relu6};

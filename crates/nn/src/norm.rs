@@ -5,11 +5,197 @@
 //! (standard QAT practice: BN is folded into the preceding conv at
 //! deployment). Running statistics are layer state, returned by
 //! [`Layer::state_tensors`] for checkpointing and BYOL target copies.
+//!
+//! The normalize+affine sweep runs in the fused graph executor
+//! ([`crate::graph`]). The batch statistics and the backward are kernels
+//! here, bit-identical to the scalar loops in [`crate::reference`]:
+//!
+//! - **Statistics.** The tensor is `outer · channels` slices of `inner`
+//!   elements. Each slice sum is its own chain, from f32 `Sum`'s `−0.0`
+//!   identity in index order, and is then added to its channel's total in
+//!   `o` order. [`CHAINS`] consecutive slices are summed at once as
+//!   independent chains; a slice is never folded into the running total,
+//!   which would round differently.
+//! - **Backward reduction.** `dgamma`/`dbeta` stay one running chain per
+//!   channel in `o`-then-`k` order, held in registers for [`CHAINS`]
+//!   channels at a time.
+//! - **`dX` sweep.** A zip over each slice with `is / m` hoisted, written
+//!   into a buffer that is not zero-filled first, compiled at every
+//!   [`SimdLevel`].
+//!
+//! The two reductions are scalar chains by contract, so a wider vector
+//! has nothing to add to them and they are not dispatched.
 
+use std::mem::MaybeUninit;
+
+use cq_tensor::simd::{dispatch, Body, SimdLevel};
 use cq_tensor::Tensor;
 
 use crate::graph::{execute_single, EwGroup, EwOp, Recorder};
 use crate::{Cache, ForwardCtx, GradSet, Layer, Mode, NnError, ParamId, ParamSet, Result};
+
+/// Independent chains the statistics and backward-reduction kernels run
+/// at once: enough to cover the latency of a dependent f32 add.
+const CHAINS: usize = 8;
+
+/// Per-channel totals of `term(v, param(channel))` over `xs` viewed as
+/// `(outer, c, inner)`: each `(o, c)` slice is summed as its own chain
+/// from `−0.0` in index order ([`CHAINS`] slices at a time), then added to
+/// its channel's total, which starts at `+0.0`, in `o` order.
+fn channel_sums(
+    xs: &[f32],
+    c: usize,
+    inner: usize,
+    param: impl Fn(usize) -> f32,
+    term: impl Fn(f32, f32) -> f32,
+) -> Vec<f32> {
+    let mut total = vec![0.0f32; c];
+    let mut ci = 0;
+    let next = |ci: &mut usize| {
+        let cur = *ci;
+        *ci = if cur + 1 == c { 0 } else { cur + 1 };
+        cur
+    };
+    let mut groups = xs.chunks_exact(CHAINS * inner);
+    for g in &mut groups {
+        let chans: [usize; CHAINS] = std::array::from_fn(|_| next(&mut ci));
+        let rows: [&[f32]; CHAINS] = std::array::from_fn(|j| &g[j * inner..(j + 1) * inner]);
+        let ps: [f32; CHAINS] = std::array::from_fn(|j| param(chans[j]));
+        let mut acc = [-0.0f32; CHAINS];
+        // `k` steps every row in lockstep, one element per chain.
+        #[allow(clippy::needless_range_loop)]
+        for k in 0..inner {
+            for j in 0..CHAINS {
+                acc[j] += term(rows[j][k], ps[j]);
+            }
+        }
+        for (&ch, a) in chans.iter().zip(acc) {
+            total[ch] += a;
+        }
+    }
+    for row in groups.remainder().chunks_exact(inner) {
+        let ch = next(&mut ci);
+        let p = param(ch);
+        total[ch] += row.iter().fold(-0.0f32, |a, &v| a + term(v, p));
+    }
+    total
+}
+
+/// `(mean, biased var)` per channel of `xs` viewed as
+/// `(outer, c, inner)`.
+fn batch_stats(xs: &[f32], outer: usize, c: usize, inner: usize) -> (Vec<f32>, Vec<f32>) {
+    let m = (outer * inner) as f32;
+    let mut mean = channel_sums(xs, c, inner, |_| 0.0, |v, _| v);
+    for v in &mut mean {
+        *v /= m;
+    }
+    let mut var = channel_sums(xs, c, inner, |ch| mean[ch], |v, mu| (v - mu) * (v - mu));
+    for v in &mut var {
+        *v /= m;
+    }
+    (mean, var)
+}
+
+/// Per-channel `(dgamma, dbeta)` = `(Σ dy·xhat, Σ dy)`, one chain per
+/// channel in `o`-then-`k` order from `+0.0`, `W` channels at a time.
+fn reduce_channels<const W: usize>(
+    dy: &[f32],
+    xh: &[f32],
+    c: usize,
+    inner: usize,
+    c0: usize,
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+) {
+    let (mut dg, mut db) = ([0.0f32; W], [0.0f32; W]);
+    let outer = dy.len() / (c * inner);
+    for o in 0..outer {
+        let base = (o * c + c0) * inner;
+        let (dyo, xho) = (&dy[base..base + W * inner], &xh[base..base + W * inner]);
+        let dys: [&[f32]; W] = std::array::from_fn(|j| &dyo[j * inner..(j + 1) * inner]);
+        let xhs: [&[f32]; W] = std::array::from_fn(|j| &xho[j * inner..(j + 1) * inner]);
+        for k in 0..inner {
+            for j in 0..W {
+                // cq-allow(no-naive-hot-loop): per-channel reduction over (outer, inner); output is a length-c vector, not a matmul
+                dg[j] += dys[j][k] * xhs[j][k];
+                db[j] += dys[j][k];
+            }
+        }
+    }
+    dgamma[c0..c0 + W].copy_from_slice(&dg);
+    dbeta[c0..c0 + W].copy_from_slice(&db);
+}
+
+/// `(dgamma, dbeta)` of `dy` and `xhat` viewed as `(outer, c, inner)`.
+fn grad_sums(dy: &[f32], xhat: &[f32], c: usize, inner: usize) -> (Vec<f32>, Vec<f32>) {
+    let mut dgamma = vec![0.0f32; c];
+    let mut dbeta = vec![0.0f32; c];
+    let full = c - c % CHAINS;
+    for c0 in (0..full).step_by(CHAINS) {
+        reduce_channels::<CHAINS>(dy, xhat, c, inner, c0, &mut dgamma, &mut dbeta);
+    }
+    for c0 in full..c {
+        reduce_channels::<1>(dy, xhat, c, inner, c0, &mut dgamma, &mut dbeta);
+    }
+    (dgamma, dbeta)
+}
+
+/// The BatchNorm input gradient, one zip per `(o, c)` slice.
+struct DxSweep<'a> {
+    dy: &'a [f32],
+    xhat: &'a [f32],
+    gamma: &'a [f32],
+    inv_std: &'a [f32],
+    dgamma: &'a [f32],
+    dbeta: &'a [f32],
+    inner: usize,
+    /// Elements per channel, `outer · inner`.
+    m: f32,
+    train: bool,
+    dx: &'a mut [MaybeUninit<f32>],
+}
+
+impl Body for DxSweep<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<const L: usize>(self) {
+        let DxSweep {
+            dy,
+            xhat,
+            gamma,
+            inv_std,
+            dgamma,
+            dbeta,
+            inner,
+            m,
+            train,
+            dx,
+        } = self;
+        let c = gamma.len();
+        let slices = dy
+            .chunks_exact(inner)
+            .zip(xhat.chunks_exact(inner))
+            .zip(dx.chunks_exact_mut(inner));
+        let mut ci = 0;
+        for ((dys, xhs), dxs) in slices {
+            let (is, gc) = (inv_std[ci], gamma[ci]);
+            if train {
+                let is_m = is / m;
+                let sum_dxhat = dbeta[ci] * gc;
+                let sum_dxhat_xhat = dgamma[ci] * gc;
+                for ((o, &d), &x) in dxs.iter_mut().zip(dys).zip(xhs) {
+                    o.write(is_m * (m * (d * gc) - sum_dxhat - x * sum_dxhat_xhat));
+                }
+            } else {
+                let coef = gc * is;
+                for (o, &d) in dxs.iter_mut().zip(dys) {
+                    o.write(d * coef);
+                }
+            }
+            ci = if ci + 1 == c { 0 } else { ci + 1 };
+        }
+    }
+}
 
 /// Shared implementation: normalisation over the channel axis of data laid
 /// out as `(outer, channels, inner)`.
@@ -65,7 +251,6 @@ impl BatchNormInner {
     ) -> Result<EwGroup> {
         let c = self.channels;
         debug_assert_eq!(x.len(), outer * c * inner);
-        let m = (outer * inner) as f32;
         let xs = x.as_slice();
 
         let (mean, var) = match ctx.mode {
@@ -77,32 +262,7 @@ impl BatchNormInner {
                         got: x.dims().to_vec(),
                     });
                 }
-                let mut mean = vec![0.0f32; c];
-                let mut var = vec![0.0f32; c];
-                for o in 0..outer {
-                    for (ci, mv) in mean.iter_mut().enumerate() {
-                        let base = (o * c + ci) * inner;
-                        // cq-allow(det-float-accum): contiguous slice sum in index order
-                        *mv += xs[base..base + inner].iter().sum::<f32>();
-                    }
-                }
-                for v in &mut mean {
-                    *v /= m;
-                }
-                for o in 0..outer {
-                    for ci in 0..c {
-                        let base = (o * c + ci) * inner;
-                        let mu = mean[ci];
-                        var[ci] += xs[base..base + inner]
-                            .iter()
-                            .map(|&v| (v - mu) * (v - mu))
-                            // cq-allow(det-float-accum): contiguous slice sum in index order
-                            .sum::<f32>();
-                    }
-                }
-                for v in &mut var {
-                    *v /= m;
-                }
+                let (mean, var) = batch_stats(xs, outer, c, inner);
                 // EMA update of running statistics.
                 let mom = self.momentum;
                 for ((rm, rv), (&mu, &va)) in self
@@ -158,61 +318,60 @@ impl BatchNormInner {
         gs: &mut GradSet,
         layer_name: &str,
     ) -> Result<Tensor> {
+        self.backward_at(SimdLevel::detect(), ps, cache, dy, gs, layer_name)
+    }
+
+    /// [`BatchNormInner::backward`] with the kernel compiled at `level`.
+    fn backward_at(
+        &self,
+        level: SimdLevel,
+        ps: &ParamSet,
+        cache: &Cache,
+        dy: &Tensor,
+        gs: &mut GradSet,
+        layer_name: &str,
+    ) -> Result<Tensor> {
         let cch = cache.downcast::<BnCache>(layer_name)?;
-        let c = self.channels;
-        let (outer, inner) = (cch.outer, cch.inner);
-        let m = (outer * inner) as f32;
-        let dys = dy.as_slice();
-        let xh = cch.xhat.as_slice();
-        let g = ps.get(self.gamma).as_slice();
-
-        // Per-channel reductions.
-        let mut dgamma = vec![0.0f32; c];
-        let mut dbeta = vec![0.0f32; c];
-        for o in 0..outer {
-            for ci in 0..c {
-                let base = (o * c + ci) * inner;
-                for k in 0..inner {
-                    // cq-allow(no-naive-hot-loop): per-channel reduction over (outer, inner); output is a length-c vector, not a matmul
-                    dgamma[ci] += dys[base + k] * xh[base + k];
-                    dbeta[ci] += dys[base + k];
-                }
-            }
+        let (len, c) = (dy.len(), self.channels);
+        if cch.inv_std.len() != c {
+            return Err(NnError::CacheMismatch {
+                layer: layer_name.to_string(),
+            });
         }
-
-        let mut dx = vec![0.0f32; dy.len()];
-        match cch.mode {
-            Mode::Train => {
-                for o in 0..outer {
-                    for ci in 0..c {
-                        let base = (o * c + ci) * inner;
-                        let is = cch.inv_std[ci];
-                        let gc = g[ci];
-                        let sum_dxhat = dbeta[ci] * gc;
-                        let sum_dxhat_xhat = dgamma[ci] * gc;
-                        for k in 0..inner {
-                            let dxhat = dys[base + k] * gc;
-                            dx[base + k] =
-                                (is / m) * (m * dxhat - sum_dxhat - xh[base + k] * sum_dxhat_xhat);
-                        }
-                    }
-                }
-            }
-            Mode::Eval => {
-                for o in 0..outer {
-                    for (ci, &gc) in g.iter().enumerate() {
-                        let base = (o * c + ci) * inner;
-                        let coef = gc * cch.inv_std[ci];
-                        for k in 0..inner {
-                            dx[base + k] = dys[base + k] * coef;
-                        }
-                    }
-                }
-            }
+        if dy.dims() != cch.xhat.dims() {
+            return Err(NnError::BadInput {
+                layer: format!("{layer_name}.backward"),
+                expected: format!("{:?}", cch.xhat.dims()),
+                got: dy.dims().to_vec(),
+            });
         }
+        let (dy, xhat) = (dy.as_slice(), cch.xhat.as_slice());
+        // The sweep below writes every element only if its slices tile
+        // the buffer.
+        assert!(cch.inner > 0 && len == cch.outer * c * cch.inner);
+        let (dgamma, dbeta) = grad_sums(dy, xhat, c, cch.inner);
+        let mut dx = Vec::with_capacity(len);
+        dispatch(
+            level,
+            DxSweep {
+                dy,
+                xhat,
+                gamma: ps.get(self.gamma).as_slice(),
+                inv_std: &cch.inv_std,
+                dgamma: &dgamma,
+                dbeta: &dbeta,
+                inner: cch.inner,
+                m: (cch.outer * cch.inner) as f32,
+                train: cch.mode == Mode::Train,
+                dx: &mut dx.spare_capacity_mut()[..len],
+            },
+        );
+        // SAFETY: `DxSweep` wrote every element of `dx`: its slices of
+        // `inner` elements tile the buffer (asserted above).
+        unsafe { dx.set_len(len) };
         gs.accumulate(self.gamma, &Tensor::from_vec(dgamma, &[c])?)?;
         gs.accumulate(self.beta, &Tensor::from_vec(dbeta, &[c])?)?;
-        Ok(Tensor::from_vec(dx, dy.dims())?)
+        Ok(Tensor::from_vec(dx, cch.xhat.dims())?)
     }
 }
 
@@ -371,7 +530,173 @@ impl Layer for BatchNorm1d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self as oracle, bits, finite, hostile, Op, CHANNELS, INNER, THREADS};
+    use cq_tensor::par::with_thread_limit;
     use rand::SeedableRng;
+
+    /// A `BatchNorm2d` over `c` channels with gamma, beta and the running
+    /// statistics moved off their initial values.
+    fn perturbed(c: usize, seed: u64) -> (ParamSet, BatchNorm2d) {
+        let mut ps = ParamSet::new();
+        let mut bn = BatchNorm2d::new(&mut ps, "bn", c);
+        let ids: Vec<_> = ps.iter().map(|(id, _, _)| id).collect();
+        for (k, id) in ids.into_iter().enumerate() {
+            let v = finite(c, seed + k as u64);
+            ps.get_mut(id).as_mut_slice().copy_from_slice(&v);
+        }
+        let mean = finite(c, seed + 7);
+        bn.inner.running_mean.as_mut_slice().copy_from_slice(&mean);
+        for (r, v) in bn
+            .inner
+            .running_var
+            .as_mut_slice()
+            .iter_mut()
+            .zip(finite(c, seed + 8))
+        {
+            *r = v.abs() + 0.5;
+        }
+        (ps, bn)
+    }
+
+    /// One BatchNorm forward (statistics and the fused normalize+affine
+    /// pass) and backward at `level` against the scalar oracle.
+    fn check_against_oracle(level: SimdLevel, outer: usize, c: usize, side: usize, train: bool) {
+        let inner = side * side;
+        let len = outer * c * inner;
+        let seed = (c * 1000 + inner * 10 + usize::from(train)) as u64;
+        let dims = [outer, c, side, side];
+        let at = format!("{level:?} c={c} inner={inner} train={train}");
+        for x in [finite(len, seed), hostile(len, seed)] {
+            let (ps, mut bn) = perturbed(c, seed);
+            let (run_mean, run_var) = (
+                bn.inner.running_mean.as_slice().to_vec(),
+                bn.inner.running_var.as_slice().to_vec(),
+            );
+            let ctx = if train {
+                ForwardCtx::train()
+            } else {
+                ForwardCtx::eval()
+            };
+            let xt = Tensor::from_vec(x.clone(), &dims).unwrap();
+            let g = bn
+                .inner
+                .make_group(&ps, &xt, outer, inner, &ctx, "t")
+                .unwrap();
+            let (y, caches) = crate::graph::execute_at(level, xt, vec![g]).unwrap();
+            let cache = caches.into_iter().next().flatten().unwrap();
+
+            let (mean, var) = if train {
+                oracle::batch_stats(&x, outer, c, inner)
+            } else {
+                (run_mean, run_var)
+            };
+            let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + 1e-5).sqrt()).collect();
+            let (gamma, beta) = (ps.get(bn.inner.gamma), ps.get(bn.inner.beta));
+            let mut want = x.clone();
+            let mut xhat = vec![0.0; len];
+            let norm = Op::Normalize {
+                mean: &mean,
+                inv_std: &inv_std,
+                c,
+                inner,
+            };
+            oracle::apply_op(&norm, &mut want, Some(&mut xhat));
+            let affine = Op::Affine {
+                scale: gamma.as_slice(),
+                shift: beta.as_slice(),
+                c,
+                inner,
+            };
+            oracle::apply_op(&affine, &mut want, None);
+            assert_eq!(bits(y.as_slice()), bits(&want), "y {at}");
+            let bc = cache.downcast::<BnCache>("t").unwrap();
+            assert_eq!(bits(bc.xhat.as_slice()), bits(&xhat), "xhat {at}");
+            assert_eq!(bits(&bc.inv_std), bits(&inv_std), "inv_std {at}");
+
+            let dy = hostile(len, seed + 9);
+            let mut gs = ps.zero_grads();
+            let dyt = Tensor::from_vec(dy.clone(), &dims).unwrap();
+            let dx = bn.inner.backward_at(level, &ps, &cache, &dyt, &mut gs, "t");
+            let dx = dx.unwrap();
+            let (want_dx, dgamma, dbeta) = oracle::batch_norm_backward(
+                &dy,
+                &xhat,
+                gamma.as_slice(),
+                &inv_std,
+                outer,
+                inner,
+                train,
+            );
+            assert_eq!(bits(dx.as_slice()), bits(&want_dx), "dx {at}");
+            // The gradient set adds each gradient to a zeroed slot.
+            let added = |v: Vec<f32>| v.into_iter().map(|g| 0.0 + g).collect::<Vec<_>>();
+            let got_dgamma = gs.get(bn.inner.gamma).as_slice();
+            assert_eq!(bits(got_dgamma), bits(&added(dgamma)), "dgamma {at}");
+            let got_dbeta = gs.get(bn.inner.beta).as_slice();
+            assert_eq!(bits(got_dbeta), bits(&added(dbeta)), "dbeta {at}");
+        }
+    }
+
+    #[test]
+    fn forward_and_backward_match_the_scalar_oracle() {
+        for level in SimdLevel::supported() {
+            for threads in THREADS {
+                for c in CHANNELS {
+                    for side in [1, 2, 4, 8, 16] {
+                        for train in [true, false] {
+                            with_thread_limit(threads, || {
+                                check_against_oracle(level, 3, c, side, train)
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn statistics_match_the_scalar_oracle() {
+        for c in CHANNELS {
+            for inner in INNER {
+                for outer in [1, 2, 3, 9] {
+                    let len = outer * c * inner;
+                    for x in [finite(len, len as u64), hostile(len, len as u64)] {
+                        let (mean, var) = batch_stats(&x, outer, c, inner);
+                        let (want_mean, want_var) = oracle::batch_stats(&x, outer, c, inner);
+                        let at = format!("outer={outer} c={c} inner={inner}");
+                        assert_eq!(bits(&mean), bits(&want_mean), "mean {at}");
+                        assert_eq!(bits(&var), bits(&want_var), "var {at}");
+                    }
+                }
+            }
+        }
+        // A slice of negative zeros sums to −0.0 from the `Sum` identity,
+        // and adds to a `+0.0` total as `+0.0`.
+        let (mean, _) = batch_stats(&[-0.0; 8], 2, 1, 4);
+        assert_eq!(mean[0].to_bits(), 0.0f32.to_bits());
+    }
+
+    #[test]
+    fn backward_rejects_a_dy_of_the_wrong_shape() {
+        let mut ps = ParamSet::new();
+        let mut bn2 = BatchNorm2d::new(&mut ps, "a", 2);
+        let mut bn1 = BatchNorm1d::new(&mut ps, "b", 3);
+        let x2 = Tensor::from_vec(finite(16, 1), &[2, 2, 2, 2]).unwrap();
+        let x1 = Tensor::from_vec(finite(12, 2), &[4, 3]).unwrap();
+        let (_, c2) = bn2.forward(&ps, &x2, &ForwardCtx::train()).unwrap();
+        let (_, c1) = bn1.forward(&ps, &x1, &ForwardCtx::train()).unwrap();
+        let mut gs = ps.zero_grads();
+        for dims in [[2, 2, 2, 3], [2, 2, 2, 1], [1, 2, 2, 2]] {
+            let dy = Tensor::ones(&dims);
+            let err = bn2.backward(&ps, &c2, &dy, &mut gs).unwrap_err();
+            assert!(matches!(err, NnError::BadInput { .. }), "{dims:?}: {err}");
+        }
+        for dims in [[5, 3], [3, 3], [4, 4]] {
+            let dy = Tensor::ones(&dims);
+            let err = bn1.backward(&ps, &c1, &dy, &mut gs).unwrap_err();
+            assert!(matches!(err, NnError::BadInput { .. }), "{dims:?}: {err}");
+        }
+    }
 
     #[test]
     fn train_output_is_normalized() {

@@ -24,64 +24,17 @@
 //!
 //! # Dispatch
 //!
-//! A kernel body implements [`Body`] with `#[inline(always)]`, so each
-//! `#[target_feature]` entry below compiles it at that width: 16 lanes
-//! at AVX-512F, 8 at AVX2, and 8 for the portable instantiation (the
-//! only one Miri runs). The level comes from [`SimdLevel::detect`], the
-//! same detection the f32 GEMM kernels use.
+//! A kernel body implements `cq_tensor::simd::Body` with
+//! `#[inline(always)]`, so each `#[target_feature]` entry of the shared
+//! `cq_tensor::simd::dispatch` compiles it at that width: 16 lanes at
+//! AVX-512F, 8 at AVX2, and 8 for the portable instantiation (the only
+//! one Miri runs). The level comes from [`SimdLevel::detect`], the same
+//! detection the f32 GEMM kernels use.
 
-use cq_tensor::simd::SimdLevel;
+use cq_tensor::simd::{dispatch, Body, SimdLevel};
 
 use crate::intmath::round_half_away;
 use crate::{QuantMode, RangeScan};
-
-/// One kernel body, generic over the lane count of its reduction state.
-pub(crate) trait Body {
-    type Out;
-    fn run<const L: usize>(self) -> Self::Out;
-}
-
-/// Runs `body` at `level`.
-///
-/// # Panics
-///
-/// Panics if the host cannot run `level` (only reachable from tests; the
-/// production entry points pass [`SimdLevel::detect`]).
-pub(crate) fn dispatch<B: Body>(level: SimdLevel, body: B) -> B::Out {
-    match level {
-        SimdLevel::Portable => body.run::<8>(),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => {
-            assert!(std::arch::is_x86_feature_detected!("avx2"));
-            // SAFETY: AVX2 support was just checked.
-            unsafe { run_avx2(body) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => {
-            assert!(std::arch::is_x86_feature_detected!("avx512f"));
-            // SAFETY: AVX-512F support was just checked.
-            unsafe { run_avx512(body) }
-        }
-    }
-}
-
-/// # Safety
-///
-/// The host must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn run_avx2<B: Body>(body: B) -> B::Out {
-    body.run::<8>()
-}
-
-/// # Safety
-///
-/// The host must support AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn run_avx512<B: Body>(body: B) -> B::Out {
-    body.run::<16>()
-}
 
 /// Per-lane range-scan state: lane `i` folds elements `i`, `i + L`, ….
 struct Lanes<const L: usize> {

@@ -18,7 +18,7 @@
 //! backward pass uses the straight-through estimator (gradients pass
 //! unchanged), the standard choice in quantization-aware training.
 
-use cq_tensor::simd::SimdLevel;
+use cq_tensor::simd::{dispatch, SimdLevel};
 use cq_tensor::Tensor;
 
 use crate::{kernel, Precision};
@@ -146,14 +146,14 @@ impl RangeScan {
     /// Scan of a slice on the vectorized kernel — exactly the sweep
     /// [`fake_quant_into`] performs internally.
     pub fn scan(data: &[f32]) -> Self {
-        kernel::dispatch(SimdLevel::detect(), kernel::Scan(data))
+        dispatch(SimdLevel::detect(), kernel::Scan(data))
     }
 
     /// Maps every element of `data` through `f` in place and returns the
     /// scan of the results, in one pass (e.g. an activation clamp folded
     /// into the quantizer's range scan).
     pub fn map_scan(data: &mut [f32], f: impl Fn(f32) -> f32) -> Self {
-        kernel::dispatch(SimdLevel::detect(), kernel::MapScan(data, f))
+        dispatch(SimdLevel::detect(), kernel::MapScan(data, f))
     }
 
     /// Smallest finite value scanned (`+∞` when there was none).
@@ -244,7 +244,7 @@ pub(crate) fn fake_quant_scanned_at(
     let step = range / steps as f32;
     // Round-half-away-from-zero (or floor): the pinned grid-projection
     // rule shared with the i8 requantizer (see crate::intmath).
-    kernel::dispatch(
+    dispatch(
         level,
         kernel::Project {
             data: &mut *data,

@@ -1,12 +1,18 @@
 //! Runtime SIMD level detection shared by every dispatched kernel family
 //! that has one body compiled per vector width: the f32 GEMM drivers in
-//! [`crate::gemm`] and the elementwise quantizer kernels in `cq-quant`.
+//! [`crate::gemm`], the elementwise quantizer kernels in `cq-quant` and
+//! the fused elementwise, BatchNorm and activation kernels in `cq-nn`.
 //!
 //! A level only selects *how wide* a kernel body is compiled; each family
 //! proves its levels bit-identical to one another, so detection affects
 //! speed and never results. The widest level is detected once per process.
 //! Under Miri only [`SimdLevel::Portable`] is reported, so the interpreter
 //! runs the plain-Rust instantiation.
+//!
+//! Elementwise kernels share one dispatcher: a kernel implements [`Body`]
+//! with an `#[inline(always)]` `run::<L>()`, and [`dispatch`] calls it
+//! from one `#[target_feature]` entry per level, so the same source is
+//! compiled at 16 lanes (AVX-512F), 8 (AVX2) and 8 (portable).
 //!
 //! (The i8 tile kernels keep their own [`crate::gemm::int8::I8Level`]:
 //! their 512-bit `vpmaddwd` needs AVX-512BW, which AVX-512F alone does
@@ -64,6 +70,59 @@ impl SimdLevel {
             SimdLevel::Avx512 => "avx512",
         }
     }
+}
+
+/// One kernel body, generic over the lane count `L` of the level it is
+/// compiled at (16 at AVX-512F, 8 at AVX2 and portable). Implementations
+/// mark `run` `#[inline(always)]`, so each [`dispatch`] entry compiles
+/// the body under its own target features.
+pub trait Body {
+    /// What the kernel returns.
+    type Out;
+    /// Runs the kernel at a lane count of `L`.
+    fn run<const L: usize>(self) -> Self::Out;
+}
+
+/// Runs `body` at `level`.
+///
+/// # Panics
+///
+/// Panics if the host cannot run `level` (only reachable from tests; the
+/// production entry points pass [`SimdLevel::detect`]).
+pub fn dispatch<B: Body>(level: SimdLevel, body: B) -> B::Out {
+    match level {
+        SimdLevel::Portable => body.run::<8>(),
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            assert!(std::arch::is_x86_feature_detected!("avx2"));
+            // SAFETY: AVX2 support was just checked.
+            unsafe { run_avx2(body) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => {
+            assert!(std::arch::is_x86_feature_detected!("avx512f"));
+            // SAFETY: AVX-512F support was just checked.
+            unsafe { run_avx512(body) }
+        }
+    }
+}
+
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn run_avx2<B: Body>(body: B) -> B::Out {
+    body.run::<8>()
+}
+
+/// # Safety
+///
+/// The host must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn run_avx512<B: Body>(body: B) -> B::Out {
+    body.run::<16>()
 }
 
 #[cfg(test)]
