@@ -94,8 +94,8 @@ fn record_fusion_metrics(step: usize, elided_before: u64) {
 }
 
 /// Emits the end-of-phase memory metrics: peak RSS so far (`VmHWM`) and
-/// the allocation-call delta since the previous sample. The allocation
-/// series only appears in binaries that installed
+/// the allocation-call and minor-page-fault deltas since the previous
+/// sample. The allocation series only appears in binaries that installed
 /// [`cq_obs::alloc::CountingAlloc`] as their global allocator.
 fn record_phase_memory(step: usize) {
     if !cq_obs::enabled() {
@@ -112,6 +112,15 @@ fn record_phase_memory(step: usize) {
             cq_obs::names::MEM_ALLOC_COUNT,
             step,
             calls.saturating_sub(prev) as f64,
+        );
+    }
+    if let Some(faults) = cq_obs::alloc::minor_faults() {
+        static LAST: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let prev = LAST.swap(faults, std::sync::atomic::Ordering::Relaxed);
+        cq_obs::metric(
+            cq_obs::names::MEM_MINOR_FAULTS,
+            step,
+            faults.saturating_sub(prev) as f64,
         );
     }
 }

@@ -49,6 +49,7 @@ use cq_quant::intmath::{acc_fits_i32, INT_INFER_MAX_BITS};
 use cq_quant::{fake_quant_scanned, Precision, QuantMode, RangeScan};
 use cq_tensor::gemm::int8::par_gemm_i8;
 use cq_tensor::par::parallel_chunks_mut;
+use cq_tensor::recycle;
 use cq_tensor::{
     avg_pool2d, conv2d_i8, depthwise_conv2d_i8, global_avg_pool, max_pool2d, Conv2dSpec, ConvShape,
     Requant, Tensor,
@@ -466,6 +467,16 @@ enum Act {
     Flat { data: Vec<f32>, n: usize, f: usize },
 }
 
+impl Drop for Act {
+    fn drop(&mut self) {
+        match self {
+            Act::Spatial { data, .. } | Act::Flat { data, .. } => {
+                recycle::give(std::mem::take(data));
+            }
+        }
+    }
+}
+
 impl Act {
     fn data(&self) -> &[f32] {
         match self {
@@ -482,10 +493,11 @@ impl Act {
     fn to_tensor(&self) -> Result<Tensor, InferError> {
         match self {
             Act::Spatial { data, n, c, h, w } => {
-                Tensor::from_vec(data.clone(), &[*n, *c, *h, *w]).map_err(InferError::Tensor)
+                Tensor::from_vec(recycle::take_copy(data), &[*n, *c, *h, *w])
+                    .map_err(InferError::Tensor)
             }
             Act::Flat { data, n, f } => {
-                Tensor::from_vec(data.clone(), &[*n, *f]).map_err(InferError::Tensor)
+                Tensor::from_vec(recycle::take_copy(data), &[*n, *f]).map_err(InferError::Tensor)
             }
         }
     }
@@ -627,7 +639,7 @@ impl IntEncoder {
             )));
         }
         let act = Act::Spatial {
-            data: x.as_slice().to_vec(),
+            data: recycle::take_copy(x.as_slice()),
             n: dims[0],
             c: dims[1],
             h: dims[2],
@@ -741,7 +753,7 @@ fn run_op(op: &IntOp, act: Cow<'_, Act>, conv: ConvI8) -> Result<Act, InferError
                 scale: &scale,
                 shift: &mac.shift,
             };
-            let mut out = vec![0.0f32; n * mac.rows * shape.positions()];
+            let mut out = recycle::take_written(n * mac.rows * shape.positions());
             conv(&q.codes, &mac.codes, &shape, &rq, &mut out);
             Ok(Act::Spatial {
                 data: out,
@@ -774,7 +786,7 @@ fn run_op(op: &IntOp, act: Cow<'_, Act>, conv: ConvI8) -> Result<Act, InferError
             let q = quantize_activations(data);
             let pad = (-q.zp) as i8;
             let cota = oh * ow;
-            let mut out = vec![0.0f32; n * c * cota];
+            let mut out = recycle::take_written(n * c * cota);
             parallel_chunks_mut(&mut out, c * cota, |i, chunk| {
                 let sample = &q.codes[i * c * h * w..(i + 1) * c * h * w];
                 // The per-window stored-code sums (`asum`), pad bytes

@@ -10,13 +10,13 @@
 //! the activation (and its fake-quant) into the preceding elementwise
 //! pass. The pass writes the gradient mask as packed bits (one bit per
 //! element, no branch), and the backward is one pass from `dY` and those
-//! bits into a fresh buffer, `dx = dy · (bit ? 1 : 0)`. It multiplies
+//! bits into a recycled buffer that it writes in full,
+//! `dx = dy · (bit ? 1 : 0)`. It multiplies
 //! rather than selecting `dy` or `+0.0`, so `−0.0`, `±Inf · 0` and NaN
 //! come out as they did with the `f32` mask this replaced
 //! ([`crate::reference::act_backward`]).
 
-use std::mem::MaybeUninit;
-
+use cq_tensor::recycle::take_written;
 use cq_tensor::simd::{dispatch, Body, SimdLevel};
 use cq_tensor::Tensor;
 
@@ -76,18 +76,15 @@ fn act_backward_at(
     let dy = dy.as_slice();
     // Every element below is written only if the mask covers it.
     assert_eq!(c.mask.words.len(), dy.len().div_ceil(MASK_WORD));
-    let mut dx = Vec::with_capacity(dy.len());
+    let mut dx = take_written(dy.len());
     dispatch(
         level,
         MaskedGrad {
             dy,
             words: &c.mask.words,
-            dx: &mut dx.spare_capacity_mut()[..dy.len()],
+            dx: &mut dx,
         },
     );
-    // SAFETY: `MaskedGrad` wrote all `dy.len()` elements: one block per
-    // mask word, and the words cover `dy` (asserted above).
-    unsafe { dx.set_len(dy.len()) };
     Ok(Tensor::from_vec(dx, &c.mask.dims)?)
 }
 
@@ -95,17 +92,17 @@ fn act_backward_at(
 struct MaskedGrad<'a> {
     dy: &'a [f32],
     words: &'a [u32],
-    dx: &'a mut [MaybeUninit<f32>],
+    dx: &'a mut [f32],
 }
 
 impl Body for MaskedGrad<'_> {
     type Out = ();
     #[inline(always)]
     fn run<const L: usize>(self) {
-        let block = |dy: &[f32], dx: &mut [MaybeUninit<f32>], w: u32| {
+        let block = |dy: &[f32], dx: &mut [f32], w: u32| {
             for (j, (o, &g)) in dx.iter_mut().zip(dy).enumerate() {
                 let m = if (w >> j) & 1 != 0 { 1.0 } else { 0.0 };
-                o.write(g * m);
+                *o = g * m;
             }
         };
         let (dys, dy_rest) = self.dy.as_chunks::<MASK_WORD>();
@@ -191,6 +188,31 @@ mod tests {
     use cq_quant::{Precision, QuantConfig};
     use cq_tensor::par::with_thread_limit;
 
+    /// The backward of both activations at `level` on `x` and `dy` of
+    /// `dims`, against the scalar oracle.
+    fn check_against_oracle(level: SimdLevel, dims: &[usize], seed: u64) {
+        let len = dims.iter().product();
+        let x = hostile(len, seed);
+        let dy = Tensor::from_vec(hostile(len, seed + 1), dims).unwrap();
+        for relu6 in [false, true] {
+            let (op, mut layer): (Op<'_>, Box<dyn Layer>) = if relu6 {
+                (Op::Relu6, Box::new(Relu6::new()))
+            } else {
+                (Op::Relu, Box::new(Relu::new()))
+            };
+            let xt = Tensor::from_vec(x.clone(), dims).unwrap();
+            let (_, cache) = layer
+                .forward(&ParamSet::new(), &xt, &ForwardCtx::train())
+                .unwrap();
+            let mut mask = vec![0.0; len];
+            oracle::apply_op(&op, &mut x.clone(), Some(&mut mask));
+            let want = oracle::act_backward(dy.as_slice(), &mask);
+            let dx = act_backward_at(level, "t", &cache, &dy).unwrap();
+            let at = format!("{level:?} dims={dims:?} relu6={relu6}");
+            assert_eq!(bits(dx.as_slice()), bits(&want), "{at}");
+        }
+    }
+
     #[test]
     fn backward_matches_the_scalar_oracle() {
         for level in SimdLevel::supported() {
@@ -198,30 +220,31 @@ mod tests {
                 for c in CHANNELS {
                     for inner in INNER {
                         let len = 3 * c * inner + c;
-                        let x = hostile(len, len as u64);
-                        let dy = Tensor::from_vec(hostile(len, len as u64 + 1), &[len]).unwrap();
-                        for relu6 in [false, true] {
-                            let (op, mut layer): (Op<'_>, Box<dyn Layer>) = if relu6 {
-                                (Op::Relu6, Box::new(Relu6::new()))
-                            } else {
-                                (Op::Relu, Box::new(Relu::new()))
-                            };
-                            let xt = Tensor::from_slice(&x);
-                            let (_, cache) = layer
-                                .forward(&ParamSet::new(), &xt, &ForwardCtx::train())
-                                .unwrap();
-                            let mut mask = vec![0.0; len];
-                            oracle::apply_op(&op, &mut x.clone(), Some(&mut mask));
-                            let want = oracle::act_backward(dy.as_slice(), &mask);
-                            let dx = with_thread_limit(threads, || {
-                                act_backward_at(level, "t", &cache, &dy).unwrap()
-                            });
-                            let at = format!("{level:?} len={len} relu6={relu6}");
-                            assert_eq!(bits(dx.as_slice()), bits(&want), "{at}");
-                        }
+                        with_thread_limit(threads, || {
+                            check_against_oracle(level, &[len], len as u64)
+                        });
                     }
                 }
             }
+        }
+    }
+
+    /// `dX` and the mask words land in recycled buffers that the kernels
+    /// must overwrite in full. Each shape runs right after another of
+    /// the same length (2^19 elements, so the 16,384 mask words are
+    /// recycled too) left its values there.
+    // Recycled buffers are 64 KiB and up: too large for Miri.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn backward_into_recycled_buffers_matches_the_scalar_oracle() {
+        let level = SimdLevel::detect();
+        for dims in [
+            [128, 16, 16, 16],
+            [32, 64, 16, 16],
+            [512, 64, 4, 4],
+            [128, 16, 16, 16],
+        ] {
+            check_against_oracle(level, &dims, 5);
         }
     }
 

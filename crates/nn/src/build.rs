@@ -9,6 +9,7 @@
 //! block becomes a nested [`Sequential`].
 
 use std::borrow::Cow;
+use std::sync::{Mutex, PoisonError};
 
 use cq_tensor::Tensor;
 use rand::Rng;
@@ -103,9 +104,9 @@ pub(crate) struct Residual {
 /// Forward trace of [`Residual`].
 struct ResidualCache {
     /// One cache per main layer, then one per tail layer.
-    chain: Vec<Cache>,
+    chain: ChainCaches,
     /// One cache per projection-skip layer.
-    skip: Vec<Cache>,
+    skip: ChainCaches,
 }
 
 impl Residual {
@@ -126,12 +127,39 @@ impl Residual {
     }
 }
 
+/// The child caches of a container's trace, handed to its backward once.
+/// The backward drops each child's cache as soon as that child's backward
+/// is done, so a trace's activations are released layer by layer while
+/// it is walked rather than all at once after it, and the later layers'
+/// gradient buffers reuse them.
+pub(crate) struct ChainCaches(Mutex<Option<Vec<Cache>>>);
+
+impl ChainCaches {
+    pub(crate) fn new(caches: Vec<Cache>) -> Self {
+        ChainCaches(Mutex::new(Some(caches)))
+    }
+
+    /// The caches, for the one backward walk of the trace.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::CacheMismatch`] when the trace was walked
+    /// before.
+    pub(crate) fn take(&self, layer: &str) -> Result<Vec<Cache>> {
+        let mut caches = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        caches.take().ok_or_else(|| NnError::CacheMismatch {
+            layer: format!("{layer} (trace already walked backward)"),
+        })
+    }
+}
+
 /// Backpropagates `dy` through `layers` in reverse order, one backward
-/// span per layer; `dy` is only copied when `layers` is empty and the
-/// caller asks for an owned tensor.
+/// span per layer, dropping each layer's cache after its backward; `dy`
+/// is only copied when `layers` is empty and the caller asks for an
+/// owned tensor.
 pub(crate) fn backward_chain<'a>(
     layers: &[Box<dyn Layer>],
-    caches: &[Cache],
+    caches: Vec<Cache>,
     ps: &ParamSet,
     dy: Cow<'a, Tensor>,
     gs: &mut GradSet,
@@ -142,7 +170,7 @@ pub(crate) fn backward_chain<'a>(
         // forward spans `Recorder::run` opens), so a child's time is not
         // left as its container's self time.
         let _sp = cq_obs::span(layer.layer_kind());
-        d = Cow::Owned(layer.backward(ps, cache, &d, gs)?);
+        d = Cow::Owned(layer.backward(ps, &cache, &d, gs)?);
     }
     Ok(d)
 }
@@ -172,8 +200,8 @@ impl Layer for Residual {
         Ok((
             out,
             Cache::new(ResidualCache {
-                chain,
-                skip: skip_caches,
+                chain: ChainCaches::new(chain),
+                skip: ChainCaches::new(skip_caches),
             }),
         ))
     }
@@ -186,16 +214,21 @@ impl Layer for Residual {
         gs: &mut GradSet,
     ) -> Result<Tensor> {
         let c = cache.downcast::<ResidualCache>("Residual")?;
-        if c.chain.len() != self.main.len() + self.tail.len() || c.skip.len() != self.skip.len() {
+        let (mut main_caches, skip_caches) = (c.chain.take("Residual")?, c.skip.take("Residual")?);
+        if main_caches.len() != self.main.len() + self.tail.len()
+            || skip_caches.len() != self.skip.len()
+        {
             return Err(NnError::CacheMismatch {
                 layer: "Residual".into(),
             });
         }
-        let (main_caches, tail_caches) = c.chain.split_at(self.main.len());
+        let tail_caches = main_caches.split_off(self.main.len());
         let dsum = backward_chain(&self.tail, tail_caches, ps, Cow::Borrowed(dy), gs)?;
         let dx_main = backward_chain(&self.main, main_caches, ps, Cow::Borrowed(&*dsum), gs)?;
-        let dx_skip = backward_chain(&self.skip, &c.skip, ps, Cow::Borrowed(&*dsum), gs)?;
-        Ok(dx_main.add(&dx_skip)?)
+        let dx_skip = backward_chain(&self.skip, skip_caches, ps, Cow::Borrowed(&*dsum), gs)?;
+        let mut dx = dx_main.into_owned();
+        dx.add_assign(&dx_skip)?;
+        Ok(dx)
     }
 
     fn state_tensors(&self) -> Vec<&Tensor> {

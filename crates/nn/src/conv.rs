@@ -4,7 +4,11 @@
 //! channel lanes of `cq_tensor::gemm::depthwise`. Those kernels own the
 //! batch split and the band-order reduction of the weight-gradient
 //! partials, so gradients are bitwise identical at every thread count.
+//! The kernels overwrite their outputs in full, so outputs and input
+//! gradients are recycled buffers that are not zero-filled first, and the
+//! caches keep the input by reference (a shared [`Tensor`]), not by copy.
 
+use cq_tensor::recycle::take_written;
 use cq_tensor::{
     conv2d, conv2d_backward, depthwise_conv2d, depthwise_conv2d_backward, Conv2dSpec, ConvShape,
     Tensor,
@@ -30,6 +34,7 @@ pub struct Conv2d {
 
 /// Forward trace of [`Conv2d`].
 struct ConvCache {
+    /// The input, sharing the caller's storage.
     input: Tensor,
     used_weight: Option<Tensor>,
     shape: ConvShape,
@@ -101,7 +106,7 @@ impl Layer for Conv2d {
         let used = crate::perturb::perturbed_weight(raw_w, self.weight, ctx);
         let wslice = used.as_ref().unwrap_or(raw_w).as_slice();
 
-        let mut out = vec![0.0f32; n * o * p];
+        let mut out = take_written(n * o * p);
         conv2d(x.as_slice(), wslice, &shape, &mut out);
         if let Some(b) = self.bias {
             let bv = ps.get(b).as_slice();
@@ -147,7 +152,7 @@ impl Layer for Conv2d {
         let dys = dy.as_slice();
 
         let mut dw = Tensor::zeros(&[o, s.taps()]);
-        let mut dx = vec![0.0f32; n * s.c * s.h * s.w];
+        let mut dx = take_written(n * s.c * s.h * s.w);
         conv2d_backward(
             cch.input.as_slice(),
             dys,
@@ -179,6 +184,7 @@ pub struct DepthwiseConv2d {
 
 /// Forward trace of [`DepthwiseConv2d`].
 struct DwCache {
+    /// The input, sharing the caller's storage.
     input: Tensor,
     used_weight: Option<Tensor>,
     shape: ConvShape,
@@ -228,7 +234,7 @@ impl Layer for DepthwiseConv2d {
         let raw_w = ps.get(self.weight);
         let used = crate::perturb::perturbed_weight(raw_w, self.weight, ctx);
         let wslice = used.as_ref().unwrap_or(raw_w).as_slice();
-        let mut out = vec![0.0f32; n * c * shape.positions()];
+        let mut out = take_written(n * c * shape.positions());
         depthwise_conv2d(x.as_slice(), wslice, &shape, &mut out);
         let y = Tensor::from_vec(out, &[n, c, shape.oh, shape.ow])?;
         Ok((
@@ -265,7 +271,7 @@ impl Layer for DepthwiseConv2d {
             .as_slice();
         let (kh, kw) = s.spec.kernel;
         let mut dw = Tensor::zeros(&[c, kh, kw]);
-        let mut dx = vec![0.0f32; n * c * s.h * s.w];
+        let mut dx = take_written(n * c * s.h * s.w);
         depthwise_conv2d_backward(
             cch.input.as_slice(),
             dy.as_slice(),
@@ -394,6 +400,106 @@ mod tests {
         let mut ps2 = ParamSet::new();
         let dw2 = DepthwiseConv2d::new(&mut ps2, "dw", 2, Conv2dSpec::new(3, 2, 1), &mut rng);
         crate::gradcheck::check_layer(dw2, ps2, &[2, 2, 6, 6], &ForwardCtx::train(), 2e-2);
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `v` as the gradient set holds it: added to a zeroed slot.
+    fn added(v: &[f32]) -> Vec<f32> {
+        v.iter().map(|&g| 0.0 + g).collect()
+    }
+
+    /// Forward outputs, input gradients and the kernels' lane copies land
+    /// in recycled buffers that must be overwritten in full, padding cells
+    /// included. Each geometry runs right after another that left its
+    /// values in buffers of the same lengths: outputs of 16,384 floats,
+    /// and a 10×10 1×1 layer's lane copies, as long as the padded copy of
+    /// an 8×8 3×3 layer's input. Results must match the kernels run into
+    /// fresh zeroed buffers.
+    // Recycled buffers are 64 KiB and up: too large for Miri.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn passes_into_recycled_buffers_match_fresh_buffers() {
+        // (n, c, side, kernel, padding): input and output [n, c, side, side].
+        let shapes = [
+            (16, 16, 10, 1, 0),
+            (16, 16, 8, 3, 1),
+            (64, 16, 4, 1, 0),
+            (16, 64, 4, 3, 1),
+        ];
+        let mut rng = StdRng::seed_from_u64(9);
+        for round in 0..2 {
+            for &(n, c, side, k, pad) in &shapes {
+                let at = format!("round {round} n={n} c={c} side={side} k={k}");
+                let spec = Conv2dSpec::new(k, 1, pad);
+                let x = Tensor::randn(&[n, c, side, side], 0.0, 1.0, &mut rng);
+                let dy = Tensor::randn(&[n, c, side, side], 0.0, 1.0, &mut rng);
+                let s = ConvShape::new(n, c, side, side, c, spec).unwrap();
+
+                let mut ps = ParamSet::new();
+                let mut conv = Conv2d::new(&mut ps, "c", c, c, spec, false, &mut rng);
+                let (y, cache) = conv.forward(&ps, &x, &ForwardCtx::train()).unwrap();
+                let mut gs = ps.zero_grads();
+                let dx = conv.backward(&ps, &cache, &dy, &mut gs).unwrap();
+                let w = ps.get(conv.weight_id()).as_slice();
+                let mut want_y = vec![0.0; y.len()];
+                conv2d(x.as_slice(), w, &s, &mut want_y);
+                let (mut want_dx, mut want_dw) = (vec![0.0; x.len()], vec![0.0; w.len()]);
+                conv2d_backward(
+                    x.as_slice(),
+                    dy.as_slice(),
+                    w,
+                    &s,
+                    &mut want_dx,
+                    &mut want_dw,
+                );
+                assert_eq!(bits(y.as_slice()), bits(&want_y), "conv y {at}");
+                assert_eq!(bits(dx.as_slice()), bits(&want_dx), "conv dx {at}");
+                let dw = gs.get(conv.weight_id()).as_slice();
+                assert_eq!(bits(dw), bits(&added(&want_dw)), "conv dw {at}");
+
+                let mut ps = ParamSet::new();
+                let mut dw = DepthwiseConv2d::new(&mut ps, "d", c, spec, &mut rng);
+                let (y, cache) = dw.forward(&ps, &x, &ForwardCtx::train()).unwrap();
+                let mut gs = ps.zero_grads();
+                let dx = dw.backward(&ps, &cache, &dy, &mut gs).unwrap();
+                let w = ps.get(dw.weight_id()).as_slice();
+                let mut want_y = vec![0.0; y.len()];
+                depthwise_conv2d(x.as_slice(), w, &s, &mut want_y);
+                let (mut want_dx, mut want_dw) = (vec![0.0; x.len()], vec![0.0; w.len()]);
+                depthwise_conv2d_backward(
+                    x.as_slice(),
+                    dy.as_slice(),
+                    w,
+                    &s,
+                    &mut want_dx,
+                    &mut want_dw,
+                );
+                assert_eq!(bits(y.as_slice()), bits(&want_y), "depthwise y {at}");
+                assert_eq!(bits(dx.as_slice()), bits(&want_dx), "depthwise dx {at}");
+                let dw = gs.get(dw.weight_id()).as_slice();
+                assert_eq!(bits(dw), bits(&added(&want_dw)), "depthwise dw {at}");
+            }
+        }
+    }
+
+    /// The caches keep the input by reference, not by copy.
+    #[test]
+    fn caches_share_the_input() {
+        let mut ps = ParamSet::new();
+        let mut rng = StdRng::seed_from_u64(10);
+        let spec = Conv2dSpec::new(3, 1, 1);
+        let mut conv = Conv2d::new(&mut ps, "c", 2, 3, spec, false, &mut rng);
+        let mut dw = DepthwiseConv2d::new(&mut ps, "d", 2, spec, &mut rng);
+        let x = Tensor::randn(&[2, 2, 5, 5], 0.0, 1.0, &mut rng);
+        let (_, c) = conv.forward(&ps, &x, &ForwardCtx::train()).unwrap();
+        let c = c.downcast::<ConvCache>("t").unwrap();
+        assert!(c.input.shares_storage(&x));
+        let (_, d) = dw.forward(&ps, &x, &ForwardCtx::train()).unwrap();
+        let d = d.downcast::<DwCache>("t").unwrap();
+        assert!(d.input.shares_storage(&x));
     }
 
     #[test]

@@ -41,20 +41,20 @@
 //! mask bit is `v > 0` for ReLU and `0 < v < 6` for ReLU6. Activation
 //! masks are packed bits (`Mask`, 32 elements to a `u32` word) rather
 //! than an `f32` per element, and the chunk grid is laid over mask words,
-//! so every word has one writer. Tap buffers are allocated without a
-//! zero-fill: the op that writes a tap writes all of it, which the
-//! executor checks for each group before it runs. Per-channel ops walk
-//! their channel segments with one division per chunk, so short segments
-//! (R18's 2×2 stage, `inner = 4`; `BatchNorm1d`, `inner = 1`) cost no
-//! division each.
+//! so every word has one writer. Tap buffers come from the recycler's
+//! `take_written` and are not filled first: the op that writes a tap
+//! writes all of it, which the executor checks for each group before it
+//! runs. Per-channel ops walk their channel segments with one division
+//! per chunk, so short segments (R18's 2×2 stage, `inner = 4`;
+//! `BatchNorm1d`, `inner = 1`) cost no division each.
 
-use std::mem::MaybeUninit;
 use std::sync::Arc;
 use std::time::Instant;
 
 use cq_obs::Counter;
 use cq_quant::{fake_quant_into, fake_quant_scanned, Precision, QuantMode, RangeScan};
 use cq_tensor::par::{parallel_for_chunks, parallel_map_chunks, ChunkGrid};
+use cq_tensor::recycle::{self, take_written};
 use cq_tensor::simd::{dispatch, Body, SimdLevel};
 use cq_tensor::{Conv2dSpec, Tensor};
 
@@ -119,12 +119,18 @@ pub(crate) const MASK_WORD: usize = 32;
 
 /// An activation's gradient mask, one bit per element: bit `i % 32` of
 /// word `i / 32` is set where the activation passes gradient. Bits past
-/// the last element are clear.
+/// the last element are clear. The words return to the recycler on drop.
 pub(crate) struct Mask {
     /// The packed bits, `⌈len / 32⌉` words.
     pub(crate) words: Vec<u32>,
     /// Dims of the tensor the mask covers.
     pub(crate) dims: Vec<usize>,
+}
+
+impl Drop for Mask {
+    fn drop(&mut self) {
+        recycle::give(std::mem::take(&mut self.words));
+    }
 }
 
 /// Tensors captured during execution for a group's backward cache.
@@ -199,7 +205,7 @@ impl EwGroup {
 struct SendPtr<T>(*mut T);
 // SAFETY: the pointer is only dereferenced at chunk-disjoint indices of a
 // buffer that outlives the parallel dispatch, and the `T`s it reaches
-// (plain `f32`/`u32`, possibly uninitialized) may move between threads.
+// (plain `f32`/`u32`) may move between threads.
 unsafe impl<T: Send> Send for SendPtr<T> {}
 // SAFETY: as above — shared copies never touch the same index.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
@@ -226,14 +232,14 @@ impl<T> SendPtr<T> {
 }
 
 /// A compiled per-pass op: borrows group data, carries raw pointers to
-/// the (not yet initialized) tap buffers.
+/// the tap buffers.
 enum KOp<'a> {
     Norm {
         mean: &'a [f32],
         inv_std: &'a [f32],
         c: usize,
         inner: usize,
-        xhat: Option<SendPtr<MaybeUninit<f32>>>,
+        xhat: Option<SendPtr<f32>>,
     },
     Affine {
         scale: &'a [f32],
@@ -242,10 +248,10 @@ enum KOp<'a> {
         inner: usize,
     },
     Relu {
-        mask: Option<SendPtr<MaybeUninit<u32>>>,
+        mask: Option<SendPtr<u32>>,
     },
     Relu6 {
-        mask: Option<SendPtr<MaybeUninit<u32>>>,
+        mask: Option<SendPtr<u32>>,
     },
     Add {
         other: &'a [f32],
@@ -282,7 +288,7 @@ fn for_channel_segments(
 /// Applies `f` (returning the new value and its mask bit) to every
 /// element of `chunk`, writing one mask word per 32 elements.
 #[inline(always)]
-fn masked(chunk: &mut [f32], words: &mut [MaybeUninit<u32>], f: impl Fn(f32) -> (f32, bool)) {
+fn masked(chunk: &mut [f32], words: &mut [u32], f: impl Fn(f32) -> (f32, bool)) {
     let block = |b: &mut [f32]| {
         let mut bits = 0u32;
         for (j, v) in b.iter_mut().enumerate() {
@@ -295,10 +301,10 @@ fn masked(chunk: &mut [f32], words: &mut [MaybeUninit<u32>], f: impl Fn(f32) -> 
     let (blocks, rest) = chunk.as_chunks_mut::<MASK_WORD>();
     let (full, last) = words.split_at_mut(blocks.len());
     for (b, w) in blocks.iter_mut().zip(full) {
-        w.write(block(b));
+        *w = block(b);
     }
     if let Some(w) = last.first_mut() {
-        w.write(block(rest));
+        *w = block(rest);
     }
 }
 
@@ -339,7 +345,7 @@ fn apply_op(op: &KOp<'_>, chunk: &mut [f32], start: usize) {
                     let (mu, is) = (mean[ci], inv_std[ci]);
                     for (v, t) in chunk[lo..hi].iter_mut().zip(&mut tap[lo..hi]) {
                         let xh = (*v - mu) * is;
-                        t.write(xh);
+                        *t = xh;
                         *v = xh;
                     }
                 });
@@ -387,11 +393,7 @@ fn apply_op(op: &KOp<'_>, chunk: &mut [f32], start: usize) {
 ///
 /// As [`SendPtr::slice`], for the word range; `start` is word-aligned.
 #[inline(always)]
-unsafe fn mask_words<'s>(
-    p: SendPtr<MaybeUninit<u32>>,
-    start: usize,
-    len: usize,
-) -> &'s mut [MaybeUninit<u32>] {
+unsafe fn mask_words<'s>(p: SendPtr<u32>, start: usize, len: usize) -> &'s mut [u32] {
     // SAFETY: guaranteed by the caller.
     unsafe { p.slice(start / MASK_WORD, len.div_ceil(MASK_WORD)) }
 }
@@ -455,7 +457,8 @@ fn run_pass(level: SimdLevel, buf: &mut [f32], ops: &[KOp<'_>], scan: bool) -> O
     Some(scan)
 }
 
-/// Per-group tap buffers, allocated (not zero-filled) before execution.
+/// Per-group tap buffers, allocated before execution. The op that
+/// writes a tap writes all of it, so neither is filled first.
 struct GroupTaps {
     xhat: Option<Vec<f32>>,
     mask: Option<Vec<u32>>,
@@ -499,7 +502,7 @@ pub(crate) fn execute_at(
                 }
             }
         }
-        // The taps are not zero-filled, so each requested tap needs an op
+        // The taps are not filled first, so each requested tap needs an op
         // that writes all of it.
         let writes_xhat = g.ops.iter().any(|o| matches!(o, EwOp::Normalize { .. }));
         let writes_mask = g.ops.iter().any(|o| matches!(o, EwOp::Relu | EwOp::Relu6));
@@ -529,10 +532,8 @@ pub(crate) fn execute_at(
     let mut taps: Vec<GroupTaps> = groups
         .iter()
         .map(|g| GroupTaps {
-            xhat: g.want_xhat.then(|| Vec::with_capacity(len)),
-            mask: g
-                .want_mask
-                .then(|| Vec::with_capacity(len.div_ceil(MASK_WORD))),
+            xhat: g.want_xhat.then(|| take_written(len)),
+            mask: g.want_mask.then(|| take_written(len.div_ceil(MASK_WORD))),
         })
         .collect();
 
@@ -544,14 +545,8 @@ pub(crate) fn execute_at(
         let mut kops: Vec<KOp<'_>> = Vec::new();
         for gi in seg.clone() {
             let (c, inner) = groups[gi].geom.unwrap_or((1, 1));
-            let xhat = taps[gi]
-                .xhat
-                .as_mut()
-                .map(|v| SendPtr(v.spare_capacity_mut().as_mut_ptr()));
-            let mask = taps[gi]
-                .mask
-                .as_mut()
-                .map(|v| SendPtr(v.spare_capacity_mut().as_mut_ptr()));
+            let xhat = taps[gi].xhat.as_mut().map(|v| SendPtr(v.as_mut_ptr()));
+            let mask = taps[gi].mask.as_mut().map(|v| SendPtr(v.as_mut_ptr()));
             for op in &groups[gi].ops {
                 kops.push(match op {
                     EwOp::Normalize { mean, inv_std } => KOp::Norm {
@@ -602,15 +597,11 @@ pub(crate) fn execute_at(
         caches.push(match g.build {
             Some(build) => {
                 let xhat = match t.xhat {
-                    // SAFETY: the group's Normalize op (checked above)
-                    // wrote all `len` elements in the pass.
-                    Some(v) => Some(Tensor::from_vec(unsafe { filled(v, len) }, &dims)?),
+                    Some(v) => Some(Tensor::from_vec(v, &dims)?),
                     None => None,
                 };
-                let mask = t.mask.map(|v| Mask {
-                    // SAFETY: the group's activation op (checked above)
-                    // wrote all `⌈len / 32⌉` words in the pass.
-                    words: unsafe { filled(v, len.div_ceil(MASK_WORD)) },
+                let mask = t.mask.map(|words| Mask {
+                    words,
                     dims: dims.clone(),
                 });
                 Some(build(TapData { xhat, mask }))
@@ -619,18 +610,6 @@ pub(crate) fn execute_at(
         });
     }
     Ok((Tensor::from_vec(buf, &dims)?, caches))
-}
-
-/// `v` with its length set to `len`.
-///
-/// # Safety
-///
-/// The first `len` elements of `v`'s spare capacity must have been
-/// written, and `len` must not exceed its capacity.
-unsafe fn filled<T>(mut v: Vec<T>, len: usize) -> Vec<T> {
-    // SAFETY: guaranteed by the caller.
-    unsafe { v.set_len(len) };
-    v
 }
 
 /// Executes a single group eagerly (the standalone `Layer::forward` path
@@ -1528,6 +1507,26 @@ mod tests {
             if tail != 0 {
                 assert_eq!(got.words[len / MASK_WORD] >> tail, 0, "tail {at}");
             }
+        }
+    }
+
+    /// The `xhat` tap, the mask words and the chain input land in
+    /// recycled buffers that the pass must overwrite in full. Each shape
+    /// runs right after another of the same length (2^19 + 4 elements,
+    /// so the mask words are recycled too, with a partial last word)
+    /// left its values there.
+    // Recycled buffers are 64 KiB and up: too large for Miri.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn fused_pass_into_recycled_buffers_matches_the_scalar_oracle() {
+        let level = SimdLevel::detect();
+        for (outer, c, inner) in [
+            (2, 6, 43_691),
+            (4, 3, 43_691),
+            (12, 1, 43_691),
+            (2, 6, 43_691),
+        ] {
+            check_chain_against_oracle(level, outer, c, inner);
         }
     }
 

@@ -4,7 +4,7 @@ use std::borrow::Cow;
 
 use cq_tensor::Tensor;
 
-use crate::build::backward_chain;
+use crate::build::{backward_chain, ChainCaches};
 use crate::{Cache, ForwardCtx, GradSet, ParamSet, Result};
 
 /// A differentiable network module with trace-based forward/backward.
@@ -24,7 +24,10 @@ pub trait Layer: Send {
     fn forward(&mut self, ps: &ParamSet, x: &Tensor, ctx: &ForwardCtx) -> Result<(Tensor, Cache)>;
 
     /// Backpropagates `dy` through the trace, accumulating parameter
-    /// gradients into `gs` and returning the input gradient.
+    /// gradients into `gs` and returning the input gradient. A trace is
+    /// walked once: containers ([`Sequential`], residual blocks) drop each
+    /// child's cache as soon as its backward is done, so a second walk of
+    /// the same trace is an error.
     ///
     /// # Errors
     ///
@@ -173,12 +176,17 @@ fn run_layers(
         rec.run(layer.as_mut())?;
     }
     let (y, children) = rec.finish()?;
-    Ok((y, Cache::new(SeqCache { children })))
+    Ok((
+        y,
+        Cache::new(SeqCache {
+            children: ChainCaches::new(children),
+        }),
+    ))
 }
 
 /// Trace for [`Sequential`]: one cache per child layer.
 struct SeqCache {
-    children: Vec<Cache>,
+    children: ChainCaches,
 }
 
 impl Layer for Sequential {
@@ -193,16 +201,19 @@ impl Layer for Sequential {
         dy: &Tensor,
         gs: &mut GradSet,
     ) -> Result<Tensor> {
-        let c = cache.downcast::<SeqCache>("Sequential")?;
+        let children = cache
+            .downcast::<SeqCache>("Sequential")?
+            .children
+            .take("Sequential")?;
         // Prefix caches (from `forward_upto`) walk only the layers they
         // cover; a full-forward cache covers every layer.
-        if c.children.len() > self.layers.len() {
+        if children.len() > self.layers.len() {
             return Err(crate::NnError::CacheMismatch {
                 layer: "Sequential".into(),
             });
         }
-        let layers = &self.layers[..c.children.len()];
-        Ok(backward_chain(layers, &c.children, ps, Cow::Borrowed(dy), gs)?.into_owned())
+        let layers = &self.layers[..children.len()];
+        Ok(backward_chain(layers, children, ps, Cow::Borrowed(dy), gs)?.into_owned())
     }
 
     fn state_tensors(&self) -> Vec<&Tensor> {
@@ -271,6 +282,10 @@ mod tests {
             .backward(&ps, &cache, &Tensor::ones(&[4, 2]), &mut gs)
             .unwrap();
         assert_eq!(dx.dims(), &[4, 3]);
+        // The walk released the children's caches: a second one is an
+        // error, not a gradient from stale caches.
+        let again = seq.backward(&ps, &cache, &Tensor::ones(&[4, 2]), &mut gs);
+        assert!(matches!(again, Err(crate::NnError::CacheMismatch { .. })));
     }
 
     #[test]

@@ -20,14 +20,13 @@
 //!   channel in `o`-then-`k` order, held in registers for [`CHAINS`]
 //!   channels at a time.
 //! - **`dX` sweep.** A zip over each slice with `is / m` hoisted, written
-//!   into a buffer that is not zero-filled first, compiled at every
-//!   [`SimdLevel`].
+//!   into a recycled buffer that is not zero-filled first, compiled at
+//!   every [`SimdLevel`].
 //!
 //! The two reductions are scalar chains by contract, so a wider vector
 //! has nothing to add to them and they are not dispatched.
 
-use std::mem::MaybeUninit;
-
+use cq_tensor::recycle::take_written;
 use cq_tensor::simd::{dispatch, Body, SimdLevel};
 use cq_tensor::Tensor;
 
@@ -152,7 +151,7 @@ struct DxSweep<'a> {
     /// Elements per channel, `outer · inner`.
     m: f32,
     train: bool,
-    dx: &'a mut [MaybeUninit<f32>],
+    dx: &'a mut [f32],
 }
 
 impl Body for DxSweep<'_> {
@@ -184,12 +183,12 @@ impl Body for DxSweep<'_> {
                 let sum_dxhat = dbeta[ci] * gc;
                 let sum_dxhat_xhat = dgamma[ci] * gc;
                 for ((o, &d), &x) in dxs.iter_mut().zip(dys).zip(xhs) {
-                    o.write(is_m * (m * (d * gc) - sum_dxhat - x * sum_dxhat_xhat));
+                    *o = is_m * (m * (d * gc) - sum_dxhat - x * sum_dxhat_xhat);
                 }
             } else {
                 let coef = gc * is;
                 for (o, &d) in dxs.iter_mut().zip(dys) {
-                    o.write(d * coef);
+                    *o = d * coef;
                 }
             }
             ci = if ci + 1 == c { 0 } else { ci + 1 };
@@ -350,7 +349,7 @@ impl BatchNormInner {
         // the buffer.
         assert!(cch.inner > 0 && len == cch.outer * c * cch.inner);
         let (dgamma, dbeta) = grad_sums(dy, xhat, c, cch.inner);
-        let mut dx = Vec::with_capacity(len);
+        let mut dx = take_written(len);
         dispatch(
             level,
             DxSweep {
@@ -363,12 +362,9 @@ impl BatchNormInner {
                 inner: cch.inner,
                 m: (cch.outer * cch.inner) as f32,
                 train: cch.mode == Mode::Train,
-                dx: &mut dx.spare_capacity_mut()[..len],
+                dx: &mut dx,
             },
         );
-        // SAFETY: `DxSweep` wrote every element of `dx`: its slices of
-        // `inner` elements tile the buffer (asserted above).
-        unsafe { dx.set_len(len) };
         gs.accumulate(self.gamma, &Tensor::from_vec(dgamma, &[c])?)?;
         gs.accumulate(self.beta, &Tensor::from_vec(dbeta, &[c])?)?;
         Ok(Tensor::from_vec(dx, cch.xhat.dims())?)
@@ -650,6 +646,22 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// The `xhat` tap and `dX` land in recycled buffers that the pass and
+    /// the sweep must overwrite in full. Each shape runs right after
+    /// another of the same length (16,384 floats, enough to be recycled)
+    /// left its values there.
+    // Recycled buffers are 64 KiB and up: too large for Miri.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn outputs_in_recycled_buffers_match_the_scalar_oracle() {
+        let level = SimdLevel::detect();
+        for train in [true, false] {
+            for (outer, c, side) in [(16, 16, 8), (4, 64, 8), (16, 64, 4), (16, 16, 8)] {
+                check_against_oracle(level, outer, c, side, train);
             }
         }
     }

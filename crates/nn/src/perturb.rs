@@ -16,7 +16,7 @@ pub(crate) fn perturbed_weight(w: &Tensor, id: ParamId, ctx: &ForwardCtx) -> Opt
     if !ctx.perturbs_weights() {
         return None;
     }
-    let mut out = w.clone();
+    let mut out = w.deep_copy();
     // cq-allow(no-eager-forward): weight-side fake-quant on a detached weight copy; the graph executor owns only the activation stream
     fake_quant_into(out.as_mut_slice(), ctx.quant.weight, ctx.quant.mode);
     if let Some(noise) = ctx.weight_noise {

@@ -271,14 +271,22 @@ pub(crate) fn finite(len: usize, seed: u64) -> Vec<f32> {
 }
 
 /// The shapes the kernels are tested at: channels × `inner`.
-#[cfg(test)]
+#[cfg(all(test, not(miri)))]
 pub(crate) const CHANNELS: [usize; 7] = [1, 2, 3, 5, 8, 17, 48];
 /// See [`CHANNELS`].
-#[cfg(test)]
+#[cfg(all(test, not(miri)))]
 pub(crate) const INNER: [usize; 5] = [1, 4, 16, 64, 256];
 /// Thread limits the kernels are tested at.
-#[cfg(test)]
+#[cfg(all(test, not(miri)))]
 pub(crate) const THREADS: [usize; 4] = [1, 2, 5, 8];
+// Under Miri's interpreter, small shapes: a partial mask word, a channel
+// segment split by a chunk, and one pool thread and several.
+#[cfg(all(test, miri))]
+pub(crate) const CHANNELS: [usize; 2] = [1, 3];
+#[cfg(all(test, miri))]
+pub(crate) const INNER: [usize; 2] = [4, 33];
+#[cfg(all(test, miri))]
+pub(crate) const THREADS: [usize; 2] = [1, 2];
 
 /// Bit patterns, so the sign of zero and every rounding compare, with
 /// each NaN as one canonical NaN: Rust leaves the sign and payload of a

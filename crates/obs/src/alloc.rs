@@ -14,10 +14,10 @@
 //! wrapper (the counter is necessarily non-zero before `main` runs when
 //! it is installed — the Rust runtime allocates during startup).
 //!
-//! The training engine samples [`alloc_calls`] and [`peak_rss_kb`] at
-//! phase boundaries and emits the deltas as `mem.*` step metrics, which
-//! is how peak memory and allocation churn per phase surface in traces
-//! and the summary report.
+//! The training engine samples [`alloc_calls`], [`peak_rss_kb`] and
+//! [`minor_faults`] at phase boundaries and emits them as `mem.*` step
+//! metrics, which is how peak memory, allocation churn and freshly
+//! mapped pages per phase surface in traces and the summary report.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,6 +88,18 @@ pub fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
+/// Minor page faults of this process so far (`minflt` from
+/// `/proc/self/stat`), or `None` where procfs is unavailable. Each one is
+/// a page the kernel mapped on first touch, so a step that reuses its
+/// buffers instead of allocating fresh ones takes almost none.
+pub fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The command name (field 2) is parenthesized and may hold spaces;
+    // `minflt` is field 10, the 8th after the closing parenthesis.
+    let rest = &stat[stat.rfind(')')? + 1..];
+    rest.split_whitespace().nth(7)?.parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,6 +130,21 @@ mod tests {
         if cfg!(target_os = "linux") {
             let kb = peak_rss_kb().expect("procfs VmHWM");
             assert!(kb > 0);
+        }
+    }
+
+    #[test]
+    fn touching_fresh_pages_counts_minor_faults() {
+        if cfg!(target_os = "linux") {
+            let before = minor_faults().expect("procfs minflt");
+            // 8 MiB of zeros are mapped lazily; writing them faults pages in.
+            let mut v = vec![0u8; 8 << 20];
+            for page in v.chunks_mut(4096) {
+                page[0] = 1;
+            }
+            std::hint::black_box(&v);
+            let after = minor_faults().expect("procfs minflt");
+            assert!(after >= before + 1000, "{before} -> {after}");
         }
     }
 }

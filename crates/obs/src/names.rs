@@ -65,6 +65,14 @@ pub const MEM_PEAK_RSS_KB: &str = "mem.peak_rss_kb";
 /// see [`crate::alloc`]); 0 when no counting allocator is installed.
 pub const MEM_ALLOC_COUNT: &str = "mem.alloc_count";
 
+/// Per-phase minor page faults (delta of `minflt` from
+/// `/proc/self/stat` — see [`crate::alloc::minor_faults`]): pages the
+/// kernel mapped on first touch. A steady-state training step that
+/// reuses its buffers takes almost none, so a rise shows allocation
+/// churn coming back. Environment-dependent: report-only in diffs via
+/// the `mem.` prefix.
+pub const MEM_MINOR_FAULTS: &str = "mem.minor_faults";
+
 /// Per-step bytes of intermediate-tensor memory traffic elided by the
 /// graph executor's elementwise fusion pass (delta of the cumulative
 /// `fusion.pass_elided_bytes` counter across the step). A function of
@@ -109,6 +117,7 @@ mod tests {
             super::POOL_CHUNK_IMBALANCE,
             super::MEM_PEAK_RSS_KB,
             super::MEM_ALLOC_COUNT,
+            super::MEM_MINOR_FAULTS,
             super::FUSION_PASS_ELIDED_BYTES,
             super::EMBED_FEATURE_STD,
             super::EMBED_POS_COSINE,

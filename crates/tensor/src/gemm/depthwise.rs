@@ -451,8 +451,9 @@ impl LanePass for ForwardBand<'_> {
             images: (i0, i1),
         } = self;
         let (hw, p) = (g.h * g.w, g.oh * g.ow);
-        let mut xs = LaneBuf::zeroed(hw * g.cb);
-        let mut ys = LaneBuf::zeroed(p * g.cb);
+        // Both are written in full for each image.
+        let mut xs = LaneBuf::written(hw * g.cb);
+        let mut ys = LaneBuf::written(p * g.cb);
         let (xs, ys) = (xs.lanes_mut(), ys.lanes_mut());
         for i in i0..i1 {
             // SAFETY: the caller guarantees `T`'s level.
@@ -496,9 +497,11 @@ impl LanePass for BackwardBand<'_> {
             dw,
         } = self;
         let (hw, p, cb) = (g.h * g.w, g.oh * g.ow, g.cb);
-        let mut xs = LaneBuf::zeroed(hw * cb);
-        let mut dys = LaneBuf::zeroed(p * cb);
-        let mut dxs = LaneBuf::zeroed(hw * cb);
+        // The copies and the input gradient are written in full for each
+        // image; the weight-gradient partial accumulates from zero.
+        let mut xs = LaneBuf::written(hw * cb);
+        let mut dys = LaneBuf::written(p * cb);
+        let mut dxs = LaneBuf::written(hw * cb);
         let mut part = LaneBuf::zeroed(cb * g.taps);
         let (xs, dys, dxs) = (xs.lanes_mut(), dys.lanes_mut(), dxs.lanes_mut());
         let part = part.lanes_mut();

@@ -52,6 +52,7 @@
 use super::conv::{ConvShape, WGRAD_BANDS};
 use super::{Level, SendPtr};
 use crate::par::{parallel_for_chunks, ChunkGrid};
+use crate::recycle;
 
 /// Images per block: the lanes of every vector in this module (and
 /// channels per block in [`super::depthwise`]).
@@ -80,9 +81,10 @@ pub(super) struct Lane(pub(super) [f32; LANES]);
 
 pub(super) const ZERO: Lane = Lane([0.0; LANES]);
 
-/// A zeroed run of lanes, cache-line aligned inside a plain `f32`
-/// allocation. (An over-aligned `Vec<Lane>` would take the allocator's
-/// aligned path, which measurably raises a training step's peak RSS.)
+/// A run of lanes, cache-line aligned inside a plain `f32` allocation
+/// from the recycler, to which it returns on drop. (An over-aligned
+/// `Vec<Lane>` would take the allocator's aligned path, which measurably
+/// raises a training step's peak RSS.)
 pub(super) struct LaneBuf {
     raw: Vec<f32>,
     off: usize,
@@ -90,8 +92,17 @@ pub(super) struct LaneBuf {
 }
 
 impl LaneBuf {
+    /// `len` zero lanes.
     pub(super) fn zeroed(len: usize) -> LaneBuf {
-        let raw = vec![0.0f32; (len + 1) * LANES];
+        LaneBuf::over(recycle::take_zeroed((len + 1) * LANES), len)
+    }
+
+    /// `len` lanes that the caller writes in full before reading them.
+    pub(super) fn written(len: usize) -> LaneBuf {
+        LaneBuf::over(recycle::take_written((len + 1) * LANES), len)
+    }
+
+    fn over(raw: Vec<f32>, len: usize) -> LaneBuf {
         // Floats up to the first 64-byte boundary.
         let off = (raw.as_ptr() as usize).wrapping_neg() % 64 / 4;
         LaneBuf { raw, off, len }
@@ -109,6 +120,12 @@ impl LaneBuf {
         let floats = &mut self.raw[self.off..self.off + self.len * LANES];
         // SAFETY: as for `lanes`, borrowed uniquely.
         unsafe { std::slice::from_raw_parts_mut(floats.as_mut_ptr().cast(), self.len) }
+    }
+}
+
+impl Drop for LaneBuf {
+    fn drop(&mut self) {
+        recycle::give(std::mem::take(&mut self.raw));
     }
 }
 
@@ -293,6 +310,8 @@ struct Planes {
     block: usize,
     /// Lane-layout cell of each element of an image, in NCHW order.
     cells: Vec<usize>,
+    /// The padding cells of a block, which no copy writes.
+    pads: Vec<usize>,
 }
 
 impl Planes {
@@ -304,11 +323,24 @@ impl Planes {
             .flat_map(|ch| (0..h).flat_map(move |y| (0..w).map(move |x| (ch, y, x))))
             .map(|(ch, y, x)| (ch * hp + y + pad.0) * wp + x + pad.1)
             .collect();
+        let inside =
+            |y: usize, x: usize| (pad.0..h + pad.0).contains(&y) && (pad.1..w + pad.1).contains(&x);
+        let pads = (0..c * hp * wp)
+            .filter(|&cell| !inside(cell / wp % hp, cell % wp))
+            .collect();
         Planes {
             n,
             len: c * h * w,
             block: c * hp * wp,
             cells,
+            pads,
+        }
+    }
+
+    /// Zeroes the padding cells of `block`, one block of this layout.
+    fn zero_padding(&self, block: &mut [Lane]) {
+        for &cell in &self.pads {
+            block[cell] = ZERO;
         }
     }
 
@@ -413,7 +445,7 @@ pub(super) fn copy_prefix(dst: &mut [f32; LANES], src: &[f32]) {
 /// in parallel over blocks.
 fn to_lanes(level: Level, src: &[f32], g: &Planes) -> LaneBuf {
     let blocks = g.n.div_ceil(LANES);
-    let mut dst = LaneBuf::zeroed(blocks * g.block);
+    let mut dst = LaneBuf::written(blocks * g.block);
     let ptr = SendPtr(dst.lanes_mut().as_mut_ptr().cast());
     parallel_for_chunks(ChunkGrid::new(blocks, 1), |_, b0, b1| {
         let ptr = &ptr;
@@ -453,6 +485,7 @@ impl LanePass for ToLanes<'_> {
         for (i, block) in dst.chunks_exact_mut(g.block).enumerate() {
             // SAFETY: the caller guarantees `T`'s level.
             unsafe { load_block::<T>(src, g, b0 + i, block) };
+            g.zero_padding(block);
         }
     }
 }
@@ -517,10 +550,12 @@ impl LanePass for Forward<'_> {
             out,
             blocks: (b0, b1),
         } = self;
-        // Padding cells are zeroed once and never written.
-        let mut xb = LaneBuf::zeroed(xg.block);
-        let mut yb = LaneBuf::zeroed(yg.block);
+        // Padding cells are zeroed once and never written; every other
+        // cell is written for each block.
+        let mut xb = LaneBuf::written(xg.block);
+        let mut yb = LaneBuf::written(yg.block);
         let (xb, yb) = (xb.lanes_mut(), yb.lanes_mut());
+        xg.zero_padding(xb);
         for b in b0..b1 {
             // SAFETY: the caller guarantees `T`'s level.
             unsafe { load_block::<T>(x, xg, b, xb) };

@@ -16,6 +16,10 @@
 //!   produce a strided view (e.g. [`Tensor::transpose`]) materialise the
 //!   result instead. This keeps every kernel simple and cache-friendly,
 //!   which matters more than view tricks at the model sizes used here.
+//! - Tensor storage is reference-counted and copied on write, and large
+//!   buffers are recycled by length ([`recycle`]), so a steady-state
+//!   training step reuses the previous step's buffers instead of mapping
+//!   fresh pages.
 //! - Matrix products go through the cache-blocked, register-tiled
 //!   kernels in [`gemm`], which are bitwise-identical to the unblocked
 //!   scalar loops they replaced (see that module's determinism notes).
@@ -50,6 +54,7 @@ mod io;
 mod linalg;
 pub mod par;
 mod pool;
+pub mod recycle;
 mod reduce;
 mod rng;
 pub mod sanitize;

@@ -5,6 +5,7 @@
 //! validation, workload counters and the sanitize guard.
 
 use crate::gemm::{par_gemm, Kind};
+use crate::recycle::{take_written, take_zeroed};
 use crate::{Result, Tensor, TensorError};
 
 // Kernel counters: calls and multiply-add FLOPs (2·m·n·k per product, all
@@ -42,7 +43,7 @@ impl Tensor {
             });
         }
         count_matmul(m, n, k);
-        let mut out = vec![0.0f32; m * n];
+        let mut out = take_zeroed(m * n);
         par_gemm(
             Kind::Nn,
             self.as_slice(),
@@ -77,7 +78,7 @@ impl Tensor {
             });
         }
         count_matmul(m, n, k);
-        let mut out = vec![0.0f32; m * n];
+        let mut out = take_zeroed(m * n);
         par_gemm(
             Kind::Nt,
             self.as_slice(),
@@ -111,7 +112,7 @@ impl Tensor {
             });
         }
         count_matmul(m, n, k);
-        let mut out = vec![0.0f32; m * n];
+        let mut out = take_zeroed(m * n);
         par_gemm(
             Kind::Tn,
             self.as_slice(),
@@ -134,7 +135,7 @@ impl Tensor {
     pub fn transpose(&self) -> Result<Tensor> {
         let (m, n) = as_2d(self, "transpose")?;
         let a = self.as_slice();
-        let mut out = vec![0.0f32; m * n];
+        let mut out = take_written(m * n);
         for i in 0..m {
             for j in 0..n {
                 out[j * m + i] = a[i * n + j];

@@ -1,6 +1,7 @@
 //! Pooling kernels over NCHW batches: max, average and global average,
 //! each with its backward pass.
 
+use crate::recycle::take_zeroed;
 use crate::{Conv2dSpec, Result, Tensor, TensorError};
 
 // Output-element counter shared by the forward pooling kernels (max, avg,
@@ -111,7 +112,7 @@ pub fn avg_pool2d(x: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
     let (ph, pw) = spec.padding;
     let area = (kh * kw) as f32;
     POOL_ELEMS.add((n * c * oh * ow) as u64);
-    let mut out = vec![0.0f32; n * c * oh * ow];
+    let mut out = take_zeroed(n * c * oh * ow);
     let xs = x.as_slice();
     for ni in 0..n {
         for ci in 0..c {
@@ -194,7 +195,7 @@ pub fn global_avg_pool(x: &Tensor) -> Result<Tensor> {
     let (n, c, h, w) = check_nchw(x, "global_avg_pool")?;
     let spatial = (h * w) as f32;
     POOL_ELEMS.add((n * c) as u64);
-    let mut out = vec![0.0f32; n * c];
+    let mut out = take_zeroed(n * c);
     let xs = x.as_slice();
     for (i, o) in out.iter_mut().enumerate() {
         let base = i * h * w;

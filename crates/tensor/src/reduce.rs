@@ -7,6 +7,7 @@
 //! combines ordered chunk partials, so sequential and chunked reductions
 //! agree bitwise.
 
+use crate::recycle::take_zeroed;
 use crate::{Result, Tensor, TensorError};
 
 /// Below this length a sequential fold is both accurate enough and faster
@@ -116,7 +117,7 @@ impl Tensor {
         let (m, n) = (self.dims()[0], self.dims()[1]);
         match axis {
             0 => {
-                let mut out = vec![0.0f32; n];
+                let mut out = take_zeroed(n);
                 for i in 0..m {
                     for (j, o) in out.iter_mut().enumerate() {
                         *o += self.as_slice()[i * n + j];
@@ -125,7 +126,7 @@ impl Tensor {
                 Tensor::from_vec(out, &[n])
             }
             1 => {
-                let mut out = vec![0.0f32; m];
+                let mut out = take_zeroed(m);
                 for (i, o) in out.iter_mut().enumerate() {
                     *o = self.as_slice()[i * n..(i + 1) * n].iter().sum();
                 }
@@ -160,7 +161,7 @@ impl Tensor {
             });
         }
         let (m, n) = (self.dims()[0], self.dims()[1]);
-        let mut out = vec![0.0f32; m * n];
+        let mut out = take_zeroed(m * n);
         for i in 0..m {
             let row = &self.as_slice()[i * n..(i + 1) * n];
             let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -193,7 +194,7 @@ impl Tensor {
             });
         }
         let (m, n) = (self.dims()[0], self.dims()[1]);
-        let mut out = vec![0.0f32; m * n];
+        let mut out = take_zeroed(m * n);
         for i in 0..m {
             let row = &self.as_slice()[i * n..(i + 1) * n];
             let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);

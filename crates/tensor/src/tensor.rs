@@ -1,11 +1,50 @@
 //! The [`Tensor`] type: contiguous row-major `f32` storage plus a [`Shape`].
 
+use std::sync::Arc;
+
+use crate::recycle::{self, take_copy, take_written, take_zeroed};
 use crate::{Result, Shape, TensorError};
+
+// Storage copies made because a tensor was written while its storage was
+// shared. A function of the program alone, so totals are identical at
+// any thread count.
+static COW_COPIES: cq_obs::Counter = cq_obs::Counter::new("tensor.cow_copies");
+
+/// A tensor's element buffer. Shared between clones of a tensor; when the
+/// last owner drops it, a large buffer goes back to the recycler.
+#[derive(Default, PartialEq)]
+struct Buf(Vec<f32>);
+
+impl Clone for Buf {
+    /// The copy that copy-on-write makes.
+    fn clone(&self) -> Self {
+        COW_COPIES.add(1);
+        Buf(take_copy(&self.0))
+    }
+}
+
+impl Drop for Buf {
+    fn drop(&mut self) {
+        recycle::give(std::mem::take(&mut self.0));
+    }
+}
+
+impl std::fmt::Debug for Buf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
 
 /// A dense, contiguous, row-major tensor of `f32` values.
 ///
 /// `Tensor` is the workhorse type of the whole reproduction: model weights,
 /// activations, gradients, images and feature embeddings are all `Tensor`s.
+///
+/// The storage is reference-counted: `clone` and [`Tensor::reshape`] share
+/// it, and a write ([`Tensor::as_mut_slice`] and the other `&mut self`
+/// methods) copies it first only if it is shared, counting that copy in
+/// `tensor.cow_copies`. Large buffers are recycled when their last owner
+/// drops them (see [`crate::recycle`]).
 ///
 /// # Example
 ///
@@ -19,7 +58,7 @@ use crate::{Result, Shape, TensorError};
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Tensor {
-    data: Vec<f32>,
+    data: Arc<Buf>,
     shape: Shape,
 }
 
@@ -31,10 +70,7 @@ impl Tensor {
     /// Creates a tensor of zeros with the given shape.
     pub fn zeros(shape: &[usize]) -> Self {
         let shape = Shape::new(shape);
-        Tensor {
-            data: vec![0.0; shape.len()],
-            shape,
-        }
+        Tensor::new(take_zeroed(shape.len()), shape)
     }
 
     /// Creates a tensor of ones with the given shape.
@@ -45,27 +81,33 @@ impl Tensor {
     /// Creates a tensor filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
         let shape = Shape::new(shape);
-        Tensor {
-            data: vec![value; shape.len()],
-            shape,
-        }
+        let mut data = take_written(shape.len());
+        data.fill(value);
+        Tensor::new(data, shape)
     }
 
     /// Creates a rank-0 tensor holding a single scalar.
     pub fn scalar(value: f32) -> Self {
-        Tensor {
-            data: vec![value],
-            shape: Shape::scalar(),
-        }
+        Tensor::new(vec![value], Shape::scalar())
     }
 
     /// Creates an `n`×`n` identity matrix.
     pub fn eye(n: usize) -> Self {
         let mut t = Tensor::zeros(&[n, n]);
+        let data = t.as_mut_slice();
         for i in 0..n {
-            t.data[i * n + i] = 1.0;
+            data[i * n + i] = 1.0;
         }
         t
+    }
+
+    /// Wraps a buffer whose length matches `shape`.
+    fn new(data: Vec<f32>, shape: Shape) -> Self {
+        debug_assert_eq!(data.len(), shape.len());
+        Tensor {
+            data: Arc::new(Buf(data)),
+            shape,
+        }
     }
 
     /// Creates a tensor that takes ownership of `data`, viewed as `shape`.
@@ -82,15 +124,12 @@ impl Tensor {
                 shape: shape.dims().to_vec(),
             });
         }
-        Ok(Tensor { data, shape })
+        Ok(Tensor::new(data, shape))
     }
 
     /// Creates a rank-1 tensor from a slice.
     pub fn from_slice(data: &[f32]) -> Self {
-        Tensor {
-            data: data.to_vec(),
-            shape: Shape::new(&[data.len()]),
-        }
+        Tensor::new(take_copy(data), Shape::new(&[data.len()]))
     }
 
     /// Creates a rank-1 tensor of `n` evenly spaced values in `[start, end)`.
@@ -103,10 +142,7 @@ impl Tensor {
             v += step;
         }
         let n = data.len();
-        Tensor {
-            data,
-            shape: Shape::new(&[n]),
-        }
+        Tensor::new(data, Shape::new(&[n]))
     }
 
     // ------------------------------------------------------------------
@@ -130,27 +166,44 @@ impl Tensor {
 
     /// Total number of elements.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.data.0.len()
     }
 
     /// Whether the tensor holds zero elements.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.data.0.is_empty()
     }
 
     /// Immutable view of the underlying row-major buffer.
     pub fn as_slice(&self) -> &[f32] {
-        &self.data
+        &self.data.0
     }
 
-    /// Mutable view of the underlying row-major buffer.
+    /// Mutable view of the underlying row-major buffer: in place when
+    /// this tensor owns its storage alone, after a copy (counted in
+    /// `tensor.cow_copies`) when the storage is shared.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        &mut Arc::make_mut(&mut self.data).0
     }
 
-    /// Consumes the tensor and returns the underlying buffer.
+    /// Consumes the tensor and returns the underlying buffer, which is
+    /// copied (and the copy counted in `tensor.cow_copies`) only when the
+    /// storage is shared.
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        let mut buf = Arc::unwrap_or_clone(self.data);
+        std::mem::take(&mut buf.0)
+    }
+
+    /// A tensor with its own copy of this one's storage, for a caller
+    /// that writes the copy next: a `clone` would share the storage and
+    /// copy it on that write anyway, counting a `tensor.cow_copies`.
+    pub fn deep_copy(&self) -> Self {
+        Tensor::new(take_copy(self.as_slice()), self.shape.clone())
+    }
+
+    /// Whether `self` and `other` share one buffer.
+    pub fn shares_storage(&self, other: &Tensor) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
     }
 
     /// Element at a multi-dimensional index.
@@ -159,13 +212,13 @@ impl Tensor {
     ///
     /// Debug-asserts index validity; see [`Shape::flatten_index`].
     pub fn at(&self, idx: &[usize]) -> f32 {
-        self.data[self.shape.flatten_index(idx)]
+        self.as_slice()[self.shape.flatten_index(idx)]
     }
 
     /// Sets the element at a multi-dimensional index.
     pub fn set(&mut self, idx: &[usize], value: f32) {
         let off = self.shape.flatten_index(idx);
-        self.data[off] = value;
+        self.as_mut_slice()[off] = value;
     }
 
     /// The single value of a rank-0 or single-element tensor.
@@ -174,37 +227,35 @@ impl Tensor {
     ///
     /// Panics if the tensor has more than one element.
     pub fn item(&self) -> f32 {
-        assert_eq!(
-            self.data.len(),
-            1,
-            "item() requires a single-element tensor"
-        );
-        self.data[0]
+        assert_eq!(self.len(), 1, "item() requires a single-element tensor");
+        self.as_slice()[0]
     }
 
     // ------------------------------------------------------------------
     // Shape manipulation
     // ------------------------------------------------------------------
 
-    /// Returns a tensor with the same data viewed as `shape`.
+    /// Returns a tensor sharing this one's storage, viewed as `shape`.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::LengthMismatch`] if element counts differ.
     pub fn reshape(&self, shape: &[usize]) -> Result<Self> {
-        Tensor::from_vec(self.data.clone(), shape)
+        let mut t = self.clone();
+        t.reshape_in_place(shape)?;
+        Ok(t)
     }
 
-    /// In-place variant of [`Tensor::reshape`]; avoids the copy.
+    /// In-place variant of [`Tensor::reshape`].
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::LengthMismatch`] if element counts differ.
     pub fn reshape_in_place(&mut self, shape: &[usize]) -> Result<()> {
         let new_shape = Shape::new(shape);
-        if new_shape.len() != self.data.len() {
+        if new_shape.len() != self.len() {
             return Err(TensorError::LengthMismatch {
-                len: self.data.len(),
+                len: self.len(),
                 shape: shape.to_vec(),
             });
         }
@@ -212,11 +263,11 @@ impl Tensor {
         Ok(())
     }
 
-    /// Flattens to rank 1.
+    /// Flattens to rank 1, sharing this tensor's storage.
     pub fn flatten(&self) -> Self {
         Tensor {
-            data: self.data.clone(),
-            shape: Shape::new(&[self.data.len()]),
+            data: Arc::clone(&self.data),
+            shape: Shape::new(&[self.len()]),
         }
     }
 
@@ -226,15 +277,16 @@ impl Tensor {
 
     /// Applies `f` to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        Tensor {
-            data: self.data.iter().map(|&v| f(v)).collect(),
-            shape: self.shape.clone(),
+        let mut data = take_written(self.len());
+        for (o, &v) in data.iter_mut().zip(self.as_slice()) {
+            *o = f(v);
         }
+        Tensor::new(data, self.shape.clone())
     }
 
     /// Applies `f` to every element in place.
     pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
+        for v in self.as_mut_slice() {
             *v = f(*v);
         }
     }
@@ -252,18 +304,16 @@ impl Tensor {
                 op: "zip",
             });
         }
-        let data: Vec<f32> = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| f(a, b))
-            .collect();
+        let mut data = take_written(self.len());
+        for (o, (&a, &b)) in data
+            .iter_mut()
+            .zip(self.as_slice().iter().zip(other.as_slice()))
+        {
+            *o = f(a, b);
+        }
         #[cfg(feature = "sanitize")]
         crate::sanitize::guard_slice("zip", &data);
-        Ok(Tensor {
-            data,
-            shape: self.shape.clone(),
-        })
+        Ok(Tensor::new(data, self.shape.clone()))
     }
 
     /// Multiplies every element by `s`.
@@ -326,7 +376,7 @@ impl Tensor {
                 op: "add_assign",
             });
         }
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+        for (a, &b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
             *a += b;
         }
         Ok(())
@@ -345,7 +395,7 @@ impl Tensor {
                 op: "axpy",
             });
         }
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+        for (a, &b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
             *a += alpha * b;
         }
         Ok(())
@@ -353,7 +403,7 @@ impl Tensor {
 
     /// Fills the tensor with `value`.
     pub fn fill(&mut self, value: f32) {
-        self.data.fill(value);
+        self.as_mut_slice().fill(value);
     }
 
     // ------------------------------------------------------------------
@@ -378,7 +428,8 @@ impl Tensor {
         let a_strides = broadcast_strides(&a_dims, &Shape::new(&a_dims).strides(), &out_dims);
         let b_strides = broadcast_strides(&b_dims, &Shape::new(&b_dims).strides(), &out_dims);
 
-        let mut data = vec![0.0f32; out_shape.len()];
+        let (sa, sb) = (self.as_slice(), other.as_slice());
+        let mut data = take_written(out_shape.len());
         let mut idx = vec![0usize; rank];
         for slot in data.iter_mut() {
             let mut ao = 0;
@@ -387,7 +438,7 @@ impl Tensor {
                 ao += idx[d] * a_strides[d];
                 bo += idx[d] * b_strides[d];
             }
-            *slot = f(self.data[ao], other.data[bo]);
+            *slot = f(sa[ao], sb[bo]);
             // increment odometer
             for d in (0..rank).rev() {
                 idx[d] += 1;
@@ -399,10 +450,7 @@ impl Tensor {
         }
         #[cfg(feature = "sanitize")]
         crate::sanitize::guard_slice("broadcast_with", &data);
-        Ok(Tensor {
-            data,
-            shape: out_shape,
-        })
+        Ok(Tensor::new(data, out_shape))
     }
 
     /// Broadcasting addition.
@@ -429,12 +477,12 @@ impl Tensor {
 
     /// Whether every element is finite (no NaN / infinity).
     pub fn is_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
+        self.as_slice().iter().all(|v| v.is_finite())
     }
 
     /// Squared L2 norm of all elements.
     pub fn sq_norm(&self) -> f32 {
-        self.data.iter().map(|&v| v * v).sum()
+        self.as_slice().iter().map(|&v| v * v).sum()
     }
 
     /// L2 norm of all elements.
@@ -456,9 +504,9 @@ impl Tensor {
             });
         }
         Ok(self
-            .data
+            .as_slice()
             .iter()
-            .zip(&other.data)
+            .zip(other.as_slice())
             .map(|(&a, &b)| a * b)
             .sum())
     }
@@ -489,9 +537,14 @@ impl std::fmt::Display for Tensor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Tensor{} ", self.shape)?;
         if self.len() <= 16 {
-            write!(f, "{:?}", self.data)
+            write!(f, "{:?}", self.as_slice())
         } else {
-            write!(f, "[{:?}, ... {} elements]", &self.data[..8], self.len())
+            write!(
+                f,
+                "[{:?}, ... {} elements]",
+                &self.as_slice()[..8],
+                self.len()
+            )
         }
     }
 }
@@ -588,6 +641,38 @@ mod tests {
         let mut b = a.clone();
         b.reshape_in_place(&[6]).unwrap();
         assert_eq!(b.rank(), 1);
+    }
+
+    #[test]
+    fn clones_and_reshapes_share_storage_until_written() {
+        let a = Tensor::from_vec((0..6).map(|v| v as f32).collect(), &[2, 3]).unwrap();
+        let mut b = a.clone();
+        let r = a.reshape(&[3, 2]).unwrap();
+        let f = a.flatten();
+        assert!(b.shares_storage(&a) && r.shares_storage(&a) && f.shares_storage(&a));
+        // A write to a shared tensor copies it first; the others keep
+        // their values.
+        b.as_mut_slice()[0] = 9.0;
+        assert!(!b.shares_storage(&a));
+        assert_eq!(a.as_slice()[0], 0.0);
+        assert_eq!(r.as_slice()[0], 0.0);
+        assert_eq!(b.as_slice(), &[9.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        // A sole owner writes in place.
+        let before = b.as_slice().as_ptr();
+        b.fill(1.0);
+        b.set(&[1, 2], 2.0);
+        b.map_in_place(|v| v * 2.0);
+        assert_eq!(b.as_slice().as_ptr(), before);
+        assert_eq!(b.as_slice(), &[2.0, 2.0, 2.0, 2.0, 2.0, 4.0]);
+        // `into_vec` hands over a sole owner's buffer and copies a shared one.
+        let ptr = f.as_slice().as_ptr();
+        drop((a, r));
+        let v = f.into_vec();
+        assert_eq!(v.as_ptr(), ptr);
+        let c = Tensor::ones(&[4]);
+        let d = c.clone();
+        let v = d.into_vec();
+        assert_ne!(v.as_ptr(), c.as_slice().as_ptr());
     }
 
     #[test]
