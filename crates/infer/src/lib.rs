@@ -18,7 +18,7 @@
 //!    integer program has one MAC where the f32 network had conv+BN.
 //! 3. **Integer execution** ([`model`]) — each dense convolution runs
 //!    as one implicit i8 GEMM over the whole batch
-//!    ([`cq_tensor::conv2d_i8`], on the pair-widened register tile of
+//!    ([`cq_tensor::conv2d_i8`], on the channel-quad register tile of
 //!    [`cq_tensor::gemm::int8`]); accumulation stays in i32 end to end
 //!    with a single final f32 rescale per output element, applied from
 //!    the register tile. Integer accumulation

@@ -29,8 +29,12 @@
 //! with the zero-point corrections evaluated in i64 (`wsum` precomputed
 //! per row, `asum` summed per input column at run time). Convolution
 //! padding uses the stored i8 code `-za` (true code 0), so padded taps
-//! cancel exactly inside the correction. Everything between MACs
-//! (activations, pooling, residual adds) runs in f32.
+//! cancel exactly inside the correction. The dense kernels multiply four
+//! channels per instruction step (`vpdpbusd` where the host has AVX-512
+//! VNNI) on activation codes shifted to u8 (`code + 128`), and take the
+//! shift back out per row (`128·Σw`) in wrapping i32; the dot, and hence
+//! every output bit, is the one the i8×i8 product gives. Everything
+//! between MACs (activations, pooling, residual adds) runs in f32.
 //!
 //! At conversion time every MAC layer is checked against the shared
 //! accumulator-headroom proof ([`cq_quant::intmath::acc_fits_i32`], the

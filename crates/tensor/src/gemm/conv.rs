@@ -12,12 +12,15 @@
 //! codes. For a layer with `O` output channels, `T = C·KH·KW` kernel taps
 //! and an `N`-image batch of `P = OH·OW` output positions, GEMM column
 //! `j = img·P + oy·OW + ox` ranges over all `N·P` positions, and
-//! `Y[O, N·P] = W · cols(X)`. The weight rows are packed once; the taps
-//! under each column panel are packed straight from a padded copy of `X`
-//! that holds the code of real zero, so every tap reads inside the buffer
-//! and im2col is a packing mode, not a buffer. The register tile is the
-//! pair-widened tile of [`super::int8`], and each tile is requantized into
-//! f32 and stored into NCHW directly.
+//! `Y[O, N·P] = W · cols(X)`. One pass lays `X` out as padded channel
+//! quads shifted to u8 (`[N][⌈C/4⌉][H+2PH][W+2PW]` words, padding holding
+//! the code of real zero), and the weights are packed once in the
+//! matching `(C/4, KH, KW, C%4)` order. A reduction step of the quad tile
+//! of [`super::int8`] is then one channel quad at one tap, and a panel of
+//! columns that is one unit-stride run of an output row reads each step
+//! straight from the quad buffer. Other panels (narrower rows, strides
+//! above 1) copy their 4-byte words into a small panel first. Each tile
+//! is requantized into f32 and stored into NCHW directly.
 //!
 //! # Bitwise contract
 //!
@@ -25,21 +28,21 @@
 //! per image) that [`reference`](super::reference) keeps as the oracle,
 //! at every SIMD level and thread count: the f32 passes by the argument in
 //! the `gemm::lane` module docs, and [`conv2d_i8`] to
-//! [`reference::conv2d_i8_per_sample`](super::reference::conv2d_i8_per_sample),
-//! whose columns it computes as independent accumulators over ascending
-//! taps. Work is split over image blocks, weight-gradient tiles or i8
-//! column panels, and each output element is computed wholly by one
-//! thread in a fixed order.
+//! [`reference::conv2d_i8_per_sample`](super::reference::conv2d_i8_per_sample)
+//! by the exact integer argument in the [`super::int8`] module docs (the
+//! same i32 dots in any order, then the same i64 rescale). Work is split
+//! over image blocks, weight-gradient tiles or i8 column panels, and each
+//! output element is computed wholly by one thread in a fixed order.
 
-use super::int8::{self, pack_a_pairs, pair_steps, I8Pass, I8Tiles, GEMM_I8_PACKED};
+use super::int8::{self, I8Kernels, I8Pass, RowTerms, GEMM_I8_PACKED};
 use super::{lane, simd_level, SendPtr, MR};
 use crate::par::{parallel_for_chunks, ChunkGrid};
-use crate::{Conv2dSpec, Result};
-use std::borrow::Cow;
+use crate::{recycle, Conv2dSpec, Result};
 
-// Dense f32 conv FLOPs (2·O·T·N·P per pass). Shape-only, so totals are
-// identical at any thread count.
+// Dense conv FLOPs (2·O·T·N·P per pass), f32 and i8 apart. Shape-only, so
+// totals are identical at any thread count.
 static CONV_FLOPS: cq_obs::Counter = cq_obs::Counter::new("tensor.conv.flops");
+static CONV_I8_FLOPS: cq_obs::Counter = cq_obs::Counter::new("tensor.conv_i8.flops");
 
 /// Number of weight-gradient band partials: images are split into at most
 /// this many contiguous bands (a grid fixed by the batch size alone), each
@@ -69,8 +72,8 @@ pub struct ConvShape {
 }
 
 /// A maximal run of consecutive GEMM columns in one image and output row:
-/// panel lanes `lane..lane + len`, whose top-left taps start at offset
-/// `src` of the padded input.
+/// panel lanes `lane..lane + len`, whose top-left taps start at word `src`
+/// of the channel-quad input.
 #[derive(Debug, Clone, Copy)]
 struct Run {
     lane: usize,
@@ -121,29 +124,25 @@ impl ConvShape {
         self.c * self.h * self.w
     }
 
-    /// Whether the convolution has zero padding.
-    fn is_padded(&self) -> bool {
-        self.spec.padding != (0, 0)
-    }
-
     /// Height and width of a zero-padded input image.
     pub(super) fn padded_hw(&self) -> (usize, usize) {
         let (ph, pw) = self.spec.padding;
         (self.h + 2 * ph, self.w + 2 * pw)
     }
 
-    /// Elements per zero-padded input image.
-    fn padded_len(&self) -> usize {
+    /// Words per padded image of channel quads (`⌈C/4⌉·(H+2PH)·(W+2PW)`).
+    fn quad_image_len(&self) -> usize {
         let (hp, wp) = self.padded_hw();
-        self.c * hp * wp
+        self.c.div_ceil(4) * hp * wp
     }
 
-    /// Offset of every tap `(ci, ki, kj)` within a padded image, in
-    /// weight-row order.
-    pub(super) fn tap_offsets(&self) -> Vec<usize> {
+    /// Offset of every tap `(plane, ki, kj)` within a padded image of
+    /// `planes` planes, in weight-row order: the f32 lanes' taps at
+    /// `planes = C`, and the quad steps of [`conv2d_i8`] at `⌈C/4⌉`.
+    pub(super) fn tap_offsets(&self, planes: usize) -> Vec<usize> {
         let (kh, kw) = self.spec.kernel;
         let (hp, wp) = self.padded_hw();
-        (0..self.c)
+        (0..planes)
             .flat_map(|ci| (0..kh).flat_map(move |ki| (0..kw).map(move |kj| (ci, ki, kj))))
             .map(|(ci, ki, kj)| (ci * hp + ki) * wp + kj)
             .collect()
@@ -157,7 +156,7 @@ impl ConvShape {
     /// Splits GEMM columns `[j0, j1)` into per-image, per-row runs.
     fn runs(&self, j0: usize, j1: usize, out: &mut Vec<Run>) {
         out.clear();
-        let (p, plen) = (self.positions(), self.padded_len());
+        let (p, ilen) = (self.positions(), self.quad_image_len());
         let mut j = j0;
         while j < j1 {
             let (img, q) = (j / p, j % p);
@@ -166,37 +165,11 @@ impl ConvShape {
             out.push(Run {
                 lane: j - j0,
                 len,
-                src: img * plen + self.origin(oy, ox),
+                src: img * ilen + self.origin(oy, ox),
             });
             j += len;
         }
     }
-}
-
-/// `x` with its padding materialised as `fill` (`[N, C, H+2·PH, W+2·PW]`),
-/// or `x` itself when the convolution is unpadded. Every tap then reads
-/// inside the buffer, so packing needs no bounds tests, and padding taps
-/// read the exact value the per-sample lowering wrote (`0.0`, or the i8
-/// pad code).
-fn pad_input<'a, T: Copy>(x: &'a [T], s: &ConvShape, fill: T) -> Cow<'a, [T]> {
-    if !s.is_padded() {
-        return Cow::Borrowed(x);
-    }
-    let pw = s.spec.padding.1;
-    let mut xp = vec![fill; s.n * s.padded_len()];
-    for (src, dst) in x.chunks_exact(s.w).zip(padded_rows(s, &mut xp)) {
-        dst[pw..pw + s.w].copy_from_slice(src);
-    }
-    Cow::Owned(xp)
-}
-
-/// The padded rows of `buf` (a padded batch) that hold input rows, in
-/// input-row order: padded row `y + PH` of every channel plane.
-fn padded_rows<'a, T>(s: &ConvShape, buf: &'a mut [T]) -> impl Iterator<Item = &'a mut [T]> {
-    let (ph, _) = s.spec.padding;
-    let (hp, wp) = s.padded_hw();
-    buf.chunks_exact_mut(hp * wp)
-        .flat_map(move |plane| plane.chunks_exact_mut(wp).skip(ph).take(hp - 2 * ph))
 }
 
 /// Forward convolution `out = conv(x, wgt)` over the whole batch on the
@@ -285,7 +258,9 @@ pub fn conv2d_backward(
 /// sum of column `j`'s taps (pad codes included) and the integer terms are
 /// summed exactly in i64 before the one rounding to f32. With stored
 /// codes offset by the zero points (`true = stored + z`) this is
-/// `scale[o]·Σ true_a·true_w + shift[o]`.
+/// `scale[o]·Σ true_a·true_w + shift[o]`. [`conv2d_i8`] takes `acc` and
+/// `asum` from its u8-shifted operand, less `128·Σw` of the row and
+/// `128·K`; `wsum` enters only the `za·wsum[o]` term.
 #[derive(Debug, Clone, Copy)]
 pub struct Requant<'a> {
     /// Activation zero point.
@@ -315,7 +290,7 @@ impl Requant<'_> {
     }
 }
 
-/// Int8 forward convolution over the whole batch as one packed i8 GEMM,
+/// Int8 forward convolution over the whole batch as one implicit i8 GEMM,
 /// requantized into f32. `x` holds the stored activation codes
 /// `[N,C,H,W]` (padding taps read the code of real zero, `(−za) as i8`),
 /// `wgt` holds the stored weight codes `[O, C·KH·KW]`, and `out` is
@@ -352,11 +327,78 @@ pub fn conv2d_i8(x: &[i8], wgt: &[i8], s: &ConvShape, rq: &Requant, out: &mut [f
         assert_eq!(len, s.o, "conv2d_i8: requant {name} length mismatch");
     }
     GEMM_I8_PACKED.add(1);
-    int8::dispatch(ForwardI8 { x, wgt, s, rq, out });
+    CONV_I8_FLOPS.add(s.flops());
+    if out.is_empty() {
+        return;
+    }
+    if s.taps() == 0 {
+        // Every dot and column sum is empty: each output is its channel's
+        // requantized zero.
+        for (i, plane) in out.chunks_exact_mut(s.positions()).enumerate() {
+            let o = i % s.o;
+            plane.fill(rq.scale[o] * rq.row_corr(o, 0) as f32 + rq.shift[o]);
+        }
+        return;
+    }
+    let xq = quad_input(x, s, rq.pad_code());
+    int8::dispatch(ForwardI8 {
+        xq: &xq,
+        wgt,
+        s,
+        rq,
+        out,
+    });
+    recycle::give(xq);
+}
+
+/// The stored codes `x: [N,C,H,W]` as the row operand of the quad tile:
+/// `[N][⌈C/4⌉][H+2PH][W+2PW]` words, whose byte `i` holds channel
+/// `4·quad + i` shifted to u8 (`code ^ 0x80`). Padding holds the shifted
+/// `pad` code and channels past `C` hold 0, so every tap reads inside the
+/// buffer, and the bytes under a step are exactly the codes the per-sample
+/// lowering multiplies, shifted.
+fn quad_input(x: &[i8], s: &ConvShape, pad: i8) -> Vec<u32> {
+    let (ph, pw) = s.spec.padding;
+    let (hp, wp) = s.padded_hw();
+    let (hw, ilen, qlen) = (s.h * s.w, s.image_len(), s.quad_image_len());
+    // A channel past C reads as code −128, which the shift makes 0.
+    let absent = vec![i8::MIN; hw];
+    let mut xq = recycle::take_written(s.n * qlen);
+    for (img, xqi) in xq.chunks_exact_mut(qlen).enumerate() {
+        let xi = &x[img * ilen..(img + 1) * ilen];
+        for (q, plane) in xqi.chunks_exact_mut(hp * wp).enumerate() {
+            let present = |i: usize| 4 * q + i < s.c;
+            let chans: [&[i8]; 4] = std::array::from_fn(|i| {
+                if present(i) {
+                    &xi[(4 * q + i) * hw..(4 * q + i + 1) * hw]
+                } else {
+                    &absent
+                }
+            });
+            let fill = std::array::from_fn(|i| if present(i) { pad } else { i8::MIN } as u8);
+            let fill = u32::from_le_bytes(fill) ^ 0x8080_8080;
+            let (top, rest) = plane.split_at_mut(ph * wp);
+            let (rows, bottom) = rest.split_at_mut(s.h * wp);
+            top.fill(fill);
+            bottom.fill(fill);
+            for (y, prow) in rows.chunks_exact_mut(wp).enumerate() {
+                let (left, row) = prow.split_at_mut(pw);
+                let (row, right) = row.split_at_mut(s.w);
+                left.fill(fill);
+                right.fill(fill);
+                let [c0, c1, c2, c3] = chans.map(|ch| &ch[y * s.w..(y + 1) * s.w]);
+                for (i, d) in row.iter_mut().enumerate() {
+                    let codes = [c0[i], c1[i], c2[i], c3[i]];
+                    *d = u32::from_le_bytes(codes.map(|v| v as u8)) ^ 0x8080_8080;
+                }
+            }
+        }
+    }
+    xq
 }
 
 struct ForwardI8<'a> {
-    x: &'a [i8],
+    xq: &'a [u32],
     wgt: &'a [i8],
     s: &'a ConvShape,
     rq: &'a Requant<'a>,
@@ -364,27 +406,44 @@ struct ForwardI8<'a> {
 }
 
 impl I8Pass for ForwardI8<'_> {
-    fn run<const NRW: usize>(self, tiles: I8Tiles<NRW>) {
-        let ForwardI8 { x, wgt, s, rq, out } = self;
+    fn run<const NRW: usize>(self, kernels: I8Kernels<NRW>) {
+        let ForwardI8 {
+            xq,
+            wgt,
+            s,
+            rq,
+            out,
+        } = self;
         let (k, p) = (s.taps(), s.positions());
-        let (k2, ncols) = (pair_steps(k), s.n * p);
-        let mut ap = Vec::new();
-        pack_a_pairs(wgt, s.o, k, &mut ap);
-        let xp = pad_input(x, s, rq.pad_code());
-        let taps = s.tap_offsets();
-        let sw = s.spec.stride.1;
-        let row_corr: Vec<i64> = (0..s.o).map(|o| rq.row_corr(o, k)).collect();
-        let zw = i64::from(rq.zw);
+        let ncols = s.n * p;
+        let khw = s.spec.kernel.0 * s.spec.kernel.1;
+        // Step `q·khw + t` is tap `t` of channel quad `q`.
+        let taps = s.tap_offsets(s.c.div_ceil(4));
+        let wq = int8::pack_quads(wgt, s.o, s.c, khw);
+        // Rows past O, in the last tile, are never stored.
+        let mut terms = vec![RowTerms::default(); wq.unshift.len()];
+        for (o, (t, &unshift)) in terms.iter_mut().zip(&wq.unshift).take(s.o).enumerate() {
+            *t = RowTerms {
+                unshift,
+                corr: rq.row_corr(o, k),
+                scale: rq.scale[o],
+                shift: rq.shift[o],
+            };
+        }
+        // Assembled panels are `[steps][NRW]` words.
+        let panel_taps: Vec<usize> = (0..taps.len()).map(|t| t * NRW).collect();
+        let (zw, sw) = (i64::from(rq.zw), s.spec.stride.1);
         // Whole panels lie inside one image as NRW consecutive positions.
         let whole = p % NRW == 0;
         let out_ptr = SendPtr(out.as_mut_ptr());
         parallel_for_chunks(ChunkGrid::new(ncols.div_ceil(NRW), 1), |_, q0, q1| {
             // Capture the Sync wrapper, not the raw pointer field.
             let out_ptr = &out_ptr;
-            // The hi halves of an odd K's last pair are never written and
-            // stay zero.
-            let mut bp = vec![0i16; k2 * 2 * NRW];
-            let mut acc = vec![[[0i32; NRW]; MR]; s.o.div_ceil(MR)];
+            // Columns past the batch in the last panel keep stale words;
+            // their outputs are never stored.
+            let mut panel = vec![0u32; taps.len() * NRW];
+            let (mut acc, mut vals) = ([[0i32; NRW]; MR], [[0.0f32; NRW]; MR]);
+            let (mut sums, mut cols) = ([0i32; NRW], [0i64; NRW]);
             let mut runs = Vec::with_capacity(NRW);
             // Per image the panel touches: its first lane, its lane count
             // and the output offset of its first position in channel 0.
@@ -393,18 +452,17 @@ impl I8Pass for ForwardI8<'_> {
                 let j0 = q * NRW;
                 let j1 = (j0 + NRW).min(ncols);
                 s.runs(j0, j1, &mut runs);
-                for r in &runs {
-                    pack_run(&mut bp, NRW, r, &xp[r.src..], &taps, sw);
-                }
-                // Each column's stored-code sum, from the packed panel.
-                let mut asum = [0i32; NRW];
-                for row in bp.chunks_exact(2 * NRW) {
-                    for (a, pr) in asum.iter_mut().zip(row.chunks_exact(2)) {
-                        *a += i32::from(pr[0]) + i32::from(pr[1]);
+                // One unit-stride run of NRW columns is read in place: its
+                // row at every step is NRW consecutive words of `xq`.
+                let (src, offs) = match runs[..] {
+                    [r] if r.len == NRW && sw == 1 => (&xq[r.src..], &taps[..]),
+                    _ => {
+                        for r in &runs {
+                            assemble_run(&mut panel, NRW, r, xq, &taps, sw);
+                        }
+                        (&panel[..], &panel_taps[..])
                     }
-                }
-                let col_corr = asum.map(|a| zw * i64::from(a));
-                tiles(k2, &ap, &bp, &mut acc);
+                };
                 segs.clear();
                 let mut j = j0;
                 while j < j1 {
@@ -412,32 +470,38 @@ impl I8Pass for ForwardI8<'_> {
                     segs.push((j - j0, len, (j / p) * s.o * p + j % p));
                     j += len;
                 }
-                // Column panels are disjoint across chunks, and distinct
-                // (channel, column) pairs are distinct output elements, so
-                // no two stores below, in any chunk, overlap.
-                for (co, accr) in acc.iter().flatten().take(s.o).enumerate() {
-                    let (scale, shift, rc) = (rq.scale[co], rq.shift[co], row_corr[co]);
-                    let mut vals = [0.0f32; NRW];
-                    for ((v, &a), &cc) in vals.iter_mut().zip(accr).zip(&col_corr) {
-                        *v = scale * (i64::from(a) + rc + cc) as f32 + shift;
+                for (t, ((wt, _), rows)) in wq.tiles().zip(terms.chunks_exact(MR)).enumerate() {
+                    (kernels.tile)(src, offs, wt, (t == 0).then_some(&mut sums), &mut acc);
+                    if t == 0 {
+                        // The u8 shift added 128 to each of a column's K
+                        // codes; what is left is the stored-code sum.
+                        cols = sums.map(|u| zw * (i64::from(u) - 128 * k as i64));
                     }
-                    if whole {
-                        let dst = ((j0 / p) * s.o + co) * p + j0 % p;
-                        // SAFETY: `dst..dst + NRW` are this panel's NRW
-                        // positions of channel `co`, inside `out` (checked
-                        // length) and written by no other chunk; f32 arrays
-                        // have f32 alignment.
-                        unsafe { *out_ptr.0.add(dst).cast::<[f32; NRW]>() = vals };
-                        continue;
-                    }
-                    for &(lane, len, base) in &segs {
-                        // SAFETY: the segment's `len` columns are consecutive
-                        // positions of one image, so `base + co·P ..` spans
-                        // `len` elements of channel `co` inside `out`, written
-                        // by no other chunk.
-                        unsafe {
-                            let dst = out_ptr.0.add(base + co * p);
-                            std::ptr::copy_nonoverlapping(vals[lane..].as_ptr(), dst, len);
+                    (kernels.requant)(&acc, rows, &cols, &mut vals);
+                    // Column panels are disjoint across chunks, and
+                    // distinct (channel, column) pairs are distinct output
+                    // elements, so no two stores below, in any chunk,
+                    // overlap.
+                    for (co, v) in (t * MR..s.o).zip(&vals) {
+                        if whole {
+                            let dst = ((j0 / p) * s.o + co) * p + j0 % p;
+                            // SAFETY: `dst..dst + NRW` are this panel's NRW
+                            // positions of channel `co`, inside `out`
+                            // (checked length) and written by no other
+                            // chunk; f32 arrays have f32 alignment.
+                            unsafe { *out_ptr.0.add(dst).cast::<[f32; NRW]>() = *v };
+                            continue;
+                        }
+                        for &(lane, len, base) in &segs {
+                            // SAFETY: the segment's `len` columns are
+                            // consecutive positions of one image, so
+                            // `base + co·P ..` spans `len` elements of
+                            // channel `co` inside `out`, written by no other
+                            // chunk.
+                            unsafe {
+                                let dst = out_ptr.0.add(base + co * p);
+                                std::ptr::copy_nonoverlapping(v[lane..].as_ptr(), dst, len);
+                            }
                         }
                     }
                 }
@@ -446,48 +510,38 @@ impl I8Pass for ForwardI8<'_> {
     }
 }
 
-/// Packs the lanes of column run `r` into every pair row of the panel
-/// `bp` (`[⌈K/2⌉][nrw][2]`): lane `r.lane + i` of pair row `p` holds the
-/// sign-extended `(x[taps[2p] + i·stride], x[taps[2p+1] + i·stride])`,
-/// where `x` starts at the run's first column. Unit-stride runs of 16, 8,
-/// 4 or 2 lanes (whole output rows of those widths, or a panel of them)
-/// are fixed-size loops, so they compile to vector widen-and-interleave;
-/// other runs are packed lane by lane.
+/// Copies the words of column run `r` into every step row of the panel
+/// (`[steps][nrw]` words): lane `r.lane + i` of row `t` gets
+/// `xq[r.src + taps[t] + i·stride]`. Unit-stride runs of 16, 8, 4 or 2
+/// lanes (whole output rows of those widths) are fixed-size copies; other
+/// runs go lane by lane.
 #[inline(always)]
-fn pack_run(bp: &mut [i16], nrw: usize, r: &Run, x: &[i8], taps: &[usize], stride: usize) {
+fn assemble_run(panel: &mut [u32], nrw: usize, r: &Run, xq: &[u32], taps: &[usize], stride: usize) {
+    let x = &xq[r.src..];
     match (r.len, stride) {
-        (16, 1) => pack_lanes::<16>(bp, nrw, r.lane, x, taps),
-        (8, 1) => pack_lanes::<8>(bp, nrw, r.lane, x, taps),
-        (4, 1) => pack_lanes::<4>(bp, nrw, r.lane, x, taps),
-        (2, 1) => pack_lanes::<2>(bp, nrw, r.lane, x, taps),
+        (16, 1) => assemble_lanes::<16>(panel, nrw, r.lane, x, taps),
+        (8, 1) => assemble_lanes::<8>(panel, nrw, r.lane, x, taps),
+        (4, 1) => assemble_lanes::<4>(panel, nrw, r.lane, x, taps),
+        (2, 1) => assemble_lanes::<2>(panel, nrw, r.lane, x, taps),
         _ => {
             for i in 0..r.len {
-                pack_lanes::<1>(bp, nrw, r.lane + i, &x[i * stride..], taps);
+                assemble_lanes::<1>(panel, nrw, r.lane + i, &x[i * stride..], taps);
             }
         }
     }
 }
 
-/// [`pack_run`] for `L` unit-stride lanes starting at `lane`. An odd K's
-/// last pair row gets only its lo halves.
+/// [`assemble_run`] for `L` unit-stride lanes starting at `lane`.
 #[inline(always)]
-fn pack_lanes<const L: usize>(bp: &mut [i16], nrw: usize, lane: usize, x: &[i8], taps: &[usize]) {
-    let (pairs, odd) = taps.split_at(taps.len() & !1);
-    let mut rows = bp.chunks_exact_mut(2 * nrw);
-    // Pairs drive the zip, so the row after the last pair is not consumed.
-    for (pair, row) in pairs.chunks_exact(2).zip(rows.by_ref()) {
-        let dst = &mut row[2 * lane..2 * (lane + L)];
-        let (lo, hi) = (&x[pair[0]..pair[0] + L], &x[pair[1]..pair[1] + L]);
-        for i in 0..L {
-            dst[2 * i] = i16::from(lo[i]);
-            dst[2 * i + 1] = i16::from(hi[i]);
-        }
-    }
-    if let (Some(row), Some(&t)) = (rows.next(), odd.first()) {
-        let (dst, lo) = (&mut row[2 * lane..2 * (lane + L)], &x[t..t + L]);
-        for i in 0..L {
-            dst[2 * i] = i16::from(lo[i]);
-        }
+fn assemble_lanes<const L: usize>(
+    panel: &mut [u32],
+    nrw: usize,
+    lane: usize,
+    x: &[u32],
+    taps: &[usize],
+) {
+    for (row, &t) in panel.chunks_exact_mut(nrw).zip(taps) {
+        row[lane..lane + L].copy_from_slice(&x[t..t + L]);
     }
 }
 
@@ -890,17 +944,79 @@ mod tests {
 
     type ConvI8 = fn(&[i8], &[i8], &ConvShape, &Requant, &mut [f32]);
 
+    /// Shapes of the quad tile's paths beyond [`SHAPES`]: output rows of 16
+    /// and more at unit stride (read in place, whole or split across
+    /// panels), partial last quads (C = 1, 5, 17), stride 3 (also with
+    /// rows of 17), panels straddling images (N·P = 75), and the empty
+    /// batch, output and channel sets.
+    const I8_SHAPES: [Case; 11] = [
+        (1, 5, 3, 16, 8, 1, 1, 0),
+        (2, 3, 4, 20, 9, 3, 1, 1),
+        (3, 17, 2, 33, 5, 3, 1, 1),
+        (3, 1, 5, 18, 7, 3, 1, 1),
+        (2, 5, 6, 6, 9, 3, 2, 1),
+        (2, 4, 9, 9, 6, 3, 3, 1),
+        (2, 3, 7, 50, 4, 2, 3, 0),
+        (3, 2, 5, 5, 3, 3, 1, 1),
+        (0, 3, 4, 4, 5, 3, 1, 1),
+        (2, 3, 4, 4, 0, 3, 1, 1),
+        (2, 0, 4, 4, 5, 3, 1, 1),
+    ];
+
+    /// [`SHAPES`] and [`I8_SHAPES`]; under Miri, which interprets every
+    /// byte, only the smaller of the latter (still an in-place row, a
+    /// partial quad, straddling panels and the empty sets).
+    fn i8_shapes() -> impl Iterator<Item = ConvShape> {
+        let small = |&&(n, c, h, w, ..): &&Case| !cfg!(miri) || n * c * h * w <= 250;
+        SHAPES
+            .iter()
+            .chain(I8_SHAPES.iter().filter(small))
+            .map(|&(n, c, h, w, o, k, st, pd)| {
+                ConvShape::new(n, c, h, w, o, Conv2dSpec::new(k, st, pd)).expect("valid shape")
+            })
+    }
+
     #[test]
     fn conv2d_i8_matches_per_sample_oracle_at_every_level_and_thread_count() {
-        for (i, s) in shapes().enumerate() {
+        for (i, s) in i8_shapes().enumerate() {
             let case = I8Case::new(&s, 100 + i as u64);
             let want = case.run(&s, reference::conv2d_i8_per_sample);
             for level in I8Level::supported() {
-                for limit in [1, 2, 5] {
+                for limit in [1, 2, 5, 8] {
                     let got = with_i8_level(level, || {
                         with_thread_limit(limit, || case.run(&s, conv2d_i8))
                     });
                     assert_eq!(got, want, "{s:?} {level:?} at {limit} threads");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "K = 4608 is slow interpreted")]
+    fn conv2d_i8_extreme_codes_stay_exact_at_every_level() {
+        // K = 512·3·3 = 4608, ResNet-18's widest tap count, at unit scale:
+        // every output is the exact dot K·x·w. Activation 127 (u8 255)
+        // against weight −128 gives the largest u8 dot; activation −128
+        // (u8 0) against 127 leaves the whole dot to the −128·Σw unshift.
+        // Rows of 16 run in place, rows of 3 assembled.
+        for w in [18, 5] {
+            let s = ConvShape::new(2, 512, 3, w, 9, Conv2dSpec::new(3, 1, 0)).expect("shape");
+            for (xv, wv) in [(127i8, -128i8), (-128, 127)] {
+                let k = s.taps();
+                let rq = Requant {
+                    za: 0,
+                    zw: 0,
+                    wsum: &vec![k as i32 * i32::from(wv); s.o],
+                    scale: &vec![1.0; s.o],
+                    shift: &vec![0.0; s.o],
+                };
+                let (x, wgt) = (vec![xv; s.n * s.image_len()], vec![wv; s.o * k]);
+                let want = (k as i32 * i32::from(xv) * i32::from(wv)) as f32;
+                for level in I8Level::supported() {
+                    let mut out = vec![f32::NAN; s.n * s.o * s.positions()];
+                    with_i8_level(level, || conv2d_i8(&x, &wgt, &s, &rq, &mut out));
+                    assert!(out.iter().all(|&v| v == want), "{level:?} w {w} {xv}·{wv}");
                 }
             }
         }

@@ -438,8 +438,12 @@ pub fn conv2d_i8_per_sample(x: &[i8], wgt: &[i8], s: &ConvShape, rq: &Requant, o
     let mut cols = vec![0i8; k * p];
     let mut acc = vec![0i32; s.o * p];
     let mut asum = vec![0i32; p];
-    let xs = x.chunks_exact(s.c * s.h * s.w);
-    for (xi, yi) in xs.zip(out.chunks_exact_mut(s.o * p)) {
+    let (ilen, olen) = (s.c * s.h * s.w, s.o * p);
+    // Indexed rather than chunked: an image or output of zero length
+    // (C = 0 or O = 0) still has its images.
+    for img in 0..s.n {
+        let xi = &x[img * ilen..(img + 1) * ilen];
+        let yi = &mut out[img * olen..(img + 1) * olen];
         im2col_i8(xi, s.c, s.h, s.w, &s.spec, rq.pad_code(), &mut cols);
         asum.fill(0);
         for krow in cols.chunks_exact(p) {

@@ -7,6 +7,10 @@
 //! layout in `tensor.conv.lane_elems`; no dense f32 conv reaches the
 //! packed GEMM.
 //!
+//! The int8 forward, at batches of 1, 16 and 17 images (whole panels,
+//! and panels straddling images), counts `2·O·(C·KH·KW)·N·OH·OW` per
+//! call in `tensor.conv_i8.flops`, and one `tensor.gemm_i8.packed_calls`.
+//!
 //! Depthwise convs count `2·C·KH·KW·N·OH·OW` per pass in
 //! `tensor.depthwise.flops`: the f32 forward once and its backward twice
 //! (input and weight gradient), the i8 forward once.
@@ -19,8 +23,8 @@ use std::sync::Arc;
 use cq_obs::sink::MemorySink;
 use cq_obs::Event;
 use cq_tensor::{
-    conv2d, conv2d_backward, depthwise_conv2d, depthwise_conv2d_backward, depthwise_conv2d_i8,
-    Conv2dSpec, ConvShape,
+    conv2d, conv2d_backward, conv2d_i8, depthwise_conv2d, depthwise_conv2d_backward,
+    depthwise_conv2d_i8, Conv2dSpec, ConvShape, Requant,
 };
 
 /// Counter totals of the work `run` does.
@@ -43,6 +47,7 @@ fn counted(run: impl FnOnce()) -> HashMap<&'static str, u64> {
 #[test]
 fn every_pass_is_counted() {
     dense_passes_are_counted();
+    int8_passes_are_counted();
     depthwise_passes_are_counted();
 }
 
@@ -71,6 +76,33 @@ fn dense_passes_are_counted() {
             let lane = (xe + ye) + (ye + 2 * xe);
             assert_eq!(get("tensor.conv.lane_elems"), lane, "{s:?}");
             assert_eq!(get("tensor.gemm.packed_calls"), 0, "{s:?}");
+        }
+    }
+}
+
+fn int8_passes_are_counted() {
+    let specs = [Conv2dSpec::new(3, 1, 1), Conv2dSpec::new(1, 2, 0)];
+    for spec in specs {
+        for n in [1, 16, 17] {
+            let s = ConvShape::new(n, 5, 8, 6, 9, spec).expect("shape");
+            let (k, p) = (s.taps(), s.positions());
+            let x: Vec<i8> = (0..n * s.c * s.h * s.w)
+                .map(|i| (i % 7) as i8 - 3)
+                .collect();
+            let w: Vec<i8> = (0..s.o * k).map(|i| (i % 5) as i8 - 2).collect();
+            let (wsum, scale, shift) = (vec![0; s.o], vec![1.0; s.o], vec![0.0; s.o]);
+            let rq = Requant {
+                za: 3,
+                zw: -1,
+                wsum: &wsum,
+                scale: &scale,
+                shift: &shift,
+            };
+            let mut y = vec![0.0; n * s.o * p];
+            let c = counted(|| conv2d_i8(&x, &w, &s, &rq, &mut y));
+            let flops = 2 * (s.o * k * n * p) as u64;
+            assert_eq!(c.get("tensor.conv_i8.flops"), Some(&flops), "{s:?}");
+            assert_eq!(c.get("tensor.gemm_i8.packed_calls"), Some(&1), "{s:?}");
         }
     }
 }
