@@ -61,7 +61,7 @@ use cq_tensor::gemm::{self, Kind};
 use cq_tensor::par::{num_threads, parallel_chunks_mut, parallel_for_each};
 use cq_tensor::{
     conv2d, conv2d_backward, conv2d_i8, depthwise_conv2d, depthwise_conv2d_backward, Conv2dSpec,
-    ConvShape, Requant, Tensor,
+    ConvShape, Layout, Requant, Tensor,
 };
 use cq_trace::bench::is_integer_kernel;
 use rand::rngs::StdRng;
@@ -140,6 +140,32 @@ fn bench_matmul(kind: Kind, m: usize, n: usize, k: usize, rng: &mut StdRng) -> P
     }
 }
 
+/// A conv's operands in the lane layout the f32 kernels take, converted
+/// once outside the timed region (in an encoder they stay in it between
+/// layers), and its outputs.
+struct LaneOperands {
+    x: Tensor,
+    dy: Tensor,
+    y: Tensor,
+    dx: Tensor,
+}
+
+impl LaneOperands {
+    fn new(s: &ConvShape, x: &[f32], dy: &[f32]) -> LaneOperands {
+        let (xd, yd) = ([s.n, s.c, s.h, s.w], [s.n, s.o, s.oh, s.ow]);
+        let lanes = |v: &[f32], dims: &[usize]| {
+            let t = Tensor::from_vec(v.to_vec(), dims).expect("conv operand");
+            t.to_lanes().expect("rank 4")
+        };
+        LaneOperands {
+            x: lanes(x, &xd),
+            dy: lanes(dy, &yd),
+            y: Tensor::written(&yd, Layout::Lanes),
+            dx: Tensor::written(&xd, Layout::Lanes),
+        }
+    }
+}
+
 /// Measures one dense f32 conv pass of a `c`→`o` layer with a square
 /// `kernel` at `stride` ("same" padding) over a 128-image batch of
 /// `hw`×`hw` inputs, the forward or (`backward`) both gradients: the
@@ -163,9 +189,13 @@ fn bench_conv_pass(
         vec![0.0f32; x.len()],
         vec![0.0f32; wgt.len()],
     );
+    let mut l = LaneOperands::new(&shape, &x, &dy);
     let ((t_kernel, iters), (t_ref, _), kernel, flops) = if backward {
         (
-            time_best(|| conv2d_backward(&x, &dy, &wgt, &shape, &mut dx, &mut dw)),
+            time_best(|| {
+                let (x, dy) = (l.x.as_slice(), l.dy.as_slice());
+                conv2d_backward(x, dy, &wgt, &shape, l.dx.as_mut_slice(), &mut dw)
+            }),
             time_best(|| {
                 gemm::reference::conv2d_backward_input(&dy, &wgt, &shape, &mut dx);
                 gemm::reference::conv2d_backward_weight(&x, &dy, &shape, &mut dw);
@@ -175,7 +205,7 @@ fn bench_conv_pass(
         )
     } else {
         (
-            time_best(|| conv2d(&x, &wgt, &shape, &mut y)),
+            time_best(|| conv2d(l.x.as_slice(), &wgt, &shape, l.y.as_mut_slice())),
             time_best(|| gemm::reference::conv2d(&x, &wgt, &shape, &mut y)),
             "conv2d_fwd",
             shape.flops() as f64,
@@ -214,9 +244,13 @@ fn bench_depthwise_pass(
         vec![0.0f32; wgt.len()],
     );
     let flops = 2.0 * (c * t) as f64 * np as f64;
+    let mut l = LaneOperands::new(&shape, &x, &dy);
     let ((t_kernel, iters), (t_ref, _), kernel, flops) = if backward {
         (
-            time_best(|| depthwise_conv2d_backward(&x, &dy, &wgt, &shape, &mut dx, &mut dw)),
+            time_best(|| {
+                let (x, dy) = (l.x.as_slice(), l.dy.as_slice());
+                depthwise_conv2d_backward(x, dy, &wgt, &shape, l.dx.as_mut_slice(), &mut dw)
+            }),
             time_best(|| {
                 gemm::reference::depthwise_conv2d_backward(&x, &dy, &wgt, &shape, &mut dx, &mut dw)
             }),
@@ -225,7 +259,7 @@ fn bench_depthwise_pass(
         )
     } else {
         (
-            time_best(|| depthwise_conv2d(&x, &wgt, &shape, &mut y)),
+            time_best(|| depthwise_conv2d(l.x.as_slice(), &wgt, &shape, l.y.as_mut_slice())),
             time_best(|| gemm::reference::depthwise_conv2d(&x, &wgt, &shape, &mut y)),
             "dw_fwd",
             flops,

@@ -11,6 +11,16 @@ use rand::SeedableRng;
 use crate::plan::{encoder_plan, validate_encoder};
 use crate::Arch;
 
+/// A rank-4 batch in the lane layout the backbone runs in; any other
+/// tensor as it is, for the first layer to reject.
+fn lanes(x: &Tensor) -> Result<Tensor, NnError> {
+    Ok(if x.rank() == 4 {
+        x.to_lanes()?
+    } else {
+        x.clone()
+    })
+}
+
 /// Build-time description of an [`Encoder`]; kept by the encoder so BYOL
 /// targets and checkpoints can reconstruct the same architecture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,12 +171,16 @@ impl Encoder {
 
     /// Runs the encoder, returning features, projection and the trace.
     ///
+    /// The backbone runs in the lane layout (`cq_tensor::lanes`): an
+    /// `[N, C, H, W]` input is converted once here, and the global pool
+    /// leaves the layout as `[N, C]` features.
+    ///
     /// # Errors
     ///
     /// Propagates layer errors (bad input shapes etc.).
     pub fn forward(&mut self, x: &Tensor, ctx: &ForwardCtx) -> Result<EncoderOutput, NnError> {
         let _sp = cq_obs::span("encoder.forward");
-        let (features, backbone) = self.backbone.forward(&self.params, x, ctx)?;
+        let (features, backbone) = self.backbone.forward(&self.params, &lanes(x)?, ctx)?;
         let (projection, proj) = match &mut self.projector {
             Some(p) => {
                 let (z, c) = p.forward(&self.params, &features, ctx)?;
@@ -187,7 +201,7 @@ impl Encoder {
     ///
     /// Propagates layer errors.
     pub fn features(&mut self, x: &Tensor, ctx: &ForwardCtx) -> Result<Tensor, NnError> {
-        let (features, _) = self.backbone.forward(&self.params, x, ctx)?;
+        let (features, _) = self.backbone.forward(&self.params, &lanes(x)?, ctx)?;
         Ok(features)
     }
 
@@ -236,9 +250,9 @@ impl Encoder {
     }
 
     /// Runs the backbone *without* its final global pooling, returning the
-    /// spatial feature map `[N, feat_dim, h, w]` — what dense-prediction
-    /// heads (detection transfer, Tab. 3) consume — plus a trace for
-    /// [`Encoder::backward_spatial`].
+    /// spatial feature map `[N, feat_dim, h, w]`, row-major — what
+    /// dense-prediction heads (detection transfer, Tab. 3) consume — plus
+    /// a trace for [`Encoder::backward_spatial`].
     ///
     /// # Errors
     ///
@@ -249,7 +263,10 @@ impl Encoder {
         ctx: &ForwardCtx,
     ) -> Result<(Tensor, Cache), NnError> {
         let n = self.backbone.len() - 1; // last layer is GlobalAvgPool
-        self.backbone.forward_upto(&self.params, x, ctx, n)
+        let (map, cache) = self
+            .backbone
+            .forward_upto(&self.params, &lanes(x)?, ctx, n)?;
+        Ok((map.to_nchw(), cache))
     }
 
     /// Backpropagates a gradient w.r.t. the spatial feature map produced
@@ -264,7 +281,8 @@ impl Encoder {
         dy: &Tensor,
         gs: &mut GradSet,
     ) -> Result<(), NnError> {
-        self.backbone.backward(&self.params, cache, dy, gs)?;
+        self.backbone
+            .backward(&self.params, cache, &lanes(dy)?, gs)?;
         Ok(())
     }
 

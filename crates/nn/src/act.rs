@@ -16,7 +16,6 @@
 //! come out as they did with the `f32` mask this replaced
 //! ([`crate::reference::act_backward`]).
 
-use cq_tensor::recycle::take_written;
 use cq_tensor::simd::{dispatch, Body, SimdLevel};
 use cq_tensor::Tensor;
 
@@ -66,26 +65,26 @@ fn act_backward_at(
     dy: &Tensor,
 ) -> Result<Tensor> {
     let c = cache.downcast::<ActCache>(layer_name)?;
-    if dy.dims() != c.mask.dims {
+    if dy.dims() != c.mask.dims || dy.layout() != c.mask.layout {
         return Err(NnError::BadInput {
             layer: format!("{layer_name}.backward"),
-            expected: format!("{:?}", c.mask.dims),
+            expected: format!("{:?} ({:?})", c.mask.dims, c.mask.layout),
             got: dy.dims().to_vec(),
         });
     }
+    let mut dx = dy.written_like();
     let dy = dy.as_slice();
     // Every element below is written only if the mask covers it.
     assert_eq!(c.mask.words.len(), dy.len().div_ceil(MASK_WORD));
-    let mut dx = take_written(dy.len());
     dispatch(
         level,
         MaskedGrad {
             dy,
             words: &c.mask.words,
-            dx: &mut dx,
+            dx: dx.as_mut_slice(),
         },
     );
-    Ok(Tensor::from_vec(dx, &c.mask.dims)?)
+    Ok(dx)
 }
 
 /// `dx = dy · (bit ? 1.0 : 0.0)` over 32-element words of the mask.

@@ -91,7 +91,7 @@ fn build_layer<R: Rng>(layer: &LayerSpec, ps: &mut ParamSet, rng: &mut R) -> Box
 /// The main chain, the add and the tail run as one
 /// [`Recorder`] chain, so the last BatchNorm of the main chain, the add
 /// and a trailing activation (with its fake-quant) fuse into one pass.
-/// The projection skip runs eagerly, layer by layer, on the block input.
+/// The projection skip runs as a second chain on the block input.
 /// Backward runs the tail, then main, then skip, and returns the sum of
 /// the main and skip input gradients.
 pub(crate) struct Residual {
@@ -185,14 +185,14 @@ impl Layer for Residual {
         for layer in &mut self.main {
             rec.run(layer.as_mut())?;
         }
-        let mut skip_caches = Vec::with_capacity(self.skip.len());
-        let mut skip: Option<Tensor> = None;
+        // The projection runs as its own chain, so its BatchNorm sweeps
+        // its conv's output in place rather than a copy of it.
+        let mut skip = Recorder::new(ps, ctx, x.clone());
         for layer in &mut self.skip {
-            let (y, c) = layer.forward(ps, skip.as_ref().unwrap_or(x), ctx)?;
-            skip_caches.push(c);
-            skip = Some(y);
+            skip.run(layer.as_mut())?;
         }
-        rec.push_add(skip.unwrap_or_else(|| x.clone()))?;
+        let (skip, skip_caches) = skip.finish()?;
+        rec.push_add(skip)?;
         for layer in &mut self.tail {
             rec.run(layer.as_mut())?;
         }

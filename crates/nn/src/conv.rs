@@ -4,20 +4,26 @@
 //! channel lanes of `cq_tensor::gemm::depthwise`. Those kernels own the
 //! batch split and the band-order reduction of the weight-gradient
 //! partials, so gradients are bitwise identical at every thread count.
-//! The kernels overwrite their outputs in full, so outputs and input
-//! gradients are recycled buffers that are not zero-filled first, and the
-//! caches keep the input by reference (a shared [`Tensor`]), not by copy.
+//!
+//! Both kernels read and write the image-minor lane layout
+//! (`cq_tensor::lanes`), which an encoder keeps its activations in, so
+//! there a pass copies nothing: outputs and input gradients are recycled
+//! lane buffers that the kernels overwrite, and the caches keep the input
+//! by reference (a shared [`Tensor`]), not by copy. A row-major input is
+//! converted at the layer's boundary, and its output and input gradient
+//! are row-major again.
 
-use cq_tensor::recycle::take_written;
+use cq_tensor::lanes::{block_images, LANES};
 use cq_tensor::{
     conv2d, conv2d_backward, depthwise_conv2d, depthwise_conv2d_backward, Conv2dSpec, ConvShape,
-    Tensor,
+    Layout, Tensor,
 };
 use rand::Rng;
 
 use crate::{Cache, ForwardCtx, GradSet, Layer, NnError, ParamId, ParamSet, Result};
 
-/// Dense 2-D convolution over NCHW batches.
+/// Dense 2-D convolution over `[N, C, H, W]` batches in either layout;
+/// the output is in the input's.
 ///
 /// The weight is stored as `[out_channels, in_channels * kh * kw]`, the
 /// layout the batch-lane kernels read (see `cq_tensor::gemm::conv`). Under
@@ -34,10 +40,52 @@ pub struct Conv2d {
 
 /// Forward trace of [`Conv2d`].
 struct ConvCache {
-    /// The input, sharing the caller's storage.
+    /// The input in lanes, sharing the caller's storage when it was in
+    /// lanes already.
     input: Tensor,
+    /// The caller's layout, which the output and input gradient take.
+    layout: Layout,
     used_weight: Option<Tensor>,
     shape: ConvShape,
+}
+
+/// A lane tensor of `dims` that `kernel` writes in full.
+fn lanes_by(dims: &[usize], kernel: impl FnOnce(&mut [f32])) -> Tensor {
+    let mut t = Tensor::written(dims, Layout::Lanes);
+    kernel(t.as_mut_slice());
+    t
+}
+
+/// `t` in `layout`: a lane result converted back for a row-major caller.
+fn in_layout(t: Tensor, layout: Layout) -> Tensor {
+    match layout {
+        Layout::Nchw => t.to_nchw(),
+        Layout::Lanes => t,
+    }
+}
+
+/// Per-channel sums of the lane storage `dy` of an `[n, o, p]` batch:
+/// each `(image, channel)` plane summed from `−0.0` in position order
+/// (one 16-image vector chain per block), then added to the channel's
+/// total in image order.
+fn channel_sums(dy: &Tensor, o: usize, p: usize) -> Vec<f32> {
+    let n = dy.dims()[0];
+    let mut db = vec![0.0f32; o];
+    for (b, block) in dy.as_slice().chunks_exact(o * p * LANES).enumerate() {
+        let nimg = block_images(n, b).1;
+        for (d, plane) in db.iter_mut().zip(block.chunks_exact(p * LANES)) {
+            let mut acc = [-0.0f32; LANES];
+            for px in plane.chunks_exact(LANES) {
+                for (a, &v) in acc.iter_mut().zip(px) {
+                    *a += v;
+                }
+            }
+            for &slice in &acc[..nimg] {
+                *d += slice;
+            }
+        }
+    }
+    db
 }
 
 impl Conv2d {
@@ -106,21 +154,23 @@ impl Layer for Conv2d {
         let used = crate::perturb::perturbed_weight(raw_w, self.weight, ctx);
         let wslice = used.as_ref().unwrap_or(raw_w).as_slice();
 
-        let mut out = take_written(n * o * p);
-        conv2d(x.as_slice(), wslice, &shape, &mut out);
-        if let Some(b) = self.bias {
-            let bv = ps.get(b).as_slice();
-            for (plane, &bc) in out.chunks_exact_mut(p).zip(bv.iter().cycle()) {
-                for v in plane {
-                    *v += bc;
+        let input = x.to_lanes()?;
+        let y = lanes_by(&[n, o, shape.oh, shape.ow], |y| {
+            conv2d(input.as_slice(), wslice, &shape, y);
+            if let Some(b) = self.bias {
+                let bv = ps.get(b).as_slice();
+                for (plane, &bc) in y.chunks_exact_mut(p * LANES).zip(bv.iter().cycle()) {
+                    for v in plane {
+                        *v += bc;
+                    }
                 }
             }
-        }
-        let y = Tensor::from_vec(out, &[n, o, shape.oh, shape.ow])?;
+        });
         Ok((
-            y,
+            in_layout(y, x.layout()),
             Cache::new(ConvCache {
-                input: x.clone(),
+                input,
+                layout: x.layout(),
                 used_weight: used,
                 shape,
             }),
@@ -149,28 +199,22 @@ impl Layer for Conv2d {
             .as_ref()
             .unwrap_or_else(|| ps.get(self.weight))
             .as_slice();
-        let dys = dy.as_slice();
-
+        let dy = dy.to_lanes()?;
         let mut dw = Tensor::zeros(&[o, s.taps()]);
-        let mut dx = take_written(n * s.c * s.h * s.w);
+        let mut dx = Tensor::written(&[n, s.c, s.h, s.w], Layout::Lanes);
         conv2d_backward(
             cch.input.as_slice(),
-            dys,
+            dy.as_slice(),
             wslice,
             &s,
-            &mut dx,
+            dx.as_mut_slice(),
             dw.as_mut_slice(),
         );
         gs.accumulate(self.weight, &dw)?;
         if let Some(b) = self.bias {
-            let mut db = vec![0.0f32; o];
-            for (i, dyc) in dys.chunks_exact(p).enumerate() {
-                // cq-allow(det-float-accum): contiguous slice sum in index order
-                db[i % o] += dyc.iter().sum::<f32>();
-            }
-            gs.accumulate(b, &Tensor::from_vec(db, &[o])?)?;
+            gs.accumulate(b, &Tensor::from_vec(channel_sums(&dy, o, p), &[o])?)?;
         }
-        Ok(Tensor::from_vec(dx, &[n, s.c, s.h, s.w])?)
+        Ok(in_layout(dx, cch.layout))
     }
 }
 
@@ -184,8 +228,11 @@ pub struct DepthwiseConv2d {
 
 /// Forward trace of [`DepthwiseConv2d`].
 struct DwCache {
-    /// The input, sharing the caller's storage.
+    /// The input in lanes, sharing the caller's storage when it was in
+    /// lanes already.
     input: Tensor,
+    /// The caller's layout, which the output and input gradient take.
+    layout: Layout,
     used_weight: Option<Tensor>,
     shape: ConvShape,
 }
@@ -234,13 +281,15 @@ impl Layer for DepthwiseConv2d {
         let raw_w = ps.get(self.weight);
         let used = crate::perturb::perturbed_weight(raw_w, self.weight, ctx);
         let wslice = used.as_ref().unwrap_or(raw_w).as_slice();
-        let mut out = take_written(n * c * shape.positions());
-        depthwise_conv2d(x.as_slice(), wslice, &shape, &mut out);
-        let y = Tensor::from_vec(out, &[n, c, shape.oh, shape.ow])?;
+        let input = x.to_lanes()?;
+        let y = lanes_by(&[n, c, shape.oh, shape.ow], |y| {
+            depthwise_conv2d(input.as_slice(), wslice, &shape, y)
+        });
         Ok((
-            y,
+            in_layout(y, x.layout()),
             Cache::new(DwCache {
-                input: x.clone(),
+                input,
+                layout: x.layout(),
                 used_weight: used,
                 shape,
             }),
@@ -270,18 +319,19 @@ impl Layer for DepthwiseConv2d {
             .unwrap_or_else(|| ps.get(self.weight))
             .as_slice();
         let (kh, kw) = s.spec.kernel;
+        let dy = dy.to_lanes()?;
         let mut dw = Tensor::zeros(&[c, kh, kw]);
-        let mut dx = take_written(n * c * s.h * s.w);
+        let mut dx = Tensor::written(&[n, c, s.h, s.w], Layout::Lanes);
         depthwise_conv2d_backward(
             cch.input.as_slice(),
             dy.as_slice(),
             wslice,
             &s,
-            &mut dx,
+            dx.as_mut_slice(),
             dw.as_mut_slice(),
         );
         gs.accumulate(self.weight, &dw)?;
-        Ok(Tensor::from_vec(dx, &[n, c, s.h, s.w])?)
+        Ok(in_layout(dx, cch.layout))
     }
 }
 
@@ -411,13 +461,13 @@ mod tests {
         v.iter().map(|&g| 0.0 + g).collect()
     }
 
-    /// Forward outputs, input gradients and the kernels' lane copies land
-    /// in recycled buffers that must be overwritten in full, padding cells
+    /// Forward outputs, input gradients and the kernels' scratch land in
+    /// recycled buffers that must be overwritten in full, padding cells
     /// included. Each geometry runs right after another that left its
     /// values in buffers of the same lengths: outputs of 16,384 floats,
-    /// and a 10×10 1×1 layer's lane copies, as long as the padded copy of
-    /// an 8×8 3×3 layer's input. Results must match the kernels run into
-    /// fresh zeroed buffers.
+    /// and a 10×10 1×1 layer's lanes, as long as the padded scratch of an
+    /// 8×8 3×3 layer's input. Results must match the kernels run into
+    /// fresh buffers.
     // Recycled buffers are 64 KiB and up: too large for Miri.
     #[test]
     #[cfg_attr(miri, ignore)]
@@ -430,12 +480,14 @@ mod tests {
             (16, 64, 4, 3, 1),
         ];
         let mut rng = StdRng::seed_from_u64(9);
+        let fresh = |dims: &[usize]| Tensor::zeros(dims).to_lanes().unwrap();
         for round in 0..2 {
             for &(n, c, side, k, pad) in &shapes {
                 let at = format!("round {round} n={n} c={c} side={side} k={k}");
                 let spec = Conv2dSpec::new(k, 1, pad);
-                let x = Tensor::randn(&[n, c, side, side], 0.0, 1.0, &mut rng);
-                let dy = Tensor::randn(&[n, c, side, side], 0.0, 1.0, &mut rng);
+                let dims = [n, c, side, side];
+                let x = Tensor::randn(&dims, 0.0, 1.0, &mut rng).to_lanes().unwrap();
+                let dy = Tensor::randn(&dims, 0.0, 1.0, &mut rng).to_lanes().unwrap();
                 let s = ConvShape::new(n, c, side, side, c, spec).unwrap();
 
                 let mut ps = ParamSet::new();
@@ -444,19 +496,17 @@ mod tests {
                 let mut gs = ps.zero_grads();
                 let dx = conv.backward(&ps, &cache, &dy, &mut gs).unwrap();
                 let w = ps.get(conv.weight_id()).as_slice();
-                let mut want_y = vec![0.0; y.len()];
-                conv2d(x.as_slice(), w, &s, &mut want_y);
-                let (mut want_dx, mut want_dw) = (vec![0.0; x.len()], vec![0.0; w.len()]);
-                conv2d_backward(
-                    x.as_slice(),
-                    dy.as_slice(),
-                    w,
-                    &s,
-                    &mut want_dx,
-                    &mut want_dw,
+                let (mut want_y, mut want_dx) = (fresh(&dims), fresh(&dims));
+                let mut want_dw = vec![0.0; w.len()];
+                conv2d(x.as_slice(), w, &s, want_y.as_mut_slice());
+                let (xs, dys) = (x.as_slice(), dy.as_slice());
+                conv2d_backward(xs, dys, w, &s, want_dx.as_mut_slice(), &mut want_dw);
+                assert_eq!(bits(y.as_slice()), bits(want_y.as_slice()), "conv y {at}");
+                assert_eq!(
+                    bits(dx.as_slice()),
+                    bits(want_dx.as_slice()),
+                    "conv dx {at}"
                 );
-                assert_eq!(bits(y.as_slice()), bits(&want_y), "conv y {at}");
-                assert_eq!(bits(dx.as_slice()), bits(&want_dx), "conv dx {at}");
                 let dw = gs.get(conv.weight_id()).as_slice();
                 assert_eq!(bits(dw), bits(&added(&want_dw)), "conv dw {at}");
 
@@ -466,40 +516,54 @@ mod tests {
                 let mut gs = ps.zero_grads();
                 let dx = dw.backward(&ps, &cache, &dy, &mut gs).unwrap();
                 let w = ps.get(dw.weight_id()).as_slice();
-                let mut want_y = vec![0.0; y.len()];
-                depthwise_conv2d(x.as_slice(), w, &s, &mut want_y);
-                let (mut want_dx, mut want_dw) = (vec![0.0; x.len()], vec![0.0; w.len()]);
-                depthwise_conv2d_backward(
-                    x.as_slice(),
-                    dy.as_slice(),
-                    w,
-                    &s,
-                    &mut want_dx,
-                    &mut want_dw,
+                let (mut want_y, mut want_dx) = (fresh(&dims), fresh(&dims));
+                let mut want_dw = vec![0.0; w.len()];
+                depthwise_conv2d(xs, w, &s, want_y.as_mut_slice());
+                depthwise_conv2d_backward(xs, dys, w, &s, want_dx.as_mut_slice(), &mut want_dw);
+                assert_eq!(
+                    bits(y.as_slice()),
+                    bits(want_y.as_slice()),
+                    "depthwise y {at}"
                 );
-                assert_eq!(bits(y.as_slice()), bits(&want_y), "depthwise y {at}");
-                assert_eq!(bits(dx.as_slice()), bits(&want_dx), "depthwise dx {at}");
+                assert_eq!(
+                    bits(dx.as_slice()),
+                    bits(want_dx.as_slice()),
+                    "depthwise dx {at}"
+                );
                 let dw = gs.get(dw.weight_id()).as_slice();
                 assert_eq!(bits(dw), bits(&added(&want_dw)), "depthwise dw {at}");
             }
         }
     }
 
-    /// The caches keep the input by reference, not by copy.
+    /// The caches keep a lane input by reference, not by copy; a
+    /// row-major input gives row-major results.
     #[test]
-    fn caches_share_the_input() {
+    fn caches_share_a_lane_input() {
         let mut ps = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(10);
         let spec = Conv2dSpec::new(3, 1, 1);
         let mut conv = Conv2d::new(&mut ps, "c", 2, 3, spec, false, &mut rng);
         let mut dw = DepthwiseConv2d::new(&mut ps, "d", 2, spec, &mut rng);
         let x = Tensor::randn(&[2, 2, 5, 5], 0.0, 1.0, &mut rng);
-        let (_, c) = conv.forward(&ps, &x, &ForwardCtx::train()).unwrap();
-        let c = c.downcast::<ConvCache>("t").unwrap();
-        assert!(c.input.shares_storage(&x));
-        let (_, d) = dw.forward(&ps, &x, &ForwardCtx::train()).unwrap();
-        let d = d.downcast::<DwCache>("t").unwrap();
-        assert!(d.input.shares_storage(&x));
+        let xl = x.to_lanes().unwrap();
+        let (yl, c) = conv.forward(&ps, &xl, &ForwardCtx::train()).unwrap();
+        assert!(c
+            .downcast::<ConvCache>("t")
+            .unwrap()
+            .input
+            .shares_storage(&xl));
+        let (y, _) = conv.forward(&ps, &x, &ForwardCtx::train()).unwrap();
+        assert!(yl.is_lanes() && !y.is_lanes());
+        assert_eq!(yl.to_nchw(), y);
+        let (yl, d) = dw.forward(&ps, &xl, &ForwardCtx::train()).unwrap();
+        assert!(d
+            .downcast::<DwCache>("t")
+            .unwrap()
+            .input
+            .shares_storage(&xl));
+        let (y, _) = dw.forward(&ps, &x, &ForwardCtx::train()).unwrap();
+        assert_eq!(yl.to_nchw(), y);
     }
 
     #[test]

@@ -52,11 +52,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cq_obs::Counter;
-use cq_quant::{fake_quant_into, fake_quant_scanned, Precision, QuantMode, RangeScan};
+use cq_quant::{fake_quant_into, fake_quant_scanned_lanes, Precision, QuantMode, RangeScan};
+use cq_tensor::lanes::PadLanes;
 use cq_tensor::par::{parallel_for_chunks, parallel_map_chunks, ChunkGrid};
 use cq_tensor::recycle::{self, take_written};
 use cq_tensor::simd::{dispatch, Body, SimdLevel};
-use cq_tensor::{Conv2dSpec, Tensor};
+use cq_tensor::{Conv2dSpec, Layout, Tensor};
 
 use crate::spec::{LayerKind, LayerSpec, Plan, SpecError, SpecErrorKind};
 use crate::{Cache, ForwardCtx, Layer, NnError, ParamSet, Result};
@@ -86,7 +87,9 @@ const BLOCK_ELEMS: usize = 4096;
 
 /// One recorded elementwise operation. All ops are shape-preserving and
 /// depend only on their own element (plus broadcast per-channel
-/// constants), which is what makes pass merging bit-exact.
+/// constants), which is what makes pass merging bit-exact. They run in
+/// storage order, so a lane tensor's chain runs in the lane layout, pad
+/// lanes included (their values are never read).
 pub(crate) enum EwOp {
     /// `v = (v - mean[c]) * inv_std[c]`, writing the normalized value to
     /// the group's `xhat` tap when requested.
@@ -121,10 +124,13 @@ pub(crate) const MASK_WORD: usize = 32;
 /// word `i / 32` is set where the activation passes gradient. Bits past
 /// the last element are clear. The words return to the recycler on drop.
 pub(crate) struct Mask {
-    /// The packed bits, `⌈len / 32⌉` words.
+    /// The packed bits, `⌈len / 32⌉` words, one per stored element (pad
+    /// lanes included).
     pub(crate) words: Vec<u32>,
     /// Dims of the tensor the mask covers.
     pub(crate) dims: Vec<usize>,
+    /// Layout of the tensor the mask covers.
+    pub(crate) layout: Layout,
 }
 
 impl Drop for Mask {
@@ -149,7 +155,8 @@ type CacheBuild = Box<dyn FnOnce(TapData) -> Cache + Send>;
 pub(crate) struct EwGroup {
     ops: Vec<EwOp>,
     /// `(channels, inner)` geometry for `Normalize`/`Affine` ops; the
-    /// tensor is viewed as `(outer, channels, inner)` row-major.
+    /// storage is viewed as `(outer, channels, inner)` row-major: `(N, C,
+    /// H·W)` for an NCHW tensor, `(⌈N/16⌉, C, H·W·16)` for a lane tensor.
     geom: Option<(usize, usize)>,
     quant: Option<(Precision, QuantMode)>,
     want_xhat: bool,
@@ -423,8 +430,14 @@ impl Body for ChunkOps<'_, '_> {
 /// [`RangeScan`] partial while they are still cache-resident, and the
 /// partials are combined in chunk-index order — bit-identical to the
 /// quantizer's own post-pass sweep (see [`RangeScan`]) with the
-/// whole-buffer re-read elided.
-fn run_pass(level: SimdLevel, buf: &mut [f32], ops: &[KOp<'_>], scan: bool) -> Option<RangeScan> {
+/// whole-buffer re-read elided. The scan skips `pad`'s lanes.
+fn run_pass(
+    level: SimdLevel,
+    buf: &mut [f32],
+    ops: &[KOp<'_>],
+    scan: bool,
+    pad: Option<PadLanes>,
+) -> Option<RangeScan> {
     let len = buf.len();
     let base = SendPtr(buf.as_mut_ptr());
     let grid = ChunkGrid::new(len.div_ceil(MASK_WORD), BLOCK_ELEMS / MASK_WORD);
@@ -439,7 +452,7 @@ fn run_pass(level: SimdLevel, buf: &mut [f32], ops: &[KOp<'_>], scan: bool) -> O
             start,
         };
         dispatch(level, ops);
-        chunk
+        (chunk, start)
     };
     if !scan {
         parallel_for_chunks(grid, |_c, ws, we| {
@@ -448,7 +461,17 @@ fn run_pass(level: SimdLevel, buf: &mut [f32], ops: &[KOp<'_>], scan: bool) -> O
         return None;
     }
     let parts = parallel_map_chunks(grid, RangeScan::new, |_c, ws, we, acc| {
-        *acc = RangeScan::scan(chunk_at(ws, we));
+        let (chunk, start) = chunk_at(ws, we);
+        *acc = match pad {
+            None => RangeScan::scan(chunk),
+            Some(pad) => {
+                let mut s = RangeScan::new();
+                pad.real_runs(start, start + chunk.len(), |lo, hi| {
+                    s.merge(RangeScan::scan(&chunk[lo - start..hi - start]));
+                });
+                s
+            }
+        };
     });
     let mut scan = RangeScan::new();
     for p in parts {
@@ -460,15 +483,15 @@ fn run_pass(level: SimdLevel, buf: &mut [f32], ops: &[KOp<'_>], scan: bool) -> O
 /// Per-group tap buffers, allocated before execution. The op that
 /// writes a tap writes all of it, so neither is filled first.
 struct GroupTaps {
-    xhat: Option<Vec<f32>>,
+    xhat: Option<Tensor>,
     mask: Option<Vec<u32>>,
 }
 
 /// Executes a chain of groups over `src`, returning the output tensor
-/// and one optional cache per group (in group order). Takes the input
-/// by value: its storage becomes the working buffer, so the executor
-/// allocates nothing for the chain value itself and the first pass
-/// transforms in place instead of seeding a fresh buffer.
+/// (in `src`'s layout) and one optional cache per group (in group order).
+/// Takes the input by value: its storage becomes the working buffer, so
+/// the executor allocates nothing for the chain value itself and the
+/// first pass transforms in place instead of seeding a fresh buffer.
 fn execute(src: Tensor, groups: Vec<EwGroup>) -> Result<(Tensor, Vec<Option<Cache>>)> {
     execute_at(SimdLevel::detect(), src, groups)
 }
@@ -483,7 +506,9 @@ pub(crate) fn execute_at(
         return Ok((src, Vec::new()));
     }
     let len = src.len();
-    let dims = src.dims().to_vec();
+    let (dims, layout, pad) = (src.dims().to_vec(), src.layout(), PadLanes::of(&src));
+    // Real elements, which the counters count: pad lanes are left out.
+    let elems = src.shape().len();
     for g in &groups {
         if let Some((c, inner)) = g.geom {
             if c == 0 || inner == 0 || !len.is_multiple_of(c * inner) {
@@ -494,10 +519,11 @@ pub(crate) fn execute_at(
         }
         for op in &g.ops {
             if let EwOp::Add(other) = op {
-                if other.len() != len {
+                if other.len() != len || other.layout() != layout {
                     return Err(NnError::Param(format!(
-                        "graph: add operand has {} elements, chain has {len}",
-                        other.len()
+                        "graph: add operand has {} {:?} elements, chain has {len} {layout:?}",
+                        other.len(),
+                        other.layout()
                     )));
                 }
             }
@@ -532,7 +558,7 @@ pub(crate) fn execute_at(
     let mut taps: Vec<GroupTaps> = groups
         .iter()
         .map(|g| GroupTaps {
-            xhat: g.want_xhat.then(|| take_written(len)),
+            xhat: g.want_xhat.then(|| src.written_like()),
             mask: g.want_mask.then(|| take_written(len.div_ceil(MASK_WORD))),
         })
         .collect();
@@ -540,12 +566,16 @@ pub(crate) fn execute_at(
     let _sp = cq_obs::span("graph.ew_chain");
     // cq-allow(det-time-source): executor timing telemetry only; never feeds a computation
     let t0 = Instant::now();
-    let mut buf = src.into_vec();
+    let mut out = src;
+    let buf = out.as_mut_slice();
     for seg in segments.iter() {
         let mut kops: Vec<KOp<'_>> = Vec::new();
         for gi in seg.clone() {
             let (c, inner) = groups[gi].geom.unwrap_or((1, 1));
-            let xhat = taps[gi].xhat.as_mut().map(|v| SendPtr(v.as_mut_ptr()));
+            let xhat = taps[gi]
+                .xhat
+                .as_mut()
+                .map(|t| SendPtr(t.as_mut_slice().as_mut_ptr()));
             let mask = taps[gi].mask.as_mut().map(|v| SendPtr(v.as_mut_ptr()));
             for op in &groups[gi].ops {
                 kops.push(match op {
@@ -572,16 +602,16 @@ pub(crate) fn execute_at(
         }
         let quant = groups[seg.end - 1].quant;
         let want_scan = matches!(quant, Some((Precision::Bits(_), _)));
-        let scan = run_pass(level, &mut buf, &kops, want_scan);
+        let scan = run_pass(level, buf, &kops, want_scan, pad);
         if let Some((p, m)) = quant {
             match scan {
                 // In-pass range scan: bit-identical values, counters and
                 // histograms to the quantizer's own sweep, without the
                 // whole-buffer re-read (see `RangeScan`).
-                Some(s) => fake_quant_scanned(&mut buf, s, p, m),
+                Some(s) => fake_quant_scanned_lanes(buf, elems, s, p, m),
                 // Precision::Fp carries no grid; the call is a no-op kept
                 // for parity with the eager per-layer path.
-                None => fake_quant_into(&mut buf, p, m),
+                None => fake_quant_into(buf, p, m),
             }
         }
     }
@@ -589,27 +619,24 @@ pub(crate) fn execute_at(
     if n_groups >= 2 {
         C_FUSED_CHAINS.add(1);
         let elided = (n_groups - segments.len()) as u64;
-        C_ELIDED_BYTES.add(elided * len as u64 * 8);
+        C_ELIDED_BYTES.add(elided * elems as u64 * 8);
     }
 
     let mut caches = Vec::with_capacity(n_groups);
     for (g, t) in groups.into_iter().zip(taps) {
         caches.push(match g.build {
             Some(build) => {
-                let xhat = match t.xhat {
-                    Some(v) => Some(Tensor::from_vec(v, &dims)?),
-                    None => None,
-                };
                 let mask = t.mask.map(|words| Mask {
                     words,
                     dims: dims.clone(),
+                    layout,
                 });
-                Some(build(TapData { xhat, mask }))
+                Some(build(TapData { xhat: t.xhat, mask }))
             }
             None => None,
         });
     }
-    Ok((Tensor::from_vec(buf, &dims)?, caches))
+    Ok((out, caches))
 }
 
 /// Executes a single group eagerly (the standalone `Layer::forward` path
@@ -737,11 +764,13 @@ impl<'a> Recorder<'a> {
     /// Returns an error if `other`'s length differs from the chain's.
     pub fn push_add(&mut self, other: impl Into<Arc<Tensor>>) -> Result<()> {
         let other = other.into();
-        if other.len() != self.cur.len() {
+        if other.len() != self.cur.len() || other.layout() != self.cur.layout() {
             return Err(NnError::Param(format!(
-                "graph: residual operand has {} elements, chain has {}",
+                "graph: residual operand has {} {:?} elements, chain has {} {:?}",
                 other.len(),
-                self.cur.len()
+                other.layout(),
+                self.cur.len(),
+                self.cur.layout()
             )));
         }
         self.push_group(EwGroup::new(vec![EwOp::Add(other)], None));
@@ -785,8 +814,7 @@ impl<'a> Recorder<'a> {
         if self.ctx.sanitize {
             self.flush_pending()?;
             let label = format!("layer #{i} ({kind})");
-            if let Some(v) = cq_tensor::sanitize::scan(&label, self.cur.dims(), self.cur.as_slice())
-            {
+            if let Some(v) = cq_tensor::sanitize::scan_tensor(&label, &self.cur) {
                 cq_tensor::sanitize::record(v.clone());
                 if v.kind.is_fatal() {
                     return Err(NnError::NonFinite {
@@ -1583,15 +1611,15 @@ mod tests {
                 let mut buf = src.clone();
                 let ops = [KOp::Add { other: &other }, KOp::Relu { mask: None }];
                 let level = SimdLevel::detect();
-                let scan =
-                    with_thread_limit(limit, || run_pass(level, &mut buf, &ops, true)).unwrap();
+                let scan = with_thread_limit(limit, || run_pass(level, &mut buf, &ops, true, None))
+                    .unwrap();
                 let whole = RangeScan::scan(&buf);
                 assert!(scan.lo() == whole.lo() && scan.hi() == whole.hi());
                 for (p, m) in [(5, QuantMode::Round), (8, QuantMode::Floor)] {
                     let mut a = buf.clone();
                     let mut b = buf.clone();
-                    fake_quant_scanned(&mut a, scan, Precision::Bits(p), m);
-                    fake_quant_scanned(&mut b, whole, Precision::Bits(p), m);
+                    cq_quant::fake_quant_scanned(&mut a, scan, Precision::Bits(p), m);
+                    cq_quant::fake_quant_scanned(&mut b, whole, Precision::Bits(p), m);
                     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(&a), bits(&b), "limit {limit} q={p} {m:?}");
                 }

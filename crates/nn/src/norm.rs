@@ -23,10 +23,24 @@
 //!   into a recycled buffer that is not zero-filled first, compiled at
 //!   every [`SimdLevel`].
 //!
-//! The two reductions are scalar chains by contract, so a wider vector
-//! has nothing to add to them and they are not dispatched.
+//! A `BatchNorm2d` input in the lane layout (`cq_tensor::lanes`, as
+//! inside an encoder) is `(⌈N/16⌉, C, H·W·16)` for the sweeps, and its
+//! reductions read the lanes in place:
+//!
+//! - **Statistics.** Each lane of a `(block, channel)` run of `H·W`
+//!   lanes is one `(image, channel)` slice, so one 16-lane vector chain
+//!   from `−0.0` over ascending positions is 16 of the slice chains
+//!   above, bit for bit, and the 16 slice sums go into their channel's
+//!   total in image order, pad lanes left out: the same sums in the same
+//!   order. Compiled at every [`SimdLevel`].
+//! - **Backward reduction.** The same per-channel chains in
+//!   (image, position) order, reading each image's lane at a stride of
+//!   16 floats and skipping pad lanes.
+//!
+//! The backward reductions are scalar chains by contract, so a wider
+//! vector has nothing to add to them and they are not dispatched.
 
-use cq_tensor::recycle::take_written;
+use cq_tensor::lanes::{block_images, LANES};
 use cq_tensor::simd::{dispatch, Body, SimdLevel};
 use cq_tensor::Tensor;
 
@@ -93,6 +107,144 @@ fn batch_stats(xs: &[f32], outer: usize, c: usize, inner: usize) -> (Vec<f32>, V
         *v /= m;
     }
     (mean, var)
+}
+
+/// Per-channel totals of `term(v, param(channel))` over the lane storage
+/// `xs` of an `[n, c, hw]` batch (see the module docs), compiled at
+/// every [`SimdLevel`].
+struct LaneSums<'a, P, F> {
+    xs: &'a [f32],
+    n: usize,
+    c: usize,
+    hw: usize,
+    param: P,
+    term: F,
+}
+
+impl<P: Fn(usize) -> f32, F: Fn(f32, f32) -> f32> Body for LaneSums<'_, P, F> {
+    type Out = Vec<f32>;
+    #[inline(always)]
+    fn run<const L: usize>(self) -> Vec<f32> {
+        let LaneSums {
+            xs,
+            n,
+            c,
+            hw,
+            param,
+            term,
+        } = self;
+        let mut total = vec![0.0f32; c];
+        let (lanes, _) = xs.as_chunks::<LANES>();
+        for (b, block) in lanes.chunks_exact(c * hw).enumerate() {
+            let nimg = block_images(n, b).1;
+            for ((t, plane), ch) in total.iter_mut().zip(block.chunks_exact(hw)).zip(0..) {
+                // One 16-image vector chain: 16 slice chains at once.
+                let pc = param(ch);
+                let mut acc = [-0.0f32; LANES];
+                for px in plane {
+                    for l in 0..LANES {
+                        acc[l] += term(px[l], pc);
+                    }
+                }
+                for &slice in &acc[..nimg] {
+                    *t += slice;
+                }
+            }
+        }
+        total
+    }
+}
+
+/// `(mean, biased var)` per channel of the lane storage `xs` of an
+/// `[n, c, hw]` batch, bit-identical to [`batch_stats`] of its NCHW form.
+fn lane_batch_stats(
+    level: SimdLevel,
+    xs: &[f32],
+    n: usize,
+    c: usize,
+    hw: usize,
+) -> (Vec<f32>, Vec<f32>) {
+    let m = (n * hw) as f32;
+    let mut mean = dispatch(
+        level,
+        LaneSums {
+            xs,
+            n,
+            c,
+            hw,
+            param: |_| 0.0,
+            term: |v, _| v,
+        },
+    );
+    for v in &mut mean {
+        *v /= m;
+    }
+    let mut var = dispatch(
+        level,
+        LaneSums {
+            xs,
+            n,
+            c,
+            hw,
+            param: |ch| mean[ch],
+            term: |v, mu| (v - mu) * (v - mu),
+        },
+    );
+    for v in &mut var {
+        *v /= m;
+    }
+    (mean, var)
+}
+
+/// Per-channel `(dgamma, dbeta)` of the lane storage `dy` and `xhat` of
+/// an `[n, c, hw]` batch: one chain per channel in (image, position)
+/// order from `+0.0`, as [`grad_sums`] of the NCHW form, reading each
+/// image's lane at a stride of 16 floats, [`LANE_CHAINS`] channels at a
+/// time.
+fn lane_grad_sums(dy: &[f32], xhat: &[f32], n: usize, c: usize, hw: usize) -> (Vec<f32>, Vec<f32>) {
+    let (mut dgamma, mut dbeta) = (vec![0.0f32; c], vec![0.0f32; c]);
+    let full = c - c % LANE_CHAINS;
+    for c0 in (0..full).step_by(LANE_CHAINS) {
+        lane_reduce_channels::<LANE_CHAINS>(dy, xhat, (n, c, hw), c0, &mut dgamma, &mut dbeta);
+    }
+    for c0 in full..c {
+        lane_reduce_channels::<1>(dy, xhat, (n, c, hw), c0, &mut dgamma, &mut dbeta);
+    }
+    (dgamma, dbeta)
+}
+
+/// Channels the lane backward reduction runs at once: fewer than
+/// [`CHAINS`], so that their planes stay in cache while each image's
+/// lane is read across them.
+const LANE_CHAINS: usize = 4;
+
+/// [`lane_grad_sums`] of channels `c0..c0 + W`.
+fn lane_reduce_channels<const W: usize>(
+    dy: &[f32],
+    xhat: &[f32],
+    (n, c, hw): (usize, usize, usize),
+    c0: usize,
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+) {
+    let (mut dg, mut db) = ([0.0f32; W], [0.0f32; W]);
+    let plane = hw * LANES;
+    for b in 0..n.div_ceil(LANES) {
+        let at = (b * c + c0) * plane;
+        let dys: [&[f32]; W] = std::array::from_fn(|j| &dy[at + j * plane..][..plane]);
+        let xhs: [&[f32]; W] = std::array::from_fn(|j| &xhat[at + j * plane..][..plane]);
+        for l in 0..block_images(n, b).1 {
+            for i in (l..plane).step_by(LANES) {
+                for j in 0..W {
+                    // cq-allow(no-naive-hot-loop): per-channel reduction over (image, position); output is a length-c vector, not a matmul
+                    dg[j] += dys[j][i] * xhs[j][i];
+                    db[j] += dys[j][i];
+                }
+            }
+        }
+    }
+    dgamma[c0..c0 + W].copy_from_slice(&dg);
+    dbeta[c0..c0 + W].copy_from_slice(&db);
 }
 
 /// Per-channel `(dgamma, dbeta)` = `(Σ dy·xhat, Σ dy)`, one chain per
@@ -211,8 +363,10 @@ struct BatchNormInner {
 
 /// Forward trace of a batch-norm layer.
 struct BnCache {
+    /// In the input's layout.
     xhat: Tensor,
     inv_std: Vec<f32>,
+    /// The storage's `(outer, channels, inner)` view.
     outer: usize,
     inner: usize,
     mode: Mode,
@@ -233,12 +387,12 @@ impl BatchNormInner {
         }
     }
 
-    /// Builds the recorded op group for `x` viewed as
-    /// `(outer, channels, inner)`, row-major: batch statistics (and the
+    /// Builds the recorded op group for `x`, whose storage is viewed as
+    /// `(outer, channels, inner)` row-major: batch statistics (and the
     /// running-stat EMA update, in train mode) are computed eagerly here —
-    /// they are whole-tensor reductions — while the normalize+affine sweep
-    /// itself becomes a fusable [`EwGroup`] whose cache captures the
-    /// `xhat` tap.
+    /// they are whole-tensor reductions, read from the lanes of a lane
+    /// tensor — while the normalize+affine sweep itself becomes a
+    /// fusable [`EwGroup`] whose cache captures the `xhat` tap.
     fn make_group(
         &mut self,
         ps: &ParamSet,
@@ -254,14 +408,19 @@ impl BatchNormInner {
 
         let (mean, var) = match ctx.mode {
             Mode::Train => {
-                if outer * inner < 2 {
+                if x.shape().len() < 2 * c {
                     return Err(NnError::BadInput {
                         layer: layer_name.to_string(),
                         expected: "batch with >= 2 elements per channel in train mode".into(),
                         got: x.dims().to_vec(),
                     });
                 }
-                let (mean, var) = batch_stats(xs, outer, c, inner);
+                let (mean, var) = match x.dims() {
+                    &[n, _, h, w] if x.is_lanes() => {
+                        lane_batch_stats(SimdLevel::detect(), xs, n, c, h * w)
+                    }
+                    _ => batch_stats(xs, outer, c, inner),
+                };
                 // EMA update of running statistics.
                 let mom = self.momentum;
                 for ((rm, rv), (&mu, &va)) in self
@@ -344,12 +503,26 @@ impl BatchNormInner {
                 got: dy.dims().to_vec(),
             });
         }
+        if dy.layout() != cch.xhat.layout() {
+            return Err(NnError::BadInput {
+                layer: format!("{layer_name}.backward"),
+                expected: format!(
+                    "{:?} in the {:?} layout",
+                    cch.xhat.dims(),
+                    cch.xhat.layout()
+                ),
+                got: dy.dims().to_vec(),
+            });
+        }
+        let mut dx = dy.written_like();
         let (dy, xhat) = (dy.as_slice(), cch.xhat.as_slice());
         // The sweep below writes every element only if its slices tile
         // the buffer.
         assert!(cch.inner > 0 && len == cch.outer * c * cch.inner);
-        let (dgamma, dbeta) = grad_sums(dy, xhat, c, cch.inner);
-        let mut dx = take_written(len);
+        let (dgamma, dbeta) = match cch.xhat.dims() {
+            &[n, _, h, w] if cch.xhat.is_lanes() => lane_grad_sums(dy, xhat, n, c, h * w),
+            _ => grad_sums(dy, xhat, c, cch.inner),
+        };
         dispatch(
             level,
             DxSweep {
@@ -360,18 +533,20 @@ impl BatchNormInner {
                 dgamma: &dgamma,
                 dbeta: &dbeta,
                 inner: cch.inner,
-                m: (cch.outer * cch.inner) as f32,
+                // Real elements per channel: pad lanes are not counted.
+                m: (cch.xhat.shape().len() / c) as f32,
                 train: cch.mode == Mode::Train,
-                dx: &mut dx,
+                dx: dx.as_mut_slice(),
             },
         );
         gs.accumulate(self.gamma, &Tensor::from_vec(dgamma, &[c])?)?;
         gs.accumulate(self.beta, &Tensor::from_vec(dbeta, &[c])?)?;
-        Ok(Tensor::from_vec(dx, cch.xhat.dims())?)
+        Ok(dx)
     }
 }
 
-/// Batch normalisation over the channel axis of `[N, C, H, W]` inputs.
+/// Batch normalisation over the channel axis of `[N, C, H, W]` inputs,
+/// in either layout; the output is in the input's.
 #[derive(Debug)]
 pub struct BatchNorm2d {
     inner: BatchNormInner,
@@ -392,7 +567,7 @@ impl BatchNorm2d {
     }
 
     /// Validates an `[N, C, H, W]` input and returns the
-    /// `(outer, inner)` view of the channel axis.
+    /// `(outer, inner)` view of the channel axis in its storage.
     fn view(&self, x: &Tensor) -> Result<(usize, usize)> {
         if x.rank() != 4 || x.dims()[1] != self.inner.channels {
             return Err(NnError::BadInput {
@@ -401,8 +576,14 @@ impl BatchNorm2d {
                 got: x.dims().to_vec(),
             });
         }
-        // NCHW is (outer=n, c, inner=h*w) in row-major order already.
-        Ok((x.dims()[0], x.dims()[2] * x.dims()[3]))
+        let (n, hw) = (x.dims()[0], x.dims()[2] * x.dims()[3]);
+        Ok(if x.is_lanes() {
+            // `[⌈N/16⌉][C][H·W·16]`.
+            (n.div_ceil(LANES), hw * LANES)
+        } else {
+            // NCHW is (outer=n, c, inner=h*w) in row-major order already.
+            (n, hw)
+        })
     }
 }
 

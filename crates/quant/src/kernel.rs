@@ -291,7 +291,8 @@ mod tests {
     /// `fake_quant_into` composes it.
     fn fake_quant_at(level: SimdLevel, data: &mut [f32], precision: Precision, mode: QuantMode) {
         let scan = dispatch(level, Scan(data));
-        crate::quantizer::fake_quant_scanned_at(level, data, scan, precision, mode);
+        let elems = data.len();
+        crate::quantizer::fake_quant_scanned_at(level, data, elems, scan, precision, mode);
     }
 
     /// Checks every kernel at every level against the scalar oracles.

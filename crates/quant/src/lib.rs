@@ -34,6 +34,6 @@ mod quantizer;
 pub use kernel::emit_i8_codes;
 pub use precision::{Precision, PrecisionSet, QuantError};
 pub use quantizer::{
-    fake_quant, fake_quant_into, fake_quant_scanned, quant_mse, quant_snr_db, QuantConfig,
-    QuantMode, RangeScan,
+    fake_quant, fake_quant_into, fake_quant_scanned, fake_quant_scanned_lanes, quant_mse,
+    quant_snr_db, QuantConfig, QuantMode, RangeScan,
 };

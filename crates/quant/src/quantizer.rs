@@ -18,6 +18,7 @@
 //! backward pass uses the straight-through estimator (gradients pass
 //! unchanged), the standard choice in quantization-aware training.
 
+use cq_tensor::lanes::PadLanes;
 use cq_tensor::simd::{dispatch, SimdLevel};
 use cq_tensor::Tensor;
 
@@ -92,9 +93,22 @@ impl Default for QuantConfig {
 /// Applies the Eq. 10 linear quantizer to `t`, returning the fake-quantized
 /// tensor. `Precision::Fp` and constant tensors (zero dynamic range) are
 /// returned unchanged.
+///
+/// A lane tensor (`cq_tensor::lanes`) is quantized in its layout, on the
+/// range of its real elements: pad lanes never enter the scan.
 pub fn fake_quant(t: &Tensor, precision: Precision, mode: QuantMode) -> Tensor {
     let mut out = t.clone();
-    fake_quant_into(out.as_mut_slice(), precision, mode);
+    match PadLanes::of(t) {
+        None => fake_quant_into(out.as_mut_slice(), precision, mode),
+        Some(pad) => {
+            let mut scan = RangeScan::new();
+            pad.real_runs(0, t.len(), |lo, hi| {
+                scan.merge(RangeScan::scan(&t.as_slice()[lo..hi]));
+            });
+            let elems = t.shape().len();
+            fake_quant_scanned_lanes(out.as_mut_slice(), elems, scan, precision, mode);
+        }
+    }
     out
 }
 
@@ -194,13 +208,31 @@ pub fn fake_quant_scanned(
     precision: Precision,
     mode: QuantMode,
 ) {
-    fake_quant_scanned_at(SimdLevel::detect(), data, scan, precision, mode);
+    let elems = data.len();
+    fake_quant_scanned_at(SimdLevel::detect(), data, elems, scan, precision, mode);
 }
 
-/// [`fake_quant_scanned`] with the projection run at `level`.
+/// [`fake_quant_scanned`] for the storage of a lane tensor
+/// (`cq_tensor::lanes`) that holds `elems` real elements: `scan` covers
+/// those only, every stored element is projected (a pad lane's value is
+/// never read), and the counters and warnings count the `elems` real
+/// ones.
+pub fn fake_quant_scanned_lanes(
+    data: &mut [f32],
+    elems: usize,
+    scan: RangeScan,
+    precision: Precision,
+    mode: QuantMode,
+) {
+    fake_quant_scanned_at(SimdLevel::detect(), data, elems, scan, precision, mode);
+}
+
+/// [`fake_quant_scanned`] of `elems` real elements with the projection
+/// run at `level`.
 pub(crate) fn fake_quant_scanned_at(
     level: SimdLevel,
     data: &mut [f32],
+    elems: usize,
     scan: RangeScan,
     precision: Precision,
     mode: QuantMode,
@@ -215,10 +247,7 @@ pub(crate) fn fake_quant_scanned_at(
     let RangeScan { lo, hi, finite } = scan;
     if !finite {
         cq_obs::warn_with(|| {
-            format!(
-                "fake_quant: tensor of {} elements contains NaN/Inf; left unquantized",
-                data.len()
-            )
+            format!("fake_quant: tensor of {elems} elements contains NaN/Inf; left unquantized")
         });
         return;
     }
@@ -240,7 +269,7 @@ pub(crate) fn fake_quant_scanned_at(
     // quantization step (Eq. 10), so its distribution over a run is the
     // first thing to inspect when quantization noise looks wrong.
     cq_obs::histogram(cq_obs::names::QUANT_CLIP_RANGE, range as f64);
-    FAKE_QUANT_ELEMS.add(data.len() as u64);
+    FAKE_QUANT_ELEMS.add(elems as u64);
     let step = range / steps as f32;
     // Round-half-away-from-zero (or floor): the pinned grid-projection
     // rule shared with the i8 requantizer (see crate::intmath).

@@ -46,6 +46,13 @@ pub enum TensorError {
     /// A convolution/pooling geometry was invalid (e.g. kernel larger than
     /// the padded input).
     InvalidGeometry(String),
+    /// An operation got a tensor in a storage layout it does not take,
+    /// or two operands in different layouts (see
+    /// [`Layout`](crate::Layout)).
+    LayoutMismatch {
+        /// Name of the operation that failed.
+        op: &'static str,
+    },
     /// Binary (de)serialisation failed.
     Io(String),
 }
@@ -69,6 +76,9 @@ impl fmt::Display for TensorError {
                 write!(f, "`{op}` expects rank-{expected} tensors, got rank {got}")
             }
             TensorError::InvalidGeometry(msg) => write!(f, "invalid geometry: {msg}"),
+            TensorError::LayoutMismatch { op } => {
+                write!(f, "`{op}` got an operand in a layout it does not take")
+            }
             TensorError::Io(msg) => write!(f, "tensor i/o error: {msg}"),
         }
     }

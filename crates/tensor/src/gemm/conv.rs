@@ -1,12 +1,12 @@
-//! Dense NCHW convolution over the whole batch, with no im2col matrix
-//! ever materialised.
+//! Dense convolution over the whole batch, with no im2col matrix ever
+//! materialised.
 //!
 //! The f32 passes run on batch lanes (the private `gemm::lane` module)
-//! for every kernel size, stride, padding and batch: sixteen images are
-//! the SIMD lanes of every register, read in place from an image-minor
-//! copy of the operands. [`conv2d`] runs the forward, and
-//! [`conv2d_backward`] both gradients from one lane copy of `dy`. A batch
-//! below one 16-image block still costs a whole block.
+//! for every kernel size, stride, padding and batch: their operands are
+//! in the image-minor lane layout of [`crate::lanes`], whose 16 images
+//! are the SIMD lanes of every register, read in place. [`conv2d`] runs
+//! the forward, and [`conv2d_backward`] both gradients. A batch below one
+//! 16-image block still costs a whole block.
 //!
 //! The int8 forward [`conv2d_i8`] is one implicit GEMM over stored i8
 //! codes. For a layer with `O` output channels, `T = C·KH·KW` kernel taps
@@ -36,6 +36,7 @@
 
 use super::int8::{self, I8Kernels, I8Pass, RowTerms, GEMM_I8_PACKED};
 use super::{lane, simd_level, SendPtr, MR};
+use crate::lanes::{as_lanes, as_lanes_mut, storage_len};
 use crate::par::{parallel_for_chunks, ChunkGrid};
 use crate::{recycle, Conv2dSpec, Result};
 
@@ -124,6 +125,16 @@ impl ConvShape {
         self.c * self.h * self.w
     }
 
+    /// Stored floats of the input, `[N, C, H, W]`, in the lane layout.
+    pub fn input_lanes(&self) -> usize {
+        storage_len(&[self.n, self.c, self.h, self.w])
+    }
+
+    /// Stored floats of the output, `[N, O, OH, OW]`, in the lane layout.
+    pub fn output_lanes(&self) -> usize {
+        storage_len(&[self.n, self.o, self.oh, self.ow])
+    }
+
     /// Height and width of a zero-padded input image.
     pub(super) fn padded_hw(&self) -> (usize, usize) {
         let (ph, pw) = self.spec.padding;
@@ -173,28 +184,28 @@ impl ConvShape {
 }
 
 /// Forward convolution `out = conv(x, wgt)` over the whole batch on the
-/// batch lanes. `x` is `[N,C,H,W]`, `wgt` is `[O, C·KH·KW]`, `out` is
-/// `[N,O,OH,OW]` (overwritten). Bit-identical to
-/// [`reference::conv2d`](super::reference::conv2d).
+/// batch lanes. `x` is `[N,C,H,W]` and `out` is `[N,O,OH,OW]`
+/// (overwritten), both lane storage (see [`crate::lanes`]); `wgt` is
+/// `[O, C·KH·KW]`. On the real lanes, bit-identical to
+/// [`reference::conv2d`](super::reference::conv2d); a pad lane of `out`
+/// holds whatever its lane of `x` gives.
 ///
 /// # Panics
 ///
-/// Panics if a slice length disagrees with `s`.
+/// Panics if a slice length disagrees with `s` or a lane slice is not
+/// 64-byte aligned.
 pub fn conv2d(x: &[f32], wgt: &[f32], s: &ConvShape, out: &mut [f32]) {
-    assert_eq!(
-        x.len(),
-        s.n * s.image_len(),
-        "conv2d: input length mismatch"
-    );
+    assert_eq!(x.len(), s.input_lanes(), "conv2d: input length mismatch");
     assert_eq!(wgt.len(), s.o * s.taps(), "conv2d: weight length mismatch");
     assert_eq!(
         out.len(),
-        s.n * s.o * s.positions(),
+        s.output_lanes(),
         "conv2d: output length mismatch"
     );
+    let (x, out) = (as_lanes(x), as_lanes_mut(out));
     if s.n == 0 || s.o == 0 || s.taps() == 0 {
         // Every output, if there is one, is an empty sum.
-        out.fill(0.0);
+        out.fill(lane::ZERO);
         return;
     }
     CONV_FLOPS.add(s.flops());
@@ -204,16 +215,19 @@ pub fn conv2d(x: &[f32], wgt: &[f32], s: &ConvShape, out: &mut [f32]) {
 
 /// Both gradients of a convolution on the batch lanes: the input gradient
 /// `dx = convᵀ(dy, wgt)` and the weight gradient
-/// `dw = Σ_img dy_img · cols(x_img)ᵀ`, sharing one lane copy of `dy`. `x`
-/// and `dx` are `[N,C,H,W]`, `dy` is `[N,O,OH,OW]`, `wgt` and `dw` are
-/// `[O, C·KH·KW]`; `dx` and `dw` are overwritten. Bit-identical to
-/// [`reference::conv2d_backward_input`](super::reference::conv2d_backward_input)
+/// `dw = Σ_img dy_img · cols(x_img)ᵀ`, reading `x` and `dy` in place.
+/// `x` and `dx` are `[N,C,H,W]` and `dy` is `[N,O,OH,OW]`, all lane
+/// storage; `wgt` and `dw` are `[O, C·KH·KW]`; `dx` and `dw` are
+/// overwritten. `dw` and the real lanes of `dx` are bit-identical to
+/// [`reference::conv2d_backward_weight`](super::reference::conv2d_backward_weight)
 /// and
-/// [`reference::conv2d_backward_weight`](super::reference::conv2d_backward_weight).
+/// [`reference::conv2d_backward_input`](super::reference::conv2d_backward_input);
+/// pad lanes never reach `dw`.
 ///
 /// # Panics
 ///
-/// Panics if a slice length disagrees with `s`.
+/// Panics if a slice length disagrees with `s` or a lane slice is not
+/// 64-byte aligned.
 pub fn conv2d_backward(
     x: &[f32],
     dy: &[f32],
@@ -222,13 +236,16 @@ pub fn conv2d_backward(
     dx: &mut [f32],
     dw: &mut [f32],
 ) {
-    let n_dy = s.n * s.o * s.positions();
     assert_eq!(
         x.len(),
-        s.n * s.image_len(),
+        s.input_lanes(),
         "conv2d_backward: input length mismatch"
     );
-    assert_eq!(dy.len(), n_dy, "conv2d_backward: dy length mismatch");
+    assert_eq!(
+        dy.len(),
+        s.output_lanes(),
+        "conv2d_backward: dy length mismatch"
+    );
     assert_eq!(
         wgt.len(),
         s.o * s.taps(),
@@ -236,9 +253,10 @@ pub fn conv2d_backward(
     );
     assert_eq!(dx.len(), x.len(), "conv2d_backward: dx length mismatch");
     assert_eq!(dw.len(), wgt.len(), "conv2d_backward: dw length mismatch");
+    let (x, dy, dx) = (as_lanes(x), as_lanes(dy), as_lanes_mut(dx));
     if s.n == 0 || s.o == 0 || s.taps() == 0 {
         // Every gradient element, if there is one, is an empty sum.
-        dx.fill(0.0);
+        dx.fill(lane::ZERO);
         dw.fill(0.0);
         return;
     }
@@ -356,7 +374,7 @@ pub fn conv2d_i8(x: &[i8], wgt: &[i8], s: &ConvShape, rq: &Requant, out: &mut [f
 /// `4·quad + i` shifted to u8 (`code ^ 0x80`). Padding holds the shifted
 /// `pad` code and channels past `C` hold 0, so every tap reads inside the
 /// buffer, and the bytes under a step are exactly the codes the per-sample
-/// lowering multiplies, shifted.
+/// lowering multiplies, shifted. Images are filled in parallel.
 fn quad_input(x: &[i8], s: &ConvShape, pad: i8) -> Vec<u32> {
     let (ph, pw) = s.spec.padding;
     let (hp, wp) = s.padded_hw();
@@ -364,38 +382,56 @@ fn quad_input(x: &[i8], s: &ConvShape, pad: i8) -> Vec<u32> {
     // A channel past C reads as code −128, which the shift makes 0.
     let absent = vec![i8::MIN; hw];
     let mut xq = recycle::take_written(s.n * qlen);
-    for (img, xqi) in xq.chunks_exact_mut(qlen).enumerate() {
-        let xi = &x[img * ilen..(img + 1) * ilen];
-        for (q, plane) in xqi.chunks_exact_mut(hp * wp).enumerate() {
-            let present = |i: usize| 4 * q + i < s.c;
-            let chans: [&[i8]; 4] = std::array::from_fn(|i| {
-                if present(i) {
-                    &xi[(4 * q + i) * hw..(4 * q + i + 1) * hw]
-                } else {
-                    &absent
-                }
-            });
-            let fill = std::array::from_fn(|i| if present(i) { pad } else { i8::MIN } as u8);
-            let fill = u32::from_le_bytes(fill) ^ 0x8080_8080;
-            let (top, rest) = plane.split_at_mut(ph * wp);
-            let (rows, bottom) = rest.split_at_mut(s.h * wp);
-            top.fill(fill);
-            bottom.fill(fill);
-            for (y, prow) in rows.chunks_exact_mut(wp).enumerate() {
-                let (left, row) = prow.split_at_mut(pw);
-                let (row, right) = row.split_at_mut(s.w);
-                left.fill(fill);
-                right.fill(fill);
-                let [c0, c1, c2, c3] = chans.map(|ch| &ch[y * s.w..(y + 1) * s.w]);
-                for (i, d) in row.iter_mut().enumerate() {
-                    let codes = [c0[i], c1[i], c2[i], c3[i]];
-                    *d = u32::from_le_bytes(codes.map(|v| v as u8)) ^ 0x8080_8080;
+    let words = SendWords(xq.as_mut_ptr());
+    // In parallel over images: each image's words are one chunk's alone,
+    // and the copy computes nothing, so the split changes no bit.
+    parallel_for_chunks(ChunkGrid::new(s.n, 1), |_, i0, i1| {
+        let words = &words;
+        // SAFETY: images `i0..i1` are `(i1 − i0)·qlen` words inside `xq`,
+        // disjoint across chunks; the dispatch returns before `xq` moves.
+        let out =
+            unsafe { std::slice::from_raw_parts_mut(words.0.add(i0 * qlen), (i1 - i0) * qlen) };
+        for (img, xqi) in (i0..i1).zip(out.chunks_exact_mut(qlen)) {
+            let xi = &x[img * ilen..(img + 1) * ilen];
+            for (q, plane) in xqi.chunks_exact_mut(hp * wp).enumerate() {
+                let present = |i: usize| 4 * q + i < s.c;
+                let chans: [&[i8]; 4] = std::array::from_fn(|i| {
+                    if present(i) {
+                        &xi[(4 * q + i) * hw..(4 * q + i + 1) * hw]
+                    } else {
+                        &absent
+                    }
+                });
+                let fill = std::array::from_fn(|i| if present(i) { pad } else { i8::MIN } as u8);
+                let fill = u32::from_le_bytes(fill) ^ 0x8080_8080;
+                let (top, rest) = plane.split_at_mut(ph * wp);
+                let (rows, bottom) = rest.split_at_mut(s.h * wp);
+                top.fill(fill);
+                bottom.fill(fill);
+                for (y, prow) in rows.chunks_exact_mut(wp).enumerate() {
+                    let (left, row) = prow.split_at_mut(pw);
+                    let (row, right) = row.split_at_mut(s.w);
+                    left.fill(fill);
+                    right.fill(fill);
+                    let [c0, c1, c2, c3] = chans.map(|ch| &ch[y * s.w..(y + 1) * s.w]);
+                    for (i, d) in row.iter_mut().enumerate() {
+                        let codes = [c0[i], c1[i], c2[i], c3[i]];
+                        *d = u32::from_le_bytes(codes.map(|v| v as u8)) ^ 0x8080_8080;
+                    }
                 }
             }
         }
-    }
+    });
     xq
 }
+
+/// The quad buffer's words, written from pool workers at disjoint images.
+struct SendWords(*mut u32);
+// SAFETY: only dereferenced at per-chunk disjoint word ranges of a buffer
+// that outlives the parallel dispatch.
+unsafe impl Send for SendWords {}
+// SAFETY: as above — shared copies never touch the same word.
+unsafe impl Sync for SendWords {}
 
 struct ForwardI8<'a> {
     xq: &'a [u32],
@@ -550,6 +586,7 @@ mod tests {
     use super::super::int8::{with_i8_level, I8Level};
     use super::super::{reference, Level};
     use super::*;
+    use crate::lanes::testing::via_lanes;
     use crate::par::with_thread_limit;
     use rand::{Rng, SeedableRng};
 
@@ -612,6 +649,22 @@ mod tests {
         [bits(&y), bits(&dx), bits(&dw)]
     }
 
+    /// Both public entry points through [`via_lanes`].
+    fn public(
+        s: &ConvShape,
+        x: &[f32],
+        w: &[f32],
+        dy: &[f32],
+        y: &mut [f32],
+        dx: &mut [f32],
+        dw: &mut [f32],
+    ) {
+        via_lanes(s, (x, dy), (y, dx), |x, dy, y, dx| {
+            conv2d(x, w, s, y);
+            conv2d_backward(x, dy, w, s, dx, dw);
+        })
+    }
+
     fn oracle(s: &ConvShape, seed: u64) -> [Vec<u32>; 3] {
         passes(s, seed, &|x, w, dy, y, dx, dw| {
             reference::conv2d(x, w, s, y);
@@ -666,8 +719,7 @@ mod tests {
             for limit in [1, 2, 5] {
                 let got = with_thread_limit(limit, || {
                     passes(&s, 10 * i as u64, &|x, w, dy, y, dx, dw| {
-                        conv2d(x, w, &s, y);
-                        conv2d_backward(x, dy, w, &s, dx, dw);
+                        public(&s, x, w, dy, y, dx, dw)
                     })
                 });
                 for (pass, (g, w)) in ["forward", "dx", "dw"].iter().zip(got.iter().zip(&want)) {
@@ -680,11 +732,14 @@ mod tests {
     /// The three passes through the lane lowering at `level`.
     fn lane_passes(s: &ConvShape, seed: u64, level: Level) -> [Vec<u32>; 3] {
         passes(s, seed, &|x, wgt, dy, y, dx, dw| {
-            // SAFETY: callers pass only levels this host supports.
-            unsafe {
-                lane::forward(level, x, wgt, s, y);
-                lane::backward(level, x, dy, wgt, s, dx, dw);
-            }
+            via_lanes(s, (x, dy), (y, dx), |x, dy, y, dx| {
+                let (x, dy) = (as_lanes(x), as_lanes(dy));
+                // SAFETY: callers pass only levels this host supports.
+                unsafe {
+                    lane::forward(level, x, wgt, s, as_lanes_mut(y));
+                    lane::backward(level, x, dy, wgt, s, as_lanes_mut(dx), dw);
+                }
+            })
         })
     }
 
@@ -724,8 +779,7 @@ mod tests {
             for k in [1, 3] {
                 let s = ConvShape::new(n, c, 5, 4, o, Conv2dSpec::new(k, 2, 1)).expect("shape");
                 let got = passes(&s, 7, &|x, w, dy, y, dx, dw| {
-                    conv2d(x, w, &s, y);
-                    conv2d_backward(x, dy, w, &s, dx, dw);
+                    public(&s, x, w, dy, y, dx, dw)
                 });
                 let lens = [n * o * s.positions(), n * s.image_len(), o * s.taps()];
                 assert_eq!(got, lens.map(|len| vec![0u32; len]), "{s:?}");
@@ -745,7 +799,8 @@ mod tests {
             let wgt = vec![0.0f32; s.o * s.taps()];
             let mut y = vec![1.0; s.n * s.o * s.positions()];
             let mut want = y.clone();
-            conv2d(&x, &wgt, &s, &mut y);
+            let (dy, mut dx) = (y.clone(), x.clone());
+            public(&s, &x, &wgt, &dy, &mut y, &mut dx, &mut wgt.clone());
             reference::conv2d(&x, &wgt, &s, &mut want);
             assert_eq!(bits(&y), bits(&want));
             assert!(y.iter().all(|&v| v == 0.0));
@@ -812,10 +867,7 @@ mod tests {
                 reference::conv2d_backward_input(&dy, &wgt, &s, dx);
                 reference::conv2d_backward_weight(&x, &dy, &s, dw);
             });
-            let got = run(&|y, dx, dw| {
-                conv2d(&x, &wgt, &s, y);
-                conv2d_backward(&x, &dy, &wgt, &s, dx, dw);
-            });
+            let got = run(&|y, dx, dw| public(&s, &x, &wgt, &dy, y, dx, dw));
             for (pass, (g, w)) in ["forward", "dx", "dw"].iter().zip(got.iter().zip(&want)) {
                 assert_eq!(g, w, "{pass} {s:?}");
             }
@@ -837,7 +889,8 @@ mod tests {
         let x = randvec(s.n * s.image_len(), 3);
         let wgt = randvec(s.o * s.taps(), 4);
         let mut y = vec![0.0; s.n * s.o * s.positions()];
-        conv2d(&x, &wgt, &s, &mut y);
+        let (dy, mut dx, mut dw) = (y.clone(), x.clone(), wgt.clone());
+        public(&s, &x, &wgt, &dy, &mut y, &mut dx, &mut dw);
         let (kh, kw) = s.spec.kernel;
         for img in 0..s.n {
             for co in 0..s.o {
@@ -872,8 +925,7 @@ mod tests {
         let mut y = vec![0.0; dy.len()];
         let mut dx = vec![0.0; x.len()];
         let mut dw = vec![0.0; wgt.len()];
-        conv2d(&x, &wgt, &s, &mut y);
-        conv2d_backward(&x, &dy, &wgt, &s, &mut dx, &mut dw);
+        public(&s, &x, &wgt, &dy, &mut y, &mut dx, &mut dw);
         let dot = |a: &[f32], b: &[f32]| -> f64 {
             a.iter()
                 .zip(b)

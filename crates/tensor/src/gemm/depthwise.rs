@@ -3,10 +3,13 @@
 //!
 //! Each channel of a depthwise layer is its own tiny convolution, so the
 //! natural vector is not a row of one channel but one pixel of 16
-//! channels. Per image, each pass copies its operands once into a
-//! channel-minor scratch, `[H][W][⌈C/16⌉][16]` (lanes past `C` are zero),
-//! through the 16×16 transposes of the private `gemm::lane` module, and
-//! writes its result back the same way. Every term of a pass is one
+//! channels. The operands arrive in the image-minor lane layout of
+//! [`crate::lanes`] (16 images per vector), so each pass copies them,
+//! 16 channels of the images of one lane block at a time, into a
+//! channel-minor scratch, `[image][H·W]` vectors of 16 channels (lanes
+//! past `C` are zero): at each pixel, one 16-channel × 16-image
+//! transpose of the private `gemm::lane` module. The result goes back
+//! the same way, into its images' lanes only. Every term of a pass is one
 //! vector multiply-add of a source vector and a weight vector; which
 //! terms each output receives, and in what order, is a table built once
 //! per call from the geometry alone (`Taps`):
@@ -55,33 +58,34 @@
 //! select also keeps a NaN or ±Inf `x` or `w` out where `g` is zero.
 
 use super::conv::{ConvShape, WGRAD_BANDS};
-use super::lane::{copy_prefix, dispatch_at, Lane, LaneBuf, LanePass, Transpose, LANES, ZERO};
+use super::lane::{dispatch_at, Lane, LaneBuf, LanePass, Transpose, LANES, ZERO};
 use super::{simd_level, Level, SendPtr};
 use crate::conv::DEPTHWISE_FLOPS;
+use crate::lanes::{as_lanes, as_lanes_mut};
 use crate::par::{parallel_for_chunks, parallel_map_chunks, ChunkGrid};
 
 /// Depthwise convolution `out = dwconv(x, wgt)` over the whole batch on
 /// channel lanes. `s` describes the layer with `s.o == s.c`; `x` is
-/// `[N,C,H,W]`, `wgt` is `[C, KH·KW]`, `out` is `[N,C,OH,OW]`
-/// (overwritten). Bit-identical to
-/// [`reference::depthwise_conv2d`](super::reference::depthwise_conv2d).
+/// `[N,C,H,W]` and `out` is `[N,C,OH,OW]` (overwritten), both lane
+/// storage (see [`crate::lanes`]); `wgt` is `[C, KH·KW]`. On the real
+/// lanes, bit-identical to
+/// [`reference::depthwise_conv2d`](super::reference::depthwise_conv2d);
+/// pad lanes of `out` are left as they are.
 ///
 /// # Panics
 ///
-/// Panics if `s.o != s.c` or a slice length disagrees with `s`.
+/// Panics if `s.o != s.c`, a slice length disagrees with `s` or a lane
+/// slice is not 64-byte aligned.
 pub fn depthwise_conv2d(x: &[f32], wgt: &[f32], s: &ConvShape, out: &mut [f32]) {
     let g = Geom::new(s);
-    assert_eq!(
-        x.len(),
-        s.n * g.in_len(),
-        "depthwise: input length mismatch"
-    );
+    assert_eq!(x.len(), s.input_lanes(), "depthwise: input length mismatch");
     assert_eq!(wgt.len(), s.c * g.taps, "depthwise: weight length mismatch");
     assert_eq!(
         out.len(),
-        s.n * g.out_len(),
+        s.output_lanes(),
         "depthwise: output length mismatch"
     );
+    let (x, out) = (as_lanes(x), as_lanes_mut(out));
     if s.n == 0 || s.c == 0 {
         return;
     }
@@ -95,9 +99,9 @@ pub fn depthwise_conv2d(x: &[f32], wgt: &[f32], s: &ConvShape, out: &mut [f32]) 
 /// # Safety
 ///
 /// The host must support `level`.
-unsafe fn forward(level: Level, x: &[f32], wgt: &[f32], g: &Geom, out: &mut [f32]) {
+unsafe fn forward(level: Level, x: &[Lane], wgt: &[f32], g: &Geom, out: &mut [Lane]) {
     let (wl, taps) = (channel_weights(wgt, g), Taps::forward(g));
-    let out = SendPtr(out.as_mut_ptr());
+    let out = SendPtr(out.as_mut_ptr().cast());
     parallel_for_chunks(bands(g.n), |_, i0, i1| {
         let pass = ForwardBand {
             x,
@@ -114,14 +118,17 @@ unsafe fn forward(level: Level, x: &[f32], wgt: &[f32], g: &Geom, out: &mut [f32
 
 /// Both gradients of a depthwise convolution on channel lanes: the input
 /// gradient `dx` and the weight gradient `dw`, summed over the batch in
-/// [`WGRAD_BANDS`] band partials. `x` and `dx` are `[N,C,H,W]`, `dy` is
-/// `[N,C,OH,OW]`, `wgt` and `dw` are `[C, KH·KW]`; `dx` and `dw` are
-/// overwritten. Bit-identical to
-/// [`reference::depthwise_conv2d_backward`](super::reference::depthwise_conv2d_backward).
+/// [`WGRAD_BANDS`] band partials. `x` and `dx` are `[N,C,H,W]` and `dy`
+/// is `[N,C,OH,OW]`, all lane storage; `wgt` and `dw` are `[C, KH·KW]`;
+/// `dx` and `dw` are overwritten (`dx` on its real lanes). Bit-identical
+/// to
+/// [`reference::depthwise_conv2d_backward`](super::reference::depthwise_conv2d_backward);
+/// pad lanes never reach `dw`.
 ///
 /// # Panics
 ///
-/// Panics if `s.o != s.c` or a slice length disagrees with `s`.
+/// Panics if `s.o != s.c`, a slice length disagrees with `s` or a lane
+/// slice is not 64-byte aligned.
 pub fn depthwise_conv2d_backward(
     x: &[f32],
     dy: &[f32],
@@ -132,11 +139,12 @@ pub fn depthwise_conv2d_backward(
 ) {
     let g = Geom::new(s);
     let name = "depthwise_backward";
-    assert_eq!(x.len(), s.n * g.in_len(), "{name}: input length mismatch");
-    assert_eq!(dy.len(), s.n * g.out_len(), "{name}: dy length mismatch");
+    assert_eq!(x.len(), s.input_lanes(), "{name}: input length mismatch");
+    assert_eq!(dy.len(), s.output_lanes(), "{name}: dy length mismatch");
     assert_eq!(wgt.len(), s.c * g.taps, "{name}: weight length mismatch");
     assert_eq!(dx.len(), x.len(), "{name}: dx length mismatch");
     assert_eq!(dw.len(), wgt.len(), "{name}: dw length mismatch");
+    let (x, dy, dx) = (as_lanes(x), as_lanes(dy), as_lanes_mut(dx));
     if s.n == 0 || s.c == 0 {
         // Every weight-gradient element, if there is one, is an empty sum.
         dw.fill(0.0);
@@ -155,16 +163,16 @@ pub fn depthwise_conv2d_backward(
 /// The host must support `level`.
 unsafe fn backward(
     level: Level,
-    x: &[f32],
-    dy: &[f32],
+    x: &[Lane],
+    dy: &[Lane],
     wgt: &[f32],
     g: &Geom,
-    dx: &mut [f32],
+    dx: &mut [Lane],
     dw: &mut [f32],
 ) {
     let wl = channel_weights(wgt, g);
     let (forward, input) = (Taps::forward(g), Taps::input_gradient(g));
-    let dx = SendPtr(dx.as_mut_ptr());
+    let dx = SendPtr(dx.as_mut_ptr().cast());
     let partials = parallel_map_chunks(
         bands(g.n),
         || vec![0.0f32; g.c * g.taps],
@@ -245,16 +253,6 @@ impl Geom {
         }
     }
 
-    /// Elements per input image (`C·H·W`).
-    fn in_len(&self) -> usize {
-        self.c * self.h * self.w
-    }
-
-    /// Elements per output image (`C·OH·OW`).
-    fn out_len(&self) -> usize {
-        self.c * self.oh * self.ow
-    }
-
     /// Multiply-add FLOPs of one pass (`2·C·T·N·P`), padding taps
     /// included.
     fn flops(&self) -> u64 {
@@ -312,7 +310,7 @@ impl Taps {
                 let iy = oy * g.sh + ki - g.ph;
                 for kj in kj0..kj1 {
                     let ix = ox * g.sw + kj - g.pw;
-                    terms.push(((iy * g.w + ix) * g.cb, ki * g.kw + kj));
+                    terms.push((iy * g.w + ix, ki * g.kw + kj));
                 }
             }
         })
@@ -329,7 +327,7 @@ impl Taps {
                 };
                 for kj in (0..g.kw).rev() {
                     if let Some(ox) = source(ix, kj, g.pw, g.sw, g.ow) {
-                        terms.push(((oy * g.ow + ox) * g.cb, ki * g.kw + kj));
+                        terms.push((oy * g.ow + ox, ki * g.kw + kj));
                     }
                 }
             }
@@ -357,81 +355,109 @@ fn channel_weights(wgt: &[f32], g: &Geom) -> LaneBuf {
     wl
 }
 
-/// Copies one image's planes of `p` floats (`[C][P]`) into the
-/// channel-minor `dst` (`[P][CB]`), 16 channels × 16 positions at a time
-/// through a transpose. Lanes past the last channel are zero.
+/// The images `i0..i1` as runs within one block of 16: `(block, first
+/// lane, lanes)`.
+fn block_runs(i0: usize, i1: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let mut i = i0;
+    std::iter::from_fn(move || {
+        (i < i1).then(|| {
+            let (blk, l0) = (i / LANES, i % LANES);
+            let m = (LANES - l0).min(i1 - i);
+            i += m;
+            (blk, l0, m)
+        })
+    })
+}
+
+/// The images of one [`block_runs`] run in one channel block: which block
+/// and lanes, and which 16 channels.
+#[derive(Clone, Copy)]
+struct Slab {
+    /// Lanes `l0..l0 + m` of a block.
+    l0: usize,
+    m: usize,
+    /// First channel, and channels in the block (16 but for the last).
+    ch0: usize,
+    chans: usize,
+}
+
+/// Copies channels `ch0..ch0 + chans` of one lane block `src`
+/// (`[C][P]`) into the channel-minor `dst`, `[m][P]`, for images
+/// (lanes) `l0..l0 + m`: per position, one 16-channel × 16-image
+/// transpose. Lanes past the last channel are zero.
 ///
 /// # Safety
 ///
 /// The host must support `T`'s level.
 #[inline(always)]
-unsafe fn to_channels<T: Transpose>(src: &[f32], p: usize, dst: &mut [Lane]) {
-    let cb = src.len().div_ceil(LANES * p);
+unsafe fn to_channels<T: Transpose>(src: &[Lane], p: usize, sl: Slab, dst: &mut [Lane]) {
     let mut t = [ZERO; LANES];
-    for (b, planes) in src.chunks(LANES * p).enumerate() {
-        let chans = planes.len() / p;
-        for p0 in (0..p).step_by(LANES) {
-            let m = LANES.min(p - p0);
-            for (row, plane) in t.iter_mut().zip(planes.chunks_exact(p)) {
-                copy_prefix(&mut row.0, &plane[p0..p0 + m]);
-            }
-            // The transpose scattered the last block's padding rows.
-            for row in &mut t[chans..] {
-                *row = ZERO;
-            }
-            // SAFETY: the caller guarantees `T`'s level.
-            unsafe { T::transpose(&mut t) };
-            let out = dst[p0 * cb + b..].iter_mut().step_by(cb);
-            for (d, row) in out.zip(&t[..m]) {
-                *d = *row;
-            }
+    for pos in 0..p {
+        for (j, row) in t.iter_mut().enumerate() {
+            *row = if j < sl.chans {
+                src[(sl.ch0 + j) * p + pos]
+            } else {
+                ZERO
+            };
+        }
+        // SAFETY: the caller guarantees `T`'s level.
+        unsafe { T::transpose(&mut t) };
+        for (i, row) in t[sl.l0..sl.l0 + sl.m].iter().enumerate() {
+            dst[i * p + pos] = *row;
         }
     }
 }
 
-/// Copies the channel-minor `src` (`[P][CB]`) back into one image's
-/// planes of `p` floats (`[C][P]`).
+/// Copies the channel-minor `src` (`[m][P]`) back into channels
+/// `ch0..ch0 + chans`, lanes `l0..l0 + m`, of the lane block at `dst`
+/// (`[C][P]`), writing no other lane.
 ///
 /// # Safety
 ///
-/// The host must support `T`'s level.
+/// `dst` must point to a lane block of `C·P` lanes whose lanes
+/// `l0..l0 + m` no other thread accesses during the call (all of it when
+/// `m` is 16), and the host must support `T`'s level.
 #[inline(always)]
-unsafe fn from_channels<T: Transpose>(src: &[Lane], p: usize, dst: &mut [f32]) {
-    let cb = dst.len().div_ceil(LANES * p);
+unsafe fn from_channels<T: Transpose>(src: &[Lane], p: usize, sl: Slab, dst: *mut f32) {
     let mut t = [ZERO; LANES];
-    for (b, planes) in dst.chunks_mut(LANES * p).enumerate() {
-        for p0 in (0..p).step_by(LANES) {
-            let m = LANES.min(p - p0);
-            for (row, s) in t[..m].iter_mut().zip(src[p0 * cb + b..].iter().step_by(cb)) {
-                *row = *s;
-            }
-            // SAFETY: the caller guarantees `T`'s level.
-            unsafe { T::transpose(&mut t) };
-            for (plane, row) in planes.chunks_exact_mut(p).zip(&t) {
-                let out = &mut plane[p0..p0 + m];
-                match <&mut [f32; LANES]>::try_from(&mut *out) {
-                    Ok(full) => *full = row.0,
-                    Err(_) => out.copy_from_slice(&row.0[..m]),
+    for pos in 0..p {
+        for (i, row) in t[sl.l0..sl.l0 + sl.m].iter_mut().enumerate() {
+            *row = src[i * p + pos];
+        }
+        // SAFETY: the caller guarantees `T`'s level.
+        unsafe { T::transpose(&mut t) };
+        for (j, row) in t.iter().enumerate().take(sl.chans) {
+            let cell = (sl.ch0 + j) * p + pos;
+            // SAFETY: `cell` lies inside the block, and the caller
+            // guarantees these lanes are this thread's alone; a whole
+            // lane is one aligned vector store.
+            unsafe {
+                if sl.m == LANES {
+                    dst.cast::<Lane>().add(cell).write(*row);
+                } else {
+                    let at = dst.add(cell * LANES + sl.l0);
+                    std::ptr::copy_nonoverlapping(row.0.as_ptr().add(sl.l0), at, sl.m);
                 }
             }
         }
     }
 }
 
-/// The NCHW image `i` of the batch at `base`, `len` floats per image.
-///
-/// # Safety
-///
-/// `base` must point to a batch holding image `i`, and no other thread
-/// may access that image during the borrow.
-unsafe fn image_mut<'a>(base: &SendPtr, i: usize, len: usize) -> &'a mut [f32] {
-    // SAFETY: guaranteed by the caller.
-    unsafe { std::slice::from_raw_parts_mut(base.0.add(i * len), len) }
+/// The runs of a band's images and, for each, its channel blocks, with
+/// the run's lane block of `X` (`xlen` lanes per block).
+fn slabs(g: &Geom, (i0, i1): (usize, usize)) -> impl Iterator<Item = (usize, Slab)> + '_ {
+    block_runs(i0, i1).flat_map(move |(blk, l0, m)| {
+        (0..g.cb).map(move |b| {
+            let ch0 = b * LANES;
+            let chans = LANES.min(g.c - ch0);
+            (blk, Slab { l0, m, ch0, chans })
+        })
+    })
 }
 
 /// The forward pass over a band of images.
 struct ForwardBand<'a> {
-    x: &'a [f32],
+    x: &'a [Lane],
     wl: &'a [Lane],
     g: &'a Geom,
     taps: &'a Taps,
@@ -448,28 +474,31 @@ impl LanePass for ForwardBand<'_> {
             g,
             taps,
             out,
-            images: (i0, i1),
+            images,
         } = self;
         let (hw, p) = (g.h * g.w, g.oh * g.ow);
-        // Both are written in full for each image.
-        let mut xs = LaneBuf::written(hw * g.cb);
-        let mut ys = LaneBuf::written(p * g.cb);
+        // Both are written in full for each run's images.
+        let mut xs = LaneBuf::written(LANES * hw);
+        let mut ys = LaneBuf::written(LANES * p);
         let (xs, ys) = (xs.lanes_mut(), ys.lanes_mut());
-        for i in i0..i1 {
+        for (blk, sl) in slabs(g, images) {
+            let wb = &wl[(sl.ch0 / LANES) * g.taps..][..g.taps];
             // SAFETY: the caller guarantees `T`'s level.
-            unsafe { to_channels::<T>(&x[i * g.in_len()..][..g.in_len()], hw, xs) };
-            gather::<false>(xs, wl, taps, ys);
-            // SAFETY: bands are disjoint, so image `i` is this job's
+            unsafe { to_channels::<T>(&x[blk * g.c * hw..][..g.c * hw], hw, sl, xs) };
+            for i in 0..sl.m {
+                gather::<false>(&xs[i * hw..][..hw], wb, taps, &mut ys[i * p..][..p]);
+            }
+            // SAFETY: bands are disjoint, so these lanes are this job's
             // alone; the caller guarantees `T`'s level.
-            unsafe { from_channels::<T>(ys, p, image_mut(out, i, g.out_len())) };
+            unsafe { from_channels::<T>(ys, p, sl, out.0.add(blk * g.c * p * LANES)) };
         }
     }
 }
 
 /// Both gradients over a band of images.
 struct BackwardBand<'a> {
-    x: &'a [f32],
-    dy: &'a [f32],
+    x: &'a [Lane],
+    dy: &'a [Lane],
     wl: &'a [Lane],
     g: &'a Geom,
     /// The forward's terms, which the weight gradient walks.
@@ -493,29 +522,35 @@ impl LanePass for BackwardBand<'_> {
             forward,
             input,
             dx,
-            images: (i0, i1),
+            images,
             dw,
         } = self;
-        let (hw, p, cb) = (g.h * g.w, g.oh * g.ow, g.cb);
+        let (hw, p) = (g.h * g.w, g.oh * g.ow);
         // The copies and the input gradient are written in full for each
-        // image; the weight-gradient partial accumulates from zero.
-        let mut xs = LaneBuf::written(hw * cb);
-        let mut dys = LaneBuf::written(p * cb);
-        let mut dxs = LaneBuf::written(hw * cb);
-        let mut part = LaneBuf::zeroed(cb * g.taps);
+        // run's images; the weight-gradient partial accumulates from zero.
+        let mut xs = LaneBuf::written(LANES * hw);
+        let mut dys = LaneBuf::written(LANES * p);
+        let mut dxs = LaneBuf::written(LANES * hw);
+        let mut part = LaneBuf::zeroed(g.cb * g.taps);
         let (xs, dys, dxs) = (xs.lanes_mut(), dys.lanes_mut(), dxs.lanes_mut());
         let part = part.lanes_mut();
-        for i in i0..i1 {
+        for (blk, sl) in slabs(g, images) {
+            let b = sl.ch0 / LANES;
+            let wb = &wl[b * g.taps..][..g.taps];
+            let sums = &mut part[b * g.taps..][..g.taps];
             // SAFETY: the caller guarantees `T`'s level.
             unsafe {
-                to_channels::<T>(&x[i * g.in_len()..][..g.in_len()], hw, xs);
-                to_channels::<T>(&dy[i * g.out_len()..][..g.out_len()], p, dys);
+                to_channels::<T>(&x[blk * g.c * hw..][..g.c * hw], hw, sl, xs);
+                to_channels::<T>(&dy[blk * g.c * p..][..g.c * p], p, sl, dys);
             }
-            gather::<true>(dys, wl, input, dxs);
-            // SAFETY: bands are disjoint, so image `i` is this job's
+            for i in 0..sl.m {
+                let (xi, dyi) = (&xs[i * hw..][..hw], &dys[i * p..][..p]);
+                gather::<true>(dyi, wb, input, &mut dxs[i * hw..][..hw]);
+                backward_weight_image(xi, dyi, forward, sums);
+            }
+            // SAFETY: bands are disjoint, so these lanes are this job's
             // alone; the caller guarantees `T`'s level.
-            unsafe { from_channels::<T>(dxs, hw, image_mut(dx, i, g.in_len())) };
-            backward_weight_image(xs, dys, forward, part);
+            unsafe { from_channels::<T>(dxs, hw, sl, dx.0.add(blk * g.c * hw * LANES)) };
         }
         for (ch, row) in dw.chunks_exact_mut(g.taps).enumerate() {
             for (t, d) in row.iter_mut().enumerate() {
@@ -526,25 +561,21 @@ impl LanePass for BackwardBand<'_> {
 }
 
 /// One image of the forward (`SELECT = false`) or the input gradient
-/// (`SELECT = true`), channel-minor: each `dst[pos][b]` is one accumulator
-/// over `pos`'s terms in order, each `s·w`, or `s ≠ 0 ? s·w : +0.0` with
-/// `SELECT`, where `s` is the term's source vector.
+/// (`SELECT = true`) in one channel block: each `dst[pos]` is one
+/// accumulator over `pos`'s terms in order, each `s·w`, or
+/// `s ≠ 0 ? s·w : +0.0` with `SELECT`, where `s` is the term's source
+/// vector and `w` the block's weights `wb` at the term's tap.
 #[inline(always)]
-fn gather<const SELECT: bool>(src: &[Lane], wl: &[Lane], taps: &Taps, dst: &mut [Lane]) {
-    let cb = dst.len() / (taps.start.len() - 1);
-    let nt = wl.len() / cb;
-    for (p, out) in dst.chunks_exact_mut(cb).enumerate() {
-        let terms = &taps.terms[taps.start[p]..taps.start[p + 1]];
-        for ((b, d), wb) in out.iter_mut().enumerate().zip(wl.chunks_exact(nt)) {
-            let mut acc = [0.0f32; LANES];
-            for &(so, t) in terms {
-                let term = product::<SELECT>(&src[so + b].0, &wb[t].0);
-                for l in 0..LANES {
-                    acc[l] += term[l];
-                }
+fn gather<const SELECT: bool>(src: &[Lane], wb: &[Lane], taps: &Taps, dst: &mut [Lane]) {
+    for (p, d) in dst.iter_mut().enumerate() {
+        let mut acc = [0.0f32; LANES];
+        for &(so, t) in &taps.terms[taps.start[p]..taps.start[p + 1]] {
+            let term = product::<SELECT>(&src[so].0, &wb[t].0);
+            for l in 0..LANES {
+                acc[l] += term[l];
             }
-            d.0 = acc;
         }
+        d.0 = acc;
     }
 }
 
@@ -563,21 +594,17 @@ fn product<const SELECT: bool>(s: &[f32; LANES], v: &[f32; LANES]) -> [f32; LANE
     })
 }
 
-/// Adds one image's weight-gradient terms `g ≠ 0 ? g·x : +0.0` into the
-/// band partial `part[b·T + t]`: per channel block, output positions in
+/// Adds one image's weight-gradient terms `g ≠ 0 ? g·x : +0.0` in one
+/// channel block into its band partial `sums[t]`: output positions in
 /// raster order, each over its in-bounds taps (the forward's terms).
 #[inline(always)]
-fn backward_weight_image(xs: &[Lane], dys: &[Lane], taps: &Taps, part: &mut [Lane]) {
-    let cb = dys.len() / (taps.start.len() - 1);
-    let nt = part.len() / cb;
-    for (b, sums) in part.chunks_exact_mut(nt).enumerate() {
-        for (p, w) in taps.start.windows(2).enumerate() {
-            let gv = &dys[p * cb + b].0;
-            for &(xo, t) in &taps.terms[w[0]..w[1]] {
-                let term = product::<true>(gv, &xs[xo + b].0);
-                for (s, v) in sums[t].0.iter_mut().zip(term) {
-                    *s += v;
-                }
+fn backward_weight_image(xs: &[Lane], dys: &[Lane], taps: &Taps, sums: &mut [Lane]) {
+    for (p, w) in taps.start.windows(2).enumerate() {
+        let gv = &dys[p].0;
+        for &(xo, t) in &taps.terms[w[0]..w[1]] {
+            let term = product::<true>(gv, &xs[xo].0);
+            for (s, v) in sums[t].0.iter_mut().zip(term) {
+                *s += v;
             }
         }
     }
@@ -587,6 +614,7 @@ fn backward_weight_image(xs: &[Lane], dys: &[Lane], taps: &Taps, part: &mut [Lan
 mod tests {
     use super::super::reference;
     use super::*;
+    use crate::lanes::testing::via_lanes;
     use crate::par::with_thread_limit;
     use crate::Conv2dSpec;
     use rand::{Rng, SeedableRng};
@@ -649,13 +677,41 @@ mod tests {
         fn lanes(&self, s: &ConvShape, level: Level) -> [Vec<u32>; 3] {
             let g = Geom::new(s);
             self.run(&|x, w, dy, y, dx, dw| {
-                // SAFETY: callers pass only levels this host supports.
-                unsafe {
-                    forward(level, x, w, &g, y);
-                    backward(level, x, dy, w, &g, dx, dw);
-                }
+                via_lanes(s, (x, dy), (y, dx), |x, dy, y, dx| {
+                    let (x, dy) = (as_lanes(x), as_lanes(dy));
+                    // SAFETY: callers pass only levels this host supports.
+                    unsafe {
+                        forward(level, x, w, &g, as_lanes_mut(y));
+                        backward(level, x, dy, w, &g, as_lanes_mut(dx), dw);
+                    }
+                })
             })
         }
+    }
+
+    /// Both public entry points through [`via_lanes`].
+    fn public(
+        s: &ConvShape,
+        x: &[f32],
+        w: &[f32],
+        dy: &[f32],
+        y: &mut [f32],
+        dx: &mut [f32],
+        dw: &mut [f32],
+    ) {
+        via_lanes(s, (x, dy), (y, dx), |x, dy, y, dx| {
+            depthwise_conv2d(x, w, s, y);
+            depthwise_conv2d_backward(x, dy, w, s, dx, dw);
+        })
+    }
+
+    /// The public forward through [`via_lanes`].
+    fn forward_nchw(s: &ConvShape, x: &[f32], w: &[f32], y: &mut [f32]) {
+        let dy = vec![0.0; y.len()];
+        let mut dx = x.to_vec();
+        via_lanes(s, (x, &dy), (y, &mut dx), |x, _, y, _| {
+            depthwise_conv2d(x, w, s, y)
+        });
     }
 
     /// Channel counts around the 16-lane block, and MobileNetV2's.
@@ -720,10 +776,7 @@ mod tests {
             for (n, c, h, w) in [(9, 17, 6, 6), (3, 5, 7, 5)] {
                 let s = ConvShape::new(n, c, h, w, c, Conv2dSpec::new(k, st, pd)).expect("shape");
                 let case = Case::new(&s, 10 * i as u64);
-                let got = case.run(&|x, w, dy, y, dx, dw| {
-                    depthwise_conv2d(x, w, &s, y);
-                    depthwise_conv2d_backward(x, dy, w, &s, dx, dw);
-                });
+                let got = case.run(&|x, w, dy, y, dx, dw| public(&s, x, w, dy, y, dx, dw));
                 assert_eq!(got, case.oracle(&s), "{s:?}");
             }
         }
@@ -785,10 +838,7 @@ mod tests {
     fn empty_batch_or_channels_are_empty_sums() {
         for (n, c) in [(0, 3), (2, 0), (0, 0)] {
             let s = ConvShape::new(n, c, 5, 4, c, Conv2dSpec::new(3, 2, 1)).expect("shape");
-            let got = Case::new(&s, 1).run(&|x, w, dy, y, dx, dw| {
-                depthwise_conv2d(x, w, &s, y);
-                depthwise_conv2d_backward(x, dy, w, &s, dx, dw);
-            });
+            let got = Case::new(&s, 1).run(&|x, w, dy, y, dx, dw| public(&s, x, w, dy, y, dx, dw));
             assert!(got[0].is_empty() && got[1].is_empty(), "{s:?}");
             assert_eq!(got[2], vec![0u32; c * 9], "{s:?}");
         }
@@ -802,7 +852,7 @@ mod tests {
         let s = ConvShape::new(3, 4, 6, 5, 4, Conv2dSpec::new(3, 2, 1)).expect("shape");
         let case = Case::new(&s, 9);
         let mut y = vec![0.0f32; s.n * s.c * s.positions()];
-        depthwise_conv2d(&case.x, &case.wgt, &s, &mut y);
+        forward_nchw(&s, &case.x, &case.wgt, &mut y);
         let one = ConvShape::new(1, 1, s.h, s.w, 1, s.spec).expect("shape");
         let mut want = vec![0.0f32; s.positions()];
         for (i, plane) in y.chunks_exact(s.positions()).enumerate() {
@@ -822,10 +872,11 @@ mod tests {
         // Loss = sum(out), so dy = ones.
         let dy = vec![1.0f32; s.n * s.c * s.positions()];
         let (mut dx, mut dw) = (vec![0.0f32; x.len()], vec![0.0f32; wgt.len()]);
-        depthwise_conv2d_backward(&x, &dy, &wgt, &s, &mut dx, &mut dw);
+        let mut y = vec![0.0f32; dy.len()];
+        public(&s, &x, &wgt, &dy, &mut y, &mut dx, &mut dw);
         let loss = |x: &[f32], w: &[f32]| -> f32 {
             let mut y = vec![0.0f32; dy.len()];
-            depthwise_conv2d(x, w, &s, &mut y);
+            forward_nchw(&s, x, w, &mut y);
             y.iter().sum()
         };
         let eps = 1e-3;

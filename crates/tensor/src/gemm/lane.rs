@@ -5,16 +5,17 @@
 //! size, stride, padding and batch.
 //!
 //! The layers it serves are narrow, with 2×2 to 16×16 outputs, but the
-//! batch is always wide. So each pass copies its operands once into an
-//! image-minor layout, `[N/16][C][H][W][16]`, in which one 16-float
-//! vector holds one pixel of 16 *independent* images.
-//! Every register tile is then a plain tile over contiguous vector loads,
-//! read in place: no tap packing, no `dcols` buffer and no col2im scatter.
-//! The lanes of a partial last block are zero, so a batch below 16 images
-//! costs a whole block.
+//! batch is always wide. So their operands live in the image-minor lane
+//! layout of [`crate::lanes`], `[N/16][C][H][W][16]`, in which one
+//! 16-float vector holds one pixel of 16 *independent* images, and every
+//! register tile is a plain tile over contiguous vector loads, read in
+//! place: no tap packing, no `dcols` buffer, no col2im scatter and no
+//! transpose. A conv with padding copies each input block, by whole
+//! lanes, into a zero-bordered scratch first; one without padding reads
+//! the block itself. A batch below 16 images still costs a whole block.
 //!
 //! - **forward**: `acc[o][pos] += W[o,t] · X[tap t at pos]` over ascending
-//!   taps `t`, skipping zero weights, from a zero-padded copy of `X`.
+//!   taps `t`, skipping zero weights, stored straight into `Y`'s lanes.
 //! - **input gradient**: per tap `(ki, kj)` in ascending order,
 //!   `inner[c][pos] = Σ_o↑ W[o,(c,ki,kj)] · dY[o,pos]` (zero skip), then
 //!   `dX[c][target(pos)] += inner`, over the `dY` positions only. A tap
@@ -25,7 +26,8 @@
 //!   ascending positions, then a 16×16 in-register transpose, so each
 //!   image's dots form one vector over 16 `(o, t)` pairs. Those vectors
 //!   are added into the [`WGRAD_BANDS`] band partial in image order, and
-//!   each band's partial into the total in band order.
+//!   each band's partial into the total in band order. Pad lanes are
+//!   never added.
 //!
 //! # Bitwise contract
 //!
@@ -56,7 +58,7 @@ use crate::recycle;
 
 /// Images per block: the lanes of every vector in this module (and
 /// channels per block in [`super::depthwise`]).
-pub(super) const LANES: usize = 16;
+pub(crate) use crate::lanes::LANES;
 
 /// Register tile side. Forward tiles are `TILE` output channels × `TILE`
 /// positions, input-gradient tiles `TILE` input channels × `TILE`
@@ -70,22 +72,18 @@ const _: () = assert!(TILE * TILE == LANES);
 /// and `dY` once.
 const DW_MAX_CHUNKS: usize = 4;
 
-// NCHW elements copied into or out of the image-minor layout.
-// Shape-only, so totals are identical at any thread count.
-static LANE_ELEMS: cq_obs::Counter = cq_obs::Counter::new("tensor.conv.lane_elems");
-
 /// One pixel of a block's 16 images, aligned to a cache line.
 #[derive(Clone, Copy)]
 #[repr(C, align(64))]
-pub(super) struct Lane(pub(super) [f32; LANES]);
+pub(crate) struct Lane(pub(crate) [f32; LANES]);
 
-pub(super) const ZERO: Lane = Lane([0.0; LANES]);
+pub(crate) const ZERO: Lane = Lane([0.0; LANES]);
 
 /// A run of lanes, cache-line aligned inside a plain `f32` allocation
-/// from the recycler, to which it returns on drop. (An over-aligned
-/// `Vec<Lane>` would take the allocator's aligned path, which measurably
-/// raises a training step's peak RSS.)
-pub(super) struct LaneBuf {
+/// from the recycler, to which it returns on drop: the scratch of the
+/// conv passes. (An over-aligned `Vec<Lane>` would take the allocator's
+/// aligned path, which measurably raises a training step's peak RSS.)
+pub(crate) struct LaneBuf {
     raw: Vec<f32>,
     off: usize,
     len: usize,
@@ -93,12 +91,12 @@ pub(super) struct LaneBuf {
 
 impl LaneBuf {
     /// `len` zero lanes.
-    pub(super) fn zeroed(len: usize) -> LaneBuf {
+    pub(crate) fn zeroed(len: usize) -> LaneBuf {
         LaneBuf::over(recycle::take_zeroed((len + 1) * LANES), len)
     }
 
     /// `len` lanes that the caller writes in full before reading them.
-    pub(super) fn written(len: usize) -> LaneBuf {
+    pub(crate) fn written(len: usize) -> LaneBuf {
         LaneBuf::over(recycle::take_written((len + 1) * LANES), len)
     }
 
@@ -108,18 +106,12 @@ impl LaneBuf {
         LaneBuf { raw, off, len }
     }
 
-    pub(super) fn lanes(&self) -> &[Lane] {
-        let floats = &self.raw[self.off..self.off + self.len * LANES];
-        // SAFETY: `floats` starts on a 64-byte boundary and holds `len`
-        // runs of 16 f32s; a `Lane` is exactly 16 f32s (`repr(C)`), and
-        // every bit pattern is a valid one.
-        unsafe { std::slice::from_raw_parts(floats.as_ptr().cast(), self.len) }
+    pub(crate) fn lanes(&self) -> &[Lane] {
+        crate::lanes::as_lanes(&self.raw[self.off..self.off + self.len * LANES])
     }
 
-    pub(super) fn lanes_mut(&mut self) -> &mut [Lane] {
-        let floats = &mut self.raw[self.off..self.off + self.len * LANES];
-        // SAFETY: as for `lanes`, borrowed uniquely.
-        unsafe { std::slice::from_raw_parts_mut(floats.as_mut_ptr().cast(), self.len) }
+    pub(crate) fn lanes_mut(&mut self) -> &mut [Lane] {
+        crate::lanes::as_lanes_mut(&mut self.raw[self.off..self.off + self.len * LANES])
     }
 }
 
@@ -130,7 +122,7 @@ impl Drop for LaneBuf {
 }
 
 /// A 16×16 transpose of a square of lanes, compiled per SIMD level.
-pub(super) trait Transpose {
+pub(crate) trait Transpose {
     /// # Safety
     ///
     /// The host must support the level the implementation is compiled
@@ -220,7 +212,7 @@ unsafe fn transpose_avx512(t: &mut [Lane; LANES]) {
 }
 
 /// A pass over a range of chunk indices, generic over the transpose.
-pub(super) trait LanePass {
+pub(crate) trait LanePass {
     /// # Safety
     ///
     /// The host must support `T`'s level (see [`Transpose::transpose`]).
@@ -232,7 +224,7 @@ pub(super) trait LanePass {
 /// # Safety
 ///
 /// The host must support `level`.
-pub(super) unsafe fn dispatch_at(level: Level, pass: impl LanePass) {
+pub(crate) unsafe fn dispatch_at(level: Level, pass: impl LanePass) {
     match level {
         // SAFETY: `Swaps` runs at every level.
         Level::Portable => unsafe { pass.run::<Swaps>() },
@@ -265,13 +257,30 @@ unsafe fn run_avx512(pass: impl LanePass) {
     unsafe { pass.run::<Shuffles>() }
 }
 
+/// `dst[..src.len()] = src`; a full row is a fixed-size copy, so it
+/// compiles to a vector move rather than a `memcpy` call.
+#[inline(always)]
+pub(crate) fn copy_prefix(dst: &mut [f32; LANES], src: &[f32]) {
+    match <&[f32; LANES]>::try_from(src) {
+        Ok(full) => *dst = *full,
+        Err(_) => dst[..src.len()].copy_from_slice(src),
+    }
+}
+
 /// Per-call geometry shared by the passes.
 struct Geom {
     /// Input and output channels.
     c: usize,
     o: usize,
+    /// Input height and width, and the padding.
+    h: usize,
+    w: usize,
+    pad: (usize, usize),
     /// Blocks of [`LANES`] images (the last one may be partial).
     blocks: usize,
+    /// Lanes per block of `X` (`C·H·W`) and of `Y` (`O·OH·OW`).
+    xblock: usize,
+    yblock: usize,
     /// Cells per zero-padded plane (`(H+2·PH)·(W+2·PW)`).
     plane: usize,
     /// Offset within a padded plane of each output position's top-left
@@ -288,7 +297,12 @@ impl Geom {
         Geom {
             c: s.c,
             o: s.o,
+            h: s.h,
+            w: s.w,
+            pad: s.spec.padding,
             blocks: s.n.div_ceil(LANES),
+            xblock: s.c * s.h * s.w,
+            yblock: s.o * s.positions(),
             plane: hp * wp,
             pos: (0..s.oh)
                 .flat_map(|oy| (0..s.ow).map(move |ox| s.origin(oy, ox)))
@@ -296,198 +310,70 @@ impl Geom {
             taps: s.tap_offsets(s.c),
         }
     }
-}
 
-/// A block's geometry in NCHW: which images it covers and where each
-/// element of an image sits in the lane layout's (possibly padded)
-/// planes.
-struct Planes {
-    /// Images in the batch.
-    n: usize,
-    /// Elements per image (`C·H·W`).
-    len: usize,
-    /// Lane-layout cells per block.
-    block: usize,
-    /// Lane-layout cell of each element of an image, in NCHW order.
-    cells: Vec<usize>,
-    /// The padding cells of a block, which no copy writes.
-    pads: Vec<usize>,
-}
+    fn padded(&self) -> bool {
+        self.pad != (0, 0)
+    }
 
-impl Planes {
-    /// `n` images of `c` planes of `h`×`w`, padded by `pad` in the lane
-    /// layout.
-    fn new(n: usize, c: usize, (h, w): (usize, usize), pad: (usize, usize)) -> Planes {
-        let (hp, wp) = (h + 2 * pad.0, w + 2 * pad.1);
-        let cells = (0..c)
-            .flat_map(|ch| (0..h).flat_map(move |y| (0..w).map(move |x| (ch, y, x))))
-            .map(|(ch, y, x)| (ch * hp + y + pad.0) * wp + x + pad.1)
-            .collect();
-        let inside =
-            |y: usize, x: usize| (pad.0..h + pad.0).contains(&y) && (pad.1..w + pad.1).contains(&x);
-        let pads = (0..c * hp * wp)
-            .filter(|&cell| !inside(cell / wp % hp, cell % wp))
-            .collect();
-        Planes {
-            n,
-            len: c * h * w,
-            block: c * hp * wp,
-            cells,
-            pads,
+    /// Each row of every plane of the unpadded block `src`, with its row
+    /// in the padded block: `(source run, first padded cell)`.
+    fn rows(&self) -> impl Iterator<Item = (std::ops::Range<usize>, usize)> + '_ {
+        let (ph, pw) = self.pad;
+        let wp = self.w + 2 * pw;
+        let hp = self.plane / wp;
+        (0..self.c * self.h).map(move |r| {
+            let (ch, y) = (r / self.h, r % self.h);
+            (r * self.w..(r + 1) * self.w, (ch * hp + y + ph) * wp + pw)
+        })
+    }
+
+    /// Copies the unpadded block `src` into the interior of the padded
+    /// block `dst`, whose border the caller zeroed.
+    fn pad_into(&self, src: &[Lane], dst: &mut [Lane]) {
+        for (run, at) in self.rows() {
+            dst[at..at + self.w].copy_from_slice(&src[run]);
         }
     }
 
-    /// Zeroes the padding cells of `block`, one block of this layout.
-    fn zero_padding(&self, block: &mut [Lane]) {
-        for &cell in &self.pads {
-            block[cell] = ZERO;
-        }
-    }
-
-    /// An image's elements in runs of at most [`LANES`], with their
-    /// cells: the first run is cut short so that the rest start on a
-    /// cache-line boundary of the NCHW buffer at `base` (of every image
-    /// when the image length is a multiple of 16 floats), so a full run
-    /// is one aligned vector per image.
-    #[inline(always)]
-    fn chunks(&self, base: *const f32) -> impl Iterator<Item = (usize, &[usize])> {
-        let first = ((base as usize).wrapping_neg() % 64 / 4).min(self.len);
-        let (head, tail) = self.cells.split_at(first);
-        let head = (first > 0).then_some((0, head));
-        head.into_iter()
-            .chain((first..).step_by(LANES).zip(tail.chunks(LANES)))
-    }
-
-    /// First image and image count of block `b`.
-    fn images(&self, b: usize) -> (usize, usize) {
-        let img0 = b * LANES;
-        (img0, LANES.min(self.n - img0))
-    }
-}
-
-/// Copies block `b` of NCHW `src` into `dst` (one block of the lane
-/// layout of `g`), sixteen elements of sixteen images at a time through a
-/// transpose. Padding cells are left as they are; lanes past the batch
-/// end are zeroed.
-///
-/// # Safety
-///
-/// The host must support `T`'s level.
-#[inline(always)]
-unsafe fn load_block<T: Transpose>(src: &[f32], g: &Planes, b: usize, dst: &mut [Lane]) {
-    let (img0, nimg) = g.images(b);
-    let mut t = [ZERO; LANES];
-    for (f0, cells) in g.chunks(src.as_ptr()) {
-        let m = cells.len();
-        for (i, row) in t.iter_mut().enumerate() {
-            if i < nimg {
-                let at = (img0 + i) * g.len + f0;
-                copy_prefix(&mut row.0, &src[at..at + m]);
-            } else {
-                *row = ZERO;
-            }
-        }
-        // SAFETY: the caller guarantees `T`'s level.
-        unsafe { T::transpose(&mut t) };
-        for (&cell, row) in cells.iter().zip(&t) {
-            dst[cell] = *row;
+    /// Copies the interior of the padded block `src` into the unpadded
+    /// block `dst`.
+    fn crop_into(&self, src: &[Lane], dst: &mut [Lane]) {
+        for (run, at) in self.rows() {
+            dst[run].copy_from_slice(&src[at..at + self.w]);
         }
     }
 }
 
-/// Copies block `b` of the lane layout `src` (one block of `g`) into its
-/// images of NCHW `dst`, cropping padding.
-///
-/// # Safety
-///
-/// `dst` must point to an NCHW buffer of `g.n` images whose images of
-/// block `b` no other thread accesses during the call, and the host must
-/// support `T`'s level.
-#[inline(always)]
-unsafe fn store_block<T: Transpose>(src: &[Lane], g: &Planes, b: usize, dst: &SendPtr) {
-    let (img0, nimg) = g.images(b);
-    let mut t = [ZERO; LANES];
-    for (f0, cells) in g.chunks(dst.0) {
-        let m = cells.len();
-        for (&cell, row) in cells.iter().zip(t.iter_mut()) {
-            *row = src[cell];
-        }
-        // SAFETY: the caller guarantees `T`'s level.
-        unsafe { T::transpose(&mut t) };
-        for (i, row) in t.iter().enumerate().take(nimg) {
-            // SAFETY: elements `f0..f0 + m` of image `img0 + i < n` lie
-            // inside `dst`, and the caller guarantees block `b`'s images
-            // are this thread's alone. A full row is one fixed-size
-            // (vector) store.
-            unsafe {
-                let d = dst.0.add((img0 + i) * g.len + f0);
-                if m == LANES {
-                    d.cast::<[f32; LANES]>().write_unaligned(row.0);
-                } else {
-                    std::ptr::copy_nonoverlapping(row.0.as_ptr(), d, m);
-                }
+/// A block of `X` as the passes read it: the block itself when the conv
+/// has no padding, else its copy in a zero-bordered scratch, whose border
+/// is zeroed once and never written.
+struct InputBlock(Option<LaneBuf>);
+
+impl InputBlock {
+    fn new(g: &Geom) -> InputBlock {
+        InputBlock(g.padded().then(|| LaneBuf::zeroed(g.c * g.plane)))
+    }
+
+    fn get<'a>(&'a mut self, g: &Geom, x: &'a [Lane]) -> &'a [Lane] {
+        match &mut self.0 {
+            None => x,
+            Some(buf) => {
+                g.pad_into(x, buf.lanes_mut());
+                buf.lanes()
             }
         }
     }
 }
 
-/// `dst[..src.len()] = src`; a full row is a fixed-size copy, so it
-/// compiles to a vector move rather than a `memcpy` call.
-#[inline(always)]
-pub(super) fn copy_prefix(dst: &mut [f32; LANES], src: &[f32]) {
-    match <&[f32; LANES]>::try_from(src) {
-        Ok(full) => *dst = *full,
-        Err(_) => dst[..src.len()].copy_from_slice(src),
-    }
-}
-
-/// Copies a whole NCHW batch into the lane layout of `g` (padding zero),
-/// in parallel over blocks.
-fn to_lanes(level: Level, src: &[f32], g: &Planes) -> LaneBuf {
-    let blocks = g.n.div_ceil(LANES);
-    let mut dst = LaneBuf::written(blocks * g.block);
-    let ptr = SendPtr(dst.lanes_mut().as_mut_ptr().cast());
-    parallel_for_chunks(ChunkGrid::new(blocks, 1), |_, b0, b1| {
-        let ptr = &ptr;
-        // SAFETY: `ptr` points to `blocks · g.block` lanes, and block
-        // ranges are disjoint across chunks.
-        let chunk = unsafe {
-            let at = ptr.0.add(b0 * g.block * LANES).cast::<Lane>();
-            std::slice::from_raw_parts_mut(at, (b1 - b0) * g.block)
-        };
-        // SAFETY: the caller guarantees `level`.
-        unsafe {
-            dispatch_at(
-                level,
-                ToLanes {
-                    src,
-                    g,
-                    b0,
-                    dst: chunk,
-                },
-            )
-        };
-    });
-    dst
-}
-
-struct ToLanes<'a> {
-    src: &'a [f32],
-    g: &'a Planes,
-    b0: usize,
-    dst: &'a mut [Lane],
-}
-
-impl LanePass for ToLanes<'_> {
-    #[inline(always)]
-    unsafe fn run<T: Transpose>(self) {
-        let ToLanes { src, g, b0, dst } = self;
-        for (i, block) in dst.chunks_exact_mut(g.block).enumerate() {
-            // SAFETY: the caller guarantees `T`'s level.
-            unsafe { load_block::<T>(src, g, b0 + i, block) };
-            g.zero_padding(block);
-        }
-    }
+/// Block `b` of `blen` lanes of the lane buffer at `base`.
+///
+/// # Safety
+///
+/// The block must lie inside the buffer, and no other live reference may
+/// touch it.
+unsafe fn block_mut<'a>(base: &SendPtr, b: usize, blen: usize) -> &'a mut [Lane] {
+    // SAFETY: guaranteed by the caller.
+    unsafe { std::slice::from_raw_parts_mut(base.0.cast::<Lane>().add(b * blen), blen) }
 }
 
 /// Forward convolution on the lane layout; same contract as
@@ -497,7 +383,13 @@ impl LanePass for ToLanes<'_> {
 /// # Safety
 ///
 /// The host must support `level`.
-pub(super) unsafe fn forward(level: Level, x: &[f32], wgt: &[f32], s: &ConvShape, out: &mut [f32]) {
+pub(super) unsafe fn forward(
+    level: Level,
+    x: &[Lane],
+    wgt: &[f32],
+    s: &ConvShape,
+    out: &mut [Lane],
+) {
     let (k, o) = (s.taps(), s.o);
     let geom = Geom::new(s);
     // Weights tap-major, channels padded to whole tiles with zeros (which
@@ -509,17 +401,12 @@ pub(super) unsafe fn forward(level: Level, x: &[f32], wgt: &[f32], s: &ConvShape
             wt[t * op + co] = v;
         }
     }
-    let xg = Planes::new(s.n, s.c, (s.h, s.w), s.spec.padding);
-    let yg = Planes::new(s.n, o, (s.oh, s.ow), (0, 0));
-    LANE_ELEMS.add((s.n * (s.c * s.h * s.w + o * s.positions())) as u64);
-    let out = SendPtr(out.as_mut_ptr());
+    let out = SendPtr(out.as_mut_ptr().cast());
     parallel_for_chunks(ChunkGrid::new(geom.blocks, 1), |_, b0, b1| {
         let pass = Forward {
             x,
             wt: &wt,
             geom: &geom,
-            xg: &xg,
-            yg: &yg,
             out: &out,
             blocks: (b0, b1),
         };
@@ -529,11 +416,9 @@ pub(super) unsafe fn forward(level: Level, x: &[f32], wgt: &[f32], s: &ConvShape
 }
 
 struct Forward<'a> {
-    x: &'a [f32],
+    x: &'a [Lane],
     wt: &'a [f32],
     geom: &'a Geom,
-    xg: &'a Planes,
-    yg: &'a Planes,
     out: &'a SendPtr,
     blocks: (usize, usize),
 }
@@ -545,24 +430,16 @@ impl LanePass for Forward<'_> {
             x,
             wt,
             geom,
-            xg,
-            yg,
             out,
             blocks: (b0, b1),
         } = self;
-        // Padding cells are zeroed once and never written; every other
-        // cell is written for each block.
-        let mut xb = LaneBuf::written(xg.block);
-        let mut yb = LaneBuf::written(yg.block);
-        let (xb, yb) = (xb.lanes_mut(), yb.lanes_mut());
-        xg.zero_padding(xb);
+        let mut input = InputBlock::new(geom);
         for b in b0..b1 {
-            // SAFETY: the caller guarantees `T`'s level.
-            unsafe { load_block::<T>(x, xg, b, xb) };
+            let xb = input.get(geom, &x[b * geom.xblock..(b + 1) * geom.xblock]);
+            // SAFETY: block `b` of `Y`; block ranges are disjoint across
+            // chunks.
+            let yb = unsafe { block_mut(out, b, geom.yblock) };
             forward_block(xb, wt, geom, yb);
-            // SAFETY: as above; block ranges are disjoint across chunks,
-            // so are the images they store.
-            unsafe { store_block::<T>(yb, yg, b, out) };
         }
     }
 }
@@ -603,31 +480,25 @@ fn forward_block(xb: &[Lane], wt: &[f32], geom: &Geom, yb: &mut [Lane]) {
     }
 }
 
-/// Input and weight gradients on the lane layout, sharing one copy of
-/// `dY`. Same contract as [`super::conv::conv2d_backward`], whose shape
-/// checks and empty-shape return it relies on.
+/// Input and weight gradients on the lane layout, reading `X` and `dY`
+/// in place. Same contract as [`super::conv::conv2d_backward`], whose
+/// shape checks and empty-shape return it relies on.
 ///
 /// # Safety
 ///
 /// The host must support `level`.
 pub(super) unsafe fn backward(
     level: Level,
-    x: &[f32],
-    dy: &[f32],
+    x: &[Lane],
+    dy: &[Lane],
     wgt: &[f32],
     s: &ConvShape,
-    dx: &mut [f32],
+    dx: &mut [Lane],
     dw: &mut [f32],
 ) {
     let geom = Geom::new(s);
-    let yg = Planes::new(s.n, s.o, (s.oh, s.ow), (0, 0));
-    let xg = Planes::new(s.n, s.c, (s.h, s.w), s.spec.padding);
-    // dY and X in, dX out.
-    LANE_ELEMS.add((s.n * (s.o * s.positions() + 2 * s.c * s.h * s.w)) as u64);
-    let dyl = to_lanes(level, dy, &yg);
-    let xl = to_lanes(level, x, &xg);
     let wx = input_weights(wgt, s);
-    let (dx, dw) = (SendPtr(dx.as_mut_ptr()), SendPtr(dw.as_mut_ptr()));
+    let (dx, dw) = (SendPtr(dx.as_mut_ptr().cast()), SendPtr(dw.as_mut_ptr()));
     // Whether each image closes its weight-gradient band.
     let bands = ChunkGrid::with_max_chunks(s.n, 1, WGRAD_BANDS);
     let mut band_end = vec![false; s.n];
@@ -640,26 +511,23 @@ pub(super) unsafe fn backward(
     // chunk: the input gradient's image blocks come first, then the
     // weight gradient's tile chunks.
     let nx = geom.blocks;
-    let yblock = s.o * s.positions();
     parallel_for_chunks(ChunkGrid::new(nx + dw_grid.n_chunks(), 1), |_, c0, c1| {
         for c in c0..c1 {
             if c < nx {
                 let pass = BackwardInput {
-                    dyb: &dyl.lanes()[c * yblock..(c + 1) * yblock],
+                    dyb: &dy[c * geom.yblock..(c + 1) * geom.yblock],
                     wx: &wx,
                     geom: &geom,
-                    xg: &xg,
-                    out: &dx,
-                    b: c,
+                    // SAFETY: block `c` of `dX`, this chunk's alone.
+                    dxb: unsafe { block_mut(&dx, c, geom.xblock) },
                 };
                 // SAFETY: the caller guarantees `level`.
                 unsafe { dispatch_at(level, pass) };
             } else {
                 let pass = BackwardWeight {
-                    dyl: dyl.lanes(),
-                    xl: xl.lanes(),
+                    x,
+                    dy,
                     geom: &geom,
-                    xblock: xg.block,
                     band_end: &band_end,
                     out: &dw,
                     tiles: dw_grid.range(c - nx),
@@ -691,28 +559,23 @@ struct BackwardInput<'a> {
     dyb: &'a [Lane],
     wx: &'a [f32],
     geom: &'a Geom,
-    xg: &'a Planes,
-    out: &'a SendPtr,
-    b: usize,
+    dxb: &'a mut [Lane],
 }
 
 impl LanePass for BackwardInput<'_> {
     #[inline(always)]
     unsafe fn run<T: Transpose>(self) {
-        let BackwardInput {
-            dyb,
-            wx,
-            geom,
-            xg,
-            out,
-            b,
-        } = self;
-        let mut dxb = LaneBuf::zeroed(xg.block);
-        let dxb = dxb.lanes_mut();
-        backward_input_block(dyb, wx, geom, dxb);
-        // SAFETY: the caller guarantees `T`'s level; each chunk stores its
-        // own block's images.
-        unsafe { store_block::<T>(dxb, xg, b, out) };
+        let BackwardInput { dyb, wx, geom, dxb } = self;
+        if geom.padded() {
+            // Taps that land in padding accumulate into the border, which
+            // is cropped.
+            let mut acc = LaneBuf::zeroed(geom.c * geom.plane);
+            backward_input_block(dyb, wx, geom, acc.lanes_mut());
+            geom.crop_into(acc.lanes(), dxb);
+        } else {
+            dxb.fill(ZERO);
+            backward_input_block(dyb, wx, geom, dxb);
+        }
     }
 }
 
@@ -760,10 +623,9 @@ fn backward_input_block(dyb: &[Lane], wx: &[f32], geom: &Geom, dxb: &mut [Lane])
 }
 
 struct BackwardWeight<'a> {
-    dyl: &'a [Lane],
-    xl: &'a [Lane],
+    x: &'a [Lane],
+    dy: &'a [Lane],
     geom: &'a Geom,
-    xblock: usize,
     /// Per image: whether it closes its weight-gradient band.
     band_end: &'a [bool],
     out: &'a SendPtr,
@@ -774,10 +636,9 @@ impl LanePass for BackwardWeight<'_> {
     #[inline(always)]
     unsafe fn run<T: Transpose>(self) {
         let BackwardWeight {
-            dyl,
-            xl,
+            x,
+            dy,
             geom,
-            xblock,
             band_end,
             out,
             tiles: (q0, q1),
@@ -787,11 +648,10 @@ impl LanePass for BackwardWeight<'_> {
         // Per tile: the running band partial and total, lane = (o, t) pair.
         let (mut parts, mut totals) = (LaneBuf::zeroed(q1 - q0), LaneBuf::zeroed(q1 - q0));
         let (parts, totals) = (parts.lanes_mut(), totals.lanes_mut());
-        for (b, (xb, dyb)) in xl
-            .chunks_exact(xblock)
-            .zip(dyl.chunks_exact(o * p))
-            .enumerate()
-        {
+        let mut input = InputBlock::new(geom);
+        for b in 0..geom.blocks {
+            let xb = input.get(geom, &x[b * geom.xblock..(b + 1) * geom.xblock]);
+            let dyb = &dy[b * geom.yblock..(b + 1) * geom.yblock];
             let img0 = b * LANES;
             let nimg = LANES.min(band_end.len() - img0);
             for (q, (pt, tt)) in (q0..q1).zip(parts.iter_mut().zip(totals.iter_mut())) {

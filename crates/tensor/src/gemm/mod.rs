@@ -43,7 +43,7 @@
 pub mod conv;
 pub mod depthwise;
 pub mod int8;
-mod lane;
+pub(crate) mod lane;
 pub mod reference;
 
 use crate::par::{parallel_for_chunks, ChunkGrid};

@@ -15,12 +15,14 @@ const CHUNK_ELEMS: usize = 1 << 16;
 
 /// Writes a tensor to `w` in the `CQT1` binary format.
 ///
-/// A `&mut` reference can be passed as the writer.
+/// A `&mut` reference can be passed as the writer. The elements are
+/// written row-major, so a lane tensor is converted first.
 ///
 /// # Errors
 ///
 /// Propagates underlying I/O errors as [`TensorError::Io`].
 pub fn write_tensor<W: Write>(mut w: W, t: &Tensor) -> Result<()> {
+    let t = &t.to_nchw();
     w.write_all(MAGIC)?;
     w.write_all(&(t.rank() as u32).to_le_bytes())?;
     for &d in t.dims() {

@@ -51,6 +51,7 @@ mod conv;
 mod error;
 pub mod gemm;
 mod io;
+pub mod lanes;
 mod linalg;
 pub mod par;
 mod pool;
@@ -74,7 +75,7 @@ pub use pool::{
     max_pool2d_backward,
 };
 pub use shape::Shape;
-pub use tensor::Tensor;
+pub use tensor::{Layout, Tensor};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, TensorError>;

@@ -1,14 +1,26 @@
 //! Pooling kernels over NCHW batches: max, average and global average,
-//! each with its backward pass.
+//! each with its backward pass. The global average also reads and writes
+//! the lane layout ([`crate::lanes`]), where encoders leave it.
 
+use crate::lanes::{self, block_images, pad_value, LANES};
+use crate::recycle::take_written;
 use crate::recycle::take_zeroed;
-use crate::{Conv2dSpec, Result, Tensor, TensorError};
+use crate::{Conv2dSpec, Layout, Result, Tensor, TensorError};
 
 // Output-element counter shared by the forward pooling kernels (max, avg,
 // global avg). No-op unless a cq-obs sink is installed.
 static POOL_ELEMS: cq_obs::Counter = cq_obs::Counter::new("tensor.pool.elems");
 
+/// The dims of a rank-4 row-major tensor.
 fn check_nchw(x: &Tensor, op: &'static str) -> Result<(usize, usize, usize, usize)> {
+    if x.is_lanes() {
+        return Err(TensorError::LayoutMismatch { op });
+    }
+    check_rank4(x, op)
+}
+
+/// The dims of a rank-4 tensor in either layout.
+fn check_rank4(x: &Tensor, op: &'static str) -> Result<(usize, usize, usize, usize)> {
     if x.rank() != 4 {
         return Err(TensorError::RankMismatch {
             expected: 4,
@@ -186,47 +198,105 @@ pub fn avg_pool2d_backward(
     Ok(dx)
 }
 
-/// Global average pooling: `[n, c, h, w] -> [n, c]`.
+/// Global average pooling: `[n, c, h, w] -> [n, c]`, from either layout.
+/// Each output is its plane summed in ascending position order from
+/// `-0.0`, then divided by `h·w`; from the lane layout, one 16-lane chain
+/// per `(block, channel)` sums 16 planes at once in that order, and pad
+/// lanes are dropped (the lane layout's exit, counted in
+/// `tensor.conv.lane_elems`).
 ///
 /// # Errors
 ///
 /// Returns an error for non-rank-4 inputs.
 pub fn global_avg_pool(x: &Tensor) -> Result<Tensor> {
-    let (n, c, h, w) = check_nchw(x, "global_avg_pool")?;
-    let spatial = (h * w) as f32;
+    let (n, c, h, w) = check_rank4(x, "global_avg_pool")?;
+    let hw = h * w;
+    let spatial = hw as f32;
     POOL_ELEMS.add((n * c) as u64);
-    let mut out = take_zeroed(n * c);
     let xs = x.as_slice();
-    for (i, o) in out.iter_mut().enumerate() {
-        let base = i * h * w;
-        // cq-allow(det-float-accum): contiguous spatial window summed in index order
-        *o = xs[base..base + h * w].iter().sum::<f32>() / spatial;
+    if !x.is_lanes() {
+        let mut out = take_zeroed(n * c);
+        for (i, o) in out.iter_mut().enumerate() {
+            let base = i * hw;
+            // cq-allow(det-float-accum): contiguous spatial window summed in index order
+            *o = xs[base..base + hw].iter().sum::<f32>() / spatial;
+        }
+        return Tensor::from_vec(out, &[n, c]);
+    }
+    lanes::count_moved(n * c);
+    let mut out = take_written(n * c);
+    for (b, block) in xs.chunks_exact(c * hw * LANES).enumerate() {
+        let (img0, nimg) = block_images(n, b);
+        for (ch, plane) in block.chunks_exact(hw * LANES).enumerate() {
+            let mut acc = [-0.0f32; LANES];
+            for px in plane.chunks_exact(LANES) {
+                for (a, &v) in acc.iter_mut().zip(px) {
+                    *a += v;
+                }
+            }
+            for (l, &a) in acc.iter().enumerate().take(nimg) {
+                out[(img0 + l) * c + ch] = a / spatial;
+            }
+        }
     }
     Tensor::from_vec(out, &[n, c])
 }
 
 /// Backward pass of [`global_avg_pool`]: spreads each `[n, c]` gradient
-/// uniformly over the spatial grid.
+/// uniformly over the spatial grid of an `input_shape` tensor in
+/// `layout` (pad lanes get [`pad_value`]).
 ///
 /// # Errors
 ///
-/// Returns an error if `dy` is not rank 2 or shapes disagree.
-pub fn global_avg_pool_backward(dy: &Tensor, input_shape: &[usize]) -> Result<Tensor> {
-    if dy.rank() != 2 {
+/// Returns an error if `dy` is not `[n, c]` of the rank-4
+/// `input_shape`.
+pub fn global_avg_pool_backward(
+    dy: &Tensor,
+    input_shape: &[usize],
+    layout: Layout,
+) -> Result<Tensor> {
+    if input_shape.len() != 4 {
         return Err(TensorError::RankMismatch {
-            expected: 2,
-            got: dy.rank(),
+            expected: 4,
+            got: input_shape.len(),
             op: "global_avg_pool_backward",
         });
     }
-    let (h, w) = (input_shape[2], input_shape[3]);
-    let spatial = (h * w) as f32;
-    let mut dx = Tensor::zeros(input_shape);
+    let (n, c, hw) = (
+        input_shape[0],
+        input_shape[1],
+        input_shape[2] * input_shape[3],
+    );
+    if dy.dims() != [n, c] || dy.is_lanes() {
+        return Err(TensorError::ShapeMismatch {
+            lhs: dy.dims().to_vec(),
+            rhs: vec![n, c],
+            op: "global_avg_pool_backward",
+        });
+    }
+    let spatial = hw as f32;
+    let mut dx = Tensor::written(input_shape, layout);
+    let dys = dy.as_slice();
     let dxs = dx.as_mut_slice();
-    for (i, &g) in dy.as_slice().iter().enumerate() {
-        let v = g / spatial;
-        for s in &mut dxs[i * h * w..(i + 1) * h * w] {
-            *s = v;
+    if layout == Layout::Nchw {
+        for (i, &g) in dys.iter().enumerate() {
+            dxs[i * hw..(i + 1) * hw].fill(g / spatial);
+        }
+        return Ok(dx);
+    }
+    for (b, block) in dxs.chunks_exact_mut(c * hw * LANES).enumerate() {
+        let (img0, nimg) = block_images(n, b);
+        for (ch, plane) in block.chunks_exact_mut(hw * LANES).enumerate() {
+            let v: [f32; LANES] = std::array::from_fn(|l| {
+                if l < nimg {
+                    dys[(img0 + l) * c + ch] / spatial
+                } else {
+                    pad_value()
+                }
+            });
+            for px in plane.chunks_exact_mut(LANES) {
+                px.copy_from_slice(&v);
+            }
         }
     }
     Ok(dx)
@@ -286,9 +356,29 @@ mod tests {
         assert_eq!(y.dims(), &[2, 1]);
         assert_eq!(y.as_slice(), &[1.5, 5.5]);
         let dy = Tensor::from_vec(vec![4.0, 8.0], &[2, 1]).unwrap();
-        let dx = global_avg_pool_backward(&dy, &[2, 1, 2, 2]).unwrap();
+        let dx = global_avg_pool_backward(&dy, &[2, 1, 2, 2], Layout::Nchw).unwrap();
         assert!(dx.as_slice()[..4].iter().all(|&v| v == 1.0));
         assert!(dx.as_slice()[4..].iter().all(|&v| v == 2.0));
+    }
+
+    #[test]
+    fn global_avg_pool_reads_and_writes_lanes() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        for n in [1, 8, 16, 17, 33] {
+            let x = Tensor::randn(&[n, 3, 3, 2], 0.0, 1.0, &mut rng);
+            let want = global_avg_pool(&x).unwrap();
+            let got = global_avg_pool(&x.to_lanes().unwrap()).unwrap();
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "n = {n}");
+            let dy = Tensor::randn(&[n, 3], 0.0, 1.0, &mut rng);
+            let dx = global_avg_pool_backward(&dy, x.dims(), Layout::Nchw).unwrap();
+            let dxl = global_avg_pool_backward(&dy, x.dims(), Layout::Lanes).unwrap();
+            assert!(dxl.is_lanes());
+            assert_eq!(bits(&dxl.to_nchw()), bits(&dx), "n = {n}");
+        }
+        let wide = Tensor::zeros(&[2, 4]);
+        assert!(global_avg_pool_backward(&wide, &[2, 3, 2, 2], Layout::Lanes).is_err());
     }
 
     #[test]

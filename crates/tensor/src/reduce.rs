@@ -33,6 +33,7 @@ pub(crate) fn pairwise_sum(xs: &[f32]) -> f32 {
 impl Tensor {
     /// Sum of all elements, computed by pairwise (tree) summation.
     pub fn sum(&self) -> f32 {
+        self.expect_nchw("sum");
         pairwise_sum(self.as_slice())
     }
 
@@ -52,6 +53,7 @@ impl Tensor {
     /// Panics on an empty tensor.
     pub fn max(&self) -> f32 {
         assert!(!self.is_empty(), "max of empty tensor");
+        self.expect_nchw("max");
         self.as_slice()
             .iter()
             .copied()
@@ -65,6 +67,7 @@ impl Tensor {
     /// Panics on an empty tensor.
     pub fn min(&self) -> f32 {
         assert!(!self.is_empty(), "min of empty tensor");
+        self.expect_nchw("min");
         self.as_slice()
             .iter()
             .copied()
@@ -78,6 +81,7 @@ impl Tensor {
     /// Panics on an empty tensor.
     pub fn argmax(&self) -> usize {
         assert!(!self.is_empty(), "argmax of empty tensor");
+        self.expect_nchw("argmax");
         let mut best = 0;
         let mut best_v = self.as_slice()[0];
         for (i, &v) in self.as_slice().iter().enumerate().skip(1) {

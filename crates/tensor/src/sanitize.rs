@@ -119,6 +119,38 @@ pub fn scan(op: &str, dims: &[usize], data: &[f32]) -> Option<Violation> {
     })
 }
 
+/// [`scan`] of a tensor's elements in either layout. A lane tensor's pad
+/// lanes are skipped, and a violation's index is the element's row-major
+/// one (found in storage order).
+pub fn scan_tensor(op: &str, t: &crate::Tensor) -> Option<Violation> {
+    if !t.is_lanes() {
+        return scan(op, t.dims(), t.as_slice());
+    }
+    let violation = |index, value, kind| Violation {
+        op: op.to_string(),
+        dims: t.dims().to_vec(),
+        index,
+        value,
+        kind,
+    };
+    let mut denormal = None;
+    for (i, &v) in t.as_slice().iter().enumerate() {
+        let Some(index) = crate::lanes::nchw_index(t.dims(), i) else {
+            continue;
+        };
+        if v.is_nan() {
+            return Some(violation(index, v, ViolationKind::Nan));
+        }
+        if v.is_infinite() {
+            return Some(violation(index, v, ViolationKind::Inf));
+        }
+        if denormal.is_none() && v.is_subnormal() {
+            denormal = Some((index, v));
+        }
+    }
+    denormal.map(|(index, value)| violation(index, value, ViolationKind::Denormal))
+}
+
 /// [`scan`] plus a range check for fake-quantized buffers: every finite
 /// value must lie in `[lo - slack, hi + slack]`.
 pub fn scan_quant(

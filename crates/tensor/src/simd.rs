@@ -18,6 +18,7 @@
 //! their 512-bit `vpmaddwd` needs AVX-512BW, which AVX-512F alone does
 //! not imply.)
 
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Vector width a kernel body is instantiated at.
@@ -52,10 +53,14 @@ impl SimdLevel {
         levels
     }
 
-    /// The widest level this host can run, detected once per process.
+    /// The level kernels called from this thread run at: the widest
+    /// level this host can run, detected once per process, unless
+    /// [`with_simd_level`] set another.
     pub fn detect() -> SimdLevel {
         static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-        *LEVEL.get_or_init(|| *Self::supported().last().unwrap_or(&SimdLevel::Portable))
+        LEVEL_OVERRIDE.with(Cell::get).unwrap_or_else(|| {
+            *LEVEL.get_or_init(|| *Self::supported().last().unwrap_or(&SimdLevel::Portable))
+        })
     }
 
     /// Short name for telemetry and machine fingerprints. The portable
@@ -70,6 +75,34 @@ impl SimdLevel {
             SimdLevel::Avx512 => "avx512",
         }
     }
+}
+
+thread_local! {
+    static LEVEL_OVERRIDE: Cell<Option<SimdLevel>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with [`SimdLevel::detect`] reporting `level` on this thread,
+/// so the kernels `f` calls run at `level`: how layer-level tests cover
+/// every level the host supports. A kernel that detects its level on a
+/// pool worker still runs at the widest one; levels change speed, never
+/// bits.
+///
+/// # Panics
+///
+/// Panics if the host cannot run `level`.
+pub fn with_simd_level<R>(level: SimdLevel, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<SimdLevel>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            LEVEL_OVERRIDE.with(|l| l.set(self.0));
+        }
+    }
+    assert!(
+        SimdLevel::supported().contains(&level),
+        "with_simd_level: host cannot run {level:?}"
+    );
+    let _restore = Restore(LEVEL_OVERRIDE.with(|l| l.replace(Some(level))));
+    f()
 }
 
 /// One kernel body, generic over the lane count `L` of the level it is
@@ -133,6 +166,10 @@ mod tests {
     fn detected_level_is_the_widest_supported() {
         let levels = SimdLevel::supported();
         assert_eq!(levels[0], SimdLevel::Portable);
+        assert_eq!(Some(&SimdLevel::detect()), levels.last());
+        for &level in &levels {
+            assert_eq!(with_simd_level(level, SimdLevel::detect), level);
+        }
         assert_eq!(Some(&SimdLevel::detect()), levels.last());
     }
 }

@@ -1,7 +1,9 @@
-//! The [`Tensor`] type: contiguous row-major `f32` storage plus a [`Shape`].
+//! The [`Tensor`] type: contiguous `f32` storage plus a [`Shape`] and the
+//! [`Layout`] of the storage.
 
 use std::sync::Arc;
 
+use crate::lanes::{self, LANES};
 use crate::recycle::{self, take_copy, take_written, take_zeroed};
 use crate::{Result, Shape, TensorError};
 
@@ -10,32 +12,101 @@ use crate::{Result, Shape, TensorError};
 // any thread count.
 static COW_COPIES: cq_obs::Counter = cq_obs::Counter::new("tensor.cow_copies");
 
+/// How a tensor's elements are laid out in its storage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Layout {
+    /// Row-major over the dims (for a rank-4 tensor, NCHW).
+    #[default]
+    Nchw,
+    /// The image-minor lane layout of a rank-4 `[N, C, H, W]` tensor,
+    /// `[⌈N/16⌉][C][H][W][16]`: one 16-float lane holds one element of 16
+    /// images, and the storage starts on a 64-byte boundary. The lanes of
+    /// a partial last block past image `N` are padding: no result reads
+    /// them (see [`crate::lanes`]).
+    Lanes,
+}
+
 /// A tensor's element buffer. Shared between clones of a tensor; when the
 /// last owner drops it, a large buffer goes back to the recycler.
-#[derive(Default, PartialEq)]
-struct Buf(Vec<f32>);
+///
+/// The elements are `raw[off..off + len]`: all of `raw` for row-major
+/// storage, and `len` floats from the first 64-byte boundary of a `raw`
+/// of `len + 16` floats for lane storage.
+#[derive(Default)]
+struct Buf {
+    raw: Vec<f32>,
+    off: usize,
+    len: usize,
+}
+
+impl Buf {
+    /// All of `raw`.
+    fn plain(raw: Vec<f32>) -> Buf {
+        let len = raw.len();
+        Buf { raw, off: 0, len }
+    }
+
+    /// `len` floats on a 64-byte boundary inside `raw`, which holds
+    /// `len + 16`.
+    fn aligned(raw: Vec<f32>, len: usize) -> Buf {
+        debug_assert_eq!(raw.len(), len + LANES);
+        // Floats up to the first 64-byte boundary.
+        let off = (raw.as_ptr() as usize).wrapping_neg() % 64 / 4;
+        Buf { raw, off, len }
+    }
+
+    /// `len` lane-aligned floats of unspecified value.
+    fn aligned_written(len: usize) -> Buf {
+        Buf::aligned(take_written(len + LANES), len)
+    }
+
+    fn get(&self) -> &[f32] {
+        &self.raw[self.off..self.off + self.len]
+    }
+
+    fn get_mut(&mut self) -> &mut [f32] {
+        &mut self.raw[self.off..self.off + self.len]
+    }
+
+    fn is_aligned(&self) -> bool {
+        self.raw.len() != self.len
+    }
+}
+
+impl PartialEq for Buf {
+    fn eq(&self, other: &Buf) -> bool {
+        self.get() == other.get()
+    }
+}
 
 impl Clone for Buf {
     /// The copy that copy-on-write makes.
     fn clone(&self) -> Self {
         COW_COPIES.add(1);
-        Buf(take_copy(&self.0))
+        if self.is_aligned() {
+            let mut b = Buf::aligned_written(self.len);
+            b.get_mut().copy_from_slice(self.get());
+            b
+        } else {
+            Buf::plain(take_copy(self.get()))
+        }
     }
 }
 
 impl Drop for Buf {
     fn drop(&mut self) {
-        recycle::give(std::mem::take(&mut self.0));
+        recycle::give(std::mem::take(&mut self.raw));
     }
 }
 
 impl std::fmt::Debug for Buf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt(f)
+        self.get().fmt(f)
     }
 }
 
-/// A dense, contiguous, row-major tensor of `f32` values.
+/// A dense, contiguous tensor of `f32` values, row-major unless it is in
+/// the [`Layout::Lanes`] layout.
 ///
 /// `Tensor` is the workhorse type of the whole reproduction: model weights,
 /// activations, gradients, images and feature embeddings are all `Tensor`s.
@@ -45,6 +116,13 @@ impl std::fmt::Debug for Buf {
 /// methods) copies it first only if it is shared, counting that copy in
 /// `tensor.cow_copies`. Large buffers are recycled when their last owner
 /// drops them (see [`crate::recycle`]).
+///
+/// [`Tensor::dims`] are always the logical dims (`[N, C, H, W]` for a
+/// lane tensor). Elementwise maps and same-layout zips work in storage
+/// order in either layout; whatever indexes elements by their NCHW
+/// position ([`Tensor::at`], reductions, broadcasting, reshapes) takes a
+/// row-major tensor only, and a lane tensor is converted with
+/// [`Tensor::to_nchw`] first.
 ///
 /// # Example
 ///
@@ -60,6 +138,7 @@ impl std::fmt::Debug for Buf {
 pub struct Tensor {
     data: Arc<Buf>,
     shape: Shape,
+    layout: Layout,
 }
 
 impl Tensor {
@@ -101,13 +180,42 @@ impl Tensor {
         t
     }
 
-    /// Wraps a buffer whose length matches `shape`.
+    /// Wraps a buffer whose length matches `shape`, row-major.
     fn new(data: Vec<f32>, shape: Shape) -> Self {
         debug_assert_eq!(data.len(), shape.len());
         Tensor {
-            data: Arc::new(Buf(data)),
+            data: Arc::new(Buf::plain(data)),
             shape,
+            layout: Layout::Nchw,
         }
+    }
+
+    /// A tensor of `dims` in `layout` whose elements the caller writes in
+    /// full before reading them: a recycled buffer that is not filled
+    /// first (in builds with debug assertions every element is NaN, so
+    /// an element left unwritten, such as the pad lanes of a lane tensor,
+    /// shows wherever it is read).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layout` is [`Layout::Lanes`] and `dims` is not rank 4.
+    pub fn written(dims: &[usize], layout: Layout) -> Self {
+        let shape = Shape::new(dims);
+        let data = match layout {
+            Layout::Nchw => Buf::plain(take_written(shape.len())),
+            Layout::Lanes => Buf::aligned_written(lanes::storage_len(dims)),
+        };
+        Tensor {
+            data: Arc::new(data),
+            shape,
+            layout,
+        }
+    }
+
+    /// An uninitialised tensor of this one's dims and layout (see
+    /// [`Tensor::written`]).
+    pub fn written_like(&self) -> Self {
+        Tensor::written(self.dims(), self.layout)
     }
 
     /// Creates a tensor that takes ownership of `data`, viewed as `shape`.
@@ -164,41 +272,102 @@ impl Tensor {
         self.shape.rank()
     }
 
-    /// Total number of elements.
+    /// The storage layout.
+    pub fn layout(&self) -> Layout {
+        self.layout
+    }
+
+    /// Whether the storage is in the lane layout.
+    pub fn is_lanes(&self) -> bool {
+        self.layout == Layout::Lanes
+    }
+
+    /// Number of stored elements: the element count of the dims for a
+    /// row-major tensor, and that rounded up to whole 16-image blocks
+    /// (pad lanes included) for a lane tensor.
     pub fn len(&self) -> usize {
-        self.data.0.len()
+        self.data.len
     }
 
     /// Whether the tensor holds zero elements.
     pub fn is_empty(&self) -> bool {
-        self.data.0.is_empty()
+        self.data.len == 0
     }
 
-    /// Immutable view of the underlying row-major buffer.
+    /// Immutable view of the storage, in the tensor's [`Layout`].
     pub fn as_slice(&self) -> &[f32] {
-        &self.data.0
+        self.data.get()
     }
 
-    /// Mutable view of the underlying row-major buffer: in place when
-    /// this tensor owns its storage alone, after a copy (counted in
-    /// `tensor.cow_copies`) when the storage is shared.
+    /// Mutable view of the storage: in place when this tensor owns its
+    /// storage alone, after a copy (counted in `tensor.cow_copies`) when
+    /// the storage is shared.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut Arc::make_mut(&mut self.data).0
+        Arc::make_mut(&mut self.data).get_mut()
     }
 
-    /// Consumes the tensor and returns the underlying buffer, which is
-    /// copied (and the copy counted in `tensor.cow_copies`) only when the
-    /// storage is shared.
+    /// Consumes the tensor and returns its elements row-major (a lane
+    /// tensor is converted first). The buffer is copied (and the copy
+    /// counted in `tensor.cow_copies`) only when the storage is shared.
     pub fn into_vec(self) -> Vec<f32> {
+        if self.is_lanes() {
+            return self.to_nchw().into_vec();
+        }
         let mut buf = Arc::unwrap_or_clone(self.data);
-        std::mem::take(&mut buf.0)
+        std::mem::take(&mut buf.raw)
     }
 
     /// A tensor with its own copy of this one's storage, for a caller
     /// that writes the copy next: a `clone` would share the storage and
     /// copy it on that write anyway, counting a `tensor.cow_copies`.
     pub fn deep_copy(&self) -> Self {
-        Tensor::new(take_copy(self.as_slice()), self.shape.clone())
+        let mut t = self.written_like();
+        t.as_mut_slice().copy_from_slice(self.as_slice());
+        t
+    }
+
+    /// This rank-4 tensor in the lane layout: shares the storage of a
+    /// lane tensor, and converts a row-major one (counted in
+    /// `tensor.conv.lane_elems`, see [`crate::lanes`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] for a tensor of another rank.
+    pub fn to_lanes(&self) -> Result<Self> {
+        if self.is_lanes() {
+            return Ok(self.clone());
+        }
+        if self.rank() != 4 {
+            return Err(TensorError::RankMismatch {
+                expected: 4,
+                got: self.rank(),
+                op: "to_lanes",
+            });
+        }
+        let mut t = Tensor::written(self.dims(), Layout::Lanes);
+        lanes::to_lanes(self.as_slice(), self.dims(), t.as_mut_slice());
+        Ok(t)
+    }
+
+    /// This tensor row-major: shares the storage of a row-major tensor,
+    /// and converts a lane tensor, pad lanes left out (counted in
+    /// `tensor.conv.lane_elems`).
+    pub fn to_nchw(&self) -> Self {
+        if !self.is_lanes() {
+            return self.clone();
+        }
+        let mut t = Tensor::written(self.dims(), Layout::Nchw);
+        lanes::to_nchw(self.as_slice(), self.dims(), t.as_mut_slice());
+        t
+    }
+
+    /// Panics unless the tensor is row-major: `op` indexes elements by
+    /// their row-major position.
+    pub(crate) fn expect_nchw(&self, op: &str) {
+        assert!(
+            !self.is_lanes(),
+            "Tensor::{op} reads row-major positions; convert a lane tensor with to_nchw first"
+        );
     }
 
     /// Whether `self` and `other` share one buffer.
@@ -212,11 +381,13 @@ impl Tensor {
     ///
     /// Debug-asserts index validity; see [`Shape::flatten_index`].
     pub fn at(&self, idx: &[usize]) -> f32 {
+        self.expect_nchw("at");
         self.as_slice()[self.shape.flatten_index(idx)]
     }
 
     /// Sets the element at a multi-dimensional index.
     pub fn set(&mut self, idx: &[usize], value: f32) {
+        self.expect_nchw("set");
         let off = self.shape.flatten_index(idx);
         self.as_mut_slice()[off] = value;
     }
@@ -250,8 +421,12 @@ impl Tensor {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::LengthMismatch`] if element counts differ.
+    /// Returns [`TensorError::LengthMismatch`] if element counts differ,
+    /// and [`TensorError::LayoutMismatch`] for a lane tensor.
     pub fn reshape_in_place(&mut self, shape: &[usize]) -> Result<()> {
+        if self.is_lanes() {
+            return Err(TensorError::LayoutMismatch { op: "reshape" });
+        }
         let new_shape = Shape::new(shape);
         if new_shape.len() != self.len() {
             return Err(TensorError::LengthMismatch {
@@ -263,11 +438,14 @@ impl Tensor {
         Ok(())
     }
 
-    /// Flattens to rank 1, sharing this tensor's storage.
+    /// Flattens to rank 1, sharing this tensor's storage (a lane tensor
+    /// is converted first).
     pub fn flatten(&self) -> Self {
+        let t = self.to_nchw();
         Tensor {
-            data: Arc::clone(&self.data),
-            shape: Shape::new(&[self.len()]),
+            data: Arc::clone(&t.data),
+            shape: Shape::new(&[t.len()]),
+            layout: Layout::Nchw,
         }
     }
 
@@ -275,13 +453,14 @@ impl Tensor {
     // Elementwise maps
     // ------------------------------------------------------------------
 
-    /// Applies `f` to every element, returning a new tensor.
+    /// Applies `f` to every stored element, returning a new tensor of the
+    /// same layout.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        let mut data = take_written(self.len());
-        for (o, &v) in data.iter_mut().zip(self.as_slice()) {
+        let mut out = self.written_like();
+        for (o, &v) in out.as_mut_slice().iter_mut().zip(self.as_slice()) {
             *o = f(v);
         }
-        Tensor::new(data, self.shape.clone())
+        out
     }
 
     /// Applies `f` to every element in place.
@@ -291,29 +470,41 @@ impl Tensor {
         }
     }
 
-    /// Elementwise combination of two same-shaped tensors.
+    /// Elementwise combination of two same-shaped tensors of one layout,
+    /// in that layout.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
+    /// Returns [`TensorError::ShapeMismatch`] if shapes differ and
+    /// [`TensorError::LayoutMismatch`] if layouts do.
     pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Self> {
-        if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-                op: "zip",
-            });
-        }
-        let mut data = take_written(self.len());
-        for (o, (&a, &b)) in data
+        self.check_same(other, "zip")?;
+        let mut out = self.written_like();
+        for (o, (&a, &b)) in out
+            .as_mut_slice()
             .iter_mut()
             .zip(self.as_slice().iter().zip(other.as_slice()))
         {
             *o = f(a, b);
         }
         #[cfg(feature = "sanitize")]
-        crate::sanitize::guard_slice("zip", &data);
-        Ok(Tensor::new(data, self.shape.clone()))
+        crate::sanitize::guard_slice("zip", out.as_slice());
+        Ok(out)
+    }
+
+    /// Checks that `other` has this tensor's shape and layout.
+    fn check_same(&self, other: &Tensor, op: &'static str) -> Result<()> {
+        if self.shape != other.shape {
+            return Err(TensorError::ShapeMismatch {
+                lhs: self.dims().to_vec(),
+                rhs: other.dims().to_vec(),
+                op,
+            });
+        }
+        if self.layout != other.layout {
+            return Err(TensorError::LayoutMismatch { op });
+        }
+        Ok(())
     }
 
     /// Multiplies every element by `s`.
@@ -369,13 +560,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
     pub fn add_assign(&mut self, other: &Tensor) -> Result<()> {
-        if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-                op: "add_assign",
-            });
-        }
+        self.check_same(other, "add_assign")?;
         for (a, &b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
             *a += b;
         }
@@ -388,13 +573,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
     pub fn axpy(&mut self, alpha: f32, other: &Tensor) -> Result<()> {
-        if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-                op: "axpy",
-            });
-        }
+        self.check_same(other, "axpy")?;
         for (a, &b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
             *a += alpha * b;
         }
@@ -419,6 +598,11 @@ impl Tensor {
     pub fn broadcast_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Self> {
         if self.shape == other.shape {
             return self.zip(other, f);
+        }
+        if self.is_lanes() || other.is_lanes() {
+            return Err(TensorError::LayoutMismatch {
+                op: "broadcast_with",
+            });
         }
         let out_shape = self.shape.broadcast(&other.shape)?;
         let out_dims = out_shape.dims().to_vec();
@@ -477,11 +661,13 @@ impl Tensor {
 
     /// Whether every element is finite (no NaN / infinity).
     pub fn is_finite(&self) -> bool {
+        self.expect_nchw("is_finite");
         self.as_slice().iter().all(|v| v.is_finite())
     }
 
     /// Squared L2 norm of all elements.
     pub fn sq_norm(&self) -> f32 {
+        self.expect_nchw("sq_norm");
         self.as_slice().iter().map(|&v| v * v).sum()
     }
 
@@ -496,6 +682,9 @@ impl Tensor {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if element counts differ.
     pub fn dot(&self, other: &Tensor) -> Result<f32> {
+        if self.is_lanes() || other.is_lanes() {
+            return Err(TensorError::LayoutMismatch { op: "dot" });
+        }
         if self.len() != other.len() {
             return Err(TensorError::ShapeMismatch {
                 lhs: self.dims().to_vec(),

@@ -3,9 +3,10 @@
 //! A 3×3 stride-1 and a 1×1 stride-2 geometry run forward and backward at
 //! batches of 1, 11 and 12 images, each a partial 16-image lane block.
 //! Every case counts `tensor.conv.flops` as `2·O·(C·KH·KW)·N·OH·OW` per
-//! pass and the NCHW elements copied into and out of the image-minor lane
-//! layout in `tensor.conv.lane_elems`; no dense f32 conv reaches the
-//! packed GEMM.
+//! pass; no dense f32 conv reaches the packed GEMM. The kernels read and
+//! write the lane layout in place, so they count nothing in
+//! `tensor.conv.lane_elems`: the conversions into and out of it count
+//! the real elements they move, pad lanes left out.
 //!
 //! The int8 forward, at batches of 1, 16 and 17 images (whole panels,
 //! and panels straddling images), counts `2·O·(C·KH·KW)·N·OH·OW` per
@@ -24,7 +25,7 @@ use cq_obs::sink::MemorySink;
 use cq_obs::Event;
 use cq_tensor::{
     conv2d, conv2d_backward, conv2d_i8, depthwise_conv2d, depthwise_conv2d_backward,
-    depthwise_conv2d_i8, Conv2dSpec, ConvShape, Requant,
+    depthwise_conv2d_i8, Conv2dSpec, ConvShape, Layout, Requant, Tensor,
 };
 
 /// Counter totals of the work `run` does.
@@ -57,25 +58,45 @@ fn dense_passes_are_counted() {
         for n in [1, 11, 12] {
             let s = ConvShape::new(n, 4, 8, 8, 6, spec).expect("shape");
             let (k, p, img) = (s.taps(), s.positions(), s.c * s.h * s.w);
+            let (xd, yd) = ([n, s.c, s.h, s.w], [n, s.o, s.oh, s.ow]);
             let x: Vec<f32> = (0..n * img).map(|i| (i % 7) as f32 - 3.0).collect();
             let w: Vec<f32> = (0..s.o * k).map(|i| (i % 5) as f32 - 2.0).collect();
             let dy: Vec<f32> = (0..n * s.o * p).map(|i| (i % 3) as f32 - 1.0).collect();
-            let (mut y, mut dx, mut dw) =
-                (vec![0.0; dy.len()], vec![0.0; x.len()], vec![0.0; w.len()]);
+            let x = Tensor::from_vec(x, &xd).expect("x");
+            let dy = Tensor::from_vec(dy, &yd).expect("dy");
+            let (mut xl, mut dyl) = (Tensor::default(), Tensor::default());
+            let moved = counted(|| {
+                xl = x.to_lanes().expect("x");
+                dyl = dy.to_lanes().expect("dy");
+            });
+            let (mut y, mut dx) = (
+                Tensor::written(&yd, Layout::Lanes),
+                Tensor::written(&xd, Layout::Lanes),
+            );
+            let mut dw = vec![0.0; w.len()];
             let c = counted(|| {
-                conv2d(&x, &w, &s, &mut y);
-                conv2d_backward(&x, &dy, &w, &s, &mut dx, &mut dw);
+                conv2d(xl.as_slice(), &w, &s, y.as_mut_slice());
+                let (xs, dys) = (xl.as_slice(), dyl.as_slice());
+                conv2d_backward(xs, dys, &w, &s, dx.as_mut_slice(), &mut dw);
             });
             let get = |name: &str| c.get(name).copied().unwrap_or(0);
             // Three passes: forward, input gradient, weight gradient.
             let flops = 2 * (s.o * k * n * p) as u64;
             assert_eq!(s.flops(), flops, "{s:?}");
             assert_eq!(get("tensor.conv.flops"), 3 * flops, "{s:?}");
-            // Forward: X in, Y out. Backward: dY, X in, dX out.
-            let (xe, ye) = ((n * img) as u64, (n * s.o * p) as u64);
-            let lane = (xe + ye) + (ye + 2 * xe);
-            assert_eq!(get("tensor.conv.lane_elems"), lane, "{s:?}");
+            // The kernels copy nothing between layouts; the conversions
+            // of X and dY move their real elements once each, and so does
+            // the conversion of Y back.
+            assert_eq!(get("tensor.conv.lane_elems"), 0, "{s:?}");
             assert_eq!(get("tensor.gemm.packed_calls"), 0, "{s:?}");
+            let (xe, ye) = ((n * img) as u64, (n * s.o * p) as u64);
+            assert_eq!(
+                moved.get("tensor.conv.lane_elems"),
+                Some(&(xe + ye)),
+                "{s:?}"
+            );
+            let back = counted(|| assert_eq!(y.to_nchw().dims(), yd));
+            assert_eq!(back.get("tensor.conv.lane_elems"), Some(&ye), "{s:?}");
         }
     }
 }
@@ -113,20 +134,35 @@ fn depthwise_passes_are_counted() {
         for n in [1, 16, 17] {
             let s = ConvShape::new(n, 20, 8, 6, 20, spec).expect("shape");
             let (t, p, img) = (9, s.positions(), s.c * s.h * s.w);
+            let (xd, yd) = ([n, s.c, s.h, s.w], [n, s.c, s.oh, s.ow]);
             let x: Vec<f32> = (0..n * img).map(|i| (i % 7) as f32 - 3.0).collect();
             let w: Vec<f32> = (0..s.c * t).map(|i| (i % 5) as f32 - 2.0).collect();
             let dy: Vec<f32> = (0..n * s.c * p).map(|i| (i % 3) as f32 - 1.0).collect();
-            let (mut y, mut dx, mut dw) =
-                (vec![0.0; dy.len()], vec![0.0; x.len()], vec![0.0; w.len()]);
+            let x = Tensor::from_vec(x, &xd).expect("x").to_lanes().expect("x");
+            let dy = Tensor::from_vec(dy, &yd)
+                .expect("dy")
+                .to_lanes()
+                .expect("dy");
+            let (mut y, mut dx) = (
+                Tensor::written(&yd, Layout::Lanes),
+                Tensor::written(&xd, Layout::Lanes),
+            );
+            let mut dw = vec![0.0; w.len()];
             let flops = 2 * (s.c * t * n * p) as u64;
-            let c = counted(|| depthwise_conv2d(&x, &w, &s, &mut y));
+            let c = counted(|| depthwise_conv2d(x.as_slice(), &w, &s, y.as_mut_slice()));
             assert_eq!(c.get("tensor.depthwise.flops"), Some(&flops), "{s:?}");
-            // Forward + backward: three passes.
+            // Forward + backward: three passes, and no layout copies.
             let c = counted(|| {
-                depthwise_conv2d(&x, &w, &s, &mut y);
-                depthwise_conv2d_backward(&x, &dy, &w, &s, &mut dx, &mut dw);
+                depthwise_conv2d(x.as_slice(), &w, &s, y.as_mut_slice());
+                let (xs, dys) = (x.as_slice(), dy.as_slice());
+                depthwise_conv2d_backward(xs, dys, &w, &s, dx.as_mut_slice(), &mut dw);
             });
             assert_eq!(c.get("tensor.depthwise.flops"), Some(&(3 * flops)), "{s:?}");
+            assert_eq!(
+                c.get("tensor.conv.lane_elems").copied().unwrap_or(0),
+                0,
+                "{s:?}"
+            );
             // The i8 forward of one image counts its one pass.
             let codes = vec![1i8; img];
             let wc = vec![1i8; s.c * t];

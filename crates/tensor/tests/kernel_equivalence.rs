@@ -16,8 +16,37 @@ use cq_tensor::gemm::{self, reference, Kind};
 use cq_tensor::par::with_thread_limit;
 use cq_tensor::{
     conv2d, conv2d_backward, depthwise_conv2d, depthwise_conv2d_backward, Conv2dSpec, ConvShape,
+    Layout, Tensor,
 };
 use proptest::prelude::*;
+
+/// Runs a conv kernel pair on the lane conversions of the row-major
+/// operands `x` and `dy`: `run(x, dy, y, dx)` on lane storage, and
+/// returns `y` and `dx` row-major.
+fn via_lanes(
+    s: &ConvShape,
+    x: &[f32],
+    dy: &[f32],
+    run: impl FnOnce(&[f32], &[f32], &mut [f32], &mut [f32]),
+) -> [Vec<f32>; 2] {
+    let (xd, yd) = ([s.n, s.c, s.h, s.w], [s.n, s.o, s.oh, s.ow]);
+    let lanes = |v: &[f32], dims: &[usize]| {
+        let t = Tensor::from_vec(v.to_vec(), dims).expect("dims");
+        t.to_lanes().expect("rank 4")
+    };
+    let (xl, dyl) = (lanes(x, &xd), lanes(dy, &yd));
+    let (mut y, mut dx) = (
+        Tensor::written(&yd, Layout::Lanes),
+        Tensor::written(&xd, Layout::Lanes),
+    );
+    run(
+        xl.as_slice(),
+        dyl.as_slice(),
+        y.as_mut_slice(),
+        dx.as_mut_slice(),
+    );
+    [y.into_vec(), dx.into_vec()]
+}
 
 /// Checked thread limits: serial, even split, odd/ragged split, and more
 /// threads than most row-tile grids have.
@@ -206,8 +235,10 @@ proptest! {
             let mut got = [vec![f32::NAN; dy.len()], vec![f32::NAN; x.len()], vec![f32::NAN; w.len()]];
             with_thread_limit(limit, || {
                 let [y, dx, dw] = &mut got;
-                conv2d(x, w, &s, y);
-                conv2d_backward(x, dy, w, &s, dx, dw);
+                [*y, *dx] = via_lanes(&s, x, dy, |x, dy, y, dx| {
+                    conv2d(x, w, &s, y);
+                    conv2d_backward(x, dy, w, &s, dx, dw);
+                });
             });
             for (pass, (g, r)) in ["forward", "dx", "dw"].iter().zip(got.iter().zip(&want)) {
                 prop_assert_eq!(bits(g), bits(r), "{} {:?} at {} threads", pass, s, limit);
@@ -242,8 +273,10 @@ proptest! {
             let mut got = [vec![f32::NAN; dy.len()], vec![f32::NAN; x.len()], vec![f32::NAN; wgt.len()]];
             with_thread_limit(limit, || {
                 let [y, dx, dw] = &mut got;
-                depthwise_conv2d(x, wgt, &s, y);
-                depthwise_conv2d_backward(x, dy, wgt, &s, dx, dw);
+                [*y, *dx] = via_lanes(&s, x, dy, |x, dy, y, dx| {
+                    depthwise_conv2d(x, wgt, &s, y);
+                    depthwise_conv2d_backward(x, dy, wgt, &s, dx, dw);
+                });
             });
             for (pass, (g, r)) in ["forward", "dx", "dw"].iter().zip(got.iter().zip(&want)) {
                 prop_assert_eq!(bits(g), bits(r), "{} {:?} at {} threads", pass, s, limit);
