@@ -60,8 +60,8 @@ use cq_tensor::gemm::int8::{gemm_i8_nt_ref, par_gemm_i8};
 use cq_tensor::gemm::{self, Kind};
 use cq_tensor::par::{num_threads, parallel_chunks_mut, parallel_for_each};
 use cq_tensor::{
-    conv2d, conv2d_backward, conv2d_i8, depthwise_conv2d, depthwise_conv2d_backward, Conv2dSpec,
-    ConvShape, Layout, Requant, Tensor,
+    conv2d, conv2d_backward, conv2d_i8, depthwise_conv2d, depthwise_conv2d_backward, ActQuads,
+    Conv2dSpec, ConvShape, Epilogue, Layout, QuadGeom, Requant, Tensor,
 };
 use cq_trace::bench::is_integer_kernel;
 use rand::rngs::StdRng;
@@ -307,10 +307,11 @@ fn bench_matmul_i8(m: usize, n: usize, k: usize, rng: &mut StdRng) -> Point {
 
 /// Measures an int8 conv forward for a `c`→`o` 3×3 layer over a
 /// 128-image batch of `hw`×`hw` codes: the implicit i8 GEMM
-/// (`conv2d_i8`) against the per-sample oracle (a materialised
-/// `im2col_i8` and a scalar i8 GEMM per image), both requantizing into
-/// f32. Throughput is integer GOP/s; `m`/`n`/`k` record the lowered
-/// product shape.
+/// (`conv2d_i8`, reading channel quads laid out before the timing, as
+/// the pass that produces an activation writes them) against the
+/// per-sample oracle (a materialised `im2col_i8` and a scalar i8 GEMM
+/// per image), both requantizing into f32. Throughput is integer GOP/s;
+/// `m`/`n`/`k` record the lowered product shape.
 fn bench_conv_i8(c: usize, o: usize, hw: usize, rng: &mut StdRng) -> Point {
     let shape = ConvShape::new(128, c, hw, hw, o, Conv2dSpec::new(3, 1, 1)).expect("conv geometry");
     let k = shape.taps();
@@ -336,7 +337,16 @@ fn bench_conv_i8(c: usize, o: usize, hw: usize, rng: &mut StdRng) -> Point {
     let mut out = vec![0.0f32; shape.n * o * shape.positions()];
     let ops = shape.flops() as f64;
 
-    let (t_blocked, iters) = time_best(|| conv2d_i8(&x, &wgt, &shape, &rq, &mut out));
+    let geom = QuadGeom {
+        c,
+        h: hw,
+        w: hw,
+        pad: 1,
+    };
+    let xq = ActQuads::from_codes(&x, shape.n, geom, rq.za);
+    let (t_blocked, iters) = time_best(|| {
+        conv2d_i8(&xq, &wgt, &shape, &rq, Epilogue::default(), &mut out);
+    });
     let (t_ref, _) =
         time_best(|| gemm::reference::conv2d_i8_per_sample(&x, &wgt, &shape, &rq, &mut out));
 

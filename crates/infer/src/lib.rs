@@ -19,9 +19,11 @@
 //! 3. **Integer execution** ([`model`]) — each dense convolution runs
 //!    as one implicit i8 GEMM over the whole batch
 //!    ([`cq_tensor::conv2d_i8`], on the channel-quad register tile of
-//!    [`cq_tensor::gemm::int8`]); accumulation stays in i32 end to end
-//!    with a single final f32 rescale per output element, applied from
-//!    the register tile. Integer accumulation
+//!    [`cq_tensor::gemm::int8`]), reading u8 channel quads that the pass
+//!    before it wrote; accumulation stays in i32 end to end with a single
+//!    final f32 rescale per output element, applied from the register
+//!    tile together with the ReLU and residual add that follow. Integer
+//!    accumulation
 //!    is associative, so results are bitwise identical at any thread
 //!    count — provided accumulators cannot overflow, which conversion
 //!    *proves* per layer with the shared headroom bound
@@ -57,6 +59,7 @@
 
 pub mod model;
 pub mod quantize;
+mod snap;
 
 pub use model::{encoder_from_train_state, IntEncoder, IntOutput};
 pub use quantize::{quantize_activations, quantize_weights, ActQuant, WeightQuant};

@@ -71,17 +71,22 @@ pub struct ActQuant {
 /// dequantization). NaN takes true code 0 (stored `-zp`, clamped), `+Inf`
 /// the top stored code 127 and `-Inf` the bottom stored code −128.
 pub fn quantize_activations(data: &[f32]) -> ActQuant {
-    // The scan ranges over the finite values only (`+∞`/`−∞` when there
-    // are none, which the widening to 0 absorbs).
     let scan = RangeScan::scan(data);
-    let lo = scan.lo().min(0.0);
-    let hi = scan.hi().max(0.0);
-    let range = hi - lo;
-    let step = if range > 0.0 { range / I8_STEPS } else { 1.0 };
-    let zp = round_half_away(lo / step) as i32 + 128;
+    let (step, zp) = act_grid(scan.lo(), scan.hi());
     let mut codes = vec![0i8; data.len()];
     emit_i8_codes(data, step, zp, &mut codes);
     ActQuant { codes, step, zp }
+}
+
+/// The activation grid `(step, zp)` of a tensor whose finite values range
+/// over `[lo, hi]` (`+∞`/`−∞` when there are none, which the widening to
+/// 0 absorbs).
+pub(crate) fn act_grid(lo: f32, hi: f32) -> (f32, i32) {
+    let lo = lo.min(0.0);
+    let hi = hi.max(0.0);
+    let range = hi - lo;
+    let step = if range > 0.0 { range / I8_STEPS } else { 1.0 };
+    (step, round_half_away(lo / step) as i32 + 128)
 }
 
 /// A weight matrix quantized to i8 on a per-tensor zero-anchored grid.

@@ -65,7 +65,10 @@ mod tensor;
 
 pub use conv::{depthwise_conv2d_i8, Conv2dSpec};
 pub use error::TensorError;
-pub use gemm::conv::{conv2d, conv2d_backward, conv2d_i8, ConvShape, Requant};
+pub use gemm::conv::{
+    conv2d, conv2d_backward, conv2d_i8, ActQuads, Clamp, ConvShape, Epilogue, OutRange, QuadGeom,
+    Requant,
+};
 pub use gemm::depthwise::{depthwise_conv2d, depthwise_conv2d_backward};
 pub use io::{read_tensor, write_tensor};
 pub use rng::CqRng;

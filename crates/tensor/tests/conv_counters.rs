@@ -25,7 +25,8 @@ use cq_obs::sink::MemorySink;
 use cq_obs::Event;
 use cq_tensor::{
     conv2d, conv2d_backward, conv2d_i8, depthwise_conv2d, depthwise_conv2d_backward,
-    depthwise_conv2d_i8, Conv2dSpec, ConvShape, Layout, Requant, Tensor,
+    depthwise_conv2d_i8, ActQuads, Conv2dSpec, ConvShape, Epilogue, Layout, QuadGeom, Requant,
+    Tensor,
 };
 
 /// Counter totals of the work `run` does.
@@ -119,8 +120,17 @@ fn int8_passes_are_counted() {
                 scale: &scale,
                 shift: &shift,
             };
+            let geom = QuadGeom {
+                c: s.c,
+                h: s.h,
+                w: s.w,
+                pad: spec.padding.0,
+            };
+            let xq = ActQuads::from_codes(&x, n, geom, rq.za);
             let mut y = vec![0.0; n * s.o * p];
-            let c = counted(|| conv2d_i8(&x, &w, &s, &rq, &mut y));
+            let c = counted(|| {
+                conv2d_i8(&xq, &w, &s, &rq, Epilogue::default(), &mut y);
+            });
             let flops = 2 * (s.o * k * n * p) as u64;
             assert_eq!(c.get("tensor.conv_i8.flops"), Some(&flops), "{s:?}");
             assert_eq!(c.get("tensor.gemm_i8.packed_calls"), Some(&1), "{s:?}");

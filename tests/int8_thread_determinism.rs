@@ -20,7 +20,9 @@
 use contrastive_quant::tensor::gemm::int8::{gemm_i8_nt_ref, par_gemm_i8, with_i8_level, I8Level};
 use contrastive_quant::tensor::gemm::reference::conv2d_i8_per_sample;
 use contrastive_quant::tensor::par::with_thread_limit;
-use contrastive_quant::tensor::{conv2d_i8, Conv2dSpec, ConvShape, Requant};
+use contrastive_quant::tensor::{
+    conv2d_i8, ActQuads, Conv2dSpec, ConvShape, Epilogue, QuadGeom, Requant,
+};
 use proptest::prelude::*;
 
 const LIMITS: [usize; 4] = [1, 2, 5, 8];
@@ -98,23 +100,54 @@ impl ConvCase {
         }
     }
 
-    fn run(&self, conv: fn(&[i8], &[i8], &ConvShape, &Requant, &mut [f32])) -> Vec<u32> {
-        let rq = Requant {
+    fn requant(&self) -> Requant<'_> {
+        Requant {
             za: self.za,
             zw: self.zw,
             wsum: &self.wsum,
             scale: &self.scale,
             shift: &self.shift,
-        };
+        }
+    }
+
+    /// Output bits of the per-sample oracle on the stored codes.
+    fn oracle(&self) -> Vec<u32> {
         let mut out = vec![f32::NAN; self.s.n * self.s.o * self.s.positions()];
-        conv(&self.x, &self.wgt, &self.s, &rq, &mut out);
+        conv2d_i8_per_sample(&self.x, &self.wgt, &self.s, &self.requant(), &mut out);
         out.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// `conv2d_i8` ≡ the per-sample oracle at every level and thread limit.
+    /// Output bits of `conv2d_i8` on the codes laid out as channel quads
+    /// padded `extra` words wider than the conv's padding.
+    fn run(&self, extra: usize) -> Vec<u32> {
+        let (ph, pw) = self.s.spec.padding;
+        let geom = QuadGeom {
+            c: self.s.c,
+            h: self.s.h,
+            w: self.s.w,
+            pad: ph.max(pw) + extra,
+        };
+        let xq = ActQuads::from_codes(&self.x, self.s.n, geom, self.za);
+        let mut out = vec![f32::NAN; self.s.n * self.s.o * self.s.positions()];
+        conv2d_i8(
+            &xq,
+            &self.wgt,
+            &self.s,
+            &self.requant(),
+            Epilogue::default(),
+            &mut out,
+        );
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `conv2d_i8` ≡ the per-sample oracle at every level and thread
+    /// limit, on quads padded as the conv needs and one word wider.
     fn check(&self) {
-        let oracle = self.run(conv2d_i8_per_sample);
-        assert_everywhere(&format!("{:?}", self.s), &oracle, || self.run(conv2d_i8));
+        let oracle = self.oracle();
+        for extra in [0, 1] {
+            let what = format!("{:?} padded {extra} wider", self.s);
+            assert_everywhere(&what, &oracle, || self.run(extra));
+        }
     }
 }
 
