@@ -307,7 +307,7 @@ impl Geom {
             pos: (0..s.oh)
                 .flat_map(|oy| (0..s.ow).map(move |ox| s.origin(oy, ox)))
                 .collect(),
-            taps: s.tap_offsets(s.c),
+            taps: s.tap_offsets(s.c, s.padded_hw()),
         }
     }
 
