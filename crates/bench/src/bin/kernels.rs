@@ -55,6 +55,7 @@ use cq_infer::IntEncoder;
 use cq_models::{Arch, Encoder, EncoderConfig};
 use cq_nn::graph::Recorder;
 use cq_nn::{BatchNorm2d, ForwardCtx, Layer, ParamSet, Relu, Relu6};
+use cq_obs::json;
 use cq_quant::{Precision, QuantConfig};
 use cq_tensor::gemm::int8::{gemm_i8_nt_ref, par_gemm_i8};
 use cq_tensor::gemm::{self, Kind};
@@ -659,22 +660,6 @@ fn cpu_model() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn render_json(
     scale: Scale,
     points: &[Point],
@@ -701,15 +686,15 @@ fn render_json(
     );
     let _ = writeln!(s, "  \"unix_secs\": {unix_secs},");
     let _ = writeln!(s, "  \"machine\": {{");
-    let _ = writeln!(s, "    \"os\": \"{}\",", esc(std::env::consts::OS));
-    let _ = writeln!(s, "    \"arch\": \"{}\",", esc(std::env::consts::ARCH));
-    let _ = writeln!(s, "    \"cpu\": \"{}\",", esc(&cpu_model()));
+    let _ = writeln!(s, "    \"os\": {},", json::string(std::env::consts::OS));
+    let _ = writeln!(s, "    \"arch\": {},", json::string(std::env::consts::ARCH));
+    let _ = writeln!(s, "    \"cpu\": {},", json::string(&cpu_model()));
     let hw_threads = std::thread::available_parallelism()
         .map(std::num::NonZero::get)
         .unwrap_or(1);
     let _ = writeln!(s, "    \"threads\": {hw_threads},");
     let _ = writeln!(s, "    \"threads_effective\": {},", num_threads());
-    let _ = writeln!(s, "    \"simd\": \"{}\"", esc(gemm::simd_level_name()));
+    let _ = writeln!(s, "    \"simd\": {}", json::string(gemm::simd_level_name()));
     let _ = writeln!(s, "  }},");
     let _ = writeln!(
         s,
@@ -727,10 +712,10 @@ fn render_json(
         let pct = 100.0 * p.gflops / roofline.attainable(ai);
         let _ = writeln!(
             s,
-            "    {{\"kernel\": \"{}\", \"m\": {}, \"n\": {}, \"k\": {}, \"iters\": {}, \
+            "    {{\"kernel\": {}, \"m\": {}, \"n\": {}, \"k\": {}, \"iters\": {}, \
              \"gflops\": {:.3}, \"ref_gflops\": {:.3}, \"speedup\": {:.3}, \
              \"ai\": {:.3}, \"roofline_pct\": {:.1}}}{}",
-            p.kernel,
+            json::string(p.kernel),
             p.m,
             p.n,
             p.k,
@@ -763,9 +748,9 @@ fn render_json(
     for (i, c) in chains.iter().enumerate() {
         let _ = writeln!(
             s,
-            "    {{\"chain\": \"{}\", \"elems\": {}, \"groups\": {}, \"iters\": {}, \
+            "    {{\"chain\": {}, \"elems\": {}, \"groups\": {}, \"iters\": {}, \
              \"fused_gbs\": {:.3}, \"unfused_gbs\": {:.3}, \"speedup\": {:.3}}}{}",
-            c.chain,
+            json::string(c.chain),
             c.elems,
             c.groups,
             c.iters,

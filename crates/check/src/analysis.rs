@@ -24,6 +24,8 @@
 
 use std::fmt;
 
+use cq_obs::json;
+
 use crate::lexer::{self, Token, TokenKind};
 
 /// How serious a finding is.
@@ -485,9 +487,9 @@ impl Baseline {
     }
 }
 
-/// Serializes findings as a JSON array (hand-rolled; the workspace has no
-/// serde). Schema per element: `{"pass","lint","severity","file","line",
-/// "message","suppressed"}`.
+/// Serializes findings as a JSON array, strings escaped by
+/// `cq_obs::json::string`. Schema per element: `{"pass","lint",
+/// "severity","file","line","message","suppressed"}`.
 pub fn findings_to_json(findings: &[Finding]) -> String {
     let mut s = String::from("[");
     for (i, f) in findings.iter().enumerate() {
@@ -497,36 +499,17 @@ pub fn findings_to_json(findings: &[Finding]) -> String {
         s.push_str(&format!(
             "{{\"pass\":{},\"lint\":{},\"severity\":{},\"file\":{},\"line\":{},\
              \"message\":{},\"suppressed\":{}}}",
-            json_str(f.pass),
-            json_str(f.lint),
-            json_str(&f.severity.to_string()),
-            json_str(&f.file),
+            json::string(f.pass),
+            json::string(f.lint),
+            json::string(&f.severity.to_string()),
+            json::string(&f.file),
             f.line,
-            json_str(&f.message),
+            json::string(&f.message),
             f.suppressed
         ));
     }
     s.push(']');
     s
-}
-
-/// Escapes one JSON string, quotes included.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

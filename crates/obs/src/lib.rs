@@ -50,6 +50,7 @@
 
 pub mod alloc;
 pub mod health;
+pub mod json;
 pub mod names;
 pub mod prof;
 pub mod sink;

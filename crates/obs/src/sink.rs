@@ -1,27 +1,8 @@
 //! Event sinks: in-memory (tests), JSONL file writer (runs), and the
 //! `CQ_OBS` environment-variable selector.
 //!
-//! ## JSONL schema
-//!
-//! One JSON object per line, discriminated by `"t"`:
-//!
-//! ```text
-//! {"t":"span","name":"train.step","depth":0,"ns":1234567}
-//! {"t":"counter","name":"tensor.matmul.flops","total":98304}
-//! {"t":"hist","name":"quant.bits","v":8}
-//! {"t":"metric","name":"train.loss","step":3,"v":4.125}
-//! {"t":"warn","msg":"CQ_THREADS=0 rejected; using 1"}
-//! {"t":"health","detector":"nan_sentinel","verdict":"critical","step":3,"v":null,"msg":"loss is NaN at step 3"}
-//! {"t":"tl","name":"pool.busy","cat":"pool","tid":2,"ts":1048576,"dur":524288}
-//! ```
-//!
-//! `tl` records (per-thread timeline intervals, `ts`/`dur` in
-//! nanoseconds since the process profiling epoch) appear only when
-//! profiling is enabled (`CQ_PROF=1`) — see [`crate::prof`].
-//!
-//! `SpanStart` events are not written — the `SpanEnd` record carries the
-//! name, depth and duration, which halves trace volume without losing
-//! information (ordering within a thread is reconstructible from depth).
+//! The JSONL line format is [`crate::json::Record`]'s (schema in
+//! [`crate::json`]).
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -30,6 +11,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use crate::json::Record;
 use crate::{Event, Sink};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -154,7 +136,8 @@ impl Sink for CountingSink {
     }
 }
 
-/// Streams events as JSON Lines to a buffered file (schema above).
+/// Streams events as JSON Lines to a buffered file, one
+/// [`Record::to_jsonl`] line per event (schema in [`crate::json`]).
 #[derive(Debug)]
 pub struct JsonlSink {
     writer: Mutex<BufWriter<File>>,
@@ -170,87 +153,11 @@ impl JsonlSink {
     }
 }
 
-/// Minimal JSON string escaping for warning messages (the only free-form
-/// strings in the schema).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats `v` so the output is valid JSON (JSON has no NaN/Infinity).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // Round-trippable, and integral values print without a ".0" tail
-        // matching what a histogram of bit-widths looks like.
-        if v == v.trunc() && v.abs() < 1e15 {
-            format!("{}", v as i64)
-        } else {
-            format!("{v}")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
 impl Sink for JsonlSink {
     fn event(&self, ev: &Event) {
-        let line = match ev {
-            // Start records carry no information the end record lacks.
-            Event::SpanStart { .. } => return,
-            Event::SpanEnd { name, depth, nanos } => {
-                format!("{{\"t\":\"span\",\"name\":\"{name}\",\"depth\":{depth},\"ns\":{nanos}}}")
-            }
-            Event::Counter { name, total } => {
-                format!("{{\"t\":\"counter\",\"name\":\"{name}\",\"total\":{total}}}")
-            }
-            Event::Histogram { name, value } => {
-                format!(
-                    "{{\"t\":\"hist\",\"name\":\"{name}\",\"v\":{}}}",
-                    json_f64(*value)
-                )
-            }
-            Event::Metric { name, step, value } => format!(
-                "{{\"t\":\"metric\",\"name\":\"{name}\",\"step\":{step},\"v\":{}}}",
-                json_f64(*value)
-            ),
-            Event::Warning { message } => {
-                format!("{{\"t\":\"warn\",\"msg\":\"{}\"}}", escape_json(message))
-            }
-            Event::Timeline {
-                name,
-                cat,
-                tid,
-                start_ns,
-                dur_ns,
-            } => format!(
-                "{{\"t\":\"tl\",\"name\":\"{name}\",\"cat\":\"{cat}\",\"tid\":{tid},\"ts\":{start_ns},\"dur\":{dur_ns}}}"
-            ),
-            Event::Health {
-                detector,
-                verdict,
-                step,
-                value,
-                message,
-            } => format!(
-                "{{\"t\":\"health\",\"detector\":\"{detector}\",\"verdict\":\"{}\",\"step\":{step},\"v\":{},\"msg\":\"{}\"}}",
-                verdict.as_str(),
-                json_f64(*value),
-                escape_json(message)
-            ),
-        };
-        let mut w = lock(&self.writer);
-        let _ = writeln!(w, "{line}");
+        if let Some(rec) = Record::from_event(ev) {
+            let _ = writeln!(lock(&self.writer), "{}", rec.to_jsonl());
+        }
     }
 
     fn flush(&self) {
@@ -379,11 +286,118 @@ mod tests {
     }
 
     #[test]
-    fn json_f64_handles_specials() {
-        assert_eq!(json_f64(8.0), "8");
-        assert_eq!(json_f64(0.5), "0.5");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
+    fn every_event_writes_its_record_line() {
+        let _g = crate::test_lock();
+        let path = std::env::temp_dir().join(format!("cq-obs-rec-{}.jsonl", std::process::id()));
+        let sink = JsonlSink::create(&path).expect("temp file");
+        let msg = "say \"hi\" \\ back\nthen\u{1}stop".to_string();
+        let cases: Vec<(Event, Record)> = vec![
+            (
+                Event::SpanEnd {
+                    name: "train.step",
+                    depth: 1,
+                    nanos: 42,
+                },
+                Record::Span {
+                    name: "train.step".into(),
+                    depth: 1,
+                    ns: 42,
+                },
+            ),
+            (
+                Event::Counter {
+                    name: "tensor.conv.flops",
+                    total: (1 << 53) + 1,
+                },
+                Record::Counter {
+                    name: "tensor.conv.flops".into(),
+                    total: (1 << 53) + 1,
+                },
+            ),
+            (
+                Event::Histogram {
+                    name: "quant.bits",
+                    value: -0.0,
+                },
+                Record::Hist {
+                    name: "quant.bits".into(),
+                    value: -0.0,
+                },
+            ),
+            (
+                Event::Metric {
+                    name: "train.loss",
+                    step: 3,
+                    value: f64::NAN,
+                },
+                Record::Metric {
+                    name: "train.loss".into(),
+                    step: 3,
+                    value: f64::NAN,
+                },
+            ),
+            (
+                Event::Warning {
+                    message: msg.clone(),
+                },
+                Record::Warn {
+                    message: msg.clone(),
+                },
+            ),
+            (
+                Event::Timeline {
+                    name: "pool.busy",
+                    cat: "pool",
+                    tid: 2,
+                    start_ns: 7,
+                    dur_ns: 9,
+                },
+                Record::Timeline {
+                    name: "pool.busy".into(),
+                    cat: "pool".into(),
+                    tid: 2,
+                    start_ns: 7,
+                    dur_ns: 9,
+                },
+            ),
+            (
+                Event::Health {
+                    detector: "nan_sentinel",
+                    verdict: crate::health::Verdict::Critical,
+                    step: 3,
+                    value: f64::INFINITY,
+                    message: msg.clone(),
+                },
+                Record::Health {
+                    detector: "nan_sentinel".into(),
+                    verdict: "critical".into(),
+                    step: 3,
+                    value: f64::INFINITY,
+                    message: msg,
+                },
+            ),
+        ];
+        sink.event(&Event::SpanStart {
+            name: "train.step",
+            depth: 0,
+        });
+        for (ev, _) in &cases {
+            sink.event(ev);
+        }
+        Sink::flush(&sink);
+        let text = std::fs::read_to_string(&path).expect("trace readable");
+        let _ = std::fs::remove_file(&path);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), cases.len(), "SpanStart writes no line");
+        for (line, (_, rec)) in lines.iter().zip(&cases) {
+            assert_eq!(*line, rec.to_jsonl());
+        }
+        assert!(lines[2].ends_with(r#""v":-0}"#), "{}", lines[2]);
+        assert!(
+            lines[4].contains(r#""say \"hi\" \\ back\nthen\u0001stop""#),
+            "{}",
+            lines[4]
+        );
     }
 
     #[test]

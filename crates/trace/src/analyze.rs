@@ -3,8 +3,8 @@
 use std::collections::BTreeMap;
 
 use cq_obs::health::{HealthEngine, Verdict};
+use cq_obs::json::Record;
 
-use crate::record::Record;
 use crate::tree::{build_span_tree, render_span_tree};
 
 fn fmt_count(n: u64) -> String {

@@ -27,12 +27,7 @@
 //! does not know are ignored, so older artifacts that still carry the
 //! retired 2-step pilot throughput sections parse unchanged.
 //!
-//! The flat-line parser in [`crate::record`] cannot read these files —
-//! they are one nested JSON document, not JSONL — so this module carries
-//! its own minimal recursive-descent parser for the full JSON value
-//! grammar (still no external dependency). Its nesting depth is
-//! bounded, so a hostile document errs instead of overflowing the
-//! stack. On top of it:
+//! The document is read by `cq_obs::json::parse`. On top of it:
 //!
 //! - [`parse_bench`] — parse + schema-validate into a [`BenchReport`].
 //! - [`diff_bench`] — compare two reports grid-point by grid-point and
@@ -42,7 +37,8 @@
 //!   regression signal.
 
 use std::collections::BTreeMap;
-use std::fmt;
+
+use cq_obs::json::{self, Value};
 
 /// The original schema string.
 pub const BENCH_SCHEMA: &str = "cq-bench-kernels/v1";
@@ -52,300 +48,6 @@ pub const BENCH_SCHEMA_V2: &str = "cq-bench-kernels/v2";
 
 /// The integer-inference-aware schema string.
 pub const BENCH_SCHEMA_V3: &str = "cq-bench-kernels/v3";
-
-/// Deepest array/object nesting the JSON parser accepts. Bench artifacts
-/// nest three deep; the bound keeps the recursive descent's stack use
-/// small on hostile input.
-const MAX_NESTING: usize = 128;
-
-// ---------------------------------------------------------------------------
-// Minimal JSON value parser
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value (number precision: `f64`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string (escapes decoded).
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object, key order not preserved.
-    Obj(BTreeMap<String, Value>),
-}
-
-impl Value {
-    /// Object field lookup; `None` for non-objects.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(map) => map.get(key),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The array payload, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// A JSON syntax error with byte offset.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JsonError {
-    /// Byte offset into the input where parsing failed.
-    pub offset: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json offset {}: {}", self.offset, self.message)
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Arrays and objects currently open.
-    depth: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, JsonError> {
-        Err(JsonError {
-            offset: self.pos,
-            message: message.into(),
-        })
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(format!("expected `{}`", b as char))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, JsonError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(open @ (b'{' | b'[')) => {
-                if self.depth == MAX_NESTING {
-                    return self.err(format!("nesting deeper than {MAX_NESTING}"));
-                }
-                self.depth += 1;
-                let value = if open == b'{' {
-                    self.parse_object()
-                } else {
-                    self.parse_array()
-                };
-                self.depth -= 1;
-                value
-            }
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b't') => self.parse_lit("true", Value::Bool(true)),
-            Some(b'f') => self.parse_lit("false", Value::Bool(false)),
-            Some(b'n') => self.parse_lit("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(other) => self.err(format!("unexpected byte `{}`", other as char)),
-            None => self.err("unexpected end of input"),
-        }
-    }
-
-    fn parse_lit(&mut self, lit: &str, value: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            self.err(format!("expected `{lit}`"))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        match text.parse::<f64>() {
-            Ok(v) if v.is_finite() => Ok(Value::Num(v)),
-            _ => self.err(format!("bad number `{text}`")),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, JsonError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return self.err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok());
-                            match hex.and_then(char::from_u32) {
-                                Some(c) => {
-                                    out.push(c);
-                                    self.pos += 4;
-                                }
-                                None => return self.err("bad \\u escape"),
-                            }
-                        }
-                        _ => return self.err("bad escape"),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through untouched.
-                    let rest = &self.bytes[self.pos..];
-                    let ch_len = match rest[0] {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    match std::str::from_utf8(rest.get(..ch_len).unwrap_or_default()) {
-                        Ok(s) => out.push_str(s),
-                        Err(_) => return self.err("invalid utf-8 in string"),
-                    }
-                    self.pos += ch_len;
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, JsonError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return self.err("expected `,` or `]`"),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, JsonError> {
-        self.eat(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let value = self.parse_value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(map));
-                }
-                _ => return self.err("expected `,` or `}`"),
-            }
-        }
-    }
-}
-
-/// Parses one complete JSON document (trailing whitespace allowed,
-/// trailing garbage rejected).
-pub fn parse_json(text: &str) -> Result<Value, JsonError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    let value = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return p.err("trailing garbage after document");
-    }
-    Ok(value)
-}
 
 // ---------------------------------------------------------------------------
 // Bench report schema
@@ -462,170 +164,158 @@ pub struct BenchReport {
     pub ew_chains: Vec<EwChainPoint>,
 }
 
-fn req_str(v: &Value, key: &str, ctx: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("{ctx}: missing string field `{key}`"))
-}
-
-fn req_num(v: &Value, key: &str, ctx: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("{ctx}: missing numeric field `{key}`"))
-}
-
 /// Parses and schema-validates a bench artifact (v1, v2 or v3).
 pub fn parse_bench(text: &str) -> Result<BenchReport, String> {
-    let root = parse_json(text).map_err(|e| e.to_string())?;
-    let schema = req_str(&root, "schema", "root")?;
-    // v3 keeps every v2 rule (roofline, fingerprint format, per-point
-    // ai/roofline_pct) and adds a required `int8_encoders` section.
-    let v3 = schema == BENCH_SCHEMA_V3;
-    let v2 = match schema.as_str() {
-        s if s == BENCH_SCHEMA => false,
-        s if s == BENCH_SCHEMA_V2 => true,
-        s if s == BENCH_SCHEMA_V3 => true,
-        _ => {
-            return Err(format!(
-                "unsupported schema `{schema}` (expected `{BENCH_SCHEMA}`, `{BENCH_SCHEMA_V2}` or `{BENCH_SCHEMA_V3}`)"
-            ))
-        }
+    BenchReport::from_json(&json::parse(text).map_err(|e| e.to_string())?)
+}
+
+/// Reads each entry of the array `root[key]` through `read`, naming the
+/// failing entry (`key[i]`); `None` when there is no such array.
+fn section<T>(
+    root: &Value,
+    key: &str,
+    read: impl Fn(&Value) -> Result<T, String>,
+) -> Result<Option<Vec<T>>, String> {
+    let Some(entries) = root.get(key).and_then(Value::as_arr) else {
+        return Ok(None);
     };
-    let pr = req_num(&root, "pr", "root")? as u64;
-    let scale = req_str(&root, "scale", "root")?;
-    let mach = root.get("machine").ok_or("root: missing `machine`")?;
-    // v2 fingerprints the *effective* execution environment: the thread
-    // count the pool actually uses (post CQ_THREADS) and the SIMD
-    // dispatch level, both of which change what GFLOP/s means.
-    let machine = if v2 {
-        format!(
-            "{}/{}/{}/{}t/{}",
-            req_str(mach, "os", "machine")?,
-            req_str(mach, "arch", "machine")?,
-            req_str(mach, "cpu", "machine")?,
-            req_num(mach, "threads_effective", "machine")? as u64,
-            req_str(mach, "simd", "machine")?,
-        )
-    } else {
-        format!(
-            "{}/{}/{}/{}t",
-            req_str(mach, "os", "machine")?,
-            req_str(mach, "arch", "machine")?,
-            req_str(mach, "cpu", "machine")?,
-            req_num(mach, "threads", "machine")? as u64,
-        )
-    };
-    let roofline = if v2 {
-        let r = root.get("roofline").ok_or("root: missing `roofline`")?;
-        let peak = req_num(r, "peak_gflops", "roofline")?;
-        let stream = req_num(r, "stream_gbs", "roofline")?;
-        if !(peak.is_finite() && peak > 0.0 && stream.is_finite() && stream > 0.0) {
-            return Err("roofline: non-positive or non-finite ceiling".into());
-        }
-        Some((peak, stream))
-    } else {
-        None
-    };
-    let mut kernels = Vec::new();
-    let entries = root
-        .get("kernels")
-        .and_then(Value::as_arr)
-        .ok_or("root: missing `kernels` array")?;
-    if entries.is_empty() {
-        return Err("`kernels` array is empty".into());
+    let points = entries
+        .iter()
+        .enumerate()
+        .map(|(i, entry)| read(entry).map_err(|e| format!("{key}[{i}]: {e}")));
+    points.collect::<Result<_, _>>().map(Some)
+}
+
+/// A [`section`] that must be present and non-empty.
+fn required_section<T>(
+    root: &Value,
+    key: &str,
+    read: impl Fn(&Value) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    match section(root, key, read)? {
+        None => Err(format!("root: missing `{key}` array")),
+        Some(points) if points.is_empty() => Err(format!("`{key}` array is empty")),
+        Some(points) => Ok(points),
     }
-    for (i, entry) in entries.iter().enumerate() {
-        let ctx = format!("kernels[{i}]");
-        let point = KernelPoint {
-            kernel: req_str(entry, "kernel", &ctx)?,
-            m: req_num(entry, "m", &ctx)? as usize,
-            n: req_num(entry, "n", &ctx)? as usize,
-            k: req_num(entry, "k", &ctx)? as usize,
-            gflops: req_num(entry, "gflops", &ctx)?,
-            ref_gflops: req_num(entry, "ref_gflops", &ctx)?,
-            roofline_pct: if v2 {
-                req_num(entry, "roofline_pct", &ctx)?
-            } else {
-                0.0
-            },
+}
+
+fn positive(v: f64) -> bool {
+    v.is_finite() && v > 0.0
+}
+
+impl BenchReport {
+    /// Schema-validates a parsed bench artifact (v1, v2 or v3).
+    pub fn from_json(root: &Value) -> Result<BenchReport, String> {
+        let at = |ctx: &'static str| move |e: String| format!("{ctx}: {e}");
+        let schema = root.str_field("schema").map_err(at("root"))?;
+        // v3 keeps every v2 rule (roofline, fingerprint format, per-point
+        // ai/roofline_pct) and adds a required `int8_encoders` section.
+        let v3 = schema == BENCH_SCHEMA_V3;
+        let v2 = match schema {
+            BENCH_SCHEMA => false,
+            BENCH_SCHEMA_V2 | BENCH_SCHEMA_V3 => true,
+            _ => {
+                return Err(format!(
+                    "unsupported schema `{schema}` (expected `{BENCH_SCHEMA}`, `{BENCH_SCHEMA_V2}` or `{BENCH_SCHEMA_V3}`)"
+                ))
+            }
         };
-        if point.gflops <= 0.0 || point.ref_gflops <= 0.0 {
-            return Err(format!("{ctx}: non-positive throughput"));
-        }
-        if v2 {
-            let ai = req_num(entry, "ai", &ctx)?;
-            if !(ai.is_finite() && ai > 0.0) {
-                return Err(format!("{ctx}: non-positive arithmetic intensity"));
+        let pr = root.u64_field("pr").map_err(at("root"))?;
+        let scale = root.str_field("scale").map_err(at("root"))?.to_string();
+        let mach = root.get("machine").ok_or("root: missing `machine`")?;
+        // v2 fingerprints the *effective* execution environment: the thread
+        // count the pool actually uses (post CQ_THREADS) and the SIMD
+        // dispatch level, both of which change what GFLOP/s means.
+        let text = |key| mach.str_field(key).map_err(at("machine"));
+        let count = |key| mach.u64_field(key).map_err(at("machine"));
+        let (os, arch, cpu) = (text("os")?, text("arch")?, text("cpu")?);
+        let machine = if v2 {
+            let threads = count("threads_effective")?;
+            format!("{os}/{arch}/{cpu}/{threads}t/{}", text("simd")?)
+        } else {
+            format!("{os}/{arch}/{cpu}/{}t", count("threads")?)
+        };
+        let roofline = if v2 {
+            let r = root.get("roofline").ok_or("root: missing `roofline`")?;
+            let peak = r.f64_field("peak_gflops").map_err(at("roofline"))?;
+            let stream = r.f64_field("stream_gbs").map_err(at("roofline"))?;
+            if !(positive(peak) && positive(stream)) {
+                return Err("roofline: non-positive or non-finite ceiling".into());
             }
-            if !(point.roofline_pct.is_finite() && point.roofline_pct > 0.0) {
-                return Err(format!("{ctx}: non-positive roofline_pct"));
-            }
-        }
-        kernels.push(point);
-    }
-    let mut int8_encoders = Vec::new();
-    if v3 {
-        let entries = root
-            .get("int8_encoders")
-            .and_then(Value::as_arr)
-            .ok_or("root: missing `int8_encoders` array (required by v3)")?;
-        if entries.is_empty() {
-            return Err("`int8_encoders` array is empty".into());
-        }
-        for (i, entry) in entries.iter().enumerate() {
-            let ctx = format!("int8_encoders[{i}]");
-            let point = Int8EncoderPoint {
-                arch: req_str(entry, "arch", &ctx)?,
-                n: req_num(entry, "n", &ctx)? as usize,
-                f32_imgs_per_sec: req_num(entry, "f32_imgs_per_sec", &ctx)?,
-                int8_imgs_per_sec: req_num(entry, "int8_imgs_per_sec", &ctx)?,
+            Some((peak, stream))
+        } else {
+            None
+        };
+        let kernels = required_section(root, "kernels", |e| {
+            let point = KernelPoint {
+                kernel: e.str_field("kernel")?.to_string(),
+                m: e.u64_field("m")? as usize,
+                n: e.u64_field("n")? as usize,
+                k: e.u64_field("k")? as usize,
+                gflops: e.f64_field("gflops")?,
+                ref_gflops: e.f64_field("ref_gflops")?,
+                roofline_pct: if v2 {
+                    e.f64_field("roofline_pct")?
+                } else {
+                    0.0
+                },
             };
-            if !(point.f32_imgs_per_sec.is_finite()
-                && point.f32_imgs_per_sec > 0.0
-                && point.int8_imgs_per_sec.is_finite()
-                && point.int8_imgs_per_sec > 0.0)
-            {
-                return Err(format!("{ctx}: non-positive throughput"));
+            if point.gflops <= 0.0 || point.ref_gflops <= 0.0 {
+                return Err("non-positive throughput".into());
             }
-            int8_encoders.push(point);
-        }
-    }
-    // Optional fusion section (PR 10+). Absent in older artifacts; when
-    // present every entry must be well-formed and positive.
-    let mut ew_chains = Vec::new();
-    if let Some(entries) = root.get("ew_chains").and_then(Value::as_arr) {
-        for (i, entry) in entries.iter().enumerate() {
-            let ctx = format!("ew_chains[{i}]");
+            if v2 && !positive(e.f64_field("ai")?) {
+                return Err("non-positive arithmetic intensity".into());
+            }
+            if v2 && !positive(point.roofline_pct) {
+                return Err("non-positive roofline_pct".into());
+            }
+            Ok(point)
+        })?;
+        let int8_encoders = if v3 {
+            required_section(root, "int8_encoders", |e| {
+                let point = Int8EncoderPoint {
+                    arch: e.str_field("arch")?.to_string(),
+                    n: e.u64_field("n")? as usize,
+                    f32_imgs_per_sec: e.f64_field("f32_imgs_per_sec")?,
+                    int8_imgs_per_sec: e.f64_field("int8_imgs_per_sec")?,
+                };
+                if !(positive(point.f32_imgs_per_sec) && positive(point.int8_imgs_per_sec)) {
+                    return Err("non-positive throughput".into());
+                }
+                Ok(point)
+            })?
+        } else {
+            Vec::new()
+        };
+        // Optional fusion section (PR 10+). Absent in older artifacts; when
+        // present every entry must be well-formed and positive.
+        let ew_chains = section(root, "ew_chains", |e| {
             let point = EwChainPoint {
-                chain: req_str(entry, "chain", &ctx)?,
-                elems: req_num(entry, "elems", &ctx)? as usize,
-                groups: req_num(entry, "groups", &ctx)? as usize,
-                fused_gbs: req_num(entry, "fused_gbs", &ctx)?,
-                unfused_gbs: req_num(entry, "unfused_gbs", &ctx)?,
+                chain: e.str_field("chain")?.to_string(),
+                elems: e.u64_field("elems")? as usize,
+                groups: e.u64_field("groups")? as usize,
+                fused_gbs: e.f64_field("fused_gbs")?,
+                unfused_gbs: e.f64_field("unfused_gbs")?,
             };
             if point.elems == 0 || point.groups == 0 {
-                return Err(format!("{ctx}: zero elems or groups"));
+                return Err("zero elems or groups".into());
             }
-            if !(point.fused_gbs.is_finite()
-                && point.fused_gbs > 0.0
-                && point.unfused_gbs.is_finite()
-                && point.unfused_gbs > 0.0)
-            {
-                return Err(format!("{ctx}: non-positive throughput"));
+            if !(positive(point.fused_gbs) && positive(point.unfused_gbs)) {
+                return Err("non-positive throughput".into());
             }
-            ew_chains.push(point);
-        }
+            Ok(point)
+        })?
+        .unwrap_or_default();
+        Ok(BenchReport {
+            pr,
+            scale,
+            machine,
+            kernels,
+            roofline,
+            int8_encoders,
+            ew_chains,
+        })
     }
-    Ok(BenchReport {
-        pr,
-        scale,
-        machine,
-        kernels,
-        roofline,
-        int8_encoders,
-        ew_chains,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -790,54 +480,6 @@ mod tests {
   "pilot": {{"steps": 2, "steps_per_sec": 150.0}}
 }}"#
         )
-    }
-
-    #[test]
-    fn json_parser_handles_nesting_escapes_and_numbers() {
-        let v = parse_json(r#"{"a": [1, -2.5e1, "x\n\"yA"], "b": {"c": null, "d": true}}"#)
-            .expect("parse");
-        assert_eq!(
-            v.get("a").and_then(Value::as_arr).map(<[Value]>::len),
-            Some(3)
-        );
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[1], Value::Num(-25.0));
-        assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap()[2],
-            Value::Str("x\n\"yA".into())
-        );
-        assert_eq!(v.get("b").unwrap().get("c"), Some(&Value::Null));
-    }
-
-    #[test]
-    fn json_parser_rejects_garbage() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json(r#"{"a": }"#).is_err());
-        assert!(parse_json("[1, 2,]").is_err());
-        assert!(parse_json("{} trailing").is_err());
-        assert!(parse_json(r#"{"a": 1e999}"#).is_err(), "non-finite number");
-    }
-
-    #[test]
-    fn json_parser_bounds_nesting_depth() {
-        // Hostile depth errs instead of overflowing the stack.
-        let deep_arrays = "[".repeat(100_000);
-        let err = parse_json(&deep_arrays).unwrap_err();
-        assert!(err.message.contains("nesting"), "{err}");
-        assert_eq!(err.offset, MAX_NESTING);
-        let deep_objects = r#"{"a":"#.repeat(100_000);
-        assert!(parse_json(&deep_objects)
-            .unwrap_err()
-            .message
-            .contains("nesting"));
-
-        // A document nested exactly to the bound still parses; one more
-        // level does not.
-        let nested = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
-        assert!(parse_json(&nested(MAX_NESTING)).is_ok());
-        assert!(parse_json(&nested(MAX_NESTING + 1)).is_err());
-        let objects = |depth: usize| format!("{}1{}", r#"{"a":"#.repeat(depth), "}".repeat(depth));
-        assert!(parse_json(&objects(MAX_NESTING)).is_ok());
-        assert!(parse_json(&objects(MAX_NESTING + 1)).is_err());
     }
 
     #[test]

@@ -30,10 +30,10 @@
 //!   `chrome://tracing` / Perfetto JSON file, or into a self-time-ranked
 //!   span table with worker-pool utilization attributed per phase.
 //!
-//! The trace parser ([`record`]) is hand-rolled for the flat cq-obs
-//! schema, and [`bench`](mod@bench) carries a minimal recursive-descent parser for
-//! the nested bench-artifact JSON — no JSON dependency either way, per
-//! the repo's offline-only build constraint.
+//! Every JSON read or written here — trace lines, bench artifacts, the
+//! Chrome trace export — goes through `cq_obs::json`, the workspace's one
+//! JSON module (no JSON dependency, per the repo's offline-only build
+//! constraint).
 
 #![deny(missing_docs)]
 
@@ -45,12 +45,12 @@ pub mod tree;
 
 pub use analyze::{check, diff, summarize, CheckResult, DiffResult};
 pub use bench::{diff_bench, parse_bench, BenchDiff, BenchReport, EwChainPoint};
-pub use record::{merge, parse_trace, render_trace, ParseError, Record};
+pub use record::{merge, parse_trace, render_trace, ParseError};
 pub use timeline::{export_chrome_trace, profile, ProfileResult};
 pub use tree::{build_span_tree, render_span_tree, SpanNode};
 
 /// Reads and parses a trace file.
-pub fn load_trace(path: &str) -> Result<Vec<Record>, String> {
+pub fn load_trace(path: &str) -> Result<Vec<cq_obs::json::Record>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     parse_trace(&text).map_err(|e| format!("{path}: {e}"))
 }

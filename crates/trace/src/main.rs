@@ -31,8 +31,9 @@
 //! it fail when no positive pool utilization can be derived (the CI
 //! profile smoke gate).
 //!
-//! Exit codes: 0 = pass, 1 = Critical verdict (`check`) or regression
-//! (`diff`), 2 = usage or I/O/parse error.
+//! Exit codes: 0 = pass, 1 = Critical verdict (`check`), regression
+//! (`diff`) or schema violation (`bench-check`), 2 = usage or I/O/parse
+//! error.
 
 use std::process::ExitCode;
 
@@ -45,9 +46,14 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn load_bench(path: &str) -> Result<cq_trace::BenchReport, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    cq_trace::parse_bench(&text).map_err(|e| format!("{path}: {e}"))
+/// Reads and validates a bench artifact. The error carries its exit
+/// code: 2 when the file cannot be read or is not JSON (a load error), 1
+/// when the JSON breaks the schema (a finding).
+fn load_bench(path: &str) -> Result<cq_trace::BenchReport, (u8, String)> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| (2, format!("cannot read {path}: {e}")))?;
+    let doc = cq_obs::json::parse(&text).map_err(|e| (2, format!("{path}: {e}")))?;
+    cq_trace::BenchReport::from_json(&doc).map_err(|e| (1, format!("{path}: {e}")))
 }
 
 fn main() -> ExitCode {
@@ -193,15 +199,9 @@ fn main() -> ExitCode {
                     );
                     ExitCode::SUCCESS
                 }
-                Err(e) => {
+                Err((code, e)) => {
                     eprintln!("cq-trace bench-check: {e}");
-                    // Schema violations are findings (1); unreadable files
-                    // are I/O errors (2).
-                    if e.contains("cannot read") {
-                        ExitCode::from(2)
-                    } else {
-                        ExitCode::FAILURE
-                    }
+                    ExitCode::from(code)
                 }
             }
         }
@@ -225,7 +225,7 @@ fn main() -> ExitCode {
             }
             let (old, new) = match (load_bench(path_old), load_bench(path_new)) {
                 (Ok(old), Ok(new)) => (old, new),
-                (Err(e), _) | (_, Err(e)) => {
+                (Err((_, e)), _) | (_, Err((_, e))) => {
                     eprintln!("cq-trace: {e}");
                     return ExitCode::from(2);
                 }

@@ -1,82 +1,10 @@
-//! JSONL trace records and a minimal hand-rolled parser for them.
-//!
-//! The cq-obs JSONL schema (see `cq_obs::sink`) is flat: one JSON object
-//! per line, string/number/null values only, discriminated by `"t"`. A
-//! full JSON library would be a dependency for nothing; this parser
-//! handles exactly that subset and rejects everything else loudly.
+//! Whole JSONL traces: parse, render back and merge. One line is a
+//! [`Record`], whose schema, reader and writer live in `cq_obs::json`.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// One parsed trace line, mirroring `cq_obs::Event` with owned names
-/// (the offline side has no `&'static str` to point at).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Record {
-    /// A closed span scope (`{"t":"span",...}`).
-    Span {
-        /// Span name.
-        name: String,
-        /// Nesting depth on the emitting thread.
-        depth: u16,
-        /// Elapsed nanoseconds.
-        ns: u64,
-    },
-    /// A counter total (`{"t":"counter",...}`).
-    Counter {
-        /// Counter name.
-        name: String,
-        /// Accumulated total at flush time.
-        total: u64,
-    },
-    /// One histogram observation (`{"t":"hist",...}`).
-    Hist {
-        /// Histogram name.
-        name: String,
-        /// Observed value (`null` in the file parses as NaN).
-        value: f64,
-    },
-    /// One step metric (`{"t":"metric",...}`).
-    Metric {
-        /// Metric name.
-        name: String,
-        /// Training step.
-        step: u64,
-        /// Value (`null` in the file parses as NaN).
-        value: f64,
-    },
-    /// A diagnostic warning (`{"t":"warn",...}`).
-    Warn {
-        /// Message text.
-        message: String,
-    },
-    /// One per-thread profiling timeline interval (`{"t":"tl",...}`).
-    /// Present only in traces recorded with `CQ_PROF` enabled.
-    Timeline {
-        /// Interval name (a span name, `pool.busy`, `pool.park`).
-        name: String,
-        /// Lane category (`span` or `pool`).
-        cat: String,
-        /// Dense process-local thread id.
-        tid: u64,
-        /// Start, nanoseconds since the process profiling epoch.
-        start_ns: u64,
-        /// Duration in nanoseconds.
-        dur_ns: u64,
-    },
-    /// An online health verdict (`{"t":"health",...}`).
-    Health {
-        /// Detector name.
-        detector: String,
-        /// Verdict spelling (`ok`/`warn`/`critical`).
-        verdict: String,
-        /// Step of the triggering observation.
-        step: u64,
-        /// Offending value (`null` parses as NaN).
-        value: f64,
-        /// Explanation.
-        message: String,
-    },
-}
+use cq_obs::json::Record;
 
 /// A parse failure, with enough context to locate the bad line.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,329 +22,6 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
-
-#[derive(Debug, Clone, PartialEq)]
-enum JsonVal {
-    Str(String),
-    Num(f64),
-    Null,
-}
-
-impl JsonVal {
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonVal::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonVal::Num(n) => Some(*n),
-            JsonVal::Null => Some(f64::NAN),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonVal::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-}
-
-struct Cursor<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Self {
-        Cursor {
-            chars: s.chars().peekable(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.chars.peek(), Some(c) if c.is_ascii_whitespace()) {
-            self.chars.next();
-        }
-    }
-
-    fn consume(&mut self, c: char) -> Result<(), String> {
-        self.skip_ws();
-        match self.chars.next() {
-            Some(got) if got == c => Ok(()),
-            Some(got) => Err(format!("expected '{c}', found '{got}'")),
-            None => Err(format!("expected '{c}', found end of line")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.consume('"')?;
-        let mut out = String::new();
-        loop {
-            match self.chars.next() {
-                Some('"') => return Ok(out),
-                Some('\\') => match self.chars.next() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .chars
-                                .next()
-                                .and_then(|c| c.to_digit(16))
-                                .ok_or("bad \\u escape")?;
-                            code = code * 16 + d;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(c) => out.push(c),
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonVal, String> {
-        self.skip_ws();
-        match self.chars.peek() {
-            Some('"') => Ok(JsonVal::Str(self.string()?)),
-            Some('n') => {
-                for want in "null".chars() {
-                    if self.chars.next() != Some(want) {
-                        return Err("bad literal (expected null)".to_string());
-                    }
-                }
-                Ok(JsonVal::Null)
-            }
-            Some(c) if *c == '-' || c.is_ascii_digit() => {
-                let mut num = String::new();
-                while let Some(&c) = self.chars.peek() {
-                    if !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')) {
-                        break;
-                    }
-                    num.push(c);
-                    self.chars.next();
-                }
-                num.parse::<f64>()
-                    .map(JsonVal::Num)
-                    .map_err(|e| format!("bad number {num:?}: {e}"))
-            }
-            other => Err(format!("unsupported JSON value starting at {other:?}")),
-        }
-    }
-
-    /// Parses one flat `{"k":v,...}` object.
-    fn object(&mut self) -> Result<Vec<(String, JsonVal)>, String> {
-        self.consume('{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.chars.peek() == Some(&'}') {
-            self.chars.next();
-            return Ok(fields);
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.consume(':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.chars.next() {
-                Some(',') => continue,
-                Some('}') => break,
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-        self.skip_ws();
-        match self.chars.next() {
-            None => Ok(fields),
-            Some(c) => Err(format!("trailing content after object: '{c}'")),
-        }
-    }
-}
-
-fn field<'a>(fields: &'a [(String, JsonVal)], key: &str) -> Result<&'a JsonVal, String> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field \"{key}\""))
-}
-
-fn str_field(fields: &[(String, JsonVal)], key: &str) -> Result<String, String> {
-    field(fields, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("field \"{key}\" is not a string"))
-}
-
-fn u64_field(fields: &[(String, JsonVal)], key: &str) -> Result<u64, String> {
-    field(fields, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field \"{key}\" is not a non-negative integer"))
-}
-
-fn f64_field(fields: &[(String, JsonVal)], key: &str) -> Result<f64, String> {
-    field(fields, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field \"{key}\" is not a number or null"))
-}
-
-impl Record {
-    /// Parses one trace line. Empty/whitespace lines are not accepted;
-    /// callers skip them before calling.
-    pub fn parse(line: &str) -> Result<Record, String> {
-        let fields = Cursor::new(line).object()?;
-        let t = str_field(&fields, "t")?;
-        match t.as_str() {
-            "span" => Ok(Record::Span {
-                name: str_field(&fields, "name")?,
-                depth: u64_field(&fields, "depth")?
-                    .try_into()
-                    .map_err(|_| "depth out of range".to_string())?,
-                ns: u64_field(&fields, "ns")?,
-            }),
-            "counter" => Ok(Record::Counter {
-                name: str_field(&fields, "name")?,
-                total: u64_field(&fields, "total")?,
-            }),
-            "hist" => Ok(Record::Hist {
-                name: str_field(&fields, "name")?,
-                value: f64_field(&fields, "v")?,
-            }),
-            "metric" => Ok(Record::Metric {
-                name: str_field(&fields, "name")?,
-                step: u64_field(&fields, "step")?,
-                value: f64_field(&fields, "v")?,
-            }),
-            "warn" => Ok(Record::Warn {
-                message: str_field(&fields, "msg")?,
-            }),
-            "tl" => Ok(Record::Timeline {
-                name: str_field(&fields, "name")?,
-                cat: str_field(&fields, "cat")?,
-                tid: u64_field(&fields, "tid")?,
-                start_ns: u64_field(&fields, "ts")?,
-                dur_ns: u64_field(&fields, "dur")?,
-            }),
-            "health" => Ok(Record::Health {
-                detector: str_field(&fields, "detector")?,
-                verdict: str_field(&fields, "verdict")?,
-                step: u64_field(&fields, "step")?,
-                value: f64_field(&fields, "v")?,
-                message: str_field(&fields, "msg")?,
-            }),
-            other => Err(format!("unknown record type {other:?}")),
-        }
-    }
-}
-
-/// Escapes `s` as a JSON string literal onto `out`.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Formats a value field the way the cq-obs sink does: non-finite values
-/// become `null` (which [`Record::parse`] reads back as NaN).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-impl Record {
-    /// Serializes the record as one cq-obs JSONL line (no trailing
-    /// newline), the exact inverse of [`Record::parse`] — except that
-    /// non-finite values collapse to `null`/NaN, matching what the live
-    /// sink emits.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        match self {
-            Record::Span { name, depth, ns } => {
-                out.push_str("{\"t\":\"span\",\"name\":");
-                push_json_str(&mut out, name);
-                out.push_str(&format!(",\"depth\":{depth},\"ns\":{ns}}}"));
-            }
-            Record::Counter { name, total } => {
-                out.push_str("{\"t\":\"counter\",\"name\":");
-                push_json_str(&mut out, name);
-                out.push_str(&format!(",\"total\":{total}}}"));
-            }
-            Record::Hist { name, value } => {
-                out.push_str("{\"t\":\"hist\",\"name\":");
-                push_json_str(&mut out, name);
-                out.push_str(&format!(",\"v\":{}}}", json_num(*value)));
-            }
-            Record::Metric { name, step, value } => {
-                out.push_str("{\"t\":\"metric\",\"name\":");
-                push_json_str(&mut out, name);
-                out.push_str(&format!(",\"step\":{step},\"v\":{}}}", json_num(*value)));
-            }
-            Record::Warn { message } => {
-                out.push_str("{\"t\":\"warn\",\"msg\":");
-                push_json_str(&mut out, message);
-                out.push('}');
-            }
-            Record::Timeline {
-                name,
-                cat,
-                tid,
-                start_ns,
-                dur_ns,
-            } => {
-                out.push_str("{\"t\":\"tl\",\"name\":");
-                push_json_str(&mut out, name);
-                out.push_str(",\"cat\":");
-                push_json_str(&mut out, cat);
-                out.push_str(&format!(
-                    ",\"tid\":{tid},\"ts\":{start_ns},\"dur\":{dur_ns}}}"
-                ));
-            }
-            Record::Health {
-                detector,
-                verdict,
-                step,
-                value,
-                message,
-            } => {
-                out.push_str("{\"t\":\"health\",\"detector\":");
-                push_json_str(&mut out, detector);
-                out.push_str(",\"verdict\":");
-                push_json_str(&mut out, verdict);
-                out.push_str(&format!(",\"step\":{step},\"v\":{},", json_num(*value)));
-                out.push_str("\"msg\":");
-                push_json_str(&mut out, message);
-                out.push('}');
-            }
-        }
-        out
-    }
-}
 
 /// Renders a trace back to `.jsonl` text (one record per line, trailing
 /// newline included when non-empty).

@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use crate::record::Record;
+use cq_obs::json::{self, Record};
 
 /// One timeline interval borrowed out of a record stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,22 +53,6 @@ fn intervals(records: &[Record]) -> Vec<Interval<'_>> {
         .collect()
 }
 
-/// Escapes `s` as a JSON string literal onto `out`.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Renders the trace's timeline intervals as Chrome trace event format
 /// JSON (the `chrome://tracing` / Perfetto "JSON trace" flavour): one
 /// complete event (`"ph":"X"`) per interval with microsecond `ts`/`dur`
@@ -97,23 +81,20 @@ pub fn export_chrome_trace(records: &[Record]) -> Result<String, String> {
             if i == 0 { "" } else { ",\n" }
         );
     }
+    // ts/dur are microseconds in the trace event format; emit three
+    // decimals to keep the nanosecond resolution.
     for iv in &ivs {
-        out.push_str(",\n");
-        out.push_str("{\"ph\":\"X\",\"pid\":1,");
-        let _ = write!(out, "\"tid\":{},", iv.tid);
-        out.push_str("\"name\":");
-        push_json_str(&mut out, iv.name);
-        out.push_str(",\"cat\":");
-        push_json_str(&mut out, iv.cat);
-        // ts/dur are microseconds in the trace event format; emit three
-        // decimals to keep the nanosecond resolution.
+        let dur_ns = iv.end_ns - iv.start_ns;
         let _ = write!(
             out,
-            ",\"ts\":{}.{:03},\"dur\":{}.{:03}}}",
+            ",\n{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"name\":{},\"cat\":{},\"ts\":{}.{:03},\"dur\":{}.{:03}}}",
+            iv.tid,
+            json::string(iv.name),
+            json::string(iv.cat),
             iv.start_ns / 1000,
             iv.start_ns % 1000,
-            (iv.end_ns - iv.start_ns) / 1000,
-            (iv.end_ns - iv.start_ns) % 1000
+            dur_ns / 1000,
+            dur_ns % 1000
         );
     }
     out.push_str("\n]}\n");
@@ -363,8 +344,8 @@ fn fmt_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bench::{parse_json, Value};
     use crate::record::parse_trace;
+    use cq_obs::json::{parse, Value};
 
     fn tl(name: &str, cat: &str, tid: u64, start: u64, dur: u64) -> Record {
         Record::Timeline {
@@ -395,7 +376,7 @@ mod tests {
         ];
         let json = export_chrome_trace(&records).expect("export");
         // Round-trip through the crate's own JSON parser: valid document.
-        let doc = parse_json(&json).expect("chrome trace parses");
+        let doc = parse(&json).expect("chrome trace parses");
         let events = doc
             .get("traceEvents")
             .and_then(Value::as_arr)
@@ -434,7 +415,7 @@ mod tests {
         );
         let records = parse_trace(text).expect("jsonl parses");
         let json = export_chrome_trace(&records).expect("export");
-        assert!(parse_json(&json).is_ok(), "{json}");
+        assert!(parse(&json).is_ok(), "{json}");
     }
 
     #[test]

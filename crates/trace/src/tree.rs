@@ -12,7 +12,7 @@
 //! (CI's `CQ_THREADS=1` pilot leg; numerical results are identical at
 //! any thread count, so a single-threaded trace is representative).
 
-use crate::record::Record;
+use cq_obs::json::Record;
 
 /// One node of the reconstructed (and name-merged) span tree.
 #[derive(Debug, Clone, PartialEq)]
