@@ -48,9 +48,9 @@ use std::fmt::{self, Write as _};
 
 use crate::Event;
 
-/// Deepest array/object nesting [`parse`] accepts. Bench artifacts nest
-/// three deep; the bound keeps the recursive descent's stack use small on
-/// hostile input.
+/// Deepest array/object nesting [`parse`] accepts. The benchmark's result
+/// line nests three deep; the bound keeps the recursive descent's stack
+/// use small on hostile input.
 const MAX_NESTING: usize = 128;
 
 /// A parsed JSON value.

@@ -239,10 +239,12 @@ pub fn span(name: &'static str) -> SpanGuard {
         v
     });
     emit(Event::SpanStart { name, depth });
-    let prof_start_ns = prof::enabled().then(prof::now_ns);
+    // One clock read for both records: a second read could land after a
+    // deschedule and end this interval before a child's.
+    let start = Instant::now();
     SpanGuard {
-        inner: Some((name, depth, Instant::now())),
-        prof_start_ns,
+        inner: Some((name, depth, start)),
+        prof_start_ns: prof::enabled().then(|| prof::ns_since_epoch(start)),
     }
 }
 

@@ -115,7 +115,15 @@ pub fn thread_id() -> u64 {
 /// call). All timeline timestamps share this origin so intervals from
 /// different threads are directly comparable.
 pub fn now_ns() -> u64 {
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+    ns_since_epoch(Instant::now())
+}
+
+/// `t` in the epoch-relative nanoseconds of [`now_ns`] (0 for an instant
+/// before the epoch), so a caller that already read the clock can stamp
+/// an interval from that same read.
+pub fn ns_since_epoch(t: Instant) -> u64 {
+    t.saturating_duration_since(*EPOCH.get_or_init(Instant::now))
+        .as_nanos() as u64
 }
 
 /// Stages one closed interval `[start_ns, end_ns)` for the calling

@@ -93,7 +93,7 @@ fn pack_width(level: Level) -> usize {
     }
 }
 
-/// Per-layout driver choice, tuned by measurement (see `BENCH_7.json`):
+/// Per-layout body choice, tuned by measurement (DESIGN.md §13.3):
 /// the branchy zero-skip body (NN/TN) compiles to ideal broadcast-
 /// multiply-add at 16 lanes, while the branch-free NT body register-
 /// spills at 16 lanes but peaks at 8 — on this hardware ~38 GFLOP/s
@@ -115,9 +115,8 @@ fn simd_level() -> Level {
 }
 
 /// Name of the SIMD dispatch level the host selected (`baseline`,
-/// `avx2`, `avx512`). Telemetry for bench artifacts and machine
-/// fingerprints; speed metadata only — every level produces the same
-/// bits (invariant 3 above).
+/// `avx2`, `avx512`), printed by the `roofline` bin; speed metadata
+/// only — every level produces the same bits (invariant 3 above).
 pub fn simd_level_name() -> &'static str {
     simd_level().name()
 }

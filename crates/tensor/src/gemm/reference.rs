@@ -8,9 +8,9 @@
 //!    here directly.
 //! 2. **Equivalence oracle** — the property tests assert the packed
 //!    kernels match these loops *bit for bit* on every shape.
-//! 3. **Perf baseline** — `cq-bench kernels` measures blocked speedups
-//!    against [`par_gemm_ref`], which reproduces the pre-rewrite parallel
-//!    row-band dispatch exactly.
+//! 3. **Perf baseline** — [`par_gemm_ref`] reproduces the pre-rewrite
+//!    parallel row-band dispatch exactly, the same-thread-count
+//!    denominator for a timed speedup of the blocked kernels.
 //!
 //! The per-sample convolution lowering (materialised [`im2col`] column
 //! matrix, one product per image, [`col2im`] scatter, per-band weight
@@ -120,8 +120,8 @@ pub fn gemm_tn(a: &[f32], k: usize, m: usize, b: &[f32], n: usize, out: &mut [f3
 
 /// Pre-rewrite parallel baseline: the reference kernel for `kind`,
 /// dispatched over row bands through [`parallel_for`] exactly as the old
-/// `Tensor::matmul*` kernels were. `cq-bench kernels` times this to give
-/// the blocked kernels an honest same-thread-count speedup denominator.
+/// `Tensor::matmul*` kernels were: the blocked kernels' honest
+/// same-thread-count speedup denominator.
 pub fn par_gemm_ref(
     kind: super::Kind,
     a: &[f32],

@@ -63,9 +63,8 @@ impl SimdLevel {
         })
     }
 
-    /// Short name for telemetry and machine fingerprints. The portable
-    /// level keeps the name `baseline` that committed BENCH artifacts
-    /// carry.
+    /// Short name for telemetry and machine fingerprints (`baseline` for
+    /// the portable level).
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Portable => "baseline",

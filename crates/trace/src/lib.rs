@@ -19,32 +19,23 @@
 //! - [`record::merge`] — stitches the traces of consecutive process
 //!   segments of one run (kill-and-resume) into a single trace that
 //!   [`analyze::diff`] can gate against an uninterrupted reference.
-//!
-//! - [`bench::diff_bench`] — CI throughput gate between two
-//!   `cq-bench kernels` artifacts (`BENCH_<pr>.json`): flags kernel grid
-//!   points, int8 encoders and elementwise chains whose throughput
-//!   dropped beyond a noise threshold, and disarms itself (report-only)
-//!   when the artifacts come from different machines.
 //! - [`timeline::export_chrome_trace`] / [`timeline::profile`] — turn
 //!   the per-thread timeline intervals of a `CQ_PROF=1` run into a
 //!   `chrome://tracing` / Perfetto JSON file, or into a self-time-ranked
 //!   span table with worker-pool utilization attributed per phase.
 //!
-//! Every JSON read or written here — trace lines, bench artifacts, the
-//! Chrome trace export — goes through `cq_obs::json`, the workspace's one
-//! JSON module (no JSON dependency, per the repo's offline-only build
-//! constraint).
+//! Every JSON read or written here — trace lines and the Chrome trace
+//! export — goes through `cq_obs::json`, the workspace's one JSON module
+//! (no JSON dependency, per the repo's offline-only build constraint).
 
 #![deny(missing_docs)]
 
 pub mod analyze;
-pub mod bench;
 pub mod record;
 pub mod timeline;
 pub mod tree;
 
 pub use analyze::{check, diff, summarize, CheckResult, DiffResult};
-pub use bench::{diff_bench, parse_bench, BenchDiff, BenchReport, EwChainPoint};
 pub use record::{merge, parse_trace, render_trace, ParseError};
 pub use timeline::{export_chrome_trace, profile, ProfileResult};
 pub use tree::{build_span_tree, render_span_tree, SpanNode};

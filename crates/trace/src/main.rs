@@ -5,20 +5,12 @@
 //! cq-trace check <trace.jsonl>
 //! cq-trace diff <a.jsonl> <b.jsonl> [--fail-over <pct>] [--min-ms <ms>]
 //! cq-trace merge <out.jsonl> <seg1.jsonl> <seg2.jsonl> [...]
-//! cq-trace bench-check <bench.json>
-//! cq-trace bench-diff <old.json> <new.json> [--fail-over <pct>] [--report-only]
 //! cq-trace timeline <trace.jsonl> [--out <trace.json>]
 //! cq-trace profile <trace.jsonl> [--require-pool]
 //! ```
 //!
 //! `diff` gates every series of two traces; pool scheduling, executor
 //! timing and `ckpt.` lifecycle telemetry are reported but never gated.
-//!
-//! `bench-check` validates a `cq-bench kernels` artifact against the
-//! `cq-bench-kernels/v1`–`v3` schemas, rejecting malformed JSON without
-//! panicking. `bench-diff` gates new kernel, int8-encoder and
-//! elementwise-chain throughput against a committed artifact; artifacts
-//! from different machines are reported but never fail the gate.
 //!
 //! `merge` stitches the traces of consecutive process segments of one
 //! run (kill-and-resume) into a single trace: counter totals are summed
@@ -32,8 +24,8 @@
 //! profile smoke gate).
 //!
 //! Exit codes: 0 = pass, 1 = Critical verdict (`check`), regression
-//! (`diff`) or schema violation (`bench-check`), 2 = usage or I/O/parse
-//! error.
+//! (`diff`) or a failed `timeline`/`profile` report, 2 = usage or
+//! I/O/parse error (a truncated or malformed trace is a parse error).
 
 use std::process::ExitCode;
 
@@ -41,19 +33,9 @@ use cq_obs::health::Verdict;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  cq-trace summarize <trace.jsonl>\n  cq-trace check <trace.jsonl>\n  cq-trace diff <a.jsonl> <b.jsonl> [--fail-over <pct>] [--min-ms <ms>]\n  cq-trace merge <out.jsonl> <seg1.jsonl> <seg2.jsonl> [...]\n  cq-trace bench-check <bench.json>\n  cq-trace bench-diff <old.json> <new.json> [--fail-over <pct>] [--report-only]\n  cq-trace timeline <trace.jsonl> [--out <trace.json>]\n  cq-trace profile <trace.jsonl> [--require-pool]"
+        "usage:\n  cq-trace summarize <trace.jsonl>\n  cq-trace check <trace.jsonl>\n  cq-trace diff <a.jsonl> <b.jsonl> [--fail-over <pct>] [--min-ms <ms>]\n  cq-trace merge <out.jsonl> <seg1.jsonl> <seg2.jsonl> [...]\n  cq-trace timeline <trace.jsonl> [--out <trace.json>]\n  cq-trace profile <trace.jsonl> [--require-pool]"
     );
     ExitCode::from(2)
-}
-
-/// Reads and validates a bench artifact. The error carries its exit
-/// code: 2 when the file cannot be read or is not JSON (a load error), 1
-/// when the JSON breaks the schema (a finding).
-fn load_bench(path: &str) -> Result<cq_trace::BenchReport, (u8, String)> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| (2, format!("cannot read {path}: {e}")))?;
-    let doc = cq_obs::json::parse(&text).map_err(|e| (2, format!("{path}: {e}")))?;
-    cq_trace::BenchReport::from_json(&doc).map_err(|e| (1, format!("{path}: {e}")))
 }
 
 fn main() -> ExitCode {
@@ -170,84 +152,6 @@ fn main() -> ExitCode {
                     eprintln!("cq-trace: cannot write {out_path}: {e}");
                     ExitCode::from(2)
                 }
-            }
-        }
-        "bench-check" => {
-            let [_, path] = args.as_slice() else {
-                return usage();
-            };
-            match load_bench(path) {
-                Ok(report) => {
-                    let best_chain = report
-                        .ew_chains
-                        .iter()
-                        .map(cq_trace::EwChainPoint::speedup)
-                        .fold(0.0f64, f64::max);
-                    let fusion = if best_chain > 0.0 {
-                        format!(
-                            ", {} ew chains (best {:.2}x fused)",
-                            report.ew_chains.len(),
-                            best_chain
-                        )
-                    } else {
-                        String::new()
-                    };
-                    println!(
-                        "cq-trace bench-check: PASS ({} grid points{fusion}, machine {})",
-                        report.kernels.len(),
-                        report.machine
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err((code, e)) => {
-                    eprintln!("cq-trace bench-check: {e}");
-                    ExitCode::from(code)
-                }
-            }
-        }
-        "bench-diff" => {
-            if args.len() < 3 {
-                return usage();
-            }
-            let (path_old, path_new) = (&args[1], &args[2]);
-            let mut fail_over = 25.0f64;
-            let mut report_only = false;
-            let mut rest = args[3..].iter();
-            while let Some(flag) = rest.next() {
-                match flag.as_str() {
-                    "--report-only" => report_only = true,
-                    "--fail-over" => match rest.next().and_then(|v| v.parse::<f64>().ok()) {
-                        Some(v) => fail_over = v,
-                        None => return usage(),
-                    },
-                    _ => return usage(),
-                }
-            }
-            let (old, new) = match (load_bench(path_old), load_bench(path_new)) {
-                (Ok(old), Ok(new)) => (old, new),
-                (Err((_, e)), _) | (_, Err((_, e))) => {
-                    eprintln!("cq-trace: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let res = cq_trace::diff_bench(&old, &new, fail_over);
-            print!("{}", res.report);
-            if res.regressions.is_empty() || report_only {
-                if !res.regressions.is_empty() {
-                    println!(
-                        "cq-trace bench-diff: {} regression(s), report-only",
-                        res.regressions.len()
-                    );
-                } else {
-                    println!("cq-trace bench-diff: PASS");
-                }
-                ExitCode::SUCCESS
-            } else {
-                eprintln!(
-                    "cq-trace bench-diff: FAIL ({} regressions)",
-                    res.regressions.len()
-                );
-                ExitCode::FAILURE
             }
         }
         "timeline" => {
