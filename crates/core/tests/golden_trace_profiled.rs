@@ -1,7 +1,7 @@
 //! Profiling-determinism regression test (ISSUE satellite): running the
 //! exact golden-trace workload with `CQ_PROF` timeline profiling ON must
-//! reproduce the same per-step losses and sampled bit-width sequence as
-//! the unprofiled golden run — profiling reads clocks and stages
+//! reproduce the same per-step loss bits, sampled bit-width sequence and
+//! final-parameter hash as the unprofiled golden run — profiling reads clocks and stages
 //! intervals, but must never perturb RNG draws, the chunk grid, or any
 //! reduction order. The goldens below are the same values as
 //! `golden_trace.rs`; a divergence here with that test passing means the
@@ -25,9 +25,24 @@ use cq_obs::{prof, Event};
 use cq_quant::PrecisionSet;
 
 // Must stay byte-for-byte identical to the goldens in `golden_trace.rs`.
-const GOLDEN_LOSSES: [f32; 3] = [2.709015, 2.737559, 2.7074358];
+const GOLDEN_LOSS_BITS: [u32; 3] = [0x402d_6080, 0x402f_342b, 0x402d_46a1];
 const GOLDEN_BITS: [u32; 6] = [6, 7, 13, 10, 16, 11];
-const LOSS_TOL: f32 = 1e-5;
+const GOLDEN_PARAM_HASH: u64 = 0x1d1d_4a31_9019_568f;
+
+/// FNV-1a over the little-endian bytes of every parameter, in
+/// registration order.
+fn param_hash(enc: &Encoder) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (_, _, t) in enc.params().iter() {
+        for v in t.as_slice() {
+            for b in v.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
 
 #[test]
 fn profiled_three_step_pretrain_matches_unprofiled_goldens() {
@@ -59,11 +74,11 @@ fn profiled_three_step_pretrain_matches_unprofiled_goldens() {
     let events = sink.take();
 
     // --- the golden values, bitwise ---
-    let losses: Vec<(u64, f32)> = events
+    let losses: Vec<(u64, u32)> = events
         .iter()
         .filter_map(|e| match e {
             Event::Metric { name, step, value } if *name == "train.loss" => {
-                Some((*step, *value as f32))
+                Some((*step, (*value as f32).to_bits()))
             }
             _ => None,
         })
@@ -75,23 +90,27 @@ fn profiled_three_step_pretrain_matches_unprofiled_goldens() {
             _ => None,
         })
         .collect();
+    let steps: Vec<u64> = losses.iter().map(|&(s, _)| s).collect();
     assert_eq!(
-        losses.len(),
-        GOLDEN_LOSSES.len(),
-        "one train.loss per step even when profiled: {losses:?}"
+        steps,
+        [0, 1, 2],
+        "one train.loss per step even when profiled"
     );
-    for (i, (golden, (step, actual))) in GOLDEN_LOSSES.iter().zip(&losses).enumerate() {
-        assert_eq!(*step, i as u64);
-        assert!(
-            (golden - actual).abs() <= LOSS_TOL,
-            "step {i} loss drifted under profiling: golden {golden}, actual {actual} \
-             — the profiler must not perturb training"
-        );
-    }
+    let loss_bits: Vec<u32> = losses.iter().map(|&(_, b)| b).collect();
+    assert_eq!(
+        loss_bits,
+        GOLDEN_LOSS_BITS.to_vec(),
+        "per-step loss bits drifted under profiling: the profiler must not perturb training"
+    );
     assert_eq!(
         bits,
         GOLDEN_BITS.to_vec(),
         "sampled bit-width sequence drifted under profiling"
+    );
+    assert_eq!(
+        param_hash(trainer.encoder()),
+        GOLDEN_PARAM_HASH,
+        "final parameter bits drifted under profiling"
     );
 
     // --- timeline well-formedness ---
