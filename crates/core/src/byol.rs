@@ -1,6 +1,5 @@
-//! BYOL trainer (online/target networks) with Contrastive Quant support,
-//! implemented as an [`SslMethod`] driven by the shared [`TrainLoop`]
-//! engine.
+//! BYOL (online/target networks) with Contrastive Quant support, as an
+//! [`SslMethod`] driven by the shared [`TrainLoop`].
 //!
 //! Per §3.4 of the paper, adapting Contrastive Quant to BYOL means:
 //! (1) the NCE loss becomes BYOL's normalized-MSE regression loss;
@@ -14,23 +13,25 @@
 //! `NCE(f1, f2) + NCE(f1⁺, f2⁺)` terms); each cross term is applied
 //! symmetrically with a stop-gradient on the opposite branch.
 
-use std::io::{Read, Write};
-
-use cq_data::{AugmentConfig, AugmentPipeline, Dataset, TwoViewBatch, TwoViewLoader};
+use cq_data::TwoViewBatch;
 use cq_models::plan::mlp_head_plan;
 use cq_models::{Encoder, HeadConfig};
-use cq_nn::{ForwardCtx, GradSet, Layer, NnError, ParamSet, Sequential};
+use cq_nn::{ForwardCtx, GradSet, Layer, NnError, Sequential};
 use cq_quant::Precision;
 use cq_tensor::{CqRng, Tensor};
 use rand::SeedableRng;
 
 use crate::engine::{SslMethod, StepCtx, TrainLoop};
-use crate::{byol_regression, Pipeline, PretrainConfig, TrainHistory};
+use crate::{byol_regression, Pipeline, PretrainConfig};
+
+/// BYOL self-supervised pre-training, hosting the [`Pipeline::Baseline`]
+/// and [`Pipeline::CqC`] variants evaluated in Table 6 of the paper.
+pub type ByolTrainer = TrainLoop<ByolMethod>;
 
 /// BYOL's per-step loss semantics: symmetric normalized-MSE regression of
 /// online predictions onto stop-gradient target projections, with an EMA
 /// target update after each optimizer step.
-struct ByolMethod {
+pub struct ByolMethod {
     online: Encoder,
     predictor: Sequential,
     /// Parameter count of the online encoder before the predictor was
@@ -99,13 +100,48 @@ impl ByolMethod {
 impl SslMethod for ByolMethod {
     const TAG: u8 = 1;
     const NAME: &'static str = "byol";
+    const LOADER_SALT: u64 = 0xB0B0;
 
-    fn params(&self) -> &ParamSet {
-        self.online.params()
+    /// Registers a prediction head of the projector's shape into the
+    /// online parameter set (`online` should carry a BYOL-style
+    /// projection head); the target network starts as an exact copy.
+    /// BYOL hosts `Baseline` and `CqC`, the variants in the paper's
+    /// Table 6.
+    fn build(mut online: Encoder, cfg: &PretrainConfig) -> Result<Self, NnError> {
+        if !matches!(cfg.pipeline, Pipeline::Baseline | Pipeline::CqC) {
+            return Err(NnError::Param(format!(
+                "BYOL hosts Baseline and CQ-C (paper Tab. 6); got {}",
+                cfg.pipeline
+            )));
+        }
+        // cq-allow(det-rng-ctor): one-shot init stream derived from the run seed, consumed before training
+        let mut rng = CqRng::seed_from_u64(cfg.seed ^ 0x1234);
+        // Duplicate into the target BEFORE registering the predictor: the
+        // target network has no prediction head.
+        let target = online.duplicate()?;
+        let encoder_params = online.params().len();
+        let pd = online.proj_dim();
+        let predictor = mlp_head_plan(&HeadConfig::byol(pd, pd * 2, pd), "pred")
+            .build(online.params_mut(), &mut rng);
+        Ok(ByolMethod {
+            online,
+            predictor,
+            encoder_params,
+            target,
+        })
     }
 
-    fn params_mut(&mut self) -> &mut ParamSet {
-        self.online.params_mut()
+    fn encoder(&self) -> &Encoder {
+        &self.online
+    }
+
+    fn encoder_mut(&mut self) -> &mut Encoder {
+        &mut self.online
+    }
+
+    fn into_encoder(mut self) -> Encoder {
+        self.online.params_mut().truncate(self.encoder_params);
+        self.online
     }
 
     fn compute_loss(
@@ -134,10 +170,6 @@ impl SslMethod for ByolMethod {
         self.target.ema_update_from(&self.online, cfg.ema_tau)
     }
 
-    fn probe_encoder(&mut self, _cfg: &PretrainConfig) -> Option<&mut Encoder> {
-        Some(&mut self.online)
-    }
-
     fn state_tensors(&self) -> Vec<&Tensor> {
         let mut v = self.online.state_tensors();
         v.extend(self.predictor.state_tensors());
@@ -159,158 +191,10 @@ impl SslMethod for ByolMethod {
     }
 }
 
-/// BYOL self-supervised pre-training, hosting the [`Pipeline::Baseline`]
-/// and [`Pipeline::CqC`] variants evaluated in Table 6 of the paper.
-pub struct ByolTrainer {
-    inner: TrainLoop<ByolMethod>,
-}
-
-impl std::fmt::Debug for ByolTrainer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ByolTrainer(pipeline={}, steps={})",
-            self.inner.cfg().pipeline,
-            self.inner.steps_taken()
-        )
-    }
-}
-
-impl ByolTrainer {
-    /// Creates a BYOL trainer around `online` (which should be built with
-    /// a BYOL-style projection head). A prediction head of the same shape
-    /// as the projector is registered into the online parameter set; the
-    /// target network starts as an exact copy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Param`] for inconsistent configs or unsupported
-    /// pipelines (BYOL hosts `Baseline` and `CqC`, the variants in the
-    /// paper's Table 6).
-    pub fn new(mut online: Encoder, cfg: PretrainConfig) -> Result<Self, NnError> {
-        cfg.validate().map_err(NnError::Param)?;
-        if !matches!(cfg.pipeline, Pipeline::Baseline | Pipeline::CqC) {
-            return Err(NnError::Param(format!(
-                "BYOL hosts Baseline and CQ-C (paper Tab. 6); got {}",
-                cfg.pipeline
-            )));
-        }
-        // cq-allow(det-rng-ctor): one-shot init stream derived from the run seed, consumed before training
-        let mut rng = CqRng::seed_from_u64(cfg.seed ^ 0x1234);
-        // Duplicate into the target BEFORE registering the predictor: the
-        // target network has no prediction head.
-        let target = online.duplicate()?;
-        let encoder_params = online.params().len();
-        let pd = online.proj_dim();
-        let predictor = mlp_head_plan(&HeadConfig::byol(pd, pd * 2, pd), "pred")
-            .build(online.params_mut(), &mut rng);
-        let loader = TwoViewLoader::new(
-            AugmentPipeline::new(AugmentConfig::simclr()),
-            cfg.batch_size,
-            cfg.seed ^ 0xB0B0,
-        );
-        let method = ByolMethod {
-            online,
-            predictor,
-            encoder_params,
-            target,
-        };
-        let inner = TrainLoop::new(method, cfg, loader)?;
-        Ok(ByolTrainer { inner })
-    }
-
-    /// The online encoder (the one that is kept after pre-training).
-    pub fn online(&self) -> &Encoder {
-        &self.inner.method().online
-    }
-
-    /// Mutable online encoder access.
-    pub fn online_mut(&mut self) -> &mut Encoder {
-        &mut self.inner.method_mut().online
-    }
-
-    /// Consumes the trainer, returning the trained online encoder with
-    /// the prediction head stripped (its parameters were registered after
-    /// the encoder's, so truncation restores architectural alignment for
-    /// `duplicate`/`save`).
-    pub fn into_encoder(self) -> Encoder {
-        let m = self.inner.into_method();
-        let mut online = m.online;
-        online.params_mut().truncate(m.encoder_params);
-        online
-    }
-
-    /// Training diagnostics so far.
-    pub fn history(&self) -> &TrainHistory {
-        self.inner.history()
-    }
-
-    /// Epochs completed so far (survives checkpoint/resume).
-    pub fn epochs_done(&self) -> usize {
-        self.inner.epochs_done()
-    }
-
-    /// Runs `cfg.epochs` of BYOL pre-training.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer/optimizer errors; exploded steps are skipped and
-    /// counted, not raised.
-    pub fn train(&mut self, dataset: &Dataset) -> Result<(), NnError> {
-        self.inner.train(dataset)
-    }
-
-    /// Runs pre-training until `stop_epoch` epochs are complete (clamped
-    /// to `cfg.epochs`); the LR schedule still spans the full run.
-    ///
-    /// # Errors
-    ///
-    /// See [`train`](ByolTrainer::train).
-    pub fn train_until(&mut self, dataset: &Dataset, stop_epoch: usize) -> Result<(), NnError> {
-        self.inner.train_until(dataset, stop_epoch)
-    }
-
-    /// One optimizer + EMA step. Returns `None` when skipped (explosion).
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer/optimizer errors, and [`NnError::Health`] when the
-    /// health monitor has latched an abort.
-    pub fn step(&mut self, batch: &TwoViewBatch, lr: f32) -> Result<Option<(f32, f32)>, NnError> {
-        self.inner.step(batch, lr)
-    }
-
-    /// Writes a checkpoint (parameters, predictor, target network,
-    /// momentum, RNG states) from which [`load_checkpoint`] resumes
-    /// bitwise-exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Io`] on write failure.
-    ///
-    /// [`load_checkpoint`]: ByolTrainer::load_checkpoint
-    pub fn save_checkpoint<W: Write>(&self, w: W) -> Result<(), NnError> {
-        self.inner.save_checkpoint(w)
-    }
-
-    /// Restores a checkpoint written by [`save_checkpoint`]. Fails with a
-    /// clean error (and no partial mutation) on corrupt or mismatched
-    /// files.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Io`]/[`NnError::Param`] on invalid checkpoints.
-    ///
-    /// [`save_checkpoint`]: ByolTrainer::save_checkpoint
-    pub fn load_checkpoint<R: Read>(&mut self, r: R) -> Result<(), NnError> {
-        self.inner.load_checkpoint(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cq_data::DatasetConfig;
+    use cq_data::{Dataset, DatasetConfig};
     use cq_models::{Arch, EncoderConfig};
     use cq_quant::PrecisionSet;
 
@@ -365,14 +249,13 @@ mod tests {
     fn ema_moves_target() {
         let mut t = ByolTrainer::new(tiny_encoder(4), cfg(Pipeline::Baseline)).unwrap();
         let sums = |t: &ByolTrainer| -> Vec<f32> {
-            t.inner
-                .method()
-                .target()
+            let mut ckpt = Vec::new();
+            t.save_checkpoint(&mut ckpt).unwrap();
+            let (target, _) = crate::TrainState::read(ckpt.as_slice())
                 .unwrap()
-                .params()
-                .iter()
-                .map(|(_, _, p)| p.sum())
-                .collect()
+                .target
+                .unwrap();
+            target.iter().map(|(_, _, p)| p.sum()).collect()
         };
         let before = sums(&t);
         t.train(&tiny_dataset()).unwrap();

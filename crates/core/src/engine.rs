@@ -1,12 +1,13 @@
 //! The unified SSL training engine and checkpoint/resume subsystem.
 //!
-//! One [`TrainLoop`] owns everything the three SSL trainers used to
-//! hand-roll separately: epoch iteration, the cosine LR schedule,
-//! explosion/NaN step skipping, throughput and epoch-stat recording,
-//! collapse probes, and health abort checks. Method-specific per-step
-//! loss semantics live behind the [`SslMethod`] trait, which
-//! `SimclrTrainer`/`ByolTrainer`/`SimsiamTrainer` implement; the trainers
-//! themselves are thin wrappers around `TrainLoop<TheirMethod>`.
+//! [`TrainLoop`] is the one trainer type: it owns construction
+//! (validation, the data loader), epoch iteration, the cosine LR
+//! schedule, explosion/NaN step skipping, throughput and epoch-stat
+//! recording, collapse probes, and health abort checks. Each method
+//! supplies only its loss and its construction through the [`SslMethod`]
+//! trait; `SimclrTrainer`, `ByolTrainer` and `SimsiamTrainer` are type
+//! aliases of `TrainLoop<SimclrMethod>`, `TrainLoop<ByolMethod>` and
+//! `TrainLoop<SimsiamMethod>`.
 //!
 //! On top of the loop sits the versioned [`TrainState`] checkpoint format
 //! (`CQTS`, built on `cq_tensor::io`): parameters (including prediction
@@ -26,7 +27,7 @@
 
 use std::io::{Read, Write};
 
-use cq_data::{Dataset, TwoViewBatch, TwoViewLoader};
+use cq_data::{AugmentConfig, AugmentPipeline, Dataset, TwoViewBatch, TwoViewLoader};
 use cq_models::Encoder;
 use cq_nn::{CosineSchedule, ForwardCtx, GradSet, NnError, ParamSet, Sgd, SgdConfig};
 use cq_quant::{Precision, QuantConfig};
@@ -270,23 +271,44 @@ impl StepCtx<'_> {
     }
 }
 
-/// Per-step loss semantics of one self-supervised method. Everything else
-/// — epoch iteration, LR schedule, explosion skipping, telemetry, health
-/// aborts, checkpointing — is owned by [`TrainLoop`].
-pub trait SslMethod {
+/// Per-step loss semantics and construction of one self-supervised
+/// method. Everything else — the data loader, epoch iteration, LR
+/// schedule, explosion skipping, telemetry, health aborts, checkpointing —
+/// is owned by [`TrainLoop`].
+pub trait SslMethod: Sized {
     /// Method discriminant persisted in checkpoint headers.
     const TAG: u8;
     /// Human-readable method name (errors, `cq-bench inspect`).
     const NAME: &'static str;
+    /// XORed into `cfg.seed` to seed the data loader's RNG.
+    const LOADER_SALT: u64;
 
-    /// The full trainable parameter set (encoder plus any prediction
-    /// head), in optimizer order.
-    fn params(&self) -> &ParamSet;
-
-    /// Mutable access to [`params`].
+    /// Builds the method around `encoder`. A prediction head, if any, is
+    /// registered into the encoder's parameter set, so
+    /// [`encoder`](SslMethod::encoder)`().params()` is the full
+    /// trainable set in optimizer order.
     ///
-    /// [`params`]: SslMethod::params
-    fn params_mut(&mut self) -> &mut ParamSet;
+    /// # Errors
+    ///
+    /// Returns [`NnError::Param`] for a pipeline the method does not host.
+    fn build(encoder: Encoder, cfg: &PretrainConfig) -> Result<Self, NnError>;
+
+    /// The input augmentation of both views. Default: SimCLR strength.
+    fn augment(cfg: &PretrainConfig) -> AugmentConfig {
+        let _ = cfg;
+        AugmentConfig::simclr()
+    }
+
+    /// The encoder being trained (BYOL's online network).
+    fn encoder(&self) -> &Encoder;
+
+    /// Mutable access to [`encoder`](SslMethod::encoder).
+    fn encoder_mut(&mut self) -> &mut Encoder;
+
+    /// Consumes the method, returning the encoder with any prediction
+    /// head stripped (its parameters were registered after the encoder's,
+    /// so truncation restores the architecture for `duplicate`/`save`).
+    fn into_encoder(self) -> Encoder;
 
     /// Computes the step loss over `batch` and accumulates gradients into
     /// `gs`. All randomness must come from `ctx`.
@@ -312,11 +334,6 @@ pub trait SslMethod {
         Ok(())
     }
 
-    /// The encoder to run the per-epoch collapse probe on, or `None` to
-    /// skip the probe (e.g. CQ-Quant, whose identical input views make
-    /// the positive-pair probe vacuous).
-    fn probe_encoder(&mut self, cfg: &PretrainConfig) -> Option<&mut Encoder>;
-
     /// Non-parameter state (BatchNorm running stats) of every module the
     /// optimizer trains, in a fixed traversal order.
     fn state_tensors(&self) -> Vec<&Tensor>;
@@ -339,11 +356,11 @@ pub trait SslMethod {
     }
 }
 
-/// The single epoch-loop implementation in `cq-core` (enforced by the
-/// cq-check `one-train-loop` lint): drives an [`SslMethod`] through
-/// `cfg.epochs` of pre-training with cosine LR, explosion skipping,
-/// telemetry, collapse probes, health aborts, and exact
-/// checkpoint/resume.
+/// The one trainer type and the single epoch-loop implementation in
+/// `cq-core` (enforced by the cq-check `one-train-loop` lint): drives an
+/// [`SslMethod`] through `cfg.epochs` of pre-training with cosine LR,
+/// explosion skipping, telemetry, collapse probes, health aborts, and
+/// exact checkpoint/resume.
 pub struct TrainLoop<M: SslMethod> {
     method: M,
     cfg: PretrainConfig,
@@ -355,17 +372,37 @@ pub struct TrainLoop<M: SslMethod> {
     epochs_done: usize,
 }
 
+impl<M: SslMethod> std::fmt::Debug for TrainLoop<M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "TrainLoop<{}>(pipeline={}, steps={})",
+            M::NAME,
+            self.cfg.pipeline,
+            self.steps_taken
+        )
+    }
+}
+
 impl<M: SslMethod> TrainLoop<M> {
-    /// Builds a loop around `method`, with zeroed optimizer state and the
-    /// engine RNG seeded from `cfg.seed`.
+    /// Builds the method around `encoder` ([`SslMethod::build`]) and its
+    /// two-view loader, with zeroed optimizer state and the engine RNG
+    /// seeded from `cfg.seed`.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::Param`] for an inconsistent configuration.
-    pub fn new(method: M, cfg: PretrainConfig, loader: TwoViewLoader) -> Result<Self, NnError> {
+    /// Returns [`NnError::Param`] for an inconsistent configuration or a
+    /// pipeline the method does not host.
+    pub fn new(encoder: Encoder, cfg: PretrainConfig) -> Result<Self, NnError> {
         cfg.validate().map_err(NnError::Param)?;
+        let method = M::build(encoder, &cfg)?;
+        let loader = TwoViewLoader::new(
+            AugmentPipeline::new(M::augment(&cfg)),
+            cfg.batch_size,
+            cfg.seed ^ M::LOADER_SALT,
+        );
         let opt = Sgd::new(
-            method.params(),
+            method.encoder().params(),
             SgdConfig {
                 lr: cfg.lr,
                 momentum: cfg.momentum,
@@ -386,34 +423,25 @@ impl<M: SslMethod> TrainLoop<M> {
         })
     }
 
-    /// The wrapped method.
-    pub fn method(&self) -> &M {
-        &self.method
+    /// The encoder being trained (BYOL's online network).
+    pub fn encoder(&self) -> &Encoder {
+        self.method.encoder()
     }
 
-    /// Mutable access to the wrapped method.
-    pub fn method_mut(&mut self) -> &mut M {
-        &mut self.method
+    /// Mutable encoder access (evaluation needs `&mut` for forward).
+    pub fn encoder_mut(&mut self) -> &mut Encoder {
+        self.method.encoder_mut()
     }
 
-    /// Consumes the loop, returning the method.
-    pub fn into_method(self) -> M {
-        self.method
-    }
-
-    /// The run configuration.
-    pub fn cfg(&self) -> &PretrainConfig {
-        &self.cfg
+    /// Consumes the trainer, returning the trained encoder without any
+    /// prediction head.
+    pub fn into_encoder(self) -> Encoder {
+        self.method.into_encoder()
     }
 
     /// Training diagnostics so far.
     pub fn history(&self) -> &TrainHistory {
         &self.history
-    }
-
-    /// Steps attempted so far (including skipped ones).
-    pub fn steps_taken(&self) -> usize {
-        self.steps_taken
     }
 
     /// Epochs completed so far (survives checkpoint/resume).
@@ -475,9 +503,11 @@ impl<M: SslMethod> TrainLoop<M> {
                 epoch_start.elapsed(),
             );
             record_phase_memory(self.steps_taken);
+            // CQ-Quant's identical input views make the positive-pair
+            // probe vacuous, so it is skipped there.
             if let Some(batch) = batches.first() {
-                if let Some(encoder) = self.method.probe_encoder(&self.cfg) {
-                    record_collapse_probe(encoder, batch, self.steps_taken)?;
+                if self.cfg.pipeline != Pipeline::CqQuant {
+                    record_collapse_probe(self.method.encoder_mut(), batch, self.steps_taken)?;
                 }
             }
             record_epoch_stats(&mut self.history, &losses, &norms, self.steps_taken);
@@ -502,7 +532,7 @@ impl<M: SslMethod> TrainLoop<M> {
             (cq_tensor::par::pool_stats(), std::time::Instant::now())
         });
         let fusion_before = cq_obs::enabled().then(fusion_elided_total);
-        let mut gs = self.method.params().zero_grads();
+        let mut gs = self.method.encoder().params().zero_grads();
         let mut ctx = StepCtx {
             cfg: &self.cfg,
             rng: &mut self.rng,
@@ -524,7 +554,8 @@ impl<M: SslMethod> TrainLoop<M> {
             record_step_metrics(self.steps_taken, loss, norm, lr);
             return Ok(None);
         }
-        self.opt.step(self.method.params_mut(), &gs, lr)?;
+        self.opt
+            .step(self.method.encoder_mut().params_mut(), &gs, lr)?;
         self.method.after_step(&self.cfg)?;
         self.history.steps += 1;
         if let Some((before, t0)) = &pool_window {
@@ -556,7 +587,7 @@ impl<M: SslMethod> TrainLoop<M> {
             engine_rng: self.rng.state(),
             loader_rng: self.loader.rng_state(),
             history: self.history.clone(),
-            params: self.method.params().clone(),
+            params: self.method.encoder().params().clone(),
             state: self.method.state_tensors().into_iter().cloned().collect(),
             velocity: self.opt.velocity().to_vec(),
             target: self.method.target().map(|t| {
@@ -626,7 +657,7 @@ impl<M: SslMethod> TrainLoop<M> {
             // be produced by seeding — it means the file is corrupt.
             return Err(NnError::Io("all-zero RNG state in checkpoint".into()));
         }
-        check_params_aligned("parameters", self.method.params(), &st.params)?;
+        check_params_aligned("parameters", self.method.encoder().params(), &st.params)?;
         check_state_aligned("state", &self.method.state_tensors(), &st.state)?;
         check_dims_aligned("momentum", self.opt.velocity(), &st.velocity)?;
         match (self.method.target(), &st.target) {
@@ -648,7 +679,10 @@ impl<M: SslMethod> TrainLoop<M> {
         }
 
         // --- commit; nothing below can fail after the checks above ---
-        self.method.params_mut().copy_from(&st.params)?;
+        self.method
+            .encoder_mut()
+            .params_mut()
+            .copy_from(&st.params)?;
         for (dst, src) in self.method.state_tensors_mut().iter_mut().zip(&st.state) {
             dst.as_mut_slice().copy_from_slice(src.as_slice());
         }

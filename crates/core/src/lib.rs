@@ -20,14 +20,17 @@
 //!
 //! with `f_i = F_{q_i}(Aug_1(x))`, `f_i⁺ = F_{q_i}(Aug_2(x))`.
 //!
-//! All host frameworks are implemented: [`SimclrTrainer`] (NT-Xent loss),
-//! [`ByolTrainer`] (online/target networks, EMA target update,
+//! All host frameworks are implemented: [`SimclrMethod`] (NT-Xent loss),
+//! [`ByolMethod`] (online/target networks, EMA target update,
 //! stop-gradient, prediction head, MSE-style regression loss) and
-//! [`SimsiamTrainer`]. Each is a thin wrapper around the shared
-//! [`TrainLoop`] engine: the trainer supplies only per-step loss semantics
-//! via the [`SslMethod`] trait, while the engine owns epoch iteration, the
-//! LR schedule, explosion skipping, telemetry, health aborts, and exact
-//! checkpoint/resume (see [`TrainState`]).
+//! [`SimsiamMethod`]. There is one trainer type, [`TrainLoop`];
+//! [`SimclrTrainer`], [`ByolTrainer`] and [`SimsiamTrainer`] are its
+//! aliases for the three methods. A method supplies only its
+//! construction (which pipelines it hosts, its augmentation, its loader
+//! seed salt, its encoder) and its per-step loss via the [`SslMethod`]
+//! trait, while the loop owns validation, the data loader, epoch
+//! iteration, the LR schedule, explosion skipping, telemetry, health
+//! aborts, and exact checkpoint/resume (see [`TrainState`]).
 
 #![deny(missing_docs)]
 
@@ -38,9 +41,9 @@ mod loss;
 mod simclr;
 mod simsiam;
 
-pub use byol::ByolTrainer;
+pub use byol::{ByolMethod, ByolTrainer};
 pub use config::{Pipeline, PrecisionSampling, PretrainConfig, TrainHistory};
 pub use engine::{SslMethod, StepCtx, TrainLoop, TrainState};
 pub use loss::{byol_regression, nt_xent, PairLoss};
-pub use simclr::{extract_features, SimclrTrainer};
-pub use simsiam::SimsiamTrainer;
+pub use simclr::{extract_features, SimclrMethod, SimclrTrainer};
+pub use simsiam::{SimsiamMethod, SimsiamTrainer};

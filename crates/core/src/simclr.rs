@@ -1,173 +1,14 @@
-//! SimCLR trainer with the Contrastive Quant pipelines, implemented as an
-//! [`SslMethod`] driven by the shared [`TrainLoop`] engine.
+//! SimCLR with the Contrastive Quant pipelines: NT-Xent over the
+//! pipeline's quantized or noisy forward branches, as an [`SslMethod`]
+//! driven by the shared [`TrainLoop`].
 
-use std::io::{Read, Write};
-
-use cq_data::{AugmentConfig, AugmentPipeline, Dataset, TwoViewBatch, TwoViewLoader};
+use cq_data::{AugmentConfig, Dataset, TwoViewBatch};
 use cq_models::Encoder;
-use cq_nn::{ForwardCtx, GradSet, NnError, ParamSet};
+use cq_nn::{ForwardCtx, GradSet, NnError};
 use cq_tensor::Tensor;
 
 use crate::engine::{SslMethod, StepCtx, TrainLoop};
-use crate::{nt_xent, Pipeline, PretrainConfig, TrainHistory};
-
-/// SimCLR's per-step loss semantics: NT-Xent over the pipeline-specific
-/// combination of quantized/noisy forward branches.
-struct SimclrMethod {
-    encoder: Encoder,
-}
-
-impl SslMethod for SimclrMethod {
-    const TAG: u8 = 0;
-    const NAME: &'static str = "simclr";
-
-    fn params(&self) -> &ParamSet {
-        self.encoder.params()
-    }
-
-    fn params_mut(&mut self) -> &mut ParamSet {
-        self.encoder.params_mut()
-    }
-
-    fn compute_loss(
-        &mut self,
-        batch: &TwoViewBatch,
-        ctx: &mut StepCtx<'_>,
-        gs: &mut GradSet,
-    ) -> Result<f32, NnError> {
-        let pipeline = ctx.cfg().pipeline;
-        let temp = ctx.cfg().temperature;
-        let loss = match pipeline {
-            Pipeline::Baseline => {
-                let fctx = ForwardCtx::train();
-                let o1 = self.encoder.forward(&batch.view1, &fctx)?;
-                let o2 = self.encoder.forward(&batch.view2, &fctx)?;
-                let pl = nt_xent(&o1.projection, &o2.projection, temp)?;
-                self.encoder
-                    .backward_projection(&o1.trace, &pl.grad_a, gs)?;
-                self.encoder
-                    .backward_projection(&o2.trace, &pl.grad_b, gs)?;
-                pl.loss
-            }
-            Pipeline::CqA => {
-                let (q1, q2) = ctx.sample_pair()?;
-                let o1 = self.encoder.forward(&batch.view1, &ctx.quant_ctx(q1))?;
-                let o2 = self.encoder.forward(&batch.view2, &ctx.quant_ctx(q2))?;
-                let pl = nt_xent(&o1.projection, &o2.projection, temp)?;
-                self.encoder
-                    .backward_projection(&o1.trace, &pl.grad_a, gs)?;
-                self.encoder
-                    .backward_projection(&o2.trace, &pl.grad_b, gs)?;
-                pl.loss
-            }
-            Pipeline::CqB => {
-                let (q1, q2) = ctx.sample_pair()?;
-                let f1 = self.encoder.forward(&batch.view1, &ctx.quant_ctx(q1))?;
-                let f2 = self.encoder.forward(&batch.view1, &ctx.quant_ctx(q2))?;
-                let f1p = self.encoder.forward(&batch.view2, &ctx.quant_ctx(q1))?;
-                let f2p = self.encoder.forward(&batch.view2, &ctx.quant_ctx(q2))?;
-                let t1 = nt_xent(&f1.projection, &f1p.projection, temp)?;
-                let t2 = nt_xent(&f2.projection, &f2p.projection, temp)?;
-                self.encoder
-                    .backward_projection(&f1.trace, &t1.grad_a, gs)?;
-                self.encoder
-                    .backward_projection(&f1p.trace, &t1.grad_b, gs)?;
-                self.encoder
-                    .backward_projection(&f2.trace, &t2.grad_a, gs)?;
-                self.encoder
-                    .backward_projection(&f2p.trace, &t2.grad_b, gs)?;
-                t1.loss + t2.loss
-            }
-            Pipeline::CqC => {
-                let (q1, q2) = ctx.sample_pair()?;
-                let f1 = self.encoder.forward(&batch.view1, &ctx.quant_ctx(q1))?;
-                let f2 = self.encoder.forward(&batch.view1, &ctx.quant_ctx(q2))?;
-                let f1p = self.encoder.forward(&batch.view2, &ctx.quant_ctx(q1))?;
-                let f2p = self.encoder.forward(&batch.view2, &ctx.quant_ctx(q2))?;
-                // Eq. 9: view terms + cross-precision terms.
-                let t1 = nt_xent(&f1.projection, &f1p.projection, temp)?;
-                let t2 = nt_xent(&f2.projection, &f2p.projection, temp)?;
-                let t3 = nt_xent(&f1.projection, &f2.projection, temp)?;
-                let t4 = nt_xent(&f1p.projection, &f2p.projection, temp)?;
-                // Each branch participates in two terms; sum its gradients
-                // before walking the trace once.
-                let d_f1 = t1.grad_a.add(&t3.grad_a)?;
-                let d_f2 = t2.grad_a.add(&t3.grad_b)?;
-                let d_f1p = t1.grad_b.add(&t4.grad_a)?;
-                let d_f2p = t2.grad_b.add(&t4.grad_b)?;
-                self.encoder.backward_projection(&f1.trace, &d_f1, gs)?;
-                self.encoder.backward_projection(&f2.trace, &d_f2, gs)?;
-                self.encoder.backward_projection(&f1p.trace, &d_f1p, gs)?;
-                self.encoder.backward_projection(&f2p.trace, &d_f2p, gs)?;
-                t1.loss + t2.loss + t3.loss + t4.loss
-            }
-            Pipeline::CqQuant => {
-                // No input augmentation (the loader already produced
-                // identical views); quantization is the only view-maker.
-                let (q1, q2) = ctx.sample_pair()?;
-                let f1 = self.encoder.forward(&batch.view1, &ctx.quant_ctx(q1))?;
-                let f2 = self.encoder.forward(&batch.view1, &ctx.quant_ctx(q2))?;
-                let pl = nt_xent(&f1.projection, &f2.projection, temp)?;
-                self.encoder
-                    .backward_projection(&f1.trace, &pl.grad_a, gs)?;
-                self.encoder
-                    .backward_projection(&f2.trace, &pl.grad_b, gs)?;
-                pl.loss
-            }
-            Pipeline::NoiseA => {
-                // CQ-A's structure with Gaussian weight noise as the
-                // model-side augmentation (the paper's future-work
-                // direction, §4.2).
-                let (s1, s2) = (ctx.noise_seed(), ctx.noise_seed());
-                let o1 = self.encoder.forward(&batch.view1, &ctx.noise_ctx(s1))?;
-                let o2 = self.encoder.forward(&batch.view2, &ctx.noise_ctx(s2))?;
-                let pl = nt_xent(&o1.projection, &o2.projection, temp)?;
-                self.encoder
-                    .backward_projection(&o1.trace, &pl.grad_a, gs)?;
-                self.encoder
-                    .backward_projection(&o2.trace, &pl.grad_b, gs)?;
-                pl.loss
-            }
-            Pipeline::NoiseC => {
-                // CQ-C's structure with Gaussian weight noise.
-                let (s1, s2) = (ctx.noise_seed(), ctx.noise_seed());
-                let f1 = self.encoder.forward(&batch.view1, &ctx.noise_ctx(s1))?;
-                let f2 = self.encoder.forward(&batch.view1, &ctx.noise_ctx(s2))?;
-                let f1p = self.encoder.forward(&batch.view2, &ctx.noise_ctx(s1))?;
-                let f2p = self.encoder.forward(&batch.view2, &ctx.noise_ctx(s2))?;
-                let t1 = nt_xent(&f1.projection, &f1p.projection, temp)?;
-                let t2 = nt_xent(&f2.projection, &f2p.projection, temp)?;
-                let t3 = nt_xent(&f1.projection, &f2.projection, temp)?;
-                let t4 = nt_xent(&f1p.projection, &f2p.projection, temp)?;
-                let d_f1 = t1.grad_a.add(&t3.grad_a)?;
-                let d_f2 = t2.grad_a.add(&t3.grad_b)?;
-                let d_f1p = t1.grad_b.add(&t4.grad_a)?;
-                let d_f2p = t2.grad_b.add(&t4.grad_b)?;
-                self.encoder.backward_projection(&f1.trace, &d_f1, gs)?;
-                self.encoder.backward_projection(&f2.trace, &d_f2, gs)?;
-                self.encoder.backward_projection(&f1p.trace, &d_f1p, gs)?;
-                self.encoder.backward_projection(&f2p.trace, &d_f2p, gs)?;
-                t1.loss + t2.loss + t3.loss + t4.loss
-            }
-        };
-        Ok(loss)
-    }
-
-    fn probe_encoder(&mut self, cfg: &PretrainConfig) -> Option<&mut Encoder> {
-        // CQ-Quant feeds identical input views (quantization is the only
-        // view-maker), which makes the positive-pair probe vacuous — skip
-        // it for that pipeline.
-        (cfg.pipeline != Pipeline::CqQuant).then_some(&mut self.encoder)
-    }
-
-    fn state_tensors(&self) -> Vec<&Tensor> {
-        self.encoder.state_tensors()
-    }
-
-    fn state_tensors_mut(&mut self) -> Vec<&mut Tensor> {
-        self.encoder.state_tensors_mut()
-    }
-}
+use crate::{nt_xent, Pipeline, PretrainConfig};
 
 /// Self-supervised pre-training with SimCLR's NT-Xent objective, hosting
 /// every [`Pipeline`] variant of the paper.
@@ -192,124 +33,150 @@ impl SslMethod for SimclrMethod {
 /// trainer.train(&train)?;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub struct SimclrTrainer {
-    inner: TrainLoop<SimclrMethod>,
+pub type SimclrTrainer = TrainLoop<SimclrMethod>;
+
+/// SimCLR's per-step loss semantics: NT-Xent over the pipeline-specific
+/// combination of quantized/noisy forward branches.
+pub struct SimclrMethod {
+    encoder: Encoder,
 }
 
-impl std::fmt::Debug for SimclrTrainer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "SimclrTrainer(pipeline={}, steps={})",
-            self.inner.cfg().pipeline,
-            self.inner.steps_taken()
-        )
+impl SimclrMethod {
+    /// `NCE(F_c1(va), F_c2(vb))`: two branches, backward in branch order.
+    fn two_branches(
+        &mut self,
+        [c1, c2]: [ForwardCtx; 2],
+        [va, vb]: [&Tensor; 2],
+        temp: f32,
+        gs: &mut GradSet,
+    ) -> Result<f32, NnError> {
+        let o1 = self.encoder.forward(va, &c1)?;
+        let o2 = self.encoder.forward(vb, &c2)?;
+        let pl = nt_xent(&o1.projection, &o2.projection, temp)?;
+        self.encoder
+            .backward_projection(&o1.trace, &pl.grad_a, gs)?;
+        self.encoder
+            .backward_projection(&o2.trace, &pl.grad_b, gs)?;
+        Ok(pl.loss)
+    }
+
+    /// Four branches `f_i = F_ci(view1)`, `f_i⁺ = F_ci(view2)`:
+    /// `NCE(f1, f1⁺) + NCE(f2, f2⁺)` (Eq. 8), plus with `cross` the
+    /// cross-context terms `NCE(f1, f2) + NCE(f1⁺, f2⁺)` (Eq. 9).
+    fn four_branches(
+        &mut self,
+        [c1, c2]: [ForwardCtx; 2],
+        batch: &TwoViewBatch,
+        cross: bool,
+        temp: f32,
+        gs: &mut GradSet,
+    ) -> Result<f32, NnError> {
+        let f1 = self.encoder.forward(&batch.view1, &c1)?;
+        let f2 = self.encoder.forward(&batch.view1, &c2)?;
+        let f1p = self.encoder.forward(&batch.view2, &c1)?;
+        let f2p = self.encoder.forward(&batch.view2, &c2)?;
+        let t1 = nt_xent(&f1.projection, &f1p.projection, temp)?;
+        let t2 = nt_xent(&f2.projection, &f2p.projection, temp)?;
+        if !cross {
+            // Each branch is in one term: walk f1, f1⁺, f2, f2⁺.
+            for (o, g) in [
+                (&f1, &t1.grad_a),
+                (&f1p, &t1.grad_b),
+                (&f2, &t2.grad_a),
+                (&f2p, &t2.grad_b),
+            ] {
+                self.encoder.backward_projection(&o.trace, g, gs)?;
+            }
+            return Ok(t1.loss + t2.loss);
+        }
+        let t3 = nt_xent(&f1.projection, &f2.projection, temp)?;
+        let t4 = nt_xent(&f1p.projection, &f2p.projection, temp)?;
+        // Each branch is in two terms; sum its gradients before walking
+        // the traces once, in the order f1, f2, f1⁺, f2⁺.
+        let grads = [
+            t1.grad_a.add(&t3.grad_a)?,
+            t2.grad_a.add(&t3.grad_b)?,
+            t1.grad_b.add(&t4.grad_a)?,
+            t2.grad_b.add(&t4.grad_b)?,
+        ];
+        for (o, g) in [&f1, &f2, &f1p, &f2p].into_iter().zip(&grads) {
+            self.encoder.backward_projection(&o.trace, g, gs)?;
+        }
+        Ok(t1.loss + t2.loss + t3.loss + t4.loss)
     }
 }
 
-impl SimclrTrainer {
-    /// Creates a trainer. The augmentation pipeline is chosen from the
-    /// pipeline variant: [`Pipeline::CqQuant`] disables input
-    /// augmentations (§4.5); everything else uses SimCLR-strength
-    /// augmentations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Param`] for an inconsistent configuration.
-    pub fn new(encoder: Encoder, cfg: PretrainConfig) -> Result<Self, NnError> {
-        cfg.validate().map_err(NnError::Param)?;
-        let aug = if cfg.pipeline == Pipeline::CqQuant {
+impl SslMethod for SimclrMethod {
+    const TAG: u8 = 0;
+    const NAME: &'static str = "simclr";
+    const LOADER_SALT: u64 = 0xA5A5;
+
+    fn build(encoder: Encoder, _cfg: &PretrainConfig) -> Result<Self, NnError> {
+        Ok(SimclrMethod { encoder })
+    }
+
+    /// [`Pipeline::CqQuant`] disables input augmentations (§4.5);
+    /// everything else uses SimCLR-strength augmentations.
+    fn augment(cfg: &PretrainConfig) -> AugmentConfig {
+        if cfg.pipeline == Pipeline::CqQuant {
             AugmentConfig::none()
         } else {
             AugmentConfig::simclr()
+        }
+    }
+
+    fn encoder(&self) -> &Encoder {
+        &self.encoder
+    }
+
+    fn encoder_mut(&mut self) -> &mut Encoder {
+        &mut self.encoder
+    }
+
+    fn into_encoder(self) -> Encoder {
+        self.encoder
+    }
+
+    fn compute_loss(
+        &mut self,
+        batch: &TwoViewBatch,
+        ctx: &mut StepCtx<'_>,
+        gs: &mut GradSet,
+    ) -> Result<f32, NnError> {
+        let pipeline = ctx.cfg().pipeline;
+        let temp = ctx.cfg().temperature;
+        let fctx = match pipeline {
+            Pipeline::Baseline => [ForwardCtx::train(), ForwardCtx::train()],
+            Pipeline::CqA | Pipeline::CqB | Pipeline::CqC | Pipeline::CqQuant => {
+                let (q1, q2) = ctx.sample_pair()?;
+                [ctx.quant_ctx(q1), ctx.quant_ctx(q2)]
+            }
+            // Gaussian weight noise as the model-side augmentation (the
+            // paper's future-work direction, §4.2).
+            Pipeline::NoiseA | Pipeline::NoiseC => {
+                let (s1, s2) = (ctx.noise_seed(), ctx.noise_seed());
+                [ctx.noise_ctx(s1), ctx.noise_ctx(s2)]
+            }
         };
-        let loader =
-            TwoViewLoader::new(AugmentPipeline::new(aug), cfg.batch_size, cfg.seed ^ 0xA5A5);
-        let inner = TrainLoop::new(SimclrMethod { encoder }, cfg, loader)?;
-        Ok(SimclrTrainer { inner })
+        let views = [&batch.view1, &batch.view2];
+        match pipeline {
+            Pipeline::Baseline | Pipeline::CqA | Pipeline::NoiseA => {
+                self.two_branches(fctx, views, temp, gs)
+            }
+            // The loader produced identical views; quantization is the
+            // only view-maker.
+            Pipeline::CqQuant => self.two_branches(fctx, [&batch.view1; 2], temp, gs),
+            Pipeline::CqB => self.four_branches(fctx, batch, false, temp, gs),
+            Pipeline::CqC | Pipeline::NoiseC => self.four_branches(fctx, batch, true, temp, gs),
+        }
     }
 
-    /// The encoder being trained.
-    pub fn encoder(&self) -> &Encoder {
-        &self.inner.method().encoder
+    fn state_tensors(&self) -> Vec<&Tensor> {
+        self.encoder.state_tensors()
     }
 
-    /// Mutable encoder access (evaluation needs `&mut` for forward).
-    pub fn encoder_mut(&mut self) -> &mut Encoder {
-        &mut self.inner.method_mut().encoder
-    }
-
-    /// Consumes the trainer, returning the trained encoder.
-    pub fn into_encoder(self) -> Encoder {
-        self.inner.into_method().encoder
-    }
-
-    /// Training diagnostics so far.
-    pub fn history(&self) -> &TrainHistory {
-        self.inner.history()
-    }
-
-    /// Epochs completed so far (survives checkpoint/resume).
-    pub fn epochs_done(&self) -> usize {
-        self.inner.epochs_done()
-    }
-
-    /// Runs `cfg.epochs` of pre-training over `dataset`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer/optimizer errors. Gradient explosions do NOT
-    /// error: the step is skipped and counted in the history (this is the
-    /// behaviour the paper describes for CQ-B).
-    pub fn train(&mut self, dataset: &Dataset) -> Result<(), NnError> {
-        self.inner.train(dataset)
-    }
-
-    /// Runs pre-training until `stop_epoch` epochs are complete (clamped
-    /// to `cfg.epochs`); the LR schedule still spans the full run, so a
-    /// checkpoint written here and resumed matches an uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// See [`train`](SimclrTrainer::train).
-    pub fn train_until(&mut self, dataset: &Dataset, stop_epoch: usize) -> Result<(), NnError> {
-        self.inner.train_until(dataset, stop_epoch)
-    }
-
-    /// One optimizer step on a two-view batch. Returns `None` when the
-    /// step was skipped due to gradient explosion.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer/optimizer errors, and [`NnError::Health`] when the
-    /// health monitor has latched an abort.
-    pub fn step(&mut self, batch: &TwoViewBatch, lr: f32) -> Result<Option<(f32, f32)>, NnError> {
-        self.inner.step(batch, lr)
-    }
-
-    /// Writes a checkpoint from which [`load_checkpoint`] resumes
-    /// bitwise-exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Io`] on write failure.
-    ///
-    /// [`load_checkpoint`]: SimclrTrainer::load_checkpoint
-    pub fn save_checkpoint<W: Write>(&self, w: W) -> Result<(), NnError> {
-        self.inner.save_checkpoint(w)
-    }
-
-    /// Restores a checkpoint written by [`save_checkpoint`]. Fails with a
-    /// clean error (and no partial mutation) on corrupt or mismatched
-    /// files.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Io`]/[`NnError::Param`] on invalid checkpoints.
-    ///
-    /// [`save_checkpoint`]: SimclrTrainer::save_checkpoint
-    pub fn load_checkpoint<R: Read>(&mut self, r: R) -> Result<(), NnError> {
-        self.inner.load_checkpoint(r)
+    fn state_tensors_mut(&mut self) -> Vec<&mut Tensor> {
+        self.encoder.state_tensors_mut()
     }
 }
 

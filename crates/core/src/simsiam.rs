@@ -2,31 +2,33 @@
 //! siamese method with **no negative pairs and no momentum target** —
 //! included as an extra baseline to situate Contrastive Quant among the
 //! contrastive-learning frameworks it builds on. Implemented as an
-//! [`SslMethod`] driven by the shared [`TrainLoop`] engine.
+//! [`SslMethod`] driven by the shared [`TrainLoop`].
 //!
 //! The loss is the symmetric negative cosine similarity
 //! `L = D(p1, sg(z2))/2 + D(p2, sg(z1))/2` with `p = predictor(z)`; we
 //! reuse [`crate::byol_regression`] (`2 − 2·cos` has the same gradient
-//! direction as `−cos`, scaled by 2). The CQ-C adaptation mirrors the
-//! BYOL one: per-precision view-consistency terms plus symmetric
-//! cross-precision consistency on the projections.
+//! direction as `−cos`, scaled by 2). CQ-C sums this loss at the two
+//! sampled precisions, `L_q1 + L_q2`: the per-precision view-consistency
+//! terms only. Unlike BYOL's CQ-C, it has no cross-precision term.
 
-use std::io::{Read, Write};
-
-use cq_data::{AugmentConfig, AugmentPipeline, Dataset, TwoViewBatch, TwoViewLoader};
+use cq_data::TwoViewBatch;
 use cq_models::plan::mlp_head_plan;
 use cq_models::{Encoder, HeadConfig};
-use cq_nn::{ForwardCtx, GradSet, Layer, NnError, ParamSet, Sequential};
+use cq_nn::{ForwardCtx, GradSet, Layer, NnError, Sequential};
 use cq_quant::Precision;
 use cq_tensor::{CqRng, Tensor};
 use rand::SeedableRng;
 
 use crate::engine::{SslMethod, StepCtx, TrainLoop};
-use crate::{byol_regression, Pipeline, PretrainConfig, TrainHistory};
+use crate::{byol_regression, Pipeline, PretrainConfig};
+
+/// SimSiam self-supervised pre-training, hosting [`Pipeline::Baseline`]
+/// and [`Pipeline::CqC`].
+pub type SimsiamTrainer = TrainLoop<SimsiamMethod>;
 
 /// SimSiam's per-step loss semantics: symmetric stop-gradient regression
 /// of each view's prediction onto the other view's detached projection.
-struct SimsiamMethod {
+pub struct SimsiamMethod {
     encoder: Encoder,
     predictor: Sequential,
     encoder_params: usize,
@@ -73,13 +75,42 @@ impl SimsiamMethod {
 impl SslMethod for SimsiamMethod {
     const TAG: u8 = 2;
     const NAME: &'static str = "simsiam";
+    const LOADER_SALT: u64 = 0x5151;
 
-    fn params(&self) -> &ParamSet {
-        self.encoder.params()
+    /// Registers the prediction head into the encoder's parameter set
+    /// (`encoder` should carry a batch-normed projection head, as in the
+    /// reference method). SimSiam hosts `Baseline` and `CqC`.
+    fn build(mut encoder: Encoder, cfg: &PretrainConfig) -> Result<Self, NnError> {
+        if !matches!(cfg.pipeline, Pipeline::Baseline | Pipeline::CqC) {
+            return Err(NnError::Param(format!(
+                "SimSiam hosts Baseline and CQ-C; got {}",
+                cfg.pipeline
+            )));
+        }
+        // cq-allow(det-rng-ctor): one-shot init stream derived from the run seed, consumed before training
+        let mut rng = CqRng::seed_from_u64(cfg.seed ^ 0x51A51);
+        let encoder_params = encoder.params().len();
+        let pd = encoder.proj_dim();
+        let predictor = mlp_head_plan(&HeadConfig::byol(pd, pd / 2 + 1, pd), "pred")
+            .build(encoder.params_mut(), &mut rng);
+        Ok(SimsiamMethod {
+            encoder,
+            predictor,
+            encoder_params,
+        })
     }
 
-    fn params_mut(&mut self) -> &mut ParamSet {
-        self.encoder.params_mut()
+    fn encoder(&self) -> &Encoder {
+        &self.encoder
+    }
+
+    fn encoder_mut(&mut self) -> &mut Encoder {
+        &mut self.encoder
+    }
+
+    fn into_encoder(mut self) -> Encoder {
+        self.encoder.params_mut().truncate(self.encoder_params);
+        self.encoder
     }
 
     fn compute_loss(
@@ -102,10 +133,6 @@ impl SslMethod for SimsiamMethod {
         }
     }
 
-    fn probe_encoder(&mut self, _cfg: &PretrainConfig) -> Option<&mut Encoder> {
-        Some(&mut self.encoder)
-    }
-
     fn state_tensors(&self) -> Vec<&Tensor> {
         let mut v = self.encoder.state_tensors();
         v.extend(self.predictor.state_tensors());
@@ -119,138 +146,10 @@ impl SslMethod for SimsiamMethod {
     }
 }
 
-/// SimSiam self-supervised pre-training, hosting [`Pipeline::Baseline`]
-/// and [`Pipeline::CqC`].
-pub struct SimsiamTrainer {
-    inner: TrainLoop<SimsiamMethod>,
-}
-
-impl std::fmt::Debug for SimsiamTrainer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "SimsiamTrainer(pipeline={}, steps={})",
-            self.inner.cfg().pipeline,
-            self.inner.steps_taken()
-        )
-    }
-}
-
-impl SimsiamTrainer {
-    /// Creates a SimSiam trainer around `encoder` (built with a
-    /// batch-normed projection head, as in the reference method).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Param`] for inconsistent configs or pipelines
-    /// other than `Baseline` / `CqC`.
-    pub fn new(mut encoder: Encoder, cfg: PretrainConfig) -> Result<Self, NnError> {
-        cfg.validate().map_err(NnError::Param)?;
-        if !matches!(cfg.pipeline, Pipeline::Baseline | Pipeline::CqC) {
-            return Err(NnError::Param(format!(
-                "SimSiam hosts Baseline and CQ-C; got {}",
-                cfg.pipeline
-            )));
-        }
-        // cq-allow(det-rng-ctor): one-shot init stream derived from the run seed, consumed before training
-        let mut rng = CqRng::seed_from_u64(cfg.seed ^ 0x51A51);
-        let encoder_params = encoder.params().len();
-        let pd = encoder.proj_dim();
-        let predictor = mlp_head_plan(&HeadConfig::byol(pd, pd / 2 + 1, pd), "pred")
-            .build(encoder.params_mut(), &mut rng);
-        let loader = TwoViewLoader::new(
-            AugmentPipeline::new(AugmentConfig::simclr()),
-            cfg.batch_size,
-            cfg.seed ^ 0x5151,
-        );
-        let method = SimsiamMethod {
-            encoder,
-            predictor,
-            encoder_params,
-        };
-        let inner = TrainLoop::new(method, cfg, loader)?;
-        Ok(SimsiamTrainer { inner })
-    }
-
-    /// Training diagnostics so far.
-    pub fn history(&self) -> &TrainHistory {
-        self.inner.history()
-    }
-
-    /// Epochs completed so far (survives checkpoint/resume).
-    pub fn epochs_done(&self) -> usize {
-        self.inner.epochs_done()
-    }
-
-    /// Consumes the trainer, returning the encoder with the predictor
-    /// stripped.
-    pub fn into_encoder(self) -> Encoder {
-        let m = self.inner.into_method();
-        let mut enc = m.encoder;
-        enc.params_mut().truncate(m.encoder_params);
-        enc
-    }
-
-    /// Runs `cfg.epochs` of SimSiam pre-training.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer/optimizer errors; exploded steps are skipped and
-    /// counted.
-    pub fn train(&mut self, dataset: &Dataset) -> Result<(), NnError> {
-        self.inner.train(dataset)
-    }
-
-    /// Runs pre-training until `stop_epoch` epochs are complete (clamped
-    /// to `cfg.epochs`); the LR schedule still spans the full run.
-    ///
-    /// # Errors
-    ///
-    /// See [`train`](SimsiamTrainer::train).
-    pub fn train_until(&mut self, dataset: &Dataset, stop_epoch: usize) -> Result<(), NnError> {
-        self.inner.train_until(dataset, stop_epoch)
-    }
-
-    /// One optimizer step; `None` when skipped due to explosion.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer/optimizer errors, and [`NnError::Health`] when the
-    /// health monitor has latched an abort.
-    pub fn step(&mut self, batch: &TwoViewBatch, lr: f32) -> Result<Option<(f32, f32)>, NnError> {
-        self.inner.step(batch, lr)
-    }
-
-    /// Writes a checkpoint from which [`load_checkpoint`] resumes
-    /// bitwise-exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Io`] on write failure.
-    ///
-    /// [`load_checkpoint`]: SimsiamTrainer::load_checkpoint
-    pub fn save_checkpoint<W: Write>(&self, w: W) -> Result<(), NnError> {
-        self.inner.save_checkpoint(w)
-    }
-
-    /// Restores a checkpoint written by [`save_checkpoint`]. Fails with a
-    /// clean error (and no partial mutation) on corrupt or mismatched
-    /// files.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Io`]/[`NnError::Param`] on invalid checkpoints.
-    ///
-    /// [`save_checkpoint`]: SimsiamTrainer::save_checkpoint
-    pub fn load_checkpoint<R: Read>(&mut self, r: R) -> Result<(), NnError> {
-        self.inner.load_checkpoint(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cq_data::DatasetConfig;
+    use cq_data::{Dataset, DatasetConfig};
     use cq_models::{Arch, EncoderConfig};
     use cq_quant::PrecisionSet;
 

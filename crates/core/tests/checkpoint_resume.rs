@@ -167,7 +167,7 @@ fn checkpoint_resume_is_bitwise_exact_and_rejects_corruption() {
         ByolTrainer,
         byol_encoder,
         Pipeline::CqC,
-        |t: &ByolTrainer| t.online().params().clone()
+        |t: &ByolTrainer| t.encoder().params().clone()
     );
     check_pipeline!(
         "simsiam/CQ-C".to_string(),

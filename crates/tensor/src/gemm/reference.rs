@@ -1,16 +1,13 @@
 //! Unblocked reference GEMM kernels: the exact scalar loops the packed
 //! microkernels in the parent module replaced.
 //!
-//! These are kept for three jobs:
+//! These are kept for two jobs:
 //!
 //! 1. **Small-size fast path** — below [`super`]'s packing threshold the
 //!    panel copies would cost more than they save, so tiny products run
 //!    here directly.
 //! 2. **Equivalence oracle** — the property tests assert the packed
 //!    kernels match these loops *bit for bit* on every shape.
-//! 3. **Perf baseline** — [`par_gemm_ref`] reproduces the pre-rewrite
-//!    parallel row-band dispatch exactly, the same-thread-count
-//!    denominator for a timed speedup of the blocked kernels.
 //!
 //! The per-sample convolution lowering (materialised [`im2col`] column
 //! matrix, one product per image, [`col2im`] scatter, per-band weight
@@ -27,13 +24,8 @@
 
 use super::conv::{ConvShape, Requant, WGRAD_BANDS};
 use super::int8::gemm_i8_nn_ref;
-use crate::par::{parallel_for, ChunkGrid};
+use crate::par::ChunkGrid;
 use crate::Conv2dSpec;
-
-/// Minimum output rows per parallel band in [`par_gemm_ref`] — the
-/// pre-rewrite `MIN_ROWS_PER_BAND` value, preserved so the baseline
-/// parallelises exactly like the old kernels did.
-const MIN_ROWS_PER_BAND: usize = 8;
 
 /// Serial `out = a @ b` for `a: [m,k]`, `b: [k,n]` (i-k-j loop order,
 /// contiguous row updates, `a == 0.0` terms skipped).
@@ -116,52 +108,6 @@ pub fn gemm_tn(a: &[f32], k: usize, m: usize, b: &[f32], n: usize, out: &mut [f3
             }
         }
     }
-}
-
-/// Pre-rewrite parallel baseline: the reference kernel for `kind`,
-/// dispatched over row bands through [`parallel_for`] exactly as the old
-/// `Tensor::matmul*` kernels were: the blocked kernels' honest
-/// same-thread-count speedup denominator.
-pub fn par_gemm_ref(
-    kind: super::Kind,
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    n: usize,
-    k: usize,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(out.len(), m * n);
-    let out_ptr = super::SendPtr(out.as_mut_ptr());
-    parallel_for(m, MIN_ROWS_PER_BAND, |r0, r1| {
-        // Capture the Sync wrapper, not the raw pointer field.
-        let out_ptr = &out_ptr;
-        let rows = r1 - r0;
-        // SAFETY: row bands [r0, r1) are disjoint across workers.
-        let orows = unsafe { std::slice::from_raw_parts_mut(out_ptr.0.add(r0 * n), rows * n) };
-        match kind {
-            super::Kind::Nn => gemm_nn(&a[r0 * k..r1 * k], rows, k, b, n, orows),
-            super::Kind::Nt => gemm_nt(&a[r0 * k..r1 * k], rows, k, b, n, orows),
-            super::Kind::Tn => {
-                // The transposed-A layout has no contiguous row slice per
-                // band; run the k-i-j loops on the band columns directly.
-                orows.fill(0.0);
-                for kk in 0..k {
-                    let brow = &b[kk * n..kk * n + n];
-                    for i in r0..r1 {
-                        let aki = a[kk * m + i];
-                        if aki == 0.0 {
-                            continue;
-                        }
-                        let orow = &mut orows[(i - r0) * n..(i - r0) * n + n];
-                        for (o, &bv) in orow.iter_mut().zip(brow) {
-                            *o += aki * bv;
-                        }
-                    }
-                }
-            }
-        }
-    });
 }
 
 /// Lowers one `[c, h, w]` sample (flat slice, CHW order) to a column matrix

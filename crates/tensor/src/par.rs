@@ -4,7 +4,7 @@
 //! The kernels in this crate parallelise over *row bands* (matmul) or
 //! *batch elements* (conv, augmentation). Both patterns reduce to "split
 //! `0..len` into contiguous chunks and run a closure per chunk", which is
-//! what [`parallel_for`] and friends provide. Two invariants distinguish
+//! what [`parallel_for_chunks`] and friends provide. Two invariants distinguish
 //! this runtime from a naive scoped-thread fan-out:
 //!
 //! 1. **Spawn once.** Worker threads are spawned lazily on the first
@@ -595,39 +595,24 @@ impl ChunkGrid {
     }
 }
 
-/// Runs `f(start, end)` over the disjoint chunks of a [`ChunkGrid`]
-/// covering `0..len` in parallel.
-///
-/// Chunks are at least `min_chunk` long; if the grid degenerates to one
-/// chunk or only one thread is available the closure runs inline on the
-/// caller's thread.
+/// Runs `f(chunk_index, start, end)` over every chunk of `grid` in
+/// parallel. The chunk index lets callers attribute per-chunk state
+/// (scratch buffers, reduction partials) deterministically. An empty grid
+/// runs nothing; if the grid has one chunk or only one thread is
+/// available the closure runs inline on the caller's thread.
 ///
 /// # Example
 ///
 /// ```
-/// use cq_tensor::par::parallel_for;
+/// use cq_tensor::par::{parallel_for_chunks, ChunkGrid};
 /// use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// let total = AtomicUsize::new(0);
-/// parallel_for(1000, 64, |start, end| {
+/// parallel_for_chunks(ChunkGrid::new(1000, 64), |_, start, end| {
 ///     total.fetch_add(end - start, Ordering::Relaxed);
 /// });
 /// assert_eq!(total.load(Ordering::Relaxed), 1000);
 /// ```
-pub fn parallel_for<F>(len: usize, min_chunk: usize, f: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    if len == 0 {
-        return;
-    }
-    let grid = ChunkGrid::new(len, min_chunk);
-    parallel_for_chunks(grid, |_, start, end| f(start, end));
-}
-
-/// Runs `f(chunk_index, start, end)` over every chunk of `grid` in
-/// parallel. The chunk index lets callers attribute per-chunk state
-/// (scratch buffers, reduction partials) deterministically.
 pub fn parallel_for_chunks<F>(grid: ChunkGrid, f: F)
 where
     F: Fn(usize, usize, usize) + Sync,
@@ -675,7 +660,7 @@ where
 
 /// Runs `f(i)` for every `i` in `0..len`, dynamically load-balanced.
 ///
-/// Unlike [`parallel_for`], work items are claimed one at a time, which
+/// Unlike [`parallel_for_chunks`], work items are claimed one at a time, which
 /// suits heterogeneous per-item cost (e.g. per-image augmentation where
 /// some transforms are more expensive).
 pub fn parallel_for_each<F>(len: usize, f: F)
@@ -874,17 +859,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_covers_range_exactly() {
+    fn parallel_for_chunks_covers_range_exactly() {
         let hits = AtomicUsize::new(0);
-        parallel_for(10_000, 16, |s, e| {
+        parallel_for_chunks(ChunkGrid::new(10_000, 16), |_, s, e| {
             hits.fetch_add(e - s, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 10_000);
     }
 
     #[test]
-    fn parallel_for_empty_is_noop() {
-        parallel_for(0, 16, |_, _| panic!("must not run"));
+    fn parallel_for_chunks_empty_grid_is_noop() {
+        parallel_for_chunks(ChunkGrid::new(0, 16), |_, _, _| panic!("must not run"));
     }
 
     #[test]
@@ -988,10 +973,11 @@ mod tests {
     #[test]
     fn pool_spawns_at_most_once_across_dispatches() {
         // Warm the pool, then check repeated dispatches never spawn again.
-        parallel_for(10_000, 8, |_, _| {});
+        let grid = ChunkGrid::new(10_000, 8);
+        parallel_for_chunks(grid, |_, _, _| {});
         let first = pool_stats();
         for _ in 0..32 {
-            parallel_for(10_000, 8, |_, _| {});
+            parallel_for_chunks(grid, |_, _, _| {});
         }
         let after = pool_stats();
         assert_eq!(
