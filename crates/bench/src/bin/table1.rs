@@ -2,6 +2,10 @@
 //! ResNet-18/34, fine-tuning with 10%/1% labels at FP and 4-bit.
 //!
 //! Paper pairing (§4.2): CQ-A uses precision set 6-16, CQ-C uses 8-16.
+//!
+//! `--seed <n>` runs one seed of a multi-seed experiment: it sets the
+//! protocol's master seed and the dataset's seed, and writes
+//! `table1_s<n>.csv` instead of `table1.csv`.
 
 use cq_bench::{finetune_grid, fmt_acc, pretrain_simclr_cached, Protocol, Regime, Scale};
 use cq_core::Pipeline;
@@ -12,7 +16,11 @@ use cq_quant::PrecisionSet;
 fn main() {
     cq_bench::obs_init();
     let scale = Scale::from_args();
-    let proto = Protocol::new(Regime::ImagenetLike, scale);
+    let seed = cq_bench::seed_from_args();
+    let mut proto = Protocol::new(Regime::ImagenetLike, scale);
+    if let Some(seed) = seed {
+        proto = proto.with_seed(seed);
+    }
     let (train, test) = proto.datasets();
     let scale_tag = if scale == Scale::Paper {
         "paper"
@@ -67,7 +75,8 @@ fn main() {
         }
     }
     table.print();
-    let _ = table.write_csv(std::path::Path::new("table1.csv"));
+    let csv = seed.map_or("table1.csv".into(), |s| format!("table1_s{s}.csv"));
+    let _ = table.write_csv(std::path::Path::new(&csv));
     if let Some(summary) = cq_bench::obs_summary() {
         println!("\n{summary}");
     }
