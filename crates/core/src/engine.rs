@@ -887,8 +887,8 @@ impl TrainState {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::Io`] for bad magic, unsupported versions, and
-    /// malformed or truncated content.
+    /// Returns [`NnError::Io`] for bad magic, unsupported versions,
+    /// malformed or truncated content, and bytes after the last section.
     ///
     /// [`write`]: TrainState::write
     pub fn read<R: Read>(mut r: R) -> Result<TrainState, NnError> {
@@ -943,6 +943,11 @@ impl TrainState {
                 )))
             }
         };
+        if r.read(&mut [0u8; 1])? != 0 {
+            return Err(NnError::Io(
+                "trailing bytes after the checkpoint's target section".into(),
+            ));
+        }
         Ok(TrainState {
             version,
             method_tag,
@@ -1090,5 +1095,11 @@ mod tests {
         let mut wrong_version = buf.clone();
         wrong_version[4] = 99;
         assert!(TrainState::read(wrong_version.as_slice()).is_err());
+        let mut trailing = buf.clone();
+        trailing.push(0);
+        assert!(
+            TrainState::read(trailing.as_slice()).is_err(),
+            "trailing byte"
+        );
     }
 }

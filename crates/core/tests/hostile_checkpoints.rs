@@ -3,14 +3,17 @@
 //!
 //! Each checkpoint is cut at every offset of its fixed header and at
 //! evenly spaced offsets through the body, and its target-presence byte
-//! is set to every other value. Every such load must fail, and after each
-//! failure the live trainer (parameters with the predictor, BatchNorm
-//! state, momentum, history, the BYOL target, RNG states and counters)
-//! must be bit-identical to before. The trainer's own checkpoint bytes
-//! are the witness: they serialize all of that state.
+//! is set to every other value. A SimCLR and a BYOL checkpoint also get
+//! one byte appended after their last section. Every such load must
+//! fail, and after each failure the live trainer (parameters with the
+//! predictor, BatchNorm state, momentum, history, the BYOL target, RNG
+//! states and counters) must be bit-identical to before. The trainer's
+//! own checkpoint bytes are the witness: they serialize all of that
+//! state.
 
 use cq_core::{
-    ByolMethod, Pipeline, PretrainConfig, SimsiamMethod, SslMethod, TrainLoop, TrainState,
+    ByolMethod, Pipeline, PretrainConfig, SimclrMethod, SimsiamMethod, SslMethod, TrainLoop,
+    TrainState,
 };
 use cq_data::{Dataset, DatasetConfig};
 use cq_models::{Arch, Encoder, EncoderConfig};
@@ -24,12 +27,14 @@ const HEADER_LEN: usize = 4 + 4 + 2 + 4 * 8 + 8 * 8 + 2 * 8;
 /// Evenly spaced cuts through the body, past the header.
 const BODY_CUTS: usize = 96;
 
-fn encoder(seed: u64) -> Encoder {
-    Encoder::new(
-        &EncoderConfig::new(Arch::ResNet18, 2).with_byol_proj(16, 8),
-        seed,
-    )
-    .expect("encoder")
+fn encoder<M: SslMethod>(seed: u64) -> Encoder {
+    let ec = EncoderConfig::new(Arch::ResNet18, 2);
+    let ec = if M::NAME == "simclr" {
+        ec.with_proj(16, 8)
+    } else {
+        ec.with_byol_proj(16, 8)
+    };
+    Encoder::new(&ec, seed).expect("encoder")
 }
 
 fn cfg() -> PretrainConfig {
@@ -50,33 +55,50 @@ fn snapshot<M: SslMethod>(t: &TrainLoop<M>) -> Vec<u8> {
     out
 }
 
-fn hostile_loads_fail_without_mutation<M: SslMethod>() {
+/// A checkpoint after one epoch, and a victim trainer with state of its
+/// own (one epoch from another init) with its checkpoint bytes.
+fn checkpoint_and_victim<M: SslMethod>() -> (Vec<u8>, TrainLoop<M>, Vec<u8>) {
     // 24 train images / batch 8 = 3 steps per epoch.
     let (ds, _) = Dataset::generate(&DatasetConfig::cifarlike().with_sizes(24, 8));
-    let mut writer = TrainLoop::<M>::new(encoder(7), cfg()).expect("trainer");
+    let mut writer = TrainLoop::<M>::new(encoder::<M>(7), cfg()).expect("trainer");
     writer.train_until(&ds, 1).expect("train");
     let ckpt = snapshot(&writer);
-    let name = M::NAME;
-
-    // The victim has state of its own: one epoch from another init.
-    let mut victim = TrainLoop::<M>::new(encoder(99), cfg()).expect("trainer");
+    let mut victim = TrainLoop::<M>::new(encoder::<M>(99), cfg()).expect("trainer");
     victim.train_until(&ds, 1).expect("train");
     let before = snapshot(&victim);
     assert_ne!(
-        before, ckpt,
-        "{name}: victim must differ from the checkpoint"
+        before,
+        ckpt,
+        "{}: victim must differ from the checkpoint",
+        M::NAME
     );
+    (ckpt, victim, before)
+}
 
-    let mut attempt = |bytes: &[u8], what: String| {
-        assert!(
-            victim.load_checkpoint(bytes).is_err(),
-            "{name}: {what} loaded"
-        );
-        assert!(
-            snapshot(&victim) == before,
-            "{name}: failed load ({what}) mutated the trainer"
-        );
-    };
+/// Asserts that loading `bytes` into `victim` fails and leaves its
+/// checkpoint bytes equal to `before`.
+fn assert_rejected<M: SslMethod>(
+    victim: &mut TrainLoop<M>,
+    before: &[u8],
+    bytes: &[u8],
+    what: &str,
+) {
+    let name = M::NAME;
+    assert!(
+        victim.load_checkpoint(bytes).is_err(),
+        "{name}: {what} loaded"
+    );
+    assert!(
+        snapshot(victim) == before,
+        "{name}: failed load ({what}) mutated the trainer"
+    );
+}
+
+fn hostile_loads_fail_without_mutation<M: SslMethod>() {
+    let (ckpt, mut victim, before) = checkpoint_and_victim::<M>();
+    let name = M::NAME;
+    let mut attempt =
+        |bytes: &[u8], what: String| assert_rejected(&mut victim, &before, bytes, &what);
 
     assert!(
         ckpt.len() > HEADER_LEN + BODY_CUTS,
@@ -112,6 +134,40 @@ fn hostile_loads_fail_without_mutation<M: SslMethod>() {
         .load_checkpoint(ckpt.as_slice())
         .expect("valid checkpoint");
     assert!(snapshot(&victim) == ckpt, "{name}: load/save round trip");
+}
+
+/// One byte appended after the last section must fail the load without
+/// mutation; the intact checkpoint still loads.
+fn trailing_byte_fails_without_mutation<M: SslMethod>() {
+    let (ckpt, mut victim, before) = checkpoint_and_victim::<M>();
+    for extra in [0u8, 1, 0xff] {
+        let mut long = ckpt.clone();
+        long.push(extra);
+        assert_rejected(
+            &mut victim,
+            &before,
+            &long,
+            &format!("trailing byte {extra}"),
+        );
+    }
+    victim
+        .load_checkpoint(ckpt.as_slice())
+        .expect("valid checkpoint");
+    assert!(
+        snapshot(&victim) == ckpt,
+        "{}: load/save round trip",
+        M::NAME
+    );
+}
+
+#[test]
+fn simclr_cq_c_rejects_a_trailing_byte_without_mutation() {
+    trailing_byte_fails_without_mutation::<SimclrMethod>();
+}
+
+#[test]
+fn byol_cq_c_rejects_a_trailing_byte_without_mutation() {
+    trailing_byte_fails_without_mutation::<ByolMethod>();
 }
 
 #[test]

@@ -239,12 +239,15 @@ pub fn span(name: &'static str) -> SpanGuard {
         v
     });
     emit(Event::SpanStart { name, depth });
+    // The gate is read before the clock: an open gate means the epoch is
+    // already set (`prof::set_enabled`), so `start` is not before it.
+    let profiled = prof::enabled();
     // One clock read for both records: a second read could land after a
     // deschedule and end this interval before a child's.
     let start = Instant::now();
     SpanGuard {
         inner: Some((name, depth, start)),
-        prof_start_ns: prof::enabled().then(|| prof::ns_since_epoch(start)),
+        prof_start_ns: profiled.then(|| prof::ns_since_epoch(start)),
     }
 }
 

@@ -94,8 +94,13 @@ pub fn enabled() -> bool {
 /// through [`sink::init_from_env`](crate::sink::init_from_env); tests
 /// toggle it directly (under the same serialisation they already use for
 /// [`install`](crate::install)).
+///
+/// Enabling sets the epoch before it opens the gate, so every clock read
+/// taken after a span saw the gate open lies at or after the epoch: no
+/// start is clamped to 0.
 pub fn set_enabled(on: bool) {
     if on {
+        EPOCH.get_or_init(Instant::now);
         GENERATION.fetch_add(1, Ordering::Relaxed);
     }
     PROF.store(on, Ordering::SeqCst);
@@ -111,9 +116,10 @@ pub fn thread_id() -> u64 {
     })
 }
 
-/// Monotonic nanoseconds since the process profiling epoch (the first
-/// call). All timeline timestamps share this origin so intervals from
-/// different threads are directly comparable.
+/// Monotonic nanoseconds since the process profiling epoch (set by the
+/// first [`set_enabled`]`(true)`, or else by the first call). All
+/// timeline timestamps share this origin so intervals from different
+/// threads are directly comparable.
 pub fn now_ns() -> u64 {
     ns_since_epoch(Instant::now())
 }
