@@ -87,7 +87,10 @@ fn act_backward_at(
     Ok(dx)
 }
 
-/// `dx = dy · (bit ? 1.0 : 0.0)` over 32-element words of the mask.
+/// `dx = dy · (bit ? 1.0 : 0.0)` over 32-element words of the mask. The
+/// factor is built from the bit without a branch (all ones or zeros,
+/// masked to the bits of `1.0`), so the loop vectorizes; it is still a
+/// multiply, so the result bits are those of the `if`.
 struct MaskedGrad<'a> {
     dy: &'a [f32],
     words: &'a [u32],
@@ -100,7 +103,7 @@ impl Body for MaskedGrad<'_> {
     fn run<const L: usize>(self) {
         let block = |dy: &[f32], dx: &mut [f32], w: u32| {
             for (j, (o, &g)) in dx.iter_mut().zip(dy).enumerate() {
-                let m = if (w >> j) & 1 != 0 { 1.0 } else { 0.0 };
+                let m = f32::from_bits(((w >> j) & 1).wrapping_neg() & 0x3f80_0000);
                 *o = g * m;
             }
         };
