@@ -40,7 +40,7 @@
 //! The backward reductions are scalar chains by contract, so a wider
 //! vector has nothing to add to them and they are not dispatched.
 
-use cq_tensor::lanes::{block_images, LANES};
+use cq_tensor::lanes::{block_images, ChannelLanes, LANES};
 use cq_tensor::simd::{dispatch, Body, SimdLevel};
 use cq_tensor::Tensor;
 
@@ -198,13 +198,36 @@ fn lane_batch_stats(
 
 /// Per-channel `(dgamma, dbeta)` of the lane storage `dy` and `xhat` of
 /// an `[n, c, hw]` batch: one chain per channel in (image, position)
-/// order from `+0.0`, as [`grad_sums`] of the NCHW form, reading each
-/// image's lane at a stride of 16 floats, [`LANE_CHAINS`] channels at a
-/// time.
-fn lane_grad_sums(dy: &[f32], xhat: &[f32], n: usize, c: usize, hw: usize) -> (Vec<f32>, Vec<f32>) {
+/// order from `+0.0`, as [`grad_sums`] of the NCHW form. Each full group
+/// of 16 channels runs as 16-lane vector chains over a channel-minor
+/// copy of each lane block ([`GroupSums`]); the channels past the last
+/// full group read each image's lane at a stride of 16 floats,
+/// [`LANE_CHAINS`] channels at a time.
+fn lane_grad_sums(
+    level: SimdLevel,
+    dy: &[f32],
+    xhat: &[f32],
+    n: usize,
+    c: usize,
+    hw: usize,
+) -> (Vec<f32>, Vec<f32>) {
     let (mut dgamma, mut dbeta) = (vec![0.0f32; c], vec![0.0f32; c]);
-    let full = c - c % LANE_CHAINS;
-    for c0 in (0..full).step_by(LANE_CHAINS) {
+    let groups = c - c % LANES;
+    if groups > 0 {
+        let body = GroupSums {
+            level,
+            dy,
+            xhat,
+            n,
+            c,
+            hw,
+            dgamma: &mut dgamma[..groups],
+            dbeta: &mut dbeta[..groups],
+        };
+        dispatch(level, body);
+    }
+    let full = groups + (c - groups) / LANE_CHAINS * LANE_CHAINS;
+    for c0 in (groups..full).step_by(LANE_CHAINS) {
         lane_reduce_channels::<LANE_CHAINS>(dy, xhat, (n, c, hw), c0, &mut dgamma, &mut dbeta);
     }
     for c0 in full..c {
@@ -213,12 +236,69 @@ fn lane_grad_sums(dy: &[f32], xhat: &[f32], n: usize, c: usize, hw: usize) -> (V
     (dgamma, dbeta)
 }
 
-/// Channels the lane backward reduction runs at once: fewer than
-/// [`CHAINS`], so that their planes stay in cache while each image's
-/// lane is read across them.
+/// [`lane_grad_sums`] of the channels `0..dgamma.len()`, a multiple of
+/// 16: per group of 16 channels and lane block, `dy` and `xhat` are
+/// copied channel-minor ([`ChannelLanes`]), and lane `j` of one vector
+/// chain over the copy's real images and positions, in that order, is
+/// channel `c0 + j`'s chain.
+struct GroupSums<'a> {
+    level: SimdLevel,
+    dy: &'a [f32],
+    xhat: &'a [f32],
+    n: usize,
+    c: usize,
+    hw: usize,
+    dgamma: &'a mut [f32],
+    dbeta: &'a mut [f32],
+}
+
+impl Body for GroupSums<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<const L: usize>(self) {
+        let GroupSums {
+            level,
+            dy,
+            xhat,
+            n,
+            c,
+            hw,
+            dgamma,
+            dbeta,
+        } = self;
+        let block = c * hw * LANES;
+        let (mut dys, mut xhs) = (ChannelLanes::new(level, hw), ChannelLanes::new(level, hw));
+        let sums = dgamma
+            .chunks_exact_mut(LANES)
+            .zip(dbeta.chunks_exact_mut(LANES));
+        for (g, (dgamma, dbeta)) in sums.enumerate() {
+            let (mut dg, mut db) = ([0.0f32; LANES], [0.0f32; LANES]);
+            for b in 0..n.div_ceil(LANES) {
+                let images = block_images(n, b).1;
+                dys.fill(&dy[b * block..][..block], g * LANES, images);
+                xhs.fill(&xhat[b * block..][..block], g * LANES, images);
+                for i in 0..images {
+                    for (d, x) in dys.image(i).iter().zip(xhs.image(i)) {
+                        for j in 0..LANES {
+                            // cq-allow(no-naive-hot-loop): 16 per-channel reduction chains as one vector; output is a length-c vector, not a matmul
+                            dg[j] += d[j] * x[j];
+                            db[j] += d[j];
+                        }
+                    }
+                }
+            }
+            dgamma.copy_from_slice(&dg);
+            dbeta.copy_from_slice(&db);
+        }
+    }
+}
+
+/// Channels the strided lane backward reduction runs at once: fewer
+/// than [`CHAINS`], so that their planes stay in cache while each
+/// image's lane is read across them.
 const LANE_CHAINS: usize = 4;
 
-/// [`lane_grad_sums`] of channels `c0..c0 + W`.
+/// [`lane_grad_sums`] of channels `c0..c0 + W`, read at a stride.
 fn lane_reduce_channels<const W: usize>(
     dy: &[f32],
     xhat: &[f32],
@@ -520,7 +600,7 @@ impl BatchNormInner {
         // the buffer.
         assert!(cch.inner > 0 && len == cch.outer * c * cch.inner);
         let (dgamma, dbeta) = match cch.xhat.dims() {
-            &[n, _, h, w] if cch.xhat.is_lanes() => lane_grad_sums(dy, xhat, n, c, h * w),
+            &[n, _, h, w] if cch.xhat.is_lanes() => lane_grad_sums(level, dy, xhat, n, c, h * w),
             _ => grad_sums(dy, xhat, c, cch.inner),
         };
         dispatch(
@@ -843,6 +923,59 @@ mod tests {
         for train in [true, false] {
             for (outer, c, side) in [(16, 16, 8), (4, 64, 8), (16, 64, 4), (16, 16, 8)] {
                 check_against_oracle(level, outer, c, side, train);
+            }
+        }
+    }
+
+    /// The lane storage of the row-major `v` of `dims` with every pad
+    /// lane NaN, as a debug build's conversions write them.
+    fn nan_padded(v: &[f32], dims: &[usize]) -> Tensor {
+        let mut t = Tensor::from_vec(v.to_vec(), dims)
+            .and_then(|t| t.to_lanes())
+            .unwrap();
+        if let Some(pad) = cq_tensor::lanes::PadLanes::of(&t) {
+            let mut real = vec![false; t.len()];
+            pad.real_runs(0, t.len(), |lo, hi| real[lo..hi].fill(true));
+            for (v, r) in t.as_mut_slice().iter_mut().zip(real) {
+                if !r {
+                    *v = f32::NAN;
+                }
+            }
+        }
+        t
+    }
+
+    /// `dgamma`/`dbeta` on lanes: whole groups of 16 channels and the
+    /// strided rest, partial and several lane blocks, with NaN pad lanes
+    /// under finite and hostile values.
+    // Up to 33 × 48 × 256 elements per shape: too large for Miri.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn lane_gradient_sums_match_the_scalar_oracle() {
+        for c in [16, 17, 31, 32, 48] {
+            for n in [1, 15, 16, 17, 33] {
+                for side in [1, 2, 4, 8, 16] {
+                    let (hw, len) = (side * side, n * c * side * side);
+                    let dims = [n, c, side, side];
+                    let seed = (c * 10_000 + n * 100 + side) as u64;
+                    let ones = vec![1.0f32; c];
+                    for values in [finite, hostile] {
+                        let (dy, xhat) = (values(len, seed), values(len, seed + 1));
+                        let (_, want_dg, want_db) =
+                            oracle::batch_norm_backward(&dy, &xhat, &ones, &ones, n, hw, true);
+                        let (dyl, xhl) = (nan_padded(&dy, &dims), nan_padded(&xhat, &dims));
+                        for level in SimdLevel::supported() {
+                            for threads in THREADS {
+                                let (dg, db) = with_thread_limit(threads, || {
+                                    lane_grad_sums(level, dyl.as_slice(), xhl.as_slice(), n, c, hw)
+                                });
+                                let at = format!("{level:?} {threads} threads, {dims:?}");
+                                assert_eq!(bits(&dg), bits(&want_dg), "dgamma {at}");
+                                assert_eq!(bits(&db), bits(&want_db), "dbeta {at}");
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -1,38 +1,39 @@
 //! Depthwise convolution (groups = channels, MobileNetV2) over the whole
-//! batch, with 16 *channels* as the SIMD lanes of every register.
+//! batch, in the image-minor lane layout of [`crate::lanes`].
 //!
-//! Each channel of a depthwise layer is its own tiny convolution, so the
-//! natural vector is not a row of one channel but one pixel of 16
-//! channels. The operands arrive in the image-minor lane layout of
-//! [`crate::lanes`] (16 images per vector), so each pass copies them,
-//! 16 channels of the images of one lane block at a time, into a
-//! channel-minor scratch, `[image][H·W]` vectors of 16 channels (lanes
-//! past `C` are zero): at each pixel, one 16-channel × 16-image
-//! transpose of the private `gemm::lane` module. The result goes back
-//! the same way, into its images' lanes only. Every term of a pass is one
-//! vector multiply-add of a source vector and a weight vector; which
-//! terms each output receives, and in what order, is a table built once
-//! per call from the geometry alone (`Taps`):
+//! Each channel of a depthwise layer is its own tiny convolution. The
+//! operands arrive as lane storage, `[N/16][C][H][W][16]`, in which one
+//! 16-float vector is one pixel of one channel in 16 independent images,
+//! so a `(lane block, channel)` plane is a tiny convolution of 16 images
+//! at once, read and written in place. Which terms each output receives,
+//! and in what order, is a table built once per call from the geometry
+//! alone (`Taps`):
 //!
-//! - **forward**: one vector accumulator per (output position, channel
-//!   block), over the position's in-bounds taps in ascending order;
-//! - **input gradient**: one vector accumulator per (input position,
-//!   channel block), over the `dY` positions that read it in raster
-//!   order (descending taps), each term `g ≠ 0 ? g·w : +0.0`;
-//! - **weight gradient**: one running vector per (tap, channel block),
-//!   carried across a band's images in ascending order and over raster
-//!   positions (the forward's table), each term `g ≠ 0 ? g·x : +0.0`,
-//!   and written out as `[C][T]` at the band's end.
+//! - **forward**: per plane, one vector accumulator per output position
+//!   over the position's in-bounds taps in ascending order, each term
+//!   `x·w[c,t]` with the channel's weight broadcast;
+//! - **input gradient**: per plane, one vector accumulator per input
+//!   position over the `dY` positions that read it in raster order
+//!   (descending taps), each term `g ≠ 0 ? g·w[c,t] : +0.0`;
+//! - **weight gradient**: one running sum per (channel, tap) across a
+//!   band's images in ascending order and over raster positions (the
+//!   forward's table), each term `g ≠ 0 ? g·x : +0.0`. Images cannot be
+//!   the lanes of that sum, so this pass copies `X` and `dY`, 16 channels
+//!   of the images of one lane block at a time, into a channel-minor
+//!   scratch (`crate::lanes::to_channels`: per pixel, one 16-channel ×
+//!   16-image transpose in registers), and keeps one running vector per
+//!   (tap, 16-channel block), written out as `[C][T]` at the band's end.
 //!
 //! The innermost loop of every pass runs over a table's terms and either
 //! carries a floating-point sum in a register (forward, input gradient)
 //! or adds into sums the table indexes (weight gradient). Neither lets
-//! the compiler vectorize the loop a second time, across channel blocks
-//! or positions with gathers: each term stays one vector operation.
+//! the compiler vectorize the loop a second time, across planes or
+//! positions with gathers: each term stays one vector operation.
 //!
-//! Images are split into at most [`WGRAD_BANDS`] contiguous bands, a grid
-//! fixed by the batch size alone; a band is one pool job with its own
-//! scratch, and the band partials of the weight gradient are summed in
+//! The forward and the input gradient split the planes into chunks; the
+//! weight gradient splits the images into at most [`WGRAD_BANDS`]
+//! contiguous bands, a grid fixed by the batch size alone. A band is one
+//! pool job with its own scratch, and the band partials are summed in
 //! band order.
 //!
 //! # Bitwise contract
@@ -56,21 +57,25 @@
 //! term: every sum starts at `+0.0` and so never holds `-0.0`, and
 //! `a + (+0.0) = a` for every other `a`, NaN and ±Inf included. The
 //! select also keeps a NaN or ±Inf `x` or `w` out where `g` is zero.
+//!
+//! Pad lanes are computed like any other lane by the forward and the
+//! input gradient, so they hold unspecified values there; the weight
+//! gradient copies only real images, so they reach no `dw`.
 
 use super::conv::{ConvShape, WGRAD_BANDS};
-use super::lane::{dispatch_at, Lane, LaneBuf, LanePass, Transpose, LANES, ZERO};
+use super::lane::{dispatch_at, Lane, LaneBuf, LanePass, Transpose, LANES};
 use super::{simd_level, Level, SendPtr};
 use crate::conv::DEPTHWISE_FLOPS;
-use crate::lanes::{as_lanes, as_lanes_mut};
+use crate::lanes::{as_lanes, as_lanes_mut, to_channels};
 use crate::par::{parallel_for_chunks, parallel_map_chunks, ChunkGrid};
+use std::ops::Range;
 
-/// Depthwise convolution `out = dwconv(x, wgt)` over the whole batch on
-/// channel lanes. `s` describes the layer with `s.o == s.c`; `x` is
-/// `[N,C,H,W]` and `out` is `[N,C,OH,OW]` (overwritten), both lane
-/// storage (see [`crate::lanes`]); `wgt` is `[C, KH·KW]`. On the real
-/// lanes, bit-identical to
-/// [`reference::depthwise_conv2d`](super::reference::depthwise_conv2d);
-/// pad lanes of `out` are left as they are.
+/// Depthwise convolution `out = dwconv(x, wgt)` over the whole batch.
+/// `s` describes the layer with `s.o == s.c`; `x` is `[N,C,H,W]` and
+/// `out` is `[N,C,OH,OW]` (overwritten), both lane storage (see
+/// [`crate::lanes`]); `wgt` is `[C, KH·KW]`. On the real lanes,
+/// bit-identical to
+/// [`reference::depthwise_conv2d`](super::reference::depthwise_conv2d).
 ///
 /// # Panics
 ///
@@ -100,30 +105,18 @@ pub fn depthwise_conv2d(x: &[f32], wgt: &[f32], s: &ConvShape, out: &mut [f32]) 
 ///
 /// The host must support `level`.
 unsafe fn forward(level: Level, x: &[Lane], wgt: &[f32], g: &Geom, out: &mut [Lane]) {
-    let (wl, taps) = (channel_weights(wgt, g), Taps::forward(g));
-    let out = SendPtr(out.as_mut_ptr().cast());
-    parallel_for_chunks(bands(g.n), |_, i0, i1| {
-        let pass = ForwardBand {
-            x,
-            wl: wl.lanes(),
-            g,
-            taps: &taps,
-            out: &out,
-            images: (i0, i1),
-        };
-        // SAFETY: the caller guarantees `level`.
-        unsafe { dispatch_at(level, pass) };
-    });
+    let taps = Taps::forward(g);
+    // SAFETY: the caller guarantees `level`.
+    unsafe { planes::<false>(level, x, wgt, g, &taps, out) };
 }
 
-/// Both gradients of a depthwise convolution on channel lanes: the input
-/// gradient `dx` and the weight gradient `dw`, summed over the batch in
+/// Both gradients of a depthwise convolution: the input gradient `dx`
+/// and the weight gradient `dw`, summed over the batch in
 /// [`WGRAD_BANDS`] band partials. `x` and `dx` are `[N,C,H,W]` and `dy`
 /// is `[N,C,OH,OW]`, all lane storage; `wgt` and `dw` are `[C, KH·KW]`;
-/// `dx` and `dw` are overwritten (`dx` on its real lanes). Bit-identical
-/// to
-/// [`reference::depthwise_conv2d_backward`](super::reference::depthwise_conv2d_backward);
-/// pad lanes never reach `dw`.
+/// `dx` and `dw` are overwritten. Bit-identical to
+/// [`reference::depthwise_conv2d_backward`](super::reference::depthwise_conv2d_backward)
+/// on the real lanes; pad lanes never reach `dw`.
 ///
 /// # Panics
 ///
@@ -170,21 +163,18 @@ unsafe fn backward(
     dx: &mut [Lane],
     dw: &mut [f32],
 ) {
-    let wl = channel_weights(wgt, g);
     let (forward, input) = (Taps::forward(g), Taps::input_gradient(g));
-    let dx = SendPtr(dx.as_mut_ptr().cast());
+    // SAFETY: the caller guarantees `level`.
+    unsafe { planes::<true>(level, dy, wgt, g, &input, dx) };
     let partials = parallel_map_chunks(
         bands(g.n),
         || vec![0.0f32; g.c * g.taps],
         |_, i0, i1, part| {
-            let pass = BackwardBand {
+            let pass = WeightBand {
                 x,
                 dy,
-                wl: wl.lanes(),
                 g,
-                forward: &forward,
-                input: &input,
-                dx: &dx,
+                taps: &forward,
                 images: (i0, i1),
                 dw: part,
             };
@@ -200,6 +190,39 @@ unsafe fn backward(
     }
 }
 
+/// The forward (`SELECT = false`: `src` is `X`, `dst` is `Y`) or the
+/// input gradient (`SELECT = true`: `src` is `dY`, `dst` is `dX`) over
+/// every `(lane block, channel)` plane, in chunks of planes: each output
+/// vector of a plane is [`gather`]ed from its source plane.
+///
+/// # Safety
+///
+/// The host must support `level`.
+unsafe fn planes<const SELECT: bool>(
+    level: Level,
+    src: &[Lane],
+    wgt: &[f32],
+    g: &Geom,
+    taps: &Taps,
+    dst: &mut [Lane],
+) {
+    let (ns, nd) = (src.len() / (g.blocks * g.c), dst.len() / (g.blocks * g.c));
+    let dst = SendPtr(dst.as_mut_ptr().cast());
+    parallel_for_chunks(ChunkGrid::new(g.blocks * g.c, 1), |_, q0, q1| {
+        let pass = Planes::<SELECT> {
+            src,
+            wgt,
+            g,
+            taps,
+            lens: (ns, nd),
+            dst: &dst,
+            planes: q0..q1,
+        };
+        // SAFETY: the caller guarantees `level`.
+        unsafe { dispatch_at(level, pass) };
+    });
+}
+
 /// The band grid over `n` images.
 fn bands(n: usize) -> ChunkGrid {
     ChunkGrid::with_max_chunks(n, 1, WGRAD_BANDS)
@@ -207,8 +230,9 @@ fn bands(n: usize) -> ChunkGrid {
 
 /// Per-call geometry shared by the passes.
 struct Geom {
-    /// Images.
+    /// Images and their blocks of [`LANES`].
     n: usize,
+    blocks: usize,
     /// Channels and their blocks of [`LANES`].
     c: usize,
     cb: usize,
@@ -237,6 +261,7 @@ impl Geom {
         let ((kh, kw), (sh, sw), (ph, pw)) = (s.spec.kernel, s.spec.stride, s.spec.padding);
         Geom {
             n: s.n,
+            blocks: s.n.div_ceil(LANES),
             c: s.c,
             cb: s.c.div_ceil(LANES),
             h: s.h,
@@ -279,8 +304,7 @@ fn span(at: usize, pad: usize, len: usize, kn: usize) -> (usize, usize) {
 }
 
 /// For every destination position of a pass, its terms in summation
-/// order: the lane offset of the source vector (channel block 0) and the
-/// tap.
+/// order: the source position within its plane and the tap.
 struct Taps {
     /// Terms of position `p`: `terms[start[p]..start[p + 1]]`.
     start: Vec<usize>,
@@ -342,235 +366,54 @@ fn source(i: usize, k: usize, pad: usize, stride: usize, on: usize) -> Option<us
     (at % stride == 0 && at / stride < on).then_some(at / stride)
 }
 
-/// The weights as vectors over channels, block-major:
-/// `wl[b·T + t]` lane `i` is `W[16b + i, t]`, zero past `C`.
-fn channel_weights(wgt: &[f32], g: &Geom) -> LaneBuf {
-    let mut wl = LaneBuf::zeroed(g.cb * g.taps);
-    let lanes = wl.lanes_mut();
-    for (ch, row) in wgt.chunks_exact(g.taps).enumerate() {
-        for (t, &v) in row.iter().enumerate() {
-            lanes[(ch / LANES) * g.taps + t].0[ch % LANES] = v;
-        }
-    }
-    wl
-}
-
-/// The images `i0..i1` as runs within one block of 16: `(block, first
-/// lane, lanes)`.
-fn block_runs(i0: usize, i1: usize) -> impl Iterator<Item = (usize, usize, usize)> {
-    let mut i = i0;
-    std::iter::from_fn(move || {
-        (i < i1).then(|| {
-            let (blk, l0) = (i / LANES, i % LANES);
-            let m = (LANES - l0).min(i1 - i);
-            i += m;
-            (blk, l0, m)
-        })
-    })
-}
-
-/// The images of one [`block_runs`] run in one channel block: which block
-/// and lanes, and which 16 channels.
-#[derive(Clone, Copy)]
-struct Slab {
-    /// Lanes `l0..l0 + m` of a block.
-    l0: usize,
-    m: usize,
-    /// First channel, and channels in the block (16 but for the last).
-    ch0: usize,
-    chans: usize,
-}
-
-/// Copies channels `ch0..ch0 + chans` of one lane block `src`
-/// (`[C][P]`) into the channel-minor `dst`, `[m][P]`, for images
-/// (lanes) `l0..l0 + m`: per position, one 16-channel × 16-image
-/// transpose. Lanes past the last channel are zero.
-///
-/// # Safety
-///
-/// The host must support `T`'s level.
-#[inline(always)]
-unsafe fn to_channels<T: Transpose>(src: &[Lane], p: usize, sl: Slab, dst: &mut [Lane]) {
-    let mut t = [ZERO; LANES];
-    for pos in 0..p {
-        for (j, row) in t.iter_mut().enumerate() {
-            *row = if j < sl.chans {
-                src[(sl.ch0 + j) * p + pos]
-            } else {
-                ZERO
-            };
-        }
-        // SAFETY: the caller guarantees `T`'s level.
-        unsafe { T::transpose(&mut t) };
-        for (i, row) in t[sl.l0..sl.l0 + sl.m].iter().enumerate() {
-            dst[i * p + pos] = *row;
-        }
-    }
-}
-
-/// Copies the channel-minor `src` (`[m][P]`) back into channels
-/// `ch0..ch0 + chans`, lanes `l0..l0 + m`, of the lane block at `dst`
-/// (`[C][P]`), writing no other lane.
-///
-/// # Safety
-///
-/// `dst` must point to a lane block of `C·P` lanes whose lanes
-/// `l0..l0 + m` no other thread accesses during the call (all of it when
-/// `m` is 16), and the host must support `T`'s level.
-#[inline(always)]
-unsafe fn from_channels<T: Transpose>(src: &[Lane], p: usize, sl: Slab, dst: *mut f32) {
-    let mut t = [ZERO; LANES];
-    for pos in 0..p {
-        for (i, row) in t[sl.l0..sl.l0 + sl.m].iter_mut().enumerate() {
-            *row = src[i * p + pos];
-        }
-        // SAFETY: the caller guarantees `T`'s level.
-        unsafe { T::transpose(&mut t) };
-        for (j, row) in t.iter().enumerate().take(sl.chans) {
-            let cell = (sl.ch0 + j) * p + pos;
-            // SAFETY: `cell` lies inside the block, and the caller
-            // guarantees these lanes are this thread's alone; a whole
-            // lane is one aligned vector store.
-            unsafe {
-                if sl.m == LANES {
-                    dst.cast::<Lane>().add(cell).write(*row);
-                } else {
-                    let at = dst.add(cell * LANES + sl.l0);
-                    std::ptr::copy_nonoverlapping(row.0.as_ptr().add(sl.l0), at, sl.m);
-                }
-            }
-        }
-    }
-}
-
-/// The runs of a band's images and, for each, its channel blocks, with
-/// the run's lane block of `X` (`xlen` lanes per block).
-fn slabs(g: &Geom, (i0, i1): (usize, usize)) -> impl Iterator<Item = (usize, Slab)> + '_ {
-    block_runs(i0, i1).flat_map(move |(blk, l0, m)| {
-        (0..g.cb).map(move |b| {
-            let ch0 = b * LANES;
-            let chans = LANES.min(g.c - ch0);
-            (blk, Slab { l0, m, ch0, chans })
-        })
-    })
-}
-
-/// The forward pass over a band of images.
-struct ForwardBand<'a> {
-    x: &'a [Lane],
-    wl: &'a [Lane],
+/// The forward or the input gradient over a chunk of planes (see
+/// [`planes`]).
+struct Planes<'a, const SELECT: bool> {
+    src: &'a [Lane],
+    wgt: &'a [f32],
     g: &'a Geom,
     taps: &'a Taps,
-    out: &'a SendPtr,
-    images: (usize, usize),
+    /// Lanes per plane of `src` and of `dst`.
+    lens: (usize, usize),
+    dst: &'a SendPtr,
+    /// Plane `q` is channel `q % C` of lane block `q / C`.
+    planes: Range<usize>,
 }
 
-impl LanePass for ForwardBand<'_> {
+impl<const SELECT: bool> LanePass for Planes<'_, SELECT> {
     #[inline(always)]
     unsafe fn run<T: Transpose>(self) {
-        let ForwardBand {
-            x,
-            wl,
+        let Planes {
+            src,
+            wgt,
             g,
             taps,
-            out,
-            images,
+            lens: (ns, nd),
+            dst,
+            planes,
         } = self;
-        let (hw, p) = (g.h * g.w, g.oh * g.ow);
-        // Both are written in full for each run's images.
-        let mut xs = LaneBuf::written(LANES * hw);
-        let mut ys = LaneBuf::written(LANES * p);
-        let (xs, ys) = (xs.lanes_mut(), ys.lanes_mut());
-        for (blk, sl) in slabs(g, images) {
-            let wb = &wl[(sl.ch0 / LANES) * g.taps..][..g.taps];
-            // SAFETY: the caller guarantees `T`'s level.
-            unsafe { to_channels::<T>(&x[blk * g.c * hw..][..g.c * hw], hw, sl, xs) };
-            for i in 0..sl.m {
-                gather::<false>(&xs[i * hw..][..hw], wb, taps, &mut ys[i * p..][..p]);
-            }
-            // SAFETY: bands are disjoint, so these lanes are this job's
-            // alone; the caller guarantees `T`'s level.
-            unsafe { from_channels::<T>(ys, p, sl, out.0.add(blk * g.c * p * LANES)) };
+        for q in planes {
+            let w = &wgt[(q % g.c) * g.taps..][..g.taps];
+            // SAFETY: plane `q` is `nd` lanes inside `dst`, and chunks
+            // cover disjoint planes, so they are this job's alone.
+            let out =
+                unsafe { std::slice::from_raw_parts_mut(dst.0.cast::<Lane>().add(q * nd), nd) };
+            gather::<SELECT>(&src[q * ns..][..ns], w, taps, out);
         }
     }
 }
 
-/// Both gradients over a band of images.
-struct BackwardBand<'a> {
-    x: &'a [Lane],
-    dy: &'a [Lane],
-    wl: &'a [Lane],
-    g: &'a Geom,
-    /// The forward's terms, which the weight gradient walks.
-    forward: &'a Taps,
-    /// The input gradient's terms.
-    input: &'a Taps,
-    dx: &'a SendPtr,
-    images: (usize, usize),
-    /// The band's weight-gradient partial, `[C][T]`.
-    dw: &'a mut [f32],
-}
-
-impl LanePass for BackwardBand<'_> {
-    #[inline(always)]
-    unsafe fn run<T: Transpose>(self) {
-        let BackwardBand {
-            x,
-            dy,
-            wl,
-            g,
-            forward,
-            input,
-            dx,
-            images,
-            dw,
-        } = self;
-        let (hw, p) = (g.h * g.w, g.oh * g.ow);
-        // The copies and the input gradient are written in full for each
-        // run's images; the weight-gradient partial accumulates from zero.
-        let mut xs = LaneBuf::written(LANES * hw);
-        let mut dys = LaneBuf::written(LANES * p);
-        let mut dxs = LaneBuf::written(LANES * hw);
-        let mut part = LaneBuf::zeroed(g.cb * g.taps);
-        let (xs, dys, dxs) = (xs.lanes_mut(), dys.lanes_mut(), dxs.lanes_mut());
-        let part = part.lanes_mut();
-        for (blk, sl) in slabs(g, images) {
-            let b = sl.ch0 / LANES;
-            let wb = &wl[b * g.taps..][..g.taps];
-            let sums = &mut part[b * g.taps..][..g.taps];
-            // SAFETY: the caller guarantees `T`'s level.
-            unsafe {
-                to_channels::<T>(&x[blk * g.c * hw..][..g.c * hw], hw, sl, xs);
-                to_channels::<T>(&dy[blk * g.c * p..][..g.c * p], p, sl, dys);
-            }
-            for i in 0..sl.m {
-                let (xi, dyi) = (&xs[i * hw..][..hw], &dys[i * p..][..p]);
-                gather::<true>(dyi, wb, input, &mut dxs[i * hw..][..hw]);
-                backward_weight_image(xi, dyi, forward, sums);
-            }
-            // SAFETY: bands are disjoint, so these lanes are this job's
-            // alone; the caller guarantees `T`'s level.
-            unsafe { from_channels::<T>(dxs, hw, sl, dx.0.add(blk * g.c * hw * LANES)) };
-        }
-        for (ch, row) in dw.chunks_exact_mut(g.taps).enumerate() {
-            for (t, d) in row.iter_mut().enumerate() {
-                *d = part[(ch / LANES) * g.taps + t].0[ch % LANES];
-            }
-        }
-    }
-}
-
-/// One image of the forward (`SELECT = false`) or the input gradient
-/// (`SELECT = true`) in one channel block: each `dst[pos]` is one
-/// accumulator over `pos`'s terms in order, each `s·w`, or
-/// `s ≠ 0 ? s·w : +0.0` with `SELECT`, where `s` is the term's source
-/// vector and `w` the block's weights `wb` at the term's tap.
+/// One plane of the forward (`SELECT = false`) or the input gradient
+/// (`SELECT = true`): each `dst[pos]` is one accumulator over `pos`'s
+/// terms in order, each `s·w`, or `s ≠ 0 ? s·w : +0.0` with `SELECT`,
+/// where `s` is the term's source vector and `w` the channel's weight
+/// `w[t]` at the term's tap, broadcast.
 #[inline(always)]
-fn gather<const SELECT: bool>(src: &[Lane], wb: &[Lane], taps: &Taps, dst: &mut [Lane]) {
+fn gather<const SELECT: bool>(src: &[Lane], w: &[f32], taps: &Taps, dst: &mut [Lane]) {
     for (p, d) in dst.iter_mut().enumerate() {
         let mut acc = [0.0f32; LANES];
         for &(so, t) in &taps.terms[taps.start[p]..taps.start[p + 1]] {
-            let term = product::<SELECT>(&src[so].0, &wb[t].0);
+            let term = product::<SELECT>(&src[so].0, &[w[t]; LANES]);
             for l in 0..LANES {
                 acc[l] += term[l];
             }
@@ -594,11 +437,78 @@ fn product<const SELECT: bool>(s: &[f32; LANES], v: &[f32; LANES]) -> [f32; LANE
     })
 }
 
+/// The images `i0..i1` as runs within one block of 16: `(block, lanes)`.
+fn block_runs(i0: usize, i1: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+    let mut i = i0;
+    std::iter::from_fn(move || {
+        (i < i1).then(|| {
+            let (blk, l0) = (i / LANES, i % LANES);
+            let m = (LANES - l0).min(i1 - i);
+            i += m;
+            (blk, l0..l0 + m)
+        })
+    })
+}
+
+/// The weight gradient over a band of images.
+struct WeightBand<'a> {
+    x: &'a [Lane],
+    dy: &'a [Lane],
+    g: &'a Geom,
+    /// The forward's terms, which the weight gradient walks.
+    taps: &'a Taps,
+    images: (usize, usize),
+    /// The band's partial, `[C][T]`.
+    dw: &'a mut [f32],
+}
+
+impl LanePass for WeightBand<'_> {
+    #[inline(always)]
+    unsafe fn run<T: Transpose>(self) {
+        let WeightBand {
+            x,
+            dy,
+            g,
+            taps,
+            images: (i0, i1),
+            dw,
+        } = self;
+        let (hw, p) = (g.h * g.w, g.oh * g.ow);
+        // The copies are written in full for each run's images; the
+        // partial accumulates from zero.
+        let mut xs = LaneBuf::written(LANES * hw);
+        let mut dys = LaneBuf::written(LANES * p);
+        let mut part = LaneBuf::zeroed(g.cb * g.taps);
+        let (xs, dys, part) = (xs.lanes_mut(), dys.lanes_mut(), part.lanes_mut());
+        for (blk, lanes) in block_runs(i0, i1) {
+            for b in 0..g.cb {
+                let chans = b * LANES..g.c.min((b + 1) * LANES);
+                // SAFETY: the caller guarantees `T`'s level.
+                unsafe {
+                    let xb = &x[blk * g.c * hw..][..g.c * hw];
+                    to_channels::<T>(xb, hw, chans.clone(), lanes.clone(), xs);
+                    let dyb = &dy[blk * g.c * p..][..g.c * p];
+                    to_channels::<T>(dyb, p, chans, lanes.clone(), dys);
+                }
+                let sums = &mut part[b * g.taps..][..g.taps];
+                for i in 0..lanes.len() {
+                    weight_image(&xs[i * hw..][..hw], &dys[i * p..][..p], taps, sums);
+                }
+            }
+        }
+        for (ch, row) in dw.chunks_exact_mut(g.taps).enumerate() {
+            for (t, d) in row.iter_mut().enumerate() {
+                *d = part[(ch / LANES) * g.taps + t].0[ch % LANES];
+            }
+        }
+    }
+}
+
 /// Adds one image's weight-gradient terms `g ≠ 0 ? g·x : +0.0` in one
 /// channel block into its band partial `sums[t]`: output positions in
 /// raster order, each over its in-bounds taps (the forward's terms).
 #[inline(always)]
-fn backward_weight_image(xs: &[Lane], dys: &[Lane], taps: &Taps, sums: &mut [Lane]) {
+fn weight_image(xs: &[Lane], dys: &[Lane], taps: &Taps, sums: &mut [Lane]) {
     for (p, w) in taps.start.windows(2).enumerate() {
         let gv = &dys[p].0;
         for &(xo, t) in &taps.terms[w[0]..w[1]] {
@@ -615,8 +525,9 @@ mod tests {
     use super::super::reference;
     use super::*;
     use crate::lanes::testing::via_lanes;
+    use crate::lanes::PadLanes;
     use crate::par::with_thread_limit;
-    use crate::Conv2dSpec;
+    use crate::{Conv2dSpec, Layout, Tensor};
     use rand::{Rng, SeedableRng};
 
     /// Random data with exact zeros mixed in, so the `g ≠ 0` select runs.
@@ -764,6 +675,53 @@ mod tests {
                         assert_eq!(g, w, "{pass} {s:?} {level:?} at {limit} threads");
                     }
                 }
+            }
+        }
+    }
+
+    /// The lane storage of the row-major `v` of `dims` with every pad
+    /// lane NaN, as a debug build's conversions write them.
+    fn nan_padded(v: &[f32], dims: &[usize]) -> Tensor {
+        let mut t = Tensor::from_vec(v.to_vec(), dims)
+            .and_then(|t| t.to_lanes())
+            .expect("rank 4");
+        let pad = PadLanes::of(&t).expect("a partial block");
+        let mut real = vec![false; t.len()];
+        pad.real_runs(0, t.len(), |lo, hi| real[lo..hi].fill(true));
+        for (v, r) in t.as_mut_slice().iter_mut().zip(real) {
+            if !r {
+                *v = f32::NAN;
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn nan_pad_lanes_reach_no_weight_gradient_and_no_real_lane() {
+        // 17 and 33 images: 15 pad lanes in the last block, NaN in every
+        // build here, while the real values are finite.
+        for n in [17, 33] {
+            let s = ConvShape::new(n, 18, 6, 5, 18, Conv2dSpec::new(3, 2, 1)).expect("shape");
+            let case = Case::new(&s, 21);
+            let want = case.oracle(&s);
+            let g = Geom::new(&s);
+            let x = nan_padded(&case.x, &[s.n, s.c, s.h, s.w]);
+            let dy = nan_padded(&case.dy, &[s.n, s.c, s.oh, s.ow]);
+            for level in Level::supported() {
+                let mut y = Tensor::written(&[s.n, s.c, s.oh, s.ow], Layout::Lanes);
+                let mut dx = Tensor::written(&[s.n, s.c, s.h, s.w], Layout::Lanes);
+                let mut dw = vec![f32::NAN; case.wgt.len()];
+                let (xl, dyl) = (as_lanes(x.as_slice()), as_lanes(dy.as_slice()));
+                // SAFETY: `supported` lists only levels this host runs.
+                unsafe {
+                    forward(level, xl, &case.wgt, &g, as_lanes_mut(y.as_mut_slice()));
+                    let dxl = as_lanes_mut(dx.as_mut_slice());
+                    backward(level, xl, dyl, &case.wgt, &g, dxl, &mut dw);
+                }
+                let got = [y.to_nchw(), dx.to_nchw()].map(|t| bits(t.as_slice()));
+                assert_eq!(got[0], want[0], "forward n={n} {level:?}");
+                assert_eq!(got[1], want[1], "dx n={n} {level:?}");
+                assert_eq!(bits(&dw), want[2], "dw n={n} {level:?}");
             }
         }
     }

@@ -123,11 +123,34 @@ impl Drop for LaneBuf {
 
 /// A 16×16 transpose of a square of lanes, compiled per SIMD level.
 pub(crate) trait Transpose {
+    /// Transposes the square `t` in place.
+    ///
     /// # Safety
     ///
     /// The host must support the level the implementation is compiled
     /// for: [`dispatch_at`] picks it from the level it was given.
     unsafe fn transpose(t: &mut [Lane; LANES]);
+
+    /// Transposes one square per position `pos < p` of planes of `p`
+    /// lanes: row `j` of the square is lane `pos` of source plane `j` for
+    /// `j < rows`, and zero after; row `i` of the result, for each `i` in
+    /// `keep`, goes to lane `pos` of destination plane `i − keep.start`.
+    /// One load and one store per lane, nothing in between but the
+    /// transpose.
+    ///
+    /// # Safety
+    ///
+    /// The `rows` planes at `src` must be readable and the `keep.len()`
+    /// planes at `dst` writable, `rows ≤ 16` and `keep ⊆ 0..16`, and the
+    /// host must support the implementation's level (as for
+    /// [`Self::transpose`]).
+    unsafe fn transpose_planes(
+        src: *const Lane,
+        rows: usize,
+        dst: *mut Lane,
+        keep: std::ops::Range<usize>,
+        p: usize,
+    );
 }
 
 /// Element swaps: the portable and AVX2 levels.
@@ -144,6 +167,27 @@ impl Transpose for Swaps {
             }
         }
     }
+
+    #[inline(always)]
+    unsafe fn transpose_planes(
+        src: *const Lane,
+        rows: usize,
+        dst: *mut Lane,
+        keep: std::ops::Range<usize>,
+        p: usize,
+    ) {
+        for pos in 0..p {
+            for (k, i) in keep.clone().enumerate() {
+                let mut row = ZERO;
+                for (j, v) in row.0.iter_mut().enumerate().take(rows) {
+                    // SAFETY: the caller guarantees source plane `j`.
+                    *v = unsafe { (*src.add(j * p + pos)).0[i] };
+                }
+                // SAFETY: the caller guarantees destination plane `k`.
+                unsafe { dst.add(k * p + pos).write(row) };
+            }
+        }
+    }
 }
 
 /// Four shuffle stages on sixteen 512-bit registers.
@@ -154,59 +198,90 @@ struct Shuffles;
 impl Transpose for Shuffles {
     #[inline(always)]
     unsafe fn transpose(t: &mut [Lane; LANES]) {
-        // SAFETY: the caller guarantees AVX-512F.
-        unsafe { transpose_avx512(t) }
+        let rows = t.as_mut_ptr();
+        // SAFETY: `t` is 16 planes of one lane, read and written in
+        // place; the caller guarantees AVX-512F.
+        unsafe { transpose_avx512(rows, LANES, rows, 0..LANES, 1) }
+    }
+
+    #[inline(always)]
+    unsafe fn transpose_planes(
+        src: *const Lane,
+        rows: usize,
+        dst: *mut Lane,
+        keep: std::ops::Range<usize>,
+        p: usize,
+    ) {
+        // SAFETY: the caller's guarantees, passed on.
+        unsafe { transpose_avx512(src, rows, dst, keep, p) }
     }
 }
 
-/// Transposes `t` in registers: `unpack{lo,hi}_ps` interleaves row pairs,
-/// `unpack{lo,hi}_pd` row quads, and two rounds of `shuffle_f32x4` move
-/// the 128-bit quarters into place.
+/// [`Transpose::transpose_planes`] in registers: `unpack{lo,hi}_ps`
+/// interleaves row pairs, `unpack{lo,hi}_pd` row quads, and two rounds of
+/// `shuffle_f32x4` move the 128-bit quarters into place. Every source
+/// row of a square is loaded before any of its result rows is stored, so
+/// the source and the destination may be the same lanes.
 ///
 /// # Safety
 ///
-/// The host must support AVX-512F.
+/// As [`Transpose::transpose_planes`], on a host with AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn transpose_avx512(t: &mut [Lane; LANES]) {
+unsafe fn transpose_avx512(
+    src: *const Lane,
+    rows: usize,
+    dst: *mut Lane,
+    keep: std::ops::Range<usize>,
+    p: usize,
+) {
     use std::arch::x86_64::*;
-    let mut r = [_mm512_setzero_ps(); LANES];
-    for (v, row) in r.iter_mut().zip(t.iter()) {
-        // SAFETY: each `Lane` is 16 aligned f32s, one 512-bit load.
-        *v = unsafe { _mm512_load_ps(row.0.as_ptr()) };
-    }
-    let mut a = [_mm512_setzero_ps(); LANES];
-    for i in (0..LANES).step_by(2) {
-        a[i] = _mm512_unpacklo_ps(r[i], r[i + 1]);
-        a[i + 1] = _mm512_unpackhi_ps(r[i], r[i + 1]);
-    }
-    let mut b = [_mm512_setzero_ps(); LANES];
-    for q in (0..LANES).step_by(4) {
-        let (a0, a1) = (_mm512_castps_pd(a[q]), _mm512_castps_pd(a[q + 1]));
-        let (a2, a3) = (_mm512_castps_pd(a[q + 2]), _mm512_castps_pd(a[q + 3]));
-        b[q] = _mm512_castpd_ps(_mm512_unpacklo_pd(a0, a2));
-        b[q + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(a0, a2));
-        b[q + 2] = _mm512_castpd_ps(_mm512_unpacklo_pd(a1, a3));
-        b[q + 3] = _mm512_castpd_ps(_mm512_unpackhi_pd(a1, a3));
-    }
-    // b[4g + j] holds column j (and j + 4, 8, 12 in its other quarters)
-    // of rows 4g..4g+4.
-    let mut c = [_mm512_setzero_ps(); LANES];
-    for h in [0, 8] {
-        for j in 0..4 {
-            c[h + j] = _mm512_shuffle_f32x4::<0x88>(b[h + j], b[h + 4 + j]);
-            c[h + 4 + j] = _mm512_shuffle_f32x4::<0xdd>(b[h + j], b[h + 4 + j]);
+    for pos in 0..p {
+        // Both row loops test every row rather than loop over a runtime
+        // range, so that they unroll and the rows stay in registers.
+        let mut r = [_mm512_setzero_ps(); LANES];
+        for (j, v) in r.iter_mut().enumerate() {
+            if j < rows {
+                // SAFETY: each `Lane` is 16 aligned f32s, one 512-bit
+                // load; the caller guarantees source plane `j < rows`.
+                *v = unsafe { _mm512_load_ps(src.add(j * p + pos).cast()) };
+            }
         }
-    }
-    for j in 0..8 {
-        let (lo, hi) = (
-            _mm512_shuffle_f32x4::<0x88>(c[j], c[8 + j]),
-            _mm512_shuffle_f32x4::<0xdd>(c[j], c[8 + j]),
-        );
-        // SAFETY: as for the loads.
-        unsafe {
-            _mm512_store_ps(t[j].0.as_mut_ptr(), lo);
-            _mm512_store_ps(t[8 + j].0.as_mut_ptr(), hi);
+        let mut a = [_mm512_setzero_ps(); LANES];
+        for i in (0..LANES).step_by(2) {
+            a[i] = _mm512_unpacklo_ps(r[i], r[i + 1]);
+            a[i + 1] = _mm512_unpackhi_ps(r[i], r[i + 1]);
+        }
+        let mut b = [_mm512_setzero_ps(); LANES];
+        for q in (0..LANES).step_by(4) {
+            let (a0, a1) = (_mm512_castps_pd(a[q]), _mm512_castps_pd(a[q + 1]));
+            let (a2, a3) = (_mm512_castps_pd(a[q + 2]), _mm512_castps_pd(a[q + 3]));
+            b[q] = _mm512_castpd_ps(_mm512_unpacklo_pd(a0, a2));
+            b[q + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(a0, a2));
+            b[q + 2] = _mm512_castpd_ps(_mm512_unpacklo_pd(a1, a3));
+            b[q + 3] = _mm512_castpd_ps(_mm512_unpackhi_pd(a1, a3));
+        }
+        // b[4g + j] holds column j (and j + 4, 8, 12 in its other
+        // quarters) of rows 4g..4g+4.
+        let mut c = [_mm512_setzero_ps(); LANES];
+        for h in [0, 8] {
+            for j in 0..4 {
+                c[h + j] = _mm512_shuffle_f32x4::<0x88>(b[h + j], b[h + 4 + j]);
+                c[h + 4 + j] = _mm512_shuffle_f32x4::<0xdd>(b[h + j], b[h + 4 + j]);
+            }
+        }
+        let mut out = [_mm512_setzero_ps(); LANES];
+        for j in 0..8 {
+            out[j] = _mm512_shuffle_f32x4::<0x88>(c[j], c[8 + j]);
+            out[8 + j] = _mm512_shuffle_f32x4::<0xdd>(c[j], c[8 + j]);
+        }
+        for (i, &v) in out.iter().enumerate() {
+            if keep.contains(&i) {
+                let at = (i - keep.start) * p + pos;
+                // SAFETY: as for the loads; the caller guarantees
+                // destination plane `i − keep.start`.
+                unsafe { _mm512_store_ps(dst.add(at).cast(), v) };
+            }
         }
     }
 }

@@ -30,8 +30,20 @@
 //! every real element. Every real element either moves is counted in
 //! `tensor.conv.lane_elems` (a shape-only total, identical at any thread
 //! count).
+//!
+//! # Channel-minor copies
+//!
+//! A reduction that runs one chain per *channel* over (image, position)
+//! cannot take images as its lanes. [`ChannelLanes`] (and the crate's
+//! depthwise weight gradient) copy 16 channels of the images of one lane
+//! block into a channel-minor scratch, `[image][position]` vectors whose
+//! lane `j` is channel `ch0 + j`: per position, 16 lanes are loaded into
+//! registers, transposed there, and stored as 16 lanes. Every real
+//! element copied is counted in `tensor.lanes.transposed_elems`.
 
-use crate::gemm::lane::{copy_prefix, dispatch_at, Lane, LanePass, Transpose, ZERO};
+use std::ops::Range;
+
+use crate::gemm::lane::{copy_prefix, dispatch_at, Lane, LaneBuf, LanePass, Transpose, ZERO};
 use crate::gemm::SendPtr;
 use crate::par::{parallel_for_chunks, ChunkGrid};
 use crate::simd::SimdLevel;
@@ -50,6 +62,9 @@ static LANE_ELEMS: cq_obs::Counter = cq_obs::Counter::new("tensor.conv.lane_elem
 pub(crate) fn count_moved(elems: usize) {
     LANE_ELEMS.add(elems as u64);
 }
+
+// Real elements copied into the channel-minor layout. Shape-only too.
+static TRANSPOSED_ELEMS: cq_obs::Counter = cq_obs::Counter::new("tensor.lanes.transposed_elems");
 
 /// Stored floats of a lane tensor of `dims` (`[N, C, H, W]`): whole
 /// 16-image blocks.
@@ -328,6 +343,137 @@ impl LanePass for ToNchw<'_> {
     }
 }
 
+/// Copies channels `chans` (at most 16) of the images `images` (lanes
+/// of the block, within `0..16`) of one lane block `src`, `[C][p]`
+/// lanes, into the channel-minor `dst`, `[images.len()][p]` lanes whose
+/// lane `j` is channel `chans.start + j` (zero past the last): per
+/// position, one 16-channel × 16-image transpose in registers. No other
+/// lane of `dst` is written.
+///
+/// # Safety
+///
+/// The host must support `T`'s level.
+///
+/// # Panics
+///
+/// Panics if a range or a slice is too short for the copy.
+#[inline(always)]
+pub(crate) unsafe fn to_channels<T: Transpose>(
+    src: &[Lane],
+    p: usize,
+    chans: Range<usize>,
+    images: Range<usize>,
+    dst: &mut [Lane],
+) {
+    let (rows, m) = (chans.len(), images.len());
+    assert!(
+        rows <= LANES && images.end <= LANES && chans.end * p <= src.len() && m * p <= dst.len(),
+        "to_channels: {chans:?} × {images:?} at {p} positions out of range"
+    );
+    TRANSPOSED_ELEMS.add((rows * m * p) as u64);
+    // SAFETY: the `rows` planes of `p` lanes from channel `chans.start`
+    // lie in `src`, and the `m` planes from 0 in `dst` (both checked
+    // above); the caller guarantees `T`'s level.
+    unsafe {
+        let src = src[chans.start * p..].as_ptr();
+        T::transpose_planes(src, rows, dst.as_mut_ptr(), images, p);
+    }
+}
+
+/// A channel-minor copy of 16 channels of the images of one lane block:
+/// `[image][position]` vectors whose lane `j` is channel `ch0 + j`. A
+/// reduction with one chain per channel in (image, position) order walks
+/// [`ChannelLanes::image`] in image order and so runs 16 of its chains
+/// as one vector chain. The scratch comes from the recycler
+/// ([`crate::recycle`]) and is refilled per block by
+/// [`ChannelLanes::fill`].
+pub struct ChannelLanes {
+    level: SimdLevel,
+    buf: LaneBuf,
+    positions: usize,
+    images: usize,
+}
+
+impl ChannelLanes {
+    /// Scratch for 16 images of `positions` positions, filled at `level`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host cannot run `level`.
+    pub fn new(level: SimdLevel, positions: usize) -> ChannelLanes {
+        assert!(
+            SimdLevel::supported().contains(&level),
+            "ChannelLanes: host cannot run {level:?}"
+        );
+        ChannelLanes {
+            level,
+            buf: LaneBuf::written(LANES * positions),
+            positions,
+            images: 0,
+        }
+    }
+
+    /// Copies channels `ch0..ch0 + 16` of the first `images` images of
+    /// `block`, the lane storage of one block (`[C][positions][16]`
+    /// floats, 64-byte aligned), counting the copy in
+    /// `tensor.lanes.transposed_elems`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `images > 16`, `block` is not whole aligned lanes or
+    /// holds fewer than `ch0 + 16` channels.
+    pub fn fill(&mut self, block: &[f32], ch0: usize, images: usize) {
+        let pass = Fill {
+            src: as_lanes(block),
+            p: self.positions,
+            chans: ch0..ch0 + LANES,
+            images: 0..images,
+            dst: self.buf.lanes_mut(),
+        };
+        // SAFETY: `new` checked that the host runs the level.
+        unsafe { dispatch_at(self.level, pass) };
+        self.images = images;
+    }
+
+    /// Image `i`'s positions of the last [`ChannelLanes::fill`], 16
+    /// channels each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that fill copied no image `i`.
+    pub fn image(&self, i: usize) -> &[[f32; LANES]] {
+        assert!(i < self.images, "ChannelLanes: image {i} not filled");
+        let lanes = &self.buf.lanes()[i * self.positions..(i + 1) * self.positions];
+        // SAFETY: a `Lane` is exactly 16 f32s (`repr(C)`), aligned more
+        // strictly than `[f32; 16]`.
+        unsafe { std::slice::from_raw_parts(lanes.as_ptr().cast(), lanes.len()) }
+    }
+}
+
+/// [`to_channels`] behind [`ChannelLanes::fill`].
+struct Fill<'a> {
+    src: &'a [Lane],
+    p: usize,
+    chans: Range<usize>,
+    images: Range<usize>,
+    dst: &'a mut [Lane],
+}
+
+impl LanePass for Fill<'_> {
+    #[inline(always)]
+    unsafe fn run<T: Transpose>(self) {
+        let Fill {
+            src,
+            p,
+            chans,
+            images,
+            dst,
+        } = self;
+        // SAFETY: the caller guarantees `T`'s level.
+        unsafe { to_channels::<T>(src, p, chans, images, dst) };
+    }
+}
+
 /// Test support shared by the lane kernels' oracle tests.
 #[cfg(test)]
 pub(crate) mod testing {
@@ -437,6 +583,76 @@ mod tests {
         assert!(l.add(&x).is_err());
         assert_eq!(l.flatten().as_slice(), x.as_slice());
         assert_eq!(l.clone().into_vec(), x.as_slice());
+    }
+
+    #[test]
+    fn channel_minor_copies_transpose_the_chosen_channels_and_images() {
+        // A block of 20 channels at 6 positions, distinct values.
+        let (c, p) = (20, 6);
+        let src: Vec<Lane> = (0..c * p)
+            .map(|cell| Lane(std::array::from_fn(|l| (cell * LANES + l) as f32)))
+            .collect();
+        let sentinel = Lane([-1.0; LANES]);
+        for level in SimdLevel::supported() {
+            for (chans, images) in [
+                (0..16, 0..16),
+                (4..20, 3..11),
+                (16..20, 15..16),
+                (2..3, 0..0),
+            ] {
+                let mut dst = vec![sentinel; LANES * p + 1];
+                let pass = Fill {
+                    src: &src,
+                    p,
+                    chans: chans.clone(),
+                    images: images.clone(),
+                    dst: &mut dst,
+                };
+                // SAFETY: `supported` lists only levels this host runs.
+                unsafe { dispatch_at(level, pass) };
+                let at = format!("{level:?} {chans:?} {images:?}");
+                for (k, i) in images.clone().enumerate() {
+                    for pos in 0..p {
+                        let want: [f32; LANES] = std::array::from_fn(|j| {
+                            let ch = chans.start + j;
+                            if ch < chans.end {
+                                src[ch * p + pos].0[i]
+                            } else {
+                                0.0
+                            }
+                        });
+                        assert_eq!(dst[k * p + pos].0, want, "{at} image {i} at {pos}");
+                    }
+                }
+                // No lane past the copied images is written.
+                for lane in &dst[images.len() * p..] {
+                    assert_eq!(lane.0, sentinel.0, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn channel_lanes_hold_one_channel_per_lane_at_every_level() {
+        let dims = [21, 18, 3, 2];
+        let l = ramp(&dims).to_lanes().expect("rank 4");
+        let x = ramp(&dims);
+        let block = storage_len(&dims) / 2;
+        for level in SimdLevel::supported() {
+            let mut cl = ChannelLanes::new(level, 6);
+            for (b, images) in [(0, 16), (1, 5)] {
+                cl.fill(&l.as_slice()[b * block..][..block], 2, images);
+                for i in 0..images {
+                    for (pos, v) in cl.image(i).iter().enumerate() {
+                        for (j, &e) in v.iter().enumerate() {
+                            let want = x.as_slice()[((b * LANES + i) * 18 + 2 + j) * 6 + pos];
+                            assert_eq!(e.to_bits(), want.to_bits(), "{level:?} {b} {i} {pos} {j}");
+                        }
+                    }
+                }
+                assert!(std::panic::catch_unwind(|| cl.image(images)).is_err());
+            }
+        }
     }
 
     #[test]
