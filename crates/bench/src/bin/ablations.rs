@@ -20,6 +20,7 @@ use cq_models::{Arch, Encoder};
 use cq_quant::{PrecisionSet, QuantMode};
 
 fn main() {
+    cq_bench::obs_init();
     let scale = Scale::from_args();
     let proto = Protocol::new(Regime::CifarLike, scale);
     let (train, test) = proto.datasets();
@@ -147,4 +148,5 @@ fn main() {
         ]);
     }
     t3.print();
+    cq_bench::print_obs_summary();
 }

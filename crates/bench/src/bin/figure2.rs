@@ -14,6 +14,7 @@ use cq_quant::PrecisionSet;
 use std::io::Write as _;
 
 fn main() {
+    cq_bench::obs_init();
     let scale = Scale::from_args();
     let proto = Protocol::new(Regime::CifarLike, scale);
     let (train, test) = proto.datasets();
@@ -82,5 +83,5 @@ fn main() {
         }
     }
     table.print();
-    let _ = table.write_csv(std::path::Path::new("figure2.csv"));
+    cq_bench::finish(&table, "figure2.csv");
 }

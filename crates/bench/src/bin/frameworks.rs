@@ -13,6 +13,7 @@ use cq_models::{Arch, Encoder};
 use cq_quant::PrecisionSet;
 
 fn main() {
+    cq_bench::obs_init();
     let scale = Scale::from_args();
     let proto = Protocol::new(Regime::CifarLike, scale);
     let (train, test) = proto.datasets();
@@ -107,5 +108,5 @@ fn main() {
     }
 
     table.print();
-    let _ = table.write_csv(std::path::Path::new("frameworks.csv"));
+    cq_bench::finish(&table, "frameworks.csv");
 }

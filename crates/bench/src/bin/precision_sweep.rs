@@ -12,6 +12,7 @@ use cq_models::Arch;
 use cq_quant::PrecisionSet;
 
 fn main() {
+    cq_bench::obs_init();
     let scale = Scale::from_args();
     let proto = Protocol::new(Regime::CifarLike, scale);
     let (train, test) = proto.datasets();
@@ -64,5 +65,5 @@ fn main() {
         eprintln!("  {lo}-{hi}: done");
     }
     table.print();
-    let _ = table.write_csv(std::path::Path::new("precision_sweep.csv"));
+    cq_bench::finish(&table, "precision_sweep.csv");
 }

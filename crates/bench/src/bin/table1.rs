@@ -75,9 +75,5 @@ fn main() {
         }
     }
     table.print();
-    let csv = seed.map_or("table1.csv".into(), |s| format!("table1_s{s}.csv"));
-    let _ = table.write_csv(std::path::Path::new(&csv));
-    if let Some(summary) = cq_bench::obs_summary() {
-        println!("\n{summary}");
-    }
+    cq_bench::finish(&table, &cq_bench::csv_name("table1", seed));
 }

@@ -1,5 +1,10 @@
 //! Table 2: linear evaluation on the ImageNet-like config, ResNet-18/34
 //! (reuses the cached Table 1 encoders).
+//!
+//! `--seed <n>` runs one seed of a multi-seed experiment: it sets the
+//! protocol's master seed and the dataset's seed, reuses the encoders of
+//! `table1 --seed <n>`, and writes `table2_s<n>.csv` instead of
+//! `table2.csv`.
 
 use cq_bench::{fmt_acc, linear_probe, pretrain_simclr_cached, Protocol, Regime, Scale};
 use cq_core::Pipeline;
@@ -8,8 +13,13 @@ use cq_models::Arch;
 use cq_quant::PrecisionSet;
 
 fn main() {
+    cq_bench::obs_init();
     let scale = Scale::from_args();
-    let proto = Protocol::new(Regime::ImagenetLike, scale);
+    let seed = cq_bench::seed_from_args();
+    let mut proto = Protocol::new(Regime::ImagenetLike, scale);
+    if let Some(seed) = seed {
+        proto = proto.with_seed(seed);
+    }
     let (train, test) = proto.datasets();
     let scale_tag = if scale == Scale::Paper {
         "paper"
@@ -48,5 +58,5 @@ fn main() {
         table.row_owned(cells);
     }
     table.print();
-    let _ = table.write_csv(std::path::Path::new("table2.csv"));
+    cq_bench::finish(&table, &cq_bench::csv_name("table2", seed));
 }

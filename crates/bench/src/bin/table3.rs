@@ -10,6 +10,7 @@ use cq_models::Arch;
 use cq_quant::PrecisionSet;
 
 fn main() {
+    cq_bench::obs_init();
     let scale = Scale::from_args();
     let proto = Protocol::new(Regime::ImagenetLike, scale);
     let (ssl_train, _) = proto.datasets();
@@ -71,5 +72,5 @@ fn main() {
         }
     }
     table.print();
-    let _ = table.write_csv(std::path::Path::new("table3.csv"));
+    cq_bench::finish(&table, "table3.csv");
 }

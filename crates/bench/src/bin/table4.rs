@@ -1,5 +1,9 @@
 //! Table 4: CQ-C (precision set 6-16) vs SimCLR on the CIFAR-like config
 //! across all six networks, fine-tuning with 10%/1% labels at FP/4-bit.
+//!
+//! `--seed <n>` runs one seed of a multi-seed experiment: it sets the
+//! protocol's master seed and the dataset's seed, and writes
+//! `table4_s<n>.csv` instead of `table4.csv`.
 
 use cq_bench::{finetune_grid, fmt_acc, pretrain_simclr_cached, Protocol, Regime, Scale};
 use cq_core::Pipeline;
@@ -20,8 +24,13 @@ fn arch_tag(arch: Arch) -> &'static str {
 }
 
 fn main() {
+    cq_bench::obs_init();
     let scale = Scale::from_args();
-    let proto = Protocol::new(Regime::CifarLike, scale);
+    let seed = cq_bench::seed_from_args();
+    let mut proto = Protocol::new(Regime::CifarLike, scale);
+    if let Some(seed) = seed {
+        proto = proto.with_seed(seed);
+    }
     let (train, test) = proto.datasets();
     let scale_tag = if scale == Scale::Paper {
         "paper"
@@ -65,5 +74,5 @@ fn main() {
         }
     }
     table.print();
-    let _ = table.write_csv(std::path::Path::new("table4.csv"));
+    cq_bench::finish(&table, &cq_bench::csv_name("table4", seed));
 }

@@ -19,6 +19,7 @@ fn arch_tag(arch: Arch) -> &'static str {
 }
 
 fn main() {
+    cq_bench::obs_init();
     let scale = Scale::from_args();
     let proto = Protocol::new(Regime::CifarLike, scale);
     let (train, test) = proto.datasets();
@@ -57,5 +58,5 @@ fn main() {
         table.row_owned(cells);
     }
     table.print();
-    let _ = table.write_csv(std::path::Path::new("table5.csv"));
+    cq_bench::finish(&table, "table5.csv");
 }

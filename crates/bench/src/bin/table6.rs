@@ -8,6 +8,7 @@ use cq_models::Arch;
 use cq_quant::PrecisionSet;
 
 fn main() {
+    cq_bench::obs_init();
     let scale = Scale::from_args();
     let proto = Protocol::new(Regime::CifarLike, scale);
     let (train, test) = proto.datasets();
@@ -57,5 +58,5 @@ fn main() {
         }
     }
     table.print();
-    let _ = table.write_csv(std::path::Path::new("table6.csv"));
+    cq_bench::finish(&table, "table6.csv");
 }

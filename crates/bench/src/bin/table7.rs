@@ -2,6 +2,10 @@
 //! set 6-16) against SimCLR on the CIFAR-like config, ResNet-34/74 +
 //! MobileNetV2. Also reports the gradient-explosion rate the paper
 //! observed for CQ-B.
+//!
+//! `--seed <n>` runs one seed of a multi-seed experiment: it sets the
+//! protocol's master seed and the dataset's seed, and writes
+//! `table7_s<n>.csv` instead of `table7.csv`.
 
 use cq_bench::{finetune_grid, fmt_acc, pretrain_simclr_cached, Protocol, Regime, Scale};
 use cq_core::Pipeline;
@@ -10,8 +14,13 @@ use cq_models::Arch;
 use cq_quant::PrecisionSet;
 
 fn main() {
+    cq_bench::obs_init();
     let scale = Scale::from_args();
-    let proto = Protocol::new(Regime::CifarLike, scale);
+    let seed = cq_bench::seed_from_args();
+    let mut proto = Protocol::new(Regime::CifarLike, scale);
+    if let Some(seed) = seed {
+        proto = proto.with_seed(seed);
+    }
     let (train, test) = proto.datasets();
     let scale_tag = if scale == Scale::Paper {
         "paper"
@@ -66,5 +75,5 @@ fn main() {
         }
     }
     table.print();
-    let _ = table.write_csv(std::path::Path::new("table7.csv"));
+    cq_bench::finish(&table, &cq_bench::csv_name("table7", seed));
 }

@@ -10,6 +10,7 @@ use cq_models::{Arch, Encoder};
 use cq_quant::{Precision, PrecisionSet};
 
 fn main() {
+    cq_bench::obs_init();
     let scale = Scale::from_args();
     let proto = Protocol::new(Regime::CifarLike, scale);
     let (train, test) = proto.datasets();
@@ -75,5 +76,5 @@ fn main() {
         eprintln!("  {arch} no-ssl: done");
     }
     table.print();
-    let _ = table.write_csv(std::path::Path::new("table8.csv"));
+    cq_bench::finish(&table, "table8.csv");
 }
