@@ -10,6 +10,13 @@
 //! states and counters) must be bit-identical to before. The trainer's
 //! own checkpoint bytes are the witness: they serialize all of that
 //! state.
+//!
+//! A SimCLR CQ-C checkpoint also has every bit of its fixed header and
+//! of each section's length prefix flipped, one at a time, and each
+//! length prefix set to `u32::MAX`. Some of those loads are valid
+//! checkpoints (a flipped step counter, say), so each load may succeed
+//! or fail, but must return rather than panic, and a failed one must
+//! leave the trainer as it was.
 
 use cq_core::{
     ByolMethod, Pipeline, PretrainConfig, SimclrMethod, SimsiamMethod, SslMethod, TrainLoop,
@@ -83,15 +90,87 @@ fn assert_rejected<M: SslMethod>(
     bytes: &[u8],
     what: &str,
 ) {
-    let name = M::NAME;
     assert!(
         victim.load_checkpoint(bytes).is_err(),
-        "{name}: {what} loaded"
+        "{}: {what} loaded",
+        M::NAME
     );
+    assert_unchanged(victim, before, what);
+}
+
+/// Asserts that the failed load `what` left `victim`'s checkpoint bytes
+/// equal to `before`.
+fn assert_unchanged<M: SslMethod>(victim: &TrainLoop<M>, before: &[u8], what: &str) {
     assert!(
         snapshot(victim) == before,
-        "{name}: failed load ({what}) mutated the trainer"
+        "{}: failed load ({what}) mutated the trainer",
+        M::NAME
     );
+}
+
+/// Loads `bytes` into `victim`, which must return rather than panic. A
+/// failed load must leave its checkpoint bytes equal to `before`; after
+/// a successful one, `before` is loaded back.
+fn assert_load_returns<M: SslMethod>(
+    victim: &mut TrainLoop<M>,
+    before: &[u8],
+    bytes: &[u8],
+    what: &str,
+) {
+    match victim.load_checkpoint(bytes) {
+        Err(_) => assert_unchanged(victim, before, what),
+        Ok(()) => {
+            victim
+                .load_checkpoint(before)
+                .expect("the victim's own bytes");
+            assert_unchanged(victim, before, "restore");
+        }
+    }
+}
+
+/// Bytes `write_tensors` gives `ts`: a `u32` count, then each tensor.
+fn tensors_len(ts: &[cq_tensor::Tensor]) -> usize {
+    let mut out = Vec::new();
+    for t in ts {
+        cq_tensor::write_tensor(&mut out, t).expect("write");
+    }
+    4 + out.len()
+}
+
+/// The `u32` length prefix of each variable-length section of the
+/// target-less checkpoint `ckpt`, as (section, offset): the two history
+/// lists, the parameter count after the `CQPS` magic, the BatchNorm
+/// state and the momentum.
+fn length_prefixes(ckpt: &[u8]) -> [(&'static str, usize); 5] {
+    let st = TrainState::read(ckpt).expect("parse");
+    let losses = HEADER_LEN;
+    let norms = losses + 4 + 4 * st.history.epoch_losses.len();
+    let params = norms + 4 + 4 * st.history.epoch_grad_norms.len();
+    let mut saved = Vec::new();
+    st.params.save(&mut saved).expect("save");
+    let state = params + saved.len();
+    let velocity = state + tensors_len(&st.state);
+    // The target-presence byte follows, and ends the file.
+    assert_eq!(velocity + tensors_len(&st.velocity), ckpt.len() - 1);
+    let prefixes = [
+        ("epoch losses", losses),
+        ("epoch grad norms", norms),
+        ("parameters", params + 4),
+        ("state", state),
+        ("momentum", velocity),
+    ];
+    let counts = [
+        st.history.epoch_losses.len(),
+        st.history.epoch_grad_norms.len(),
+        st.params.len(),
+        st.state.len(),
+        st.velocity.len(),
+    ];
+    for ((what, at), n) in prefixes.iter().zip(counts) {
+        let v = u32::from_le_bytes(ckpt[*at..at + 4].try_into().expect("4 bytes"));
+        assert_eq!(v as usize, n, "{what} prefix at {at}");
+    }
+    prefixes
 }
 
 fn hostile_loads_fail_without_mutation<M: SslMethod>() {
@@ -158,6 +237,44 @@ fn trailing_byte_fails_without_mutation<M: SslMethod>() {
         "{}: load/save round trip",
         M::NAME
     );
+}
+
+/// Every bit of the header and of each length prefix flipped, and each
+/// prefix set to `u32::MAX`.
+fn bit_flips_and_oversize_prefixes_return<M: SslMethod>() {
+    let (ckpt, mut victim, before) = checkpoint_and_victim::<M>();
+    let mut attempt =
+        |bytes: &[u8], what: String| assert_load_returns(&mut victim, &before, bytes, &what);
+    let prefixes = length_prefixes(&ckpt);
+    let header = (0..HEADER_LEN).map(|at| ("header", at));
+    let prefix_bytes = prefixes
+        .iter()
+        .flat_map(|&(what, at)| (at..at + 4).map(move |b| (what, b)));
+    for (what, at) in header.chain(prefix_bytes) {
+        for bit in 0..8 {
+            let mut flipped = ckpt.clone();
+            flipped[at] ^= 1 << bit;
+            attempt(&flipped, format!("{what}: bit {bit} of byte {at} flipped"));
+        }
+    }
+    for (what, at) in prefixes {
+        let mut oversize = ckpt.clone();
+        oversize[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        attempt(&oversize, format!("{what}: length u32::MAX"));
+    }
+    victim
+        .load_checkpoint(ckpt.as_slice())
+        .expect("valid checkpoint");
+    assert!(
+        snapshot(&victim) == ckpt,
+        "{}: load/save round trip",
+        M::NAME
+    );
+}
+
+#[test]
+fn simclr_cq_c_survives_bit_flips_and_oversize_length_prefixes() {
+    bit_flips_and_oversize_prefixes_return::<SimclrMethod>();
 }
 
 #[test]
