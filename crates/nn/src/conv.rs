@@ -1,7 +1,8 @@
 //! Convolution layers: dense [`Conv2d`] and [`DepthwiseConv2d`] (used by
 //! MobileNetV2). Each pass is one batch-wide kernel call: dense passes on
-//! the batch lanes of `cq_tensor::gemm::conv`, depthwise passes on the
-//! channel lanes of `cq_tensor::gemm::depthwise`. Those kernels own the
+//! the batch lanes of `cq_tensor::gemm::conv`, depthwise passes in
+//! `cq_tensor::gemm::depthwise` (forward and input gradient on the image
+//! lanes, weight gradient on channel lanes). Those kernels own the
 //! batch split and the band-order reduction of the weight-gradient
 //! partials, so gradients are bitwise identical at every thread count.
 //!

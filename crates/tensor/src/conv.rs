@@ -2,7 +2,8 @@
 //!
 //! Every f32 convolution runs over the whole batch in [`crate::gemm`]:
 //! dense ones on batch lanes ([`crate::gemm::conv`]), depthwise ones
-//! (MobileNetV2) on channel lanes ([`crate::gemm::depthwise`]). The int8
+//! (MobileNetV2) on the same image lanes, their weight gradient on
+//! channel lanes ([`crate::gemm::depthwise`]). The int8
 //! dense forward is an implicit GEMM; the int8 depthwise forward,
 //! [`depthwise_conv2d_i8`], is a direct per-image loop.
 

@@ -9,8 +9,8 @@
 //! parallel entry point is additionally run under thread limits
 //! {1, 2, 5, 8} — all must produce identical bits. The dense convolution
 //! (on batch lanes) is held to the same standard against its per-sample
-//! im2col oracle, and the depthwise convolution (on channel lanes)
-//! against its per-pixel loops.
+//! im2col oracle, and the depthwise convolution against its per-pixel
+//! loops.
 
 use cq_tensor::gemm::{self, reference, Kind};
 use cq_tensor::par::with_thread_limit;
